@@ -44,7 +44,7 @@ fn main() {
         run(recorder);
         span.finish();
     }
-    hook.finish();
+    hook.finish_or_exit();
 }
 
 /// Tree ensembles with a shared bespoke ADC bank vs the single

@@ -29,7 +29,7 @@ use printed_codesign::explore::ExplorationConfig;
 use printed_datasets::Benchmark;
 use printed_dtree::cart::train_depth_selected;
 use printed_pdk::AnalogModel;
-use printed_report::TraceStats;
+use printed_report::{BenchRecord, Calibration, Metric};
 use printed_telemetry::{FlowTrace, Recorder, RunManifest};
 
 /// The selection constraint every baseline records — the paper's 1%.
@@ -102,28 +102,24 @@ fn run(args: &Args) -> Result<(), String> {
     let mut lines = String::new();
     for benchmark in Benchmark::ALL {
         eprintln!("bench_all: {benchmark} — {} calibration run(s)", args.runs);
-        let mut walls = Vec::with_capacity(args.runs);
-        let mut first = None;
-        for _ in 0..args.runs {
-            let trace = run_once(benchmark, &grid)?;
-            walls.push(trace.wall_us);
-            if first.is_none() {
-                first = Some(trace);
-            }
+        let trace = run_once(benchmark, &grid)?;
+        let mut walls = vec![trace.wall_us];
+        for _ in 1..args.runs {
+            walls.push(run_once(benchmark, &grid)?.wall_us);
         }
-        let trace = first.expect("at least one run");
-        let stats = TraceStats::from_trace(&trace).with_calibration(&walls);
+        let wall = Calibration::of(&walls);
+        let record = BenchRecord::from_trace(&trace).with(Metric::calibrated("wall_us", wall));
         println!(
             "{:<14} wall {:>8} µs (median of {}, MAD {} µs)  gini {:>8}  area {:.3} mm²  power {:.3} mW",
-            stats.dataset,
-            stats.wall_us_median,
-            stats.calib_runs,
-            stats.wall_us_mad,
-            stats.gini_evals,
-            stats.area_mm2,
-            stats.power_mw
+            record.key,
+            wall.median,
+            wall.runs,
+            wall.mad,
+            record.value("gini_evals"),
+            record.value("area_mm2"),
+            record.value("power_mw")
         );
-        lines.push_str(&stats.to_json());
+        lines.push_str(&record.to_json());
         lines.push('\n');
     }
     std::fs::write(&args.out, lines).map_err(|e| format!("{}: {e}", args.out))?;

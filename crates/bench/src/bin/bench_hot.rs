@@ -41,7 +41,7 @@ use printed_bench::{BITS, DEPTH_CAP};
 use printed_codesign::train::{train_adc_aware_annotated, AdcAwareConfig};
 use printed_codesign::UnaryClassifier;
 use printed_datasets::Benchmark;
-use printed_report::KernelStats;
+use printed_report::{Axis, BenchRecord, Calibration, Metric};
 use printed_telemetry::{Kernel, KernelScope, Recorder, RunManifest};
 
 struct Args {
@@ -169,30 +169,20 @@ fn run(args: &Args) -> Result<(), String> {
             }
         }
         for (i, kernel) in Kernel::ALL.iter().enumerate() {
-            let stats = KernelStats {
-                dataset: benchmark.to_string(),
-                kernel: kernel.name().to_owned(),
-                git_sha: manifest.git_sha.clone(),
-                calls: first[i].calls,
-                items: first[i].items,
-                cpus: manifest.cpus,
-                threads: manifest.threads,
-                build: manifest.build.clone(),
-                unix_secs: manifest.unix_secs,
-                ..KernelStats::default()
-            }
-            .with_calibration(&throughputs[i]);
+            let tp = Calibration::of(&throughputs[i]);
+            let (calls, items) = (first[i].calls, first[i].items);
+            let key = format!("{benchmark}/{}", kernel.name());
+            let metrics = vec![
+                Metric::new("calls", calls),
+                Metric::new("items", items),
+                Metric::calibrated("tp_median", tp),
+            ];
+            let record = BenchRecord::new(Axis::Kernel, &key, manifest.clone(), metrics);
             println!(
-                "{:<14} {:<14} calls {:>5}  items {:>8}  {:>12} items/s (median of {}, MAD {})",
-                stats.dataset,
-                stats.kernel,
-                stats.calls,
-                stats.items,
-                stats.tp_median,
-                stats.calib_runs,
-                stats.tp_mad,
+                "{key:<29} calls {calls:>5}  items {items:>8}  {:>12} items/s (median of {}, MAD {})",
+                tp.median, tp.runs, tp.mad,
             );
-            lines.push_str(&stats.to_json());
+            lines.push_str(&record.to_json());
             lines.push('\n');
         }
     }

@@ -38,7 +38,7 @@ use printed_codesign::{
 };
 use printed_datasets::Benchmark;
 use printed_pdk::AnalogModel;
-use printed_report::RobustStats;
+use printed_report::{Axis, BenchRecord, Calibration, Metric};
 use printed_telemetry::{Recorder, RunManifest};
 
 /// Accuracy-loss constraint of the robust selection. Looser than the
@@ -205,42 +205,42 @@ fn run(args: &Args) -> Result<(), String> {
             .profile_for(chosen.tau, chosen.depth)
             .ok_or_else(|| format!("{benchmark}: selected point has no profile"))?;
 
-        let stats = RobustStats {
-            dataset: benchmark.to_string(),
-            git_sha: manifest.git_sha.clone(),
-            tau: chosen.tau,
-            depth: chosen.depth as u64,
-            nominal: profile.nominal,
-            robust_accuracy: profile.robust_accuracy(),
-            yield_est: profile.yield_estimate,
-            worst_fault: profile.worst_single_fault,
-            droop_margin: profile.droop_margin,
-            pruned_points: adaptive.pruned.len() as u64,
-            trials_budget: adaptive.trials_budget,
-            cpus: manifest.cpus,
-            threads: manifest.threads,
-            build: manifest.build.clone(),
-            unix_secs: manifest.unix_secs,
-            ..RobustStats::default()
-        }
-        .with_calibration(&spends, &walls);
+        let (trials, wall) = (Calibration::of(&spends), Calibration::of(&walls));
+        let record = BenchRecord::new(
+            Axis::Robust,
+            benchmark.to_string(),
+            manifest.clone(),
+            vec![
+                Metric::new("tau", chosen.tau),
+                Metric::new("depth", chosen.depth),
+                Metric::new("nominal", profile.nominal),
+                Metric::new("robust_accuracy", profile.robust_accuracy()),
+                Metric::new("yield", profile.yield_estimate),
+                Metric::new("worst_fault", profile.worst_single_fault),
+                Metric::new("droop_margin", profile.droop_margin),
+                Metric::new("pruned_points", adaptive.pruned.len()),
+                Metric::new("trials_budget", adaptive.trials_budget),
+                Metric::calibrated("trials_median", trials),
+                Metric::calibrated("wall_us_median", wall),
+            ],
+        );
         println!(
             "{:<14} τ={:<5} depth {}  yield {:>3.0}%  worst-fault {:>5.1}%  droop {:.2}  \
              trials {:>5} of {:>5} ({} pruned)  wall {:>7} µs (median of {}, MAD {})",
-            stats.dataset,
-            stats.tau,
-            stats.depth,
-            stats.yield_est * 100.0,
-            stats.worst_fault * 100.0,
-            stats.droop_margin,
-            stats.trials_median,
-            stats.trials_budget,
-            stats.pruned_points,
-            stats.wall_us_median,
-            stats.calib_runs,
-            stats.wall_us_mad,
+            record.key,
+            chosen.tau,
+            chosen.depth,
+            profile.yield_estimate * 100.0,
+            profile.worst_single_fault * 100.0,
+            profile.droop_margin,
+            trials.median,
+            adaptive.trials_budget,
+            adaptive.pruned.len(),
+            wall.median,
+            wall.runs,
+            wall.mad,
         );
-        lines.push_str(&stats.to_json());
+        lines.push_str(&record.to_json());
         lines.push('\n');
     }
     std::fs::write(&args.out, lines).map_err(|e| format!("{}: {e}", args.out))?;

@@ -191,6 +191,16 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         ExplorationConfig::paper()
     };
     if let Some(path) = &args.resume {
+        // Open the sweep and campaign checkpoints before any work starts:
+        // an unwritable path fails here with one line, not in a worker.
+        let campaign = format!("{path}.robust");
+        for file in std::iter::once(path).chain(args.robust.then_some(&campaign)) {
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(file)
+                .map_err(|e| format!("cannot open checkpoint file {file}: {e}"))?;
+        }
         grid = grid.with_checkpoint(path);
         println!("checkpointing sweep to {path} (resumes completed points)");
     }
@@ -499,12 +509,16 @@ fn run_robustness(
 fn main() -> ExitCode {
     let mut hook = TraceHook::from_env("codesign");
     let outcome = parse_args().and_then(|args| run(&args, &mut hook));
-    hook.finish();
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
+    let errors: Vec<String> = [outcome.err(), hook.finish().err()]
+        .into_iter()
+        .flatten()
+        .collect();
+    for message in &errors {
+        eprintln!("error: {message}");
+    }
+    if errors.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -81,5 +81,5 @@ fn main() {
          power grows with tap order because higher reference voltages draw more static\n\
          current in the comparator input stages."
     );
-    hook.finish();
+    hook.finish_or_exit();
 }

@@ -58,5 +58,5 @@ fn main() {
         geo_power.powf(1.0 / 8.0),
     );
     println!("(paper: 3.0x area, 6.6x power on its testbed)");
-    hook.finish();
+    hook.finish_or_exit();
 }

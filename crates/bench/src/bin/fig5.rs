@@ -104,5 +104,5 @@ fn main() {
         "\nPositive percentages are area/power *savings* of the ADC-aware model over the\n\
          unaware model, both synthesized with bespoke ADCs + unary logic."
     );
-    hook.finish();
+    hook.finish_or_exit();
 }

@@ -69,5 +69,5 @@ fn main() {
         "\nReading: accuracy typically saturates by 4 bits while ADC power keeps\n\
          growing with precision — the knee that justifies the paper's choice."
     );
-    hook.finish();
+    hook.finish_or_exit();
 }

@@ -90,5 +90,5 @@ fn main() {
         adc_area_share * 100.0,
         adc_power_share * 100.0
     );
-    hook.finish();
+    hook.finish_or_exit();
 }

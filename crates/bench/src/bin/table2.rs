@@ -194,5 +194,5 @@ fn main() {
             }
         );
     }
-    hook.finish();
+    hook.finish_or_exit();
 }

@@ -225,11 +225,18 @@ impl TraceHook {
 
     /// Finalizes the hook: snapshot, dump NDJSON, summarize to stderr.
     /// No-op when tracing is off.
-    pub fn finish(self) {
-        let Some(path) = self.path else { return };
+    ///
+    /// # Errors
+    ///
+    /// `PRINTED_TRACE: cannot write <path>: <reason>` when the dump cannot
+    /// be written.
+    pub fn finish(self) -> Result<(), String> {
+        let Some(path) = self.path else {
+            return Ok(());
+        };
         printed_codesign::record_process_gauges(&self.recorder);
         let Some(snapshot) = self.recorder.snapshot() else {
-            return;
+            return Ok(());
         };
         let manifest = self
             .manifest
@@ -237,9 +244,18 @@ impl TraceHook {
         let trace = FlowTrace::from_snapshot(&self.title, &snapshot).with_manifest(manifest);
         let mut ndjson = trace.to_ndjson();
         ndjson.push('\n');
-        match std::fs::write(&path, ndjson) {
-            Ok(()) => eprintln!("{}trace written to {}", trace.render_text(), path.display()),
-            Err(e) => eprintln!("PRINTED_TRACE: cannot write {}: {e}", path.display()),
+        std::fs::write(&path, ndjson)
+            .map_err(|e| format!("PRINTED_TRACE: cannot write {}: {e}", path.display()))?;
+        eprintln!("{}trace written to {}", trace.render_text(), path.display());
+        Ok(())
+    }
+
+    /// [`TraceHook::finish`] as a binary's last step: a failed dump is
+    /// reported as one `error:` line on stderr and exits 1.
+    pub fn finish_or_exit(self) {
+        if let Err(message) = self.finish() {
+            eprintln!("error: {message}");
+            std::process::exit(1);
         }
     }
 }
@@ -257,6 +273,21 @@ pub fn hrule(width: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trace_hook_reports_an_unwritable_path() {
+        let missing = std::env::temp_dir()
+            .join(format!("printed-bench-missing-{}", std::process::id()))
+            .join("t.ndjson");
+        let hook = TraceHook::to_path("t", &missing);
+        hook.recorder().add("test.counter", 1);
+        let err = hook.finish().unwrap_err();
+        assert!(
+            err.starts_with("PRINTED_TRACE: cannot write ") && err.contains("t.ndjson"),
+            "{err}"
+        );
+        assert!(!missing.exists());
+    }
 
     #[test]
     fn baseline_model_trains_quickly_on_small_benchmark() {
@@ -305,7 +336,7 @@ mod tests {
             ..ExplorationConfig::quick()
         };
         let _ = explore_traced(&train, &test, &grid, hook.recorder(), None);
-        hook.finish();
+        hook.finish().expect("the dump is written");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(r#"{"kind":"flow","title":"unit""#));
         assert!(text.contains(r#""kind":"manifest""#));
@@ -322,7 +353,7 @@ mod tests {
         if std::env::var_os("PRINTED_TRACE").is_none() {
             let hook = TraceHook::from_env("unit");
             assert!(!hook.is_enabled());
-            hook.finish();
+            assert_eq!(hook.finish(), Ok(()));
         }
     }
 }

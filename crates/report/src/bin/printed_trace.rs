@@ -25,11 +25,10 @@
 use std::process::ExitCode;
 
 use printed_report::{
-    diff_kernels, diff_many, diff_robust, diff_suites, parse_history, parse_kernel_history,
-    parse_robust_history, parse_trace, render_history, render_kernel_history, render_kernel_table,
-    render_robust_history, CostReport, DiffConfig, HistoryEntry, KernelHistoryEntry, KernelStats,
-    Profile, RobustHistoryEntry, RobustStats, TraceStats, Watcher,
+    diff, parse_history, parse_trace, render_history, Axis, BenchRecord, CostReport, DiffConfig,
+    Profile, Verdict, Watcher,
 };
+use printed_telemetry::FlowTrace;
 
 const USAGE: &str = "\
 usage: printed-trace <command> [args]
@@ -37,42 +36,32 @@ usage: printed-trace <command> [args]
 commands:
   report <trace.ndjson>
       Flame/self-time profile plus hardware-cost attribution.
-  diff <baseline> <current> [--max-regress PCT] [--max-wall-regress PCT]
-       [--wall-floor-us N] [--wall-z Z] [--tp-floor PCT] [--table]
+  diff <baseline> <current> [--max-regress PCT] [--table]
       Gate a run against a baseline; exits 1 on regression.
-      Inputs may be bench_stats NDJSON (single line or a whole suite
-      like BENCH_all.ndjson) or NDJSON traces. Suites are paired by
-      dataset; a dataset missing on either side is a hard error.
-      Calibrated baselines gate wall time at
-      median + max(floor, z*MAD); PCT applies to uncalibrated ones.
-      PCT accepts `5%`, `5`, or `0.05` (all mean five percent).
-      kernel_stats inputs (BENCH_hotpath.ndjson from bench_hot) switch
-      to the kernel axis: both sides must then be kernel suites, pairs
-      are matched by (dataset, kernel), invocation/item counts must
-      match exactly, and throughput gates at median - max(z*MAD,
-      tp-floor*median) items/s — refused across environment classes.
-      robust_stats inputs (BENCH_robust.ndjson from bench_robust)
-      switch to the robustness axis: deterministic campaign metrics
-      (selected point, yield, worst fault, droop margin, pruned count,
-      trial budget) gate exactly in both directions, while trials spent
-      and campaign wall gate at median + max(z*MAD, floor) — wall is
-      refused across environment classes. Axes never mix: the baseline
-      and current file must carry the same record kind.
-      --table renders the kernel axis as one markdown table (before /
-      after throughput per kernel) instead of per-kernel text blocks —
-      the shape CI step summaries want. Kernel suites only.
+      Inputs are suites of one record kind (bench_stats, kernel_stats
+      or robust_stats, as bench_all/bench_hot/bench_robust write them)
+      or NDJSON traces. Suites pair by key under a strict bijection; a
+      trace pairs with its dataset's record. Counts and campaign metrics
+      gate exactly; area/power/comparators on drift past PCT; Gini evals
+      and uncalibrated wall time on growth past PCT; calibrated timings
+      at median +/- max(8*MAD, floor) with a 50 ms floor for wall and
+      25% of the median otherwise; wall and throughput are refused
+      across environment classes.
+      PCT: `5%` or `5` is five percent; a bare value below 1 is a
+      fraction (`0.05`). Default 5%.
+      --table renders a kernel suite as one markdown table (before /
+      after throughput per kernel) for CI step summaries.
   watch <trace.ndjson> [--poll-ms N] [--once]
       Tail an in-flight traced run: rolling k/N progress, candidate
       rate, ETA, and failed-candidate alerts. Robust to torn tails and
       to the final truncate-and-rewrite. --once prints one status line
       and exits (for scripts/CI smoke checks).
   history <history.ndjson> [--dataset NAME]
-      Render per-dataset drift from an append-only bench_history file.
+      Render per-key drift tables from an append-only history file.
   history append <history.ndjson> <stats.ndjson>
-      Append one bench_history record per bench_stats line (what CI
-      runs after the gate passes). kernel_stats and robust_stats
-      inputs append to their own history axes; all three axes share
-      the file without crosstalk.
+      Append one history record per baseline record or trace (what CI
+      runs after a gate passes). The bench, kernel and robustness axes
+      share the file without crosstalk.
   snapshot <trace.ndjson> [-o out.json]
       Condense a trace to a one-line bench_stats baseline.";
 
@@ -104,23 +93,38 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Which regression axis a suite file belongs to. Every diff pairs two
-/// files of the same axis; mixing axes is a usage error (exit 2).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Axis {
-    Bench,
-    Kernel,
-    Robust,
+fn warn(path: &str, warnings: &[String]) {
+    for warning in warnings {
+        eprintln!("warning: {path}: {warning}");
+    }
 }
 
-impl Axis {
-    fn name(self) -> &'static str {
-        match self {
-            Axis::Bench => "bench_stats",
-            Axis::Kernel => "kernel_stats",
-            Axis::Robust => "robust_stats",
+/// Reads a gate input: the baseline records of a suite file (all of one
+/// axis), or the one bench record condensed from a trace dump (`true`).
+fn load(path: &str) -> Result<(Vec<BenchRecord>, bool), String> {
+    let text = read(path)?;
+    let (records, warnings) = BenchRecord::parse_all(&text);
+    if let Some(first) = records.first() {
+        warn(path, &warnings);
+        if let Some(other) = records.iter().find(|r| r.axis != first.axis) {
+            let (a, b) = (first.axis.min(other.axis), first.axis.max(other.axis));
+            return Err(format!(
+                "{path}: mixes {} and {} records; each suite file carries exactly one axis",
+                a.kind(),
+                b.kind()
+            ));
         }
+        return Ok((records, false));
     }
+    let parsed = parse_trace(&text);
+    if parsed.trace == FlowTrace::default() && !parsed.warnings.is_empty() {
+        return Err(format!(
+            "{path}: not a bench_stats file or a parseable trace ({})",
+            parsed.warnings[0]
+        ));
+    }
+    warn(path, &parsed.warnings);
+    Ok((vec![BenchRecord::from_trace(&parsed.trace)], true))
 }
 
 fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
@@ -128,9 +132,7 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
         return Err("usage: printed-trace report <trace.ndjson>".into());
     };
     let parsed = parse_trace(&read(path)?);
-    for warning in &parsed.warnings {
-        eprintln!("warning: {path}: {warning}");
-    }
+    warn(path, &parsed.warnings);
     print!("{}", parsed.trace.render_text());
     println!();
     print!("{}", Profile::from_trace(&parsed.trace).render_text());
@@ -142,7 +144,6 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let mut paths = Vec::new();
     let mut config = DiffConfig::default();
-    let mut wall_override = None;
     let mut table = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -150,194 +151,88 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
             "--table" => table = true,
             "--max-regress" => {
                 let v = iter.next().ok_or("--max-regress needs a value")?;
-                let tolerance = parse_pct(v)?;
-                config.max_regress = tolerance;
-                config.max_wall_regress = tolerance;
-            }
-            "--max-wall-regress" => {
-                let v = iter.next().ok_or("--max-wall-regress needs a value")?;
-                wall_override = Some(parse_pct(v)?);
-            }
-            "--wall-floor-us" => {
-                let v = iter.next().ok_or("--wall-floor-us needs a value")?;
-                config.wall_floor_us = v
-                    .parse()
-                    .map_err(|e| format!("bad --wall-floor-us {v:?}: {e}"))?;
-            }
-            "--wall-z" => {
-                let v = iter.next().ok_or("--wall-z needs a value")?;
-                config.wall_z = v.parse().map_err(|e| format!("bad --wall-z {v:?}: {e}"))?;
-                if !config.wall_z.is_finite() || config.wall_z < 0.0 {
-                    return Err(format!("bad --wall-z {v:?}"));
-                }
-            }
-            "--tp-floor" => {
-                let v = iter.next().ok_or("--tp-floor needs a value")?;
-                config.tp_floor = parse_pct(v)?;
+                config.max_regress = parse_pct(v)?;
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
-            path => paths.push(path.to_owned()),
+            path => paths.push(path),
         }
     }
-    if let Some(wall) = wall_override {
-        config.max_wall_regress = wall;
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        return Err("usage: printed-trace diff <baseline> <current> [--max-regress PCT]".into());
+    let [baseline_path, current_path] = paths[..] else {
+        return Err(
+            "usage: printed-trace diff <baseline> <current> [--max-regress PCT] [--table]".into(),
+        );
     };
-    let baseline_text = read(baseline_path)?;
-    let current_text = read(current_path)?;
-    // kernel_stats and robust_stats inputs route to their own axes —
-    // and must come in pairs: gating a kernel or robustness suite
-    // against a flow baseline (or vice versa) compares incommensurable
-    // numbers. A file carrying records from more than one axis is
-    // itself malformed.
-    let axis_of = |path: &str, text: &str| -> Result<Axis, String> {
-        let kernel = text.contains(r#""kind":"kernel_stats""#);
-        let robust = text.contains(r#""kind":"robust_stats""#);
-        match (kernel, robust) {
-            (true, true) => Err(format!(
-                "{path}: mixes kernel_stats and robust_stats records; \
-                 each suite file carries exactly one axis"
-            )),
-            (true, false) => Ok(Axis::Kernel),
-            (false, true) => Ok(Axis::Robust),
-            (false, false) => Ok(Axis::Bench),
-        }
-    };
-    let baseline_axis = axis_of(baseline_path, &baseline_text)?;
-    let current_axis = axis_of(current_path, &current_text)?;
-    if baseline_axis != current_axis {
+    let (baselines, baseline_trace) = load(baseline_path)?;
+    let (currents, current_trace) = load(current_path)?;
+    let axis = baselines[0].axis;
+    if currents[0].axis != axis {
         return Err(format!(
             "cannot mix axes: {baseline_path} is a {} suite but {current_path} is a {} suite",
-            baseline_axis.name(),
-            current_axis.name()
+            axis.kind(),
+            currents[0].axis.kind()
         ));
     }
-    if table && baseline_axis != Axis::Kernel {
+    if table && axis != Axis::Kernel {
         return Err("--table renders kernel suites only (kernel_stats inputs)".into());
     }
-    match baseline_axis {
-        Axis::Kernel => {
-            let baselines = KernelStats::from_text_multi(&baseline_text)
-                .map_err(|e| format!("{baseline_path}: {e}"))?;
-            let currents = KernelStats::from_text_multi(&current_text)
-                .map_err(|e| format!("{current_path}: {e}"))?;
-            let reports = diff_kernels(&baselines, &currents, config)?;
-            let mut passed = true;
-            if table {
-                print!("{}", render_kernel_table(&reports));
-                passed = reports.iter().all(|r| r.passed());
-                return Ok(if passed {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                });
-            }
-            for report in &reports {
-                print!("{}", report.render_text());
-                passed &= report.passed();
-            }
-            if reports.len() > 1 {
-                let failures = reports.iter().filter(|r| !r.passed()).count();
-                println!(
-                    "hotpath: {}/{} kernels passed{}",
-                    reports.len() - failures,
-                    reports.len(),
-                    if failures > 0 {
-                        format!(" ({failures} REGRESSED)")
-                    } else {
-                        String::new()
-                    }
-                );
-            }
-            return Ok(if passed {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            });
-        }
-        Axis::Robust => {
-            let baselines = RobustStats::from_text_multi(&baseline_text)
-                .map_err(|e| format!("{baseline_path}: {e}"))?;
-            let currents = RobustStats::from_text_multi(&current_text)
-                .map_err(|e| format!("{current_path}: {e}"))?;
-            let reports = diff_robust(&baselines, &currents, config)?;
-            let mut passed = true;
-            for (i, report) in reports.iter().enumerate() {
-                if i > 0 {
-                    println!();
-                }
-                print!("{}", report.render_text());
-                passed &= report.passed();
-            }
-            if reports.len() > 1 {
-                let failures = reports.iter().filter(|r| !r.passed()).count();
-                println!(
-                    "robustness: {}/{} benchmarks passed{}",
-                    reports.len() - failures,
-                    reports.len(),
-                    if failures > 0 {
-                        format!(" ({failures} REGRESSED)")
-                    } else {
-                        String::new()
-                    }
-                );
-            }
-            return Ok(if passed {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            });
-        }
-        Axis::Bench => {}
-    }
-    let (baselines, base_warnings) =
-        TraceStats::from_text_multi(&baseline_text).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let (currents, cur_warnings) =
-        TraceStats::from_text_multi(&current_text).map_err(|e| format!("{current_path}: {e}"))?;
-    for warning in base_warnings {
-        eprintln!("warning: {baseline_path}: {warning}");
-    }
-    for warning in cur_warnings {
-        eprintln!("warning: {current_path}: {warning}");
-    }
-    // Two bench_stats files are suites even when one holds a single
-    // record: require the strict dataset bijection, so a suite that
-    // silently lost benchmarks cannot pass by lookup. A trace-dump
-    // input, by contrast, *is* a single run and matches by lookup.
-    let is_suite = |text: &str| text.contains(r#""kind":"bench_stats""#);
-    let reports = if is_suite(&baseline_text) && is_suite(&current_text) {
-        diff_suites(&baselines, &currents, config)?
+    let verdicts = if baseline_trace || current_trace {
+        let (baseline, current) = lookup(&baselines, &currents)?;
+        vec![Verdict::new(baseline, current, config)]
     } else {
-        diff_many(&baselines, &currents, config)?
+        diff(&baselines, &currents, config)?
     };
-    let mut passed = true;
-    for (i, report) in reports.iter().enumerate() {
-        if i > 0 {
-            println!();
-        }
-        print!("{}", report.render_text());
-        passed &= report.passed();
-    }
-    if reports.len() > 1 {
-        let failures = reports.iter().filter(|r| !r.passed()).count();
-        println!(
-            "suite: {}/{} benchmarks passed{}",
-            reports.len() - failures,
-            reports.len(),
-            if failures > 0 {
-                format!(" ({failures} REGRESSED)")
-            } else {
-                String::new()
+    if table {
+        print!("{}", Verdict::render_table(&verdicts));
+    } else {
+        for (i, verdict) in verdicts.iter().enumerate() {
+            if i > 0 {
+                println!();
             }
-        );
+            print!("{}", verdict.render_text());
+        }
+        if verdicts.len() > 1 {
+            println!("{}", Verdict::summary(&verdicts));
+        }
     }
-    Ok(if passed {
+    Ok(if verdicts.iter().all(Verdict::passed) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     })
+}
+
+/// Pairs a trace dump, which is one run, with its dataset's record on the
+/// other side by lookup; two single records pair directly, so a dataset
+/// mismatch surfaces as config drift.
+fn lookup<'a>(
+    baselines: &'a [BenchRecord],
+    currents: &'a [BenchRecord],
+) -> Result<(&'a BenchRecord, &'a BenchRecord), String> {
+    // The matching record, or the keys on offer for the error message.
+    let find = |suite: &'a [BenchRecord], key: &str| {
+        let keys: Vec<&str> = suite.iter().map(|r| r.key.as_str()).collect();
+        suite.iter().find(|r| r.key == key).ok_or(keys.join(", "))
+    };
+    match (baselines, currents) {
+        ([baseline], [current]) => Ok((baseline, current)),
+        (_, [current]) => find(baselines, &current.key)
+            .map(|b| (b, current))
+            .map_err(|keys| {
+                format!(
+                    "dataset {:?} has no baseline record (baseline has: {keys})",
+                    current.key
+                )
+            }),
+        ([baseline], _) => find(currents, &baseline.key)
+            .map(|c| (baseline, c))
+            .map_err(|keys| {
+                let key = &baseline.key;
+                format!(
+                    "baseline dataset {key:?} missing from the current run (current has: {keys})"
+                )
+            }),
+        _ => unreachable!("a trace dump condenses to exactly one record"),
+    }
 }
 
 fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
@@ -425,39 +320,11 @@ fn cmd_history(args: &[String]) -> Result<ExitCode, String> {
                 "usage: printed-trace history append <history.ndjson> <stats.ndjson>".into(),
             );
         };
-        let stats_text = read(stats_path)?;
-        let mut appended = String::new();
-        // kernel_stats and robust_stats files append to their own axes;
-        // anything else (a bench_stats suite or a trace dump) to the
-        // benchmark axis.
-        let count = if stats_text.contains(r#""kind":"kernel_stats""#) {
-            let stats = KernelStats::from_text_multi(&stats_text)
-                .map_err(|e| format!("{stats_path}: {e}"))?;
-            for s in &stats {
-                appended.push_str(&KernelHistoryEntry::from_stats(s).to_json());
-                appended.push('\n');
-            }
-            stats.len()
-        } else if stats_text.contains(r#""kind":"robust_stats""#) {
-            let stats = RobustStats::from_text_multi(&stats_text)
-                .map_err(|e| format!("{stats_path}: {e}"))?;
-            for s in &stats {
-                appended.push_str(&RobustHistoryEntry::from_stats(s).to_json());
-                appended.push('\n');
-            }
-            stats.len()
-        } else {
-            let (stats, warnings) = TraceStats::from_text_multi(&stats_text)
-                .map_err(|e| format!("{stats_path}: {e}"))?;
-            for warning in warnings {
-                eprintln!("warning: {stats_path}: {warning}");
-            }
-            for s in &stats {
-                appended.push_str(&HistoryEntry::from_stats(s).to_json());
-                appended.push('\n');
-            }
-            stats.len()
-        };
+        let (records, _) = load(stats_path)?;
+        let appended: String = records
+            .iter()
+            .map(|r| format!("{}\n", r.to_history_json()))
+            .collect();
         use std::io::Write;
         let mut file = std::fs::OpenOptions::new()
             .create(true)
@@ -466,7 +333,7 @@ fn cmd_history(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("{history_path}: {e}"))?;
         file.write_all(appended.as_bytes())
             .map_err(|e| format!("{history_path}: {e}"))?;
-        eprintln!("appended {count} record(s) to {history_path}");
+        eprintln!("appended {} record(s) to {history_path}", records.len());
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -487,31 +354,9 @@ fn cmd_history(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let path = path.ok_or("usage: printed-trace history <history.ndjson> [--dataset NAME]")?;
-    let text = read(&path)?;
-    let (entries, warnings) = parse_history(&text);
-    for warning in warnings {
-        eprintln!("warning: {path}: {warning}");
-    }
-    // The kernel and robustness axes share the file; render each when
-    // present. A file holding only kernel or robustness records skips
-    // the benchmark table entirely.
-    let (kernel_entries, _) = parse_kernel_history(&text);
-    let (robust_entries, _) = parse_robust_history(&text);
-    if !entries.is_empty() || (kernel_entries.is_empty() && robust_entries.is_empty()) {
-        print!("{}", render_history(&entries, dataset.as_deref()));
-    }
-    if !kernel_entries.is_empty() {
-        print!(
-            "{}",
-            render_kernel_history(&kernel_entries, dataset.as_deref())
-        );
-    }
-    if !robust_entries.is_empty() {
-        print!(
-            "{}",
-            render_robust_history(&robust_entries, dataset.as_deref())
-        );
-    }
+    let (entries, warnings) = parse_history(&read(&path)?);
+    warn(&path, &warnings);
+    print!("{}", render_history(&entries, dataset.as_deref()));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -521,12 +366,8 @@ fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {
         [path, flag, out] if flag == "-o" || flag == "--out" => (path, Some(out)),
         _ => return Err("usage: printed-trace snapshot <trace.ndjson> [-o out.json]".into()),
     };
-    let (stats, warnings) =
-        TraceStats::from_text(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
-    for warning in warnings {
-        eprintln!("warning: {path}: {warning}");
-    }
-    let json = stats.to_json();
+    let (records, _) = load(path)?;
+    let json = records[0].to_json();
     match out {
         Some(out) => {
             std::fs::write(out, format!("{json}\n")).map_err(|e| format!("{out}: {e}"))?;
@@ -537,8 +378,9 @@ fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Accepts `5%`, `5`, or `0.05` — all five percent. Values above 1 are
-/// read as percentages, at or below 1 as fractions.
+/// Reads a tolerance: `5%` and `5` are five percent, as is any bare
+/// number of one or more; a bare number below one is a fraction
+/// (`0.05`).
 fn parse_pct(text: &str) -> Result<f64, String> {
     let trimmed = text.trim().trim_end_matches('%');
     let value: f64 = trimmed
@@ -547,7 +389,7 @@ fn parse_pct(text: &str) -> Result<f64, String> {
     if !value.is_finite() || value < 0.0 {
         return Err(format!("bad percentage {text:?}"));
     }
-    Ok(if text.contains('%') || value > 1.0 {
+    Ok(if text.contains('%') || value >= 1.0 {
         value / 100.0
     } else {
         value

@@ -1,1111 +1,585 @@
-//! Regression gating: compare two runs and fail loudly when the flow got
-//! slower or the hardware got bigger.
+//! Regression gating: one record type for every bench axis, one gate.
 //!
-//! [`TraceStats`] condenses a trace to the handful of numbers worth
-//! guarding — wall time, Gini-evaluation count, trees trained, peak RSS,
-//! and the selected design's area/power/comparators — and serializes to a
-//! single JSON line, the record format of the committed `BENCH_all.ndjson`
-//! baseline suite. [`diff`] compares a baseline against a current run
-//! under a [`DiffConfig`] tolerance and returns the list of violations;
-//! [`diff_many`] pairs whole suites by dataset (and fails hard on missing
-//! counterparts); the `printed-trace diff` subcommand turns a non-empty
-//! violation list into exit code 1, which is what CI gates on.
+//! A [`BenchRecord`] is one line of a committed baseline suite: an
+//! [`Axis`], a key, the producing run's provenance and its [`Metric`]s.
+//! The three axes are `bench_stats` (`BENCH_all.ndjson`, the quick-grid
+//! flow per benchmark), `kernel_stats` (`BENCH_hotpath.ndjson`, one hot
+//! kernel per benchmark, keyed `dataset/kernel`) and `robust_stats`
+//! (`BENCH_robust.ndjson`, the robust selection per benchmark). What an
+//! axis means is data, not code: one constant table per axis below says
+//! which JSON field holds which metric, where its noise calibration
+//! lives, and which policy gates it. [`diff`] pairs two suites by key
+//! under a strict bijection and gates every pair into a [`Verdict`]; the
+//! `printed-trace diff` subcommand turns a failed verdict into exit 1.
 //!
-//! ## Noise-calibrated wall gating
+//! ## Noise-calibrated gating
 //!
-//! Percentage tolerances are the wrong tool for wall time: a 5% gate on a
-//! 2.5 ms run fires on 125 µs of scheduler jitter. Baselines produced by
-//! `bench_all` therefore carry a *calibration*: the median and MAD
-//! (median absolute deviation) of `k` repeat runs, plus the host
-//! environment class (`cpus/threads/build`). The gate then becomes
-//!
-//! ```text
-//! current.wall_us  >  median + max(wall_floor_us, wall_z × MAD)
-//! ```
-//!
-//! — an absolute threshold derived from the baseline's own measured
-//! noise, with a floor so a near-zero MAD cannot make the gate
-//! hair-trigger. A baseline refuses to wall-gate a run from a different
-//! environment class (2-core debug vs 8-core release tells you nothing);
-//! deterministic metrics are still gated in that case. Uncalibrated
-//! baselines (the pre-suite single-shot format) fall back to the old
-//! percentage check.
-//!
-//! Timing regresses only upward (faster is fine); hardware numbers are
-//! checked for drift in *either* direction — the flow is deterministic,
-//! so an unexplained area change is a behavior change even if it shrinks.
+//! A 5% gate on a 2.5 ms run fires on 125 µs of scheduler jitter, so
+//! timings carry a [`Calibration`] (median and MAD of `k` repeat runs)
+//! and gate at an absolute threshold drawn from that noise, floored so a
+//! near-zero MAD cannot make it hair-trigger (see `Bound`). Wall and
+//! throughput gates refuse to judge a run from a different environment
+//! class (`cpus/threads/build`) and say so in a note; every other metric
+//! is still gated.
 
-use printed_telemetry::{keys, FieldValue, FlowTrace, JsonLine};
+use printed_telemetry::{keys, FieldValue, FlowTrace, JsonLine, RunManifest};
 
 use crate::json::{parse as parse_json, JsonValue};
-use crate::parse::parse_trace;
 
-/// The guarded numbers of one run.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TraceStats {
-    /// Benchmark/dataset name (from the manifest, else the trace title).
-    pub dataset: String,
-    /// Git revision that produced the run (empty when unknown).
-    pub git_sha: String,
-    /// τ grid of the sweep (empty when no manifest rode along).
-    pub taus: Vec<f64>,
-    /// Depth grid of the sweep.
-    pub depths: Vec<u64>,
-    /// Wall time of the run, µs. For calibrated baselines this is the
-    /// median of the repeat runs (kept equal to [`wall_us_median`] so old
-    /// readers see a sane number).
-    ///
-    /// [`wall_us_median`]: TraceStats::wall_us_median
-    pub wall_us: u64,
-    /// Median wall time across the calibration's repeat runs, µs
-    /// (0 = uncalibrated single-shot run).
-    pub wall_us_median: u64,
-    /// Median absolute deviation of the repeat runs' wall times, µs.
-    pub wall_us_mad: u64,
-    /// Number of repeat runs behind the calibration (0 = uncalibrated).
-    pub calib_runs: u64,
-    /// Gini evaluations across the sweep (the training-cost proxy).
-    pub gini_evals: u64,
-    /// Trees trained across the sweep.
-    pub trees: u64,
-    /// Candidates derived by prefix-shared truncation instead of training
-    /// (0 on baselines recorded before the shared sweep engine).
-    pub trees_shared: u64,
-    /// Selected design's total area, mm².
-    pub area_mm2: f64,
-    /// Selected design's total power, mW.
-    pub power_mw: f64,
-    /// Selected design's retained comparators.
-    pub comparators: u64,
-    /// Peak resident-set size of the producing process, kB (0 = not
-    /// recorded).
-    pub peak_rss_kb: u64,
-    /// Logical CPUs of the producing host (0 = unknown).
-    pub cpus: u64,
-    /// Explicit sweep thread override (0 = auto).
-    pub threads: u64,
-    /// Build profile (`"release"`/`"debug"`, empty = unknown).
-    pub build: String,
-    /// Unix timestamp (seconds) the run was recorded (0 = unknown).
-    pub unix_secs: u64,
+/// Absolute floor of the calibrated wall gates, µs.
+const WALL_FLOOR_US: u64 = 50_000;
+/// MAD multiplier of every calibrated gate. 8 MADs ≈ 5.4σ for Gaussian
+/// noise: far enough out that scheduler jitter essentially never fires
+/// it, close enough that a real 2× regression always does.
+const MAD_Z: f64 = 8.0;
+/// Relative floor of the throughput and trials gates. Isolated kernel
+/// drivers run for milliseconds, where cross-process load shifts of
+/// 10–20% are routine and invisible to an in-process MAD; the
+/// regressions worth gating are step changes, not jitter.
+const REL_FLOOR: f64 = 0.25;
+/// Slack of exact float comparisons. Floats round-trip bit-exactly
+/// through NDJSON, so this is pure defence.
+const EXACT_EPS: f64 = 1e-9;
+/// JSON field of the calibration's repeat-run count.
+const RUNS_FIELD: &str = "calib_runs";
+
+/// Which suite a record belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Axis {
+    /// `bench_stats`: the traced quick-grid flow of one benchmark.
+    Bench,
+    /// `kernel_stats`: one hot kernel driven on one benchmark.
+    Kernel,
+    /// `robust_stats`: the robust selection of one benchmark.
+    Robust,
 }
 
-impl TraceStats {
-    /// Condenses a trace to its guarded numbers.
+/// How the gate judges one metric.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Policy {
+    /// Must match exactly, both directions; the text names what the
+    /// metric is (`"work count"`).
+    Exact(&'static str),
+    /// A relative change past `max_regress` either way fails.
+    Drift,
+    /// Relative growth past `max_regress` fails; a drop past it is noted.
+    Regress,
+    /// Gated against the baseline's repeat-run noise.
+    Noise(Noise),
+    /// Shown, never gated.
+    Info,
+}
+
+/// A calibrated gate: where the baseline's median and MAD live, and how
+/// the threshold is drawn from them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Noise {
+    /// JSON field of the calibration median (may be the value's own).
+    median: &'static str,
+    /// JSON field of the calibration MAD.
+    mad: &'static str,
+    /// Threshold shape.
+    bound: Bound,
+    /// Unit suffix of the values in verdict lines.
+    unit: &'static str,
+    /// The gate's name in an environment-class refusal; `None` = never
+    /// refused.
+    refused_as: Option<&'static str>,
+    /// Whether a pass leaves a "within calibrated threshold" note.
+    within_note: bool,
+    /// Whether an uncalibrated baseline falls back to [`Policy::Regress`]
+    /// instead of skipping the check.
+    regress_uncalibrated: bool,
+}
+
+/// Threshold shapes of [`Noise`] gates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bound {
+    /// µs; fails above `median + max(WALL_FLOOR_US, MAD_Z·MAD)`.
+    Wall,
+    /// items/s; fails below `median − max(MAD_Z·MAD, REL_FLOOR·median)`.
+    Throughput,
+    /// Trials; fails above `median + max(MAD_Z·MAD, REL_FLOOR·median)`,
+    /// and a lower value is noted against the record's `trials_budget`.
+    Trials,
+}
+
+/// One metric of an axis: its JSON field, its name in verdict lines, and
+/// its gate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Spec {
+    /// JSON field of the value.
+    field: &'static str,
+    /// Name in `FAIL:`/`note:` lines.
+    label: &'static str,
+    /// How the gate judges it.
+    policy: Policy,
+}
+
+const fn spec(field: &'static str, label: &'static str, policy: Policy) -> Spec {
+    Spec {
+        field,
+        label,
+        policy,
+    }
+}
+
+/// Everything the record codec, the gate and the history know about one
+/// axis.
+pub(crate) struct AxisSpec {
+    /// `kind` of a baseline line and of a history line.
+    pub(crate) kind: &'static str,
+    pub(crate) history_kind: &'static str,
+    /// JSON fields that make up the key, joined by `/`.
+    key: &'static [&'static str],
+    /// Whether baseline lines carry the sweep grid (`taus`, `depths`).
+    grid: bool,
+    /// Metrics in gate order.
+    metrics: &'static [Spec],
+    /// History-line fields, in line order.
+    pub(crate) history: &'static [&'static str],
+    /// History fields rendered with a per-step Δ column, and its label.
+    pub(crate) trend: &'static [(&'static str, &'static str)],
+    /// Title of a history table.
+    pub(crate) history_title: &'static str,
+    /// Suite summary: `{0}: k/n {1} passed`.
+    summary: (&'static str, &'static str),
+    /// What a refused timing gate leaves gated.
+    still_gated: &'static str,
+}
+
+const BENCH_WALL: Policy = Policy::Noise(Noise {
+    median: "wall_us_median",
+    mad: "wall_us_mad",
+    bound: Bound::Wall,
+    unit: " µs",
+    refused_as: Some("wall-time gate"),
+    within_note: true,
+    regress_uncalibrated: true,
+});
+
+const THROUGHPUT: Policy = Policy::Noise(Noise {
+    median: "tp_median",
+    mad: "tp_mad",
+    bound: Bound::Throughput,
+    unit: " items/s",
+    refused_as: Some("throughput gate"),
+    within_note: true,
+    regress_uncalibrated: false,
+});
+
+const TRIALS: Policy = Policy::Noise(Noise {
+    median: "trials_median",
+    mad: "trials_mad",
+    bound: Bound::Trials,
+    unit: "",
+    refused_as: None,
+    within_note: false,
+    regress_uncalibrated: false,
+});
+
+const CAMPAIGN_WALL: Policy = Policy::Noise(Noise {
+    median: "wall_us_median",
+    mad: "wall_us_mad",
+    bound: Bound::Wall,
+    unit: " µs",
+    refused_as: Some("campaign wall gate"),
+    within_note: false,
+    regress_uncalibrated: false,
+});
+
+const CAMPAIGN: Policy = Policy::Exact("campaign metric");
+
+const AXES: [AxisSpec; 3] = [
+    AxisSpec {
+        kind: "bench_stats",
+        history_kind: "bench_history",
+        key: &["dataset"],
+        grid: true,
+        metrics: &[
+            spec("wall_us", "wall time", BENCH_WALL),
+            spec("gini_evals", "gini evals", Policy::Regress),
+            spec("trees", "trees", Policy::Info),
+            spec("trees_shared", "trees shared", Policy::Info),
+            spec("area_mm2", "area (mm²)", Policy::Drift),
+            spec("power_mw", "power (mW)", Policy::Drift),
+            spec("comparators", "comparators", Policy::Drift),
+            spec("peak_rss_kb", "peak RSS (kB)", Policy::Info),
+        ],
+        history: &[
+            "wall_us",
+            "gini_evals",
+            "trees",
+            "trees_shared",
+            "area_mm2",
+            "power_mw",
+            "comparators",
+            "peak_rss_kb",
+        ],
+        trend: &[("wall_us", "wall"), ("peak_rss_kb", "rss")],
+        history_title: "history",
+        summary: ("suite", "benchmarks"),
+        still_gated: "deterministic metrics",
+    },
+    AxisSpec {
+        kind: "kernel_stats",
+        history_kind: "kernel_history",
+        key: &["dataset", "kernel"],
+        grid: false,
+        metrics: &[
+            spec("calls", "calls", Policy::Exact("invocation count")),
+            spec("items", "items", Policy::Exact("work count")),
+            spec("tp_median", "throughput", THROUGHPUT),
+        ],
+        history: &["calls", "items", "tp_median"],
+        trend: &[("tp_median", "tp")],
+        history_title: "kernel history",
+        summary: ("hotpath", "kernels"),
+        still_gated: "kernel work counts",
+    },
+    AxisSpec {
+        kind: "robust_stats",
+        history_kind: "robust_history",
+        key: &["dataset"],
+        grid: false,
+        metrics: &[
+            spec("tau", "selected τ", CAMPAIGN),
+            spec("nominal", "nominal accuracy", CAMPAIGN),
+            spec("robust_accuracy", "robust accuracy", CAMPAIGN),
+            spec("yield", "yield", CAMPAIGN),
+            spec("worst_fault", "worst-fault accuracy", CAMPAIGN),
+            spec("droop_margin", "droop margin", CAMPAIGN),
+            spec("depth", "selected depth", CAMPAIGN),
+            spec("pruned_points", "pruned points", CAMPAIGN),
+            spec("trials_budget", "trial budget", CAMPAIGN),
+            spec("trials_median", "trials spent", TRIALS),
+            spec("wall_us_median", "campaign wall", CAMPAIGN_WALL),
+        ],
+        history: &[
+            "tau",
+            "depth",
+            "yield",
+            "worst_fault",
+            "trials_median",
+            "trials_budget",
+            "pruned_points",
+        ],
+        trend: &[("trials_median", "trials")],
+        history_title: "robust history",
+        summary: ("robustness", "benchmarks"),
+        still_gated: "deterministic metrics",
+    },
+];
+
+impl Axis {
+    pub(crate) fn spec(self) -> &'static AxisSpec {
+        &AXES[self as usize]
+    }
+
+    /// The `kind` of the axis' baseline lines (`"bench_stats"`, …).
+    pub fn kind(self) -> &'static str {
+        self.spec().kind
+    }
+
+    fn metric(self, field: &str) -> Option<&'static Spec> {
+        self.spec().metrics.iter().find(|s| s.field == field)
+    }
+}
+
+/// A noise calibration from `runs` repeat runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Calibration {
+    /// Median of the samples.
+    pub median: u64,
+    /// Median absolute deviation of the samples.
+    pub mad: u64,
+    /// Number of samples (0 = uncalibrated).
+    pub runs: u64,
+}
+
+impl Calibration {
+    /// Calibrates from repeat-run samples via [`median_mad`].
+    pub fn of(samples: &[u64]) -> Self {
+        let (median, mad) = median_mad(samples);
+        Self {
+            median,
+            mad,
+            runs: samples.len() as u64,
+        }
+    }
+}
+
+/// One measured number of a record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metric {
+    /// JSON field, which names the metric in its axis table.
+    pub field: &'static str,
+    /// The value, `U64` or `F64` as written.
+    pub value: FieldValue,
+    /// Repeat-run noise, for metrics gated against it.
+    pub calibration: Option<Calibration>,
+}
+
+impl Metric {
+    /// An uncalibrated metric.
+    pub fn new(field: &'static str, value: impl Into<FieldValue>) -> Self {
+        Self {
+            field,
+            value: value.into(),
+            calibration: None,
+        }
+    }
+
+    /// A calibrated metric whose value is the calibration median.
+    pub fn calibrated(field: &'static str, calibration: Calibration) -> Self {
+        Self {
+            field,
+            value: FieldValue::U64(calibration.median),
+            calibration: Some(calibration),
+        }
+    }
+}
+
+/// One line of a baseline suite (or of the history file).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchRecord {
+    /// Which suite the record belongs to.
+    pub axis: Axis,
+    /// The dataset, or `dataset/kernel` on the kernel axis.
+    pub key: String,
+    /// The producing run: git SHA, timestamp, environment class and, on
+    /// the bench axis, the sweep grid.
+    pub provenance: RunManifest,
+    /// Metrics in line order.
+    pub metrics: Vec<Metric>,
+}
+
+impl BenchRecord {
+    /// The one constructor `bench_all`, `bench_hot` and `bench_robust` use.
+    pub fn new(
+        axis: Axis,
+        key: impl Into<String>,
+        provenance: RunManifest,
+        metrics: Vec<Metric>,
+    ) -> Self {
+        Self {
+            axis,
+            key: key.into(),
+            provenance,
+            metrics,
+        }
+    }
+
+    /// Condenses a flow trace to its bench record: wall time, sweep
+    /// counters, the selected design's area/power/comparators and the
+    /// peak RSS (when recorded). Uncalibrated.
     pub fn from_trace(trace: &FlowTrace) -> Self {
         let selected = trace.events.iter().find(|e| e.name == keys::SELECTED_EVENT);
-        let f = |key: &str| {
-            selected
-                .and_then(|e| e.field(key))
-                .and_then(FieldValue::as_f64)
-                .unwrap_or(0.0)
-        };
-        let u = |key: &str| {
-            selected
-                .and_then(|e| e.field(key))
-                .and_then(FieldValue::as_u64)
-                .unwrap_or(0)
-        };
-        let manifest = trace.manifest.as_ref();
-        Self {
-            dataset: manifest
-                .map(|m| m.dataset.clone())
-                .unwrap_or_else(|| trace.title.clone()),
-            git_sha: manifest.map(|m| m.git_sha.clone()).unwrap_or_default(),
-            taus: manifest.map(|m| m.taus.clone()).unwrap_or_default(),
-            depths: manifest.map(|m| m.depths.clone()).unwrap_or_default(),
-            wall_us: trace.wall_us,
-            wall_us_median: 0,
-            wall_us_mad: 0,
-            calib_runs: 0,
-            gini_evals: trace.counter(keys::GINI_EVALS),
-            trees: trace.counter(keys::TREES_TRAINED),
-            trees_shared: trace.counter(keys::TREES_SHARED),
-            area_mm2: f("area_mm2"),
-            power_mw: f("power_mw"),
-            comparators: u("comparators"),
-            peak_rss_kb: trace.gauge(keys::PEAK_RSS_KB),
-            cpus: manifest.map(|m| m.cpus).unwrap_or(0),
-            threads: manifest.map(|m| m.threads).unwrap_or(0),
-            build: manifest.map(|m| m.build.clone()).unwrap_or_default(),
-            unix_secs: manifest.map(|m| m.unix_secs).unwrap_or(0),
+        let field = |key: &str| selected.and_then(|e| e.field(key));
+        let float = |key: &str| field(key).and_then(FieldValue::as_f64).unwrap_or(0.0);
+        let int = |key: &str| field(key).and_then(FieldValue::as_u64).unwrap_or(0);
+        let mut metrics = vec![
+            Metric::new("wall_us", trace.wall_us),
+            Metric::new("gini_evals", trace.counter(keys::GINI_EVALS)),
+            Metric::new("trees", trace.counter(keys::TREES_TRAINED)),
+            Metric::new("trees_shared", trace.counter(keys::TREES_SHARED)),
+            Metric::new("area_mm2", float("area_mm2")),
+            Metric::new("power_mw", float("power_mw")),
+            Metric::new("comparators", int("comparators")),
+        ];
+        let rss = trace.gauge(keys::PEAK_RSS_KB);
+        if rss > 0 {
+            metrics.push(Metric::new("peak_rss_kb", rss));
         }
+        let key = match &trace.manifest {
+            Some(manifest) => manifest.dataset.clone(),
+            None => trace.title.clone(),
+        };
+        let provenance = trace.manifest.clone().unwrap_or_default();
+        Self::new(Axis::Bench, key, provenance, metrics)
     }
 
-    /// Installs a wall-time calibration from `k` repeat-run wall times
-    /// (builder style): `wall_us` becomes the median, and median/MAD/run
-    /// count are recorded for the noise-derived gate.
-    pub fn with_calibration(mut self, walls_us: &[u64]) -> Self {
-        if walls_us.is_empty() {
-            return self;
+    /// Replaces metric `metric.field`, or appends it (builder style).
+    pub fn with(mut self, metric: Metric) -> Self {
+        match self.metrics.iter_mut().find(|m| m.field == metric.field) {
+            Some(slot) => *slot = metric,
+            None => self.metrics.push(metric),
         }
-        let (median, mad) = median_mad(walls_us);
-        self.wall_us = median;
-        self.wall_us_median = median;
-        self.wall_us_mad = mad;
-        self.calib_runs = walls_us.len() as u64;
         self
     }
 
-    /// The host-environment class of the producing run (mirrors
-    /// [`printed_telemetry::RunManifest::env_class`]); `None` for
-    /// pre-environment baselines.
-    pub fn env_class(&self) -> Option<String> {
-        env_class_of(self.cpus, self.threads, &self.build)
+    /// The metric stored under `field`.
+    pub fn metric(&self, field: &str) -> Option<&Metric> {
+        self.metrics.iter().find(|m| m.field == field)
     }
 
-    /// Serializes to one JSON line — the committed-baseline format.
-    /// Calibration, environment, and RSS fields are emitted only when
-    /// set, so single-shot stats keep the compact legacy shape.
+    /// The value of `field` as `f64` (0 when absent, as in old records).
+    pub fn value(&self, field: &str) -> f64 {
+        self.metric(field)
+            .and_then(|m| m.value.as_f64())
+            .unwrap_or(0.0)
+    }
+
+    /// The first eight characters of the git SHA, `unknown` when empty.
+    pub(crate) fn short_sha(&self) -> &str {
+        match self.provenance.short_sha() {
+            "" => "unknown",
+            sha => sha,
+        }
+    }
+
+    /// The value of `field` as verdict lines print it (0 when absent).
+    fn shown(&self, field: &str) -> String {
+        match self.metric(field).map(|m| &m.value) {
+            Some(FieldValue::F64(v)) => v.to_string(),
+            value => value.and_then(FieldValue::as_u64).unwrap_or(0).to_string(),
+        }
+    }
+
+    /// Parses every baseline line of `text`, of any axis, plus one
+    /// warning per unparseable line. Other record kinds are skipped.
+    pub fn parse_all(text: &str) -> (Vec<Self>, Vec<String>) {
+        parse_lines(text, false)
+    }
+
+    /// Serializes to one baseline line, in the field order the bench
+    /// binaries have always written: kind, key, SHA, grid, metrics (each
+    /// followed by its calibration), environment, timestamp.
     pub fn to_json(&self) -> String {
-        let mut line = JsonLine::new()
-            .str("kind", "bench_stats")
-            .str("dataset", &self.dataset)
-            .str("git_sha", &self.git_sha)
-            .raw(
-                "taus",
-                &format!(
-                    "[{}]",
-                    self.taus
-                        .iter()
-                        .map(|t| {
-                            let s = t.to_string();
-                            if s.contains(['.', 'e', 'E']) {
-                                s
-                            } else {
-                                format!("{s}.0")
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
-            )
-            .raw(
-                "depths",
-                &format!(
-                    "[{}]",
-                    self.depths
-                        .iter()
-                        .map(u64::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
-            )
-            .u64("wall_us", self.wall_us);
-        if self.calib_runs > 0 {
+        let spec = self.axis.spec();
+        let mut line = self
+            .key_fields(JsonLine::new().str("kind", spec.kind))
+            .str("git_sha", &self.provenance.git_sha);
+        if spec.grid {
+            let taus: Vec<String> = self.provenance.taus.iter().map(|t| float(*t)).collect();
+            let depths: Vec<String> = self.provenance.depths.iter().map(u64::to_string).collect();
             line = line
-                .u64("wall_us_median", self.wall_us_median)
-                .u64("wall_us_mad", self.wall_us_mad)
-                .u64("calib_runs", self.calib_runs);
+                .raw("taus", &format!("[{}]", taus.join(",")))
+                .raw("depths", &format!("[{}]", depths.join(",")));
         }
-        line = line
-            .u64("gini_evals", self.gini_evals)
-            .u64("trees", self.trees)
-            .u64("trees_shared", self.trees_shared)
-            .f64("area_mm2", self.area_mm2)
-            .f64("power_mw", self.power_mw)
-            .u64("comparators", self.comparators);
-        if self.peak_rss_kb > 0 {
-            line = line.u64("peak_rss_kb", self.peak_rss_kb);
+        // Calibrations of one record share a single run count, written
+        // once after the last calibrated metric.
+        let last = self.metrics.iter().rposition(|m| m.calibration.is_some());
+        for (i, metric) in self.metrics.iter().enumerate() {
+            line = line.field(metric.field, &metric.value);
+            let noise = self.axis.metric(metric.field).map(|s| s.policy);
+            if let (Some(c), Some(Policy::Noise(noise))) = (metric.calibration, noise) {
+                if noise.median != metric.field {
+                    line = line.u64(noise.median, c.median);
+                }
+                line = line.u64(noise.mad, c.mad);
+                if last == Some(i) {
+                    line = line.u64(RUNS_FIELD, c.runs);
+                }
+            }
         }
-        if self.env_class().is_some() {
+        let p = &self.provenance;
+        if p.env_class().is_some() {
             line = line
-                .u64("cpus", self.cpus)
-                .u64("threads", self.threads)
-                .str("build", &self.build);
+                .u64("cpus", p.cpus)
+                .u64("threads", p.threads)
+                .str("build", &p.build);
         }
-        if self.unix_secs > 0 {
-            line = line.u64("unix_secs", self.unix_secs);
+        if p.unix_secs > 0 {
+            line = line.u64("unix_secs", p.unix_secs);
         }
         line.finish()
     }
 
-    /// Parses either format a gate input can be: a `bench_stats` JSON
-    /// line (committed baseline) or a full NDJSON trace dump (fresh run).
-    /// Returns the stats plus any parse warnings. Multi-record files are
-    /// valid input; this returns the *first* record — use
-    /// [`TraceStats::from_text_multi`] to get the whole suite.
-    pub fn from_text(text: &str) -> Result<(Self, Vec<String>), String> {
-        let (mut many, warnings) = Self::from_text_multi(text)?;
-        Ok((many.remove(0), warnings))
+    /// Appends the key fields (`dataset`, then `kernel` on that axis).
+    pub(crate) fn key_fields(&self, mut line: JsonLine) -> JsonLine {
+        let fields = self.axis.spec().key;
+        for (field, part) in fields.iter().zip(self.key.splitn(fields.len(), '/')) {
+            line = line.str(field, part);
+        }
+        line
     }
 
-    /// Parses every run a gate input holds: all `bench_stats` lines of a
-    /// baseline suite (e.g. `BENCH_all.ndjson`), or the single condensed
-    /// record of an NDJSON trace dump. Never returns an empty vector.
-    pub fn from_text_multi(text: &str) -> Result<(Vec<Self>, Vec<String>), String> {
-        let mut stats = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Ok(value) = parse_json(line) else {
-                continue;
-            };
-            if value.get("kind").and_then(JsonValue::as_str) == Some("bench_stats") {
-                stats.push(Self::from_stats_json(&value)?);
-            }
-        }
-        if !stats.is_empty() {
-            return Ok((stats, Vec::new()));
-        }
-        let parsed = parse_trace(text);
-        if parsed.trace == FlowTrace::default() && !parsed.warnings.is_empty() {
-            return Err(format!(
-                "not a bench_stats file or a parseable trace ({})",
-                parsed.warnings[0]
-            ));
-        }
-        Ok((vec![Self::from_trace(&parsed.trace)], parsed.warnings))
-    }
-
-    fn from_stats_json(value: &JsonValue) -> Result<Self, String> {
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
+    fn from_json(value: &JsonValue, history: bool) -> Option<Self> {
+        let kind = value.get("kind")?.as_str()?;
+        let axis = [Axis::Bench, Axis::Kernel, Axis::Robust]
+            .into_iter()
+            .find(|a| {
+                let spec = a.spec();
+                kind == if history {
+                    spec.history_kind
+                } else {
+                    spec.kind
+                }
+            })?;
+        let get = |key: &str| value.get(key);
+        let text = |key: &str| get(key).and_then(JsonValue::as_str).unwrap_or_default();
+        let int = |key: &str| get(key).and_then(JsonValue::as_u64).unwrap_or(0);
+        let list = |key: &str| get(key).and_then(JsonValue::as_arr).unwrap_or_default();
+        let key: Vec<&str> = axis.spec().key.iter().map(|k| text(k)).collect();
+        let provenance = RunManifest {
+            git_sha: text("git_sha").to_owned(),
+            dataset: key[0].to_owned(),
+            taus: list("taus").iter().filter_map(JsonValue::as_f64).collect(),
+            depths: list("depths")
+                .iter()
+                .filter_map(JsonValue::as_u64)
+                .collect(),
+            unix_secs: int("unix_secs"),
+            cpus: int("cpus"),
+            threads: int("threads"),
+            build: text("build").to_owned(),
+            ..RunManifest::default()
         };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        let f = |key: &str| value.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-        let mut taus = Vec::new();
-        if let Some(arr) = value.get("taus").and_then(JsonValue::as_arr) {
-            for v in arr {
-                taus.push(v.as_f64().ok_or("tau is not a number")?);
-            }
-        }
-        let mut depths = Vec::new();
-        if let Some(arr) = value.get("depths").and_then(JsonValue::as_arr) {
-            for v in arr {
-                depths.push(v.as_u64().ok_or("depth is not an integer")?);
-            }
-        }
-        Ok(Self {
-            dataset: s("dataset"),
-            git_sha: s("git_sha"),
-            taus,
-            depths,
-            wall_us: u("wall_us"),
-            // Absent from single-shot / legacy baselines; 0 = uncalibrated.
-            wall_us_median: u("wall_us_median"),
-            wall_us_mad: u("wall_us_mad"),
-            calib_runs: u("calib_runs"),
-            gini_evals: u("gini_evals"),
-            trees: u("trees"),
-            // Absent from pre-sharing baselines; defaults to 0 there.
-            trees_shared: u("trees_shared"),
-            area_mm2: f("area_mm2"),
-            power_mw: f("power_mw"),
-            comparators: u("comparators"),
-            peak_rss_kb: u("peak_rss_kb"),
-            cpus: u("cpus"),
-            threads: u("threads"),
-            build: s("build"),
-            unix_secs: u("unix_secs"),
-        })
-    }
-}
-
-/// `{cpus}cpu/{threads|auto}/{build}` — the shared environment-class
-/// format of [`TraceStats::env_class`] and [`KernelStats::env_class`].
-/// `None` when neither the CPU count nor the build profile is known.
-fn env_class_of(cpus: u64, threads: u64, build: &str) -> Option<String> {
-    if cpus == 0 && build.is_empty() {
-        return None;
-    }
-    let threads = if threads == 0 {
-        "auto".to_owned()
-    } else {
-        format!("{threads}t")
-    };
-    Some(format!("{cpus}cpu/{threads}/{build}"))
-}
-
-/// One kernel's guarded numbers on one benchmark — the record format of
-/// the committed `BENCH_hotpath.ndjson` baseline that `bench_hot` writes
-/// and the `hotpath-gate` CI job diffs against.
-///
-/// The deterministic pair (`calls`, `items`) pins *how much work* the
-/// kernel did; the calibrated throughput trio (`tp_median`, `tp_mad`,
-/// `calib_runs`, in items/second) pins *how fast* it did it, with the
-/// baseline's own measured noise setting the gate width.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct KernelStats {
-    /// Benchmark/dataset name.
-    pub dataset: String,
-    /// Kernel name (e.g. `gini_scan`), from [`printed_telemetry::Kernel`].
-    pub kernel: String,
-    /// Git revision that produced the record (empty when unknown).
-    pub git_sha: String,
-    /// Kernel invocations per isolated driver run (deterministic).
-    pub calls: u64,
-    /// Items processed per isolated driver run (deterministic).
-    pub items: u64,
-    /// Median throughput across the calibration runs, items/second
-    /// (0 = uncalibrated).
-    pub tp_median: u64,
-    /// Median absolute deviation of the repeat runs' throughputs,
-    /// items/second.
-    pub tp_mad: u64,
-    /// Number of repeat runs behind the calibration (0 = uncalibrated).
-    pub calib_runs: u64,
-    /// Logical CPUs of the producing host (0 = unknown).
-    pub cpus: u64,
-    /// Explicit sweep thread override (0 = auto).
-    pub threads: u64,
-    /// Build profile (`"release"`/`"debug"`, empty = unknown).
-    pub build: String,
-    /// Unix timestamp (seconds) the record was produced (0 = unknown).
-    pub unix_secs: u64,
-}
-
-impl KernelStats {
-    /// Installs a throughput calibration from `k` repeat-run throughput
-    /// samples (items/second), builder style.
-    pub fn with_calibration(mut self, throughputs: &[u64]) -> Self {
-        if throughputs.is_empty() {
-            return self;
-        }
-        let (median, mad) = median_mad(throughputs);
-        self.tp_median = median;
-        self.tp_mad = mad;
-        self.calib_runs = throughputs.len() as u64;
-        self
-    }
-
-    /// The host-environment class of the producing run (same format as
-    /// [`TraceStats::env_class`]); `None` for environment-free records.
-    pub fn env_class(&self) -> Option<String> {
-        env_class_of(self.cpus, self.threads, &self.build)
-    }
-
-    /// Serializes to one `{"kind":"kernel_stats"}` JSON line.
-    pub fn to_json(&self) -> String {
-        let mut line = JsonLine::new()
-            .str("kind", "kernel_stats")
-            .str("dataset", &self.dataset)
-            .str("kernel", &self.kernel)
-            .str("git_sha", &self.git_sha)
-            .u64("calls", self.calls)
-            .u64("items", self.items)
-            .u64("tp_median", self.tp_median)
-            .u64("tp_mad", self.tp_mad)
-            .u64("calib_runs", self.calib_runs);
-        if self.env_class().is_some() {
-            line = line
-                .u64("cpus", self.cpus)
-                .u64("threads", self.threads)
-                .str("build", &self.build);
-        }
-        if self.unix_secs > 0 {
-            line = line.u64("unix_secs", self.unix_secs);
-        }
-        line.finish()
-    }
-
-    /// Parses every `kernel_stats` line of an NDJSON file. Errors when
-    /// the text holds none — a kernel gate input must be a kernel suite.
-    pub fn from_text_multi(text: &str) -> Result<Vec<Self>, String> {
-        let mut stats = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Ok(value) = parse_json(line) else {
-                continue;
-            };
-            if value.get("kind").and_then(JsonValue::as_str) == Some("kernel_stats") {
-                stats.push(Self::from_json(&value));
-            }
-        }
-        if stats.is_empty() {
-            return Err("no kernel_stats records found".to_owned());
-        }
-        Ok(stats)
-    }
-
-    fn from_json(value: &JsonValue) -> Self {
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        Self {
-            dataset: s("dataset"),
-            kernel: s("kernel"),
-            git_sha: s("git_sha"),
-            calls: u("calls"),
-            items: u("items"),
-            tp_median: u("tp_median"),
-            tp_mad: u("tp_mad"),
-            calib_runs: u("calib_runs"),
-            cpus: u("cpus"),
-            threads: u("threads"),
-            build: s("build"),
-            unix_secs: u("unix_secs"),
-        }
-    }
-}
-
-/// The outcome of gating one kernel on one benchmark.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelDiffReport {
-    /// The committed reference record.
-    pub baseline: KernelStats,
-    /// The fresh run's record.
-    pub current: KernelStats,
-    /// One line per gate failure (empty = pass).
-    pub violations: Vec<String>,
-    /// Non-fatal observations (refusals, improvements, skipped checks).
-    pub notes: Vec<String>,
-}
-
-impl KernelDiffReport {
-    /// Whether the gate passes (no violations).
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Renders the comparison as one block: header, notes, failures,
-    /// verdict.
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "kernel {}/{}: calls {} → {}, items {} → {}, throughput {} → {} items/s\n",
-            self.baseline.dataset,
-            self.baseline.kernel,
-            self.baseline.calls,
-            self.current.calls,
-            self.baseline.items,
-            self.current.items,
-            self.baseline.tp_median,
-            self.current.tp_median,
-        );
-        for note in &self.notes {
-            out.push_str(&format!("  note: {note}\n"));
-        }
-        for violation in &self.violations {
-            out.push_str(&format!("  FAIL: {violation}\n"));
-        }
-        out.push_str(if self.passed() {
-            "  verdict: PASS\n"
-        } else {
-            "  verdict: REGRESSION\n"
-        });
-        out
-    }
-}
-
-/// Renders a kernel-gate suite as a GitHub-flavored markdown table —
-/// one row per `(dataset, kernel)` pair with the before/after
-/// throughputs, their relative delta, and the verdict. Meant for CI
-/// step summaries, where the plain-text blocks of
-/// [`KernelDiffReport::render_text`] are too noisy to scan.
-pub fn render_kernel_table(reports: &[KernelDiffReport]) -> String {
-    let mut out = String::from(
-        "| dataset | kernel | calls | items | baseline items/s | current items/s | Δ | verdict |\n\
-         |---|---|---:|---:|---:|---:|---:|---|\n",
-    );
-    for report in reports {
-        let delta = if report.baseline.tp_median == 0 {
-            "n/a".to_owned()
-        } else {
-            format!(
-                "{:+.1}%",
-                100.0 * (report.current.tp_median as f64 - report.baseline.tp_median as f64)
-                    / report.baseline.tp_median as f64
-            )
-        };
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
-            report.baseline.dataset,
-            report.baseline.kernel,
-            report.current.calls,
-            report.current.items,
-            report.baseline.tp_median,
-            report.current.tp_median,
-            delta,
-            if report.passed() {
-                "pass"
-            } else {
-                "REGRESSION"
-            },
-        ));
-    }
-    out
-}
-
-/// Gates a fresh kernel suite against a committed baseline suite,
-/// paired by `(dataset, kernel)` under a strict bijection — a kernel
-/// record present on one side and missing on the other is a hard `Err`
-/// (a kernel silently falling out of `bench_hot` is exactly the
-/// regression the gate exists to catch).
-///
-/// Per pair: `calls` and `items` are deterministic work counts and must
-/// match **exactly, in both directions** — a kernel suddenly doing more
-/// or less work is a behavior change either way. Throughput gates at
-///
-/// ```text
-/// current.tp_median  <  baseline.tp_median
-///                        − max(wall_z × tp_MAD, tp_floor × tp_median)
-/// ```
-///
-/// — the baseline's own measured noise sets the slack, floored at the
-/// relative [`DiffConfig::tp_floor`] so a near-zero MAD cannot make it
-/// hair-trigger.
-/// Like the wall gate, the throughput gate REFUSES to judge runs from a
-/// different environment class (the counts are still gated).
-pub fn diff_kernels(
-    baselines: &[KernelStats],
-    currents: &[KernelStats],
-    config: DiffConfig,
-) -> Result<Vec<KernelDiffReport>, String> {
-    if baselines.is_empty() || currents.is_empty() {
-        return Err("empty kernel stats set (nothing to compare)".to_owned());
-    }
-    let find = |suite: &[KernelStats], key: (&str, &str)| -> Option<KernelStats> {
-        suite
+        let metrics = value
+            .members()?
             .iter()
-            .find(|s| (s.dataset.as_str(), s.kernel.as_str()) == key)
-            .cloned()
-    };
-    let mut missing = Vec::new();
-    for baseline in baselines {
-        if find(currents, (&baseline.dataset, &baseline.kernel)).is_none() {
-            missing.push(format!(
-                "baseline kernel {}/{} missing from the current run",
-                baseline.dataset, baseline.kernel
-            ));
-        }
-    }
-    for current in currents {
-        if find(baselines, (&current.dataset, &current.kernel)).is_none() {
-            missing.push(format!(
-                "current kernel {}/{} has no baseline record",
-                current.dataset, current.kernel
-            ));
-        }
-    }
-    if !missing.is_empty() {
-        return Err(missing.join("; "));
-    }
-    Ok(baselines
-        .iter()
-        .map(|baseline| {
-            let current =
-                find(currents, (&baseline.dataset, &baseline.kernel)).expect("bijection checked");
-            diff_kernel(baseline, &current, config)
-        })
-        .collect())
-}
-
-fn diff_kernel(
-    baseline: &KernelStats,
-    current: &KernelStats,
-    config: DiffConfig,
-) -> KernelDiffReport {
-    let mut violations = Vec::new();
-    let mut notes = Vec::new();
-
-    // Deterministic work counts: exact equality, blocking both ways.
-    if baseline.calls != current.calls {
-        violations.push(format!(
-            "calls changed: {} → {} (deterministic invocation count must match exactly)",
-            baseline.calls, current.calls
-        ));
-    }
-    if baseline.items != current.items {
-        violations.push(format!(
-            "items changed: {} → {} (deterministic work count must match exactly)",
-            baseline.items, current.items
-        ));
-    }
-
-    check_throughput(&mut violations, &mut notes, baseline, current, config);
-
-    KernelDiffReport {
-        baseline: baseline.clone(),
-        current: current.clone(),
-        violations,
-        notes,
+            .filter_map(|(name, number)| {
+                let spec = axis.metric(name)?;
+                let value = match number {
+                    JsonValue::Int(n) => FieldValue::U64(*n),
+                    JsonValue::Float(f) => FieldValue::F64(*f),
+                    _ => return None,
+                };
+                // A noise metric is calibrated exactly when its MAD is recorded.
+                let calibration = match spec.policy {
+                    Policy::Noise(noise) if get(noise.mad).is_some() => Some(Calibration {
+                        median: int(noise.median),
+                        mad: int(noise.mad),
+                        runs: int(RUNS_FIELD),
+                    }),
+                    _ => None,
+                };
+                Some(Metric {
+                    field: spec.field,
+                    value,
+                    calibration,
+                })
+            })
+            .collect();
+        Some(Self::new(axis, key.join("/"), provenance, metrics))
     }
 }
 
-/// The throughput gate: noise-calibrated absolute threshold below the
-/// baseline median, refused across environment classes.
-fn check_throughput(
-    violations: &mut Vec<String>,
-    notes: &mut Vec<String>,
-    baseline: &KernelStats,
-    current: &KernelStats,
-    config: DiffConfig,
-) {
-    if baseline.calib_runs == 0 || baseline.tp_median == 0 {
-        notes.push("throughput: no calibrated baseline, check skipped".to_owned());
-        return;
-    }
-    if let (Some(base_env), Some(cur_env)) = (baseline.env_class(), current.env_class()) {
-        if base_env != cur_env {
-            notes.push(format!(
-                "throughput gate REFUSED: environment class mismatch \
-                 (baseline {base_env}, current {cur_env}) — kernel work counts still gated"
-            ));
-            return;
+/// Parses every baseline (or, with `history`, history) line of `text`.
+pub(crate) fn parse_lines(text: &str, history: bool) -> (Vec<BenchRecord>, Vec<String>) {
+    let mut records = Vec::new();
+    let mut warnings = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        match parse_json(line) {
+            Ok(value) => records.extend(BenchRecord::from_json(&value, history)),
+            Err(e) => warnings.push(format!("line {}: unparseable ({e:?})", i + 1)),
         }
     }
-    let slack = ((config.wall_z * baseline.tp_mad as f64) as u64)
-        .max((config.tp_floor * baseline.tp_median as f64) as u64);
-    let threshold = baseline.tp_median.saturating_sub(slack);
-    if current.tp_median < threshold {
-        violations.push(format!(
-            "throughput regressed: {} items/s < {} items/s \
-             (median {} − max({:.0}×MAD {}, {:.0}% floor) from {} calibration runs)",
-            current.tp_median,
-            threshold,
-            baseline.tp_median,
-            config.wall_z,
-            baseline.tp_mad,
-            config.tp_floor * 100.0,
-            baseline.calib_runs,
-        ));
+    (records, warnings)
+}
+
+/// A float as the NDJSON writer renders it (integral values keep `.0`).
+fn float(value: f64) -> String {
+    let text = value.to_string();
+    if text.contains(['.', 'e', 'E']) {
+        text
     } else {
-        notes.push(format!(
-            "throughput {} items/s within calibrated threshold {} items/s \
-             ({} runs, median {}, MAD {})",
-            current.tp_median, threshold, baseline.calib_runs, baseline.tp_median, baseline.tp_mad,
-        ));
-    }
-}
-
-/// One benchmark's robustness-campaign numbers — the record format of
-/// the committed `BENCH_robust.ndjson` baseline that `bench_robust`
-/// writes and the `robust-gate` CI job diffs against.
-///
-/// The campaign is fully seeded, so the selected grid point and every
-/// robustness metric (yield, worst fault, droop margin, pruned-point
-/// count) are deterministic and gated **exactly, in both directions** —
-/// a yield that silently drifts is a behavior change even if it improves.
-/// Trials spent and wall time are host-timing–shaped and gated against
-/// the baseline's own measured noise (median ± MAD across the
-/// calibration runs), with the wall gate refused across environment
-/// classes like the other axes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RobustStats {
-    /// Benchmark/dataset name.
-    pub dataset: String,
-    /// Git revision that produced the record (empty when unknown).
-    pub git_sha: String,
-    /// Gini slack τ of the robust-selected design.
-    pub tau: f64,
-    /// Depth cap of the robust-selected design.
-    pub depth: u64,
-    /// Selected design's nominal analog accuracy.
-    pub nominal: f64,
-    /// Selected design's mean accuracy under mismatch (the robust
-    /// selection metric).
-    pub robust_accuracy: f64,
-    /// Selected design's parametric-yield estimate.
-    pub yield_est: f64,
-    /// Selected design's accuracy under the worst single stuck-at fault.
-    pub worst_fault: f64,
-    /// Selected design's supply-droop margin (relative sag).
-    pub droop_margin: f64,
-    /// Grid points the campaign's probe pre-pass pruned (deterministic).
-    pub pruned_points: u64,
-    /// Monte-Carlo trials an exhaustive campaign would have run.
-    pub trials_budget: u64,
-    /// Median Monte-Carlo trials actually spent across the calibration
-    /// runs (deterministic per seed, but calibrated so an adaptive-policy
-    /// tune-up only gates when it *costs* trials).
-    pub trials_median: u64,
-    /// Median absolute deviation of trials spent across the runs.
-    pub trials_mad: u64,
-    /// Median campaign wall time across the calibration runs, µs.
-    pub wall_us_median: u64,
-    /// Median absolute deviation of the campaign wall times, µs.
-    pub wall_us_mad: u64,
-    /// Number of repeat runs behind the calibration (0 = uncalibrated).
-    pub calib_runs: u64,
-    /// Logical CPUs of the producing host (0 = unknown).
-    pub cpus: u64,
-    /// Explicit sweep thread override (0 = auto).
-    pub threads: u64,
-    /// Build profile (`"release"`/`"debug"`, empty = unknown).
-    pub build: String,
-    /// Unix timestamp (seconds) the record was produced (0 = unknown).
-    pub unix_secs: u64,
-}
-
-impl RobustStats {
-    /// Installs the calibration from `k` repeat runs' trial spends and
-    /// campaign wall times, builder style.
-    pub fn with_calibration(mut self, trials_spent: &[u64], walls_us: &[u64]) -> Self {
-        if trials_spent.is_empty() || walls_us.is_empty() {
-            return self;
-        }
-        let (t_median, t_mad) = median_mad(trials_spent);
-        let (w_median, w_mad) = median_mad(walls_us);
-        self.trials_median = t_median;
-        self.trials_mad = t_mad;
-        self.wall_us_median = w_median;
-        self.wall_us_mad = w_mad;
-        self.calib_runs = trials_spent.len() as u64;
-        self
-    }
-
-    /// The host-environment class of the producing run (same format as
-    /// [`TraceStats::env_class`]); `None` for environment-free records.
-    pub fn env_class(&self) -> Option<String> {
-        env_class_of(self.cpus, self.threads, &self.build)
-    }
-
-    /// Serializes to one `{"kind":"robust_stats"}` JSON line.
-    pub fn to_json(&self) -> String {
-        let mut line = JsonLine::new()
-            .str("kind", "robust_stats")
-            .str("dataset", &self.dataset)
-            .str("git_sha", &self.git_sha)
-            .f64("tau", self.tau)
-            .u64("depth", self.depth)
-            .f64("nominal", self.nominal)
-            .f64("robust_accuracy", self.robust_accuracy)
-            .f64("yield", self.yield_est)
-            .f64("worst_fault", self.worst_fault)
-            .f64("droop_margin", self.droop_margin)
-            .u64("pruned_points", self.pruned_points)
-            .u64("trials_budget", self.trials_budget)
-            .u64("trials_median", self.trials_median)
-            .u64("trials_mad", self.trials_mad)
-            .u64("wall_us_median", self.wall_us_median)
-            .u64("wall_us_mad", self.wall_us_mad)
-            .u64("calib_runs", self.calib_runs);
-        if self.env_class().is_some() {
-            line = line
-                .u64("cpus", self.cpus)
-                .u64("threads", self.threads)
-                .str("build", &self.build);
-        }
-        if self.unix_secs > 0 {
-            line = line.u64("unix_secs", self.unix_secs);
-        }
-        line.finish()
-    }
-
-    /// Parses every `robust_stats` line of an NDJSON file. Errors when
-    /// the text holds none — a robustness gate input must be a
-    /// robustness suite.
-    pub fn from_text_multi(text: &str) -> Result<Vec<Self>, String> {
-        let mut stats = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Ok(value) = parse_json(line) else {
-                continue;
-            };
-            if value.get("kind").and_then(JsonValue::as_str) == Some("robust_stats") {
-                stats.push(Self::from_json(&value));
-            }
-        }
-        if stats.is_empty() {
-            return Err("no robust_stats records found".to_owned());
-        }
-        Ok(stats)
-    }
-
-    fn from_json(value: &JsonValue) -> Self {
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        let f = |key: &str| value.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-        Self {
-            dataset: s("dataset"),
-            git_sha: s("git_sha"),
-            tau: f("tau"),
-            depth: u("depth"),
-            nominal: f("nominal"),
-            robust_accuracy: f("robust_accuracy"),
-            yield_est: f("yield"),
-            worst_fault: f("worst_fault"),
-            droop_margin: f("droop_margin"),
-            pruned_points: u("pruned_points"),
-            trials_budget: u("trials_budget"),
-            trials_median: u("trials_median"),
-            trials_mad: u("trials_mad"),
-            wall_us_median: u("wall_us_median"),
-            wall_us_mad: u("wall_us_mad"),
-            calib_runs: u("calib_runs"),
-            cpus: u("cpus"),
-            threads: u("threads"),
-            build: s("build"),
-            unix_secs: u("unix_secs"),
-        }
-    }
-}
-
-/// The outcome of gating one benchmark's robustness record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustDiffReport {
-    /// The committed reference record.
-    pub baseline: RobustStats,
-    /// The fresh run's record.
-    pub current: RobustStats,
-    /// One line per gate failure (empty = pass).
-    pub violations: Vec<String>,
-    /// Non-fatal observations (refusals, improvements, skipped checks).
-    pub notes: Vec<String>,
-}
-
-impl RobustDiffReport {
-    /// Whether the gate passes (no violations).
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Renders the comparison as one block: header, notes, failures,
-    /// verdict.
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "robust {}: τ={} d={} yield {:.4} → {:.4}, worst-fault {:.4} → {:.4}, \
-             trials {} → {} (budget {}), pruned {} → {}\n",
-            self.baseline.dataset,
-            self.baseline.tau,
-            self.baseline.depth,
-            self.baseline.yield_est,
-            self.current.yield_est,
-            self.baseline.worst_fault,
-            self.current.worst_fault,
-            self.baseline.trials_median,
-            self.current.trials_median,
-            self.current.trials_budget,
-            self.baseline.pruned_points,
-            self.current.pruned_points,
-        );
-        for note in &self.notes {
-            out.push_str(&format!("  note: {note}\n"));
-        }
-        for violation in &self.violations {
-            out.push_str(&format!("  FAIL: {violation}\n"));
-        }
-        out.push_str(if self.passed() {
-            "  verdict: PASS\n"
-        } else {
-            "  verdict: REGRESSION\n"
-        });
-        out
-    }
-}
-
-/// Gates a fresh robustness suite against a committed baseline suite,
-/// paired by dataset under a strict bijection — a benchmark present on
-/// one side and missing on the other is a hard `Err`, never a silent
-/// skip.
-///
-/// Per pair: the selected grid point (τ, depth) and every deterministic
-/// robustness metric — nominal, robust accuracy, yield, worst-fault,
-/// droop margin, pruned-point count, trial budget — must match
-/// **exactly, in both directions** (the campaign is seeded; any drift is
-/// a behavior change). Trials spent gate at
-///
-/// ```text
-/// current.trials_median  >  baseline.trials_median
-///                           + max(wall_z × trials_MAD,
-///                                 tp_floor × trials_median)
-/// ```
-///
-/// (spending *fewer* trials is an improvement note, not a violation),
-/// and campaign wall time gates like the bench axis — median plus
-/// `max(wall_floor_us, wall_z × MAD)`, refused across environment
-/// classes.
-pub fn diff_robust(
-    baselines: &[RobustStats],
-    currents: &[RobustStats],
-    config: DiffConfig,
-) -> Result<Vec<RobustDiffReport>, String> {
-    if baselines.is_empty() || currents.is_empty() {
-        return Err("empty robust stats set (nothing to compare)".to_owned());
-    }
-    let find = |suite: &[RobustStats], dataset: &str| -> Option<RobustStats> {
-        suite.iter().find(|s| s.dataset == dataset).cloned()
-    };
-    let mut missing = Vec::new();
-    for baseline in baselines {
-        if find(currents, &baseline.dataset).is_none() {
-            missing.push(format!(
-                "baseline dataset {:?} missing from the current run",
-                baseline.dataset
-            ));
-        }
-    }
-    for current in currents {
-        if find(baselines, &current.dataset).is_none() {
-            missing.push(format!(
-                "current dataset {:?} has no baseline record",
-                current.dataset
-            ));
-        }
-    }
-    if !missing.is_empty() {
-        return Err(missing.join("; "));
-    }
-    Ok(baselines
-        .iter()
-        .map(|baseline| {
-            let current = find(currents, &baseline.dataset).expect("bijection checked");
-            diff_robust_one(baseline, &current, config)
-        })
-        .collect())
-}
-
-fn diff_robust_one(
-    baseline: &RobustStats,
-    current: &RobustStats,
-    config: DiffConfig,
-) -> RobustDiffReport {
-    let mut violations = Vec::new();
-    let mut notes = Vec::new();
-
-    // Deterministic selection + metrics: exact equality, blocking both
-    // ways. Floats round-trip bit-exactly through the NDJSON encoding
-    // (shortest-representation formatting), so 1e-9 slack is pure
-    // defense, far below any behavioral change worth a grid point.
-    let mut exact_f = |metric: &str, base: f64, cur: f64| {
-        if (base - cur).abs() > 1e-9 {
-            violations.push(format!(
-                "{metric} changed: {base} → {cur} (deterministic campaign metric must match exactly)"
-            ));
-        }
-    };
-    exact_f("selected τ", baseline.tau, current.tau);
-    exact_f("nominal accuracy", baseline.nominal, current.nominal);
-    exact_f(
-        "robust accuracy",
-        baseline.robust_accuracy,
-        current.robust_accuracy,
-    );
-    exact_f("yield", baseline.yield_est, current.yield_est);
-    exact_f(
-        "worst-fault accuracy",
-        baseline.worst_fault,
-        current.worst_fault,
-    );
-    exact_f("droop margin", baseline.droop_margin, current.droop_margin);
-    let mut exact_u = |metric: &str, base: u64, cur: u64| {
-        if base != cur {
-            violations.push(format!(
-                "{metric} changed: {base} → {cur} (deterministic campaign metric must match exactly)"
-            ));
-        }
-    };
-    exact_u("selected depth", baseline.depth, current.depth);
-    exact_u(
-        "pruned points",
-        baseline.pruned_points,
-        current.pruned_points,
-    );
-    exact_u(
-        "trial budget",
-        baseline.trials_budget,
-        current.trials_budget,
-    );
-
-    check_trials_spent(&mut violations, &mut notes, baseline, current, config);
-    check_robust_wall(&mut violations, &mut notes, baseline, current, config);
-
-    RobustDiffReport {
-        baseline: baseline.clone(),
-        current: current.clone(),
-        violations,
-        notes,
-    }
-}
-
-/// The trials-spent gate: more trials than the baseline's own noise
-/// allows is an efficiency regression of the adaptive early exit; fewer
-/// is an improvement note.
-fn check_trials_spent(
-    violations: &mut Vec<String>,
-    notes: &mut Vec<String>,
-    baseline: &RobustStats,
-    current: &RobustStats,
-    config: DiffConfig,
-) {
-    if baseline.calib_runs == 0 || baseline.trials_median == 0 {
-        notes.push("trials spent: no calibrated baseline, check skipped".to_owned());
-        return;
-    }
-    let slack = ((config.wall_z * baseline.trials_mad as f64) as u64)
-        .max((config.tp_floor * baseline.trials_median as f64) as u64);
-    let threshold = baseline.trials_median + slack;
-    if current.trials_median > threshold {
-        violations.push(format!(
-            "trials spent regressed: {} > {} \
-             (median {} + max({:.0}×MAD {}, {:.0}% floor) from {} calibration runs)",
-            current.trials_median,
-            threshold,
-            baseline.trials_median,
-            config.wall_z,
-            baseline.trials_mad,
-            config.tp_floor * 100.0,
-            baseline.calib_runs,
-        ));
-    } else if current.trials_median < baseline.trials_median {
-        notes.push(format!(
-            "trials spent improved: {} → {} (budget {})",
-            baseline.trials_median, current.trials_median, current.trials_budget,
-        ));
-    }
-}
-
-/// The campaign wall gate — same shape as the bench axis: calibrated
-/// absolute threshold, refused across environment classes.
-fn check_robust_wall(
-    violations: &mut Vec<String>,
-    notes: &mut Vec<String>,
-    baseline: &RobustStats,
-    current: &RobustStats,
-    config: DiffConfig,
-) {
-    if baseline.calib_runs == 0 || baseline.wall_us_median == 0 {
-        notes.push("campaign wall: no calibrated baseline, check skipped".to_owned());
-        return;
-    }
-    if let (Some(base_env), Some(cur_env)) = (baseline.env_class(), current.env_class()) {
-        if base_env != cur_env {
-            notes.push(format!(
-                "campaign wall gate REFUSED: environment class mismatch \
-                 (baseline {base_env}, current {cur_env}) — deterministic metrics still gated"
-            ));
-            return;
-        }
-    }
-    let slack = config
-        .wall_floor_us
-        .max((config.wall_z * baseline.wall_us_mad as f64) as u64);
-    let threshold = baseline.wall_us_median + slack;
-    if current.wall_us_median > threshold {
-        violations.push(format!(
-            "campaign wall regressed: {} µs > {} µs \
-             (median {} + max({} floor, {:.0}×MAD {}) from {} calibration runs)",
-            current.wall_us_median,
-            threshold,
-            baseline.wall_us_median,
-            config.wall_floor_us,
-            config.wall_z,
-            baseline.wall_us_mad,
-            baseline.calib_runs,
-        ));
+        format!("{text}.0")
     }
 }
 
@@ -1128,138 +602,221 @@ pub fn median_mad(samples: &[u64]) -> (u64, u64) {
     (med, median(&deviations))
 }
 
-/// Tolerances for [`diff`].
+/// Tolerance of the percentage gates: drift of the hardware numbers,
+/// growth of Gini evals and of an uncalibrated bench wall time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiffConfig {
-    /// Allowed relative drift for deterministic metrics (Gini evals,
-    /// trees, area, power, comparators). Default 5%.
+    /// Allowed relative change. Default 5%.
     pub max_regress: f64,
-    /// Allowed relative wall-time regression for *uncalibrated*
-    /// baselines. Defaults to `max_regress`; raise it independently on
-    /// noisy shared CI runners.
-    pub max_wall_regress: f64,
-    /// Absolute floor of the calibrated wall gate, µs: the tolerated
-    /// excess over the baseline median is never smaller than this, so a
-    /// near-zero measured MAD cannot make the gate hair-trigger.
-    /// Default 50 ms.
-    pub wall_floor_us: u64,
-    /// MAD multiplier of the calibrated wall gate. 8 MADs ≈ 5.4σ for
-    /// Gaussian noise — far enough out that scheduler jitter essentially
-    /// never fires it, close enough that a real 2× regression always
-    /// does.
-    pub wall_z: f64,
-    /// Relative floor of the calibrated kernel-throughput gate: the
-    /// tolerated shortfall below the baseline median is never smaller
-    /// than this fraction of it. Default 25% — isolated kernel drivers
-    /// run for milliseconds, where cross-process load shifts of 10–20%
-    /// are routine and invisible to an in-process MAD; the regressions
-    /// worth gating are step changes (an algorithmic 2×), not jitter.
-    pub tp_floor: f64,
 }
 
 impl Default for DiffConfig {
     fn default() -> Self {
-        Self {
-            max_regress: 0.05,
-            max_wall_regress: 0.05,
-            wall_floor_us: 50_000,
-            wall_z: 8.0,
-            tp_floor: 0.25,
-        }
+        Self { max_regress: 0.05 }
     }
 }
 
-impl DiffConfig {
-    /// Sets both relative tolerances to the same fraction (calibrated
-    /// wall-gate parameters keep their defaults).
-    pub fn with_tolerance(fraction: f64) -> Self {
-        Self {
-            max_regress: fraction,
-            max_wall_regress: fraction,
-            ..Self::default()
-        }
-    }
-}
-
-/// The outcome of comparing a current run against a baseline.
+/// The outcome of gating one current record against its baseline.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DiffReport {
-    /// The committed reference numbers.
-    pub baseline: TraceStats,
-    /// The fresh run's numbers.
-    pub current: TraceStats,
-    /// Tolerances used.
-    pub config: DiffConfig,
+pub struct Verdict {
+    /// The committed reference record.
+    pub baseline: BenchRecord,
+    /// The fresh run's record.
+    pub current: BenchRecord,
     /// One line per gate failure (empty = pass).
     pub violations: Vec<String>,
-    /// Non-fatal observations (improvements, skipped checks).
+    /// Non-fatal observations (refusals, improvements, skipped checks).
     pub notes: Vec<String>,
 }
 
-impl DiffReport {
+impl Verdict {
+    /// Gates `current` against `baseline`: config drift first, then every
+    /// metric of the baseline's axis in table order.
+    pub fn new(baseline: &BenchRecord, current: &BenchRecord, config: DiffConfig) -> Self {
+        let mut verdict = Self {
+            baseline: baseline.clone(),
+            current: current.clone(),
+            violations: Vec::new(),
+            notes: Vec::new(),
+        };
+        // Different datasets or grids are apples to oranges: fail before
+        // any number is looked at.
+        if !baseline.key.is_empty() && !current.key.is_empty() && baseline.key != current.key {
+            verdict.violations.push(format!(
+                "config drift: baseline ran {:?}, current ran {:?}",
+                baseline.key, current.key
+            ));
+        }
+        let (b, c) = (&baseline.provenance, &current.provenance);
+        if !b.taus.is_empty() && !c.taus.is_empty() && (b.taus != c.taus || b.depths != c.depths) {
+            verdict.violations.push(format!(
+                "config drift: grid changed ({}τ×{}d → {}τ×{}d)",
+                b.taus.len(),
+                b.depths.len(),
+                c.taus.len(),
+                c.depths.len(),
+            ));
+        }
+        for spec in baseline.axis.spec().metrics {
+            verdict.check(spec, config.max_regress);
+        }
+        verdict
+    }
+
     /// Whether the gate passes (no violations).
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
     }
 
-    /// Renders the comparison as text: metric table, then verdict.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "diff: {} (baseline {}) vs {} (current {})\n",
-            self.baseline.dataset,
-            short(&self.baseline.git_sha),
-            self.current.dataset,
-            short(&self.current.git_sha),
-        ));
-        let mut rows: Vec<(&str, f64, f64)> = vec![
-            (
-                "wall_us",
-                self.baseline.wall_us as f64,
-                self.current.wall_us as f64,
-            ),
-            (
-                "gini_evals",
-                self.baseline.gini_evals as f64,
-                self.current.gini_evals as f64,
-            ),
-            (
-                "trees",
-                self.baseline.trees as f64,
-                self.current.trees as f64,
-            ),
-            (
-                "trees_shared",
-                self.baseline.trees_shared as f64,
-                self.current.trees_shared as f64,
-            ),
-            ("area_mm2", self.baseline.area_mm2, self.current.area_mm2),
-            ("power_mw", self.baseline.power_mw, self.current.power_mw),
-            (
-                "comparators",
-                self.baseline.comparators as f64,
-                self.current.comparators as f64,
-            ),
-        ];
-        if self.baseline.peak_rss_kb > 0 || self.current.peak_rss_kb > 0 {
-            rows.push((
-                "peak_rss_kb",
-                self.baseline.peak_rss_kb as f64,
-                self.current.peak_rss_kb as f64,
+    fn check(&mut self, spec: &Spec, tolerance: f64) {
+        let base = self.baseline.value(spec.field);
+        let cur = self.current.value(spec.field);
+        match spec.policy {
+            // Counts stay far below 2^53, so they compare exactly as f64.
+            Policy::Exact(what) if (base - cur).abs() > EXACT_EPS => {
+                self.violations.push(format!(
+                    "{} changed: {} → {} (deterministic {what} must match exactly)",
+                    spec.label,
+                    self.baseline.shown(spec.field),
+                    self.current.shown(spec.field),
+                ));
+            }
+            Policy::Drift => self.drift(spec.label, base, cur, tolerance),
+            Policy::Regress => self.regress(spec.label, base, cur, tolerance),
+            Policy::Noise(noise) => self.noise(spec, noise, tolerance),
+            Policy::Exact(_) | Policy::Info => {}
+        }
+    }
+
+    fn noise(&mut self, spec: &Spec, noise: Noise, tolerance: f64) {
+        let label = spec.label;
+        let cur = self.current.value(spec.field) as u64;
+        let calibration = self
+            .baseline
+            .metric(spec.field)
+            .and_then(|m| m.calibration)
+            .filter(|c| c.runs > 0 && c.median > 0);
+        let Some(Calibration { median, mad, runs }) = calibration else {
+            if noise.regress_uncalibrated {
+                let base = self.baseline.value(spec.field);
+                let unit = noise.unit.trim();
+                self.regress(&format!("{label} ({unit})"), base, cur as f64, tolerance);
+            } else {
+                self.notes
+                    .push(format!("{label}: no calibrated baseline, check skipped"));
+            }
+            return;
+        };
+        let envs = (
+            self.baseline.provenance.env_class(),
+            self.current.provenance.env_class(),
+        );
+        if let (Some(gate), (Some(base_env), Some(cur_env))) = (noise.refused_as, envs) {
+            if base_env != cur_env {
+                self.notes.push(format!(
+                    "{gate} REFUSED: environment class mismatch \
+                     (baseline {base_env}, current {cur_env}) — {} still gated",
+                    self.baseline.axis.spec().still_gated
+                ));
+                return;
+            }
+        }
+        let scaled = (MAD_Z * mad as f64) as u64;
+        let relative = (REL_FLOOR * median as f64) as u64;
+        let floor_pct = REL_FLOOR * 100.0;
+        let (threshold, failed, op, formula) = match noise.bound {
+            Bound::Wall => {
+                let threshold = median + WALL_FLOOR_US.max(scaled);
+                let formula = format!("+ max({WALL_FLOOR_US} floor, {MAD_Z:.0}×MAD {mad})");
+                (threshold, cur > threshold, ">", formula)
+            }
+            Bound::Throughput => {
+                let threshold = median.saturating_sub(scaled.max(relative));
+                let formula = format!("− max({MAD_Z:.0}×MAD {mad}, {floor_pct:.0}% floor)");
+                (threshold, cur < threshold, "<", formula)
+            }
+            Bound::Trials => {
+                let threshold = median + scaled.max(relative);
+                let formula = format!("+ max({MAD_Z:.0}×MAD {mad}, {floor_pct:.0}% floor)");
+                (threshold, cur > threshold, ">", formula)
+            }
+        };
+        let unit = noise.unit;
+        if failed {
+            self.violations.push(format!(
+                "{label} regressed: {cur}{unit} {op} {threshold}{unit} \
+                 (median {median} {formula} from {runs} calibration runs)"
+            ));
+        } else if noise.within_note {
+            self.notes.push(format!(
+                "{label} {cur}{unit} within calibrated threshold {threshold}{unit} \
+                 ({runs} runs, median {median}, MAD {mad})"
+            ));
+        } else if noise.bound == Bound::Trials && cur < median {
+            self.notes.push(format!(
+                "{label} improved: {median} → {cur} (budget {})",
+                self.current.value("trials_budget")
             ));
         }
-        out.push_str(&format!(
-            "  {:<12} {:>14} {:>14} {:>9}\n",
-            "metric", "baseline", "current", "delta"
-        ));
-        for &(name, base, cur) in &rows {
-            let delta = if base == 0.0 {
-                "n/a".to_owned()
-            } else {
-                format!("{:+.1}%", 100.0 * (cur - base) / base)
-            };
+    }
+
+    fn regress(&mut self, label: &str, base: f64, cur: f64, tolerance: f64) {
+        if base <= 0.0 {
+            self.notes
+                .push(format!("{label}: no baseline value, check skipped"));
+            return;
+        }
+        let ratio = cur / base - 1.0;
+        if ratio > tolerance {
+            self.violations.push(format!(
+                "{label} regressed {:.1}% ({base:.0} → {cur:.0}, tolerance {:.1}%)",
+                ratio * 100.0,
+                tolerance * 100.0,
+            ));
+        } else if ratio < -tolerance {
+            self.notes
+                .push(format!("{label} improved {:.1}%", -ratio * 100.0));
+        }
+    }
+
+    fn drift(&mut self, label: &str, base: f64, cur: f64, tolerance: f64) {
+        if base == 0.0 && cur == 0.0 {
+            return;
+        }
+        if base == 0.0 {
+            self.violations
+                .push(format!("{label} appeared ({cur:.4}) with no baseline"));
+            return;
+        }
+        let ratio = (cur - base).abs() / base;
+        if ratio > tolerance {
+            self.violations.push(format!(
+                "{label} drifted {:.1}% ({base:.4} → {cur:.4}, tolerance {:.1}%)",
+                ratio * 100.0,
+                tolerance * 100.0,
+            ));
+        }
+    }
+
+    /// Renders the comparison as one block: header, metric table, notes,
+    /// failures, verdict.
+    pub fn render_text(&self) -> String {
+        let (b, c) = (&self.baseline, &self.current);
+        let (b_sha, c_sha) = (b.short_sha(), c.short_sha());
+        let mut out = format!(
+            "diff: {} (baseline {b_sha}) vs {} (current {c_sha})\n",
+            b.key, c.key
+        );
+        out.push_str("  metric                baseline        current     delta\n");
+        for spec in b.axis.spec().metrics {
+            if b.metric(spec.field).is_none() && c.metric(spec.field).is_none() {
+                continue;
+            }
+            let (base, cur) = (b.value(spec.field), c.value(spec.field));
             out.push_str(&format!(
-                "  {name:<12} {base:>14.4} {cur:>14.4} {delta:>9}\n"
+                "  {:<15} {base:>14.4} {cur:>14.4} {:>9}\n",
+                spec.field,
+                percent(base, cur)
             ));
         }
         for note in &self.notes {
@@ -1275,292 +832,132 @@ impl DiffReport {
         });
         out
     }
+
+    /// Renders verdicts as one GitHub-flavored markdown table, one row
+    /// per key: the key fields, the current value of every deterministic
+    /// metric, and baseline → current with Δ for every calibrated one.
+    /// Meant for CI step summaries.
+    pub fn render_table(verdicts: &[Verdict]) -> String {
+        let Some(first) = verdicts.first() else {
+            return String::new();
+        };
+        let spec = first.baseline.axis.spec();
+        let mut header: Vec<String> = spec.key.iter().map(|k| k.to_string()).collect();
+        let mut align = vec!["---"; header.len()];
+        for metric in spec.metrics {
+            if let Policy::Noise(noise) = metric.policy {
+                let unit = noise.unit;
+                header.extend([
+                    format!("baseline{unit}"),
+                    format!("current{unit}"),
+                    "Δ".into(),
+                ]);
+                align.extend(["---:"; 3]);
+            } else {
+                header.push(metric.field.into());
+                align.push("---:");
+            }
+        }
+        let mut out = format!(
+            "| {} | verdict |\n|{}|---|\n",
+            header.join(" | "),
+            align.join("|")
+        );
+        for verdict in verdicts {
+            let (b, c) = (&verdict.baseline, &verdict.current);
+            let mut row: Vec<String> = b.key.split('/').map(str::to_owned).collect();
+            for metric in spec.metrics {
+                let (base, cur) = (b.value(metric.field), c.value(metric.field));
+                if let Policy::Noise(_) = metric.policy {
+                    row.extend([base as u64, cur as u64].map(|v| v.to_string()));
+                    row.push(percent(base, cur));
+                } else {
+                    row.push(c.shown(metric.field));
+                }
+            }
+            let passed = if verdict.passed() {
+                "pass"
+            } else {
+                "REGRESSION"
+            };
+            out.push_str(&format!("| {} | {passed} |\n", row.join(" | ")));
+        }
+        out
+    }
+
+    /// The one-line suite summary: `suite: 7/8 benchmarks passed (1
+    /// REGRESSED)`, worded per axis.
+    pub fn summary(verdicts: &[Verdict]) -> String {
+        let Some(first) = verdicts.first() else {
+            return String::new();
+        };
+        let (prefix, noun) = first.baseline.axis.spec().summary;
+        let failures = verdicts.iter().filter(|v| !v.passed()).count();
+        let regressed = if failures > 0 {
+            format!(" ({failures} REGRESSED)")
+        } else {
+            String::new()
+        };
+        format!(
+            "{prefix}: {}/{} {noun} passed{regressed}",
+            verdicts.len() - failures,
+            verdicts.len()
+        )
+    }
 }
 
-fn short(sha: &str) -> &str {
-    let end = sha
-        .char_indices()
-        .nth(8)
-        .map(|(i, _)| i)
-        .unwrap_or(sha.len());
-    if sha.is_empty() {
-        "unknown"
+/// `+12.3%` from `base` to `cur`, `n/a` when there is no base.
+fn percent(base: f64, cur: f64) -> String {
+    if base == 0.0 {
+        "n/a".to_owned()
     } else {
-        &sha[..end]
+        format!("{:+.1}%", 100.0 * (cur - base) / base)
     }
 }
 
-/// Compares `current` against `baseline` under `config`.
-pub fn diff(baseline: &TraceStats, current: &TraceStats, config: DiffConfig) -> DiffReport {
-    let mut violations = Vec::new();
-    let mut notes = Vec::new();
-
-    // Comparing different datasets or grids is apples to oranges: fail
-    // before any number is looked at.
-    if !baseline.dataset.is_empty()
-        && !current.dataset.is_empty()
-        && baseline.dataset != current.dataset
-    {
-        violations.push(format!(
-            "config drift: baseline ran {:?}, current ran {:?}",
-            baseline.dataset, current.dataset
-        ));
-    }
-    if !baseline.taus.is_empty()
-        && !current.taus.is_empty()
-        && (baseline.taus != current.taus || baseline.depths != current.depths)
-    {
-        violations.push(format!(
-            "config drift: grid changed ({}τ×{}d → {}τ×{}d)",
-            baseline.taus.len(),
-            baseline.depths.len(),
-            current.taus.len(),
-            current.depths.len(),
-        ));
-    }
-
-    check_wall(&mut violations, &mut notes, baseline, current, config);
-    check_regress(
-        &mut violations,
-        &mut notes,
-        "gini evals",
-        baseline.gini_evals as f64,
-        current.gini_evals as f64,
-        config.max_regress,
-    );
-
-    // Hardware: drift in either direction is a behavior change.
-    check_drift(
-        &mut violations,
-        "area (mm²)",
-        baseline.area_mm2,
-        current.area_mm2,
-        config.max_regress,
-    );
-    check_drift(
-        &mut violations,
-        "power (mW)",
-        baseline.power_mw,
-        current.power_mw,
-        config.max_regress,
-    );
-    check_drift(
-        &mut violations,
-        "comparators",
-        baseline.comparators as f64,
-        current.comparators as f64,
-        config.max_regress,
-    );
-
-    DiffReport {
-        baseline: baseline.clone(),
-        current: current.clone(),
-        config,
-        violations,
-        notes,
-    }
-}
-
-/// Pairs two suites of stats by dataset and diffs each pair. Both sides
-/// single → paired directly (same as [`diff`]). Baseline is a suite and
-/// current is a single run (or vice versa) → the single run is matched
-/// against its dataset's counterpart in the suite. Both sides suites →
-/// an exact bijection is required: a dataset present on one side and
-/// missing on the other is a hard `Err`, never a silent skip — a
-/// benchmark falling out of the suite is exactly the kind of regression
-/// the gate exists to catch.
-pub fn diff_many(
-    baselines: &[TraceStats],
-    currents: &[TraceStats],
+/// Gates a current suite against a baseline suite, paired by key under a
+/// strict bijection: a record present on one side and missing on the
+/// other is a hard `Err`, never a silent skip — a benchmark or kernel
+/// falling out of a suite is exactly the regression the gate exists to
+/// catch.
+pub fn diff(
+    baselines: &[BenchRecord],
+    currents: &[BenchRecord],
     config: DiffConfig,
-) -> Result<Vec<DiffReport>, String> {
-    let find = |suite: &[TraceStats], dataset: &str| -> Option<TraceStats> {
-        suite.iter().find(|s| s.dataset == dataset).cloned()
-    };
-    match (baselines.len(), currents.len()) {
-        (0, _) | (_, 0) => Err("empty stats set (nothing to compare)".to_owned()),
-        (1, 1) => Ok(vec![diff(&baselines[0], &currents[0], config)]),
-        (_, 1) => {
-            let current = &currents[0];
-            let baseline = find(baselines, &current.dataset).ok_or_else(|| {
-                format!(
-                    "dataset {:?} has no baseline record (baseline has: {})",
-                    current.dataset,
-                    dataset_list(baselines)
-                )
-            })?;
-            Ok(vec![diff(&baseline, current, config)])
-        }
-        (1, _) => {
-            let baseline = &baselines[0];
-            let current = find(currents, &baseline.dataset).ok_or_else(|| {
-                format!(
-                    "baseline dataset {:?} missing from the current run (current has: {})",
-                    baseline.dataset,
-                    dataset_list(currents)
-                )
-            })?;
-            Ok(vec![diff(baseline, &current, config)])
-        }
-        _ => diff_suites(baselines, currents, config),
-    }
-}
-
-/// Diffs two whole suites under a strict dataset bijection, whatever the
-/// counts: every baseline dataset must appear in the current suite and
-/// vice versa, or the comparison is a hard `Err`. Use this (the
-/// `printed-trace diff` CLI does, whenever both inputs are `bench_stats`
-/// files) so a suite that silently lost benchmarks — e.g. `bench_all`
-/// crashed after the first dataset — cannot pass the gate by lookup.
-pub fn diff_suites(
-    baselines: &[TraceStats],
-    currents: &[TraceStats],
-    config: DiffConfig,
-) -> Result<Vec<DiffReport>, String> {
-    let find = |suite: &[TraceStats], dataset: &str| -> Option<TraceStats> {
-        suite.iter().find(|s| s.dataset == dataset).cloned()
-    };
+) -> Result<Vec<Verdict>, String> {
     if baselines.is_empty() || currents.is_empty() {
         return Err("empty stats set (nothing to compare)".to_owned());
     }
+    fn find<'a>(suite: &'a [BenchRecord], key: &str) -> Option<&'a BenchRecord> {
+        suite.iter().find(|r| r.key == key)
+    }
+    let describe = |r: &BenchRecord| match r.axis {
+        Axis::Kernel => format!("kernel {}", r.key),
+        _ => format!("dataset {:?}", r.key),
+    };
+    let mut verdicts = Vec::new();
     let mut missing = Vec::new();
     for baseline in baselines {
-        if find(currents, &baseline.dataset).is_none() {
-            missing.push(format!(
-                "baseline dataset {:?} missing from the current run",
-                baseline.dataset
-            ));
+        match find(currents, &baseline.key) {
+            Some(current) => verdicts.push(Verdict::new(baseline, current, config)),
+            None => missing.push(format!(
+                "baseline {} missing from the current run",
+                describe(baseline)
+            )),
         }
     }
     for current in currents {
-        if find(baselines, &current.dataset).is_none() {
+        if find(baselines, &current.key).is_none() {
             missing.push(format!(
-                "current dataset {:?} has no baseline record",
-                current.dataset
+                "current {} has no baseline record",
+                describe(current)
             ));
         }
     }
-    if !missing.is_empty() {
-        return Err(missing.join("; "));
-    }
-    Ok(baselines
-        .iter()
-        .map(|baseline| {
-            let current = find(currents, &baseline.dataset).expect("bijection checked above");
-            diff(baseline, &current, config)
-        })
-        .collect())
-}
-
-fn dataset_list(suite: &[TraceStats]) -> String {
-    let names: Vec<&str> = suite.iter().map(|s| s.dataset.as_str()).collect();
-    names.join(", ")
-}
-
-/// The wall-time gate: noise-calibrated absolute threshold when the
-/// baseline carries a calibration (and the environment classes agree),
-/// legacy percentage check otherwise.
-fn check_wall(
-    violations: &mut Vec<String>,
-    notes: &mut Vec<String>,
-    baseline: &TraceStats,
-    current: &TraceStats,
-    config: DiffConfig,
-) {
-    if baseline.calib_runs == 0 || baseline.wall_us_median == 0 {
-        check_regress(
-            violations,
-            notes,
-            "wall time (µs)",
-            baseline.wall_us as f64,
-            current.wall_us as f64,
-            config.max_wall_regress,
-        );
-        return;
-    }
-    if let (Some(base_env), Some(cur_env)) = (baseline.env_class(), current.env_class()) {
-        if base_env != cur_env {
-            notes.push(format!(
-                "wall-time gate REFUSED: environment class mismatch \
-                 (baseline {base_env}, current {cur_env}) — deterministic metrics still gated"
-            ));
-            return;
-        }
-    }
-    let slack = config
-        .wall_floor_us
-        .max((config.wall_z * baseline.wall_us_mad as f64) as u64);
-    let threshold = baseline.wall_us_median + slack;
-    if current.wall_us > threshold {
-        violations.push(format!(
-            "wall time regressed: {} µs > {} µs \
-             (median {} + max({} floor, {:.0}×MAD {}) from {} calibration runs)",
-            current.wall_us,
-            threshold,
-            baseline.wall_us_median,
-            config.wall_floor_us,
-            config.wall_z,
-            baseline.wall_us_mad,
-            baseline.calib_runs,
-        ));
+    if missing.is_empty() {
+        Ok(verdicts)
     } else {
-        notes.push(format!(
-            "wall time {} µs within calibrated threshold {} µs \
-             ({} runs, median {}, MAD {})",
-            current.wall_us,
-            threshold,
-            baseline.calib_runs,
-            baseline.wall_us_median,
-            baseline.wall_us_mad,
-        ));
-    }
-}
-
-fn check_regress(
-    violations: &mut Vec<String>,
-    notes: &mut Vec<String>,
-    metric: &str,
-    baseline: f64,
-    current: f64,
-    tolerance: f64,
-) {
-    if baseline <= 0.0 {
-        notes.push(format!("{metric}: no baseline value, check skipped"));
-        return;
-    }
-    let ratio = current / baseline - 1.0;
-    if ratio > tolerance {
-        violations.push(format!(
-            "{metric} regressed {:.1}% ({baseline:.0} → {current:.0}, tolerance {:.1}%)",
-            ratio * 100.0,
-            tolerance * 100.0,
-        ));
-    } else if ratio < -tolerance {
-        notes.push(format!("{metric} improved {:.1}%", -ratio * 100.0));
-    }
-}
-
-fn check_drift(
-    violations: &mut Vec<String>,
-    metric: &str,
-    baseline: f64,
-    current: f64,
-    tolerance: f64,
-) {
-    if baseline == 0.0 && current == 0.0 {
-        return;
-    }
-    if baseline == 0.0 {
-        violations.push(format!("{metric} appeared ({current:.4}) with no baseline"));
-        return;
-    }
-    let ratio = (current - baseline).abs() / baseline;
-    if ratio > tolerance {
-        violations.push(format!(
-            "{metric} drifted {:.1}% ({baseline:.4} → {current:.4}, tolerance {:.1}%)",
-            ratio * 100.0,
-            tolerance * 100.0,
-        ));
+        Err(missing.join("; "))
     }
 }
 
@@ -1568,38 +965,66 @@ fn check_drift(
 mod tests {
     use super::*;
 
-    fn stats() -> TraceStats {
-        TraceStats {
-            dataset: "Seeds".into(),
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            taus: vec![0.0, 0.005],
-            depths: vec![2, 4],
-            wall_us: 100_000,
-            gini_evals: 4_000,
-            trees: 4,
-            trees_shared: 12,
-            area_mm2: 12.5,
-            power_mw: 1.25,
-            comparators: 9,
-            ..TraceStats::default()
-        }
+    const SHA: &str = "0123456789abcdef0123456789abcdef01234567";
+
+    /// Overwrites the value of `field`, keeping its calibration.
+    fn set(mut record: BenchRecord, field: &str, value: impl Into<FieldValue>) -> BenchRecord {
+        let metric = record.metrics.iter_mut().find(|m| m.field == field);
+        metric.expect("metric present").value = value.into();
+        record
     }
 
-    fn calibrated() -> TraceStats {
-        let mut s = stats();
-        s = s.with_calibration(&[98_000, 100_000, 101_000, 104_000, 99_000]);
-        s.cpus = 8;
-        s.threads = 0;
-        s.build = "release".into();
-        s.peak_rss_kb = 40_000;
-        s.unix_secs = 1_750_000_000;
+    /// Overwrites the calibration of `field`.
+    fn calibrate(mut record: BenchRecord, field: &str, c: Option<Calibration>) -> BenchRecord {
+        let metric = record.metrics.iter_mut().find(|m| m.field == field);
+        metric.expect("metric present").calibration = c;
+        record
+    }
+
+    fn env(mut record: BenchRecord, cpus: u64) -> BenchRecord {
+        record.provenance.cpus = cpus;
+        record
+    }
+
+    fn stats() -> BenchRecord {
+        let provenance = RunManifest {
+            git_sha: SHA.into(),
+            dataset: "Seeds".into(),
+            taus: vec![0.0, 0.005],
+            depths: vec![2, 4],
+            ..RunManifest::default()
+        };
+        let metrics = vec![
+            Metric::new("wall_us", 100_000u64),
+            Metric::new("gini_evals", 4_000u64),
+            Metric::new("trees", 4u64),
+            Metric::new("trees_shared", 12u64),
+            Metric::new("area_mm2", 12.5),
+            Metric::new("power_mw", 1.25),
+            Metric::new("comparators", 9u64),
+        ];
+        BenchRecord::new(Axis::Bench, "Seeds", provenance, metrics)
+    }
+
+    fn calibrated() -> BenchRecord {
+        let wall = Calibration::of(&[98_000, 100_000, 101_000, 104_000, 99_000]);
+        let mut s = stats()
+            .with(Metric::calibrated("wall_us", wall))
+            .with(Metric::new("peak_rss_kb", 40_000u64));
+        s.provenance.cpus = 8;
+        s.provenance.build = "release".into();
+        s.provenance.unix_secs = 1_750_000_000;
         s
+    }
+
+    fn gate(baseline: &BenchRecord, current: &BenchRecord) -> Verdict {
+        Verdict::new(baseline, current, DiffConfig::default())
     }
 
     #[test]
     fn identical_runs_pass() {
         let s = stats();
-        let report = diff(&s, &s, DiffConfig::default());
+        let report = gate(&s, &s);
         assert!(report.passed(), "{:?}", report.violations);
         assert!(report.render_text().contains("verdict: PASS"));
     }
@@ -1607,9 +1032,8 @@ mod tests {
     #[test]
     fn wall_regression_past_tolerance_fails() {
         let base = stats();
-        let mut cur = stats();
-        cur.wall_us = 106_000; // +6% > 5%
-        let report = diff(&base, &cur, DiffConfig::default());
+        let cur = set(stats(), "wall_us", 106_000u64); // +6% > 5%
+        let report = gate(&base, &cur);
         assert!(!report.passed());
         assert!(
             report.violations[0].contains("wall time"),
@@ -1617,16 +1041,15 @@ mod tests {
             report.violations
         );
         // Within tolerance passes.
-        cur.wall_us = 104_000;
-        assert!(diff(&base, &cur, DiffConfig::default()).passed());
+        let cur = set(stats(), "wall_us", 104_000u64);
+        assert!(gate(&base, &cur).passed());
     }
 
     #[test]
     fn faster_is_a_note_not_a_violation() {
         let base = stats();
-        let mut cur = stats();
-        cur.wall_us = 50_000;
-        let report = diff(&base, &cur, DiffConfig::default());
+        let cur = set(stats(), "wall_us", 50_000u64);
+        let report = gate(&base, &cur);
         assert!(report.passed());
         assert!(report.notes.iter().any(|n| n.contains("improved")));
     }
@@ -1635,9 +1058,8 @@ mod tests {
     fn hardware_drift_fails_in_both_directions() {
         let base = stats();
         for area in [11.0, 14.0] {
-            let mut cur = stats();
-            cur.area_mm2 = area;
-            let report = diff(&base, &cur, DiffConfig::default());
+            let cur = set(stats(), "area_mm2", area);
+            let report = gate(&base, &cur);
             assert!(!report.passed(), "area {area} should violate");
             assert!(report.violations[0].contains("area"));
         }
@@ -1647,26 +1069,11 @@ mod tests {
     fn dataset_and_grid_drift_are_violations() {
         let base = stats();
         let mut cur = stats();
-        cur.dataset = "Vertebral".into();
-        assert!(!diff(&base, &cur, DiffConfig::default()).passed());
+        cur.key = "Vertebral".into();
+        assert!(!gate(&base, &cur).passed());
         let mut cur = stats();
-        cur.depths = vec![2, 4, 6];
-        assert!(!diff(&base, &cur, DiffConfig::default()).passed());
-    }
-
-    #[test]
-    fn separate_wall_tolerance_relaxes_only_timing() {
-        let base = stats();
-        let mut cur = stats();
-        cur.wall_us = 140_000; // +40%
-        let config = DiffConfig {
-            max_regress: 0.05,
-            max_wall_regress: 0.50,
-            ..DiffConfig::default()
-        };
-        assert!(diff(&base, &cur, config).passed());
-        cur.area_mm2 = 14.0; // hardware still gated at 5%
-        assert!(!diff(&base, &cur, config).passed());
+        cur.provenance.depths = vec![2, 4, 6];
+        assert!(!gate(&base, &cur).passed());
     }
 
     #[test]
@@ -1679,25 +1086,28 @@ mod tests {
     }
 
     #[test]
-    fn calibration_builder_fills_the_trio() {
-        let s = stats().with_calibration(&[98_000, 100_000, 101_000, 104_000, 99_000]);
-        assert_eq!(s.wall_us, 100_000);
-        assert_eq!(s.wall_us_median, 100_000);
-        assert_eq!(s.wall_us_mad, 1_000);
-        assert_eq!(s.calib_runs, 5);
-        // Empty samples leave the stats untouched.
-        assert_eq!(stats().with_calibration(&[]), stats());
+    fn calibration_fills_the_trio_and_the_value() {
+        let c = Calibration::of(&[98_000, 100_000, 101_000, 104_000, 99_000]);
+        assert_eq!(
+            c,
+            Calibration {
+                median: 100_000,
+                mad: 1_000,
+                runs: 5
+            }
+        );
+        let metric = Metric::calibrated("wall_us", c);
+        assert_eq!(metric.value, FieldValue::U64(100_000));
+        // Empty samples calibrate nothing.
+        assert_eq!(Calibration::of(&[]), Calibration::default());
     }
 
     #[test]
     fn calibrated_gate_uses_the_mad_threshold() {
         let base = calibrated(); // median 100_000, MAD 1_000
-        let mut cur = calibrated();
-        // Threshold = 100_000 + max(50_000 floor, 8×1_000) = 150_000.
-        cur.wall_us = 150_000;
-        assert!(diff(&base, &cur, DiffConfig::default()).passed());
-        cur.wall_us = 150_001;
-        let report = diff(&base, &cur, DiffConfig::default());
+                                 // Threshold = 100_000 + max(50_000 floor, 8×1_000) = 150_000.
+        assert!(gate(&base, &set(calibrated(), "wall_us", 150_000u64)).passed());
+        let report = gate(&base, &set(calibrated(), "wall_us", 150_001u64));
         assert!(!report.passed());
         assert!(
             report.violations[0].contains("calibration runs"),
@@ -1708,22 +1118,23 @@ mod tests {
 
     #[test]
     fn mad_dominates_when_above_the_floor() {
-        let mut base = calibrated();
-        base.wall_us_mad = 20_000; // 8×20_000 = 160_000 > 50_000 floor
-        let mut cur = calibrated();
-        cur.wall_us = 255_000; // under 100_000 + 160_000
-        assert!(diff(&base, &cur, DiffConfig::default()).passed());
-        cur.wall_us = 265_000;
-        assert!(!diff(&base, &cur, DiffConfig::default()).passed());
+        let wide = Calibration {
+            median: 100_000,
+            mad: 20_000, // 8×20_000 = 160_000 > 50_000 floor
+            runs: 5,
+        };
+        let base = calibrate(calibrated(), "wall_us", Some(wide));
+        // Under 100_000 + 160_000.
+        assert!(gate(&base, &set(calibrated(), "wall_us", 255_000u64)).passed());
+        assert!(!gate(&base, &set(calibrated(), "wall_us", 265_000u64)).passed());
     }
 
     #[test]
     fn env_mismatch_refuses_the_wall_gate_but_keeps_deterministic_gates() {
         let base = calibrated();
-        let mut cur = calibrated();
-        cur.cpus = 2;
-        cur.wall_us = 10_000_000; // way past any threshold — but unjudgeable
-        let report = diff(&base, &cur, DiffConfig::default());
+        // Way past any threshold — but unjudgeable.
+        let cur = env(set(calibrated(), "wall_us", 10_000_000u64), 2);
+        let report = gate(&base, &cur);
         assert!(report.passed(), "{:?}", report.violations);
         assert!(
             report.notes.iter().any(|n| n.contains("REFUSED")),
@@ -1731,25 +1142,22 @@ mod tests {
             report.notes
         );
         // Deterministic metrics still fire on the mismatched-env pair.
-        cur.area_mm2 = 20.0;
-        assert!(!diff(&base, &cur, DiffConfig::default()).passed());
+        assert!(!gate(&base, &set(cur, "area_mm2", 20.0)).passed());
     }
 
     #[test]
     fn uncalibrated_baseline_falls_back_to_percentage() {
-        let base = stats(); // calib_runs = 0
-        let mut cur = stats();
-        cur.wall_us = 106_000;
-        assert!(!diff(&base, &cur, DiffConfig::default()).passed());
+        let base = stats(); // no calibration
+        assert!(!gate(&base, &set(stats(), "wall_us", 106_000u64)).passed());
     }
 
     #[test]
     fn stats_json_round_trips() {
         let original = stats();
         let json = original.to_json();
-        let (parsed, warnings) = TraceStats::from_text(&json).expect("parses");
+        let (parsed, warnings) = BenchRecord::parse_all(&json);
         assert!(warnings.is_empty());
-        assert_eq!(parsed, original);
+        assert_eq!(parsed, vec![original]);
     }
 
     #[test]
@@ -1760,8 +1168,8 @@ mod tests {
         assert!(json.contains(r#""calib_runs":5"#), "{json}");
         assert!(json.contains(r#""peak_rss_kb":40000"#), "{json}");
         assert!(json.contains(r#""build":"release""#), "{json}");
-        let (parsed, _) = TraceStats::from_text(&json).expect("parses");
-        assert_eq!(parsed, original);
+        let (parsed, _) = BenchRecord::parse_all(&json);
+        assert_eq!(parsed, vec![original]);
     }
 
     #[test]
@@ -1773,43 +1181,36 @@ mod tests {
     }
 
     #[test]
-    fn from_text_multi_reads_a_whole_suite() {
-        let mut a = calibrated();
-        a.dataset = "Seeds".into();
+    fn parse_all_reads_a_whole_suite() {
+        let a = calibrated();
         let mut b = calibrated();
-        b.dataset = "Cardio".into();
+        b.key = "Cardio".into();
         let file = format!("{}\n{}\n", a.to_json(), b.to_json());
-        let (suite, warnings) = TraceStats::from_text_multi(&file).expect("parses");
+        let (suite, warnings) = BenchRecord::parse_all(&file);
         assert!(warnings.is_empty());
         assert_eq!(suite.len(), 2);
-        assert_eq!(suite[0].dataset, "Seeds");
-        assert_eq!(suite[1].dataset, "Cardio");
+        assert_eq!(suite[0].key, "Seeds");
+        assert_eq!(suite[1].key, "Cardio");
     }
 
     #[test]
-    fn diff_many_requires_an_exact_bijection() {
-        let mut a = stats();
-        a.dataset = "Seeds".into();
+    fn diff_requires_an_exact_bijection() {
+        let a = stats();
         let mut b = stats();
-        b.dataset = "Cardio".into();
+        b.key = "Cardio".into();
         let mut c = stats();
-        c.dataset = "Pendigits".into();
+        c.key = "Pendigits".into();
         // Exact match passes.
-        let reports = diff_many(
+        let reports = diff(
             &[a.clone(), b.clone()],
             &[a.clone(), b.clone()],
             DiffConfig::default(),
         )
         .expect("bijection");
         assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(DiffReport::passed));
+        assert!(reports.iter().all(Verdict::passed));
         // Missing on the current side is a hard error, not a skip.
-        let err = diff_many(
-            &[a.clone(), b.clone()],
-            &[a.clone(), c.clone()],
-            DiffConfig::default(),
-        )
-        .unwrap_err();
+        let err = diff(&[a.clone(), b], &[a, c], DiffConfig::default()).unwrap_err();
         assert!(
             err.contains("\"Cardio\" missing from the current run"),
             "{err}"
@@ -1821,29 +1222,8 @@ mod tests {
     }
 
     #[test]
-    fn diff_many_matches_a_single_run_inside_a_suite() {
-        let mut a = stats();
-        a.dataset = "Seeds".into();
-        let mut b = stats();
-        b.dataset = "Cardio".into();
-        let reports = diff_many(&[a.clone(), b.clone()], &[b.clone()], DiffConfig::default())
-            .expect("lookup");
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].baseline.dataset, "Cardio");
-        // And the reverse orientation.
-        let reports = diff_many(&[a.clone()], &[b.clone(), a.clone()], DiffConfig::default())
-            .expect("lookup");
-        assert_eq!(reports[0].current.dataset, "Seeds");
-        // A single run with no counterpart errors.
-        let mut c = stats();
-        c.dataset = "Pendigits".into();
-        let err = diff_many(&[a, b], &[c], DiffConfig::default()).unwrap_err();
-        assert!(err.contains("no baseline record"), "{err}");
-    }
-
-    #[test]
-    fn from_text_accepts_a_trace_dump() {
-        use printed_telemetry::{keys, FieldValue, Recorder, RunManifest};
+    fn from_trace_condenses_a_trace_dump() {
+        use printed_telemetry::{Recorder, RunManifest};
         let (recorder, sink) = Recorder::collecting();
         let span = recorder.span(keys::STAGE_SWEEP);
         recorder.add(keys::GINI_EVALS, 777);
@@ -1864,35 +1244,62 @@ mod tests {
                 build: "release".into(),
                 ..RunManifest::default()
             });
-        let (parsed, _) = TraceStats::from_text(&trace.to_ndjson()).expect("parses");
-        assert_eq!(parsed.dataset, "Seeds");
-        assert_eq!(parsed.gini_evals, 777);
-        assert_eq!(parsed.comparators, 6);
-        assert!((parsed.area_mm2 - 3.25).abs() < 1e-12);
-        assert_eq!(parsed.peak_rss_kb, 31_000);
-        assert_eq!(parsed.env_class().as_deref(), Some("8cpu/auto/release"));
+        let parsed = crate::parse_trace(&trace.to_ndjson()).trace;
+        let record = BenchRecord::from_trace(&parsed);
+        assert_eq!(record.key, "Seeds");
+        assert_eq!(record.value("gini_evals"), 777.0);
+        assert_eq!(record.value("comparators"), 6.0);
+        assert!((record.value("area_mm2") - 3.25).abs() < 1e-12);
+        assert_eq!(record.value("peak_rss_kb"), 31_000.0);
+        assert_eq!(
+            record.provenance.env_class().as_deref(),
+            Some("8cpu/auto/release")
+        );
     }
 
     #[test]
-    fn garbage_input_is_a_hard_error() {
-        assert!(TraceStats::from_text("definitely not json").is_err());
+    fn garbage_lines_are_warnings_not_records() {
+        let (records, warnings) = BenchRecord::parse_all("definitely not json");
+        assert!(records.is_empty());
+        assert_eq!(warnings.len(), 1);
     }
 
-    fn kernel(dataset: &str, name: &str) -> KernelStats {
-        KernelStats {
+    fn kernel(dataset: &str, name: &'static str) -> BenchRecord {
+        let provenance = RunManifest {
+            git_sha: SHA.into(),
             dataset: dataset.into(),
-            kernel: name.into(),
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            calls: 7,
-            items: 1_610,
             cpus: 8,
-            threads: 0,
             build: "release".into(),
             unix_secs: 1_754_000_000,
-            ..KernelStats::default()
-        }
+            ..RunManifest::default()
+        };
         // Median 1_000_000, deviations [20k, 10k, 0, 10k, 30k] → MAD 10k.
-        .with_calibration(&[980_000, 990_000, 1_000_000, 1_010_000, 1_030_000])
+        let tp = Calibration::of(&[980_000, 990_000, 1_000_000, 1_010_000, 1_030_000]);
+        let metrics = vec![
+            Metric::new("calls", 7u64),
+            Metric::new("items", 1_610u64),
+            Metric::calibrated("tp_median", tp),
+        ];
+        BenchRecord::new(
+            Axis::Kernel,
+            format!("{dataset}/{name}"),
+            provenance,
+            metrics,
+        )
+    }
+
+    fn tp_mad(record: BenchRecord, mad: u64) -> BenchRecord {
+        let c = record.metric("tp_median").unwrap().calibration.unwrap();
+        calibrate(record, "tp_median", Some(Calibration { mad, ..c }))
+    }
+
+    fn diff_one(base: &BenchRecord, cur: &BenchRecord) -> Vec<Verdict> {
+        diff(
+            std::slice::from_ref(base),
+            std::slice::from_ref(cur),
+            DiffConfig::default(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1900,50 +1307,40 @@ mod tests {
         let original = kernel("Seeds", "gini_scan");
         let json = original.to_json();
         assert!(json.starts_with(r#"{"kind":"kernel_stats""#), "{json}");
-        let parsed = KernelStats::from_text_multi(&json).expect("parses");
+        let (parsed, _) = BenchRecord::parse_all(&json);
         assert_eq!(parsed, vec![original]);
-        // A file with no kernel records is a hard error.
-        assert!(KernelStats::from_text_multi(r#"{"kind":"bench_stats"}"#).is_err());
+        // A bench line parses onto its own axis, never the kernel one.
+        let (parsed, _) = BenchRecord::parse_all(r#"{"kind":"bench_stats"}"#);
+        assert_eq!(parsed[0].axis, Axis::Bench);
     }
 
     #[test]
     fn kernel_table_renders_one_markdown_row_per_pair() {
         let base = kernel("Seeds", "gini_scan");
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 2_000_000; // a 2× improvement
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
-        let table = render_kernel_table(&reports);
+        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 2_000_000u64); // 2×
+        let table = Verdict::render_table(&diff_one(&base, &cur));
         let lines: Vec<&str> = table.lines().collect();
         assert_eq!(lines.len(), 3, "header + separator + one row:\n{table}");
         assert!(lines[0].starts_with("| dataset | kernel |"));
         assert!(lines[2].contains("| Seeds | gini_scan |"));
         assert!(lines[2].contains("| 1000000 | 2000000 | +100.0% | pass |"));
         // A regressed pair renders its verdict in the same row shape.
-        let mut base = kernel("Seeds", "gini_scan");
-        base.tp_mad = 0;
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 100_000;
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
-        let table = render_kernel_table(&reports);
+        let base = tp_mad(kernel("Seeds", "gini_scan"), 0);
+        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 100_000u64);
+        let table = Verdict::render_table(&diff_one(&base, &cur));
         assert!(table.contains("| -90.0% | REGRESSION |"), "{table}");
     }
 
     #[test]
     fn kernel_count_drift_blocks_in_both_directions() {
         let base = kernel("Seeds", "gini_scan");
-        for calls in [6, 8] {
-            let mut cur = kernel("Seeds", "gini_scan");
-            cur.calls = calls;
-            let reports =
-                diff_kernels(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+        for calls in [6u64, 8] {
+            let reports = diff_one(&base, &set(kernel("Seeds", "gini_scan"), "calls", calls));
             assert!(!reports[0].passed(), "calls {calls} should violate");
             assert!(reports[0].violations[0].contains("calls changed"));
         }
-        for items in [1_609, 1_611] {
-            let mut cur = kernel("Seeds", "gini_scan");
-            cur.items = items;
-            let reports =
-                diff_kernels(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+        for items in [1_609u64, 1_611] {
+            let reports = diff_one(&base, &set(kernel("Seeds", "gini_scan"), "items", items));
             assert!(!reports[0].passed(), "items {items} should violate");
             assert!(reports[0].violations[0].contains("items changed"));
         }
@@ -1951,14 +1348,13 @@ mod tests {
 
     #[test]
     fn kernel_throughput_gates_at_median_minus_mad_slack() {
-        let mut base = kernel("Seeds", "gini_scan"); // median 1_000_000
-        base.tp_mad = 40_000; // 8×40_000 = 320_000 > 25% floor 250_000
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 680_000;
-        let reports = diff_kernels(&[base.clone()], &[cur.clone()], DiffConfig::default()).unwrap();
+        // Median 1_000_000; 8×40_000 = 320_000 > 25% floor 250_000.
+        let base = tp_mad(kernel("Seeds", "gini_scan"), 40_000);
+        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 680_000u64);
+        let reports = diff_one(&base, &cur);
         assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        cur.tp_median = 679_999;
-        let reports = diff_kernels(&[base.clone()], &[cur], DiffConfig::default()).unwrap();
+        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 679_999u64);
+        let reports = diff_one(&base, &cur);
         assert!(!reports[0].passed());
         assert!(
             reports[0].violations[0].contains("throughput regressed"),
@@ -1967,37 +1363,27 @@ mod tests {
         );
         assert!(reports[0].render_text().contains("verdict: REGRESSION"));
         // A faster run sails through.
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 2_000_000;
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
-        assert!(reports[0].passed());
+        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 2_000_000u64);
+        assert!(diff_one(&base, &cur)[0].passed());
     }
 
     #[test]
     fn kernel_relative_floor_dominates_a_tiny_mad() {
-        let mut base = kernel("Seeds", "gini_scan");
-        base.tp_mad = 0; // 8×0 = 0 < 25%×1_000_000 = 250_000 floor
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 750_000;
-        let reports = diff_kernels(&[base.clone()], &[cur.clone()], DiffConfig::default()).unwrap();
+        // 8×0 = 0 < 25%×1_000_000 = 250_000 floor.
+        let base = tp_mad(kernel("Seeds", "gini_scan"), 0);
+        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 750_000u64);
+        let reports = diff_one(&base, &cur);
         assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        cur.tp_median = 749_999;
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
-        assert!(!reports[0].passed());
+        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 749_999u64);
+        assert!(!diff_one(&base, &cur)[0].passed());
     }
 
     #[test]
     fn kernel_env_mismatch_refuses_throughput_but_keeps_counts() {
         let base = kernel("Seeds", "gini_scan");
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.cpus = 2;
-        cur.tp_median = 1; // absurdly slow — but unjudgeable cross-env
-        let reports = diff_kernels(
-            std::slice::from_ref(&base),
-            std::slice::from_ref(&cur),
-            DiffConfig::default(),
-        )
-        .unwrap();
+        // Absurdly slow — but unjudgeable cross-env.
+        let cur = env(set(kernel("Seeds", "gini_scan"), "tp_median", 1u64), 2);
+        let reports = diff_one(&base, &cur);
         assert!(reports[0].passed(), "{:?}", reports[0].violations);
         assert!(
             reports[0].notes.iter().any(|n| n.contains("REFUSED")),
@@ -2005,8 +1391,7 @@ mod tests {
             reports[0].notes
         );
         // The deterministic counts still fire on the mismatched pair.
-        cur.items = 999;
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
+        let reports = diff_one(&base, &set(cur, "items", 999u64));
         assert!(!reports[0].passed());
     }
 
@@ -2015,41 +1400,57 @@ mod tests {
         let a = kernel("Seeds", "gini_scan");
         let b = kernel("Seeds", "cube_merge");
         let c = kernel("Cardio", "gini_scan");
-        let reports = diff_kernels(
+        let reports = diff(
             &[a.clone(), b.clone()],
             &[b.clone(), a.clone()],
             DiffConfig::default(),
         )
         .expect("bijection");
         assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(KernelDiffReport::passed));
+        assert!(reports.iter().all(Verdict::passed));
         // Same kernel on a different dataset is NOT a counterpart.
-        let err = diff_kernels(&[a.clone(), b], &[a, c], DiffConfig::default()).unwrap_err();
+        let err = diff(&[a.clone(), b], &[a, c], DiffConfig::default()).unwrap_err();
         assert!(err.contains("Seeds/cube_merge missing"), "{err}");
         assert!(err.contains("Cardio/gini_scan has no baseline"), "{err}");
     }
 
-    fn robust(dataset: &str) -> RobustStats {
-        RobustStats {
+    #[test]
+    fn kernel_uncalibrated_baseline_skips_throughput() {
+        let base = set(
+            calibrate(kernel("Seeds", "gini_scan"), "tp_median", None),
+            "tp_median",
+            0u64,
+        );
+        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 1u64);
+        let reports = diff_one(&base, &cur);
+        assert!(reports[0].passed());
+        assert!(reports[0].notes.iter().any(|n| n.contains("skipped")));
+    }
+
+    fn robust(dataset: &str) -> BenchRecord {
+        let provenance = RunManifest {
+            git_sha: SHA.into(),
             dataset: dataset.into(),
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            tau: 0.01,
-            depth: 4,
-            nominal: 0.9143,
-            robust_accuracy: 0.9021,
-            yield_est: 0.96,
-            worst_fault: 0.55,
-            droop_margin: 0.32,
-            pruned_points: 3,
-            trials_budget: 384,
             cpus: 8,
-            threads: 0,
             build: "release".into(),
             unix_secs: 1_754_000_000,
-            ..RobustStats::default()
-        }
+            ..RunManifest::default()
+        };
         // trials median 120 MAD 0; wall median 80_000 MAD 1_000.
-        .with_calibration(&[120, 120, 120], &[79_000, 80_000, 81_000])
+        let metrics = vec![
+            Metric::new("tau", 0.01),
+            Metric::new("depth", 4u64),
+            Metric::new("nominal", 0.9143),
+            Metric::new("robust_accuracy", 0.9021),
+            Metric::new("yield", 0.96),
+            Metric::new("worst_fault", 0.55),
+            Metric::new("droop_margin", 0.32),
+            Metric::new("pruned_points", 3u64),
+            Metric::new("trials_budget", 384u64),
+            Metric::calibrated("trials_median", Calibration::of(&[120, 120, 120])),
+            Metric::calibrated("wall_us_median", Calibration::of(&[79_000, 80_000, 81_000])),
+        ];
+        BenchRecord::new(Axis::Robust, dataset, provenance, metrics)
     }
 
     #[test]
@@ -2057,10 +1458,8 @@ mod tests {
         let original = robust("Seeds");
         let json = original.to_json();
         assert!(json.starts_with(r#"{"kind":"robust_stats""#), "{json}");
-        let parsed = RobustStats::from_text_multi(&json).expect("parses");
+        let (parsed, _) = BenchRecord::parse_all(&json);
         assert_eq!(parsed, vec![original]);
-        // A file with no robustness records is a hard error.
-        assert!(RobustStats::from_text_multi(r#"{"kind":"bench_stats"}"#).is_err());
     }
 
     #[test]
@@ -2068,10 +1467,7 @@ mod tests {
         let base = robust("Seeds");
         // Yield drift fails even when it *improves*.
         for yield_est in [0.90, 0.99] {
-            let mut cur = robust("Seeds");
-            cur.yield_est = yield_est;
-            let reports =
-                diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+            let reports = diff_one(&base, &set(robust("Seeds"), "yield", yield_est));
             assert!(!reports[0].passed(), "yield {yield_est} should violate");
             assert!(
                 reports[0].violations[0].contains("yield changed"),
@@ -2080,17 +1476,11 @@ mod tests {
             );
         }
         // Selection drift is a violation.
-        let mut cur = robust("Seeds");
-        cur.depth = 2;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+        let reports = diff_one(&base, &set(robust("Seeds"), "depth", 2u64));
         assert!(!reports[0].passed());
         assert!(reports[0].violations[0].contains("selected depth"));
         // So is a changed pruned-point count.
-        let mut cur = robust("Seeds");
-        cur.pruned_points = 0;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+        let reports = diff_one(&base, &set(robust("Seeds"), "pruned_points", 0u64));
         assert!(!reports[0].passed());
         assert!(
             reports[0].violations[0].contains("pruned points"),
@@ -2099,12 +1489,7 @@ mod tests {
         );
         assert!(reports[0].render_text().contains("verdict: REGRESSION"));
         // An identical run passes.
-        let reports = diff_robust(
-            std::slice::from_ref(&base),
-            std::slice::from_ref(&base),
-            DiffConfig::default(),
-        )
-        .unwrap();
+        let reports = diff_one(&base, &base);
         assert!(reports[0].passed(), "{:?}", reports[0].violations);
     }
 
@@ -2112,15 +1497,9 @@ mod tests {
     fn robust_trials_gate_fires_upward_only() {
         let base = robust("Seeds"); // trials median 120, MAD 0
                                     // Threshold = 120 + max(8×0, 25%×120 = 30) = 150.
-        let mut cur = robust("Seeds");
-        cur.trials_median = 150;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+        let reports = diff_one(&base, &set(robust("Seeds"), "trials_median", 150u64));
         assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        let mut cur = robust("Seeds");
-        cur.trials_median = 151;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+        let reports = diff_one(&base, &set(robust("Seeds"), "trials_median", 151u64));
         assert!(!reports[0].passed());
         assert!(
             reports[0].violations[0].contains("trials spent regressed"),
@@ -2128,10 +1507,7 @@ mod tests {
             reports[0].violations
         );
         // Fewer trials is an improvement note, not a violation.
-        let mut cur = robust("Seeds");
-        cur.trials_median = 60;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+        let reports = diff_one(&base, &set(robust("Seeds"), "trials_median", 60u64));
         assert!(reports[0].passed());
         assert!(reports[0].notes.iter().any(|n| n.contains("improved")));
     }
@@ -2140,15 +1516,9 @@ mod tests {
     fn robust_wall_gate_is_calibrated_and_env_refused() {
         let base = robust("Seeds"); // wall median 80_000, MAD 1_000
                                     // Threshold = 80_000 + max(50_000 floor, 8×1_000) = 130_000.
-        let mut cur = robust("Seeds");
-        cur.wall_us_median = 130_000;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+        let reports = diff_one(&base, &set(robust("Seeds"), "wall_us_median", 130_000u64));
         assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        let mut cur = robust("Seeds");
-        cur.wall_us_median = 130_001;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+        let reports = diff_one(&base, &set(robust("Seeds"), "wall_us_median", 130_001u64));
         assert!(!reports[0].passed());
         assert!(
             reports[0].violations[0].contains("campaign wall regressed"),
@@ -2156,20 +1526,11 @@ mod tests {
             reports[0].violations
         );
         // Cross-environment: the wall gate refuses, deterministic gates stay.
-        let mut cur = robust("Seeds");
-        cur.cpus = 2;
-        cur.wall_us_median = 10_000_000;
-        let reports = diff_robust(
-            std::slice::from_ref(&base),
-            &[cur.clone()],
-            DiffConfig::default(),
-        )
-        .unwrap();
+        let cur = env(set(robust("Seeds"), "wall_us_median", 10_000_000u64), 2);
+        let reports = diff_one(&base, &cur);
         assert!(reports[0].passed(), "{:?}", reports[0].violations);
         assert!(reports[0].notes.iter().any(|n| n.contains("REFUSED")));
-        cur.yield_est = 0.5;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+        let reports = diff_one(&base, &set(cur, "yield", 0.5));
         assert!(!reports[0].passed());
     }
 
@@ -2178,15 +1539,15 @@ mod tests {
         let a = robust("Seeds");
         let b = robust("Cardio");
         let c = robust("Pendigits");
-        let reports = diff_robust(
+        let reports = diff(
             &[a.clone(), b.clone()],
             &[b.clone(), a.clone()],
             DiffConfig::default(),
         )
         .expect("bijection");
         assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(RobustDiffReport::passed));
-        let err = diff_robust(&[a.clone(), b], &[a, c], DiffConfig::default()).unwrap_err();
+        assert!(reports.iter().all(Verdict::passed));
+        let err = diff(&[a.clone(), b], &[a, c], DiffConfig::default()).unwrap_err();
         assert!(err.contains("\"Cardio\" missing"), "{err}");
         assert!(err.contains("\"Pendigits\" has no baseline"), "{err}");
     }
@@ -2194,15 +1555,12 @@ mod tests {
     #[test]
     fn robust_uncalibrated_baseline_skips_timing_gates() {
         let mut base = robust("Seeds");
-        base.trials_median = 0;
-        base.trials_mad = 0;
-        base.wall_us_median = 0;
-        base.wall_us_mad = 0;
-        base.calib_runs = 0;
-        let mut cur = robust("Seeds");
-        cur.trials_median = 1_000_000;
-        cur.wall_us_median = 1_000_000;
-        let reports = diff_robust(&[base], &[cur], DiffConfig::default()).unwrap();
+        for field in ["trials_median", "wall_us_median"] {
+            base = set(calibrate(base, field, None), field, 0u64);
+        }
+        let cur = set(robust("Seeds"), "trials_median", 1_000_000u64);
+        let cur = set(cur, "wall_us_median", 1_000_000u64);
+        let reports = diff_one(&base, &cur);
         assert!(reports[0].passed(), "{:?}", reports[0].violations);
         assert_eq!(
             reports[0]
@@ -2214,16 +1572,62 @@ mod tests {
         );
     }
 
+    const COMMITTED: [&str; 3] = [
+        include_str!("../../../BENCH_all.ndjson"),
+        include_str!("../../../BENCH_hotpath.ndjson"),
+        include_str!("../../../BENCH_robust.ndjson"),
+    ];
+
     #[test]
-    fn kernel_uncalibrated_baseline_skips_throughput() {
-        let mut base = kernel("Seeds", "gini_scan");
-        base.tp_median = 0;
-        base.tp_mad = 0;
-        base.calib_runs = 0;
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 1;
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
-        assert!(reports[0].passed());
-        assert!(reports[0].notes.iter().any(|n| n.contains("skipped")));
+    fn committed_baselines_re_encode_byte_for_byte() {
+        for suite in COMMITTED {
+            let (records, warnings) = BenchRecord::parse_all(suite);
+            assert!(warnings.is_empty(), "{warnings:?}");
+            assert_eq!(records.len(), suite.lines().count());
+            for (record, line) in records.iter().zip(suite.lines()) {
+                assert_eq!(record.to_json(), line);
+            }
+        }
+    }
+
+    #[test]
+    fn bench_binary_records_match_the_committed_line_shapes() {
+        // The field order bench_hot and bench_robust construct records in
+        // reproduces the committed lines exactly.
+        let hot = COMMITTED[1].lines().next().unwrap();
+        let (parsed, _) = BenchRecord::parse_all(hot);
+        let tp = parsed[0].metric("tp_median").unwrap().calibration.unwrap();
+        let metrics = vec![
+            Metric::new("calls", parsed[0].value("calls") as u64),
+            Metric::new("items", parsed[0].value("items") as u64),
+            Metric::calibrated("tp_median", tp),
+        ];
+        let built = BenchRecord::new(
+            Axis::Kernel,
+            &parsed[0].key,
+            parsed[0].provenance.clone(),
+            metrics,
+        );
+        assert_eq!(built.to_json(), hot);
+
+        let robust = COMMITTED[2].lines().next().unwrap();
+        let (parsed, _) = BenchRecord::parse_all(robust);
+        let r = &parsed[0];
+        let calibration = |f: &str| r.metric(f).unwrap().calibration.unwrap();
+        let metrics = vec![
+            Metric::new("tau", r.value("tau")),
+            Metric::new("depth", r.value("depth") as u64),
+            Metric::new("nominal", r.value("nominal")),
+            Metric::new("robust_accuracy", r.value("robust_accuracy")),
+            Metric::new("yield", r.value("yield")),
+            Metric::new("worst_fault", r.value("worst_fault")),
+            Metric::new("droop_margin", r.value("droop_margin")),
+            Metric::new("pruned_points", r.value("pruned_points") as u64),
+            Metric::new("trials_budget", r.value("trials_budget") as u64),
+            Metric::calibrated("trials_median", calibration("trials_median")),
+            Metric::calibrated("wall_us_median", calibration("wall_us_median")),
+        ];
+        let built = BenchRecord::new(Axis::Robust, &r.key, r.provenance.clone(), metrics);
+        assert_eq!(built.to_json(), robust);
     }
 }

@@ -1,555 +1,118 @@
-//! Cross-PR benchmark history: append-only `bench_history` NDJSON and a
+//! Cross-PR benchmark history: append-only `*_history` NDJSON and a
 //! drift renderer for `printed-trace history`.
 //!
-//! `BENCH_all.ndjson` answers "did *this* change regress the suite?";
-//! the history file answers the longitudinal question — how wall time
-//! and hardware cost moved across merges. CI appends one
-//! `{"kind":"bench_history"}` line per benchmark per PR (git SHA,
-//! timestamp, the deterministic metrics, and the median wall time), and
-//! `printed-trace history` renders each dataset's records in order with
-//! the per-step wall drift.
+//! A baseline suite answers "did *this* change regress?"; the history
+//! file answers the longitudinal question — how timings and hardware cost
+//! moved across merges. CI appends one history line per baseline record
+//! after each gate passes: `bench_history`, `kernel_history` and
+//! `robust_history` share one file without crosstalk. A history line is
+//! a [`BenchRecord`] cut down to its git SHA, timestamp, key and the
+//! axis' history fields, so one parser and one renderer serve all three.
 //!
 //! Records are one JSON object per line, so the file merges trivially
 //! and a torn append (killed CI job) corrupts at most the final line —
 //! the parser skips unparseable lines with a warning, never aborts.
 
-use printed_telemetry::JsonLine;
+use printed_telemetry::{FieldValue, JsonLine};
 
-use crate::diff::{KernelStats, RobustStats, TraceStats};
-use crate::json::{parse as parse_json, JsonValue};
+use crate::diff::{parse_lines, Axis, BenchRecord};
 
-/// One benchmark's guarded numbers at one revision.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HistoryEntry {
-    /// Git revision the record was produced at.
-    pub git_sha: String,
-    /// Unix timestamp (seconds) of the run.
-    pub unix_secs: u64,
-    /// Benchmark/dataset name.
-    pub dataset: String,
-    /// Median wall time, µs.
-    pub wall_us: u64,
-    /// Gini evaluations across the sweep.
-    pub gini_evals: u64,
-    /// Trees trained.
-    pub trees: u64,
-    /// Truncation-shared candidates.
-    pub trees_shared: u64,
-    /// Selected design's area, mm².
-    pub area_mm2: f64,
-    /// Selected design's power, mW.
-    pub power_mw: f64,
-    /// Selected design's comparators.
-    pub comparators: u64,
-    /// Peak resident-set size of the producing process, kB (0 = not
-    /// recorded; absent on pre-RSS history records).
-    pub peak_rss_kb: u64,
-}
-
-impl HistoryEntry {
-    /// Condenses baseline stats into a history record.
-    pub fn from_stats(stats: &TraceStats) -> Self {
-        Self {
-            git_sha: stats.git_sha.clone(),
-            unix_secs: stats.unix_secs,
-            dataset: stats.dataset.clone(),
-            wall_us: stats.wall_us,
-            gini_evals: stats.gini_evals,
-            trees: stats.trees,
-            trees_shared: stats.trees_shared,
-            area_mm2: stats.area_mm2,
-            power_mw: stats.power_mw,
-            comparators: stats.comparators,
-            peak_rss_kb: stats.peak_rss_kb,
-        }
-    }
-
-    /// Serializes to one `{"kind":"bench_history"}` NDJSON line. The RSS
-    /// field is emitted only when recorded, so pre-RSS appends keep their
-    /// compact shape.
-    pub fn to_json(&self) -> String {
+impl BenchRecord {
+    /// Serializes to one `*_history` NDJSON line: kind, git SHA,
+    /// timestamp, key, then the axis' history fields that are present.
+    pub fn to_history_json(&self) -> String {
+        let spec = self.axis.spec();
         let mut line = JsonLine::new()
-            .str("kind", "bench_history")
-            .str("git_sha", &self.git_sha)
-            .u64("unix_secs", self.unix_secs)
-            .str("dataset", &self.dataset)
-            .u64("wall_us", self.wall_us)
-            .u64("gini_evals", self.gini_evals)
-            .u64("trees", self.trees)
-            .u64("trees_shared", self.trees_shared)
-            .f64("area_mm2", self.area_mm2)
-            .f64("power_mw", self.power_mw)
-            .u64("comparators", self.comparators);
-        if self.peak_rss_kb > 0 {
-            line = line.u64("peak_rss_kb", self.peak_rss_kb);
+            .str("kind", spec.history_kind)
+            .str("git_sha", &self.provenance.git_sha)
+            .u64("unix_secs", self.provenance.unix_secs);
+        line = self.key_fields(line);
+        for field in spec.history {
+            if let Some(metric) = self.metric(field) {
+                line = line.field(field, &metric.value);
+            }
         }
         line.finish()
     }
-
-    fn from_json(value: &JsonValue) -> Option<Self> {
-        if value.get("kind").and_then(JsonValue::as_str) != Some("bench_history") {
-            return None;
-        }
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        let f = |key: &str| value.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-        Some(Self {
-            git_sha: s("git_sha"),
-            unix_secs: u("unix_secs"),
-            dataset: s("dataset"),
-            wall_us: u("wall_us"),
-            gini_evals: u("gini_evals"),
-            trees: u("trees"),
-            trees_shared: u("trees_shared"),
-            area_mm2: f("area_mm2"),
-            power_mw: f("power_mw"),
-            comparators: u("comparators"),
-            // Absent on pre-RSS records; defaults to "not recorded".
-            peak_rss_kb: u("peak_rss_kb"),
-        })
-    }
 }
 
-/// Parses a history file: all `bench_history` lines, in file order, plus
-/// warnings for lines that were JSON-ish but not parseable (torn
-/// appends). Foreign record kinds are skipped silently.
-pub fn parse_history(text: &str) -> (Vec<HistoryEntry>, Vec<String>) {
-    let mut entries = Vec::new();
-    let mut warnings = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_json(line) {
-            Ok(value) => {
-                if let Some(entry) = HistoryEntry::from_json(&value) {
-                    entries.push(entry);
-                }
-            }
-            Err(e) => warnings.push(format!("line {}: unparseable ({e:?})", i + 1)),
-        }
-    }
-    (entries, warnings)
+/// Parses a history file: every `*_history` line of any axis, in file
+/// order, plus one warning per unparseable line (torn appends). Other
+/// record kinds are skipped silently.
+pub fn parse_history(text: &str) -> (Vec<BenchRecord>, Vec<String>) {
+    parse_lines(text, true)
 }
 
-/// Renders per-dataset drift tables: each record with its date, short
-/// SHA, guarded numbers, and wall-time delta vs the previous record of
-/// the same dataset. `dataset` filters to one benchmark.
-pub fn render_history(entries: &[HistoryEntry], dataset: Option<&str>) -> String {
-    let mut datasets: Vec<&str> = Vec::new();
+/// Renders one drift table per `(axis, key)` — bench tables first, then
+/// kernel, then robustness — with each record's date, short SHA, history
+/// fields and the per-step Δ of the trended fields against the previous
+/// record of the same key. `dataset` filters to one benchmark.
+pub fn render_history(entries: &[BenchRecord], dataset: Option<&str>) -> String {
+    let mut groups: Vec<(Axis, &str)> = Vec::new();
     for entry in entries {
-        if dataset.is_some_and(|d| d != entry.dataset) {
-            continue;
-        }
-        if !datasets.contains(&entry.dataset.as_str()) {
-            datasets.push(&entry.dataset);
+        let group = (entry.axis, entry.key.as_str());
+        let matches = dataset.is_none_or(|d| entry.key.split('/').next() == Some(d));
+        if matches && !groups.contains(&group) {
+            groups.push(group);
         }
     }
-    if datasets.is_empty() {
+    if groups.is_empty() {
         return match dataset {
             Some(d) => format!("history: no records for dataset {d:?}\n"),
             None => "history: no records\n".to_owned(),
         };
     }
+    groups.sort_by_key(|&(axis, _)| axis);
     let mut out = String::new();
-    for name in datasets {
-        let records: Vec<&HistoryEntry> = entries.iter().filter(|e| e.dataset == name).collect();
-        out.push_str(&format!("history: {name} ({} records)\n", records.len()));
-        out.push_str(&format!(
-            "  {:<10} {:<9} {:>9} {:>11} {:>9} {:>9} {:>4} {:>9} {:>8} {:>8}\n",
-            "date",
-            "sha",
-            "wall_us",
-            "gini_evals",
-            "area_mm2",
-            "power_mw",
-            "cmp",
-            "rss_kb",
-            "Δwall",
-            "Δrss"
-        ));
-        let step = |prev: Option<u64>, cur: u64| -> String {
-            match prev {
-                Some(prev) if prev > 0 && cur > 0 => {
-                    format!("{:+.1}%", 100.0 * (cur as f64 - prev as f64) / prev as f64)
-                }
-                _ => "—".to_owned(),
-            }
-        };
-        let mut prev_wall: Option<u64> = None;
-        let mut prev_rss: Option<u64> = None;
-        for record in records {
-            let rss = if record.peak_rss_kb > 0 {
-                record.peak_rss_kb.to_string()
-            } else {
-                "—".to_owned()
-            };
-            out.push_str(&format!(
-                "  {:<10} {:<9} {:>9} {:>11} {:>9.3} {:>9.4} {:>4} {:>9} {:>8} {:>8}\n",
-                civil_date(record.unix_secs),
-                short(&record.git_sha),
-                record.wall_us,
-                record.gini_evals,
-                record.area_mm2,
-                record.power_mw,
-                record.comparators,
-                rss,
-                step(prev_wall, record.wall_us),
-                step(prev_rss, record.peak_rss_kb),
-            ));
-            prev_wall = Some(record.wall_us);
-            // A record without RSS must not poison the next delta.
-            if record.peak_rss_kb > 0 {
-                prev_rss = Some(record.peak_rss_kb);
-            }
-        }
-    }
-    out
-}
-
-/// One kernel's hot-path numbers at one revision — the kernel axis of
-/// the history file. CI appends one `{"kind":"kernel_history"}` line per
-/// `(dataset, kernel)` pair after the hotpath gate passes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct KernelHistoryEntry {
-    /// Git revision the record was produced at.
-    pub git_sha: String,
-    /// Unix timestamp (seconds) of the run.
-    pub unix_secs: u64,
-    /// Benchmark/dataset name.
-    pub dataset: String,
-    /// Kernel name (e.g. `gini_scan`).
-    pub kernel: String,
-    /// Kernel invocations per isolated driver run.
-    pub calls: u64,
-    /// Items processed per isolated driver run.
-    pub items: u64,
-    /// Median throughput across the calibration runs, items/second.
-    pub tp_median: u64,
-}
-
-impl KernelHistoryEntry {
-    /// Condenses a kernel baseline record into a history record.
-    pub fn from_stats(stats: &KernelStats) -> Self {
-        Self {
-            git_sha: stats.git_sha.clone(),
-            unix_secs: stats.unix_secs,
-            dataset: stats.dataset.clone(),
-            kernel: stats.kernel.clone(),
-            calls: stats.calls,
-            items: stats.items,
-            tp_median: stats.tp_median,
-        }
-    }
-
-    /// Serializes to one `{"kind":"kernel_history"}` NDJSON line.
-    pub fn to_json(&self) -> String {
-        JsonLine::new()
-            .str("kind", "kernel_history")
-            .str("git_sha", &self.git_sha)
-            .u64("unix_secs", self.unix_secs)
-            .str("dataset", &self.dataset)
-            .str("kernel", &self.kernel)
-            .u64("calls", self.calls)
-            .u64("items", self.items)
-            .u64("tp_median", self.tp_median)
-            .finish()
-    }
-
-    fn from_json(value: &JsonValue) -> Option<Self> {
-        if value.get("kind").and_then(JsonValue::as_str) != Some("kernel_history") {
-            return None;
-        }
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        Some(Self {
-            git_sha: s("git_sha"),
-            unix_secs: u("unix_secs"),
-            dataset: s("dataset"),
-            kernel: s("kernel"),
-            calls: u("calls"),
-            items: u("items"),
-            tp_median: u("tp_median"),
-        })
-    }
-}
-
-/// Parses the kernel axis of a history file: all `kernel_history` lines
-/// in file order, plus warnings for unparseable lines. Foreign kinds
-/// (including `bench_history` — the two axes share the file) are skipped
-/// silently.
-pub fn parse_kernel_history(text: &str) -> (Vec<KernelHistoryEntry>, Vec<String>) {
-    let mut entries = Vec::new();
-    let mut warnings = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_json(line) {
-            Ok(value) => {
-                if let Some(entry) = KernelHistoryEntry::from_json(&value) {
-                    entries.push(entry);
-                }
-            }
-            Err(e) => warnings.push(format!("line {}: unparseable ({e:?})", i + 1)),
-        }
-    }
-    (entries, warnings)
-}
-
-/// Renders per-`(dataset, kernel)` throughput drift, one table per pair,
-/// with the per-step Δtp vs the previous record of the same pair.
-/// `dataset` filters to one benchmark. Empty input renders nothing (the
-/// caller decides whether a missing kernel axis is worth a message).
-pub fn render_kernel_history(entries: &[KernelHistoryEntry], dataset: Option<&str>) -> String {
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
-    for entry in entries {
-        if dataset.is_some_and(|d| d != entry.dataset) {
-            continue;
-        }
-        let key = (entry.dataset.as_str(), entry.kernel.as_str());
-        if !pairs.contains(&key) {
-            pairs.push(key);
-        }
-    }
-    let mut out = String::new();
-    for (name, kernel) in pairs {
-        let records: Vec<&KernelHistoryEntry> = entries
+    for (axis, key) in groups {
+        let spec = axis.spec();
+        let records: Vec<&BenchRecord> = entries
             .iter()
-            .filter(|e| e.dataset == name && e.kernel == kernel)
+            .filter(|e| e.axis == axis && e.key == key)
             .collect();
+        let width = |field: &str| field.chars().count().max(9);
+        let mut header = format!("  {:<10} {:<9}", "date", "sha");
+        for field in spec.history {
+            header.push_str(&format!(" {field:>w$}", w = width(field)));
+        }
+        for (_, label) in spec.trend {
+            header.push_str(&format!(" {:>8}", format!("Δ{label}")));
+        }
+        let title = spec.history_title;
         out.push_str(&format!(
-            "kernel history: {name}/{kernel} ({} records)\n",
+            "{title}: {key} ({} records)\n{header}\n",
             records.len()
         ));
-        out.push_str(&format!(
-            "  {:<10} {:<9} {:>7} {:>9} {:>14} {:>8}\n",
-            "date", "sha", "calls", "items", "items/s", "Δtp"
-        ));
-        let mut prev_tp: Option<u64> = None;
+        // The previous nonzero value per trended field: a record without
+        // the metric must not poison the next delta.
+        let mut previous = vec![0.0; spec.trend.len()];
         for record in records {
-            let delta = match prev_tp {
-                Some(prev) if prev > 0 => format!(
-                    "{:+.1}%",
-                    100.0 * (record.tp_median as f64 - prev as f64) / prev as f64
-                ),
-                _ => "—".to_owned(),
-            };
-            out.push_str(&format!(
-                "  {:<10} {:<9} {:>7} {:>9} {:>14} {:>8}\n",
-                civil_date(record.unix_secs),
-                short(&record.git_sha),
-                record.calls,
-                record.items,
-                record.tp_median,
-                delta,
-            ));
-            prev_tp = Some(record.tp_median);
-        }
-    }
-    out
-}
-
-/// One benchmark's robustness-campaign numbers at one revision — the
-/// robustness axis of the history file. CI appends one
-/// `{"kind":"robust_history"}` line per benchmark after the robust gate
-/// passes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RobustHistoryEntry {
-    /// Git revision the record was produced at.
-    pub git_sha: String,
-    /// Unix timestamp (seconds) of the run.
-    pub unix_secs: u64,
-    /// Benchmark/dataset name.
-    pub dataset: String,
-    /// Gini slack τ of the robust-selected design.
-    pub tau: f64,
-    /// Depth cap of the robust-selected design.
-    pub depth: u64,
-    /// Selected design's parametric-yield estimate.
-    pub yield_est: f64,
-    /// Selected design's worst-single-fault accuracy.
-    pub worst_fault: f64,
-    /// Median Monte-Carlo trials spent across the calibration runs.
-    pub trials_median: u64,
-    /// Trials an exhaustive campaign would have run.
-    pub trials_budget: u64,
-    /// Grid points the probe pre-pass pruned.
-    pub pruned_points: u64,
-}
-
-impl RobustHistoryEntry {
-    /// Condenses a robustness baseline record into a history record.
-    pub fn from_stats(stats: &RobustStats) -> Self {
-        Self {
-            git_sha: stats.git_sha.clone(),
-            unix_secs: stats.unix_secs,
-            dataset: stats.dataset.clone(),
-            tau: stats.tau,
-            depth: stats.depth,
-            yield_est: stats.yield_est,
-            worst_fault: stats.worst_fault,
-            trials_median: stats.trials_median,
-            trials_budget: stats.trials_budget,
-            pruned_points: stats.pruned_points,
-        }
-    }
-
-    /// Serializes to one `{"kind":"robust_history"}` NDJSON line.
-    pub fn to_json(&self) -> String {
-        JsonLine::new()
-            .str("kind", "robust_history")
-            .str("git_sha", &self.git_sha)
-            .u64("unix_secs", self.unix_secs)
-            .str("dataset", &self.dataset)
-            .f64("tau", self.tau)
-            .u64("depth", self.depth)
-            .f64("yield", self.yield_est)
-            .f64("worst_fault", self.worst_fault)
-            .u64("trials_median", self.trials_median)
-            .u64("trials_budget", self.trials_budget)
-            .u64("pruned_points", self.pruned_points)
-            .finish()
-    }
-
-    fn from_json(value: &JsonValue) -> Option<Self> {
-        if value.get("kind").and_then(JsonValue::as_str) != Some("robust_history") {
-            return None;
-        }
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        let f = |key: &str| value.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-        Some(Self {
-            git_sha: s("git_sha"),
-            unix_secs: u("unix_secs"),
-            dataset: s("dataset"),
-            tau: f("tau"),
-            depth: u("depth"),
-            yield_est: f("yield"),
-            worst_fault: f("worst_fault"),
-            trials_median: u("trials_median"),
-            trials_budget: u("trials_budget"),
-            pruned_points: u("pruned_points"),
-        })
-    }
-}
-
-/// Parses the robustness axis of a history file: all `robust_history`
-/// lines in file order, plus warnings for unparseable lines. Foreign
-/// kinds (the three axes share the file) are skipped silently.
-pub fn parse_robust_history(text: &str) -> (Vec<RobustHistoryEntry>, Vec<String>) {
-    let mut entries = Vec::new();
-    let mut warnings = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_json(line) {
-            Ok(value) => {
-                if let Some(entry) = RobustHistoryEntry::from_json(&value) {
-                    entries.push(entry);
+            let date = civil_date(record.provenance.unix_secs);
+            out.push_str(&format!("  {date:<10} {:<9}", record.short_sha()));
+            for field in spec.history {
+                let shown = match record.metric(field).map(|m| &m.value) {
+                    None => "—".to_owned(),
+                    Some(FieldValue::F64(v)) => format!("{v:.4}"),
+                    Some(other) => other.as_u64().unwrap_or(0).to_string(),
+                };
+                out.push_str(&format!(" {shown:>w$}", w = width(field)));
+            }
+            for ((field, _), prev) in spec.trend.iter().zip(&mut previous) {
+                let cur = record.value(field);
+                let delta = if *prev > 0.0 && cur > 0.0 {
+                    format!("{:+.1}%", 100.0 * (cur - *prev) / *prev)
+                } else {
+                    "—".to_owned()
+                };
+                out.push_str(&format!(" {delta:>8}"));
+                if cur > 0.0 {
+                    *prev = cur;
                 }
             }
-            Err(e) => warnings.push(format!("line {}: unparseable ({e:?})", i + 1)),
-        }
-    }
-    (entries, warnings)
-}
-
-/// Renders per-dataset robustness drift: selection point, yield,
-/// worst-fault, trial spend vs budget, with the per-step Δtrials against
-/// the previous record of the same dataset. `dataset` filters to one
-/// benchmark. Empty input renders nothing.
-pub fn render_robust_history(entries: &[RobustHistoryEntry], dataset: Option<&str>) -> String {
-    let mut datasets: Vec<&str> = Vec::new();
-    for entry in entries {
-        if dataset.is_some_and(|d| d != entry.dataset) {
-            continue;
-        }
-        if !datasets.contains(&entry.dataset.as_str()) {
-            datasets.push(&entry.dataset);
-        }
-    }
-    let mut out = String::new();
-    for name in datasets {
-        let records: Vec<&RobustHistoryEntry> =
-            entries.iter().filter(|e| e.dataset == name).collect();
-        out.push_str(&format!(
-            "robust history: {name} ({} records)\n",
-            records.len()
-        ));
-        out.push_str(&format!(
-            "  {:<10} {:<9} {:>7} {:>5} {:>7} {:>11} {:>7} {:>7} {:>7} {:>8}\n",
-            "date",
-            "sha",
-            "tau",
-            "depth",
-            "yield",
-            "worst_fault",
-            "trials",
-            "budget",
-            "pruned",
-            "Δtrials"
-        ));
-        let mut prev_trials: Option<u64> = None;
-        for record in records {
-            let delta = match prev_trials {
-                Some(prev) if prev > 0 => format!(
-                    "{:+.1}%",
-                    100.0 * (record.trials_median as f64 - prev as f64) / prev as f64
-                ),
-                _ => "—".to_owned(),
-            };
-            out.push_str(&format!(
-                "  {:<10} {:<9} {:>7} {:>5} {:>7.4} {:>11.4} {:>7} {:>7} {:>7} {:>8}\n",
-                civil_date(record.unix_secs),
-                short(&record.git_sha),
-                record.tau,
-                record.depth,
-                record.yield_est,
-                record.worst_fault,
-                record.trials_median,
-                record.trials_budget,
-                record.pruned_points,
-                delta,
-            ));
-            prev_trials = Some(record.trials_median);
+            out.push('\n');
         }
     }
     out
-}
-
-fn short(sha: &str) -> &str {
-    if sha.is_empty() {
-        return "unknown";
-    }
-    let end = sha
-        .char_indices()
-        .nth(8)
-        .map(|(i, _)| i)
-        .unwrap_or(sha.len());
-    &sha[..end]
 }
 
 /// `YYYY-MM-DD` from a Unix timestamp (UTC), via the standard
@@ -576,27 +139,41 @@ fn civil_date(unix_secs: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::{Calibration, Metric};
+    use printed_telemetry::RunManifest;
 
-    fn entry(dataset: &str, wall: u64, secs: u64) -> HistoryEntry {
-        HistoryEntry {
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            unix_secs: secs,
+    const SHA: &str = "0123456789abcdef0123456789abcdef01234567";
+
+    fn provenance(dataset: &str, secs: u64) -> RunManifest {
+        RunManifest {
+            git_sha: SHA.into(),
             dataset: dataset.into(),
-            wall_us: wall,
-            gini_evals: 2231,
-            trees: 3,
-            trees_shared: 6,
-            area_mm2: 3.482,
-            power_mw: 0.1246,
-            comparators: 3,
-            peak_rss_kb: 0,
+            unix_secs: secs,
+            ..RunManifest::default()
         }
+    }
+
+    fn entry(dataset: &str, wall: u64, secs: u64) -> BenchRecord {
+        let metrics = vec![
+            Metric::new("wall_us", wall),
+            Metric::new("gini_evals", 2231u64),
+            Metric::new("trees", 3u64),
+            Metric::new("trees_shared", 6u64),
+            Metric::new("area_mm2", 3.482),
+            Metric::new("power_mw", 0.1246),
+            Metric::new("comparators", 3u64),
+        ];
+        BenchRecord::new(Axis::Bench, dataset, provenance(dataset, secs), metrics)
+    }
+
+    fn with_rss(entry: BenchRecord, rss: u64) -> BenchRecord {
+        entry.with(Metric::new("peak_rss_kb", rss))
     }
 
     #[test]
     fn round_trips_through_ndjson() {
         let original = entry("Seeds", 2468, 1_754_611_200);
-        let line = original.to_json();
+        let line = original.to_history_json();
         assert!(line.starts_with(r#"{"kind":"bench_history""#));
         let (parsed, warnings) = parse_history(&line);
         assert!(warnings.is_empty());
@@ -604,25 +181,20 @@ mod tests {
     }
 
     #[test]
-    fn from_stats_carries_the_guarded_numbers() {
-        let stats = TraceStats {
-            dataset: "Seeds".into(),
-            git_sha: "abc".into(),
-            wall_us: 2468,
-            gini_evals: 2231,
-            area_mm2: 3.482,
-            unix_secs: 1_754_611_200,
-            ..TraceStats::default()
-        };
-        let entry = HistoryEntry::from_stats(&stats);
-        assert_eq!(entry.dataset, "Seeds");
-        assert_eq!(entry.wall_us, 2468);
-        assert_eq!(entry.unix_secs, 1_754_611_200);
+    fn history_lines_carry_the_guarded_numbers_of_a_baseline() {
+        let wall = Calibration::of(&[2468, 2468, 2500]);
+        let stats = entry("Seeds", 0, 1_754_611_200).with(Metric::calibrated("wall_us", wall));
+        let (parsed, _) = parse_history(&stats.to_history_json());
+        assert_eq!(parsed[0].key, "Seeds");
+        assert_eq!(parsed[0].value("wall_us"), 2468.0);
+        assert_eq!(parsed[0].provenance.unix_secs, 1_754_611_200);
+        // The calibration stays in the baseline, out of the history.
+        assert!(!stats.to_history_json().contains("wall_us_mad"));
     }
 
     #[test]
     fn torn_final_line_warns_but_parses_the_rest() {
-        let good = entry("Seeds", 2468, 1_754_611_200).to_json();
+        let good = entry("Seeds", 2468, 1_754_611_200).to_history_json();
         let torn = &good[..good.len() / 2];
         let (parsed, warnings) = parse_history(&format!("{good}\n{torn}"));
         assert_eq!(parsed.len(), 1);
@@ -659,44 +231,42 @@ mod tests {
 
     #[test]
     fn rss_column_trends_and_tolerates_pre_rss_records() {
-        let mut with_rss = entry("Seeds", 2468, 1_754_611_200);
-        with_rss.peak_rss_kb = 40_000;
-        let mut grown = entry("Seeds", 2468, 1_754_697_600);
-        grown.peak_rss_kb = 44_000;
+        let rss = with_rss(entry("Seeds", 2468, 1_754_611_200), 40_000);
+        let grown = with_rss(entry("Seeds", 2468, 1_754_697_600), 44_000);
         // Old record without RSS, then two with: the Δrss of the first
         // RSS-bearing record is "—", the second is +10.0%.
-        let entries = vec![entry("Seeds", 2400, 1_754_524_800), with_rss.clone(), grown];
+        let entries = vec![entry("Seeds", 2400, 1_754_524_800), rss.clone(), grown];
         let text = render_history(&entries, None);
         assert!(text.contains("rss_kb"), "{text}");
         assert!(text.contains("Δrss"), "{text}");
         assert!(text.contains("40000"), "{text}");
         assert!(text.contains("+10.0%"), "{text}");
         // The RSS field round-trips (and stays absent when unrecorded).
-        let line = with_rss.to_json();
+        let line = rss.to_history_json();
         assert!(line.contains(r#""peak_rss_kb":40000"#), "{line}");
-        assert!(!entry("Seeds", 1, 0).to_json().contains("peak_rss_kb"));
+        assert!(!entry("Seeds", 1, 0)
+            .to_history_json()
+            .contains("peak_rss_kb"));
         let (parsed, _) = parse_history(&line);
-        assert_eq!(parsed, vec![with_rss]);
+        assert_eq!(parsed, vec![rss]);
     }
 
-    fn kernel_entry(kernel: &str, tp: u64, secs: u64) -> KernelHistoryEntry {
-        KernelHistoryEntry {
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            unix_secs: secs,
-            dataset: "Seeds".into(),
-            kernel: kernel.into(),
-            calls: 7,
-            items: 1_610,
-            tp_median: tp,
-        }
+    fn kernel_entry(kernel: &str, tp: u64, secs: u64) -> BenchRecord {
+        let metrics = vec![
+            Metric::new("calls", 7u64),
+            Metric::new("items", 1_610u64),
+            Metric::new("tp_median", tp),
+        ];
+        let key = format!("Seeds/{kernel}");
+        BenchRecord::new(Axis::Kernel, key, provenance("Seeds", secs), metrics)
     }
 
     #[test]
     fn kernel_history_round_trips_and_renders_drift() {
         let original = kernel_entry("gini_scan", 1_000_000, 1_754_611_200);
-        let line = original.to_json();
+        let line = original.to_history_json();
         assert!(line.starts_with(r#"{"kind":"kernel_history""#), "{line}");
-        let (parsed, warnings) = parse_kernel_history(&line);
+        let (parsed, warnings) = parse_history(&line);
         assert!(warnings.is_empty());
         assert_eq!(parsed, vec![original]);
 
@@ -705,7 +275,7 @@ mod tests {
             kernel_entry("cube_merge", 2_000_000, 1_754_611_200),
             kernel_entry("gini_scan", 1_100_000, 1_754_697_600),
         ];
-        let text = render_kernel_history(&entries, None);
+        let text = render_history(&entries, None);
         assert!(
             text.contains("kernel history: Seeds/gini_scan (2 records)"),
             "{text}"
@@ -716,59 +286,40 @@ mod tests {
         );
         assert!(text.contains("+10.0%"), "{text}"); // 1.0M → 1.1M
                                                     // Filtering by dataset drops everything for a foreign name.
-        assert_eq!(render_kernel_history(&entries, Some("Nope")), "");
+        assert!(render_history(&entries, Some("Nope")).contains("no records for"));
     }
 
     #[test]
-    fn the_two_history_axes_share_a_file_without_crosstalk() {
-        let bench = entry("Seeds", 2468, 1_754_611_200);
-        let kernel = kernel_entry("gini_scan", 1_000_000, 1_754_611_200);
-        let text = format!("{}\n{}\n", bench.to_json(), kernel.to_json());
-        let (bench_parsed, _) = parse_history(&text);
-        assert_eq!(bench_parsed, vec![bench]);
-        let (kernel_parsed, _) = parse_kernel_history(&text);
-        assert_eq!(kernel_parsed, vec![kernel]);
+    fn kernel_history_condenses_from_a_kernel_baseline() {
+        let tp = Calibration::of(&[5_000, 5_000, 5_100]);
+        let stats = kernel_entry("netlist_synth", 0, 1_754_611_200)
+            .with(Metric::calibrated("tp_median", tp));
+        let line = stats.to_history_json();
+        assert!(line.contains(r#""kernel":"netlist_synth""#), "{line}");
+        assert!(line.contains(r#""tp_median":5000"#), "{line}");
+        assert!(!line.contains("tp_mad"), "{line}");
+        assert!(line.contains(r#""unix_secs":1754611200"#), "{line}");
     }
 
-    #[test]
-    fn kernel_history_condenses_from_kernel_stats() {
-        let stats = KernelStats {
-            dataset: "Seeds".into(),
-            kernel: "netlist_synth".into(),
-            git_sha: "abc".into(),
-            calls: 9,
-            items: 321,
-            tp_median: 5_000,
-            unix_secs: 1_754_611_200,
-            ..KernelStats::default()
-        };
-        let entry = KernelHistoryEntry::from_stats(&stats);
-        assert_eq!(entry.kernel, "netlist_synth");
-        assert_eq!(entry.tp_median, 5_000);
-        assert_eq!(entry.unix_secs, 1_754_611_200);
-    }
-
-    fn robust_entry(trials: u64, secs: u64) -> RobustHistoryEntry {
-        RobustHistoryEntry {
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            unix_secs: secs,
-            dataset: "Seeds".into(),
-            tau: 0.01,
-            depth: 4,
-            yield_est: 0.96,
-            worst_fault: 0.55,
-            trials_median: trials,
-            trials_budget: 384,
-            pruned_points: 3,
-        }
+    fn robust_entry(trials: u64, secs: u64) -> BenchRecord {
+        let metrics = vec![
+            Metric::new("tau", 0.01),
+            Metric::new("depth", 4u64),
+            Metric::new("yield", 0.96),
+            Metric::new("worst_fault", 0.55),
+            Metric::new("trials_median", trials),
+            Metric::new("trials_budget", 384u64),
+            Metric::new("pruned_points", 3u64),
+        ];
+        BenchRecord::new(Axis::Robust, "Seeds", provenance("Seeds", secs), metrics)
     }
 
     #[test]
     fn robust_history_round_trips_and_renders_drift() {
         let original = robust_entry(120, 1_754_611_200);
-        let line = original.to_json();
+        let line = original.to_history_json();
         assert!(line.starts_with(r#"{"kind":"robust_history""#), "{line}");
-        let (parsed, warnings) = parse_robust_history(&line);
+        let (parsed, warnings) = parse_history(&line);
         assert!(warnings.is_empty());
         assert_eq!(parsed, vec![original]);
 
@@ -776,30 +327,25 @@ mod tests {
             robust_entry(120, 1_754_611_200),
             robust_entry(108, 1_754_697_600),
         ];
-        let text = render_robust_history(&entries, None);
+        let text = render_history(&entries, None);
         assert!(text.contains("robust history: Seeds (2 records)"), "{text}");
         assert!(text.contains("-10.0%"), "{text}"); // 120 → 108
-        assert_eq!(render_robust_history(&entries, Some("Nope")), "");
+        assert!(render_history(&entries, Some("Nope")).contains("no records for"));
     }
 
     #[test]
-    fn robust_history_condenses_from_robust_stats() {
-        let stats = RobustStats {
-            dataset: "Seeds".into(),
-            git_sha: "abc".into(),
-            tau: 0.02,
-            depth: 6,
-            yield_est: 0.9,
-            trials_median: 99,
-            trials_budget: 400,
-            pruned_points: 7,
-            unix_secs: 1_754_611_200,
-            ..RobustStats::default()
-        };
-        let entry = RobustHistoryEntry::from_stats(&stats);
-        assert_eq!(entry.depth, 6);
-        assert_eq!(entry.trials_median, 99);
-        assert_eq!(entry.pruned_points, 7);
+    fn robust_history_keeps_its_own_field_order() {
+        // A robust baseline lists pruned points before the trial counts;
+        // its history line has always put them last.
+        let stats = robust_entry(99, 1_754_611_200)
+            .with(Metric::new("nominal", 0.9))
+            .with(Metric::calibrated("trials_median", Calibration::of(&[99])));
+        let line = stats.to_history_json();
+        assert!(
+            line.ends_with(r#""trials_median":99,"trials_budget":384,"pruned_points":3}"#),
+            "{line}"
+        );
+        assert!(!line.contains("nominal"), "{line}");
     }
 
     #[test]
@@ -809,16 +355,12 @@ mod tests {
         let robust = robust_entry(120, 1_754_611_200);
         let text = format!(
             "{}\n{}\n{}\n",
-            bench.to_json(),
-            kernel.to_json(),
-            robust.to_json()
+            bench.to_history_json(),
+            kernel.to_history_json(),
+            robust.to_history_json()
         );
-        let (bench_parsed, _) = parse_history(&text);
-        assert_eq!(bench_parsed, vec![bench]);
-        let (kernel_parsed, _) = parse_kernel_history(&text);
-        assert_eq!(kernel_parsed, vec![kernel]);
-        let (robust_parsed, _) = parse_robust_history(&text);
-        assert_eq!(robust_parsed, vec![robust]);
+        let (parsed, _) = parse_history(&text);
+        assert_eq!(parsed, vec![bench, kernel, robust]);
     }
 
     #[test]
@@ -826,10 +368,21 @@ mod tests {
         let text = format!(
             "{}\n{}\n",
             r#"{"kind":"bench_stats","dataset":"Seeds"}"#,
-            entry("Seeds", 1, 0).to_json()
+            entry("Seeds", 1, 0).to_history_json()
         );
         let (parsed, warnings) = parse_history(&text);
         assert_eq!(parsed.len(), 1);
         assert!(warnings.is_empty());
+    }
+
+    #[test]
+    fn the_committed_history_re_encodes_byte_for_byte() {
+        let text = include_str!("../../../BENCH_history.ndjson");
+        let (entries, warnings) = parse_history(text);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(entries.len(), text.lines().count());
+        for (entry, line) in entries.iter().zip(text.lines()) {
+            assert_eq!(entry.to_history_json(), line);
+        }
     }
 }

@@ -11,10 +11,11 @@
 //!   selected design's footprint per bespoke ADC input and per class
 //!   output, tallies comparators retained vs dropped and AND/OR gates,
 //!   and renders the verdict against the printed harvester's 2 mW budget.
-//! * **Did this change make things worse?** [`TraceStats`] condenses a
-//!   run to its guarded numbers and [`diff`](diff::diff) gates a fresh
-//!   run against a committed `BENCH_*.json` baseline, failing on wall
-//!   time, Gini-eval, or area/power drift past a tolerance.
+//! * **Did this change make things worse?** [`BenchRecord`] condenses a
+//!   run (or a kernel, or a robustness campaign) to its guarded numbers
+//!   and [`diff()`] gates a fresh suite against a committed `BENCH_*`
+//!   baseline under each metric's gate policy: exact, drift, regress or
+//!   noise-calibrated.
 //!
 //! The `printed-trace` CLI wraps all three (`report`, `diff`,
 //! `snapshot`); the library API serves programmatic use:
@@ -59,15 +60,8 @@ pub mod profile;
 pub mod watch;
 
 pub use cost::{AdcRow, ClassRow, CostReport, RobustRow, SelectedDesign};
-pub use diff::{
-    diff_kernels, diff_many, diff_robust, diff_suites, median_mad, render_kernel_table, DiffConfig,
-    DiffReport, KernelDiffReport, KernelStats, RobustDiffReport, RobustStats, TraceStats,
-};
-pub use history::{
-    parse_history, parse_kernel_history, parse_robust_history, render_history,
-    render_kernel_history, render_robust_history, HistoryEntry, KernelHistoryEntry,
-    RobustHistoryEntry,
-};
+pub use diff::{diff, Axis, BenchRecord, Calibration, DiffConfig, Metric, Verdict};
+pub use history::{parse_history, render_history};
 pub use parse::{parse_trace, ParsedTrace};
 pub use profile::{Profile, ProfileNode};
 pub use watch::{WatchState, Watcher};

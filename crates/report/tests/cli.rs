@@ -8,8 +8,8 @@ use std::process::{Command, Output};
 
 use printed_codesign::{CodesignFlow, ExplorationConfig};
 use printed_datasets::Benchmark;
-use printed_report::parse_trace;
-use printed_telemetry::FlowTrace;
+use printed_report::{parse_trace, Axis, BenchRecord, Calibration, Metric};
+use printed_telemetry::{FlowTrace, RunManifest};
 
 fn traced_seeds() -> FlowTrace {
     let (train, test) = Benchmark::Seeds.load_quantized(4).unwrap();
@@ -122,21 +122,34 @@ fn diff_exits_one_on_injected_wall_time_regression() {
     ]);
     assert_eq!(output.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&output.stdout).contains("verdict: PASS"));
+}
 
-    // A relaxed wall gate lets the slower run through.
-    let output = printed_trace(&[
-        "diff",
-        baseline_path.to_str().unwrap(),
-        current_path.to_str().unwrap(),
-        "--max-wall-regress",
-        "50%",
-    ]);
-    assert_eq!(
-        output.status.code(),
-        Some(0),
-        "stdout: {}",
-        String::from_utf8_lossy(&output.stdout)
-    );
+#[test]
+fn max_regress_reads_bare_numbers_of_one_or_more_as_percentages() {
+    let trace = traced_seeds();
+    let baseline_path = scratch("pct_baseline.ndjson");
+    std::fs::write(&baseline_path, trace.to_ndjson()).unwrap();
+    // Same run, wall time inflated 50%.
+    let mut slower = trace.clone();
+    slower.wall_us = trace.wall_us + trace.wall_us.div_ceil(2);
+    let current_path = scratch("pct_slower.ndjson");
+    std::fs::write(&current_path, slower.to_ndjson()).unwrap();
+    let exit = |pct: &str| {
+        let output = printed_trace(&[
+            "diff",
+            baseline_path.to_str().unwrap(),
+            current_path.to_str().unwrap(),
+            "--max-regress",
+            pct,
+        ]);
+        output.status.code()
+    };
+    // `1` is one percent, not 100%: every spelling of 1–2% fails the run.
+    for pct in ["1", "2", "1%", "0.01"] {
+        assert_eq!(exit(pct), Some(1), "--max-regress {pct}");
+    }
+    // `60` is sixty percent and lets it through.
+    assert_eq!(exit("60"), Some(0));
 }
 
 #[test]
@@ -180,11 +193,11 @@ fn snapshot_produces_a_baseline_diff_accepts() {
 
 #[test]
 fn suite_diff_pairs_by_dataset_and_fails_on_missing_counterparts() {
-    use printed_report::TraceStats;
     let trace = traced_seeds();
-    let seeds = TraceStats::from_trace(&trace).with_calibration(&[2400, 2468, 2500]);
+    let wall = Calibration::of(&[2400, 2468, 2500]);
+    let seeds = BenchRecord::from_trace(&trace).with(Metric::calibrated("wall_us", wall));
     let mut cardio = seeds.clone();
-    cardio.dataset = "Cardiotocography".into();
+    cardio.key = "Cardiotocography".into();
 
     let baseline_path = scratch("BENCH_suite.ndjson");
     std::fs::write(
@@ -278,9 +291,8 @@ fn watch_once_reports_progress_from_a_live_stream() {
 
 #[test]
 fn history_append_then_render_shows_drift() {
-    use printed_report::TraceStats;
     let trace = traced_seeds();
-    let stats = TraceStats::from_trace(&trace);
+    let stats = BenchRecord::from_trace(&trace);
     let stats_path = scratch("hist_stats.ndjson");
     std::fs::write(&stats_path, format!("{}\n", stats.to_json())).unwrap();
 
@@ -305,7 +317,7 @@ fn history_append_then_render_shows_drift() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert_eq!(output.status.code(), Some(0), "stdout: {stdout}");
     assert!(
-        stdout.contains(&format!("history: {} (2 records)", stats.dataset)),
+        stdout.contains(&format!("history: {} (2 records)", stats.key)),
         "{stdout}"
     );
     assert!(stdout.contains("+0.0%"), "{stdout}");
@@ -323,7 +335,6 @@ fn history_append_then_render_shows_drift() {
 
 #[test]
 fn gauge_records_round_trip_losslessly_through_report_and_diff() {
-    use printed_report::TraceStats;
     use printed_telemetry::keys;
 
     let mut trace = traced_seeds();
@@ -340,10 +351,10 @@ fn gauge_records_round_trip_losslessly_through_report_and_diff() {
 
     // Condensing before and after the round trip yields identical
     // guarded numbers, with the RSS gauge carried into them.
-    let before = TraceStats::from_trace(&trace);
-    let after = TraceStats::from_trace(&parsed.trace);
+    let before = BenchRecord::from_trace(&trace);
+    let after = BenchRecord::from_trace(&parsed.trace);
     assert_eq!(before, after);
-    assert_eq!(after.peak_rss_kb, 31_744);
+    assert_eq!(after.value("peak_rss_kb"), 31_744.0);
 
     // The CLI accepts gauge-bearing traces on both sides of a diff and
     // surfaces the RSS axis in the rendered table.
@@ -357,18 +368,20 @@ fn gauge_records_round_trip_losslessly_through_report_and_diff() {
 
 #[test]
 fn kernel_diff_cli_gates_counts_and_refuses_mixed_axes() {
-    use printed_report::KernelStats;
-
-    let base = KernelStats {
-        dataset: "Seeds".into(),
-        kernel: "gini_scan".into(),
-        calls: 17,
-        items: 785,
-        ..KernelStats::default()
-    }
-    .with_calibration(&[980_000, 990_000, 1_000_000, 1_010_000, 1_030_000]);
+    let tp = Calibration::of(&[980_000, 990_000, 1_000_000, 1_010_000, 1_030_000]);
+    let metrics = vec![
+        Metric::new("calls", 17u64),
+        Metric::new("items", 785u64),
+        Metric::calibrated("tp_median", tp),
+    ];
+    let base = BenchRecord::new(
+        Axis::Kernel,
+        "Seeds/gini_scan",
+        RunManifest::default(),
+        metrics,
+    );
     let mut thermo = base.clone();
-    thermo.kernel = "thermo_encode".into();
+    thermo.key = "Seeds/thermo_encode".into();
     let suite = format!("{}\n{}\n", base.to_json(), thermo.to_json());
     let baseline_path = scratch("hot_base.ndjson");
     std::fs::write(&baseline_path, &suite).unwrap();
@@ -387,8 +400,7 @@ fn kernel_diff_cli_gates_counts_and_refuses_mixed_axes() {
 
     // A drifted invocation count blocks even when it *shrinks* — the
     // counts are deterministic, any change is a behavior change.
-    let mut drifted = base.clone();
-    drifted.calls = 16;
+    let drifted = base.clone().with(Metric::new("calls", 16u64));
     let drift_path = scratch("hot_drift.ndjson");
     std::fs::write(
         &drift_path,

@@ -20,7 +20,7 @@
 use printed_ml::codesign::explore::ExplorationConfig;
 use printed_ml::codesign::CodesignFlow;
 use printed_ml::datasets::Benchmark;
-use printed_ml::report::{diff, parse_trace, CostReport, Profile, TraceStats};
+use printed_ml::report::{diff, parse_trace, BenchRecord, CostReport, DiffConfig, Profile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (train, test) = Benchmark::Seeds.load_quantized(4)?;
@@ -52,13 +52,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(costs.within_harvester_budget(), Some(true));
 
     // Did anything regress? Condense to the guarded numbers and gate a
-    // (here: identical) run at 5% tolerance. The committed BENCH_*.json
-    // baselines are exactly `stats.to_json()` lines.
+    // (here: identical) run at 5% tolerance. The committed BENCH_all
+    // baselines are exactly `record.to_json()` lines.
     println!("\n── regression gate ─────────────────────────────────────");
-    let stats = TraceStats::from_trace(&parsed.trace);
-    let gate = diff::diff(&stats, &stats, diff::DiffConfig::default());
-    print!("{}", gate.render_text());
-    assert!(gate.passed());
-    println!("\nbaseline line: {}", stats.to_json());
+    let record = BenchRecord::from_trace(&parsed.trace);
+    let suite = std::slice::from_ref(&record);
+    let gate = diff(suite, suite, DiffConfig::default())?;
+    print!("{}", gate[0].render_text());
+    assert!(gate[0].passed());
+    println!("\nbaseline line: {}", record.to_json());
     Ok(())
 }

@@ -20,7 +20,7 @@ use printed_ml::codesign::explore::{explore, ExplorationConfig};
 use printed_ml::codesign::train::{train_adc_aware, train_adc_aware_reference, AdcAwareConfig};
 use printed_ml::codesign::UnaryClassifier;
 use printed_ml::datasets::Benchmark;
-use printed_ml::report::TraceStats;
+use printed_ml::report::BenchRecord;
 
 /// The registry resolution every baseline uses.
 const BITS: u32 = 4;
@@ -66,12 +66,13 @@ fn packed_scoring_equals_tree_accuracy_on_every_benchmark() {
 fn sweep_selection_matches_the_committed_suite_baseline() {
     let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_all.ndjson"))
         .expect("committed baseline suite exists");
-    let (baselines, _warnings) = TraceStats::from_text_multi(&text).expect("baseline suite parses");
+    let (baselines, warnings) = BenchRecord::parse_all(&text);
+    assert!(warnings.is_empty(), "baseline suite parses: {warnings:?}");
     assert_eq!(baselines.len(), Benchmark::ALL.len());
     for benchmark in Benchmark::ALL {
         let baseline = baselines
             .iter()
-            .find(|s| s.dataset == benchmark.to_string())
+            .find(|s| s.key == benchmark.to_string())
             .expect("every benchmark has a baseline record");
         let (train, test) = benchmark.load_quantized(BITS).expect("built-ins load");
         let sweep = explore(&train, &test, &ExplorationConfig::quick());
@@ -84,17 +85,17 @@ fn sweep_selection_matches_the_committed_suite_baseline() {
         let system = &chosen.system;
         assert_eq!(
             system.total_area().mm2().to_bits(),
-            baseline.area_mm2.to_bits(),
+            baseline.value("area_mm2").to_bits(),
             "{benchmark}: selected area drifted from the committed baseline"
         );
         assert_eq!(
             system.total_power().mw().to_bits(),
-            baseline.power_mw.to_bits(),
+            baseline.value("power_mw").to_bits(),
             "{benchmark}: selected power drifted from the committed baseline"
         );
         assert_eq!(
-            system.comparator_count() as u64,
-            baseline.comparators,
+            system.comparator_count() as f64,
+            baseline.value("comparators"),
             "{benchmark}: comparator count drifted from the committed baseline"
         );
     }
