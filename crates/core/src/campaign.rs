@@ -27,8 +27,6 @@
 //!
 //! [`Exploration::select_robust`]: crate::explore::Exploration::select_robust
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use printed_analog::MismatchModel;
@@ -40,10 +38,7 @@ use printed_telemetry::{keys, FieldValue, Recorder};
 
 use crate::checkpoint::RobustCheckpointLine;
 use crate::explore::Exploration;
-use crate::mismatch::{
-    accuracy_analog, mismatch_trials_recorded, nominal_thresholds, MismatchTrialStream,
-    MismatchTrials,
-};
+use crate::mismatch::{mismatch_trials_recorded, AnalogTree, MismatchTrialStream, MismatchTrials};
 use crate::robustness::fault_robustness;
 
 /// Comparator-threshold drift as the harvester's storage capacitor sags.
@@ -106,20 +101,6 @@ impl SupplyDroopModel {
         1.0 - self.harvester.min_voltage.volts() / self.harvester.full_voltage.volts()
     }
 
-    /// Effective thresholds of `tree`'s bespoke ADC bank at relative sag
-    /// `sag`.
-    fn thresholds_at(&self, tree: &DecisionTree, sag: f64) -> BTreeMap<(usize, u8), f64> {
-        nominal_thresholds(tree)
-            .into_iter()
-            .map(|(key, t)| {
-                (
-                    key,
-                    t * (1.0 - self.vref_leak * sag) - self.offset_per_sag * sag,
-                )
-            })
-            .collect()
-    }
-
     /// The droop margin: the largest relative sag (scanned in
     /// [`steps`](Self::steps) increments up to [`max_sag`](Self::max_sag))
     /// at which `tree`'s accuracy on the analog `test` split stays within
@@ -129,10 +110,16 @@ impl SupplyDroopModel {
     /// non-monotone recoveries deeper into the sag).
     pub fn margin(&self, tree: &DecisionTree, test: &Dataset, nominal: f64) -> f64 {
         let max_sag = self.max_sag();
+        let analog = AnalogTree::new(tree);
+        let nominal_thresholds = analog.nominal_thresholds();
+        let mut thresholds = nominal_thresholds.clone();
         let mut margin = 0.0;
         for step in 1..=self.steps {
             let sag = max_sag * step as f64 / self.steps as f64;
-            let accuracy = accuracy_analog(tree, test, &self.thresholds_at(tree, sag));
+            for (t, &nominal_t) in thresholds.iter_mut().zip(&nominal_thresholds) {
+                *t = nominal_t * (1.0 - self.vref_leak * sag) - self.offset_per_sag * sag;
+            }
+            let accuracy = analog.accuracy(test, &thresholds);
             if accuracy >= nominal - self.tolerance - 1e-12 {
                 margin = sag;
             } else {
@@ -672,7 +659,7 @@ impl RobustnessCampaign {
         // A constant tree has no thresholds to perturb: it yields by
         // construction and droops only at the electrical limit.
         let (nominal, mean, min, yield_estimate) = if tree.split_count() == 0 {
-            let nominal = accuracy_analog(tree, test_analog, &BTreeMap::new());
+            let nominal = AnalogTree::new(tree).accuracy(test_analog, &[]);
             (nominal, nominal, nominal, 1.0)
         } else {
             let trials = mismatch_trials_recorded(
@@ -1234,7 +1221,8 @@ mod tests {
     fn droop_margin_shrinks_with_leakier_references() {
         let (sweep, _test_q, test_analog) = small_sweep();
         let tree = &sweep.most_accurate().unwrap().tree;
-        let nominal = accuracy_analog(tree, &test_analog, &nominal_thresholds(tree));
+        let analog_tree = AnalogTree::new(tree);
+        let nominal = analog_tree.accuracy(&test_analog, &analog_tree.nominal_thresholds());
         let mild = SupplyDroopModel::printed_default();
         let harsh = SupplyDroopModel {
             vref_leak: 0.9,

@@ -22,8 +22,6 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -125,40 +123,70 @@ impl MismatchTrials {
     }
 }
 
-/// Predicts with explicit per-(feature, tap) effective thresholds in
-/// normalized-volts space.
-pub(crate) fn predict_analog(
-    tree: &DecisionTree,
-    sample: &[f64],
-    thresholds: &BTreeMap<(usize, u8), f64>,
-) -> usize {
-    let mut i = 0;
-    loop {
-        match tree.nodes()[i] {
-            Node::Leaf { class } => return class,
-            Node::Split {
-                feature,
-                threshold,
-                lo,
-                hi,
-            } => {
-                let t = thresholds[&(feature, threshold)];
-                i = if sample[feature] >= t { hi } else { lo };
+/// A tree whose splits read their effective thresholds from a dense slice
+/// ordered like [`DecisionTree::distinct_pairs`]: split node `i` compares
+/// against `thresholds[slots[i]]`, so scoring a trial or a sag step costs
+/// one slice index per split instead of a map lookup.
+pub(crate) struct AnalogTree<'a> {
+    tree: &'a DecisionTree,
+    pairs: Vec<(usize, u8)>,
+    slots: Vec<usize>,
+}
+
+impl<'a> AnalogTree<'a> {
+    pub(crate) fn new(tree: &'a DecisionTree) -> Self {
+        let pairs: Vec<(usize, u8)> = tree.distinct_pairs().into_iter().collect();
+        let slots = tree
+            .nodes()
+            .iter()
+            .map(|node| match *node {
+                Node::Split {
+                    feature, threshold, ..
+                } => pairs
+                    .binary_search(&(feature, threshold))
+                    .expect("every split is a distinct pair"),
+                Node::Leaf { .. } => 0,
+            })
+            .collect();
+        Self { tree, pairs, slots }
+    }
+
+    /// The distinct `(feature, tap)` pairs, in threshold-slot order.
+    pub(crate) fn pairs(&self) -> &[(usize, u8)] {
+        &self.pairs
+    }
+
+    /// The ideal (unperturbed) effective thresholds of the tree's bespoke
+    /// ADC bank, in normalized-volts space: tap `c` sits at `c / 2^bits`.
+    pub(crate) fn nominal_thresholds(&self) -> Vec<f64> {
+        let full = (1u64 << self.tree.bits()) as f64;
+        self.pairs.iter().map(|&(_, c)| c as f64 / full).collect()
+    }
+
+    /// Predicts with explicit effective thresholds (one per pair).
+    fn predict(&self, sample: &[f64], thresholds: &[f64]) -> usize {
+        let mut i = 0;
+        loop {
+            match self.tree.nodes()[i] {
+                Node::Leaf { class } => return class,
+                Node::Split {
+                    feature, lo, hi, ..
+                } => {
+                    let t = thresholds[self.slots[i]];
+                    i = if sample[feature] >= t { hi } else { lo };
+                }
             }
         }
     }
-}
 
-pub(crate) fn accuracy_analog(
-    tree: &DecisionTree,
-    data: &Dataset,
-    thresholds: &BTreeMap<(usize, u8), f64>,
-) -> f64 {
-    let correct = data
-        .iter()
-        .filter(|(sample, label)| predict_analog(tree, sample, thresholds) == *label)
-        .count();
-    correct as f64 / data.len() as f64
+    /// Accuracy on the analog `data` under `thresholds`.
+    pub(crate) fn accuracy(&self, data: &Dataset, thresholds: &[f64]) -> f64 {
+        let correct = data
+            .iter()
+            .filter(|(sample, label)| self.predict(sample, thresholds) == *label)
+            .count();
+        correct as f64 / data.len() as f64
+    }
 }
 
 /// Runs `trials` Monte-Carlo samples of the bespoke front-end under
@@ -219,16 +247,6 @@ pub fn mismatch_accuracy_recorded(
     mismatch_trials_recorded(tree, test, mismatch, trials, seed, analog, recorder).report()
 }
 
-/// The ideal (unperturbed) effective thresholds of `tree`'s bespoke ADC
-/// bank, in normalized-volts space: tap `c` sits at `c / 2^bits`.
-pub(crate) fn nominal_thresholds(tree: &DecisionTree) -> BTreeMap<(usize, u8), f64> {
-    let full = (1u64 << tree.bits()) as f64;
-    tree.distinct_pairs()
-        .into_iter()
-        .map(|(f, c)| ((f, c), c as f64 / full))
-        .collect()
-}
-
 /// [`mismatch_accuracy_recorded`] without the summary step: returns every
 /// trial's accuracy. Identical RNG consumption, so the summary path and
 /// this one agree bit-for-bit.
@@ -273,11 +291,15 @@ pub fn mismatch_trials_recorded(
 /// narrower than the tree's feature space (same contract as
 /// [`mismatch_accuracy`], minus the trial count).
 pub struct MismatchTrialStream<'a> {
-    tree: &'a DecisionTree,
+    analog: AnalogTree<'a>,
     test: &'a Dataset,
     mismatch: &'a MismatchModel,
     recorder: &'a Recorder,
     ladder: Ladder,
+    /// Per threshold slot, the position of its tap in the ladder's
+    /// (ascending) retained taps — and so in every mismatch sample's.
+    tap_index: Vec<usize>,
+    thresholds: Vec<f64>,
     rng: StdRng,
     nominal: f64,
 }
@@ -314,14 +336,27 @@ impl<'a> MismatchTrialStream<'a> {
         .expect("tree taps are valid");
 
         // Nominal thresholds: ideal tap voltages.
-        let nominal = accuracy_analog(tree, test, &nominal_thresholds(tree));
+        let analog_tree = AnalogTree::new(tree);
+        let nominal = analog_tree.accuracy(test, &analog_tree.nominal_thresholds());
+        let tap_index = analog_tree
+            .pairs()
+            .iter()
+            .map(|&(_, c)| {
+                ladder
+                    .taps()
+                    .binary_search(&(c as usize))
+                    .expect("every tree tap is retained")
+            })
+            .collect();
 
         Self {
-            tree,
+            thresholds: vec![0.0; analog_tree.pairs().len()],
+            analog: analog_tree,
             test,
             mismatch,
             recorder,
             ladder,
+            tap_index,
             rng: StdRng::seed_from_u64(seed),
             nominal,
         }
@@ -339,23 +374,12 @@ impl<'a> MismatchTrialStream<'a> {
             .mismatch
             .sample_recorded(&self.ladder, &mut self.rng, self.recorder)
             .expect("perturbed ladder solves");
-        let vref: BTreeMap<usize, f64> = sample
-            .taps()
-            .iter()
-            .map(|t| (t.tap, t.vref_volts))
-            .collect();
-        // Per-comparator offsets on top.
-        let thresholds: BTreeMap<(usize, u8), f64> = self
-            .tree
-            .distinct_pairs()
-            .into_iter()
-            .map(|(f, c)| {
-                let offset =
-                    sample_normal(&mut self.rng, 0.0, self.mismatch.comparator_offset_sigma_v);
-                ((f, c), vref[&(c as usize)] - offset)
-            })
-            .collect();
-        accuracy_analog(self.tree, self.test, &thresholds)
+        // Per-comparator offsets on top, drawn in distinct-pair order.
+        for (threshold, &tap) in self.thresholds.iter_mut().zip(&self.tap_index) {
+            let offset = sample_normal(&mut self.rng, 0.0, self.mismatch.comparator_offset_sigma_v);
+            *threshold = sample.taps()[tap].vref_volts - offset;
+        }
+        self.analog.accuracy(self.test, &self.thresholds)
     }
 }
 

@@ -24,7 +24,8 @@ use serde::{Deserialize, Serialize};
 
 use printed_datasets::QuantizedDataset;
 use printed_dtree::DecisionTree;
-use printed_logic::faults::{enumerate_faults, FaultyNetlist, StuckAt};
+use printed_logic::faults::{enumerate_faults, StuckAt};
+use printed_logic::sim::{Lanes, PackedNetlist};
 
 use crate::unary::UnaryClassifier;
 
@@ -64,6 +65,14 @@ pub fn decode_one_hot(outputs: &[bool]) -> Option<usize> {
 /// Runs the campaign: every single stuck-at fault on the unary netlist of
 /// `tree`, scored on `test`.
 ///
+/// The encoded test set is packed once into 64-sample words ([`Lanes`]),
+/// the good circuit is simulated once, and each fault re-simulates only
+/// the gates after the faulted one. A sample is correct when exactly one
+/// class line is asserted and it is the label's — the [`decode_one_hot`]
+/// rule as word operations — so every accuracy is the same integer count
+/// over `n` the scalar evaluation gives. Faults run serially: the
+/// campaign already spreads candidates over every core.
+///
 /// # Panics
 ///
 /// Panics if `test` is empty or narrower than the tree's feature space.
@@ -75,21 +84,40 @@ pub fn fault_robustness(tree: &DecisionTree, test: &QuantizedDataset) -> FaultRo
     );
     let classifier = UnaryClassifier::from_tree(tree);
     let netlist = classifier.to_netlist();
+    let sim = PackedNetlist::compile(&netlist);
 
-    // Pre-encode the test set once.
-    let encoded: Vec<(Vec<bool>, usize)> = test
+    // Pack the encoded test set and the per-class label masks once.
+    let mut good = sim.lanes(test.len());
+    let mut labels = vec![vec![0u64; good.words()]; sim.output_count()];
+    let encoded: Vec<Vec<bool>> = test
         .iter()
-        .map(|(sample, label)| (classifier.encode_sample(sample), label))
+        .enumerate()
+        .map(|(s, (sample, label))| {
+            if let Some(mask) = labels.get_mut(label) {
+                mask[s / 64] |= 1 << (s % 64);
+            }
+            classifier.encode_sample(sample)
+        })
         .collect();
-    let score = |eval: &dyn Fn(&[bool]) -> Vec<bool>| -> f64 {
-        let correct = encoded
-            .iter()
-            .filter(|(digits, label)| decode_one_hot(&eval(digits)) == Some(*label))
-            .count();
-        correct as f64 / encoded.len() as f64
+    good.load(&encoded);
+    sim.simulate(&mut good);
+    let score = |lanes: &Lanes| -> f64 {
+        let correct: u32 = (0..lanes.words())
+            .map(|w| {
+                let (mut ones, mut twos, mut hit) = (0u64, 0u64, 0u64);
+                for (k, mask) in labels.iter().enumerate() {
+                    let line = sim.output(lanes, k)[w];
+                    twos |= ones & line;
+                    ones |= line;
+                    hit |= line & mask[w];
+                }
+                (hit & ones & !twos & lanes.valid(w)).count_ones()
+            })
+            .sum();
+        correct as f64 / test.len() as f64
     };
 
-    let fault_free_accuracy = score(&|digits| netlist.eval(digits));
+    let fault_free_accuracy = score(&good);
     let faults = enumerate_faults(&netlist);
     if faults.is_empty() {
         return FaultRobustness {
@@ -102,48 +130,14 @@ pub fn fault_robustness(tree: &DecisionTree, test: &QuantizedDataset) -> FaultRo
         };
     }
 
-    // Fault injections are independent — fan out across threads (same
-    // chunked scoped pattern as the explorer). Workers only *score*; the
-    // reduction below runs serially in fault order, so the result is
-    // identical to a serial campaign regardless of thread count.
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let chunk = faults.len().div_ceil(threads);
-    let accuracies: Vec<f64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = faults
-            .chunks(chunk.max(1))
-            .map(|chunk_faults| {
-                let encoded = &encoded;
-                let netlist = &netlist;
-                scope.spawn(move || {
-                    chunk_faults
-                        .iter()
-                        .map(|&fault| {
-                            let faulty = FaultyNetlist::new(netlist, fault);
-                            let correct = encoded
-                                .iter()
-                                .filter(|(digits, label)| {
-                                    decode_one_hot(&faulty.eval(digits)) == Some(*label)
-                                })
-                                .count();
-                            correct as f64 / encoded.len() as f64
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fault campaign worker panicked"))
-            .collect()
-    });
-
+    let mut faulty = good.clone();
     let mut sum = 0.0;
     let mut worst = f64::INFINITY;
     let mut worst_fault = None;
     let mut benign = 0usize;
-    for (&fault, &acc) in faults.iter().zip(&accuracies) {
+    for &fault in &faults {
+        sim.simulate_fault(&good, fault, &mut faulty);
+        let acc = score(&faulty);
         sum += acc;
         if acc < worst {
             worst = acc;
@@ -168,6 +162,7 @@ mod tests {
     use super::*;
     use printed_datasets::Benchmark;
     use printed_dtree::cart::train_depth_selected;
+    use printed_logic::faults::FaultyNetlist;
 
     fn setup() -> (DecisionTree, QuantizedDataset) {
         let (train, test) = Benchmark::Seeds.load_quantized(4).unwrap();

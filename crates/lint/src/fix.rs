@@ -24,7 +24,7 @@
 //! 2¹⁶ patterns, seeded-sampled beyond).
 
 use printed_adc::{AdcCost, BespokeAdcBank};
-use printed_logic::equiv::{thermometer_patterns, Equivalence};
+use printed_logic::equiv::{check_projected_on, thermometer_patterns, Equivalence};
 use printed_logic::netlist::Netlist;
 use printed_logic::sop::{Cube, Sop};
 use printed_logic::Signal;
@@ -264,7 +264,8 @@ fn drop_sop_var(class_sops: &[Sop], literals: &[(usize, u8)], var: usize) -> Vec
 }
 
 /// Evaluates `original` and `fixed` across the original feasible domain,
-/// projecting each pattern onto the surviving literals. Exhaustive up to
+/// projecting each pattern onto the surviving literals, 64 patterns per
+/// batch ([`check_projected_on`]). Exhaustive up to
 /// [`FEASIBLE_ENUM_LIMIT`] patterns, seeded-sampled beyond.
 fn prove_equivalence(
     original: &Netlist,
@@ -312,19 +313,10 @@ fn prove_equivalence(
     } else {
         sample_thermometer_patterns(&runs, FIX_SAMPLE_SEED, FEASIBLE_SAMPLES)
     };
-    for pattern in domain {
-        let projected: Vec<bool> = kept.iter().map(|&i| pattern[i]).collect();
-        let left = original.eval(&pattern);
-        let right = fixed.eval(&projected);
-        if left != right {
-            return Equivalence::Counterexample {
-                inputs: pattern,
-                left,
-                right,
-            };
-        }
+    match check_projected_on(original, fixed, &kept, domain) {
+        Equivalence::Equivalent { .. } => Equivalence::Equivalent { exhaustive },
+        verdict => verdict,
     }
-    Equivalence::Equivalent { exhaustive }
 }
 
 #[cfg(test)]
@@ -333,7 +325,7 @@ mod tests {
     use crate::passes::tree_netlist;
     use crate::{DroopRef, GridRef};
     use printed_dtree::{DecisionTree, Node};
-    use printed_pdk::AnalogModel;
+    use printed_pdk::{AnalogModel, CellKind};
 
     struct Scenario {
         tree: DecisionTree,
@@ -529,6 +521,94 @@ mod tests {
             outcome.equivalence,
             Equivalence::Equivalent { exhaustive: true }
         );
+    }
+
+    /// A netlist over `literals` with a shared first output and a second
+    /// one asserted only on `minterm` (constant 0 when it is empty).
+    fn detector(literals: &[(usize, u8)], minterm: &[((usize, u8), bool)]) -> Netlist {
+        let mut nl = Netlist::new("detector");
+        let vars: Vec<Signal> = literals
+            .iter()
+            .map(|&(f, t)| nl.input(format!("u{f}_{t}")))
+            .collect();
+        let shared = nl.gate(CellKind::Xor2, &[vars[0], vars[1]]);
+        nl.output("o0", shared);
+        let mut hit = Signal::Const(!minterm.is_empty());
+        for &(lit, polarity) in minterm {
+            let var = vars[literals.iter().position(|&l| l == lit).unwrap()];
+            let term = if polarity {
+                var
+            } else {
+                nl.gate(CellKind::Inv, &[var])
+            };
+            hit = nl.gate(CellKind::And2, &[hit, term]);
+        }
+        nl.output("o1", hit);
+        nl
+    }
+
+    /// The scalar pattern loop `prove_equivalence` ran before batching,
+    /// kept as the reference its counterexamples are pinned to.
+    fn scalar_prove(
+        original: &Netlist,
+        fixed: &Netlist,
+        kept: &[usize],
+        domain: Vec<Vec<bool>>,
+    ) -> Equivalence {
+        for pattern in domain {
+            let projected: Vec<bool> = kept.iter().map(|&i| pattern[i]).collect();
+            let left = original.eval(&pattern);
+            let right = fixed.eval(&projected);
+            if left != right {
+                return Equivalence::Counterexample {
+                    inputs: pattern,
+                    left,
+                    right,
+                };
+            }
+        }
+        Equivalence::Equivalent { exhaustive: true }
+    }
+
+    #[test]
+    fn prove_equivalence_counterexample_is_the_scalar_loops() {
+        // Feature 0 has 8 levels and feature 1 `taps + 1`, so pattern
+        // `level0 · (taps + 1) + level1` of the feasible domain is the one
+        // the designs differ on: 73 sits in the second full 64-pattern
+        // batch, 100 in the final partial batch of a 104-pattern domain.
+        for (taps, level0, level1, index) in [(15u8, 4u8, 9u8, 73usize), (12, 7, 9, 100)] {
+            let original_literals: Vec<(usize, u8)> = (1..=7)
+                .map(|t| (0, t))
+                .chain((1..=taps).map(|t| (1, t)))
+                .collect();
+            let fixed_literals = original_literals[..original_literals.len() - 1].to_vec();
+            let mut minterm = vec![((0, level0), true), ((1, level1), true)];
+            if level0 < 7 {
+                minterm.push(((0, level0 + 1), false));
+            }
+            minterm.push(((1, level1 + 1), false));
+            let original = detector(&original_literals, &[]);
+            let fixed = detector(&fixed_literals, &minterm);
+
+            let verdict = prove_equivalence(&original, &original_literals, &fixed, &fixed_literals);
+            let domain = thermometer_patterns(&feature_runs(&original_literals));
+            let kept: Vec<usize> = (0..fixed_literals.len()).collect();
+            assert_eq!(
+                verdict,
+                scalar_prove(&original, &fixed, &kept, domain.clone())
+            );
+            match verdict {
+                Equivalence::Counterexample {
+                    inputs,
+                    left,
+                    right,
+                } => {
+                    assert_eq!(inputs, domain[index]);
+                    assert_eq!((left[1], right[1]), (false, true));
+                }
+                other => panic!("expected a counterexample, got {other:?}"),
+            }
+        }
     }
 
     #[test]

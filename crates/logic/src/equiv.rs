@@ -30,6 +30,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::netlist::Netlist;
+use crate::sim::PackedNetlist;
 
 /// Inputs up to this count are checked exhaustively (2^20 ≈ 1M patterns).
 pub const EXHAUSTIVE_INPUT_LIMIT: usize = 20;
@@ -74,51 +75,26 @@ impl Equivalence {
 /// `right`, same for outputs).
 ///
 /// `seed` drives the random patterns used beyond the exhaustive limit;
-/// exhaustive runs ignore it.
+/// exhaustive runs ignore it. Patterns are simulated 64 per batch; the
+/// counterexample is the first differing pattern in enumeration order.
 pub fn check_equivalence(left: &Netlist, right: &Netlist, seed: u64) -> Equivalence {
-    if left.input_count() != right.input_count() {
-        return Equivalence::Mismatched {
-            reason: format!(
-                "input counts differ: {} vs {}",
-                left.input_count(),
-                right.input_count()
-            ),
-        };
-    }
-    if left.outputs().len() != right.outputs().len() {
-        return Equivalence::Mismatched {
-            reason: format!(
-                "output counts differ: {} vs {}",
-                left.outputs().len(),
-                right.outputs().len()
-            ),
-        };
-    }
     let n = left.input_count();
     if n <= EXHAUSTIVE_INPUT_LIMIT {
-        for pattern in 0..(1u64 << n) {
-            let inputs: Vec<bool> = (0..n).map(|k| pattern & (1 << k) != 0).collect();
-            if let Some(cex) = compare_on(left, right, inputs) {
-                return cex;
-            }
-        }
-        Equivalence::Equivalent { exhaustive: true }
-    } else {
-        // xorshift64* — deterministic, dependency-free pattern source.
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        for _ in 0..RANDOM_PATTERNS {
-            let inputs: Vec<bool> = (0..n).map(|_| next() & 1 != 0).collect();
-            if let Some(cex) = compare_on(left, right, inputs) {
-                return cex;
-            }
-        }
-        Equivalence::Equivalent { exhaustive: false }
+        let domain = (0..1u64 << n).map(|p| (0..n).map(|k| p & (1 << k) != 0).collect());
+        return check_equivalence_on(left, right, domain);
+    }
+    // xorshift64* — deterministic, dependency-free pattern source.
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    };
+    let domain = (0..RANDOM_PATTERNS).map(move |_| (0..n).map(|_| next() & 1 != 0).collect());
+    match check_equivalence_on(left, right, domain) {
+        Equivalence::Equivalent { .. } => Equivalence::Equivalent { exhaustive: false },
+        verdict => verdict,
     }
 }
 
@@ -147,6 +123,34 @@ pub fn check_equivalence_on(
             ),
         };
     }
+    let identity: Vec<usize> = (0..left.input_count()).collect();
+    check_projected_on(left, right, &identity, domain)
+}
+
+/// [`check_equivalence_on`] for a `right` netlist that reads a subset of
+/// `left`'s inputs: its input `j` is `left`'s input `projection[j]`. Each
+/// domain pattern drives `left` whole and `right` through the projection;
+/// a counterexample carries the full `left` pattern.
+///
+/// # Panics
+///
+/// Panics if a pattern's length differs from `left`'s input count or a
+/// projection index is out of range.
+pub fn check_projected_on(
+    left: &Netlist,
+    right: &Netlist,
+    projection: &[usize],
+    domain: impl IntoIterator<Item = Vec<bool>>,
+) -> Equivalence {
+    if right.input_count() != projection.len() {
+        return Equivalence::Mismatched {
+            reason: format!(
+                "right input count {} differs from the projection's {}",
+                right.input_count(),
+                projection.len()
+            ),
+        };
+    }
     if left.outputs().len() != right.outputs().len() {
         return Equivalence::Mismatched {
             reason: format!(
@@ -156,12 +160,40 @@ pub fn check_equivalence_on(
             ),
         };
     }
-    for inputs in domain {
-        if let Some(cex) = compare_on(left, right, inputs) {
-            return cex;
+    let (left, right) = (PackedNetlist::compile(left), PackedNetlist::compile(right));
+    let (mut left_lanes, mut right_lanes) = (left.lanes(64), right.lanes(64));
+    let mut domain = domain.into_iter();
+    let mut batch = Vec::with_capacity(64);
+    loop {
+        batch.clear();
+        batch.extend(domain.by_ref().take(64));
+        if batch.is_empty() {
+            return Equivalence::Equivalent { exhaustive: true };
+        }
+        left_lanes.load(&batch);
+        let source = left_lanes.columns();
+        for (column, &i) in right_lanes
+            .columns_mut(batch.len())
+            .iter_mut()
+            .zip(projection)
+        {
+            *column = source[i];
+        }
+        left.simulate(&mut left_lanes);
+        right.simulate(&mut right_lanes);
+        // The lowest differing lane is the batch's first counterexample.
+        let diff = (0..left.output_count()).fold(0, |acc, k| {
+            acc | (left.output(&left_lanes, k)[0] ^ right.output(&right_lanes, k)[0])
+        }) & left_lanes.valid(0);
+        if diff != 0 {
+            let lane = diff.trailing_zeros() as usize;
+            return Equivalence::Counterexample {
+                inputs: left_lanes.inputs_at(lane),
+                left: left.outputs_at(&left_lanes, lane),
+                right: right.outputs_at(&right_lanes, lane),
+            };
         }
     }
-    Equivalence::Equivalent { exhaustive: true }
 }
 
 /// Enumerates every thermometer-consistent assignment of variables split
@@ -187,25 +219,154 @@ pub fn thermometer_patterns(sizes: &[usize]) -> Vec<Vec<bool>> {
     patterns
 }
 
-fn compare_on(left: &Netlist, right: &Netlist, inputs: Vec<bool>) -> Option<Equivalence> {
-    let l = left.eval(&inputs);
-    let r = right.eval(&inputs);
-    if l != r {
-        Some(Equivalence::Counterexample {
-            inputs,
-            left: l,
-            right: r,
-        })
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blocks;
+    use crate::netlist::Signal;
     use printed_pdk::CellKind;
+
+    /// The scalar pattern loops the batched checkers replaced, kept as
+    /// the reference their verdicts are pinned to.
+    fn scalar_check_equivalence(left: &Netlist, right: &Netlist, seed: u64) -> Equivalence {
+        let n = left.input_count();
+        if n <= EXHAUSTIVE_INPUT_LIMIT {
+            let domain = (0..1u64 << n).map(|p| (0..n).map(|k| p & (1 << k) != 0).collect());
+            return scalar_check_on(left, right, domain);
+        }
+        let domain = scalar_random_domain(n, seed);
+        match scalar_check_on(left, right, domain) {
+            Equivalence::Equivalent { .. } => Equivalence::Equivalent { exhaustive: false },
+            verdict => verdict,
+        }
+    }
+
+    fn scalar_check_on(
+        left: &Netlist,
+        right: &Netlist,
+        domain: impl IntoIterator<Item = Vec<bool>>,
+    ) -> Equivalence {
+        for inputs in domain {
+            let (l, r) = (left.eval(&inputs), right.eval(&inputs));
+            if l != r {
+                return Equivalence::Counterexample {
+                    inputs,
+                    left: l,
+                    right: r,
+                };
+            }
+        }
+        Equivalence::Equivalent { exhaustive: true }
+    }
+
+    fn bits(p: u64, n: usize) -> Vec<bool> {
+        (0..n).map(|k| p >> k & 1 == 1).collect()
+    }
+
+    /// Two `n`-input netlists sharing an XOR output whose second outputs
+    /// differ exactly where inputs `0..minterm.len()` equal `minterm`.
+    fn differ_on(n: usize, minterm: &[bool]) -> (Netlist, Netlist) {
+        let build = |detect: bool| {
+            let mut nl = Netlist::new("minterm");
+            let bus = nl.input_bus("x", n);
+            let shared = nl.gate(CellKind::Xor2, &[bus[0], bus[n - 1]]);
+            nl.output("o0", shared);
+            let mut hit = Signal::Const(detect);
+            if detect {
+                for (&var, &polarity) in bus.iter().zip(minterm) {
+                    let term = if polarity {
+                        var
+                    } else {
+                        nl.gate(CellKind::Inv, &[var])
+                    };
+                    hit = nl.gate(CellKind::And2, &[hit, term]);
+                }
+            }
+            nl.output("o1", hit);
+            nl
+        };
+        (build(false), build(true))
+    }
+
+    #[test]
+    fn exhaustive_counterexample_is_the_scalar_loops() {
+        // Pattern 100 of 7 inputs sits in the second 64-pattern batch;
+        // pattern 29 of 5 inputs in the only, partial one.
+        for (n, pattern) in [(7, 100), (5, 29)] {
+            let (a, b) = differ_on(n, &bits(pattern, n));
+            let verdict = check_equivalence(&a, &b, 0);
+            assert_eq!(verdict, scalar_check_equivalence(&a, &b, 0));
+            assert_eq!(
+                verdict,
+                Equivalence::Counterexample {
+                    inputs: bits(pattern, n),
+                    left: vec![bits(pattern, n)[0] ^ bits(pattern, n)[n - 1], false],
+                    right: vec![bits(pattern, n)[0] ^ bits(pattern, n)[n - 1], true],
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn random_counterexample_is_the_scalar_loops() {
+        // 24 inputs, differing on 1/128 of the space: the first hit falls
+        // past the first batch for most seeds.
+        let (a, b) = differ_on(24, &bits(0b101_1001, 7));
+        let mut later_batches = 0;
+        for seed in 0..16 {
+            let verdict = check_equivalence(&a, &b, seed);
+            assert_eq!(
+                verdict,
+                scalar_check_equivalence(&a, &b, seed),
+                "seed {seed}"
+            );
+            let Equivalence::Counterexample { inputs, .. } = verdict else {
+                panic!("seed {seed}: 4096 patterns must hit a 1/128 minterm");
+            };
+            assert_eq!(inputs[..7], bits(0b101_1001, 7));
+            let domain = scalar_random_domain(24, seed);
+            let position = domain.iter().position(|p| *p == inputs).unwrap();
+            later_batches += usize::from(position >= 64);
+        }
+        assert!(later_batches > 0, "no counterexample past the first batch");
+    }
+
+    /// The random patterns of [`check_equivalence`], in draw order.
+    fn scalar_random_domain(n: usize, seed: u64) -> Vec<Vec<bool>> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        (0..RANDOM_PATTERNS)
+            .map(|_| (0..n).map(|_| next() & 1 != 0).collect())
+            .collect()
+    }
+
+    #[test]
+    fn domain_counterexample_is_the_scalar_loops() {
+        // A 100-pattern domain (127, 126, …, 28): a difference at position
+        // 70 falls in the second batch, at position 99 in the final
+        // partial batch.
+        let domain: Vec<Vec<bool>> = (0..100).map(|i| bits(127 - i, 7)).collect();
+        for position in [70, 99] {
+            let (a, b) = differ_on(7, &domain[position]);
+            let verdict = check_equivalence_on(&a, &b, domain.clone());
+            assert_eq!(verdict, scalar_check_on(&a, &b, domain.clone()));
+            let Equivalence::Counterexample { inputs, .. } = verdict else {
+                panic!("expected a counterexample");
+            };
+            assert_eq!(inputs, domain[position]);
+        }
+        let (a, b) = differ_on(7, &bits(5, 7));
+        assert_eq!(
+            check_equivalence_on(&a, &b, domain.clone()),
+            Equivalence::Equivalent { exhaustive: true },
+            "pattern 5 is outside the domain"
+        );
+    }
 
     fn xor_two_ways() -> (Netlist, Netlist) {
         let mut a = Netlist::new("xor-direct");

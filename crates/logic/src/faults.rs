@@ -26,6 +26,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::netlist::{Netlist, Signal};
+use crate::sim::PackedNetlist;
 
 /// One single stuck-at fault: gate `gate`'s output forced to `value`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -146,21 +147,32 @@ impl FaultCampaign {
 /// pattern set) and, via `mismatch_counts`, a behavioral-sensitivity
 /// profile (how often each fault corrupts the output in service).
 ///
+/// The patterns are simulated 64 per word on a [`PackedNetlist`]: the good
+/// circuit once, then each fault from its gate onward, counting
+/// `popcount(OR_outputs(faulty ^ good))` over the valid lanes.
+///
 /// # Panics
 ///
 /// Panics if a pattern's length does not match the input count.
 pub fn fault_campaign(netlist: &Netlist, patterns: &[Vec<bool>]) -> FaultCampaign {
     let faults = enumerate_faults(netlist);
-    let golden: Vec<Vec<bool>> = patterns.iter().map(|p| netlist.eval(p)).collect();
+    let sim = PackedNetlist::compile(netlist);
+    let mut good = sim.lanes(patterns.len());
+    good.load(patterns);
+    sim.simulate(&mut good);
+    let mut faulty = good.clone();
     let mut mismatch_counts = Vec::with_capacity(faults.len());
     let mut detected = 0usize;
     for &fault in &faults {
-        let faulty = FaultyNetlist::new(netlist, fault);
-        let mismatches = patterns
-            .iter()
-            .zip(&golden)
-            .filter(|(p, good)| &faulty.eval(p) != *good)
-            .count();
+        sim.simulate_fault(&good, fault, &mut faulty);
+        let mismatches: usize = (0..good.words())
+            .map(|w| {
+                let diff = (0..sim.output_count()).fold(0, |acc, k| {
+                    acc | (sim.output(&faulty, k)[w] ^ sim.output(&good, k)[w])
+                });
+                (diff & good.valid(w)).count_ones() as usize
+            })
+            .sum();
         if mismatches > 0 {
             detected += 1;
         }

@@ -13,6 +13,8 @@
 //! * [`sop`] — sum-of-products covers with safe simplification and netlist
 //!   lowering (the unary decision tree's two-level logic).
 //! * [`qm`] — exact Quine–McCluskey minimization for small functions.
+//! * [`sim`] — word-parallel simulation, 64 patterns per `u64`, for
+//!   stuck-at fault campaigns and equivalence checking.
 //! * [`report`] — area / static+dynamic power / critical path at 20 Hz.
 //!
 //! ```
@@ -38,6 +40,7 @@ pub mod faults;
 pub mod netlist;
 pub mod qm;
 pub mod report;
+pub mod sim;
 pub mod sop;
 pub mod verilog;
 
@@ -46,5 +49,6 @@ pub use fanout::{fanout_counts, legalize_fanout, max_fanout};
 pub use faults::{enumerate_faults, fault_campaign, FaultCampaign, FaultyNetlist, StuckAt};
 pub use netlist::{Gate, Netlist, Signal};
 pub use report::{analyze, AnalysisConfig, DesignReport};
+pub use sim::{Lanes, PackedNetlist};
 pub use sop::{Cube, PackedCover, Sop};
 pub use verilog::to_verilog;

@@ -221,6 +221,21 @@ impl Netlist {
         Signal::Gate(self.gates.len() - 1)
     }
 
+    /// Appends a gate with neither folding nor sharing — the only way to
+    /// instantiate tie cells, which simulator tests need.
+    #[cfg(test)]
+    pub(crate) fn push_unfolded(&mut self, kind: CellKind, inputs: &[Signal]) -> Signal {
+        assert_eq!(inputs.len(), kind.inputs(), "cell {kind} arity");
+        for &s in inputs {
+            self.check_signal(s);
+        }
+        self.gates.push(Gate {
+            kind,
+            inputs: inputs.to_vec(),
+        });
+        Signal::Gate(self.gates.len() - 1)
+    }
+
     fn check_signal(&self, s: Signal) {
         match s {
             Signal::Input(i) => {

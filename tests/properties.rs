@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use printed_ml::adc::{BespokeAdcBank, UnaryCode};
 use printed_ml::analog::ladder::Ladder;
-use printed_ml::codesign::UnaryClassifier;
+use printed_ml::codesign::{decode_one_hot, UnaryClassifier};
 use printed_ml::datasets::{quantize_level, Dataset, QuantizedDataset};
 use printed_ml::dtree::baseline::{baseline_netlist, decode_label, encode_sample};
 use printed_ml::dtree::cart::{train, CartConfig};
@@ -14,6 +14,7 @@ use printed_ml::dtree::{DecisionTree, Node};
 use printed_ml::logic::blocks;
 use printed_ml::logic::netlist::Netlist;
 use printed_ml::logic::qm::minimize;
+use printed_ml::logic::sim::PackedNetlist;
 use printed_ml::logic::sop::{Cube, Sop};
 use printed_ml::pdk::AnalogModel;
 
@@ -317,8 +318,8 @@ proptest! {
     }
 
     /// For arbitrary valid trees, the baseline netlist, the unary covers,
-    /// and all three unary netlist styles agree with tree prediction on
-    /// random samples.
+    /// and all three unary netlist styles — evaluated pattern by pattern
+    /// and word-parallel — agree with tree prediction on random samples.
     #[test]
     fn all_representations_agree_on_random_trees(
         tree in arb_tree(4, 3),
@@ -342,6 +343,19 @@ proptest! {
                 let hot: Vec<usize> =
                     outs.iter().enumerate().filter(|(_, &o)| o).map(|(c, _)| c).collect();
                 prop_assert_eq!(&hot, &vec![expected], "{}", netlist.name());
+            }
+        }
+        // Fifth evaluator: the word-parallel simulator over the whole batch.
+        let encoded: Vec<Vec<bool>> = samples.iter().map(|s| unary.encode_sample(s)).collect();
+        for netlist in [&shared, &two_level, &nand_nand] {
+            let sim = PackedNetlist::compile(netlist);
+            let mut lanes = sim.lanes(encoded.len());
+            lanes.load(&encoded);
+            sim.simulate(&mut lanes);
+            for (p, (sample, digits)) in samples.iter().zip(&encoded).enumerate() {
+                let outs = sim.outputs_at(&lanes, p);
+                prop_assert_eq!(&outs, &netlist.eval(digits), "{}", netlist.name());
+                prop_assert_eq!(decode_one_hot(&outs), Some(tree.predict(sample)));
             }
         }
     }
@@ -371,7 +385,6 @@ proptest! {
     /// class line is asserted — the contract fault campaigns score against.
     #[test]
     fn decode_one_hot_iff_exactly_one(outputs in vec(any::<bool>(), 0..12)) {
-        use printed_ml::codesign::decode_one_hot;
         let hot: Vec<usize> = outputs
             .iter()
             .enumerate()
