@@ -27,8 +27,6 @@
 use core::fmt;
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use printed_analog::ladder::Ladder;
 use printed_pdk::AnalogModel;
 use printed_telemetry::{keys, FieldValue, Recorder};
@@ -36,7 +34,7 @@ use printed_telemetry::{keys, FieldValue, Recorder};
 use crate::cost::AdcCost;
 
 /// A bank of bespoke ADCs, one per input feature that needs conversion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BespokeAdcBank {
     bits: u32,
     /// feature → retained tap orders (ascending).

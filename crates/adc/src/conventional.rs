@@ -19,8 +19,6 @@
 //! assert!(bank.power.mw() > 8.0 && bank.power.mw() < 11.0);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use printed_analog::ladder::Ladder;
 use printed_pdk::AnalogModel;
 
@@ -28,7 +26,7 @@ use crate::cost::AdcCost;
 use crate::unary::UnaryCode;
 
 /// A conventional `bits`-bit flash ADC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConventionalAdc {
     bits: u32,
 }

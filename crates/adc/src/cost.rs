@@ -2,12 +2,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use printed_pdk::{Area, Power};
 
 /// Area/power of an ADC subsystem, with its component inventory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdcCost {
     /// Total foil area.
     pub area: Area,

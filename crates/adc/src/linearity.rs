@@ -18,14 +18,13 @@
 //! ```
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use printed_analog::ladder::Ladder;
 use printed_analog::MismatchModel;
 use printed_pdk::AnalogModel;
 
 /// DNL/INL report for one converter instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearityReport {
     /// Per-code differential nonlinearity in LSB (length `taps − 1`).
     pub dnl: Vec<f64>,
@@ -77,7 +76,7 @@ pub fn linearity_of_thresholds(thresholds: &[f64], bits: u32) -> LinearityReport
 
 /// Aggregated Monte-Carlo linearity of a full `bits`-bit printed flash
 /// converter (shared ladder + per-tap comparator offsets).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McLinearity {
     /// Mean of per-trial worst |DNL|.
     pub mean_max_dnl: f64,

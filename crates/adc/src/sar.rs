@@ -31,14 +31,12 @@
 //! assert!(sar.standalone_cost(&model).comparators == 1);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use printed_pdk::{AnalogModel, Delay, SequentialParams};
 
 use crate::cost::AdcCost;
 
 /// A `bits`-bit successive-approximation ADC model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SarAdc {
     bits: u32,
 }

@@ -25,10 +25,8 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A thermometer code of `2^bits − 1` digits.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct UnaryCode {
     bits: u32,
     level: u8,

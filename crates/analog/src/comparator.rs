@@ -18,11 +18,9 @@
 //! assert!(skewed.decide(0.48, 0.5));
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Behavioral comparator: `out = (vin + offset) > vref`, with finite gain
 /// for analog-output and metastability queries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Comparator {
     /// Input-referred offset in volts (added to `vin`).
     pub offset_volts: f64,

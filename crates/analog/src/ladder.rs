@@ -28,12 +28,10 @@
 use core::fmt;
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::mna::{Circuit, MnaError, Node};
 
 /// A resistor-string reference ladder with a set of retained taps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ladder {
     bits: u32,
     /// Retained tap orders, ascending, each in `1..2^bits`.

@@ -31,7 +31,6 @@
 use printed_telemetry::{keys, Recorder};
 use rand::Rng;
 use rand_distr_normal::Normal;
-use serde::{Deserialize, Serialize};
 
 /// Draws one sample from `N(mean, sigma²)` — exposed so other crates'
 /// mismatch studies (e.g. per-comparator offsets across a shared ladder)
@@ -81,7 +80,7 @@ mod rand_distr_normal {
 }
 
 /// Statistical model of printing variation for the ADC front-end.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MismatchModel {
     /// Relative 1-σ variation of each printed ladder segment (e.g. `0.05`
     /// for 5%).
@@ -193,7 +192,7 @@ impl MismatchModel {
 }
 
 /// One retained tap under a mismatch sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerturbedTap {
     /// Tap order (1-based).
     pub tap: usize,
@@ -212,7 +211,7 @@ impl PerturbedTap {
 
 /// A full mismatch sample: every retained tap with its perturbed reference
 /// and comparator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MismatchSample {
     taps: Vec<PerturbedTap>,
 }

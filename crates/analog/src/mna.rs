@@ -37,15 +37,13 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::linalg::{Matrix, SolveError};
 
 /// Handle to a circuit node.
 ///
 /// Obtain nodes from [`Circuit::node`]; the distinguished [`Node::GROUND`]
 /// is the 0 V reference and is always valid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Node(usize);
 
 impl Node {
@@ -241,7 +239,7 @@ impl Circuit {
 }
 
 /// The solved DC state of a [`Circuit`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     node_voltages: Vec<f64>,
     source_currents: Vec<f64>,

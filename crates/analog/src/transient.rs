@@ -21,11 +21,9 @@
 //! assert!(node.settling_time_s(0.01) < 5e-6);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// A first-order RC node: Thevenin source resistance into a load
 /// capacitance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RcNode {
     /// Source (Thevenin) resistance in ohms.
     pub resistance_ohms: f64,

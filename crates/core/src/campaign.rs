@@ -27,8 +27,6 @@
 //!
 //! [`Exploration::select_robust`]: crate::explore::Exploration::select_robust
 
-use serde::{Deserialize, Serialize};
-
 use printed_analog::MismatchModel;
 use printed_datasets::{Dataset, QuantizedDataset};
 use printed_dtree::DecisionTree;
@@ -38,7 +36,7 @@ use printed_telemetry::{keys, FieldValue, Recorder};
 
 use crate::checkpoint::RobustCheckpointLine;
 use crate::explore::Exploration;
-use crate::mismatch::{mismatch_trials_recorded, AnalogTree, MismatchTrialStream, MismatchTrials};
+use crate::mismatch::{AnalogTree, MismatchTrialStream, MismatchTrials};
 use crate::robustness::fault_robustness;
 
 /// Comparator-threshold drift as the harvester's storage capacitor sags.
@@ -52,7 +50,7 @@ use crate::robustness::fault_robustness;
 /// becomes `t·(1 − vref_leak·s) − offset_per_sag·s`.
 ///
 /// [`max_sag`]: SupplyDroopModel::max_sag
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupplyDroopModel {
     /// The harvester whose storage swing bounds the sag range.
     pub harvester: Harvester,
@@ -137,7 +135,7 @@ impl Default for SupplyDroopModel {
 }
 
 /// One candidate's composite robustness picture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessProfile {
     /// Accuracy with ideal thresholds on the analog test split.
     pub nominal: f64,
@@ -168,7 +166,7 @@ impl RobustnessProfile {
 }
 
 /// A sweep candidate's robustness profile, keyed by its grid point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateRobustness {
     /// Gini slack of the profiled candidate.
     pub tau: f64,
@@ -183,7 +181,7 @@ pub struct CandidateRobustness {
 }
 
 /// All profiles of one campaign run, in the sweep's `(depth, tau)` order.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CampaignOutcome {
     /// One profile per profiled sweep candidate.
     pub profiles: Vec<CandidateRobustness>,
@@ -214,7 +212,7 @@ impl CampaignOutcome {
 /// floor in [`Exploration::select_robust`] still applies).
 ///
 /// [`Exploration::select_robust`]: crate::explore::Exploration::select_robust
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RobustnessConstraints {
     /// Minimum parametric-yield estimate.
     pub min_yield: Option<f64>,
@@ -263,7 +261,7 @@ impl RobustnessConstraints {
 /// *exactly*, while spending fewer trials.
 ///
 /// [`Exploration::select_robust`]: crate::explore::Exploration::select_robust
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveBudget {
     /// Hard per-candidate Monte-Carlo budget — the exhaustive campaign the
     /// sequential decisions are proved against, and the worst-case spend
@@ -302,6 +300,8 @@ pub struct AdaptiveBudget {
 impl AdaptiveBudget {
     /// A budget of `trials_max` with the exact (confidence-1) bounds, a
     /// 4-trial warm-up, unconstrained admission, no floor, and no probe.
+    /// With nothing to decide it never exits early: it is the exhaustive
+    /// `trials_max`-trial campaign.
     pub fn new(trials_max: usize) -> Self {
         Self {
             trials_max,
@@ -333,7 +333,7 @@ impl AdaptiveBudget {
 }
 
 /// Why the probe pre-pass pruned a grid point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneReason {
     /// Nominal accuracy already sits below the robust-accuracy floor.
     NominalBelowFloor,
@@ -363,7 +363,7 @@ impl PruneReason {
 /// A grid point the probe pre-pass ruled out before any Monte-Carlo
 /// trial. Pruned points carry the deterministic evidence that excluded
 /// them, so a trace reader can audit every skip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrunedPoint {
     /// Gini slack of the pruned grid point.
     pub tau: f64,
@@ -493,7 +493,7 @@ fn budget_yield_interval(successes: usize, k: usize, n: usize, confidence: f64) 
 
 /// The campaign runner: per sweep candidate, a full stuck-at fault sweep,
 /// a mismatch Monte Carlo, and a supply-droop scan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessCampaign {
     /// Printing-variation model for the Monte Carlo.
     pub mismatch: MismatchModel,
@@ -626,7 +626,9 @@ impl RobustnessCampaign {
 
     /// Profiles a single tree under this campaign (seeded with the
     /// campaign's base seed — sweep-level runs derive per-candidate
-    /// seeds instead).
+    /// seeds instead). Always exhaustive: exactly
+    /// [`trials`](Self::trials) Monte-Carlo trials, whatever the
+    /// [`adaptive`](Self::adaptive) policy.
     ///
     /// # Panics
     ///
@@ -641,88 +643,51 @@ impl RobustnessCampaign {
         recorder: &Recorder,
     ) -> RobustnessProfile {
         self.validate();
-        self.profile_with_seed(tree, test_q, test_analog, analog, recorder, self.seed)
-    }
-
-    fn profile_with_seed(
-        &self,
-        tree: &DecisionTree,
-        test_q: &QuantizedDataset,
-        test_analog: &Dataset,
-        analog: &AnalogModel,
-        recorder: &Recorder,
-        seed: u64,
-    ) -> RobustnessProfile {
-        let faults = fault_robustness(tree, test_q);
-        recorder.add(keys::FAULTS_INJECTED, faults.fault_count as u64);
-
-        // A constant tree has no thresholds to perturb: it yields by
-        // construction and droops only at the electrical limit.
-        let (nominal, mean, min, yield_estimate) = if tree.split_count() == 0 {
-            let nominal = AnalogTree::new(tree).accuracy(test_analog, &[]);
-            (nominal, nominal, nominal, 1.0)
-        } else {
-            let trials = mismatch_trials_recorded(
-                tree,
-                test_analog,
-                &self.mismatch,
-                self.trials,
-                seed,
-                analog,
-                recorder,
-            );
-            let report = trials.report();
-            (
-                trials.nominal,
-                report.mean,
-                report.min,
-                trials.yield_within(self.yield_loss),
-            )
-        };
-        let droop_margin = self.droop.margin(tree, test_analog, nominal);
-
-        RobustnessProfile {
-            nominal,
-            mean_under_mismatch: mean,
-            min_under_mismatch: min,
-            worst_single_fault: faults.worst_accuracy,
-            benign_fault_fraction: faults.benign_fraction,
-            droop_margin,
-            yield_estimate,
+        let exhaustive = AdaptiveBudget::new(self.trials);
+        match self.evaluate_with_seed(
+            &exhaustive,
+            tree,
+            test_q,
+            test_analog,
+            analog,
+            recorder,
+            self.seed,
+        ) {
+            PointEvaluation::Profiled { profile, .. } => profile,
+            PointEvaluation::Pruned { .. } => unreachable!("an exhaustive policy never probes"),
         }
     }
 
-    /// Evaluates one grid point under the campaign's policy: the full
-    /// exhaustive profile when no adaptive budget is attached, otherwise
-    /// probe pruning plus the sequential Monte Carlo with early exit.
+    /// Evaluates one grid point under `policy`: probe pruning, then the
+    /// sequential Monte Carlo with early exit. The exhaustive campaign is
+    /// the policy with nothing decidable — [`AdaptiveBudget::new`]`(trials)`
+    /// — which runs every trial, so both share this one path.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_with_seed(
         &self,
+        policy: &AdaptiveBudget,
         tree: &DecisionTree,
         test_q: &QuantizedDataset,
         test_analog: &Dataset,
         analog: &AnalogModel,
         recorder: &Recorder,
         seed: u64,
-        tau: f64,
-        depth: usize,
     ) -> PointEvaluation {
-        let Some(adaptive) = self.adaptive else {
-            let spent = if tree.split_count() == 0 {
-                0
-            } else {
-                self.trials
-            };
-            let profile = self.profile_with_seed(tree, test_q, test_analog, analog, recorder, seed);
-            return PointEvaluation::Profiled {
-                profile,
-                trials_spent: spent,
-            };
-        };
-
-        // Constant trees take the same shortcut as the exhaustive path.
+        // A constant tree has no thresholds to perturb: it yields by
+        // construction and droops only at the electrical limit.
         if tree.split_count() == 0 {
-            let profile = self.profile_with_seed(tree, test_q, test_analog, analog, recorder, seed);
+            let faults = fault_robustness(tree, test_q);
+            recorder.add(keys::FAULTS_INJECTED, faults.fault_count as u64);
+            let nominal = AnalogTree::new(tree).accuracy(test_analog, &[]);
+            let profile = RobustnessProfile {
+                nominal,
+                mean_under_mismatch: nominal,
+                min_under_mismatch: nominal,
+                worst_single_fault: faults.worst_accuracy,
+                benign_fault_fraction: faults.benign_fraction,
+                droop_margin: self.droop.margin(tree, test_analog, nominal),
+                yield_estimate: 1.0,
+            };
             return PointEvaluation::Profiled {
                 profile,
                 trials_spent: 0,
@@ -734,30 +699,26 @@ impl RobustnessCampaign {
         let mut stream =
             MismatchTrialStream::new(tree, test_analog, &self.mismatch, seed, analog, recorder);
         let nominal = stream.nominal();
-        if adaptive.probe {
-            if let Some(floor) = adaptive.robust_floor {
+        if policy.probe {
+            if let Some(floor) = policy.robust_floor {
                 if nominal < floor - 1e-12 {
-                    return PointEvaluation::Pruned(PrunedPoint {
-                        tau,
-                        depth,
+                    return PointEvaluation::Pruned {
                         reason: PruneReason::NominalBelowFloor,
                         nominal,
                         droop_margin: None,
-                    });
+                    };
                 }
             }
         }
         let droop_margin = self.droop.margin(tree, test_analog, nominal);
-        if adaptive.probe {
-            if let Some(min_droop) = adaptive.constraints.min_droop_margin {
+        if policy.probe {
+            if let Some(min_droop) = policy.constraints.min_droop_margin {
                 if droop_margin < min_droop - 1e-12 {
-                    return PointEvaluation::Pruned(PrunedPoint {
-                        tau,
-                        depth,
+                    return PointEvaluation::Pruned {
                         reason: PruneReason::DroopMargin,
                         nominal,
                         droop_margin: Some(droop_margin),
-                    });
+                    };
                 }
             }
         }
@@ -769,13 +730,12 @@ impl RobustnessCampaign {
         // already proves the reject, so the Monte Carlo only needs the
         // warm-up trials for a reportable mean/yield estimate.
         let meets = |bound: Option<f64>, value: f64| bound.is_none_or(|min| value >= min - 1e-12);
-        let rejected_deterministically =
-            !meets(adaptive.constraints.min_droop_margin, droop_margin)
-                || !meets(adaptive.constraints.min_worst_fault, faults.worst_accuracy);
+        let rejected_deterministically = !meets(policy.constraints.min_droop_margin, droop_margin)
+            || !meets(policy.constraints.min_worst_fault, faults.worst_accuracy);
 
-        let n = adaptive.trials_max;
-        let min_trials = adaptive.min_trials.clamp(1, n);
-        let mut accuracies: Vec<f64> = Vec::with_capacity(min_trials);
+        let n = policy.trials_max;
+        let min_trials = policy.min_trials.clamp(1, n);
+        let mut accuracies: Vec<f64> = Vec::with_capacity(n);
         let mut successes = 0usize;
         let mut sum = 0.0;
         let yield_floor = nominal - self.yield_loss - 1e-12;
@@ -794,10 +754,10 @@ impl RobustnessCampaign {
             }
             // Sequential decision: stop once the admit/reject conjunction
             // is settled for every completion the bounds still allow.
-            let yield_term = match adaptive.constraints.min_yield {
+            let yield_term = match policy.constraints.min_yield {
                 None => TermStatus::Pass,
                 Some(min) => {
-                    let (lo, hi) = budget_yield_interval(successes, k, n, adaptive.confidence);
+                    let (lo, hi) = budget_yield_interval(successes, k, n, policy.confidence);
                     if hi < min - 1e-12 {
                         TermStatus::Fail
                     } else if lo >= min - 1e-12 {
@@ -810,12 +770,12 @@ impl RobustnessCampaign {
             if yield_term == TermStatus::Fail {
                 break;
             }
-            let mean_term = match adaptive.robust_floor {
+            let mean_term = match policy.robust_floor {
                 // Without a floor an admit can never be certified — the
                 // exact-mode fallback runs the remaining budget.
                 None => TermStatus::Open,
                 Some(floor) => {
-                    let (lo, hi) = budget_mean_interval(sum, k, n, adaptive.confidence);
+                    let (lo, hi) = budget_mean_interval(sum, k, n, policy.confidence);
                     if hi < floor - 1e-12 {
                         TermStatus::Fail
                     } else if lo >= floor - 1e-12 {
@@ -1056,15 +1016,17 @@ impl RobustnessCampaign {
             .span(keys::ROBUST_SPAN)
             .field("depth", candidate.depth)
             .field("tau", candidate.tau);
+        let policy = self
+            .adaptive
+            .unwrap_or_else(|| AdaptiveBudget::new(self.trials));
         let evaluation = self.evaluate_with_seed(
+            &policy,
             &candidate.tree,
             test_q,
             test_analog,
             analog,
             recorder,
             seed,
-            candidate.tau,
-            candidate.depth,
         );
         match evaluation {
             PointEvaluation::Profiled {
@@ -1085,7 +1047,18 @@ impl RobustnessCampaign {
                     trials_spent,
                 })
             }
-            PointEvaluation::Pruned(point) => {
+            PointEvaluation::Pruned {
+                reason,
+                nominal,
+                droop_margin,
+            } => {
+                let point = PrunedPoint {
+                    tau: candidate.tau,
+                    depth: candidate.depth,
+                    reason,
+                    nominal,
+                    droop_margin,
+                };
                 span.field("pruned", point.reason.as_str().to_owned())
                     .field("nominal", point.nominal)
                     .finish();
@@ -1123,7 +1096,12 @@ enum PointEvaluation {
         profile: RobustnessProfile,
         trials_spent: usize,
     },
-    Pruned(PrunedPoint),
+    /// The probe pre-pass pruned the point before any trial.
+    Pruned {
+        reason: PruneReason,
+        nominal: f64,
+        droop_margin: Option<f64>,
+    },
 }
 
 impl Default for RobustnessCampaign {

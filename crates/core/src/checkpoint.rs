@@ -9,15 +9,15 @@
 //! training cost is saved and the resumed sweep is bit-identical to an
 //! uninterrupted one).
 //!
-//! The format is deliberately independent of `serde_json` (the offline
-//! stub cannot parse), reusing the telemetry [`JsonLine`] writer and a
-//! small hand-rolled scanner for decode. Lines that fail to decode, or
-//! that were written under a different sweep seed, are skipped rather than
-//! trusted.
+//! Lines are written with the telemetry [`JsonLine`] writer and read back
+//! with [`json::parse`], the workspace's one JSON codec. Lines that fail to
+//! decode, or that were written under a different sweep seed, are skipped
+//! rather than trusted.
 //!
 //! [`ExplorationConfig::checkpoint_path`]: crate::explore::ExplorationConfig::checkpoint_path
 
 use printed_dtree::{DecisionTree, Node};
+use printed_telemetry::json::{self, JsonValue};
 use printed_telemetry::JsonLine;
 
 use crate::campaign::{CandidateRobustness, PruneReason, PrunedPoint, RobustnessProfile};
@@ -66,20 +66,17 @@ impl CheckpointLine {
     /// lines (a crash mid-append leaves a partial last line), non-finite
     /// accuracies (rendered as `null`), or trees that fail validation.
     pub fn decode(line: &str, expected_seed: u64) -> Option<Self> {
-        let line = line.trim();
-        if scan_str(line, "kind")? != "sweep_ckpt" || scan_u64(line, "v")? != 1 {
+        let line = Fields::parse(line, "sweep_ckpt")?;
+        if line.u64("seed")? != expected_seed {
             return None;
         }
-        if scan_u64(line, "seed")? != expected_seed {
-            return None;
-        }
-        let depth = scan_u64(line, "depth")? as usize;
-        let tau = scan_f64(line, "tau")?;
-        let test_accuracy = scan_f64(line, "accuracy")?;
-        let bits = u32::try_from(scan_u64(line, "bits")?).ok()?;
-        let features = scan_u64(line, "features")? as usize;
-        let classes = scan_u64(line, "classes")? as usize;
-        let nodes = decode_nodes(scan_str(line, "nodes")?)?;
+        let depth = line.u64("depth")? as usize;
+        let tau = line.f64("tau")?;
+        let test_accuracy = line.f64("accuracy")?;
+        let bits = u32::try_from(line.u64("bits")?).ok()?;
+        let features = line.u64("features")? as usize;
+        let classes = line.u64("classes")? as usize;
+        let nodes = decode_nodes(line.str("nodes")?)?;
         let tree = DecisionTree::from_nodes(bits, features, classes, nodes).ok()?;
         Some(Self {
             tau,
@@ -87,6 +84,31 @@ impl CheckpointLine {
             test_accuracy,
             tree,
         })
+    }
+}
+
+/// A parsed checkpoint line of one `kind`, version 1, with typed field
+/// lookups that reject `null` (non-finite) floats.
+struct Fields(JsonValue);
+
+impl Fields {
+    /// Parses `line` and checks its `kind` and `v` stamp. `None` for torn
+    /// or malformed lines and for every other kind.
+    fn parse(line: &str, kind: &str) -> Option<Self> {
+        let fields = Self(json::parse(line).ok()?);
+        (fields.str("kind")? == kind && fields.u64("v")? == 1).then_some(fields)
+    }
+
+    fn str(&self, key: &str) -> Option<&str> {
+        self.0.get(key)?.as_str()
+    }
+
+    fn u64(&self, key: &str) -> Option<u64> {
+        self.0.get(key)?.as_u64()
+    }
+
+    fn f64(&self, key: &str) -> Option<f64> {
+        self.0.get(key)?.as_f64().filter(|v| v.is_finite())
     }
 }
 
@@ -132,33 +154,6 @@ fn decode_nodes(text: &str) -> Option<Vec<Node>> {
             }
         })
         .collect()
-}
-
-/// Returns the raw text of `"key":<value>` up to the next `,` or `}`.
-/// Only handles the flat objects [`CheckpointLine::encode`] emits — string
-/// values must not contain escapes (ours never do).
-fn scan_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    if let Some(body) = rest.strip_prefix('"') {
-        return Some(&body[..body.find('"')?]);
-    }
-    let end = rest.find([',', '}'])?;
-    Some(&rest[..end])
-}
-
-fn scan_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    scan_raw(line, key)
-}
-
-fn scan_u64(line: &str, key: &str) -> Option<u64> {
-    scan_raw(line, key)?.parse().ok()
-}
-
-fn scan_f64(line: &str, key: &str) -> Option<f64> {
-    let value: f64 = scan_raw(line, key)?.parse().ok()?;
-    value.is_finite().then_some(value)
 }
 
 /// Reads every resumable grid point from checkpoint file text, silently
@@ -281,34 +276,31 @@ impl RobustCheckpointLine {
     /// stamps, truncated lines, or non-finite metrics (rendered as
     /// `null`) — the grid point is then cleanly re-evaluated.
     pub fn decode(line: &str, expected_stamp: u64) -> Option<Self> {
-        let line = line.trim();
-        if scan_str(line, "kind")? != "robust_ckpt" || scan_u64(line, "v")? != 1 {
+        let line = Fields::parse(line, "robust_ckpt")?;
+        if line.u64("stamp")? != expected_stamp {
             return None;
         }
-        if scan_u64(line, "stamp")? != expected_stamp {
-            return None;
-        }
-        let depth = scan_u64(line, "depth")? as usize;
-        let tau = scan_f64(line, "tau")?;
-        let nominal = scan_f64(line, "nominal")?;
-        match scan_str(line, "point")? {
+        let depth = line.u64("depth")? as usize;
+        let tau = line.f64("tau")?;
+        let nominal = line.f64("nominal")?;
+        match line.str("point")? {
             "ok" => Some(Self::Profiled(CandidateRobustness {
                 tau,
                 depth,
-                trials_spent: scan_u64(line, "trials")? as usize,
+                trials_spent: line.u64("trials")? as usize,
                 profile: RobustnessProfile {
                     nominal,
-                    mean_under_mismatch: scan_f64(line, "mean")?,
-                    min_under_mismatch: scan_f64(line, "min")?,
-                    worst_single_fault: scan_f64(line, "worst_fault")?,
-                    benign_fault_fraction: scan_f64(line, "benign")?,
-                    droop_margin: scan_f64(line, "droop")?,
-                    yield_estimate: scan_f64(line, "yld")?,
+                    mean_under_mismatch: line.f64("mean")?,
+                    min_under_mismatch: line.f64("min")?,
+                    worst_single_fault: line.f64("worst_fault")?,
+                    benign_fault_fraction: line.f64("benign")?,
+                    droop_margin: line.f64("droop")?,
+                    yield_estimate: line.f64("yld")?,
                 },
             })),
             tag => {
                 let reason = PruneReason::parse_tag(tag)?;
-                let droop_margin = scan_f64(line, "droop");
+                let droop_margin = line.f64("droop");
                 if reason == PruneReason::DroopMargin && droop_margin.is_none() {
                     return None;
                 }

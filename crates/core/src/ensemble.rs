@@ -24,8 +24,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use printed_adc::{AdcCost, BespokeAdcBank};
 use printed_dtree::Forest;
 use printed_logic::blocks::{and_tree, or_tree};
@@ -34,7 +32,7 @@ use printed_logic::report::{analyze, AnalysisConfig, DesignReport};
 use printed_pdk::{AnalogModel, Area, CellKind, CellLibrary, Power, HARVESTER_BUDGET};
 
 /// A synthesized ensemble system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleSystem {
     /// Area/power/timing of the combined logic (all trees + voter).
     pub digital: DesignReport,

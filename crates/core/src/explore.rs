@@ -44,8 +44,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use printed_datasets::{DatasetIndex, QuantizedDataset};
 use printed_dtree::cart::train_depth_selected;
 use printed_dtree::DecisionTree;
@@ -63,7 +61,7 @@ use crate::train::{train_adc_aware_annotated_with_index, AdcAwareConfig, Annotat
 pub type ProgressFn<'p> = &'p (dyn Fn(Progress) + Send + Sync);
 
 /// The sweep grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationConfig {
     /// Gini-slack values to sweep.
     pub taus: Vec<f64>,
@@ -74,18 +72,15 @@ pub struct ExplorationConfig {
     /// When set, every completed grid point is appended to this NDJSON
     /// file and a later sweep with the same seed skips the points already
     /// present, re-synthesizing their hardware from the stored trees.
-    #[serde(default)]
     pub checkpoint_path: Option<String>,
     /// Grid points `(depth, τ)` that deliberately panic inside the worker —
     /// chaos-testing hooks for the fault-isolation path. Empty in normal
     /// use.
-    #[serde(default)]
     pub chaos_points: Vec<(usize, f64)>,
     /// Worker-thread count for the sweep; `None` (the default) uses the
     /// machine's available parallelism. The result is bit-identical for
     /// any thread count — each task's outcome depends only on its own
     /// seed, and the final `(depth, τ)` sort pins the ordering.
-    #[serde(default)]
     pub threads: Option<usize>,
 }
 
@@ -165,7 +160,7 @@ impl Default for ExplorationConfig {
 }
 
 /// One grid point's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateDesign {
     /// Gini slack used.
     pub tau: f64,
@@ -181,7 +176,7 @@ pub struct CandidateDesign {
 }
 
 /// A grid point whose worker panicked; the sweep isolated it and went on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailedCandidate {
     /// Gini slack of the failed point.
     pub tau: f64,
@@ -197,7 +192,7 @@ pub struct FailedCandidate {
 /// Candidates below the deepest cap skip only the T001 tree
 /// re-verification — their trees are BFS truncations of the deepest tree
 /// of their τ, which the deepest candidate's full lint already covers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateLint {
     /// Gini slack of the linted point.
     pub tau: f64,
@@ -208,7 +203,7 @@ pub struct CandidateLint {
 }
 
 /// The full sweep with its reference point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exploration {
     /// Every grid point, in `(depth, tau)` order.
     pub candidates: Vec<CandidateDesign>,
@@ -217,11 +212,9 @@ pub struct Exploration {
     pub reference_accuracy: f64,
     /// Grid points whose workers panicked, in `(depth, tau)` order. Empty
     /// on a healthy sweep; a partial sweep is still usable for selection.
-    #[serde(default)]
     pub failed_candidates: Vec<FailedCandidate>,
     /// Per-candidate lint verdicts, in `(depth, tau)` order — one entry
     /// per successful candidate. See [`CandidateLint`].
-    #[serde(default)]
     pub lint: Vec<CandidateLint>,
 }
 

@@ -18,8 +18,6 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use printed_datasets::QuantizedDataset;
 use printed_dtree::cart::train_depth_selected;
 use printed_dtree::{synthesize_baseline_with, BaselineDesign};
@@ -304,7 +302,7 @@ impl<'a> CodesignFlow<'a> {
             sweep,
             chosen,
             robustness: campaign_outcome,
-            lint: Some(lint),
+            lint,
             trace,
         }
     }
@@ -408,7 +406,7 @@ pub fn record_selection(recorder: &Recorder, chosen: &CandidateDesign, analog: &
 }
 
 /// The result of [`CodesignFlow::run`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowOutcome {
     /// Title used for rendering.
     pub title: String,
@@ -424,17 +422,12 @@ pub struct FlowOutcome {
     pub chosen: CandidateDesign,
     /// The robustness campaign's per-candidate profiles — `Some` iff the
     /// flow ran with [`CodesignFlow::robustness`].
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub robustness: Option<CampaignOutcome>,
-    /// The static-analysis findings over the chosen design — `Some` for
-    /// every [`CodesignFlow::run`]; `None` only when deserializing
-    /// outcomes produced before the lint stage existed.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub lint: Option<printed_lint::LintReport>,
+    /// The static-analysis findings over the chosen design.
+    pub lint: printed_lint::LintReport,
     /// Telemetry summary of this run — `Some` iff a snapshot-capable
     /// recorder was installed ([`CodesignFlow::traced`] or
     /// [`CodesignFlow::recorder`] with a collecting sink).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<FlowTrace>,
 }
 
@@ -541,7 +534,7 @@ mod tests {
         }
         // The lint stage ran, found no errors on a clean design, and its
         // counters mirror the report carried on the outcome.
-        let lint = outcome.lint.as_ref().expect("flow always lints");
+        let lint = &outcome.lint;
         assert!(!lint.has_errors(), "{}", lint.render_text());
         assert_eq!(
             trace.counter(keys::LINT_DIAGNOSTICS),

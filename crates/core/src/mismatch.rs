@@ -24,7 +24,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use printed_telemetry::Recorder;
 
@@ -38,7 +37,7 @@ use printed_pdk::AnalogModel;
 use crate::unary::UnaryClassifier;
 
 /// Monte-Carlo accuracy statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MismatchReport {
     /// Accuracy with ideal (unperturbed) thresholds on analog inputs.
     pub nominal: f64,
@@ -55,7 +54,7 @@ pub struct MismatchReport {
 /// Per-trial Monte-Carlo accuracies, for consumers that need the full
 /// distribution (e.g. the robustness campaign's yield estimate) rather
 /// than the [`MismatchReport`] summary statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MismatchTrials {
     /// Accuracy with ideal (unperturbed) thresholds on analog inputs.
     pub nominal: f64,
@@ -244,37 +243,17 @@ pub fn mismatch_accuracy_recorded(
     analog: &AnalogModel,
     recorder: &Recorder,
 ) -> MismatchReport {
-    mismatch_trials_recorded(tree, test, mismatch, trials, seed, analog, recorder).report()
-}
-
-/// [`mismatch_accuracy_recorded`] without the summary step: returns every
-/// trial's accuracy. Identical RNG consumption, so the summary path and
-/// this one agree bit-for-bit.
-///
-/// # Panics
-///
-/// Same contract as [`mismatch_accuracy`].
-#[allow(clippy::too_many_arguments)]
-pub fn mismatch_trials_recorded(
-    tree: &DecisionTree,
-    test: &Dataset,
-    mismatch: &MismatchModel,
-    trials: usize,
-    seed: u64,
-    analog: &AnalogModel,
-    recorder: &Recorder,
-) -> MismatchTrials {
     assert!(trials > 0, "need at least one trial");
     let mut stream = MismatchTrialStream::new(tree, test, mismatch, seed, analog, recorder);
-    let accs: Vec<f64> = (0..trials).map(|_| stream.next_accuracy()).collect();
     MismatchTrials {
+        accuracies: (0..trials).map(|_| stream.next_accuracy()).collect(),
         nominal: stream.nominal(),
-        accuracies: accs,
     }
+    .report()
 }
 
 /// An incremental view of the same Monte Carlo
-/// [`mismatch_trials_recorded`] runs: one perturbed front-end sample and
+/// [`mismatch_accuracy_recorded`] runs: one perturbed front-end sample and
 /// one accuracy per [`next_accuracy`](Self::next_accuracy) call.
 ///
 /// The RNG is consumed strictly sequentially per trial, so the first `k`
@@ -460,20 +439,29 @@ mod tests {
         assert_eq!(snap.counter(keys::MC_FAILURES), 0);
     }
 
+    /// Every trial of a `trials`-long stream, as the campaign collects them.
+    fn stream_trials(
+        tree: &DecisionTree,
+        test: &Dataset,
+        model: &MismatchModel,
+        trials: usize,
+        seed: u64,
+    ) -> MismatchTrials {
+        let recorder = Recorder::disabled();
+        let mut stream =
+            MismatchTrialStream::new(tree, test, model, seed, &AnalogModel::egfet(), &recorder);
+        MismatchTrials {
+            accuracies: (0..trials).map(|_| stream.next_accuracy()).collect(),
+            nominal: stream.nominal(),
+        }
+    }
+
     #[test]
     fn trials_path_matches_summary_and_bounds_yield() {
         let (tree, test) = setup();
         let model = MismatchModel::typical_printed();
         let report = mismatch_accuracy(&tree, &test, &model, 12, 5);
-        let trials = mismatch_trials_recorded(
-            &tree,
-            &test,
-            &model,
-            12,
-            5,
-            &AnalogModel::egfet(),
-            &Recorder::disabled(),
-        );
+        let trials = stream_trials(&tree, &test, &model, 12, 5);
         assert_eq!(trials.report(), report, "same RNG stream, same numbers");
         assert_eq!(trials.accuracies.len(), 12);
         // Yield is monotone in the allowed loss and caps at 1.
@@ -487,14 +475,10 @@ mod tests {
     fn stream_prefix_matches_exhaustive_run() {
         let (tree, test) = setup();
         let model = MismatchModel::typical_printed();
-        let full = mismatch_trials_recorded(
-            &tree,
-            &test,
-            &model,
-            16,
-            77,
-            &AnalogModel::egfet(),
-            &Recorder::disabled(),
+        let full = stream_trials(&tree, &test, &model, 16, 77);
+        assert_eq!(
+            full.report(),
+            mismatch_accuracy(&tree, &test, &model, 16, 77)
         );
         let recorder = Recorder::disabled();
         let mut stream =

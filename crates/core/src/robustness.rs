@@ -20,8 +20,6 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use printed_datasets::QuantizedDataset;
 use printed_dtree::DecisionTree;
 use printed_logic::faults::{enumerate_faults, StuckAt};
@@ -30,7 +28,7 @@ use printed_logic::sim::{Lanes, PackedNetlist};
 use crate::unary::UnaryClassifier;
 
 /// Accuracy statistics of a single-stuck-at fault campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultRobustness {
     /// Accuracy of the fault-free circuit.
     pub fault_free_accuracy: f64,

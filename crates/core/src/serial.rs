@@ -34,8 +34,6 @@
 //! # Ok::<(), printed_dtree::TreeError>(())
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use printed_dtree::DecisionTree;
 use printed_logic::report::{analyze, AnalysisConfig};
 use printed_pdk::{AnalogModel, Area, CellKind, CellLibrary, Delay, Power, SequentialParams};
@@ -43,7 +41,7 @@ use printed_pdk::{AnalogModel, Area, CellKind, CellLibrary, Delay, Power, Sequen
 use crate::unary::UnaryClassifier;
 
 /// Cost estimate of a serial temporal-unary implementation of a tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SerialUnaryEstimate {
     /// Total area (analog + sequential + combinational).
     pub area: Area,

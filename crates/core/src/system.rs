@@ -18,8 +18,6 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use printed_adc::AdcCost;
 use printed_dtree::{BaselineDesign, DecisionTree};
 use printed_logic::report::{analyze, AnalysisConfig, DesignReport};
@@ -28,7 +26,7 @@ use printed_pdk::{AnalogModel, Area, CellLibrary, Power, HARVESTER_BUDGET};
 use crate::unary::UnaryClassifier;
 
 /// A synthesized co-designed system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnarySystem {
     /// The unary classifier (two-level logic over unary literals).
     pub classifier: UnaryClassifier,
@@ -77,7 +75,7 @@ impl UnarySystem {
 }
 
 /// Area/power improvement factors (`baseline / ours`; > 1 means we win).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reduction {
     /// Baseline area divided by ours.
     pub area_factor: f64,
@@ -139,9 +137,10 @@ mod tests {
     use printed_dtree::synthesize_baseline;
 
     #[test]
-    #[ignore = "offline rand stub shifts the synthetic datasets; Balance-Scale \
-                power factor lands at ~1.7x instead of the calibrated >2x — see \
-                stubs/README.md and ROADMAP.md 'Open items'"]
+    #[ignore = "reproduction gap: the repo's rand stream generates different \
+                synthetic datasets than the anchors were tuned on; first failure: \
+                Balance-Scale area reduction x1.11 against the required >1.5 — see \
+                EXPERIMENTS.md 'Open reproduction gaps'"]
     fn unary_system_beats_baseline_on_both_axes() {
         for benchmark in [
             Benchmark::Vertebral3C,

@@ -33,7 +33,6 @@ use std::collections::{BTreeSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use printed_datasets::{DatasetIndex, QuantizedDataset};
 use printed_dtree::cart::{
@@ -43,7 +42,7 @@ use printed_dtree::{DecisionTree, IndexArena, Node};
 use printed_telemetry::{keys, Recorder};
 
 /// Configuration for [`train_adc_aware`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdcAwareConfig {
     /// Depth cap (the paper sweeps 2..=8).
     pub max_depth: usize,

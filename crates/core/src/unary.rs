@@ -26,8 +26,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use printed_adc::BespokeAdcBank;
 use printed_datasets::QuantizedDataset;
 use printed_dtree::DecisionTree;
@@ -36,7 +34,7 @@ use printed_logic::sop::{Cube, PackedCover, Sop};
 
 /// A decision tree re-expressed as per-class two-level logic over unary
 /// literals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnaryClassifier {
     bits: u32,
     n_features: usize,

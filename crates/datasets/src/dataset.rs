@@ -28,11 +28,10 @@ use core::fmt;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A labeled tabular dataset with `f64` features and dense class labels
 /// `0..n_classes`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     name: String,
     n_features: usize,

@@ -14,8 +14,6 @@
 //! assert_eq!(quantize_level(1.0, 4), 15);    // saturates
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::Dataset;
 
 /// Quantizes a normalized value to a `bits`-bit level in `0..2^bits`.
@@ -53,7 +51,7 @@ pub fn dequantize_level(level: u8, bits: u32) -> f64 {
 /// This is the form every trainer in the workspace consumes: thresholds and
 /// comparisons live in level space, where threshold `C` corresponds to
 /// thermometer tap `C` of the input's ADC.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedDataset {
     name: String,
     bits: u32,

@@ -23,8 +23,6 @@
 use core::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::{Dataset, DatasetError};
 use crate::quantize::QuantizedDataset;
 use crate::synth::{balance_scale, GaussianSpec};
@@ -33,7 +31,7 @@ use crate::synth::{balance_scale, GaussianSpec};
 pub const TRAIN_FRACTION: f64 = 0.7;
 
 /// The benchmark datasets of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Benchmark {
     /// White wine quality (11 physico-chemical features, 7 quality classes,
     /// heavily imbalanced). Paper accuracy: 52.8%.
@@ -59,7 +57,7 @@ pub enum Benchmark {
 
 /// Static description of a benchmark: its shape and the paper-published
 /// accuracy the synthetic stand-in is calibrated toward.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkSpec {
     /// Canonical lowercase name (also the `FromStr` token).
     pub name: &'static str,

@@ -18,7 +18,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 
@@ -30,7 +29,7 @@ fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// Specification of a class-conditional Gaussian dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianSpec {
     /// Dataset name.
     pub name: String,

@@ -28,8 +28,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use printed_adc::{AdcCost, ConventionalAdc};
 use printed_datasets::QuantizedDataset;
 use printed_logic::report::{analyze, AnalysisConfig, DesignReport};
@@ -40,7 +38,7 @@ use crate::cart::{train, train_depth_selected, CartConfig};
 use crate::tree::DecisionTree;
 
 /// Configuration for the precision-scaling baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxConfig {
     /// Allowed accuracy loss relative to the exact baseline, as a fraction
     /// (0.01 = one percentage point).
@@ -63,7 +61,7 @@ impl ApproxConfig {
 }
 
 /// A synthesized precision-scaled system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApproxDesign {
     /// The retrained tree (thresholds on each feature's stride grid).
     pub tree: DecisionTree,

@@ -27,8 +27,6 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use printed_adc::{AdcCost, ConventionalAdc};
 use printed_logic::blocks;
 use printed_logic::netlist::{Netlist, Signal};
@@ -44,7 +42,7 @@ pub(crate) fn label_width(n_classes: usize) -> usize {
 
 /// A synthesized baseline system: the tree, its digital netlist report, and
 /// its ADC front-end cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineDesign {
     /// The trained tree this hardware implements.
     pub tree: DecisionTree,

@@ -36,15 +36,13 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use printed_datasets::{DatasetIndex, QuantizedDataset};
 
 use crate::arena::IndexArena;
 use crate::tree::{DecisionTree, Node};
 
 /// Configuration for [`train`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CartConfig {
     /// Maximum tree depth (0 trains a constant classifier).
     pub max_depth: usize,
@@ -85,7 +83,7 @@ impl Default for CartConfig {
 }
 
 /// One candidate split with its Gini impurity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitCandidate {
     /// Feature to test.
     pub feature: usize,
@@ -535,7 +533,7 @@ fn grow(
 }
 
 /// A trained model with its selection metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainedModel {
     /// The selected tree.
     pub tree: DecisionTree,

@@ -21,7 +21,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use printed_datasets::{DatasetIndex, QuantizedDataset};
 
@@ -30,7 +29,7 @@ use crate::cart::{best_split, CartConfig, SplitCandidate, SplitEngine};
 use crate::tree::{DecisionTree, Node};
 
 /// Configuration for [`train_forest`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForestConfig {
     /// Number of trees (odd counts make voting ties rarer).
     pub trees: usize,
@@ -56,7 +55,7 @@ impl Default for ForestConfig {
 }
 
 /// A trained ensemble with majority voting.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Forest {
     trees: Vec<DecisionTree>,
     n_classes: usize,

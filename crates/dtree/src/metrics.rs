@@ -23,8 +23,6 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use printed_datasets::QuantizedDataset;
 
 use crate::forest::Forest;
@@ -55,7 +53,7 @@ impl<F: Fn(&[u8]) -> usize> Classifier for F {
 }
 
 /// Per-class precision/recall/F1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassMetrics {
     /// True positives / predicted positives (1.0 when nothing predicted).
     pub precision: f64,
@@ -68,7 +66,7 @@ pub struct ClassMetrics {
 }
 
 /// Full evaluation of a classifier on a dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// `confusion[actual][predicted]` counts.
     pub confusion: Vec<Vec<usize>>,

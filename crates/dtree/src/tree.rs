@@ -28,12 +28,10 @@
 use core::fmt;
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use printed_datasets::QuantizedDataset;
 
 /// One node of a [`DecisionTree`]. Node 0 is always the root.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Node {
     /// Internal split: `sample[feature] ≥ threshold` routes to `hi`,
     /// otherwise to `lo`.
@@ -60,7 +58,7 @@ pub enum Node {
 /// `conditions[i] = (feature, threshold, polarity)` where polarity `true`
 /// means `sample[feature] ≥ threshold` and `false` its negation. Paths are
 /// what the unary architecture lowers to AND-terms.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Path {
     /// The conjunction of split conditions along the path.
     pub conditions: Vec<(usize, u8, bool)>,
@@ -69,7 +67,7 @@ pub struct Path {
 }
 
 /// An immutable, validated decision tree over quantized inputs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecisionTree {
     bits: u32,
     n_features: usize,

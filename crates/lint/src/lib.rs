@@ -51,8 +51,6 @@ pub mod passes;
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use printed_adc::{AdcCost, BespokeAdcBank};
 use printed_dtree::DecisionTree;
 use printed_logic::netlist::Netlist;
@@ -61,7 +59,7 @@ use printed_pdk::AnalogModel;
 use printed_telemetry::JsonLine;
 
 /// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Suspicious but not wrong: wasted hardware, hygiene issues.
     Warning,
@@ -80,7 +78,7 @@ impl Severity {
 }
 
 /// Per-code policy override.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LintLevel {
     /// Suppress the code entirely.
     Allow,
@@ -92,7 +90,7 @@ pub enum LintLevel {
 
 /// Allow/deny configuration applied on top of each pass's default
 /// severity.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LintConfig {
     /// Blanket level applied to every code without an explicit entry.
     pub all: Option<LintLevel>,
@@ -140,7 +138,7 @@ impl LintConfig {
 }
 
 /// One finding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Stable code (`U001`, `A002`, …).
     pub code: String,
@@ -152,7 +150,6 @@ pub struct Diagnostic {
     /// What is wrong.
     pub message: String,
     /// How to fix it, when the pass knows.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub suggestion: Option<String>,
 }
 
@@ -301,7 +298,7 @@ impl Linter {
 }
 
 /// The findings of one [`Linter::run`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LintReport {
     /// All findings, in pass-registration order.
     pub diagnostics: Vec<Diagnostic>,
@@ -366,8 +363,8 @@ impl LintReport {
     }
 
     /// Serializes the report as NDJSON, one `{"kind":"lint",…}` line per
-    /// finding (hand-rolled — the offline `serde_json` stub cannot
-    /// serialize).
+    /// finding, through the workspace's JSON codec
+    /// ([`printed_telemetry::json`]).
     pub fn to_ndjson(&self) -> String {
         let mut out = String::new();
         for d in &self.diagnostics {
@@ -442,6 +439,33 @@ mod tests {
         assert!(ndjson.contains(r#""suggestion":"retain the comparator""#));
         // The warning line omits the absent suggestion key entirely.
         assert!(!ndjson.lines().nth(1).unwrap().contains("suggestion"));
+    }
+
+    #[test]
+    fn ndjson_lines_parse_back_with_every_field_intact() {
+        use printed_telemetry::json::{parse, JsonValue};
+
+        let tricky = "quote \" backslash \\ newline\n tab\t 2.5 µW";
+        let report = LintReport {
+            diagnostics: vec![
+                Diagnostic::new("P003", Severity::Error, "ladder \"tap\" 3\\7", tricky)
+                    .suggest("lower vref by 40 µV\nthen re-lint"),
+                Diagnostic::new("U002", Severity::Warning, "class µ", "plain"),
+            ],
+        };
+        let ndjson = report.to_ndjson();
+        let lines: Vec<&str> = ndjson.lines().collect();
+        assert_eq!(lines.len(), report.diagnostics.len(), "{ndjson}");
+        for (line, d) in lines.iter().zip(&report.diagnostics) {
+            let value = parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            let field = |key: &str| value.get(key).and_then(JsonValue::as_str);
+            assert_eq!(field("kind"), Some("lint"));
+            assert_eq!(field("code"), Some(d.code.as_str()));
+            assert_eq!(field("severity"), Some(d.severity.label()));
+            assert_eq!(field("locus"), Some(d.locus.as_str()));
+            assert_eq!(field("message"), Some(d.message.as_str()));
+            assert_eq!(field("suggestion"), d.suggestion.as_deref());
+        }
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //! assert_eq!(check_equivalence(&a, &b, 0), Equivalence::Equivalent { exhaustive: true });
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::netlist::Netlist;
 use crate::sim::PackedNetlist;
 
@@ -39,7 +37,7 @@ pub const EXHAUSTIVE_INPUT_LIMIT: usize = 20;
 pub const RANDOM_PATTERNS: usize = 4096;
 
 /// Outcome of [`check_equivalence`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Equivalence {
     /// No differing pattern found.
     Equivalent {

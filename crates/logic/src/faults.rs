@@ -23,13 +23,11 @@
 //! assert_eq!(faulty.eval(&[false, false]), vec![true]);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::netlist::{Netlist, Signal};
 use crate::sim::PackedNetlist;
 
 /// One single stuck-at fault: gate `gate`'s output forced to `value`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StuckAt {
     /// The gate whose output is stuck.
     pub gate: usize,
@@ -119,7 +117,7 @@ impl<'a> FaultyNetlist<'a> {
 }
 
 /// Summary of a fault campaign over a set of stimulus patterns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultCampaign {
     /// Faults injected.
     pub total_faults: usize,

@@ -29,12 +29,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use printed_pdk::CellKind;
 
 /// A value in the netlist: a primary input, a gate output, or a constant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Signal {
     /// The `n`-th primary input.
     Input(usize),
@@ -46,7 +44,7 @@ pub enum Signal {
 }
 
 /// One instantiated cell.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Gate {
     /// The standard cell implementing this gate.
     pub kind: CellKind,
@@ -55,13 +53,12 @@ pub struct Gate {
 }
 
 /// A combinational gate-level netlist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
     input_names: Vec<String>,
     gates: Vec<Gate>,
     outputs: Vec<(String, Signal)>,
-    #[serde(skip)]
     structural: HashMap<Gate, usize>,
 }
 

@@ -30,14 +30,12 @@
 //! assert!(report.meets_timing(50.0));
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use printed_pdk::{Area, CellKind, CellLibrary, Delay, Power};
 
 use crate::netlist::{Netlist, Signal};
 
 /// Analysis conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisConfig {
     /// Operating frequency in hertz.
     pub frequency_hz: f64,
@@ -65,7 +63,7 @@ impl Default for AnalysisConfig {
 }
 
 /// The output of [`analyze`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignReport {
     /// Total cell area.
     pub area: Area,

@@ -29,8 +29,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::blocks::{and_tree, not, or_tree};
 use crate::netlist::{Netlist, Signal};
 
@@ -38,7 +36,7 @@ use crate::netlist::{Netlist, Signal};
 ///
 /// Internally a sorted map variable → polarity; a variable absent from the
 /// map is unconstrained (don't care) in this cube.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cube {
     literals: BTreeMap<usize, bool>,
 }
@@ -151,7 +149,7 @@ impl Cube {
 }
 
 /// A sum of products over variables `0..num_vars`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sop {
     num_vars: usize,
     cubes: Vec<Cube>,

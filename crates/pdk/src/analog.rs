@@ -30,8 +30,6 @@
 //! assert!(m.bespoke_ladder_area(4) < m.full_ladder_area());
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::{Area, Delay, Power, Resistance, Voltage};
 
 /// Calibrated analog cost model for the EGFET flash-ADC components.
@@ -39,7 +37,7 @@ use crate::units::{Area, Delay, Power, Resistance, Voltage};
 /// All constants are exposed as public fields so studies can perturb them;
 /// [`AnalogModel::egfet`] gives the calibrated defaults (derivation in the
 /// field docs and in [`crate::calibration`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalogModel {
     /// Supply voltage. EGFET operates below 1 V.
     pub supply: Voltage,

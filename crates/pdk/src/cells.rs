@@ -29,8 +29,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::{Area, Capacitance, Delay, Power};
 
 /// Every combinational cell the technology offers.
@@ -39,7 +37,7 @@ use crate::units::{Area, Capacitance, Delay, Power};
 /// provides: inverters/buffers, 2–4 input NAND/NOR/AND/OR, XOR/XNOR for
 /// equality logic, AOI/OAI compound gates, a 2:1 multiplexer, and tie cells
 /// for hardwired constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CellKind {
     /// Logical constant 0 (tie-low). Zero transistors; routing only.
     TieLo,
@@ -220,7 +218,7 @@ impl fmt::Display for CellKind {
 }
 
 /// Physical characterization of one standard cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellParams {
     /// Foil area occupied by the cell.
     pub area: Area,
@@ -238,7 +236,7 @@ pub struct CellParams {
 /// Characterization of the sequential cells (used only by multi-cycle
 /// architecture *estimates* — the classifier netlists themselves are purely
 /// combinational, which is the point the estimates make).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SequentialParams {
     /// Area of one D flip-flop.
     pub dff_area: Area,
@@ -272,7 +270,7 @@ impl Default for SequentialParams {
 /// Construct the default printed EGFET library with [`CellLibrary::egfet`],
 /// or build a custom one with [`CellLibrary::from_rows`] for what-if studies
 /// (e.g. a faster organic technology).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellLibrary {
     name: String,
     rows: Vec<(CellKind, CellParams)>,

@@ -22,12 +22,10 @@
 //! assert!(rate > 5.0 && rate < 20.0);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::{Delay, Power, Voltage};
 
 /// A printed energy harvester with capacitor storage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Harvester {
     /// Sustained harvest power.
     pub harvest_power: Power,

@@ -25,13 +25,11 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Implements the shared arithmetic surface for a unit newtype.
 macro_rules! unit_newtype {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+        #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
         pub struct $name(f64);
 
         impl $name {

@@ -475,25 +475,16 @@ impl CostReport {
             failed_candidates: outcome.sweep.failed_candidates.len() as u64,
             lint: outcome
                 .lint
-                .as_ref()
-                .map(|report| {
-                    report
-                        .diagnostics
-                        .iter()
-                        .map(|d| LintRow {
-                            code: d.code.clone(),
-                            severity: d.severity.label().to_owned(),
-                            locus: d.locus.clone(),
-                            message: d.message.clone(),
-                        })
-                        .collect()
+                .diagnostics
+                .iter()
+                .map(|d| LintRow {
+                    code: d.code.clone(),
+                    severity: d.severity.label().to_owned(),
+                    locus: d.locus.clone(),
+                    message: d.message.clone(),
                 })
-                .unwrap_or_default(),
-            lint_errors: outcome
-                .lint
-                .as_ref()
-                .map(|report| report.error_count() as u64)
-                .unwrap_or(0),
+                .collect(),
+            lint_errors: outcome.lint.error_count() as u64,
             sweep_lint,
             ..Self::default()
         };

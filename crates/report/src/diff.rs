@@ -24,7 +24,7 @@
 
 use printed_telemetry::{keys, FieldValue, FlowTrace, JsonLine, RunManifest};
 
-use crate::json::{parse as parse_json, JsonValue};
+use printed_telemetry::json::{parse as parse_json, JsonValue};
 
 /// Absolute floor of the calibrated wall gates, µs.
 const WALL_FLOOR_US: u64 = 50_000;

@@ -44,9 +44,8 @@
 //!
 //! Ingestion is deliberately forgiving: [`parse_trace`] never fails, it
 //! skips damaged lines with warnings so a Ctrl-C'd run's trace is still
-//! analyzable. It has no serde dependency by design — the workspace's
-//! offline `serde_json` stub cannot parse (see `stubs/README.md`), so
-//! [`json`] carries a small hand-rolled RFC 8259 parser.
+//! analyzable. Lines are read with the workspace's one JSON codec,
+//! [`printed_telemetry::json`], re-exported here as [`json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,10 +53,11 @@
 pub mod cost;
 pub mod diff;
 pub mod history;
-pub mod json;
 pub mod parse;
 pub mod profile;
 pub mod watch;
+
+pub use printed_telemetry::json;
 
 pub use cost::{AdcRow, ClassRow, CostReport, RobustRow, SelectedDesign};
 pub use diff::{diff, Axis, BenchRecord, Calibration, DiffConfig, Metric, Verdict};

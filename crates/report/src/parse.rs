@@ -22,7 +22,7 @@ use printed_telemetry::{
     SweepTrace,
 };
 
-use crate::json::{parse as parse_json, JsonValue};
+use printed_telemetry::json::{parse as parse_json, JsonValue};
 
 /// The result of parsing an NDJSON dump: the reconstructed trace plus one
 /// warning per line that had to be skipped or repaired.

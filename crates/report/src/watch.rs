@@ -28,7 +28,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::json::{parse as parse_json, JsonValue};
+use printed_telemetry::json::{parse as parse_json, JsonValue};
 
 /// Which candidate set a grid-point record belongs to.
 #[derive(Debug, Clone, Copy)]

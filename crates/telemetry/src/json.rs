@@ -1,20 +1,168 @@
-//! A minimal hand-rolled JSON parser for NDJSON trace lines.
+//! The one JSON codec behind every persisted format: NDJSON traces and
+//! bench records, sweep checkpoints and robustness-campaign checkpoints.
 //!
-//! The report tooling cannot lean on `serde_json`: in the offline build
-//! harness that crate is a typecheck-only stand-in (see `stubs/README.md`),
-//! and the emit side (`printed_telemetry::JsonLine`) is hand-rolled for the
-//! same reason. This parser covers exactly the JSON the writer produces —
-//! objects, arrays, strings with RFC 8259 escapes, numbers, booleans,
+//! [`JsonLine`] writes one object per line; [`parse`] reads a line back
+//! into a [`JsonValue`] tree. The subset is exactly what the writer emits
+//! — objects, arrays, strings with RFC 8259 escapes, numbers, booleans,
 //! null — and deliberately nothing more exotic (no comments, no trailing
 //! commas, no duplicate-key policy).
 //!
-//! Numbers keep the writer's integer/float distinction: a token without
-//! `.`/`e`/`E` parses as [`JsonValue::Int`], everything else as
+//! Numbers keep the writer's integer/float distinction: the writer renders
+//! integral floats as `2.0`, never `2`, and the parser reads a token
+//! without `.`/`e`/`E` as [`JsonValue::Int`], everything else as
 //! [`JsonValue::Float`]. That is what lets a re-parsed trace reconstruct
-//! `FieldValue::U64` vs `FieldValue::F64` losslessly (the writer renders
-//! integral floats as `2.0`, never `2`).
+//! `FieldValue::U64` vs `FieldValue::F64` losslessly. Floats render with
+//! Rust's shortest round-trip formatting, so a parsed float is bit-exact.
 
 use std::fmt;
+
+use crate::span::FieldValue;
+
+/// Builder for a single JSON object, rendered as one NDJSON line.
+///
+/// ```
+/// use printed_telemetry::JsonLine;
+/// let line = JsonLine::new()
+///     .str("kind", "candidate")
+///     .u64("depth", 4)
+///     .f64("tau", 0.005)
+///     .finish();
+/// assert_eq!(line, r#"{"kind":"candidate","depth":4,"tau":0.005}"#);
+/// ```
+#[derive(Debug, Clone)]
+pub struct JsonLine {
+    buf: String,
+    empty: bool,
+}
+
+impl Default for JsonLine {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl JsonLine {
+    /// Starts an empty object.
+    pub fn new() -> Self {
+        Self {
+            buf: String::from("{"),
+            empty: true,
+        }
+    }
+
+    fn key(&mut self, key: &str) {
+        if !self.empty {
+            self.buf.push(',');
+        }
+        self.empty = false;
+        self.buf.push('"');
+        escape_into(&mut self.buf, key);
+        self.buf.push_str("\":");
+    }
+
+    /// Adds a string field.
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        self.key(key);
+        self.buf.push('"');
+        escape_into(&mut self.buf, value);
+        self.buf.push('"');
+        self
+    }
+
+    /// Adds an unsigned integer field.
+    pub fn u64(mut self, key: &str, value: u64) -> Self {
+        self.key(key);
+        self.buf.push_str(&value.to_string());
+        self
+    }
+
+    /// Adds a float field (non-finite values render as `null`, which JSON
+    /// requires).
+    pub fn f64(mut self, key: &str, value: f64) -> Self {
+        self.key(key);
+        push_f64(&mut self.buf, value);
+        self
+    }
+
+    /// Adds a boolean field.
+    pub fn bool(mut self, key: &str, value: bool) -> Self {
+        self.key(key);
+        self.buf.push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Adds a field from a trace [`FieldValue`].
+    pub fn field(self, key: &str, value: &FieldValue) -> Self {
+        match value {
+            FieldValue::U64(v) => self.u64(key, *v),
+            FieldValue::F64(v) => self.f64(key, *v),
+            FieldValue::Bool(v) => self.bool(key, *v),
+            FieldValue::Str(v) => self.str(key, v),
+        }
+    }
+
+    /// Adds an already-serialized JSON fragment verbatim (caller guarantees
+    /// validity — used for nested arrays/objects).
+    pub fn raw(mut self, key: &str, fragment: &str) -> Self {
+        self.key(key);
+        self.buf.push_str(fragment);
+        self
+    }
+
+    /// Closes the object and returns the line (no trailing newline).
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
+    }
+}
+
+/// Renders `value` as a JSON number, or `null` for NaN/±inf.
+///
+/// Integral floats keep a `.0` suffix (`2.0` renders as `"2.0"`, not
+/// `"2"`) so NDJSON consumers can distinguish float fields from integer
+/// fields and round-trip [`FieldValue`]s losslessly.
+pub(crate) fn push_f64(buf: &mut String, value: f64) {
+    if value.is_finite() {
+        let rendered = value.to_string();
+        let integral = !rendered.contains(['.', 'e', 'E']);
+        buf.push_str(&rendered);
+        if integral {
+            buf.push_str(".0");
+        }
+    } else {
+        buf.push_str("null");
+    }
+}
+
+/// Escapes `s` into `buf` per RFC 8259 (quotes, backslash, control chars).
+fn escape_into(buf: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => buf.push_str("\\\""),
+            '\\' => buf.push_str("\\\\"),
+            '\n' => buf.push_str("\\n"),
+            '\r' => buf.push_str("\\r"),
+            '\t' => buf.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                buf.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => buf.push(c),
+        }
+    }
+}
+
+/// Renders a `[a,b,...]` JSON array from pre-serialized fragments.
+pub(crate) fn array(fragments: impl IntoIterator<Item = String>) -> String {
+    let mut buf = String::from("[");
+    for (i, frag) in fragments.into_iter().enumerate() {
+        if i > 0 {
+            buf.push(',');
+        }
+        buf.push_str(&frag);
+    }
+    buf.push(']');
+    buf
+}
 
 /// A parsed JSON value. Object members keep source order, which the trace
 /// parser relies on to rebuild span/event field vectors exactly.
@@ -318,6 +466,57 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escapes_specials() {
+        let line = JsonLine::new().str("msg", "a\"b\\c\nd\te\u{1}").finish();
+        assert_eq!(line, r#"{"msg":"a\"b\\c\nd\te\u0001"}"#);
+    }
+
+    #[test]
+    fn integral_floats_keep_a_decimal_point() {
+        let line = JsonLine::new()
+            .f64("a", 2.0)
+            .f64("b", -3.0)
+            .f64("c", 0.005)
+            .finish();
+        assert_eq!(line, r#"{"a":2.0,"b":-3.0,"c":0.005}"#);
+    }
+
+    #[test]
+    fn non_finite_floats_become_null() {
+        let line = JsonLine::new()
+            .f64("x", f64::NAN)
+            .f64("y", f64::INFINITY)
+            .finish();
+        assert_eq!(line, r#"{"x":null,"y":null}"#);
+    }
+
+    #[test]
+    fn empty_object_and_raw_fragments() {
+        assert_eq!(JsonLine::new().finish(), "{}");
+        let line = JsonLine::new()
+            .raw("xs", &array(["1".into(), "2".into()]))
+            .finish();
+        assert_eq!(line, r#"{"xs":[1,2]}"#);
+    }
+
+    #[test]
+    fn written_lines_parse_back_exactly() {
+        let text = "a\"b\\c\nd\te\u{1}f µW";
+        let floats = [0.1 + 0.2, 1e-300, -0.0, 2.0, 123_456_789.123_456_79, 5e-324];
+        let mut line = JsonLine::new().str("text", text).u64("max", u64::MAX);
+        for (i, x) in floats.iter().enumerate() {
+            line = line.f64(&format!("f{i}"), *x);
+        }
+        let value = parse(&line.finish()).unwrap();
+        assert_eq!(value.get("text").and_then(JsonValue::as_str), Some(text));
+        assert_eq!(value.get("max").and_then(JsonValue::as_u64), Some(u64::MAX));
+        for (i, x) in floats.iter().enumerate() {
+            let back = value.get(&format!("f{i}")).and_then(JsonValue::as_f64);
+            assert_eq!(back.map(f64::to_bits), Some(x.to_bits()), "{x}");
+        }
+    }
 
     #[test]
     fn parses_a_trace_line() {

@@ -1,6 +1,6 @@
 //! # printed-telemetry
 //!
-//! Zero-dependency (std + serde) instrumentation for the co-design flow:
+//! Zero-dependency (std only) instrumentation for the co-design flow:
 //! the τ×depth sweep behind the paper's Fig. 5 / Table II fans out across
 //! every core and used to run blind. This crate gives the stack
 //!
@@ -14,8 +14,9 @@
 //!   [`KernelScope`]): per-thread call/item/self-time tallies for the five
 //!   dominant kernels, merged into shared counters at scope close and
 //!   inert (one thread-local flag read) outside a scope,
-//! * serde-serializable [`FlowTrace`]/[`SweepTrace`] summaries with NDJSON
-//!   and human-readable text renderers, and
+//! * [`FlowTrace`]/[`SweepTrace`] summaries with NDJSON and human-readable
+//!   text renderers, written through [`json`], the workspace's one JSON
+//!   codec (writer and parser), and
 //! * a [`Progress`] type for live `k/N candidates done` callbacks from the
 //!   sweep's scoped worker threads.
 //!
@@ -51,7 +52,6 @@ mod clock;
 mod kernel;
 mod manifest;
 mod metric;
-mod ndjson;
 mod process;
 mod recorder;
 mod sink;
@@ -59,13 +59,14 @@ mod span;
 mod stream;
 mod trace;
 
+pub mod json;
 pub mod keys;
 
 pub use clock::{fmt_duration, Timer};
+pub use json::JsonLine;
 pub use kernel::{Kernel, KernelScope, KernelTimer};
 pub use manifest::RunManifest;
 pub use metric::{Counter, Gauge, Histogram, HistogramCore, HistogramSnapshot};
-pub use ndjson::JsonLine;
 #[cfg(feature = "count-allocs")]
 pub use process::CountingAlloc;
 pub use process::{alloc_counts, peak_rss_kb};

@@ -10,14 +10,12 @@ use std::fs;
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use serde::{Deserialize, Serialize};
-
-use crate::ndjson::{array, JsonLine};
+use crate::json::{array, JsonLine};
 
 /// Provenance for one traced run: revision, dataset, grid, and wall-clock
 /// timestamp. Attach to a [`crate::FlowTrace`] via
 /// [`crate::FlowTrace::with_manifest`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunManifest {
     /// Full git commit SHA of the working tree (`"unknown"` when no
     /// repository is discoverable).
@@ -36,14 +34,11 @@ pub struct RunManifest {
     /// Unix timestamp (seconds) when the manifest was captured.
     pub unix_secs: u64,
     /// Logical CPUs available to the run (0 = unknown / pre-env manifest).
-    #[serde(default)]
     pub cpus: u64,
     /// Explicit sweep thread-count override (0 = auto, i.e. all CPUs).
-    #[serde(default)]
     pub threads: u64,
     /// Build profile the binary was compiled under (`"release"` /
     /// `"debug"`; empty = unknown / pre-env manifest).
-    #[serde(default)]
     pub build: String,
 }
 
@@ -144,7 +139,7 @@ impl RunManifest {
                 "taus",
                 &array(self.taus.iter().map(|t| {
                     let mut buf = String::new();
-                    crate::ndjson::push_f64(&mut buf, *t);
+                    crate::json::push_f64(&mut buf, *t);
                     buf
                 })),
             )

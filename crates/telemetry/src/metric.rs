@@ -4,8 +4,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// A handle to a named atomic counter.
 ///
 /// Handles resolved from a disabled [`crate::Recorder`] are inert: every
@@ -184,7 +182,7 @@ impl Histogram {
 }
 
 /// A serializable point-in-time copy of a duration histogram.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistogramSnapshot {
     /// Number of observations.
     pub count: u64,

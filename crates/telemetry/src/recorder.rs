@@ -3,8 +3,6 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use crate::metric::{Counter, Gauge, Histogram};
 use crate::sink::{CollectingSink, NullSink, Sink, TraceSnapshot};
 use crate::span::{EventRecord, FieldValue, Span, SpanInner};
@@ -145,7 +143,7 @@ impl Recorder {
 ///
 /// Handed to progress callbacks from worker threads as each candidate
 /// completes, so a caller can render `k/N candidates done` without polling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Progress {
     /// Candidates finished so far (1-based by the time the callback runs).
     pub done: usize,

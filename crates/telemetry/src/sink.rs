@@ -5,10 +5,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
-
+use crate::json::JsonLine;
 use crate::metric::{HistogramCore, HistogramSnapshot};
-use crate::ndjson::JsonLine;
 use crate::span::{EventRecord, SpanRecord};
 
 /// Destination for telemetry produced through a [`crate::Recorder`].
@@ -202,7 +200,7 @@ impl Sink for CollectingSink {
 }
 
 /// A serializable point-in-time copy of a [`CollectingSink`]'s contents.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSnapshot {
     /// Finished spans, sorted by start offset.
     pub spans: Vec<SpanRecord>,
@@ -211,7 +209,6 @@ pub struct TraceSnapshot {
     /// Final counter values by name.
     pub counters: BTreeMap<String, u64>,
     /// Final gauge readings by name (absent on pre-gauge snapshots).
-    #[serde(default)]
     pub gauges: BTreeMap<String, u64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
@@ -288,7 +285,7 @@ impl TraceSnapshot {
         }
         for (name, hist) in &self.histograms {
             let buckets =
-                crate::ndjson::array(hist.buckets.iter().map(|&(hi, n)| format!("[{hi},{n}]")));
+                crate::json::array(hist.buckets.iter().map(|&(hi, n)| format!("[{hi},{n}]")));
             lines.push(
                 JsonLine::new()
                     .str("kind", "histogram")

@@ -3,13 +3,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use crate::sink::Sink;
 
 /// A typed attribute attached to a span or event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(untagged)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// Unsigned integer.
     U64(u64),
@@ -92,7 +89,7 @@ impl From<String> for FieldValue {
 
 /// A finished span as stored in a trace: name, offset from the recorder's
 /// epoch, duration, and attributes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Span name (see [`crate::keys`] for the workspace conventions).
     pub name: String,
@@ -122,7 +119,7 @@ impl SpanRecord {
 }
 
 /// An instant mark in a trace (no duration).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// Event name.
     pub name: String,

@@ -20,8 +20,8 @@ use std::path::Path;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
+use crate::json::JsonLine;
 use crate::metric::HistogramCore;
-use crate::ndjson::JsonLine;
 use crate::sink::{CollectingSink, Sink, TraceSnapshot};
 use crate::span::{EventRecord, SpanRecord};
 

@@ -4,20 +4,18 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::fmt_duration;
+use crate::json::JsonLine;
 use crate::keys;
 use crate::manifest::RunManifest;
 use crate::metric::HistogramSnapshot;
-use crate::ndjson::JsonLine;
 use crate::sink::TraceSnapshot;
 use crate::span::{EventRecord, FieldValue, SpanRecord};
 
 /// Per-kernel profiling totals lifted out of the raw
 /// `kernel.<name>.{calls,items,ns}` counters: one record per kernel that
 /// ran inside a [`crate::KernelScope`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KernelRecord {
     /// Kernel name (`gini_scan`, `thermo_encode`, `bfs_truncate`,
     /// `cube_merge`, `netlist_synth`).
@@ -45,7 +43,7 @@ impl KernelRecord {
 }
 
 /// The sweep portion of a trace: one span per τ×depth grid point.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepTrace {
     /// Grid points explored (`taus.len() × depths.len()`).
     pub total_candidates: usize,
@@ -71,7 +69,7 @@ impl SweepTrace {
 
 /// A serializable summary of one co-design flow run, built from a
 /// [`TraceSnapshot`] by [`FlowTrace::from_snapshot`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FlowTrace {
     /// What ran (benchmark name, binary name, ...).
     pub title: String,
@@ -85,11 +83,9 @@ pub struct FlowTrace {
     pub counters: BTreeMap<String, u64>,
     /// Final gauge readings by name (peak RSS, allocation totals; absent
     /// on pre-gauge traces).
-    #[serde(default)]
     pub gauges: BTreeMap<String, u64>,
     /// Per-kernel profiling totals, by kernel name ascending (absent on
     /// traces recorded without a kernel scope).
-    #[serde(default)]
     pub kernels: Vec<KernelRecord>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
@@ -98,10 +94,8 @@ pub struct FlowTrace {
     pub events: Vec<EventRecord>,
     /// Spans that are neither stages nor sweep candidates (per-benchmark,
     /// per-tree, ...), in start order.
-    #[serde(default)]
     pub spans: Vec<SpanRecord>,
     /// Provenance: what revision/dataset/grid produced this trace.
-    #[serde(default)]
     pub manifest: Option<RunManifest>,
 }
 
@@ -269,7 +263,7 @@ impl FlowTrace {
                     .f64("mean_us", hist.mean_us())
                     .raw(
                         "buckets",
-                        &crate::ndjson::array(
+                        &crate::json::array(
                             hist.buckets.iter().map(|&(hi, n)| format!("[{hi},{n}]")),
                         ),
                     )

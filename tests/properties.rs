@@ -360,11 +360,8 @@ proptest! {
         }
     }
 
-    /// Tree serialization round-trips through JSON-like serde tokens (using
-    /// the self-describing serde_test-free route: serialize to string via
-    /// Debug is lossy, so use bincode-style via serde's derive through
-    /// `serde_json`-free `postcard`? We keep it simple: the unary
-    /// classifier rebuilt from a round-tripped tree predicts identically).
+    /// Structural queries agree with each other: paths, distinct pairs,
+    /// used features, depth and node counts.
     #[test]
     fn tree_structural_queries_are_consistent(tree in arb_tree(5, 4)) {
         // paths cover the space exactly once.
