@@ -26,7 +26,7 @@
 //! PRINTED_TRACE=table2.ndjson cargo run --release -p printed-bench --bin table2
 //! ```
 //!
-//! writes one NDJSON line per span/counter/histogram to `table2.ndjson`
+//! writes one NDJSON line per span/event/counter/gauge to `table2.ndjson`
 //! and prints a human-readable wall-time summary to stderr. Without the
 //! variable, instrumentation is fully disabled (no sink, no clock reads).
 
@@ -152,7 +152,8 @@ pub fn stderr_progress() -> impl Fn(Progress) + Send + Sync {
 /// upgrades the sink to a streaming one: every span and event is flushed
 /// to `<path>` the moment it happens, so `printed-trace watch <path>` can
 /// tail the run; [`TraceHook::finish`] then overwrites the stream with
-/// the canonical flow dump (the watcher detects the truncation). With the
+/// the flow dump, which repeats every streamed line after a new header
+/// (the watcher sees the file's start change and re-reads it). With the
 /// variable unset the recorder is the shared disabled one — no sink, no
 /// allocation, no clock reads.
 #[derive(Debug)]

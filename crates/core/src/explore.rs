@@ -403,16 +403,16 @@ enum SweepTask {
 }
 
 /// [`explore_with`] plus observability: one [`keys::CANDIDATE_SPAN`] per
-/// grid point (fields `tau`, `depth`, `accuracy`, `comparators`), a
-/// [`keys::CANDIDATE_US`] wall-time histogram, and — independent of the
-/// recorder — an optional live `progress` callback fired from the worker
-/// threads as each candidate completes.
+/// evaluated grid point (fields `tau`, `depth`, `accuracy`,
+/// `comparators`) and — independent of the recorder — an optional live
+/// `progress` callback fired from the worker threads as each candidate
+/// completes.
 ///
 /// Prefix sharing shows up in the trace: only the deepest missing cap of
 /// each τ trains (a `train` span, [`keys::TREES_TRAINED`]); every other
 /// cap derives by truncation (a [`keys::TRUNCATE_SPAN`] with fields `tau`,
 /// `depth`, `trained_depth`, and a [`keys::TREES_SHARED`] bump). Both
-/// paths emit the candidate span and histogram observation.
+/// paths emit the candidate span.
 ///
 /// Grid points that panic are isolated per candidate: each failure is
 /// recorded as a [`keys::CANDIDATE_FAILED_EVENT`] (and bumps
@@ -561,14 +561,11 @@ fn explore_core(
                 let next_task = &next_task;
                 let checkpoint_sink = &checkpoint_sink;
                 scope.spawn(move || {
-                    // One histogram handle per worker: registration takes a
-                    // lock, observations after that are atomic. The kernel
-                    // scope activates per-thread hot-path tallies (Gini
-                    // scan, truncation, encode, merge, synth) and merges
-                    // them into the shared kernel.* counters when the
-                    // worker retires; with a disabled recorder both are
-                    // no-ops.
-                    let candidate_us = recorder.histogram(keys::CANDIDATE_US);
+                    // The kernel scope activates per-thread hot-path
+                    // tallies (Gini scan, truncation, encode, merge,
+                    // synth) and merges them into the shared kernel.*
+                    // counters when the worker retires; with a disabled
+                    // recorder it is a no-op.
                     let _kernel_scope = printed_telemetry::KernelScope::enter(recorder);
                     let mut ok: Vec<CandidateDesign> = Vec::new();
                     let mut bad: Vec<FailedCandidate> = Vec::new();
@@ -754,11 +751,9 @@ fn explore_core(
                                         // functions of the tree's regions).
                                         let test_accuracy =
                                             system.classifier.packed().accuracy(test_data);
-                                        candidate_us.observe(
-                                            span.field("accuracy", test_accuracy)
-                                                .field("comparators", system.comparator_count())
-                                                .finish(),
-                                        );
+                                        span.field("accuracy", test_accuracy)
+                                            .field("comparators", system.comparator_count())
+                                            .finish();
                                         let candidate = CandidateDesign {
                                             tau,
                                             depth,
@@ -993,7 +988,6 @@ mod tests {
         assert_eq!(snap.counter(keys::TREES_TRAINED), 3);
         assert_eq!(snap.counter(keys::TREES_SHARED), 6);
         assert_eq!(snap.spans_named(keys::TRUNCATE_SPAN).count(), 6);
-        assert_eq!(snap.histogram(keys::CANDIDATE_US).unwrap().count, 9);
         // Kernel tallies, merged from every worker's scope: counts are
         // deterministic for any thread schedule. Gini items count the
         // sample values each scan reads (node size × features), so they

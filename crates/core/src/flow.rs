@@ -319,7 +319,7 @@ pub fn record_process_gauges(recorder: &Recorder) {
         return;
     }
     if let Some(kb) = printed_telemetry::peak_rss_kb() {
-        recorder.gauge(keys::PEAK_RSS_KB).record_max(kb);
+        recorder.set_gauge(keys::PEAK_RSS_KB, kb);
     }
     if let Some((count, bytes)) = printed_telemetry::alloc_counts() {
         recorder.set_gauge(keys::ALLOC_COUNT, count);

@@ -20,7 +20,7 @@
 //!   [`gini_impurity`] expression).
 //!
 //! Tree growth itself partitions node subsets in place through an
-//! [`IndexArena`](crate::arena::IndexArena) instead of allocating per-node
+//! [`IndexArena`] instead of allocating per-node
 //! index vectors.
 //!
 //! ```

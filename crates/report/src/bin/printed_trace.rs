@@ -54,8 +54,9 @@ commands:
   watch <trace.ndjson> [--poll-ms N] [--once]
       Tail an in-flight traced run: rolling k/N progress, candidate
       rate, ETA, and failed-candidate alerts. Robust to torn tails and
-      to the final truncate-and-rewrite. --once prints one status line
-      and exits (for scripts/CI smoke checks).
+      to the final rewrite into the flow dump, which it waits for and
+      exits on. --once prints one status line and exits (for scripts/CI
+      smoke checks).
   history <history.ndjson> [--dataset NAME]
       Render per-key drift tables from an append-only history file.
   history append <history.ndjson> <stats.ndjson>
@@ -258,15 +259,13 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     let path = path.ok_or("usage: printed-trace watch <trace.ndjson> [--poll-ms N] [--once]")?;
 
     let mut watcher = Watcher::new();
-    let mut consumed: usize = 0;
     let mut last_status = String::new();
     let mut reported_alerts = 0;
     let mut reported_notes = 0;
     loop {
-        // Whole-file read each poll: traces are small (kilobytes), and it
-        // makes truncation detection trivial — the file got shorter than
-        // what we already consumed.
-        let content = match std::fs::read_to_string(&path) {
+        // Whole-file read each poll: traces are small (kilobytes), and the
+        // watcher needs the whole file to tell a rewrite from growth.
+        let content = match std::fs::read(&path) {
             Ok(content) => content,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound && !once => {
                 // The producer may not have created the file yet.
@@ -275,15 +274,11 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
             }
             Err(e) => return Err(format!("{path}: {e}")),
         };
-        if content.len() < consumed {
-            println!("watch: {path} truncated (writer finalized or restarted), re-reading");
-            watcher.reset();
-            consumed = 0;
+        if watcher.update(&content) {
+            println!("watch: {path} rewritten (writer finalized or restarted), re-reading");
             reported_alerts = 0;
             reported_notes = 0;
         }
-        watcher.push(&content[consumed..]);
-        consumed = content.len();
 
         let state = watcher.state();
         for alert in &state.alerts[reported_alerts..] {

@@ -13,7 +13,7 @@
 //!   parsed back from NDJSON by [`crate::parse::parse_trace`]) — this is
 //!   what the `printed-trace` CLI uses;
 //! * [`CostReport::from_outcome`] recomputes from a live [`FlowOutcome`]
-//!   via [`printed_adc::BespokeAdcBank::input_cost`] — no tracing needed.
+//!   via printed-adc's `BespokeAdcBank::input_cost` — no tracing needed.
 
 use printed_codesign::FlowOutcome;
 use printed_pdk::{AnalogModel, HARVESTER_BUDGET};

@@ -1,13 +1,14 @@
 //! NDJSON trace ingestion: text → [`FlowTrace`], warn-and-skip on damage.
 //!
-//! Accepts both dump formats the workspace produces:
-//!
-//! * **Flow format** ([`FlowTrace::to_ndjson`]): a `{"kind":"flow"}` header,
-//!   optional `{"kind":"manifest"}`, then `stage`/`candidate`/`span` lines
-//!   (stage names prefix-stripped) and `event`/`counter`/`histogram` lines.
-//! * **Snapshot format** ([`printed_telemetry::TraceSnapshot::to_ndjson`]):
-//!   no header, every span under `{"kind":"span"}` with its full name
-//!   (`stage:*` prefixes intact).
+//! The workspace writes one trace schema, [`FlowTrace::to_ndjson`]'s: a
+//! `{"kind":"flow"}` header, optional `{"kind":"manifest"}`, then
+//! `stage`/`candidate`/`span` lines (stage names prefix-stripped),
+//! `event`/`lint_candidate` lines, and `counter`/`gauge`/`kernel` lines. A
+//! live stream ([`printed_telemetry::StreamSink`]) writes the same span
+//! and event lines as the run goes; a stream whose run was killed before
+//! finalizing has no header and no totals, so its wall time is the last
+//! record's end and its spans are put back in start order, as
+//! [`FlowTrace::from_snapshot`] would have them.
 //!
 //! Damaged input — a truncated final line, a corrupted record, an unknown
 //! kind from a newer writer — is *skipped with a warning*, never a panic or
@@ -16,10 +17,9 @@
 
 use std::collections::BTreeMap;
 
-use printed_telemetry::keys::{CANDIDATE_SPAN, CANDIDATE_US, STAGE_PREFIX};
+use printed_telemetry::keys::{CANDIDATE_SPAN, STAGE_PREFIX};
 use printed_telemetry::{
-    EventRecord, FieldValue, FlowTrace, HistogramSnapshot, KernelRecord, RunManifest, SpanRecord,
-    SweepTrace,
+    EventRecord, FieldValue, FlowTrace, KernelRecord, RunManifest, SpanRecord, SweepTrace,
 };
 
 use printed_telemetry::json::{parse as parse_json, JsonValue};
@@ -54,7 +54,6 @@ pub fn parse_trace(text: &str) -> ParsedTrace {
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
     let mut gauges: BTreeMap<String, u64> = BTreeMap::new();
     let mut kernels: Vec<KernelRecord> = Vec::new();
-    let mut histograms: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
 
     for (index, line) in text.lines().enumerate() {
         let lineno = index + 1;
@@ -92,32 +91,19 @@ pub fn parse_trace(text: &str) -> ParsedTrace {
                 out.trace.manifest = Some(m);
             }),
             "stage" => parse_span(&value).map(|mut span| {
-                // The flow writer strips the prefix for readability;
-                // restore it so `FlowTrace::stage` lookups by key work.
-                if !span.name.starts_with(STAGE_PREFIX) {
-                    span.name = format!("{STAGE_PREFIX}{}", span.name);
-                }
+                // The writer strips the prefix for readability; restore
+                // it so `FlowTrace::stage` lookups by key work.
+                span.name = format!("{STAGE_PREFIX}{}", span.name);
                 stages.push(span);
             }),
             "candidate" => parse_span(&value).map(|mut span| {
                 span.name = CANDIDATE_SPAN.to_owned();
                 candidates.push(span);
             }),
-            "span" => parse_span(&value).map(|span| {
-                // Snapshot-format dumps route everything through "span";
-                // partition exactly like `FlowTrace::from_snapshot`.
-                if span.name.starts_with(STAGE_PREFIX) {
-                    stages.push(span);
-                } else if span.name == CANDIDATE_SPAN {
-                    candidates.push(span);
-                } else {
-                    spans.push(span);
-                }
-            }),
-            "event" => parse_event(&value).map(|event| events.push(event)),
-            // Finalized dumps lift whole-grid lint verdicts to their own
-            // kind; structurally they are still events (name retained).
-            "lint_candidate" => parse_event(&value).map(|event| events.push(event)),
+            "span" => parse_span(&value).map(|span| spans.push(span)),
+            // Whole-grid lint verdicts have their own kind; structurally
+            // they are still events (name retained).
+            "event" | "lint_candidate" => parse_event(&value).map(|event| events.push(event)),
             "counter" => parse_counter(&value).map(|(name, v)| {
                 counters.insert(name, v);
             }),
@@ -125,9 +111,6 @@ pub fn parse_trace(text: &str) -> ParsedTrace {
                 gauges.insert(name, v);
             }),
             "kernel" => parse_kernel(&value).map(|k| kernels.push(k)),
-            "histogram" => parse_histogram(&value).map(|(name, h)| {
-                histograms.insert(name, h);
-            }),
             other => Err(format!("unknown kind {other:?}")),
         };
         if let Err(reason) = outcome {
@@ -137,6 +120,10 @@ pub fn parse_trace(text: &str) -> ParsedTrace {
     }
 
     if !saw_flow_header {
+        // A live stream: spans arrive in finish order, not start order.
+        for list in [&mut stages, &mut candidates, &mut spans] {
+            list.sort_by_key(|s| (s.start_us, s.duration_us));
+        }
         out.trace.wall_us = stages
             .iter()
             .chain(&candidates)
@@ -148,7 +135,6 @@ pub fn parse_trace(text: &str) -> ParsedTrace {
     }
     out.trace.sweep = SweepTrace {
         total_candidates: candidates.len(),
-        candidate_us: histograms.get(CANDIDATE_US).cloned(),
         candidates,
     };
     out.trace.stages = stages;
@@ -157,7 +143,6 @@ pub fn parse_trace(text: &str) -> ParsedTrace {
     out.trace.counters = counters;
     out.trace.gauges = gauges;
     out.trace.kernels = kernels;
-    out.trace.histograms = histograms;
     out
 }
 
@@ -256,45 +241,6 @@ fn parse_kernel(value: &JsonValue) -> Result<KernelRecord, String> {
     })
 }
 
-fn parse_histogram(value: &JsonValue) -> Result<(String, HistogramSnapshot), String> {
-    let name = value
-        .get("name")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing name")?
-        .to_owned();
-    let u = |key: &str| -> Result<u64, String> {
-        value
-            .get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("missing {key}"))
-    };
-    let mut buckets = Vec::new();
-    for item in value
-        .get("buckets")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing buckets")?
-    {
-        let pair = item.as_arr().ok_or("bucket is not a pair")?;
-        match pair {
-            [hi, n] => buckets.push((
-                hi.as_u64().ok_or("bucket bound not an integer")?,
-                n.as_u64().ok_or("bucket count not an integer")?,
-            )),
-            _ => return Err("bucket is not a pair".into()),
-        }
-    }
-    Ok((
-        name,
-        HistogramSnapshot {
-            count: u("count")?,
-            sum_us: u("sum_us")?,
-            min_us: u("min_us")?,
-            max_us: u("max_us")?,
-            buckets,
-        },
-    ))
-}
-
 fn parse_manifest(value: &JsonValue) -> Result<RunManifest, String> {
     let nums = |key: &str| -> Result<Vec<JsonValue>, String> {
         Ok(value
@@ -356,14 +302,12 @@ mod tests {
         let (recorder, sink) = Recorder::collecting();
         let stage = recorder.span(keys::STAGE_SWEEP);
         for depth in [2u64, 4] {
-            let hist = recorder.histogram(keys::CANDIDATE_US);
-            let span = recorder
+            recorder
                 .span(keys::CANDIDATE_SPAN)
                 .field("depth", depth)
                 .field("tau", 0.005)
-                .field("accuracy", 0.875);
-            hist.observe_us(100 + depth);
-            span.finish();
+                .field("accuracy", 0.875)
+                .finish();
         }
         recorder
             .span(keys::TRAIN_SPAN)
@@ -408,27 +352,6 @@ mod tests {
         let parsed = parse_trace(&original.to_ndjson());
         assert!(parsed.is_clean(), "warnings: {:?}", parsed.warnings);
         assert_eq!(parsed.trace, original);
-    }
-
-    #[test]
-    fn snapshot_format_is_accepted_too() {
-        let (recorder, sink) = Recorder::collecting();
-        let stage = recorder.span(keys::STAGE_REFERENCE);
-        recorder
-            .span(keys::CANDIDATE_SPAN)
-            .field("depth", 3u64)
-            .finish();
-        recorder.add(keys::TREES_TRAINED, 1);
-        stage.finish();
-        let snapshot = sink.snapshot();
-        let parsed = parse_trace(&snapshot.to_ndjson());
-        assert!(parsed.is_clean(), "warnings: {:?}", parsed.warnings);
-        // Same partition as FlowTrace::from_snapshot, minus the title.
-        let reference = FlowTrace::from_snapshot("", &snapshot);
-        assert_eq!(parsed.trace.stages, reference.stages);
-        assert_eq!(parsed.trace.sweep, reference.sweep);
-        assert_eq!(parsed.trace.counters, reference.counters);
-        assert_eq!(parsed.trace.wall_us, reference.wall_us);
     }
 
     #[test]

@@ -263,7 +263,6 @@ mod tests {
             sweep: SweepTrace {
                 total_candidates: candidates.len(),
                 candidates,
-                candidate_us: None,
             },
             stages,
             spans,

@@ -3,23 +3,25 @@
 //!
 //! A traced sweep streaming through `printed_telemetry::StreamSink` (or a
 //! checkpointed sweep appending `sweep_ckpt` lines) produces an NDJSON
-//! file that grows one flushed line at a time. [`Watcher`] consumes such
-//! a file *incrementally*: feed it raw chunks as they appear on disk and
-//! it maintains rolling progress (k/N candidates), candidate rate, an
-//! ETA, and failed-candidate alerts.
+//! file that grows one flushed line at a time, in the finalized flow
+//! dump's schema. [`Watcher`] consumes such a file *incrementally*: hand
+//! it each poll's read of the file ([`Watcher::update`]) or raw chunks
+//! ([`Watcher::push`]) and it maintains rolling progress (k/N
+//! candidates), candidate rate, an ETA, and failed-candidate alerts.
 //!
 //! The tailing contract matches the producers':
 //!
 //! * **Torn tails.** Writers emit whole lines, but a reader can race the
-//!   final `write` and observe a partial last line. [`Watcher::push`]
-//!   carries the unterminated tail across calls and only parses complete
-//!   lines, so a torn tail is never miscounted — it is finished by the
-//!   next chunk.
-//! * **Truncation.** When the run finishes, `TraceHook::finish` rewrites
-//!   the file with the canonical flow dump — the file *shrinks*. The
-//!   polling driver detects `len < consumed` and calls
-//!   [`Watcher::reset`], then replays from the top (where the
-//!   `{"kind":"flow"}` header marks the trace finalized).
+//!   final `write` and observe a partial last line. Only complete lines
+//!   are parsed; a torn tail is never miscounted — it is finished by the
+//!   next read.
+//! * **Rewrites.** When the run finishes, `TraceHook::finish` replaces
+//!   the live stream with the finalized flow dump. The dump holds every
+//!   streamed line and more, so the file usually *grows*; what changes is
+//!   its start, a `{"kind":"flow"}` header. [`Watcher::update`] therefore
+//!   treats the file as rewritten when the bytes it already consumed are
+//!   no longer a prefix of it, and replays it from the top (where the
+//!   header marks the trace finalized).
 //! * **Resume interleaving.** A `--resume` sweep replays `sweep_ckpt`
 //!   lines for restored candidates and streams fresh records for the
 //!   rest. Candidates are deduplicated by `(depth, τ-bits)`, so a grid
@@ -42,6 +44,9 @@ enum GridAxis {
 /// Rolling state of one watched trace file.
 #[derive(Debug, Default)]
 pub struct Watcher {
+    /// The file's bytes consumed by [`Watcher::update`], through the last
+    /// complete line.
+    consumed: Vec<u8>,
     carry: String,
     state: WatchState,
 }
@@ -237,6 +242,25 @@ impl Watcher {
         &self.state
     }
 
+    /// Feeds the watched file's whole current content, as one poll read
+    /// it. The complete lines past the previous read are consumed; a torn
+    /// last line waits for the next read. When the bytes already consumed
+    /// are no longer a prefix of `content`, the writer truncated and
+    /// rewrote the file (a finalized dump replacing the live stream, or a
+    /// restarted run): all state is dropped and `content` is replayed
+    /// from the top. Returns whether that happened.
+    pub fn update(&mut self, content: &[u8]) -> bool {
+        let rewritten = !content.starts_with(&self.consumed);
+        if rewritten {
+            self.reset();
+        }
+        let fresh = &content[self.consumed.len()..];
+        let complete = fresh.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        self.push(&String::from_utf8_lossy(&fresh[..complete]));
+        self.consumed.extend_from_slice(&fresh[..complete]);
+        rewritten
+    }
+
     /// Feeds the next raw chunk of the file. Only complete
     /// (newline-terminated) lines are parsed; an unterminated tail is
     /// carried and completed by the next push. Returns the number of
@@ -256,9 +280,8 @@ impl Watcher {
         consumed
     }
 
-    /// Drops all state (carry buffer included). The polling driver calls
-    /// this when the file shrank — the writer truncated and rewrote it.
-    pub fn reset(&mut self) {
+    /// Drops all state (consumed bytes and carry buffer included).
+    fn reset(&mut self) {
         *self = Self::new();
     }
 
@@ -292,21 +315,17 @@ impl Watcher {
                     self.state.total = self.state.total.max(taus * depths);
                 }
             }
-            // A live span line ("candidate" name) or a finalized dump's
-            // candidate record — both carry depth + tau. Campaign spans
-            // ("robust_candidate") count toward the robustness axis.
-            "span" | "candidate" => {
-                let name = value.get("name").and_then(JsonValue::as_str);
-                if kind == "span" && name == Some("robust_candidate") {
-                    self.observe_grid_point(&value, GridAxis::Robust);
-                    self.observe_timestamp(&value);
-                    return;
-                }
-                if kind == "span" && name != Some("candidate") {
-                    self.observe_timestamp(&value);
-                    return;
-                }
+            // A sweep grid point (depth + tau).
+            "candidate" => {
                 self.observe_grid_point(&value, GridAxis::Sweep);
+                self.observe_timestamp(&value);
+            }
+            // Campaign spans ("robust_candidate") count toward the
+            // robustness axis; any other span only advances the clock.
+            "span" => {
+                if value.get("name").and_then(JsonValue::as_str) == Some("robust_candidate") {
+                    self.observe_grid_point(&value, GridAxis::Robust);
+                }
                 self.observe_timestamp(&value);
             }
             "sweep_ckpt" => {
@@ -317,8 +336,7 @@ impl Watcher {
             "robust_ckpt" => {
                 self.observe_grid_point(&value, GridAxis::Robust);
             }
-            // A finalized dump's whole-grid lint verdict (live streams
-            // carry the same record as an event named "lint_candidate").
+            // A whole-grid lint verdict.
             "lint_candidate" => {
                 self.observe_timestamp(&value);
                 self.observe_lint(&value);
@@ -367,9 +385,6 @@ impl Watcher {
                             self.state.robust_pruned_seen.insert((depth, tau.to_bits()));
                         }
                     }
-                    Some("lint_candidate") => {
-                        self.observe_lint(&value);
-                    }
                     Some("selected") => {
                         let depth = value.get("depth").and_then(JsonValue::as_u64).unwrap_or(0);
                         let tau = value.get("tau").and_then(JsonValue::as_f64).unwrap_or(0.0);
@@ -387,7 +402,7 @@ impl Watcher {
             }
             // Kinds a finalized dump contains but the watcher has no use
             // for — skipped without comment.
-            "stage" | "counter" | "gauge" | "histogram" | "kernel" => {}
+            "stage" | "counter" | "gauge" | "kernel" => {}
             // Anything else is a record kind this watcher does not know
             // (a newer writer, or a foreign file): note it once per kind
             // instead of silently dropping it.
@@ -455,7 +470,7 @@ mod tests {
 
     fn span_line(depth: u64, tau: f64, start: u64, dur: u64) -> String {
         format!(
-            r#"{{"kind":"span","name":"candidate","start_us":{start},"duration_us":{dur},"depth":{depth},"tau":{tau:?}}}"#
+            r#"{{"kind":"candidate","name":"candidate","start_us":{start},"duration_us":{dur},"depth":{depth},"tau":{tau:?}}}"#
         )
     }
 
@@ -694,7 +709,7 @@ mod tests {
 
     fn lint_event_line(depth: u64, tau: f64, errors: u64, warnings: u64, at: u64) -> String {
         format!(
-            r#"{{"kind":"event","name":"lint_candidate","at_us":{at},"tau":{tau:?},"depth":{depth},"errors":{errors},"warnings":{warnings},"codes":"A002:warning={warnings}"}}"#
+            r#"{{"kind":"lint_candidate","name":"lint_candidate","at_us":{at},"tau":{tau:?},"depth":{depth},"errors":{errors},"warnings":{warnings},"codes":"A002:warning={warnings}"}}"#
         )
     }
 
@@ -704,14 +719,13 @@ mod tests {
         w.push(&format!(
             "{}\n{}\n{}\n{}\n",
             r#"{"kind":"manifest","dataset":"Seeds","taus":[0.0,0.01,0.03],"depths":[2,4,6]}"#,
-            // Two live-streamed verdicts plus one in the finalized form.
             lint_event_line(2, 0.0, 0, 2, 50),
             lint_event_line(4, 0.0, 1, 0, 60),
             r#"{"kind":"lint_candidate","name":"lint_candidate","at_us":70,"tau":0.01,"depth":2,"errors":0,"warnings":3,"codes":"U002:warning=3"}"#,
         ));
         let s = w.state();
-        // Neither the live nor the finalized form lands in the
-        // unknown-kind bin (or the sweep's candidate count).
+        // Verdicts land neither in the unknown-kind bin nor in the
+        // sweep's candidate count.
         assert!(s.notes.is_empty(), "{:?}", s.notes);
         assert_eq!(s.done(), 0);
         assert_eq!(s.lint_done(), 3);

@@ -264,11 +264,11 @@ fn watch_once_reports_progress_from_a_live_stream() {
         concat!(
             r#"{"kind":"manifest","dataset":"Seeds","taus":[0.0,0.01,0.03],"depths":[2,4,6]}"#,
             "\n",
-            r#"{"kind":"span","name":"candidate","start_us":100,"duration_us":50,"depth":2,"tau":0.0}"#,
+            r#"{"kind":"candidate","name":"candidate","start_us":100,"duration_us":50,"depth":2,"tau":0.0}"#,
             "\n",
             r#"{"kind":"event","name":"progress","at_us":160,"done":1,"total":9}"#,
             "\n",
-            r#"{"kind":"span","name":"candidate","start_us":150,"du"#, // torn
+            r#"{"kind":"candidate","name":"candidate","start_us":150,"du"#, // torn
         ),
     )
     .unwrap();

@@ -1,4 +1,4 @@
-//! The span, counter, and histogram names used across the workspace.
+//! The span, event, counter, and gauge names used across the workspace.
 //!
 //! Centralizing the names keeps producers (`printed-codesign`,
 //! `printed-analog`, `printed-bench`) and consumers (trace renderers,
@@ -72,9 +72,6 @@ pub const MC_TRIALS: &str = "mc.trials";
 
 /// Counter: Monte-Carlo trials whose perturbed ladder failed to solve.
 pub const MC_FAILURES: &str = "mc.failures";
-
-/// Histogram: wall time per sweep candidate (train + synthesize), in µs.
-pub const CANDIDATE_US: &str = "sweep.candidate_us";
 
 /// Event: the explorer/flow selected a design (fields: `tau`, `depth`,
 /// `accuracy`, and — when the flow records hardware attribution —

@@ -5,8 +5,8 @@
 //! every core and used to run blind. This crate gives the stack
 //!
 //! * [`Span`]s and [`Timer`]s over a shared monotonic epoch,
-//! * lock-free atomic [`Counter`]s and log-bucketed duration
-//!   [`Histogram`]s,
+//! * lock-free named counters ([`Recorder::add`]) and last-value gauges
+//!   ([`Recorder::set_gauge`]),
 //! * a thread-safe [`Recorder`] behind a pluggable [`Sink`] trait whose
 //!   default ([`NullSink`]) makes every instrumentation call a no-op, so
 //!   instrumented hot paths cost ~nothing when tracing is off,
@@ -16,14 +16,16 @@
 //!   inert (one thread-local flag read) outside a scope,
 //! * [`FlowTrace`]/[`SweepTrace`] summaries with NDJSON and human-readable
 //!   text renderers, written through [`json`], the workspace's one JSON
-//!   codec (writer and parser), and
+//!   codec (writer and parser). The trace has one schema: a live
+//!   [`StreamSink`] writes each span and event as exactly the line the
+//!   finalized [`FlowTrace::to_ndjson`] dump later contains, and
 //! * a [`Progress`] type for live `k/N candidates done` callbacks from the
 //!   sweep's scoped worker threads.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use printed_telemetry::{Recorder, keys};
+//! use printed_telemetry::{keys, FlowTrace, Recorder};
 //!
 //! let (recorder, sink) = Recorder::collecting();
 //! {
@@ -34,12 +36,13 @@
 //! let snapshot = sink.snapshot();
 //! assert_eq!(snapshot.counter(keys::GINI_EVALS), 128);
 //! assert_eq!(snapshot.spans_named(keys::CANDIDATE_SPAN).count(), 1);
-//! println!("{}", snapshot.to_ndjson()); // one JSON object per line
+//! let trace = FlowTrace::from_snapshot("demo", &snapshot);
+//! println!("{}", trace.to_ndjson()); // one JSON object per line
 //! ```
 //!
 //! When tracing is off, hand the same code [`Recorder::disabled`] (also
 //! [`Recorder::default`]): spans skip even the clock reads, and counter
-//! handles resolve to no-ops.
+//! and gauge updates are no-ops.
 
 // The only unsafe code in the crate is the optional `count-allocs`
 // counting global allocator (GlobalAlloc is an unsafe trait); without the
@@ -51,7 +54,6 @@
 mod clock;
 mod kernel;
 mod manifest;
-mod metric;
 mod process;
 mod recorder;
 mod sink;
@@ -66,7 +68,6 @@ pub use clock::{fmt_duration, Timer};
 pub use json::JsonLine;
 pub use kernel::{Kernel, KernelScope, KernelTimer};
 pub use manifest::RunManifest;
-pub use metric::{Counter, Gauge, Histogram, HistogramCore, HistogramSnapshot};
 #[cfg(feature = "count-allocs")]
 pub use process::CountingAlloc;
 pub use process::{alloc_counts, peak_rss_kb};

@@ -29,7 +29,7 @@ fn parse_vm_hwm(status: &str) -> Option<u64> {
 }
 
 /// Heap-allocation totals `(count, bytes)` since process start, when the
-/// `count-allocs` feature is enabled *and* [`CountingAlloc`] is installed
+/// `count-allocs` feature is enabled *and* `CountingAlloc` is installed
 /// as the global allocator. `None` without the feature; `Some((0, 0))`
 /// with the feature but no installed allocator.
 pub fn alloc_counts() -> Option<(u64, u64)> {

@@ -3,7 +3,6 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::metric::{Counter, Gauge, Histogram};
 use crate::sink::{CollectingSink, NullSink, Sink, TraceSnapshot};
 use crate::span::{EventRecord, FieldValue, Span, SpanInner};
 
@@ -15,8 +14,8 @@ use crate::span::{EventRecord, FieldValue, Span, SpanInner};
 /// clones share the sink *and* the epoch.
 ///
 /// The default recorder is [`disabled`](Recorder::disabled): spans skip
-/// even the clock reads and counter handles are inert, so instrumented hot
-/// paths cost ~nothing until a real sink is installed.
+/// even the clock reads and counter/gauge updates are no-ops, so
+/// instrumented hot paths cost ~nothing until a real sink is installed.
 #[derive(Clone)]
 pub struct Recorder {
     sink: Arc<dyn Sink>,
@@ -92,30 +91,16 @@ impl Recorder {
         }
     }
 
-    /// Resolves a named [`Counter`] handle. Resolve once outside a loop,
-    /// then `add`/`incr` lock-free inside it.
-    pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.sink.counter(name))
-    }
-
-    /// One-shot convenience: adds `n` to the named counter.
+    /// Adds `n` to the named counter (a monotonically accumulating
+    /// total).
     pub fn add(&self, name: &str, n: u64) {
         if let Some(cell) = self.sink.counter(name) {
             cell.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
         }
     }
 
-    /// Resolves a named [`Histogram`] handle.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        Histogram(self.sink.histogram(name))
-    }
-
-    /// Resolves a named [`Gauge`] handle (last-value-wins level).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.sink.gauge(name))
-    }
-
-    /// One-shot convenience: sets the named gauge to `value`.
+    /// Sets the named gauge (a last-value-wins level such as peak RSS)
+    /// to `value`.
     pub fn set_gauge(&self, name: &str, value: u64) {
         if let Some(cell) = self.sink.gauge(name) {
             cell.store(value, std::sync::atomic::Ordering::Relaxed);
@@ -187,9 +172,7 @@ mod tests {
         assert!(!span.is_enabled());
         span.finish();
         recorder.add("c", 5);
-        assert_eq!(recorder.counter("c").get(), 0);
         recorder.set_gauge("g", 9);
-        assert_eq!(recorder.gauge("g").get(), 0);
         assert!(recorder.snapshot().is_none());
     }
 
@@ -197,8 +180,7 @@ mod tests {
     fn gauges_round_trip_through_a_collecting_recorder() {
         let (recorder, sink) = Recorder::collecting();
         recorder.set_gauge("process.peak_rss_kb", 1234);
-        let handle = recorder.gauge("process.peak_rss_kb");
-        handle.record_max(5000);
+        recorder.set_gauge("process.peak_rss_kb", 5000);
         assert_eq!(sink.snapshot().gauge("process.peak_rss_kb"), 5000);
     }
 
@@ -233,11 +215,8 @@ mod tests {
             for t in 0..THREADS {
                 let recorder = recorder.clone();
                 scope.spawn(move || {
-                    let counter = recorder.counter(keys::GINI_EVALS);
-                    let hist = recorder.histogram(keys::CANDIDATE_US);
-                    for i in 0..PER_THREAD {
-                        counter.incr();
-                        hist.observe_us(i % 64);
+                    for _ in 0..PER_THREAD {
+                        recorder.add(keys::GINI_EVALS, 1);
                     }
                     recorder
                         .span(keys::CANDIDATE_SPAN)
@@ -252,8 +231,6 @@ mod tests {
             THREADS as u64 * PER_THREAD
         );
         assert_eq!(snapshot.spans_named(keys::CANDIDATE_SPAN).count(), THREADS);
-        let hist = snapshot.histogram(keys::CANDIDATE_US).unwrap();
-        assert_eq!(hist.count, THREADS as u64 * PER_THREAD);
     }
 
     #[test]

@@ -5,16 +5,14 @@ use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
-use crate::json::JsonLine;
-use crate::metric::{HistogramCore, HistogramSnapshot};
 use crate::span::{EventRecord, SpanRecord};
 
 /// Destination for telemetry produced through a [`crate::Recorder`].
 ///
 /// Implementations must be thread-safe: the sweep submits spans and
 /// resolves counters from scoped worker threads concurrently. Counter and
-/// histogram handles are resolved once per name and then updated
-/// lock-free, so only registration and span submission may take a lock.
+/// gauge cells are resolved per name and then updated lock-free, so only
+/// resolution and span/event submission may take a lock.
 pub trait Sink: Send + Sync {
     /// Whether this sink records anything. `false` lets the recorder hand
     /// out inert spans/handles that skip clock reads and allocation.
@@ -31,10 +29,6 @@ pub trait Sink: Send + Sync {
     /// Resolves (registering on first use) the shared cell behind a named
     /// counter. `None` means counting is off for this sink.
     fn counter(&self, name: &str) -> Option<Arc<AtomicU64>>;
-
-    /// Resolves (registering on first use) the shared core behind a named
-    /// histogram. `None` means histograms are off for this sink.
-    fn histogram(&self, name: &str) -> Option<Arc<HistogramCore>>;
 
     /// Resolves (registering on first use) the shared cell behind a named
     /// gauge (last-value-wins level, e.g. peak RSS). Defaults to `None`
@@ -66,22 +60,16 @@ impl Sink for NullSink {
     fn counter(&self, _name: &str) -> Option<Arc<AtomicU64>> {
         None
     }
-
-    fn histogram(&self, _name: &str) -> Option<Arc<HistogramCore>> {
-        None
-    }
 }
 
 /// An in-memory sink that keeps every span and event and aggregates
-/// counters/histograms, for snapshotting into a [`crate::FlowTrace`] or
-/// NDJSON dump.
+/// counters and gauges, for snapshotting into a [`crate::FlowTrace`].
 #[derive(Debug, Default)]
 pub struct CollectingSink {
     spans: Mutex<Vec<SpanRecord>>,
     events: Mutex<Vec<EventRecord>>,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<BTreeMap<String, Arc<HistogramCore>>>,
 }
 
 impl CollectingSink {
@@ -132,13 +120,6 @@ impl CollectingSink {
                     )
                 })
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .expect("telemetry histogram store poisoned")
-                .iter()
-                .map(|(name, core)| (name.clone(), core.snapshot()))
-                .collect(),
         }
     }
 }
@@ -171,19 +152,6 @@ impl Sink for CollectingSink {
         Some(cell)
     }
 
-    fn histogram(&self, name: &str) -> Option<Arc<HistogramCore>> {
-        let mut map = self
-            .histograms
-            .lock()
-            .expect("telemetry histogram store poisoned");
-        if let Some(core) = map.get(name) {
-            return Some(Arc::clone(core));
-        }
-        let core = Arc::new(HistogramCore::default());
-        map.insert(name.to_owned(), Arc::clone(&core));
-        Some(core)
-    }
-
     fn gauge(&self, name: &str) -> Option<Arc<AtomicU64>> {
         let mut map = self.gauges.lock().expect("telemetry gauge store poisoned");
         if let Some(cell) = map.get(name) {
@@ -199,7 +167,8 @@ impl Sink for CollectingSink {
     }
 }
 
-/// A serializable point-in-time copy of a [`CollectingSink`]'s contents.
+/// A point-in-time copy of a [`CollectingSink`]'s contents; render it
+/// through [`crate::FlowTrace::from_snapshot`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSnapshot {
     /// Finished spans, sorted by start offset.
@@ -208,10 +177,8 @@ pub struct TraceSnapshot {
     pub events: Vec<EventRecord>,
     /// Final counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Final gauge readings by name (absent on pre-gauge snapshots).
+    /// Final gauge readings by name.
     pub gauges: BTreeMap<String, u64>,
-    /// Histogram snapshots by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl TraceSnapshot {
@@ -225,11 +192,6 @@ impl TraceSnapshot {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
-    /// The snapshot of a named histogram, if one was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.get(name)
-    }
-
     /// All spans with the given name, in start order.
     pub fn spans_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanRecord> {
         self.spans.iter().filter(move |s| s.name == name)
@@ -238,68 +200,6 @@ impl TraceSnapshot {
     /// All events with the given name, in submission order.
     pub fn events_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a EventRecord> {
         self.events.iter().filter(move |e| e.name == name)
-    }
-
-    /// Renders the snapshot as NDJSON: one `{"kind":...}` object per span,
-    /// event, counter, and histogram. No trailing newline.
-    pub fn to_ndjson(&self) -> String {
-        let mut lines = Vec::new();
-        for span in &self.spans {
-            let mut line = JsonLine::new()
-                .str("kind", "span")
-                .str("name", &span.name)
-                .u64("start_us", span.start_us)
-                .u64("duration_us", span.duration_us);
-            for (key, value) in &span.fields {
-                line = line.field(key, value);
-            }
-            lines.push(line.finish());
-        }
-        for event in &self.events {
-            let mut line = JsonLine::new()
-                .str("kind", "event")
-                .str("name", &event.name)
-                .u64("at_us", event.at_us);
-            for (key, value) in &event.fields {
-                line = line.field(key, value);
-            }
-            lines.push(line.finish());
-        }
-        for (name, value) in &self.counters {
-            lines.push(
-                JsonLine::new()
-                    .str("kind", "counter")
-                    .str("name", name)
-                    .u64("value", *value)
-                    .finish(),
-            );
-        }
-        for (name, value) in &self.gauges {
-            lines.push(
-                JsonLine::new()
-                    .str("kind", "gauge")
-                    .str("name", name)
-                    .u64("value", *value)
-                    .finish(),
-            );
-        }
-        for (name, hist) in &self.histograms {
-            let buckets =
-                crate::json::array(hist.buckets.iter().map(|&(hi, n)| format!("[{hi},{n}]")));
-            lines.push(
-                JsonLine::new()
-                    .str("kind", "histogram")
-                    .str("name", name)
-                    .u64("count", hist.count)
-                    .u64("sum_us", hist.sum_us)
-                    .u64("min_us", hist.min_us)
-                    .u64("max_us", hist.max_us)
-                    .f64("mean_us", hist.mean_us())
-                    .raw("buckets", &buckets)
-                    .finish(),
-            );
-        }
-        lines.join("\n")
     }
 }
 
@@ -341,36 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn ndjson_lists_every_record_kind() {
-        let sink = CollectingSink::new();
-        sink.span(sample_span("candidate", 1));
-        sink.event(EventRecord {
-            name: "selected".into(),
-            at_us: 9,
-            fields: vec![],
-        });
-        Sink::counter(&sink, "train.gini_evals")
-            .unwrap()
-            .fetch_add(12, std::sync::atomic::Ordering::Relaxed);
-        Sink::histogram(&sink, "sweep.candidate_us")
-            .unwrap()
-            .snapshot(); // register only
-        let text = sink.snapshot().to_ndjson();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains(r#""kind":"span""#));
-        assert!(lines[0].contains(r#""depth":3"#));
-        assert!(lines[1].contains(r#""kind":"event""#));
-        assert!(lines[2].contains(r#""value":12"#));
-        assert!(lines[3].contains(r#""kind":"histogram""#));
-    }
-
-    #[test]
     fn null_sink_reports_disabled() {
         let sink = NullSink;
         assert!(!sink.enabled());
         assert!(Sink::counter(&sink, "x").is_none());
-        assert!(Sink::histogram(&sink, "x").is_none());
         assert!(Sink::gauge(&sink, "x").is_none());
         assert!(Sink::snapshot(&sink).is_none());
     }
@@ -386,7 +260,7 @@ mod tests {
         let snap = sink.snapshot();
         assert_eq!(snap.gauge("process.peak_rss_kb"), 8192);
         assert_eq!(snap.gauge("missing"), 0);
-        let text = snap.to_ndjson();
+        let text = crate::FlowTrace::from_snapshot("", &snap).to_ndjson();
         assert!(
             text.contains(r#"{"kind":"gauge","name":"process.peak_rss_kb","value":8192}"#),
             "{text}"

@@ -4,12 +4,14 @@
 //!
 //! The sink is a superset of [`CollectingSink`]: everything is still
 //! collected in memory (so the run can finalize a [`crate::FlowTrace`]
-//! with counters, gauges, and histograms at the end), but span and event
-//! records are *also* rendered as snapshot-format NDJSON lines and
-//! flushed to the writer immediately. A watcher polling the file sees
-//! candidates, progress events, and failure alerts as they happen; when
-//! the run finishes and overwrites the file with the canonical flow dump,
-//! the watcher observes the truncation and re-reads from the top.
+//! with counters and gauges at the end), but span and event records are
+//! *also* rendered and flushed to the writer immediately, each as exactly
+//! the line the finalized [`crate::FlowTrace::to_ndjson`] dump will
+//! contain (one encoder per record, shared with the dump). A watcher
+//! polling the file sees candidates, progress events, and failure alerts
+//! as they happen; when the run finishes and overwrites the file with the
+//! flow dump, the bytes the watcher already read stop being a prefix of
+//! the file, and it re-reads from the top.
 //!
 //! Lines are written whole (single `write_all` + flush per record), so a
 //! reader can at worst observe one torn line at the tail — the same
@@ -20,10 +22,9 @@ use std::path::Path;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
-use crate::json::JsonLine;
-use crate::metric::HistogramCore;
 use crate::sink::{CollectingSink, Sink, TraceSnapshot};
 use crate::span::{EventRecord, SpanRecord};
+use crate::trace::{event_line, span_line};
 
 /// A sink that collects like [`CollectingSink`] *and* streams every span
 /// and event to a writer as one flushed NDJSON line each.
@@ -57,48 +58,31 @@ impl StreamSink {
         self.inner.snapshot()
     }
 
-    fn write_line(&self, line: &str) {
+    /// Writes `line` and then `collect`s its record while holding the
+    /// writer lock, so the stream and the collected snapshot list records
+    /// in the same order.
+    fn write_line(&self, line: &str, collect: impl FnOnce()) {
         // Best-effort, like the checkpoint writer: a full disk must not
         // kill the instrumented run, only the live view.
         let mut out = self.out.lock().expect("stream sink writer poisoned");
         let _ = out.write_all(line.as_bytes());
         let _ = out.write_all(b"\n");
         let _ = out.flush();
+        collect();
     }
 }
 
 impl Sink for StreamSink {
     fn span(&self, record: SpanRecord) {
-        let mut line = JsonLine::new()
-            .str("kind", "span")
-            .str("name", &record.name)
-            .u64("start_us", record.start_us)
-            .u64("duration_us", record.duration_us);
-        for (key, value) in &record.fields {
-            line = line.field(key, value);
-        }
-        self.write_line(&line.finish());
-        self.inner.span(record);
+        self.write_line(&span_line(&record), || self.inner.span(record));
     }
 
     fn event(&self, record: EventRecord) {
-        let mut line = JsonLine::new()
-            .str("kind", "event")
-            .str("name", &record.name)
-            .u64("at_us", record.at_us);
-        for (key, value) in &record.fields {
-            line = line.field(key, value);
-        }
-        self.write_line(&line.finish());
-        self.inner.event(record);
+        self.write_line(&event_line(&record), || self.inner.event(record));
     }
 
     fn counter(&self, name: &str) -> Option<Arc<AtomicU64>> {
         self.inner.counter(name)
-    }
-
-    fn histogram(&self, name: &str) -> Option<Arc<HistogramCore>> {
-        self.inner.histogram(name)
     }
 
     fn gauge(&self, name: &str) -> Option<Arc<AtomicU64>> {
@@ -158,7 +142,7 @@ mod tests {
         let text = buf.text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "{text}");
-        assert!(lines[0].starts_with(r#"{"kind":"span","name":"candidate""#));
+        assert!(lines[0].starts_with(r#"{"kind":"candidate","name":"candidate""#));
         assert!(lines[0].contains(r#""depth":4"#));
         assert!(lines[1].contains(r#""name":"progress""#));
         assert!(lines[1].contains(r#""done":1"#));
@@ -180,14 +164,51 @@ mod tests {
 
     #[test]
     fn streamed_lines_are_parse_compatible() {
-        // The live format is the snapshot format: no flow header, full
-        // span names. `printed-report`'s parser accepts it — assert the
-        // shape contract it relies on here, on the producer side.
+        // The live format is the flow dump's format: a stage streams as
+        // the dump's `stage` record, name prefix stripped. Assert the
+        // shape contract `printed-report`'s parser relies on here, on the
+        // producer side.
         let buf = SharedBuf::default();
         let sink = Arc::new(StreamSink::new(buf.clone()));
         let recorder = Recorder::with_sink(Arc::clone(&sink) as Arc<dyn Sink>);
         recorder.span(keys::STAGE_SWEEP).finish();
         let text = buf.text();
-        assert!(text.contains(r#""name":"stage:sweep""#), "{text}");
+        assert!(text.contains(r#"{"kind":"stage","name":"sweep""#), "{text}");
+    }
+
+    #[test]
+    fn every_record_kind_streams_as_its_dump_line() {
+        let buf = SharedBuf::default();
+        let sink = Arc::new(StreamSink::new(buf.clone()));
+        let recorder = Recorder::with_sink(Arc::clone(&sink) as Arc<dyn Sink>);
+        let stage = recorder.span(keys::STAGE_SWEEP);
+        recorder
+            .span(keys::CANDIDATE_SPAN)
+            .field("depth", 2u64)
+            .field("tau", 0.01)
+            .finish();
+        recorder
+            .span(keys::TRAIN_SPAN)
+            .field("nodes", 3u64)
+            .finish();
+        recorder.event(
+            keys::LINT_CANDIDATE_EVENT,
+            vec![("errors".into(), FieldValue::U64(0))],
+        );
+        recorder.event(keys::SELECTED_EVENT, vec![("µ τ".into(), "\"q\"".into())]);
+        stage.finish();
+        recorder.add(keys::GINI_EVALS, 5);
+        let streamed = buf.text();
+        let snapshot = recorder.snapshot().expect("stream sink snapshots");
+        let dump = crate::FlowTrace::from_snapshot("unit", &snapshot).to_ndjson();
+        let dumped: Vec<&str> = dump.lines().collect();
+        assert_eq!(streamed.lines().count(), 5, "{streamed}");
+        for line in streamed.lines() {
+            assert!(dumped.contains(&line), "{line} missing from\n{dump}");
+        }
+        for kind in ["stage", "candidate", "span", "lint_candidate", "event"] {
+            let tag = format!(r#"{{"kind":"{kind}","#);
+            assert!(streamed.contains(&tag), "no {kind} line in\n{streamed}");
+        }
     }
 }

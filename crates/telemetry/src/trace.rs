@@ -1,5 +1,11 @@
 //! Structured summaries of a co-design run: [`FlowTrace`] and
 //! [`SweepTrace`], with NDJSON and human-readable renderers.
+//!
+//! The NDJSON schema has one encoder per record: [`span_line`] and
+//! [`event_line`] render every span and event, both for the finalized
+//! [`FlowTrace::to_ndjson`] dump and for the lines a live
+//! [`crate::StreamSink`] writes as the run goes, so the stream's lines
+//! reappear verbatim in the dump.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -8,7 +14,6 @@ use crate::clock::fmt_duration;
 use crate::json::JsonLine;
 use crate::keys;
 use crate::manifest::RunManifest;
-use crate::metric::HistogramSnapshot;
 use crate::sink::TraceSnapshot;
 use crate::span::{EventRecord, FieldValue, SpanRecord};
 
@@ -42,16 +47,20 @@ impl KernelRecord {
     }
 }
 
-/// The sweep portion of a trace: one span per τ×depth grid point.
+/// The sweep portion of a trace: one span per τ×depth grid point the run
+/// evaluated.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepTrace {
-    /// Grid points explored (`taus.len() × depths.len()`).
+    /// Candidate spans recorded, i.e. `candidates.len()`. This is the grid
+    /// size (`taus.len() × depths.len()`) only for a fresh sweep with no
+    /// failures: grid points restored from a checkpoint record no
+    /// candidate span, and a point whose evaluation panics records one
+    /// only if the panic came after its span opened, so a resumed or
+    /// failing sweep can report fewer.
     pub total_candidates: usize,
-    /// One record per grid point, in start order (fields: `tau`, `depth`,
-    /// `accuracy`, `comparators`).
+    /// One record per evaluated grid point, in start order (fields: `tau`,
+    /// `depth`, `accuracy`, `comparators`).
     pub candidates: Vec<SpanRecord>,
-    /// Distribution of per-candidate wall time, if recorded.
-    pub candidate_us: Option<HistogramSnapshot>,
 }
 
 impl SweepTrace {
@@ -87,8 +96,6 @@ pub struct FlowTrace {
     /// Per-kernel profiling totals, by kernel name ascending (absent on
     /// traces recorded without a kernel scope).
     pub kernels: Vec<KernelRecord>,
-    /// Histogram snapshots by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Instant events (e.g. [`keys::SELECTED_EVENT`]), in submission
     /// order.
     pub events: Vec<EventRecord>,
@@ -103,7 +110,8 @@ impl FlowTrace {
     /// Splits a raw snapshot into the flow-shaped summary: `stage:*` spans
     /// become [`FlowTrace::stages`], `candidate` spans become the
     /// [`SweepTrace`], every other span lands in [`FlowTrace::spans`], and
-    /// counters/histograms/events ride along unchanged.
+    /// counters/gauges/events ride along unchanged (kernel counters lifted
+    /// into [`FlowTrace::kernels`]).
     pub fn from_snapshot(title: impl Into<String>, snapshot: &TraceSnapshot) -> Self {
         let mut stages = Vec::new();
         let mut candidates = Vec::new();
@@ -132,13 +140,11 @@ impl FlowTrace {
             stages,
             sweep: SweepTrace {
                 total_candidates: candidates.len(),
-                candidate_us: snapshot.histogram(keys::CANDIDATE_US).cloned(),
                 candidates,
             },
             counters,
             gauges: snapshot.gauges.clone(),
             kernels,
-            histograms: snapshot.histograms.clone(),
             events: snapshot.events.clone(),
             spans,
             manifest: None,
@@ -180,10 +186,12 @@ impl FlowTrace {
         self.stages.iter().find(|s| s.name == name)
     }
 
-    /// Renders the trace as NDJSON: a `{"kind":"flow"}` header line, an
-    /// optional `{"kind":"manifest"}` provenance line, then one object per
-    /// stage, candidate, event, counter, and histogram. No trailing
-    /// newline.
+    /// Renders the trace as NDJSON: a `{"kind":"flow"}` header line
+    /// (`candidates` is [`SweepTrace::total_candidates`]), an optional
+    /// `{"kind":"manifest"}` provenance line, then one object per stage,
+    /// candidate, other span, event, counter, gauge, and kernel. Spans and
+    /// events use the same encoders as [`crate::StreamSink`]'s live lines.
+    /// No trailing newline.
     pub fn to_ndjson(&self) -> String {
         let mut lines = vec![JsonLine::new()
             .str("kind", "flow")
@@ -194,50 +202,19 @@ impl FlowTrace {
         if let Some(manifest) = &self.manifest {
             lines.push(manifest.to_json_line());
         }
-        for stage in &self.stages {
-            lines.push(span_line("stage", stage));
-        }
-        for candidate in &self.sweep.candidates {
-            lines.push(span_line("candidate", candidate));
-        }
-        for span in &self.spans {
-            lines.push(span_line("span", span));
-        }
-        for event in &self.events {
-            // Whole-grid lint verdicts get their own record kind so
-            // downstream consumers (report, watch) can dispatch on it
-            // without sniffing event names.
-            let kind = if event.name == keys::LINT_CANDIDATE_EVENT {
-                keys::LINT_CANDIDATE_EVENT
-            } else {
-                "event"
-            };
-            let mut line = JsonLine::new()
-                .str("kind", kind)
-                .str("name", &event.name)
-                .u64("at_us", event.at_us);
-            for (key, value) in &event.fields {
-                line = line.field(key, value);
+        let spans = self.stages.iter().chain(&self.sweep.candidates);
+        lines.extend(spans.chain(&self.spans).map(span_line));
+        lines.extend(self.events.iter().map(event_line));
+        for (kind, values) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            for (name, value) in values {
+                lines.push(
+                    JsonLine::new()
+                        .str("kind", kind)
+                        .str("name", name)
+                        .u64("value", *value)
+                        .finish(),
+                );
             }
-            lines.push(line.finish());
-        }
-        for (name, value) in &self.counters {
-            lines.push(
-                JsonLine::new()
-                    .str("kind", "counter")
-                    .str("name", name)
-                    .u64("value", *value)
-                    .finish(),
-            );
-        }
-        for (name, value) in &self.gauges {
-            lines.push(
-                JsonLine::new()
-                    .str("kind", "gauge")
-                    .str("name", name)
-                    .u64("value", *value)
-                    .finish(),
-            );
         }
         for kernel in &self.kernels {
             lines.push(
@@ -248,25 +225,6 @@ impl FlowTrace {
                     .u64("items", kernel.items)
                     .u64("ns", kernel.ns)
                     .f64("items_per_sec", kernel.items_per_sec())
-                    .finish(),
-            );
-        }
-        for (name, hist) in &self.histograms {
-            lines.push(
-                JsonLine::new()
-                    .str("kind", "histogram")
-                    .str("name", name)
-                    .u64("count", hist.count)
-                    .u64("sum_us", hist.sum_us)
-                    .u64("min_us", hist.min_us)
-                    .u64("max_us", hist.max_us)
-                    .f64("mean_us", hist.mean_us())
-                    .raw(
-                        "buckets",
-                        &crate::json::array(
-                            hist.buckets.iter().map(|&(hi, n)| format!("[{hi},{n}]")),
-                        ),
-                    )
                     .finish(),
             );
         }
@@ -447,18 +405,42 @@ fn lift_kernels(counters: &mut BTreeMap<String, u64>) -> Vec<KernelRecord> {
     by_name.into_values().collect()
 }
 
-fn span_line(kind: &str, span: &SpanRecord) -> String {
+/// The one NDJSON encoding of a span. The kind follows the name: flow
+/// stages are `stage` records named without their `stage:` prefix, sweep
+/// grid points are `candidate` records, and every other span is a `span`
+/// record under its own name.
+pub(crate) fn span_line(span: &SpanRecord) -> String {
+    let (kind, name) = match span.name.strip_prefix(keys::STAGE_PREFIX) {
+        Some(stage) => ("stage", stage),
+        None if span.name == keys::CANDIDATE_SPAN => ("candidate", span.name.as_str()),
+        None => ("span", span.name.as_str()),
+    };
     let mut line = JsonLine::new()
         .str("kind", kind)
-        .str(
-            "name",
-            span.name
-                .strip_prefix(keys::STAGE_PREFIX)
-                .unwrap_or(&span.name),
-        )
+        .str("name", name)
         .u64("start_us", span.start_us)
         .u64("duration_us", span.duration_us);
     for (key, value) in &span.fields {
+        line = line.field(key, value);
+    }
+    line.finish()
+}
+
+/// The one NDJSON encoding of an event. Whole-grid lint verdicts get
+/// their own `lint_candidate` kind so consumers (report, watch) dispatch
+/// on the kind without sniffing event names; every other event is an
+/// `event` record.
+pub(crate) fn event_line(event: &EventRecord) -> String {
+    let kind = if event.name == keys::LINT_CANDIDATE_EVENT {
+        keys::LINT_CANDIDATE_EVENT
+    } else {
+        "event"
+    };
+    let mut line = JsonLine::new()
+        .str("kind", kind)
+        .str("name", &event.name)
+        .u64("at_us", event.at_us);
+    for (key, value) in &event.fields {
         line = line.field(key, value);
     }
     line.finish()

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Machine-readable export: one JSON object per line (flow header,
-    // stages, candidates, counters, histograms).
+    // stages, candidates, events, counters, gauges).
     let path = std::env::temp_dir().join("traced_flow.ndjson");
     let mut ndjson = trace.to_ndjson();
     ndjson.push('\n');
