@@ -22,7 +22,8 @@
 //!   nominal accuracy or droop margin already rules them out;
 //! * `--resume <path>` — checkpoint the sweep to this NDJSON file and, if
 //!   it already holds completed grid points from an interrupted run with
-//!   the same seed, resume from them instead of re-training; with
+//!   the same seed on the same benchmark, resume from them instead of
+//!   re-training (lines from any other run are ignored); with
 //!   `--robust` the campaign checkpoints per-candidate profiles to
 //!   `<path>.robust` and resumes them the same way;
 //! * `--lint[=deny|=deny-warnings|=fix]` — run the static-analysis suite

@@ -34,8 +34,8 @@ use printed_pdk::harvester::Harvester;
 use printed_pdk::AnalogModel;
 use printed_telemetry::{keys, FieldValue, Recorder};
 
-use crate::checkpoint::RobustCheckpointLine;
-use crate::explore::Exploration;
+use crate::checkpoint::{Fingerprint, Journal, RobustCheckpointLine};
+use crate::explore::{fan_out, Exploration};
 use crate::mismatch::{AnalogTree, MismatchTrialStream, MismatchTrials};
 use crate::robustness::fault_robustness;
 
@@ -826,7 +826,8 @@ impl RobustnessCampaign {
     }
 
     /// [`run`](Self::run) under an explicit analog model. Candidates are
-    /// profiled in parallel (chunked scoped threads, like the explorer),
+    /// profiled in parallel on the sweep's work-stealing fan-out (one
+    /// worker per available core pulls the next candidate as it frees up),
     /// each under a [`keys::ROBUST_SPAN`] carrying its grid point and
     /// profile; per-candidate derived seeds keep the outcome identical for
     /// any thread count.
@@ -843,12 +844,19 @@ impl RobustnessCampaign {
 
     /// [`run_with`](Self::run_with) plus per-candidate checkpointing: each
     /// finished grid point is appended to `checkpoint_path` as one
-    /// seed-stamped NDJSON line (kind `robust_ckpt`), and candidates the
-    /// file already holds are restored instead of re-profiled — a killed
+    /// stamped NDJSON line (kind `robust_ckpt`), and candidates the file
+    /// already holds are restored instead of re-profiled — a killed
     /// campaign resumes mid-grid with a bit-identical outcome. After a
     /// fully successful run the file is compacted to one line per grid
     /// point. Lines written under a different campaign configuration (see
-    /// [`checkpoint_stamp`](Self::checkpoint_stamp)) are ignored.
+    /// [`checkpoint_stamp`](Self::checkpoint_stamp)), other test splits or
+    /// another sweep's trees are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `cannot open checkpoint file <path>: <err>` when
+    /// `checkpoint_path` cannot be opened for append, before any candidate
+    /// is profiled.
     pub fn run_checkpointed(
         &self,
         sweep: &Exploration,
@@ -862,135 +870,82 @@ impl RobustnessCampaign {
 
         self.validate();
         let candidates = &sweep.candidates;
-        let stamp = self.checkpoint_stamp();
-        let completed: std::collections::HashMap<(usize, u64), RobustCheckpointLine> =
-            checkpoint_path
-                .and_then(|path| std::fs::read_to_string(path).ok())
-                .map(|text| {
-                    crate::checkpoint::load_robust_lines(&text, stamp)
-                        .into_iter()
-                        .map(|line| (line.key(), line))
-                        .collect()
-                })
-                .unwrap_or_default();
-        let checkpoint_sink: Option<std::sync::Mutex<std::fs::File>> =
-            checkpoint_path.and_then(|path| {
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .ok()
-                    .map(std::sync::Mutex::new)
-            });
-        let checkpoint_sink = checkpoint_sink.as_ref();
+        let journal = checkpoint_path.map(|path| {
+            let print = Fingerprint::new(self.checkpoint_stamp())
+                .quantized(test_q)
+                .analog(test_analog);
+            let stamp = candidates
+                .iter()
+                .fold(print, |print, candidate| print.tree(&candidate.tree))
+                .finish();
+            Journal::<RobustCheckpointLine>::open(path, stamp)
+        });
 
         let total = candidates.len();
         let done = AtomicUsize::new(0);
         let trials_running = AtomicU64::new(0);
         let pruned_running = AtomicUsize::new(0);
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let chunk = candidates.len().div_ceil(threads).max(1);
-        let evaluations: Vec<RobustCheckpointLine> = std::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .chunks(chunk)
-                .map(|points| {
-                    let done = &done;
-                    let trials_running = &trials_running;
-                    let pruned_running = &pruned_running;
-                    let completed = &completed;
-                    scope.spawn(move || {
-                        points
-                            .iter()
-                            .map(|candidate| {
-                                let key = (candidate.depth, candidate.tau.to_bits());
-                                let line = if let Some(line) = completed.get(&key) {
-                                    recorder.add(keys::ROBUST_CHECKPOINT_HITS, 1);
-                                    line.clone()
-                                } else {
-                                    let line = self.evaluate_candidate(
-                                        candidate,
-                                        test_q,
-                                        test_analog,
-                                        analog,
-                                        recorder,
-                                    );
-                                    if let Some(sink) = checkpoint_sink {
-                                        use std::io::Write;
-                                        let encoded = line.encode(stamp);
-                                        // Best-effort: a full disk must not
-                                        // kill the campaign, only the resume.
-                                        let mut file =
-                                            sink.lock().expect("robustness checkpoint lock");
-                                        let _ = writeln!(file, "{encoded}");
-                                        let _ = file.flush();
-                                    }
-                                    line
-                                };
-                                match &line {
-                                    RobustCheckpointLine::Profiled(row) => {
-                                        trials_running
-                                            .fetch_add(row.trials_spent as u64, Ordering::Relaxed);
-                                    }
-                                    RobustCheckpointLine::Pruned(_) => {
-                                        pruned_running.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                                recorder.event(
-                                    keys::ROBUST_PROGRESS_EVENT,
-                                    vec![
-                                        ("done".to_owned(), FieldValue::U64(finished as u64)),
-                                        ("total".to_owned(), FieldValue::U64(total as u64)),
-                                        (
-                                            "trials".to_owned(),
-                                            FieldValue::U64(trials_running.load(Ordering::Relaxed)),
-                                        ),
-                                        (
-                                            "pruned".to_owned(),
-                                            FieldValue::U64(
-                                                pruned_running.load(Ordering::Relaxed) as u64
-                                            ),
-                                        ),
-                                    ],
-                                );
-                                line
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("robustness campaign worker panicked"))
-                .collect()
+        let evaluations = fan_out(candidates, None, |candidate| {
+            let key = (candidate.depth, candidate.tau.to_bits());
+            let line = match journal.as_ref().and_then(|journal| journal.restored(key)) {
+                Some(line) => {
+                    recorder.add(keys::ROBUST_CHECKPOINT_HITS, 1);
+                    line.clone()
+                }
+                None => {
+                    let line =
+                        self.evaluate_candidate(candidate, test_q, test_analog, analog, recorder);
+                    if let Some(journal) = &journal {
+                        journal.append(&line);
+                    }
+                    line
+                }
+            };
+            match &line {
+                RobustCheckpointLine::Profiled(row) => {
+                    trials_running.fetch_add(row.trials_spent as u64, Ordering::Relaxed);
+                }
+                RobustCheckpointLine::Pruned(_) => {
+                    pruned_running.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            recorder.event(
+                keys::ROBUST_PROGRESS_EVENT,
+                vec![
+                    ("done".to_owned(), FieldValue::U64(finished as u64)),
+                    ("total".to_owned(), FieldValue::U64(total as u64)),
+                    (
+                        "trials".to_owned(),
+                        FieldValue::U64(trials_running.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "pruned".to_owned(),
+                        FieldValue::U64(pruned_running.load(Ordering::Relaxed) as u64),
+                    ),
+                ],
+            );
+            line
         });
 
-        if let Some(path) = checkpoint_path {
+        if let Some(journal) = journal {
             // Every grid point finished: compact to one line per point so
             // repeated resume cycles keep the file bounded.
-            let _ = crate::checkpoint::compact_robust(path, stamp, &evaluations);
+            journal.compact(&evaluations);
         }
 
         let budget = self.trial_budget() as u64;
         let mut outcome = CampaignOutcome::default();
         for (line, candidate) in evaluations.into_iter().zip(candidates) {
-            let consumes_budget = candidate.tree.split_count() > 0;
+            if candidate.tree.split_count() > 0 {
+                outcome.trials_budget += budget;
+            }
             match line {
                 RobustCheckpointLine::Profiled(row) => {
                     outcome.trials_spent += row.trials_spent as u64;
-                    if consumes_budget {
-                        outcome.trials_budget += budget;
-                    }
                     outcome.profiles.push(row);
                 }
-                RobustCheckpointLine::Pruned(point) => {
-                    if consumes_budget {
-                        outcome.trials_budget += budget;
-                    }
-                    outcome.pruned.push(point);
-                }
+                RobustCheckpointLine::Pruned(point) => outcome.pruned.push(point),
             }
         }
         recorder.add(keys::ROBUST_TRIALS_SPENT, outcome.trials_spent);
@@ -1576,6 +1531,44 @@ mod tests {
             Some(&path_str),
         );
         assert_eq!(sink.snapshot().counter(keys::ROBUST_CHECKPOINT_HITS), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn campaign_checkpoint_from_another_dataset_is_not_resumed() {
+        let path = std::env::temp_dir().join(format!(
+            "printed-robust-foreign-{}-{:?}.ndjson",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let path_str = path.to_str().unwrap().to_owned();
+        let _ = std::fs::remove_file(&path);
+        let campaign = RobustnessCampaign {
+            trials: 4,
+            ..RobustnessCampaign::quick()
+        };
+        let analog = AnalogModel::egfet();
+
+        // Same campaign, same grid keys, Seeds' profiles on disk.
+        let (seeds, seeds_q, seeds_analog) = small_sweep();
+        let disabled = Recorder::disabled();
+        let run = |sweep, test_q, test_analog, recorder, path| {
+            campaign.run_checkpointed(sweep, test_q, test_analog, &analog, recorder, path)
+        };
+        run(&seeds, &seeds_q, &seeds_analog, &disabled, Some(&path_str));
+
+        let (train_q, test_q) = Benchmark::Vertebral2C.load_quantized(4).unwrap();
+        let (_, test_analog) = Benchmark::Vertebral2C.load_split().unwrap();
+        let config = ExplorationConfig {
+            taus: vec![0.0, 0.01],
+            depths: vec![2, 4],
+            ..ExplorationConfig::quick()
+        };
+        let sweep = explore(&train_q, &test_q, &config);
+        let (recorder, sink) = Recorder::collecting();
+        let resumed = run(&sweep, &test_q, &test_analog, &recorder, Some(&path_str));
+        assert_eq!(sink.snapshot().counter(keys::ROBUST_CHECKPOINT_HITS), 0);
+        assert_eq!(resumed, run(&sweep, &test_q, &test_analog, &disabled, None));
         let _ = std::fs::remove_file(&path);
     }
 }

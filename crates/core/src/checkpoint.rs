@@ -1,28 +1,63 @@
-//! Sweep checkpointing: NDJSON persistence of completed grid points.
+//! Grid checkpointing: NDJSON journals of completed grid points.
 //!
-//! A long τ×depth sweep that dies (OOM, power loss on a lab machine,
-//! Ctrl-C) should not have to re-train every tree. When
-//! [`ExplorationConfig::checkpoint_path`] is set, the explorer appends one
-//! NDJSON line per completed grid point; on the next run it reads the file
-//! back, skips every `(depth, τ)` it already holds, and re-synthesizes the
-//! hardware from the stored tree (synthesis is deterministic, so only
-//! training cost is saved and the resumed sweep is bit-identical to an
-//! uninterrupted one).
+//! A long τ×depth sweep or robustness campaign that dies (OOM, power loss
+//! on a lab machine, Ctrl-C) should not have to redo every grid point.
+//! Both grid runners keep an append-only journal (load, append, compact)
+//! of one record kind:
+//!
+//! * the sweep ([`ExplorationConfig::checkpoint_path`]) appends a
+//!   [`CheckpointLine`] (kind `sweep_ckpt`, tree included) per completed
+//!   point and, on resume, re-synthesizes the hardware from the stored
+//!   tree — synthesis is deterministic, so only training cost is saved
+//!   and the resumed sweep is bit-identical to an uninterrupted one;
+//! * the robustness campaign ([`RobustnessCampaign::run_checkpointed`])
+//!   appends a [`RobustCheckpointLine`] (kind `robust_ckpt`) per profiled
+//!   or pruned candidate and restores it verbatim on resume.
 //!
 //! Lines are written with the telemetry [`JsonLine`] writer and read back
-//! with [`json::parse`], the workspace's one JSON codec. Lines that fail to
-//! decode, or that were written under a different sweep seed, are skipped
-//! rather than trusted.
+//! with [`json::parse`], the workspace's one JSON codec. Every line carries
+//! its runner's stamp: the configuration that shapes the results plus a
+//! fingerprint of the data they were computed on (the sweep's train and
+//! test splits; the campaign's test splits and candidate trees). Lines
+//! that fail to decode, or that carry another stamp — a different
+//! configuration or a different dataset — are skipped rather than trusted.
 //!
 //! [`ExplorationConfig::checkpoint_path`]: crate::explore::ExplorationConfig::checkpoint_path
+//! [`RobustnessCampaign::run_checkpointed`]: crate::campaign::RobustnessCampaign::run_checkpointed
 
+use std::collections::HashMap;
+use std::io::Write as _;
+use std::sync::Mutex;
+
+use printed_datasets::{Dataset, QuantizedDataset};
 use printed_dtree::{DecisionTree, Node};
 use printed_telemetry::json::{self, JsonValue};
 use printed_telemetry::JsonLine;
 
 use crate::campaign::{CandidateRobustness, PruneReason, PrunedPoint, RobustnessProfile};
+use crate::explore::CandidateDesign;
 
-/// One completed grid point, as persisted to the checkpoint file.
+/// One grid point's record in a checkpoint journal.
+pub trait GridRecord: Sized {
+    /// Map key identifying the grid point. τ is keyed by its exact bit
+    /// pattern: `f64::to_string`/`parse` round-trip losslessly, so a
+    /// resumed run matches the original grid exactly.
+    fn key(&self) -> (usize, u64);
+
+    /// Renders the record as one NDJSON line (no trailing newline),
+    /// stamped so a checkpoint from another configuration or dataset is
+    /// never resumed by accident.
+    fn encode(&self, stamp: u64) -> String;
+
+    /// Parses one line previously produced by [`encode`](Self::encode).
+    /// Returns `None` for anything unusable: other NDJSON kinds, foreign
+    /// stamps, truncated lines (a crash mid-append leaves a partial last
+    /// line), non-finite metrics (rendered as `null`), or records that
+    /// fail validation — the grid point is then cleanly re-evaluated.
+    fn decode(line: &str, stamp: u64) -> Option<Self>;
+}
+
+/// One completed sweep grid point, as persisted to the checkpoint file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointLine {
     /// Gini slack of the grid point.
@@ -35,22 +70,27 @@ pub struct CheckpointLine {
     pub tree: DecisionTree,
 }
 
-impl CheckpointLine {
-    /// Map key identifying the grid point. τ is keyed by its exact bit
-    /// pattern: `f64::to_string`/`parse` round-trip losslessly, so a
-    /// resumed sweep matches the original grid exactly.
-    pub fn key(&self) -> (usize, u64) {
+impl From<&CandidateDesign> for CheckpointLine {
+    fn from(candidate: &CandidateDesign) -> Self {
+        Self {
+            tau: candidate.tau,
+            depth: candidate.depth,
+            test_accuracy: candidate.test_accuracy,
+            tree: candidate.tree.clone(),
+        }
+    }
+}
+
+impl GridRecord for CheckpointLine {
+    fn key(&self) -> (usize, u64) {
         (self.depth, self.tau.to_bits())
     }
 
-    /// Renders the checkpoint as one NDJSON line (no trailing newline).
-    /// `seed` stamps the line so a checkpoint from a different sweep
-    /// configuration is never resumed by accident.
-    pub fn encode(&self, seed: u64) -> String {
+    fn encode(&self, stamp: u64) -> String {
         JsonLine::new()
             .str("kind", "sweep_ckpt")
             .u64("v", 1)
-            .u64("seed", seed)
+            .u64("stamp", stamp)
             .u64("depth", self.depth as u64)
             .f64("tau", self.tau)
             .f64("accuracy", self.test_accuracy)
@@ -61,15 +101,8 @@ impl CheckpointLine {
             .finish()
     }
 
-    /// Parses one line previously produced by [`encode`](Self::encode).
-    /// Returns `None` for anything unusable: other NDJSON kinds, truncated
-    /// lines (a crash mid-append leaves a partial last line), non-finite
-    /// accuracies (rendered as `null`), or trees that fail validation.
-    pub fn decode(line: &str, expected_seed: u64) -> Option<Self> {
-        let line = Fields::parse(line, "sweep_ckpt")?;
-        if line.u64("seed")? != expected_seed {
-            return None;
-        }
+    fn decode(line: &str, stamp: u64) -> Option<Self> {
+        let line = Fields::parse(line, "sweep_ckpt", stamp)?;
         let depth = line.u64("depth")? as usize;
         let tau = line.f64("tau")?;
         let test_accuracy = line.f64("accuracy")?;
@@ -87,16 +120,17 @@ impl CheckpointLine {
     }
 }
 
-/// A parsed checkpoint line of one `kind`, version 1, with typed field
-/// lookups that reject `null` (non-finite) floats.
+/// A parsed checkpoint line of one `kind`, version 1 and the expected
+/// stamp, with typed field lookups that reject `null` (non-finite) floats.
 struct Fields(JsonValue);
 
 impl Fields {
-    /// Parses `line` and checks its `kind` and `v` stamp. `None` for torn
-    /// or malformed lines and for every other kind.
-    fn parse(line: &str, kind: &str) -> Option<Self> {
+    /// Parses `line` and checks its `kind`, `v` and `stamp`. `None` for
+    /// torn or malformed lines, every other kind and foreign stamps.
+    fn parse(line: &str, kind: &str, stamp: u64) -> Option<Self> {
         let fields = Self(json::parse(line).ok()?);
-        (fields.str("kind")? == kind && fields.u64("v")? == 1).then_some(fields)
+        (fields.str("kind")? == kind && fields.u64("v")? == 1 && fields.u64("stamp")? == stamp)
+            .then_some(fields)
     }
 
     fn str(&self, key: &str) -> Option<&str> {
@@ -157,38 +191,33 @@ fn decode_nodes(text: &str) -> Option<Vec<Node>> {
 }
 
 /// Reads every resumable grid point from checkpoint file text, silently
-/// skipping undecodable or foreign-seed lines.
+/// skipping undecodable or foreign-stamp lines.
 ///
 /// When the file holds several lines for the same `(depth, τ)` (resumed
-/// sweeps append, they never rewrite in place), the **last** line wins: it
-/// is the most recently written result, and under a fixed seed any
+/// runs append, they never rewrite in place), the **last** line wins: it
+/// is the most recently written result, and under a fixed stamp any
 /// duplicates are bit-identical anyway. First-seen order of the surviving
 /// keys is preserved.
-pub fn load_lines(text: &str, expected_seed: u64) -> Vec<CheckpointLine> {
-    let mut lines: Vec<CheckpointLine> = Vec::new();
-    let mut index: std::collections::HashMap<(usize, u64), usize> =
-        std::collections::HashMap::new();
-    for line in text
-        .lines()
-        .filter_map(|line| CheckpointLine::decode(line, expected_seed))
-    {
-        match index.entry(line.key()) {
-            std::collections::hash_map::Entry::Occupied(slot) => lines[*slot.get()] = line,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(lines.len());
-                lines.push(line);
-            }
+pub fn load_lines<R: GridRecord>(text: &str, stamp: u64) -> Vec<R> {
+    let mut lines: Vec<R> = Vec::new();
+    let mut index: HashMap<(usize, u64), usize> = HashMap::new();
+    for line in text.lines().filter_map(|line| R::decode(line, stamp)) {
+        let slot = *index.entry(line.key()).or_insert(lines.len());
+        if slot == lines.len() {
+            lines.push(line);
+        } else {
+            lines[slot] = line;
         }
     }
     lines
 }
 
 /// Rewrites the checkpoint file at `path` to exactly one line per entry in
-/// `lines`, dropping duplicates and foreign-seed leftovers. The explorer
-/// calls this after a fully successful sweep so repeated resume cycles
-/// keep the file bounded at one line per grid point; after compaction the
-/// file describes exactly that sweep's grid (a checkpoint file belongs to
-/// one sweep configuration).
+/// `lines`, dropping duplicates and foreign-stamp leftovers. Both grid
+/// runners call this after a fully successful run so repeated resume
+/// cycles keep the file bounded at one line per grid point; after
+/// compaction the file describes exactly that run's grid (a checkpoint
+/// file belongs to one configuration).
 ///
 /// The rewrite goes through a sibling temp file and a rename, so a crash
 /// mid-compaction leaves either the old or the new file, never a torn one.
@@ -196,10 +225,10 @@ pub fn load_lines(text: &str, expected_seed: u64) -> Vec<CheckpointLine> {
 /// # Errors
 ///
 /// Propagates I/O failures from writing the temp file or renaming it.
-pub fn compact(path: &str, seed: u64, lines: &[CheckpointLine]) -> std::io::Result<()> {
+pub fn compact<R: GridRecord>(path: &str, stamp: u64, lines: &[R]) -> std::io::Result<()> {
     let mut text = String::new();
     for line in lines {
-        text.push_str(&line.encode(seed));
+        text.push_str(&line.encode(stamp));
         text.push('\n');
     }
     let tmp = format!("{path}.compact.tmp");
@@ -213,10 +242,11 @@ pub fn compact(path: &str, seed: u64, lines: &[CheckpointLine]) -> std::io::Resu
 /// already-materialized sweep, so a line only has to carry the profile
 /// (or the prune evidence) and the trial spend.
 ///
-/// Lines are stamped with [`RobustnessCampaign::checkpoint_stamp`], which
-/// folds in every parameter that shapes per-candidate results (seed,
-/// budget, yield tolerance, mismatch/droop models, adaptive policy); a
-/// stale or foreign line never resumes.
+/// The campaign stamps its lines with
+/// [`RobustnessCampaign::checkpoint_stamp`] — every parameter that shapes
+/// per-candidate results (seed, budget, yield tolerance, mismatch/droop
+/// models, adaptive policy) — folded with a fingerprint of both test
+/// splits and every candidate tree; a stale or foreign line never resumes.
 ///
 /// [`RobustnessCampaign::checkpoint_stamp`]:
 ///     crate::campaign::RobustnessCampaign::checkpoint_stamp
@@ -228,18 +258,15 @@ pub enum RobustCheckpointLine {
     Pruned(PrunedPoint),
 }
 
-impl RobustCheckpointLine {
-    /// Map key identifying the grid point (same convention as
-    /// [`CheckpointLine::key`]).
-    pub fn key(&self) -> (usize, u64) {
+impl GridRecord for RobustCheckpointLine {
+    fn key(&self) -> (usize, u64) {
         match self {
             Self::Profiled(row) => (row.depth, row.tau.to_bits()),
             Self::Pruned(point) => (point.depth, point.tau.to_bits()),
         }
     }
 
-    /// Renders the record as one NDJSON line (no trailing newline).
-    pub fn encode(&self, stamp: u64) -> String {
+    fn encode(&self, stamp: u64) -> String {
         let base = |disposition: &str, depth: usize, tau: f64| {
             JsonLine::new()
                 .str("kind", "robust_ckpt")
@@ -271,15 +298,8 @@ impl RobustCheckpointLine {
         }
     }
 
-    /// Parses one line previously produced by [`encode`](Self::encode).
-    /// Returns `None` for anything unusable: other NDJSON kinds, foreign
-    /// stamps, truncated lines, or non-finite metrics (rendered as
-    /// `null`) — the grid point is then cleanly re-evaluated.
-    pub fn decode(line: &str, expected_stamp: u64) -> Option<Self> {
-        let line = Fields::parse(line, "robust_ckpt")?;
-        if line.u64("stamp")? != expected_stamp {
-            return None;
-        }
+    fn decode(line: &str, stamp: u64) -> Option<Self> {
+        let line = Fields::parse(line, "robust_ckpt", stamp)?;
         let depth = line.u64("depth")? as usize;
         let tau = line.f64("tau")?;
         let nominal = line.f64("nominal")?;
@@ -316,48 +336,126 @@ impl RobustCheckpointLine {
     }
 }
 
-/// [`load_lines`] for robustness-campaign checkpoints: reads every
-/// resumable grid point, silently skipping undecodable or foreign-stamp
-/// lines, last line per `(depth, τ)` wins, first-seen order preserved.
-pub fn load_robust_lines(text: &str, expected_stamp: u64) -> Vec<RobustCheckpointLine> {
-    let mut lines: Vec<RobustCheckpointLine> = Vec::new();
-    let mut index: std::collections::HashMap<(usize, u64), usize> =
-        std::collections::HashMap::new();
-    for line in text
-        .lines()
-        .filter_map(|line| RobustCheckpointLine::decode(line, expected_stamp))
-    {
-        match index.entry(line.key()) {
-            std::collections::hash_map::Entry::Occupied(slot) => lines[*slot.get()] = line,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(lines.len());
-                lines.push(line);
-            }
+/// FNV-1a over the data a grid run's results depend on. Folded into a
+/// journal's stamp, it keeps a checkpoint written for one dataset from
+/// resuming a run on another.
+pub(crate) struct Fingerprint(u64);
+
+impl Fingerprint {
+    /// Starts a fingerprint from a configuration stamp.
+    pub(crate) fn new(stamp: u64) -> Self {
+        let mut print = Self(0xCBF2_9CE4_8422_2325);
+        print.words([stamp]);
+        print
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
         }
     }
-    lines
+
+    fn words(&mut self, words: impl IntoIterator<Item = u64>) {
+        for word in words {
+            self.bytes(&word.to_le_bytes());
+        }
+    }
+
+    /// Folds in a quantized split: shape, every level and every label.
+    pub(crate) fn quantized(mut self, data: &QuantizedDataset) -> Self {
+        let bits = data.bits() as usize;
+        self.words([bits, data.n_features(), data.n_classes(), data.len()].map(|n| n as u64));
+        for (levels, label) in data.iter() {
+            self.bytes(levels);
+            self.words([label as u64]);
+        }
+        self
+    }
+
+    /// Folds in an analog split: shape, every value's bits and every label.
+    pub(crate) fn analog(mut self, data: &Dataset) -> Self {
+        self.words([data.n_features(), data.n_classes(), data.len()].map(|n| n as u64));
+        for (values, label) in data.iter() {
+            self.words(values.iter().map(|value| value.to_bits()));
+            self.words([label as u64]);
+        }
+        self
+    }
+
+    /// Folds in a tree: shape and the checkpoint encoding of its nodes.
+    pub(crate) fn tree(mut self, tree: &DecisionTree) -> Self {
+        let bits = tree.bits() as usize;
+        self.words([bits, tree.n_features(), tree.n_classes()].map(|n| n as u64));
+        self.bytes(encode_nodes(tree.nodes()).as_bytes());
+        self
+    }
+
+    /// The stamp to write on and expect from journal lines.
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }
 
-/// [`compact`] for robustness-campaign checkpoints: rewrites the file at
-/// `path` to exactly one line per entry via a sibling temp file and a
-/// rename.
-///
-/// # Errors
-///
-/// Propagates I/O failures from writing the temp file or renaming it.
-pub fn compact_robust(
-    path: &str,
+/// A grid runner's checkpoint journal: the records a previous run left at
+/// `path` (last line per grid point), plus an append sink for the points
+/// this run completes.
+pub(crate) struct Journal<R> {
+    path: String,
     stamp: u64,
-    lines: &[RobustCheckpointLine],
-) -> std::io::Result<()> {
-    let mut text = String::new();
-    for line in lines {
-        text.push_str(&line.encode(stamp));
-        text.push('\n');
+    restored: HashMap<(usize, u64), R>,
+    sink: Mutex<std::fs::File>,
+}
+
+impl<R: GridRecord> Journal<R> {
+    /// Loads the resumable records at `path` (a missing or unreadable file
+    /// holds none) and opens the file for append.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `cannot open checkpoint file <path>: <err>` when the
+    /// file cannot be opened for append — before the runner starts any
+    /// work.
+    pub(crate) fn open(path: &str, stamp: u64) -> Self {
+        let restored = std::fs::read_to_string(path)
+            .map(|text| load_lines::<R>(&text, stamp))
+            .unwrap_or_default()
+            .into_iter()
+            .map(|line| (line.key(), line))
+            .collect();
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .unwrap_or_else(|e| panic!("cannot open checkpoint file {path}: {e}"));
+        Self {
+            path: path.to_owned(),
+            stamp,
+            restored,
+            sink: Mutex::new(file),
+        }
     }
-    let tmp = format!("{path}.compact.tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+
+    /// The record a previous run left for grid point `key`, if any.
+    pub(crate) fn restored(&self, key: (usize, u64)) -> Option<&R> {
+        self.restored.get(&key)
+    }
+
+    /// Appends one flushed line, so a kill at any moment loses at most the
+    /// line being written (a torn final line is skipped on resume).
+    /// Best-effort: a full disk must not kill the run, only the resume.
+    pub(crate) fn append(&self, record: &R) {
+        let line = record.encode(self.stamp);
+        let mut file = self.sink.lock().expect("checkpoint file lock");
+        let _ = writeln!(file, "{line}");
+        let _ = file.flush();
+    }
+
+    /// Closes the sink and [`compact`]s the file to exactly `lines`.
+    /// Best-effort, like the appends.
+    pub(crate) fn compact(self, lines: &[R]) {
+        drop(self.sink);
+        let _ = compact(&self.path, self.stamp, lines);
+    }
 }
 
 #[cfg(test)]
@@ -451,7 +549,7 @@ mod tests {
             newer.encode(5)
         );
         // Last line per (depth, τ) wins; first-seen key order is kept.
-        assert_eq!(load_lines(&text, 5), vec![newer, other]);
+        assert_eq!(load_lines::<CheckpointLine>(&text, 5), vec![newer, other]);
     }
 
     #[test]
@@ -483,12 +581,12 @@ mod tests {
             a.encode(3)
         );
         std::fs::write(&path, grown).unwrap();
-        let loaded = load_lines(&std::fs::read_to_string(&path).unwrap(), 3);
+        let loaded = load_lines::<CheckpointLine>(&std::fs::read_to_string(&path).unwrap(), 3);
         assert_eq!(loaded, vec![a.clone(), b.clone()]);
         compact(&path_str, 3, &loaded).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2, "one line per key after compaction");
-        assert_eq!(load_lines(&text, 3), vec![a, b]);
+        assert_eq!(load_lines::<CheckpointLine>(&text, 3), vec![a, b]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -583,7 +681,10 @@ mod tests {
             b.encode(99),
             newer.encode(3)
         );
-        assert_eq!(load_robust_lines(&grown, 3), vec![newer.clone(), b.clone()]);
+        assert_eq!(
+            load_lines::<RobustCheckpointLine>(&grown, 3),
+            vec![newer.clone(), b.clone()]
+        );
         let path = std::env::temp_dir().join(format!(
             "printed-robust-compact-{}-{:?}.ndjson",
             std::process::id(),
@@ -591,10 +692,10 @@ mod tests {
         ));
         let path_str = path.to_str().unwrap().to_owned();
         std::fs::write(&path, grown).unwrap();
-        compact_robust(&path_str, 3, &[newer.clone(), b.clone()]).unwrap();
+        compact(&path_str, 3, &[newer.clone(), b.clone()]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
-        assert_eq!(load_robust_lines(&text, 3), vec![newer, b]);
+        assert_eq!(load_lines::<RobustCheckpointLine>(&text, 3), vec![newer, b]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -607,7 +708,85 @@ mod tests {
             tree: sample_tree(),
         };
         let text = format!("{}\njunk line\n{}\n", good.encode(9), good.encode(10));
-        let loaded = load_lines(&text, 9);
+        let loaded = load_lines::<CheckpointLine>(&text, 9);
         assert_eq!(loaded, vec![good]);
+    }
+
+    #[test]
+    fn journal_restores_appends_and_compacts() {
+        let path = std::env::temp_dir().join(format!(
+            "printed-journal-{}-{:?}.ndjson",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let path_str = path.to_str().unwrap().to_owned();
+        let _ = std::fs::remove_file(&path);
+        let a = sample_profiled();
+        let b = RobustCheckpointLine::Pruned(PrunedPoint {
+            tau: 0.02,
+            depth: 2,
+            reason: PruneReason::NominalBelowFloor,
+            nominal: 0.4,
+            droop_margin: None,
+        });
+
+        let journal = Journal::<RobustCheckpointLine>::open(&path_str, 5);
+        assert!(journal.restored(a.key()).is_none());
+        journal.append(&a);
+        journal.append(&a);
+        journal.append(&b);
+        drop(journal);
+
+        let journal = Journal::<RobustCheckpointLine>::open(&path_str, 5);
+        assert_eq!(journal.restored(a.key()), Some(&a));
+        assert_eq!(journal.restored(b.key()), Some(&b));
+        journal.compact(&[a.clone(), b.clone()]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            load_lines::<RobustCheckpointLine>(&text, 5),
+            vec![a.clone(), b]
+        );
+        assert_eq!(text.lines().count(), 2);
+
+        // Another stamp restores nothing from the same file.
+        let foreign = Journal::<RobustCheckpointLine>::open(&path_str, 6);
+        assert!(foreign.restored(a.key()).is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_open_on_a_directory_panics_with_the_path() {
+        let dir = std::env::temp_dir();
+        let path = dir.to_str().unwrap();
+        let panic = std::panic::catch_unwind(|| Journal::<RobustCheckpointLine>::open(path, 1))
+            .err()
+            .expect("a directory cannot be opened for append");
+        let message = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(
+            message.starts_with(&format!("cannot open checkpoint file {path}: ")),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn fingerprints_tell_datasets_and_trees_apart() {
+        let (_, seeds) = printed_datasets::Benchmark::Seeds
+            .load_quantized(4)
+            .unwrap();
+        let (_, vertebral) = printed_datasets::Benchmark::Vertebral2C
+            .load_quantized(4)
+            .unwrap();
+        let print = |data: &QuantizedDataset| Fingerprint::new(7).quantized(data).finish();
+        assert_eq!(print(&seeds), print(&seeds));
+        assert_ne!(print(&seeds), print(&vertebral));
+        assert_ne!(
+            print(&seeds),
+            Fingerprint::new(8).quantized(&seeds).finish()
+        );
+        let tree = |t: &DecisionTree| Fingerprint::new(7).tree(t).finish();
+        assert_ne!(
+            tree(&sample_tree()),
+            tree(&DecisionTree::constant(4, 3, 2, 0))
+        );
     }
 }

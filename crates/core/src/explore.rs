@@ -38,11 +38,9 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
-use std::collections::HashMap;
-use std::io::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::thread::available_parallelism;
 
 use printed_datasets::{DatasetIndex, QuantizedDataset};
 use printed_dtree::cart::train_depth_selected;
@@ -52,7 +50,7 @@ use printed_pdk::{AnalogModel, CellLibrary};
 use printed_telemetry::{keys, FieldValue, Progress, Recorder};
 
 use crate::campaign::{CampaignOutcome, RobustnessConstraints};
-use crate::checkpoint::{self, CheckpointLine};
+use crate::checkpoint::{CheckpointLine, Fingerprint, Journal};
 use crate::system::{synthesize_unary_parts, UnarySystem};
 use crate::train::{train_adc_aware_annotated_with_index, AdcAwareConfig, AnnotatedTree};
 
@@ -70,8 +68,12 @@ pub struct ExplorationConfig {
     /// Base RNG seed (each grid point derives its own).
     pub seed: u64,
     /// When set, every completed grid point is appended to this NDJSON
-    /// file and a later sweep with the same seed skips the points already
-    /// present, re-synthesizing their hardware from the stored trees.
+    /// file and a later sweep with the same seed over the same train and
+    /// test splits skips the points already present, re-synthesizing their
+    /// hardware from the stored trees.
+    ///
+    /// The sweep panics with `cannot open checkpoint file <path>: <err>`
+    /// before any training when the file cannot be opened for append.
     pub checkpoint_path: Option<String>,
     /// Grid points `(depth, τ)` that deliberately panic inside the worker —
     /// chaos-testing hooks for the fault-isolation path. Empty in normal
@@ -389,17 +391,50 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One unit of work for the sweep's work-stealing scheduler.
-enum SweepTask {
+/// One unit of work for the sweep's fan-out.
+enum SweepTask<'j> {
     /// Re-synthesize a checkpointed grid point (no training).
-    Restore {
-        depth: usize,
-        tau: f64,
-        line: CheckpointLine,
-    },
+    Restore(&'j CheckpointLine),
     /// Train one tree for `tau` at the deepest missing cap and derive the
     /// shallower caps by truncation. `depths` is sorted descending.
     Train { tau: f64, depths: Vec<usize> },
+}
+
+/// One grid point's result inside a sweep worker.
+type PointOutcome = Result<(CandidateDesign, Option<CandidateLint>), FailedCandidate>;
+
+/// Runs `work` over `tasks` on up to `threads` scoped workers (`None`:
+/// the machine's available parallelism) and returns the results in task
+/// order. Workers pull the next task from a shared atomic cursor, so an
+/// expensive task cannot strand cheap ones behind it the way static
+/// chunking would — whoever finishes first pulls more work. A panic in
+/// `work` propagates to the caller.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    tasks: &[T],
+    threads: Option<usize>,
+    work: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.unwrap_or_else(|| available_parallelism().map_or(4, |n| n.get()));
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.min(tasks.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    std::iter::from_fn(|| {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        Some((index, work(tasks.get(index)?)))
+                    })
+                    .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    });
+    results.sort_unstable_by_key(|&(index, _)| index);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 /// [`explore_with`] plus observability: one [`keys::CANDIDATE_SPAN`] per
@@ -469,37 +504,31 @@ fn explore_core(
     config.validate();
     let max_depth = *config.depths.iter().max().expect("non-empty");
     let reference = train_depth_selected(train_data, test_data, max_depth);
-
-    let grid: Vec<(usize, f64)> = config
-        .depths
-        .iter()
-        .flat_map(|&d| config.taus.iter().map(move |&t| (d, t)))
-        .collect();
-    let total = grid.len();
+    let total = config.grid_size();
     let done = AtomicUsize::new(0);
 
     // Checkpoint resume: grid points already persisted skip training and
     // only re-synthesize their hardware (deterministic from the tree).
-    let completed: HashMap<(usize, u64), CheckpointLine> = config
-        .checkpoint_path
-        .as_deref()
-        .and_then(|path| std::fs::read_to_string(path).ok())
-        .map(|text| checkpoint::load_lines(&text, config.seed))
-        .unwrap_or_default()
-        .into_iter()
-        .map(|line| (line.key(), line))
-        .collect();
+    // The stamp binds the file to this seed and these splits.
+    let journal = config.checkpoint_path.as_deref().map(|path| {
+        let stamp = Fingerprint::new(config.seed)
+            .quantized(train_data)
+            .quantized(test_data)
+            .finish();
+        Journal::<CheckpointLine>::open(path, stamp)
+    });
+    let restored = |depth: usize, tau: f64| journal.as_ref()?.restored((depth, tau.to_bits()));
 
     // Task list: one Train task per τ with missing points (heaviest work
-    // first, so the work-stealing loop starts the long poles early), then
-    // one Restore task per checkpointed point (synthesis only).
+    // first, so the fan-out starts the long poles early), then one
+    // Restore task per checkpointed point (synthesis only).
     let mut tasks: Vec<SweepTask> = Vec::new();
     for &tau in &config.taus {
         let mut depths: Vec<usize> = config
             .depths
             .iter()
             .copied()
-            .filter(|&depth| !completed.contains_key(&(depth, tau.to_bits())))
+            .filter(|&depth| restored(depth, tau).is_none())
             .collect();
         if !depths.is_empty() {
             // Descending: the first (deepest) cap trains, the rest truncate.
@@ -507,331 +536,218 @@ fn explore_core(
             tasks.push(SweepTask::Train { tau, depths });
         }
     }
-    for &(depth, tau) in &grid {
-        if let Some(line) = completed.get(&(depth, tau.to_bits())) {
-            tasks.push(SweepTask::Restore {
-                depth,
-                tau,
-                line: line.clone(),
-            });
-        }
-    }
+    let grid = config
+        .depths
+        .iter()
+        .flat_map(|&d| config.taus.iter().map(move |&t| (d, t)));
+    tasks.extend(grid.filter_map(|(depth, tau)| restored(depth, tau).map(SweepTask::Restore)));
 
-    // Fresh completions append to the checkpoint as they finish, one
-    // flushed line each, so a kill at any moment loses at most the line
-    // being written (a torn final line is skipped on resume).
-    let checkpoint_sink: Option<Mutex<std::fs::File>> =
-        config.checkpoint_path.as_deref().map(|path| {
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .unwrap_or_else(|e| panic!("cannot open checkpoint file {path}: {e}"));
-            Mutex::new(file)
-        });
-
-    // Work-stealing fan-out: workers pull the next task from a shared
-    // atomic index until the list is exhausted. Unlike static chunking,
-    // an expensive deep-τ task cannot strand the cheap ones behind it —
-    // whoever finishes first pulls more work.
-    let threads = config
-        .threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .min(tasks.len())
-        .max(1);
-    let next_task = AtomicUsize::new(0);
-    let tasks = &tasks;
     // One dataset index for the whole grid: every τ's training reads the
     // same feature-major columns and prefix sums (read-only, Sync).
     let train_index = DatasetIndex::new(train_data);
-    let train_index = &train_index;
-    type WorkerYield = (
-        Vec<CandidateDesign>,
-        Vec<FailedCandidate>,
-        Vec<CandidateLint>,
-    );
-    let (fresh, mut failed, mut lint): WorkerYield = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let done = &done;
-                let next_task = &next_task;
-                let checkpoint_sink = &checkpoint_sink;
-                scope.spawn(move || {
-                    // The kernel scope activates per-thread hot-path
-                    // tallies (Gini scan, truncation, encode, merge,
-                    // synth) and merges them into the shared kernel.*
-                    // counters when the worker retires; with a disabled
-                    // recorder it is a no-op.
-                    let _kernel_scope = printed_telemetry::KernelScope::enter(recorder);
-                    let mut ok: Vec<CandidateDesign> = Vec::new();
-                    let mut bad: Vec<FailedCandidate> = Vec::new();
-                    let mut lints: Vec<CandidateLint> = Vec::new();
-                    // Whole-grid in-flow lint: the candidate is
-                    // analyzed by the worker that produced it, with
-                    // the T001 re-verification reserved for the
-                    // deepest cap (a pure function of the grid point,
-                    // so every scheduling of the sweep lints
-                    // identically) and its equivalence leg capped at
-                    // GRID_EQUIV_BUDGET feasible patterns so the
-                    // sweep wall stays inside the calibrated gate;
-                    // the selected design is re-linted at full budget
-                    // by the flow's lint stage.
-                    let lint_point = |candidate: &CandidateDesign,
-                                      netlist: &printed_logic::netlist::Netlist|
-                     -> Option<CandidateLint> {
-                        grid_lint.then(|| CandidateLint {
-                            tau: candidate.tau,
-                            depth: candidate.depth,
-                            report: crate::lint::lint_candidate_borrowed(
-                                candidate,
-                                netlist,
-                                analog,
-                                Some(config),
-                                &printed_lint::LintConfig::new(),
-                                candidate.depth == max_depth,
-                                Some(crate::lint::GRID_EQUIV_BUDGET),
-                            ),
-                        })
-                    };
-                    let report_progress = || {
-                        // Count unconditionally: the trace's progress
-                        // events must advance even when no live callback
-                        // is installed, so `printed-trace watch` can
-                        // read k/N straight off a streamed NDJSON file.
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        recorder.event(
-                            keys::PROGRESS_EVENT,
-                            vec![
-                                ("done".to_owned(), FieldValue::U64(finished as u64)),
-                                ("total".to_owned(), FieldValue::U64(total as u64)),
-                            ],
-                        );
-                        if let Some(callback) = progress {
-                            callback(Progress {
-                                done: finished,
-                                total,
-                            });
-                        }
-                    };
-                    let record_failure = |depth: usize,
-                                          tau: f64,
-                                          payload: Box<dyn std::any::Any + Send>|
-                     -> FailedCandidate {
-                        let error = panic_message(payload);
-                        recorder.event(
-                            keys::CANDIDATE_FAILED_EVENT,
-                            vec![
-                                ("depth".to_owned(), FieldValue::U64(depth as u64)),
-                                ("tau".to_owned(), FieldValue::F64(tau)),
-                                ("error".to_owned(), FieldValue::Str(error.clone())),
-                            ],
-                        );
-                        recorder.add(keys::SWEEP_FAILED, 1);
-                        FailedCandidate { tau, depth, error }
-                    };
-                    let persist = |candidate: &CandidateDesign| {
-                        if let Some(sink) = checkpoint_sink {
-                            let line = CheckpointLine {
-                                tau: candidate.tau,
-                                depth: candidate.depth,
-                                test_accuracy: candidate.test_accuracy,
-                                tree: candidate.tree.clone(),
-                            }
-                            .encode(config.seed);
-                            // Best-effort: a full disk must not kill the
-                            // sweep, only the resume.
-                            let mut file = sink.lock().expect("checkpoint file lock");
-                            let _ = writeln!(file, "{line}");
-                            let _ = file.flush();
-                        }
-                    };
-                    loop {
-                        let index = next_task.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(index) else { break };
-                        match task {
-                            SweepTask::Restore { depth, tau, line } => {
-                                let (depth, tau) = (*depth, *tau);
-                                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                    let (system, netlist) = synthesize_unary_parts(
-                                        &line.tree, library, analog, analysis,
-                                    );
-                                    let candidate = CandidateDesign {
-                                        tau,
-                                        depth,
-                                        test_accuracy: line.test_accuracy,
-                                        tree: line.tree.clone(),
-                                        system,
-                                    };
-                                    // Restored candidates are linted
-                                    // exactly like fresh ones — a
-                                    // checkpoint must not create a
-                                    // verification hole.
-                                    let lint = lint_point(&candidate, &netlist);
-                                    (candidate, lint)
-                                }));
-                                match outcome {
-                                    Ok((candidate, lint)) => {
-                                        recorder.add(keys::SWEEP_CHECKPOINT_HITS, 1);
-                                        if let Some(entry) = lint {
-                                            crate::lint::record_grid_lint(
-                                                recorder,
-                                                entry.tau,
-                                                entry.depth,
-                                                &entry.report,
-                                            );
-                                            lints.push(entry);
-                                        }
-                                        ok.push(candidate);
-                                    }
-                                    Err(payload) => bad.push(record_failure(depth, tau, payload)),
-                                }
-                                report_progress();
-                            }
-                            SweepTask::Train { tau, depths } => {
-                                let tau = *tau;
-                                // The shared tree for this τ, once grown at
-                                // the deepest cap that survived.
-                                let mut shared: Option<(usize, AnnotatedTree)> = None;
-                                for &depth in depths {
-                                    // Per-candidate isolation: one poisoned
-                                    // grid point must not abort the others.
-                                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                        if config.chaos_points.contains(&(depth, tau)) {
-                                            panic!(
-                                                "injected chaos point (depth {depth}, tau {tau})"
-                                            );
-                                        }
-                                        let span = recorder
-                                            .span(keys::CANDIDATE_SPAN)
-                                            .field("depth", depth)
-                                            .field("tau", tau);
-                                        let tree = if let Some((trained_depth, annotated)) =
-                                            shared.as_ref()
-                                        {
-                                            let truncate_span = recorder
-                                                .span(keys::TRUNCATE_SPAN)
-                                                .field("tau", tau)
-                                                .field("depth", depth)
-                                                .field("trained_depth", *trained_depth);
-                                            let tree = annotated.truncated(depth);
-                                            truncate_span.finish();
-                                            recorder.add(keys::TREES_SHARED, 1);
-                                            tree
-                                        } else {
-                                            let cfg = AdcAwareConfig {
-                                                max_depth: depth,
-                                                tau,
-                                                min_samples_split: 2,
-                                                // Per-τ, depth-independent:
-                                                // every cap replays the same
-                                                // RNG stream, which is what
-                                                // makes truncation exact.
-                                                seed: tau_seed(config.seed, tau),
-                                            };
-                                            let annotated = train_adc_aware_annotated_with_index(
-                                                train_data,
-                                                train_index,
-                                                &cfg,
-                                                recorder,
-                                            );
-                                            let tree = annotated.tree.clone();
-                                            shared = Some((depth, annotated));
-                                            tree
-                                        };
-                                        let (system, netlist) = synthesize_unary_parts(
-                                            &tree, library, analog, analysis,
-                                        );
-                                        // Packed word-parallel scoring;
-                                        // bit-equal to tree.accuracy (the
-                                        // covers are exact indicator
-                                        // functions of the tree's regions).
-                                        let test_accuracy =
-                                            system.classifier.packed().accuracy(test_data);
-                                        span.field("accuracy", test_accuracy)
-                                            .field("comparators", system.comparator_count())
-                                            .finish();
-                                        let candidate = CandidateDesign {
-                                            tau,
-                                            depth,
-                                            test_accuracy,
-                                            tree,
-                                            system,
-                                        };
-                                        let lint = lint_point(&candidate, &netlist);
-                                        (candidate, lint)
-                                    }));
-                                    match outcome {
-                                        Ok((candidate, lint)) => {
-                                            persist(&candidate);
-                                            if let Some(entry) = lint {
-                                                crate::lint::record_grid_lint(
-                                                    recorder,
-                                                    entry.tau,
-                                                    entry.depth,
-                                                    &entry.report,
-                                                );
-                                                lints.push(entry);
-                                            }
-                                            ok.push(candidate);
-                                        }
-                                        // If the shared training itself died,
-                                        // `shared` stays None and the next
-                                        // (shallower) cap trains at its own
-                                        // depth — bit-identical by the
-                                        // prefix-sharing equivalence.
-                                        Err(payload) => {
-                                            bad.push(record_failure(depth, tau, payload))
-                                        }
-                                    }
-                                    report_progress();
-                                }
-                            }
-                        }
-                    }
-                    (ok, bad, lints)
-                })
-            })
-            .collect();
-        let mut fresh = Vec::new();
-        let mut failed = Vec::new();
-        let mut lint = Vec::new();
-        for handle in handles {
-            // With per-candidate isolation above, a worker can only die
-            // outside the unwind guard (e.g. allocator abort) — keep the
-            // loud failure for that.
-            let (ok, bad, lints) = handle.join().expect("sweep worker panicked");
-            fresh.extend(ok);
-            failed.extend(bad);
-            lint.extend(lints);
+    // Whole-grid in-flow lint: the candidate is analyzed by the worker
+    // that produced it, with the T001 re-verification reserved for the
+    // deepest cap (a pure function of the grid point, so every scheduling
+    // of the sweep lints identically) and its equivalence leg capped at
+    // GRID_EQUIV_BUDGET feasible patterns so the sweep wall stays inside
+    // the calibrated gate; the selected design is re-linted at full budget
+    // by the flow's lint stage.
+    let lint_point = |candidate: &CandidateDesign,
+                      netlist: &printed_logic::netlist::Netlist|
+     -> Option<CandidateLint> {
+        grid_lint.then(|| CandidateLint {
+            tau: candidate.tau,
+            depth: candidate.depth,
+            report: crate::lint::lint_candidate_borrowed(
+                candidate,
+                netlist,
+                analog,
+                Some(config),
+                &printed_lint::LintConfig::new(),
+                candidate.depth == max_depth,
+                Some(crate::lint::GRID_EQUIV_BUDGET),
+            ),
+        })
+    };
+    // Settles one grid point inside its worker: checkpoint hit or append,
+    // grid-lint event, or failure event, then one progress event.
+    let settle = |depth: usize,
+                  tau: f64,
+                  outcome: std::thread::Result<(CandidateDesign, Option<CandidateLint>)>,
+                  from_checkpoint: bool|
+     -> PointOutcome {
+        let settled = match outcome {
+            Ok((candidate, lint)) => {
+                if from_checkpoint {
+                    recorder.add(keys::SWEEP_CHECKPOINT_HITS, 1);
+                } else if let Some(journal) = &journal {
+                    journal.append(&CheckpointLine::from(&candidate));
+                }
+                if let Some(entry) = &lint {
+                    crate::lint::record_grid_lint(recorder, tau, depth, &entry.report);
+                }
+                Ok((candidate, lint))
+            }
+            Err(payload) => {
+                let error = panic_message(payload);
+                recorder.event(
+                    keys::CANDIDATE_FAILED_EVENT,
+                    vec![
+                        ("depth".to_owned(), FieldValue::U64(depth as u64)),
+                        ("tau".to_owned(), FieldValue::F64(tau)),
+                        ("error".to_owned(), FieldValue::Str(error.clone())),
+                    ],
+                );
+                recorder.add(keys::SWEEP_FAILED, 1);
+                Err(FailedCandidate { tau, depth, error })
+            }
+        };
+        // Count unconditionally: the trace's progress events must advance
+        // even when no live callback is installed, so `printed-trace
+        // watch` can read k/N straight off a streamed NDJSON file.
+        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+        recorder.event(
+            keys::PROGRESS_EVENT,
+            vec![
+                ("done".to_owned(), FieldValue::U64(finished as u64)),
+                ("total".to_owned(), FieldValue::U64(total as u64)),
+            ],
+        );
+        if let Some(callback) = progress {
+            callback(Progress {
+                done: finished,
+                total,
+            });
         }
-        (fresh, failed, lint)
+        settled
+    };
+
+    let outcomes: Vec<Vec<PointOutcome>> = fan_out(&tasks, config.threads, |task| {
+        // The kernel scope activates per-thread hot-path tallies (Gini
+        // scan, truncation, encode, merge, synth) and merges them into the
+        // shared kernel.* counters when the task ends; with a disabled
+        // recorder it is a no-op.
+        let _kernel_scope = printed_telemetry::KernelScope::enter(recorder);
+        match task {
+            SweepTask::Restore(line) => {
+                let (depth, tau) = (line.depth, line.tau);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let (system, netlist) =
+                        synthesize_unary_parts(&line.tree, library, analog, analysis);
+                    let candidate = CandidateDesign {
+                        tau,
+                        depth,
+                        test_accuracy: line.test_accuracy,
+                        tree: line.tree.clone(),
+                        system,
+                    };
+                    // Restored candidates are linted exactly like fresh
+                    // ones — a checkpoint must not create a verification
+                    // hole.
+                    let lint = lint_point(&candidate, &netlist);
+                    (candidate, lint)
+                }));
+                vec![settle(depth, tau, outcome, true)]
+            }
+            SweepTask::Train { tau, depths } => {
+                let tau = *tau;
+                // The shared tree for this τ, once grown at the deepest cap
+                // that survived.
+                let mut shared: Option<(usize, AnnotatedTree)> = None;
+                depths
+                    .iter()
+                    .map(|&depth| {
+                        // Per-candidate isolation: one poisoned grid point
+                        // must not abort the others. If the shared training
+                        // itself dies, `shared` stays None and the next
+                        // (shallower) cap trains at its own depth —
+                        // bit-identical by the prefix-sharing equivalence.
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            if config.chaos_points.contains(&(depth, tau)) {
+                                panic!("injected chaos point (depth {depth}, tau {tau})");
+                            }
+                            let span = recorder
+                                .span(keys::CANDIDATE_SPAN)
+                                .field("depth", depth)
+                                .field("tau", tau);
+                            let tree = if let Some((trained_depth, annotated)) = shared.as_ref() {
+                                let truncate_span = recorder
+                                    .span(keys::TRUNCATE_SPAN)
+                                    .field("tau", tau)
+                                    .field("depth", depth)
+                                    .field("trained_depth", *trained_depth);
+                                let tree = annotated.truncated(depth);
+                                truncate_span.finish();
+                                recorder.add(keys::TREES_SHARED, 1);
+                                tree
+                            } else {
+                                let cfg = AdcAwareConfig {
+                                    max_depth: depth,
+                                    tau,
+                                    min_samples_split: 2,
+                                    // Per-τ, depth-independent: every cap
+                                    // replays the same RNG stream, which is
+                                    // what makes truncation exact.
+                                    seed: tau_seed(config.seed, tau),
+                                };
+                                let annotated = train_adc_aware_annotated_with_index(
+                                    train_data,
+                                    &train_index,
+                                    &cfg,
+                                    recorder,
+                                );
+                                let tree = annotated.tree.clone();
+                                shared = Some((depth, annotated));
+                                tree
+                            };
+                            let (system, netlist) =
+                                synthesize_unary_parts(&tree, library, analog, analysis);
+                            // Packed word-parallel scoring; bit-equal to
+                            // tree.accuracy (the covers are exact indicator
+                            // functions of the tree's regions).
+                            let test_accuracy = system.classifier.packed().accuracy(test_data);
+                            span.field("accuracy", test_accuracy)
+                                .field("comparators", system.comparator_count())
+                                .finish();
+                            let candidate = CandidateDesign {
+                                tau,
+                                depth,
+                                test_accuracy,
+                                tree,
+                                system,
+                            };
+                            let lint = lint_point(&candidate, &netlist);
+                            (candidate, lint)
+                        }));
+                        settle(depth, tau, outcome, false)
+                    })
+                    .collect()
+            }
+        }
     });
-    let mut candidates = fresh;
+
+    let mut candidates = Vec::new();
+    let mut failed = Vec::new();
+    let mut lint = Vec::new();
+    for outcome in outcomes.into_iter().flatten() {
+        match outcome {
+            Ok((candidate, entry)) => {
+                candidates.push(candidate);
+                lint.extend(entry);
+            }
+            Err(failure) => failed.push(failure),
+        }
+    }
     candidates.sort_by(|a, b| a.depth.cmp(&b.depth).then(a.tau.total_cmp(&b.tau)));
     failed.sort_by(|a, b| a.depth.cmp(&b.depth).then(a.tau.total_cmp(&b.tau)));
     lint.sort_by(|a, b| a.depth.cmp(&b.depth).then(a.tau.total_cmp(&b.tau)));
 
     // A fully successful checkpointed sweep compacts the file down to one
     // line per grid point, so repeated resume cycles cannot grow it
-    // without bound. Best-effort, like the appends.
-    if failed.is_empty() {
-        if let Some(path) = config.checkpoint_path.as_deref() {
-            drop(checkpoint_sink);
-            let lines: Vec<CheckpointLine> = candidates
-                .iter()
-                .map(|c| CheckpointLine {
-                    tau: c.tau,
-                    depth: c.depth,
-                    test_accuracy: c.test_accuracy,
-                    tree: c.tree.clone(),
-                })
-                .collect();
-            let _ = checkpoint::compact(path, config.seed, &lines);
-        }
+    // without bound.
+    if let Some(journal) = journal.filter(|_| failed.is_empty()) {
+        let lines: Vec<CheckpointLine> = candidates.iter().map(CheckpointLine::from).collect();
+        journal.compact(&lines);
     }
 
     Exploration {
@@ -1449,5 +1365,72 @@ mod tests {
         assert_eq!(all_cached, fresh);
 
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_from_another_dataset_is_not_resumed() {
+        let path = std::env::temp_dir().join(format!(
+            "printed-ckpt-foreign-{}-{:?}.ndjson",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let path_str = path.to_str().unwrap().to_owned();
+        let _ = std::fs::remove_file(&path);
+        let config = ExplorationConfig::quick().with_checkpoint(&path_str);
+
+        // Same grid and seed, other data: every key of the Vertebral-2C
+        // checkpoint matches a Vertebral-3C grid point, none may resume.
+        let (train_2c, test_2c) = Benchmark::Vertebral2C.load_quantized(4).unwrap();
+        explore(&train_2c, &test_2c, &config);
+        let (train_3c, test_3c) = Benchmark::Vertebral3C.load_quantized(4).unwrap();
+        let (recorder, sink) = Recorder::collecting();
+        let resumed = explore_instrumented(
+            &train_3c,
+            &test_3c,
+            &config,
+            &CellLibrary::egfet(),
+            &AnalogModel::egfet(),
+            &AnalysisConfig::printed_20hz(),
+            &recorder,
+            None,
+        );
+        assert_eq!(sink.snapshot().counter(keys::SWEEP_CHECKPOINT_HITS), 0);
+        let fresh = explore(&train_3c, &test_3c, &ExplorationConfig::quick());
+        assert_eq!(resumed, fresh);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_task_order() {
+        // Skewed costs, forced: with more than one worker, task 0 finishes
+        // only after every other task has, so results complete out of
+        // task order and must still come back in it.
+        let tasks: Vec<usize> = (0..24).collect();
+        let expected: Vec<usize> = tasks.iter().map(|t| t * t).collect();
+        for threads in [1, 2, 3, 8] {
+            let finished = AtomicUsize::new(0);
+            let results = fan_out(&tasks, Some(threads), |&task| {
+                if task == 0 && threads > 1 {
+                    while finished.load(Ordering::SeqCst) < tasks.len() - 1 {
+                        std::thread::yield_now();
+                    }
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                task * task
+            });
+            assert_eq!(results, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn fan_out_handles_more_threads_than_tasks_and_no_tasks() {
+        assert_eq!(fan_out(&[3_u32, 1], Some(16), |&t| t + 1), vec![4, 2]);
+        let calls = AtomicUsize::new(0);
+        let none: Vec<u32> = fan_out(&[] as &[u32], Some(4), |&t| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            t
+        });
+        assert!(none.is_empty());
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
     }
 }

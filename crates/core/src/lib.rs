@@ -16,8 +16,8 @@
 //!   (extension beyond the paper's nominal analysis).
 //! * [`campaign`] — unified robustness campaigns (faults + mismatch +
 //!   supply droop) feeding robustness-aware selection.
-//! * [`checkpoint`] — sweep checkpointing, so interrupted explorations
-//!   resume without re-training.
+//! * [`checkpoint`] — grid checkpointing, so interrupted explorations and
+//!   robustness campaigns resume without redoing finished grid points.
 //!
 //! ## End-to-end
 //!

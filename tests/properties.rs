@@ -421,7 +421,7 @@ proptest! {
         accuracy in 0.0f64..=1.0,
         seed in any::<u64>(),
     ) {
-        use printed_ml::codesign::checkpoint::{load_lines, CheckpointLine};
+        use printed_ml::codesign::checkpoint::{load_lines, CheckpointLine, GridRecord};
         let line = CheckpointLine { tau, depth, test_accuracy: accuracy, tree };
         let encoded = line.encode(seed);
         let decoded = CheckpointLine::decode(&encoded, seed).expect("own lines decode");
@@ -429,7 +429,7 @@ proptest! {
         // A crash mid-append leaves a partial last line; the loader keeps
         // the whole lines and drops the torn one.
         let torn = format!("{encoded}\n{}", &encoded[..encoded.len() / 2]);
-        prop_assert_eq!(load_lines(&torn, seed), vec![line]);
+        prop_assert_eq!(load_lines::<CheckpointLine>(&torn, seed), vec![line]);
     }
 
     /// Prefix-sharing equivalence — the sweep engine's load-bearing claim:
