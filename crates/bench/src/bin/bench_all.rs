@@ -1,17 +1,18 @@
-//! Full-suite baseline generator: runs the traced paper flow on all
-//! eight registry benchmarks and condenses each to one `bench_stats`
-//! NDJSON record, calibrated for wall-time noise from repeat runs.
+//! Full-suite baseline generator: runs the traced paper flow once on
+//! all eight registry benchmarks and condenses each to one `bench_stats`
+//! NDJSON record.
 //!
 //! ```sh
-//! cargo run --release -p printed-bench --bin bench_all -- --runs 5 --out BENCH_all.ndjson
+//! cargo run --release -p printed-bench --bin bench_all -- --out BENCH_all.ndjson
 //! ```
 //!
+//! The deterministic metrics (Gini evals, area, power, comparators) are
+//! what `printed-trace diff` gates; they replay bit for bit, so one run
+//! is the whole measurement. The record also carries the run's wall time
+//! and peak RSS, which the gate shows but does not judge: timing belongs
+//! to the repository benchmark (`BENCHMARK.json`).
+//!
 //! Arguments:
-//! * `--runs <k>` — repeat runs per benchmark (default 5). The first
-//!   run's deterministic metrics (Gini evals, trees, area, power,
-//!   comparators) become the baseline; the wall times of *all* k runs
-//!   feed the median + MAD calibration that `printed-trace diff` uses
-//!   to gate wall-time regressions above measurement noise.
 //! * `--out <path>` — output NDJSON file (default `BENCH_all.ndjson`),
 //!   one `bench_stats` record per benchmark.
 //! * `--paper` — the full paper τ×depth grid instead of the quick grid
@@ -29,39 +30,28 @@ use printed_codesign::explore::ExplorationConfig;
 use printed_datasets::Benchmark;
 use printed_dtree::cart::train_depth_selected;
 use printed_pdk::AnalogModel;
-use printed_report::{BenchRecord, Calibration, Metric};
+use printed_report::BenchRecord;
 use printed_telemetry::{FlowTrace, Recorder, RunManifest};
 
 /// The selection constraint every baseline records — the paper's 1%.
 const LOSS: f64 = 0.01;
 
 struct Args {
-    runs: usize,
     out: String,
     paper: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        runs: 5,
         out: "BENCH_all.ndjson".to_owned(),
         paper: false,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--runs" => {
-                let v = argv.next().ok_or("--runs needs a value")?;
-                args.runs = v.parse().map_err(|e| format!("--runs: {e}"))?;
-                if args.runs == 0 {
-                    return Err("--runs must be at least 1".into());
-                }
-            }
             "--out" => args.out = argv.next().ok_or("--out needs a path")?,
             "--paper" => args.paper = true,
-            "--help" | "-h" => {
-                return Err("usage: bench_all [--runs K] [--out PATH] [--paper]".into())
-            }
+            "--help" | "-h" => return Err("usage: bench_all [--out PATH] [--paper]".into()),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -101,20 +91,12 @@ fn run(args: &Args) -> Result<(), String> {
     };
     let mut lines = String::new();
     for benchmark in Benchmark::ALL {
-        eprintln!("bench_all: {benchmark} — {} calibration run(s)", args.runs);
-        let trace = run_once(benchmark, &grid)?;
-        let mut walls = vec![trace.wall_us];
-        for _ in 1..args.runs {
-            walls.push(run_once(benchmark, &grid)?.wall_us);
-        }
-        let wall = Calibration::of(&walls);
-        let record = BenchRecord::from_trace(&trace).with(Metric::calibrated("wall_us", wall));
+        eprintln!("bench_all: {benchmark}");
+        let record = BenchRecord::from_trace(&run_once(benchmark, &grid)?);
         println!(
-            "{:<14} wall {:>8} µs (median of {}, MAD {} µs)  gini {:>8}  area {:.3} mm²  power {:.3} mW",
+            "{:<14} wall {:>8} µs  gini {:>8}  area {:.3} mm²  power {:.3} mW",
             record.key,
-            wall.median,
-            wall.runs,
-            wall.mad,
+            record.value("wall_us"),
             record.value("gini_evals"),
             record.value("area_mm2"),
             record.value("power_mw")

@@ -6,7 +6,8 @@
 //! printed-trace report seeds.ndjson
 //!
 //! # Gate a fresh run against the committed suite baseline (exit 1 on
-//! # regression; suites are paired per dataset, missing datasets fail):
+//! # regression; suites are paired per dataset, missing datasets fail).
+//! # Only deterministic metrics are gated; timings are shown, not gated:
 //! printed-trace diff BENCH_all.ndjson current_all.ndjson --max-regress 5%
 //!
 //! # Tail an in-flight traced run (PRINTED_TRACE_LIVE=1) or checkpoint:
@@ -20,13 +21,16 @@
 //! ```
 //!
 //! Exit codes: `0` success / gate passed, `1` regression detected,
-//! `2` usage or I/O error.
+//! `2` usage or I/O error. A closed stdout (`printed-trace diff … | head
+//! -1`) ends the output, not the command: the exit code stays the one
+//! the command would have returned.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 use printed_report::{
-    diff, parse_history, parse_trace, render_history, Axis, BenchRecord, CostReport, DiffConfig,
-    Profile, Verdict, Watcher,
+    diff, parse_history, parse_trace, render_history, BenchRecord, CostReport, DiffConfig, Profile,
+    Verdict, Watcher,
 };
 use printed_telemetry::FlowTrace;
 
@@ -36,21 +40,19 @@ usage: printed-trace <command> [args]
 commands:
   report <trace.ndjson>
       Flame/self-time profile plus hardware-cost attribution.
-  diff <baseline> <current> [--max-regress PCT] [--table]
+  diff <baseline> <current> [--max-regress PCT]
       Gate a run against a baseline; exits 1 on regression.
       Inputs are suites of one record kind (bench_stats, kernel_stats
       or robust_stats, as bench_all/bench_hot/bench_robust write them)
-      or NDJSON traces. Suites pair by key under a strict bijection; a
-      trace pairs with its dataset's record. Counts and campaign metrics
-      gate exactly; area/power/comparators on drift past PCT; Gini evals
-      and uncalibrated wall time on growth past PCT; calibrated timings
-      at median +/- max(8*MAD, floor) with a 50 ms floor for wall and
-      25% of the median otherwise; wall and throughput are refused
-      across environment classes.
+      or NDJSON traces. Suites pair by key under a strict bijection (a
+      key twice on one side is an error); a trace pairs with its
+      dataset's record. Counts and campaign metrics gate exactly;
+      area/power/comparators on drift past PCT; Gini evals and trials
+      spent on growth past PCT. Timings (wall time, throughput,
+      campaign wall, peak RSS) are shown with their delta and never
+      gated: the repository benchmark (BENCHMARK.json) owns timing.
       PCT: `5%` or `5` is five percent; a bare value below 1 is a
       fraction (`0.05`). Default 5%.
-      --table renders a kernel suite as one markdown table (before /
-      after throughput per kernel) for CI step summaries.
   watch <trace.ndjson> [--poll-ms N] [--once]
       Tail an in-flight traced run: rolling k/N progress, candidate
       rate, ETA, and failed-candidate alerts. Robust to torn tails and
@@ -74,10 +76,7 @@ fn main() -> ExitCode {
         Some("watch") => cmd_watch(&args[1..]),
         Some("history") => cmd_history(&args[1..]),
         Some("snapshot") => cmd_snapshot(&args[1..]),
-        Some("--help" | "-h" | "help") => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+        Some("--help" | "-h" | "help") => out(&format!("{USAGE}\n")).map(|()| ExitCode::SUCCESS),
         Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
         None => Err(USAGE.to_owned()),
     };
@@ -87,6 +86,15 @@ fn main() -> ExitCode {
             eprintln!("error: {message}");
             ExitCode::from(2)
         }
+    }
+}
+
+/// Writes `text` to stdout, the one writer of every subcommand. A closed
+/// pipe is the end of the output, not an error.
+fn out(text: &str) -> Result<(), String> {
+    match std::io::stdout().lock().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
     }
 }
 
@@ -134,22 +142,21 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
     };
     let parsed = parse_trace(&read(path)?);
     warn(path, &parsed.warnings);
-    print!("{}", parsed.trace.render_text());
-    println!();
-    print!("{}", Profile::from_trace(&parsed.trace).render_text());
-    println!();
-    print!("{}", CostReport::from_trace(&parsed.trace).render_text());
+    out(&format!(
+        "{}\n{}\n{}",
+        parsed.trace.render_text(),
+        Profile::from_trace(&parsed.trace).render_text(),
+        CostReport::from_trace(&parsed.trace).render_text()
+    ))?;
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let mut paths = Vec::new();
     let mut config = DiffConfig::default();
-    let mut table = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--table" => table = true,
             "--max-regress" => {
                 let v = iter.next().ok_or("--max-regress needs a value")?;
                 config.max_regress = parse_pct(v)?;
@@ -159,9 +166,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let [baseline_path, current_path] = paths[..] else {
-        return Err(
-            "usage: printed-trace diff <baseline> <current> [--max-regress PCT] [--table]".into(),
-        );
+        return Err("usage: printed-trace diff <baseline> <current> [--max-regress PCT]".into());
     };
     let (baselines, baseline_trace) = load(baseline_path)?;
     let (currents, current_trace) = load(current_path)?;
@@ -173,28 +178,21 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
             currents[0].axis.kind()
         ));
     }
-    if table && axis != Axis::Kernel {
-        return Err("--table renders kernel suites only (kernel_stats inputs)".into());
-    }
     let verdicts = if baseline_trace || current_trace {
         let (baseline, current) = lookup(&baselines, &currents)?;
         vec![Verdict::new(baseline, current, config)]
     } else {
         diff(&baselines, &currents, config)?
     };
-    if table {
-        print!("{}", Verdict::render_table(&verdicts));
-    } else {
-        for (i, verdict) in verdicts.iter().enumerate() {
-            if i > 0 {
-                println!();
-            }
-            print!("{}", verdict.render_text());
-        }
-        if verdicts.len() > 1 {
-            println!("{}", Verdict::summary(&verdicts));
-        }
+    let mut text = verdicts
+        .iter()
+        .map(Verdict::render_text)
+        .collect::<Vec<_>>()
+        .join("\n");
+    if verdicts.len() > 1 {
+        text.push_str(&format!("{}\n", Verdict::summary(&verdicts)));
     }
+    out(&text)?;
     Ok(if verdicts.iter().all(Verdict::passed) {
         ExitCode::SUCCESS
     } else {
@@ -275,30 +273,32 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
             Err(e) => return Err(format!("{path}: {e}")),
         };
         if watcher.update(&content) {
-            println!("watch: {path} rewritten (writer finalized or restarted), re-reading");
+            out(&format!(
+                "watch: {path} rewritten (writer finalized or restarted), re-reading\n"
+            ))?;
             reported_alerts = 0;
             reported_notes = 0;
         }
 
         let state = watcher.state();
         for alert in &state.alerts[reported_alerts..] {
-            println!("watch: ALERT {alert}");
+            out(&format!("watch: ALERT {alert}\n"))?;
         }
         reported_alerts = state.alerts.len();
         for note in &state.notes[reported_notes..] {
-            println!("watch: note: {note}");
+            out(&format!("watch: note: {note}\n"))?;
         }
         reported_notes = state.notes.len();
         let status = state.status_line();
         if status != last_status {
-            println!("watch: {status}");
+            out(&format!("watch: {status}\n"))?;
             last_status = status;
         }
         if state.finalized {
             if let Some(selected) = &state.selected {
-                println!("watch: {selected}");
+                out(&format!("watch: {selected}\n"))?;
             }
-            println!("watch: trace finalized, exiting");
+            out("watch: trace finalized, exiting\n")?;
             return Ok(ExitCode::SUCCESS);
         }
         if once {
@@ -320,7 +320,6 @@ fn cmd_history(args: &[String]) -> Result<ExitCode, String> {
             .iter()
             .map(|r| format!("{}\n", r.to_history_json()))
             .collect();
-        use std::io::Write;
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -351,24 +350,24 @@ fn cmd_history(args: &[String]) -> Result<ExitCode, String> {
     let path = path.ok_or("usage: printed-trace history <history.ndjson> [--dataset NAME]")?;
     let (entries, warnings) = parse_history(&read(&path)?);
     warn(&path, &warnings);
-    print!("{}", render_history(&entries, dataset.as_deref()));
+    out(&render_history(&entries, dataset.as_deref()))?;
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {
-    let (path, out) = match args {
+    let (path, dest) = match args {
         [path] => (path, None),
-        [path, flag, out] if flag == "-o" || flag == "--out" => (path, Some(out)),
+        [path, flag, dest] if flag == "-o" || flag == "--out" => (path, Some(dest)),
         _ => return Err("usage: printed-trace snapshot <trace.ndjson> [-o out.json]".into()),
     };
     let (records, _) = load(path)?;
     let json = records[0].to_json();
-    match out {
-        Some(out) => {
-            std::fs::write(out, format!("{json}\n")).map_err(|e| format!("{out}: {e}"))?;
-            eprintln!("wrote {out}");
+    match dest {
+        Some(dest) => {
+            std::fs::write(dest, format!("{json}\n")).map_err(|e| format!("{dest}: {e}"))?;
+            eprintln!("wrote {dest}");
         }
-        None => println!("{json}"),
+        None => out(&format!("{json}\n"))?,
     }
     Ok(ExitCode::SUCCESS)
 }

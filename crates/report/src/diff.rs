@@ -7,41 +7,28 @@
 //! kernel per benchmark, keyed `dataset/kernel`) and `robust_stats`
 //! (`BENCH_robust.ndjson`, the robust selection per benchmark). What an
 //! axis means is data, not code: one constant table per axis below says
-//! which JSON field holds which metric, where its noise calibration
-//! lives, and which policy gates it. [`diff`] pairs two suites by key
-//! under a strict bijection and gates every pair into a [`Verdict`]; the
-//! `printed-trace diff` subcommand turns a failed verdict into exit 1.
+//! which JSON field holds which metric and which policy gates it.
+//! [`diff`] pairs two suites by key under a strict bijection and gates
+//! every pair into a [`Verdict`]; the `printed-trace diff` subcommand
+//! turns a failed verdict into exit 1.
 //!
-//! ## Noise-calibrated gating
+//! ## Only what replays exactly is gated
 //!
-//! A 5% gate on a 2.5 ms run fires on 125 µs of scheduler jitter, so
-//! timings carry a [`Calibration`] (median and MAD of `k` repeat runs)
-//! and gate at an absolute threshold drawn from that noise, floored so a
-//! near-zero MAD cannot make it hair-trigger (see `Bound`). Wall and
-//! throughput gates refuse to judge a run from a different environment
-//! class (`cpus/threads/build`) and say so in a note; every other metric
-//! is still gated.
+//! Every gated metric is a deterministic function of the code and the
+//! data: work counts, the selected design's hardware numbers, the
+//! campaign's selection and its trial spend. They replay bit for bit on
+//! any host, so a gate on them never flakes. Timings (wall time, kernel
+//! throughput, campaign wall, peak RSS) are shown with their Δ and never
+//! gated here: the repository benchmark (`BENCHMARK.json`, perfbench)
+//! owns wall, cpu and RSS, measured end to end on repeated runs.
 
 use printed_telemetry::{keys, FieldValue, FlowTrace, JsonLine, RunManifest};
 
 use printed_telemetry::json::{parse as parse_json, JsonValue};
 
-/// Absolute floor of the calibrated wall gates, µs.
-const WALL_FLOOR_US: u64 = 50_000;
-/// MAD multiplier of every calibrated gate. 8 MADs ≈ 5.4σ for Gaussian
-/// noise: far enough out that scheduler jitter essentially never fires
-/// it, close enough that a real 2× regression always does.
-const MAD_Z: f64 = 8.0;
-/// Relative floor of the throughput and trials gates. Isolated kernel
-/// drivers run for milliseconds, where cross-process load shifts of
-/// 10–20% are routine and invisible to an in-process MAD; the
-/// regressions worth gating are step changes, not jitter.
-const REL_FLOOR: f64 = 0.25;
 /// Slack of exact float comparisons. Floats round-trip bit-exactly
 /// through NDJSON, so this is pure defence.
 const EXACT_EPS: f64 = 1e-9;
-/// JSON field of the calibration's repeat-run count.
-const RUNS_FIELD: &str = "calib_runs";
 
 /// Which suite a record belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -64,44 +51,8 @@ enum Policy {
     Drift,
     /// Relative growth past `max_regress` fails; a drop past it is noted.
     Regress,
-    /// Gated against the baseline's repeat-run noise.
-    Noise(Noise),
-    /// Shown, never gated.
+    /// Shown with its Δ, never gated.
     Info,
-}
-
-/// A calibrated gate: where the baseline's median and MAD live, and how
-/// the threshold is drawn from them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Noise {
-    /// JSON field of the calibration median (may be the value's own).
-    median: &'static str,
-    /// JSON field of the calibration MAD.
-    mad: &'static str,
-    /// Threshold shape.
-    bound: Bound,
-    /// Unit suffix of the values in verdict lines.
-    unit: &'static str,
-    /// The gate's name in an environment-class refusal; `None` = never
-    /// refused.
-    refused_as: Option<&'static str>,
-    /// Whether a pass leaves a "within calibrated threshold" note.
-    within_note: bool,
-    /// Whether an uncalibrated baseline falls back to [`Policy::Regress`]
-    /// instead of skipping the check.
-    regress_uncalibrated: bool,
-}
-
-/// Threshold shapes of [`Noise`] gates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Bound {
-    /// µs; fails above `median + max(WALL_FLOOR_US, MAD_Z·MAD)`.
-    Wall,
-    /// items/s; fails below `median − max(MAD_Z·MAD, REL_FLOOR·median)`.
-    Throughput,
-    /// Trials; fails above `median + max(MAD_Z·MAD, REL_FLOOR·median)`,
-    /// and a lower value is noted against the record's `trials_budget`.
-    Trials,
 }
 
 /// One metric of an axis: its JSON field, its name in verdict lines, and
@@ -144,49 +95,7 @@ pub(crate) struct AxisSpec {
     pub(crate) history_title: &'static str,
     /// Suite summary: `{0}: k/n {1} passed`.
     summary: (&'static str, &'static str),
-    /// What a refused timing gate leaves gated.
-    still_gated: &'static str,
 }
-
-const BENCH_WALL: Policy = Policy::Noise(Noise {
-    median: "wall_us_median",
-    mad: "wall_us_mad",
-    bound: Bound::Wall,
-    unit: " µs",
-    refused_as: Some("wall-time gate"),
-    within_note: true,
-    regress_uncalibrated: true,
-});
-
-const THROUGHPUT: Policy = Policy::Noise(Noise {
-    median: "tp_median",
-    mad: "tp_mad",
-    bound: Bound::Throughput,
-    unit: " items/s",
-    refused_as: Some("throughput gate"),
-    within_note: true,
-    regress_uncalibrated: false,
-});
-
-const TRIALS: Policy = Policy::Noise(Noise {
-    median: "trials_median",
-    mad: "trials_mad",
-    bound: Bound::Trials,
-    unit: "",
-    refused_as: None,
-    within_note: false,
-    regress_uncalibrated: false,
-});
-
-const CAMPAIGN_WALL: Policy = Policy::Noise(Noise {
-    median: "wall_us_median",
-    mad: "wall_us_mad",
-    bound: Bound::Wall,
-    unit: " µs",
-    refused_as: Some("campaign wall gate"),
-    within_note: false,
-    regress_uncalibrated: false,
-});
 
 const CAMPAIGN: Policy = Policy::Exact("campaign metric");
 
@@ -197,7 +106,7 @@ const AXES: [AxisSpec; 3] = [
         key: &["dataset"],
         grid: true,
         metrics: &[
-            spec("wall_us", "wall time", BENCH_WALL),
+            spec("wall_us", "wall time", Policy::Info),
             spec("gini_evals", "gini evals", Policy::Regress),
             spec("trees", "trees", Policy::Info),
             spec("trees_shared", "trees shared", Policy::Info),
@@ -219,7 +128,6 @@ const AXES: [AxisSpec; 3] = [
         trend: &[("wall_us", "wall"), ("peak_rss_kb", "rss")],
         history_title: "history",
         summary: ("suite", "benchmarks"),
-        still_gated: "deterministic metrics",
     },
     AxisSpec {
         kind: "kernel_stats",
@@ -229,13 +137,12 @@ const AXES: [AxisSpec; 3] = [
         metrics: &[
             spec("calls", "calls", Policy::Exact("invocation count")),
             spec("items", "items", Policy::Exact("work count")),
-            spec("tp_median", "throughput", THROUGHPUT),
+            spec("tp_median", "throughput", Policy::Info),
         ],
         history: &["calls", "items", "tp_median"],
         trend: &[("tp_median", "tp")],
         history_title: "kernel history",
         summary: ("hotpath", "kernels"),
-        still_gated: "kernel work counts",
     },
     AxisSpec {
         kind: "robust_stats",
@@ -252,8 +159,8 @@ const AXES: [AxisSpec; 3] = [
             spec("depth", "selected depth", CAMPAIGN),
             spec("pruned_points", "pruned points", CAMPAIGN),
             spec("trials_budget", "trial budget", CAMPAIGN),
-            spec("trials_median", "trials spent", TRIALS),
-            spec("wall_us_median", "campaign wall", CAMPAIGN_WALL),
+            spec("trials_median", "trials spent", Policy::Regress),
+            spec("wall_us_median", "campaign wall", Policy::Info),
         ],
         history: &[
             "tau",
@@ -267,7 +174,6 @@ const AXES: [AxisSpec; 3] = [
         trend: &[("trials_median", "trials")],
         history_title: "robust history",
         summary: ("robustness", "benchmarks"),
-        still_gated: "deterministic metrics",
     },
 ];
 
@@ -286,29 +192,6 @@ impl Axis {
     }
 }
 
-/// A noise calibration from `runs` repeat runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Calibration {
-    /// Median of the samples.
-    pub median: u64,
-    /// Median absolute deviation of the samples.
-    pub mad: u64,
-    /// Number of samples (0 = uncalibrated).
-    pub runs: u64,
-}
-
-impl Calibration {
-    /// Calibrates from repeat-run samples via [`median_mad`].
-    pub fn of(samples: &[u64]) -> Self {
-        let (median, mad) = median_mad(samples);
-        Self {
-            median,
-            mad,
-            runs: samples.len() as u64,
-        }
-    }
-}
-
 /// One measured number of a record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
@@ -316,26 +199,14 @@ pub struct Metric {
     pub field: &'static str,
     /// The value, `U64` or `F64` as written.
     pub value: FieldValue,
-    /// Repeat-run noise, for metrics gated against it.
-    pub calibration: Option<Calibration>,
 }
 
 impl Metric {
-    /// An uncalibrated metric.
+    /// The metric of JSON field `field`.
     pub fn new(field: &'static str, value: impl Into<FieldValue>) -> Self {
         Self {
             field,
             value: value.into(),
-            calibration: None,
-        }
-    }
-
-    /// A calibrated metric whose value is the calibration median.
-    pub fn calibrated(field: &'static str, calibration: Calibration) -> Self {
-        Self {
-            field,
-            value: FieldValue::U64(calibration.median),
-            calibration: Some(calibration),
         }
     }
 }
@@ -347,8 +218,8 @@ pub struct BenchRecord {
     pub axis: Axis,
     /// The dataset, or `dataset/kernel` on the kernel axis.
     pub key: String,
-    /// The producing run: git SHA, timestamp, environment class and, on
-    /// the bench axis, the sweep grid.
+    /// The producing run: git SHA, timestamp, `cpus/threads/build` and,
+    /// on the bench axis, the sweep grid.
     pub provenance: RunManifest,
     /// Metrics in line order.
     pub metrics: Vec<Metric>,
@@ -372,7 +243,7 @@ impl BenchRecord {
 
     /// Condenses a flow trace to its bench record: wall time, sweep
     /// counters, the selected design's area/power/comparators and the
-    /// peak RSS (when recorded). Uncalibrated.
+    /// peak RSS (when recorded).
     pub fn from_trace(trace: &FlowTrace) -> Self {
         let selected = trace.events.iter().find(|e| e.name == keys::SELECTED_EVENT);
         let field = |key: &str| selected.and_then(|e| e.field(key));
@@ -443,8 +314,8 @@ impl BenchRecord {
     }
 
     /// Serializes to one baseline line, in the field order the bench
-    /// binaries have always written: kind, key, SHA, grid, metrics (each
-    /// followed by its calibration), environment, timestamp.
+    /// binaries have always written: kind, key, SHA, grid, metrics,
+    /// environment, timestamp.
     pub fn to_json(&self) -> String {
         let spec = self.axis.spec();
         let mut line = self
@@ -457,24 +328,11 @@ impl BenchRecord {
                 .raw("taus", &format!("[{}]", taus.join(",")))
                 .raw("depths", &format!("[{}]", depths.join(",")));
         }
-        // Calibrations of one record share a single run count, written
-        // once after the last calibrated metric.
-        let last = self.metrics.iter().rposition(|m| m.calibration.is_some());
-        for (i, metric) in self.metrics.iter().enumerate() {
+        for metric in &self.metrics {
             line = line.field(metric.field, &metric.value);
-            let noise = self.axis.metric(metric.field).map(|s| s.policy);
-            if let (Some(c), Some(Policy::Noise(noise))) = (metric.calibration, noise) {
-                if noise.median != metric.field {
-                    line = line.u64(noise.median, c.median);
-                }
-                line = line.u64(noise.mad, c.mad);
-                if last == Some(i) {
-                    line = line.u64(RUNS_FIELD, c.runs);
-                }
-            }
         }
         let p = &self.provenance;
-        if p.env_class().is_some() {
+        if p.cpus > 0 || !p.build.is_empty() {
             line = line
                 .u64("cpus", p.cpus)
                 .u64("threads", p.threads)
@@ -536,20 +394,7 @@ impl BenchRecord {
                     JsonValue::Float(f) => FieldValue::F64(*f),
                     _ => return None,
                 };
-                // A noise metric is calibrated exactly when its MAD is recorded.
-                let calibration = match spec.policy {
-                    Policy::Noise(noise) if get(noise.mad).is_some() => Some(Calibration {
-                        median: int(noise.median),
-                        mad: int(noise.mad),
-                        runs: int(RUNS_FIELD),
-                    }),
-                    _ => None,
-                };
-                Some(Metric {
-                    field: spec.field,
-                    value,
-                    calibration,
-                })
+                Some(Metric::new(spec.field, value))
             })
             .collect();
         Some(Self::new(axis, key.join("/"), provenance, metrics))
@@ -583,27 +428,8 @@ fn float(value: f64) -> String {
     }
 }
 
-/// Median and median-absolute-deviation of a sample, both in the
-/// sample's unit. Even-length samples average the middle pair (rounding
-/// down). Empty samples return `(0, 0)`.
-pub fn median_mad(samples: &[u64]) -> (u64, u64) {
-    fn median(sorted: &[u64]) -> u64 {
-        match sorted.len() {
-            0 => 0,
-            n if n % 2 == 1 => sorted[n / 2],
-            n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2,
-        }
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let med = median(&sorted);
-    let mut deviations: Vec<u64> = sorted.iter().map(|&x| x.abs_diff(med)).collect();
-    deviations.sort_unstable();
-    (med, median(&deviations))
-}
-
 /// Tolerance of the percentage gates: drift of the hardware numbers,
-/// growth of Gini evals and of an uncalibrated bench wall time.
+/// growth of Gini evals and of trials spent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiffConfig {
     /// Allowed relative change. Default 5%.
@@ -625,7 +451,7 @@ pub struct Verdict {
     pub current: BenchRecord,
     /// One line per gate failure (empty = pass).
     pub violations: Vec<String>,
-    /// Non-fatal observations (refusals, improvements, skipped checks).
+    /// Non-fatal observations (improvements, skipped checks).
     pub notes: Vec<String>,
 }
 
@@ -683,80 +509,7 @@ impl Verdict {
             }
             Policy::Drift => self.drift(spec.label, base, cur, tolerance),
             Policy::Regress => self.regress(spec.label, base, cur, tolerance),
-            Policy::Noise(noise) => self.noise(spec, noise, tolerance),
             Policy::Exact(_) | Policy::Info => {}
-        }
-    }
-
-    fn noise(&mut self, spec: &Spec, noise: Noise, tolerance: f64) {
-        let label = spec.label;
-        let cur = self.current.value(spec.field) as u64;
-        let calibration = self
-            .baseline
-            .metric(spec.field)
-            .and_then(|m| m.calibration)
-            .filter(|c| c.runs > 0 && c.median > 0);
-        let Some(Calibration { median, mad, runs }) = calibration else {
-            if noise.regress_uncalibrated {
-                let base = self.baseline.value(spec.field);
-                let unit = noise.unit.trim();
-                self.regress(&format!("{label} ({unit})"), base, cur as f64, tolerance);
-            } else {
-                self.notes
-                    .push(format!("{label}: no calibrated baseline, check skipped"));
-            }
-            return;
-        };
-        let envs = (
-            self.baseline.provenance.env_class(),
-            self.current.provenance.env_class(),
-        );
-        if let (Some(gate), (Some(base_env), Some(cur_env))) = (noise.refused_as, envs) {
-            if base_env != cur_env {
-                self.notes.push(format!(
-                    "{gate} REFUSED: environment class mismatch \
-                     (baseline {base_env}, current {cur_env}) — {} still gated",
-                    self.baseline.axis.spec().still_gated
-                ));
-                return;
-            }
-        }
-        let scaled = (MAD_Z * mad as f64) as u64;
-        let relative = (REL_FLOOR * median as f64) as u64;
-        let floor_pct = REL_FLOOR * 100.0;
-        let (threshold, failed, op, formula) = match noise.bound {
-            Bound::Wall => {
-                let threshold = median + WALL_FLOOR_US.max(scaled);
-                let formula = format!("+ max({WALL_FLOOR_US} floor, {MAD_Z:.0}×MAD {mad})");
-                (threshold, cur > threshold, ">", formula)
-            }
-            Bound::Throughput => {
-                let threshold = median.saturating_sub(scaled.max(relative));
-                let formula = format!("− max({MAD_Z:.0}×MAD {mad}, {floor_pct:.0}% floor)");
-                (threshold, cur < threshold, "<", formula)
-            }
-            Bound::Trials => {
-                let threshold = median + scaled.max(relative);
-                let formula = format!("+ max({MAD_Z:.0}×MAD {mad}, {floor_pct:.0}% floor)");
-                (threshold, cur > threshold, ">", formula)
-            }
-        };
-        let unit = noise.unit;
-        if failed {
-            self.violations.push(format!(
-                "{label} regressed: {cur}{unit} {op} {threshold}{unit} \
-                 (median {median} {formula} from {runs} calibration runs)"
-            ));
-        } else if noise.within_note {
-            self.notes.push(format!(
-                "{label} {cur}{unit} within calibrated threshold {threshold}{unit} \
-                 ({runs} runs, median {median}, MAD {mad})"
-            ));
-        } else if noise.bound == Bound::Trials && cur < median {
-            self.notes.push(format!(
-                "{label} improved: {median} → {cur} (budget {})",
-                self.current.value("trials_budget")
-            ));
         }
     }
 
@@ -833,58 +586,6 @@ impl Verdict {
         out
     }
 
-    /// Renders verdicts as one GitHub-flavored markdown table, one row
-    /// per key: the key fields, the current value of every deterministic
-    /// metric, and baseline → current with Δ for every calibrated one.
-    /// Meant for CI step summaries.
-    pub fn render_table(verdicts: &[Verdict]) -> String {
-        let Some(first) = verdicts.first() else {
-            return String::new();
-        };
-        let spec = first.baseline.axis.spec();
-        let mut header: Vec<String> = spec.key.iter().map(|k| k.to_string()).collect();
-        let mut align = vec!["---"; header.len()];
-        for metric in spec.metrics {
-            if let Policy::Noise(noise) = metric.policy {
-                let unit = noise.unit;
-                header.extend([
-                    format!("baseline{unit}"),
-                    format!("current{unit}"),
-                    "Δ".into(),
-                ]);
-                align.extend(["---:"; 3]);
-            } else {
-                header.push(metric.field.into());
-                align.push("---:");
-            }
-        }
-        let mut out = format!(
-            "| {} | verdict |\n|{}|---|\n",
-            header.join(" | "),
-            align.join("|")
-        );
-        for verdict in verdicts {
-            let (b, c) = (&verdict.baseline, &verdict.current);
-            let mut row: Vec<String> = b.key.split('/').map(str::to_owned).collect();
-            for metric in spec.metrics {
-                let (base, cur) = (b.value(metric.field), c.value(metric.field));
-                if let Policy::Noise(_) = metric.policy {
-                    row.extend([base as u64, cur as u64].map(|v| v.to_string()));
-                    row.push(percent(base, cur));
-                } else {
-                    row.push(c.shown(metric.field));
-                }
-            }
-            let passed = if verdict.passed() {
-                "pass"
-            } else {
-                "REGRESSION"
-            };
-            out.push_str(&format!("| {} | {passed} |\n", row.join(" | ")));
-        }
-        out
-    }
-
     /// The one-line suite summary: `suite: 7/8 benchmarks passed (1
     /// REGRESSED)`, worded per axis.
     pub fn summary(verdicts: &[Verdict]) -> String {
@@ -919,7 +620,8 @@ fn percent(base: f64, cur: f64) -> String {
 /// strict bijection: a record present on one side and missing on the
 /// other is a hard `Err`, never a silent skip — a benchmark or kernel
 /// falling out of a suite is exactly the regression the gate exists to
-/// catch.
+/// catch. A key that appears twice on either side is an `Err` too: only
+/// one of its records could be paired, and the other would go ungated.
 pub fn diff(
     baselines: &[BenchRecord],
     currents: &[BenchRecord],
@@ -935,6 +637,16 @@ pub fn diff(
         Axis::Kernel => format!("kernel {}", r.key),
         _ => format!("dataset {:?}", r.key),
     };
+    for (side, suite) in [("baseline", baselines), ("current", currents)] {
+        for (i, record) in suite.iter().enumerate() {
+            if find(&suite[..i], &record.key).is_some() {
+                return Err(format!(
+                    "{side} {} has more than one record",
+                    describe(record)
+                ));
+            }
+        }
+    }
     let mut verdicts = Vec::new();
     let mut missing = Vec::new();
     for baseline in baselines {
@@ -967,17 +679,10 @@ mod tests {
 
     const SHA: &str = "0123456789abcdef0123456789abcdef01234567";
 
-    /// Overwrites the value of `field`, keeping its calibration.
+    /// Overwrites the value of `field`.
     fn set(mut record: BenchRecord, field: &str, value: impl Into<FieldValue>) -> BenchRecord {
         let metric = record.metrics.iter_mut().find(|m| m.field == field);
         metric.expect("metric present").value = value.into();
-        record
-    }
-
-    /// Overwrites the calibration of `field`.
-    fn calibrate(mut record: BenchRecord, field: &str, c: Option<Calibration>) -> BenchRecord {
-        let metric = record.metrics.iter_mut().find(|m| m.field == field);
-        metric.expect("metric present").calibration = c;
         record
     }
 
@@ -1006,11 +711,10 @@ mod tests {
         BenchRecord::new(Axis::Bench, "Seeds", provenance, metrics)
     }
 
-    fn calibrated() -> BenchRecord {
-        let wall = Calibration::of(&[98_000, 100_000, 101_000, 104_000, 99_000]);
-        let mut s = stats()
-            .with(Metric::calibrated("wall_us", wall))
-            .with(Metric::new("peak_rss_kb", 40_000u64));
+    /// [`stats`] with the optional fields: peak RSS, environment and
+    /// timestamp.
+    fn full() -> BenchRecord {
+        let mut s = stats().with(Metric::new("peak_rss_kb", 40_000u64));
         s.provenance.cpus = 8;
         s.provenance.build = "release".into();
         s.provenance.unix_secs = 1_750_000_000;
@@ -1030,26 +734,33 @@ mod tests {
     }
 
     #[test]
-    fn wall_regression_past_tolerance_fails() {
-        let base = stats();
-        let cur = set(stats(), "wall_us", 106_000u64); // +6% > 5%
+    fn timings_are_shown_never_gated() {
+        let base = full();
+        // 100× slower, on another host class, with 10× the RSS.
+        let cur = set(env(full(), 2), "wall_us", 10_000_000u64);
+        let cur = set(cur, "peak_rss_kb", 400_000u64);
         let report = gate(&base, &cur);
-        assert!(!report.passed());
-        assert!(
-            report.violations[0].contains("wall time"),
-            "{:?}",
-            report.violations
-        );
-        // Within tolerance passes.
-        let cur = set(stats(), "wall_us", 104_000u64);
-        assert!(gate(&base, &cur).passed());
+        assert!(report.passed(), "{:?}", report.violations);
+        assert!(report.notes.is_empty(), "{:?}", report.notes);
+        let text = report.render_text();
+        assert!(text.contains("wall_us"), "{text}");
+        assert!(text.contains("+9900.0%"), "{text}");
+        // Deterministic metrics still fire on the same pair.
+        assert!(!gate(&base, &set(cur, "area_mm2", 20.0)).passed());
     }
 
     #[test]
-    fn faster_is_a_note_not_a_violation() {
+    fn gini_growth_past_tolerance_fails_and_a_drop_is_a_note() {
         let base = stats();
-        let cur = set(stats(), "wall_us", 50_000u64);
-        let report = gate(&base, &cur);
+        let report = gate(&base, &set(stats(), "gini_evals", 4_240u64)); // +6% > 5%
+        assert!(!report.passed());
+        assert!(
+            report.violations[0].contains("gini evals regressed"),
+            "{:?}",
+            report.violations
+        );
+        assert!(gate(&base, &set(stats(), "gini_evals", 4_160u64)).passed());
+        let report = gate(&base, &set(stats(), "gini_evals", 2_000u64));
         assert!(report.passed());
         assert!(report.notes.iter().any(|n| n.contains("improved")));
     }
@@ -1077,81 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn median_mad_handles_odd_even_and_empty() {
-        assert_eq!(median_mad(&[]), (0, 0));
-        assert_eq!(median_mad(&[7]), (7, 0));
-        assert_eq!(median_mad(&[1, 3]), (2, 1));
-        // Median 100, deviations [2,1,0,1,4] → sorted [0,1,1,2,4] → MAD 1.
-        assert_eq!(median_mad(&[98, 99, 100, 101, 104]), (100, 1));
-    }
-
-    #[test]
-    fn calibration_fills_the_trio_and_the_value() {
-        let c = Calibration::of(&[98_000, 100_000, 101_000, 104_000, 99_000]);
-        assert_eq!(
-            c,
-            Calibration {
-                median: 100_000,
-                mad: 1_000,
-                runs: 5
-            }
-        );
-        let metric = Metric::calibrated("wall_us", c);
-        assert_eq!(metric.value, FieldValue::U64(100_000));
-        // Empty samples calibrate nothing.
-        assert_eq!(Calibration::of(&[]), Calibration::default());
-    }
-
-    #[test]
-    fn calibrated_gate_uses_the_mad_threshold() {
-        let base = calibrated(); // median 100_000, MAD 1_000
-                                 // Threshold = 100_000 + max(50_000 floor, 8×1_000) = 150_000.
-        assert!(gate(&base, &set(calibrated(), "wall_us", 150_000u64)).passed());
-        let report = gate(&base, &set(calibrated(), "wall_us", 150_001u64));
-        assert!(!report.passed());
-        assert!(
-            report.violations[0].contains("calibration runs"),
-            "{:?}",
-            report.violations
-        );
-    }
-
-    #[test]
-    fn mad_dominates_when_above_the_floor() {
-        let wide = Calibration {
-            median: 100_000,
-            mad: 20_000, // 8×20_000 = 160_000 > 50_000 floor
-            runs: 5,
-        };
-        let base = calibrate(calibrated(), "wall_us", Some(wide));
-        // Under 100_000 + 160_000.
-        assert!(gate(&base, &set(calibrated(), "wall_us", 255_000u64)).passed());
-        assert!(!gate(&base, &set(calibrated(), "wall_us", 265_000u64)).passed());
-    }
-
-    #[test]
-    fn env_mismatch_refuses_the_wall_gate_but_keeps_deterministic_gates() {
-        let base = calibrated();
-        // Way past any threshold — but unjudgeable.
-        let cur = env(set(calibrated(), "wall_us", 10_000_000u64), 2);
-        let report = gate(&base, &cur);
-        assert!(report.passed(), "{:?}", report.violations);
-        assert!(
-            report.notes.iter().any(|n| n.contains("REFUSED")),
-            "{:?}",
-            report.notes
-        );
-        // Deterministic metrics still fire on the mismatched-env pair.
-        assert!(!gate(&base, &set(cur, "area_mm2", 20.0)).passed());
-    }
-
-    #[test]
-    fn uncalibrated_baseline_falls_back_to_percentage() {
-        let base = stats(); // no calibration
-        assert!(!gate(&base, &set(stats(), "wall_us", 106_000u64)).passed());
-    }
-
-    #[test]
     fn stats_json_round_trips() {
         let original = stats();
         let json = original.to_json();
@@ -1161,29 +797,44 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_stats_json_round_trips() {
-        let original = calibrated();
+    fn full_stats_json_round_trips() {
+        let original = full();
         let json = original.to_json();
-        assert!(json.contains(r#""wall_us_median":100000"#), "{json}");
-        assert!(json.contains(r#""calib_runs":5"#), "{json}");
         assert!(json.contains(r#""peak_rss_kb":40000"#), "{json}");
         assert!(json.contains(r#""build":"release""#), "{json}");
+        assert!(json.contains(r#""unix_secs":1750000000"#), "{json}");
         let (parsed, _) = BenchRecord::parse_all(&json);
         assert_eq!(parsed, vec![original]);
     }
 
     #[test]
-    fn uncalibrated_json_omits_the_new_fields() {
+    fn plain_json_omits_the_optional_fields() {
         let json = stats().to_json();
-        assert!(!json.contains("wall_us_median"), "{json}");
         assert!(!json.contains("peak_rss_kb"), "{json}");
         assert!(!json.contains("cpus"), "{json}");
+        assert!(!json.contains("unix_secs"), "{json}");
+    }
+
+    #[test]
+    fn calibration_fields_of_older_files_are_dropped() {
+        let line = concat!(
+            r#"{"kind":"bench_stats","dataset":"Seeds","git_sha":"abc","#,
+            r#""wall_us":1214,"wall_us_median":1214,"wall_us_mad":21,"calib_runs":5,"#,
+            r#""gini_evals":2231,"cpus":1,"threads":0,"build":"release"}"#
+        );
+        let (parsed, warnings) = BenchRecord::parse_all(line);
+        assert!(warnings.is_empty());
+        assert_eq!(parsed[0].value("wall_us"), 1214.0);
+        assert_eq!(parsed[0].value("gini_evals"), 2231.0);
+        let json = parsed[0].to_json();
+        assert!(!json.contains("mad"), "{json}");
+        assert!(!json.contains("calib_runs"), "{json}");
     }
 
     #[test]
     fn parse_all_reads_a_whole_suite() {
-        let a = calibrated();
-        let mut b = calibrated();
+        let a = full();
+        let mut b = full();
         b.key = "Cardio".into();
         let file = format!("{}\n{}\n", a.to_json(), b.to_json());
         let (suite, warnings) = BenchRecord::parse_all(&file);
@@ -1222,6 +873,28 @@ mod tests {
     }
 
     #[test]
+    fn diff_rejects_a_duplicate_key_on_either_side() {
+        let a = stats();
+        let divergent = set(stats(), "area_mm2", 99.0);
+        let config = DiffConfig::default();
+        let err = diff(
+            std::slice::from_ref(&a),
+            &[a.clone(), divergent.clone()],
+            config,
+        )
+        .unwrap_err();
+        assert_eq!(err, "current dataset \"Seeds\" has more than one record");
+        let err = diff(&[a.clone(), divergent], &[a], config).unwrap_err();
+        assert_eq!(err, "baseline dataset \"Seeds\" has more than one record");
+        let k = kernel("Seeds", "gini_scan");
+        let err = diff(&[k.clone(), k.clone()], &[k], config).unwrap_err();
+        assert_eq!(
+            err,
+            "baseline kernel Seeds/gini_scan has more than one record"
+        );
+    }
+
+    #[test]
     fn from_trace_condenses_a_trace_dump() {
         use printed_telemetry::{Recorder, RunManifest};
         let (recorder, sink) = Recorder::collecting();
@@ -1251,10 +924,8 @@ mod tests {
         assert_eq!(record.value("comparators"), 6.0);
         assert!((record.value("area_mm2") - 3.25).abs() < 1e-12);
         assert_eq!(record.value("peak_rss_kb"), 31_000.0);
-        assert_eq!(
-            record.provenance.env_class().as_deref(),
-            Some("8cpu/auto/release")
-        );
+        assert_eq!(record.provenance.cpus, 8);
+        assert_eq!(record.provenance.build, "release");
     }
 
     #[test]
@@ -1273,12 +944,10 @@ mod tests {
             unix_secs: 1_754_000_000,
             ..RunManifest::default()
         };
-        // Median 1_000_000, deviations [20k, 10k, 0, 10k, 30k] → MAD 10k.
-        let tp = Calibration::of(&[980_000, 990_000, 1_000_000, 1_010_000, 1_030_000]);
         let metrics = vec![
             Metric::new("calls", 7u64),
             Metric::new("items", 1_610u64),
-            Metric::calibrated("tp_median", tp),
+            Metric::new("tp_median", 1_000_000u64),
         ];
         BenchRecord::new(
             Axis::Kernel,
@@ -1286,11 +955,6 @@ mod tests {
             provenance,
             metrics,
         )
-    }
-
-    fn tp_mad(record: BenchRecord, mad: u64) -> BenchRecord {
-        let c = record.metric("tp_median").unwrap().calibration.unwrap();
-        calibrate(record, "tp_median", Some(Calibration { mad, ..c }))
     }
 
     fn diff_one(base: &BenchRecord, cur: &BenchRecord) -> Vec<Verdict> {
@@ -1315,23 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_table_renders_one_markdown_row_per_pair() {
-        let base = kernel("Seeds", "gini_scan");
-        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 2_000_000u64); // 2×
-        let table = Verdict::render_table(&diff_one(&base, &cur));
-        let lines: Vec<&str> = table.lines().collect();
-        assert_eq!(lines.len(), 3, "header + separator + one row:\n{table}");
-        assert!(lines[0].starts_with("| dataset | kernel |"));
-        assert!(lines[2].contains("| Seeds | gini_scan |"));
-        assert!(lines[2].contains("| 1000000 | 2000000 | +100.0% | pass |"));
-        // A regressed pair renders its verdict in the same row shape.
-        let base = tp_mad(kernel("Seeds", "gini_scan"), 0);
-        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 100_000u64);
-        let table = Verdict::render_table(&diff_one(&base, &cur));
-        assert!(table.contains("| -90.0% | REGRESSION |"), "{table}");
-    }
-
-    #[test]
     fn kernel_count_drift_blocks_in_both_directions() {
         let base = kernel("Seeds", "gini_scan");
         for calls in [6u64, 8] {
@@ -1347,50 +994,14 @@ mod tests {
     }
 
     #[test]
-    fn kernel_throughput_gates_at_median_minus_mad_slack() {
-        // Median 1_000_000; 8×40_000 = 320_000 > 25% floor 250_000.
-        let base = tp_mad(kernel("Seeds", "gini_scan"), 40_000);
-        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 680_000u64);
-        let reports = diff_one(&base, &cur);
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 679_999u64);
-        let reports = diff_one(&base, &cur);
-        assert!(!reports[0].passed());
-        assert!(
-            reports[0].violations[0].contains("throughput regressed"),
-            "{:?}",
-            reports[0].violations
-        );
-        assert!(reports[0].render_text().contains("verdict: REGRESSION"));
-        // A faster run sails through.
-        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 2_000_000u64);
-        assert!(diff_one(&base, &cur)[0].passed());
-    }
-
-    #[test]
-    fn kernel_relative_floor_dominates_a_tiny_mad() {
-        // 8×0 = 0 < 25%×1_000_000 = 250_000 floor.
-        let base = tp_mad(kernel("Seeds", "gini_scan"), 0);
-        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 750_000u64);
-        let reports = diff_one(&base, &cur);
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 749_999u64);
-        assert!(!diff_one(&base, &cur)[0].passed());
-    }
-
-    #[test]
-    fn kernel_env_mismatch_refuses_throughput_but_keeps_counts() {
+    fn kernel_throughput_is_shown_never_gated() {
         let base = kernel("Seeds", "gini_scan");
-        // Absurdly slow — but unjudgeable cross-env.
-        let cur = env(set(kernel("Seeds", "gini_scan"), "tp_median", 1u64), 2);
+        let cur = set(env(kernel("Seeds", "gini_scan"), 2), "tp_median", 1u64);
         let reports = diff_one(&base, &cur);
         assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        assert!(
-            reports[0].notes.iter().any(|n| n.contains("REFUSED")),
-            "{:?}",
-            reports[0].notes
-        );
-        // The deterministic counts still fire on the mismatched pair.
+        assert!(reports[0].notes.is_empty(), "{:?}", reports[0].notes);
+        assert!(reports[0].render_text().contains("tp_median"));
+        // The deterministic counts still fire on the same pair.
         let reports = diff_one(&base, &set(cur, "items", 999u64));
         assert!(!reports[0].passed());
     }
@@ -1414,19 +1025,6 @@ mod tests {
         assert!(err.contains("Cardio/gini_scan has no baseline"), "{err}");
     }
 
-    #[test]
-    fn kernel_uncalibrated_baseline_skips_throughput() {
-        let base = set(
-            calibrate(kernel("Seeds", "gini_scan"), "tp_median", None),
-            "tp_median",
-            0u64,
-        );
-        let cur = set(kernel("Seeds", "gini_scan"), "tp_median", 1u64);
-        let reports = diff_one(&base, &cur);
-        assert!(reports[0].passed());
-        assert!(reports[0].notes.iter().any(|n| n.contains("skipped")));
-    }
-
     fn robust(dataset: &str) -> BenchRecord {
         let provenance = RunManifest {
             git_sha: SHA.into(),
@@ -1436,7 +1034,6 @@ mod tests {
             unix_secs: 1_754_000_000,
             ..RunManifest::default()
         };
-        // trials median 120 MAD 0; wall median 80_000 MAD 1_000.
         let metrics = vec![
             Metric::new("tau", 0.01),
             Metric::new("depth", 4u64),
@@ -1447,8 +1044,8 @@ mod tests {
             Metric::new("droop_margin", 0.32),
             Metric::new("pruned_points", 3u64),
             Metric::new("trials_budget", 384u64),
-            Metric::calibrated("trials_median", Calibration::of(&[120, 120, 120])),
-            Metric::calibrated("wall_us_median", Calibration::of(&[79_000, 80_000, 81_000])),
+            Metric::new("trials_median", 120u64),
+            Metric::new("wall_us_median", 80_000u64),
         ];
         BenchRecord::new(Axis::Robust, dataset, provenance, metrics)
     }
@@ -1495,11 +1092,10 @@ mod tests {
 
     #[test]
     fn robust_trials_gate_fires_upward_only() {
-        let base = robust("Seeds"); // trials median 120, MAD 0
-                                    // Threshold = 120 + max(8×0, 25%×120 = 30) = 150.
-        let reports = diff_one(&base, &set(robust("Seeds"), "trials_median", 150u64));
+        let base = robust("Seeds"); // 120 trials: +4.2% passes, +5.8% fails.
+        let reports = diff_one(&base, &set(robust("Seeds"), "trials_median", 125u64));
         assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        let reports = diff_one(&base, &set(robust("Seeds"), "trials_median", 151u64));
+        let reports = diff_one(&base, &set(robust("Seeds"), "trials_median", 127u64));
         assert!(!reports[0].passed());
         assert!(
             reports[0].violations[0].contains("trials spent regressed"),
@@ -1513,23 +1109,12 @@ mod tests {
     }
 
     #[test]
-    fn robust_wall_gate_is_calibrated_and_env_refused() {
-        let base = robust("Seeds"); // wall median 80_000, MAD 1_000
-                                    // Threshold = 80_000 + max(50_000 floor, 8×1_000) = 130_000.
-        let reports = diff_one(&base, &set(robust("Seeds"), "wall_us_median", 130_000u64));
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        let reports = diff_one(&base, &set(robust("Seeds"), "wall_us_median", 130_001u64));
-        assert!(!reports[0].passed());
-        assert!(
-            reports[0].violations[0].contains("campaign wall regressed"),
-            "{:?}",
-            reports[0].violations
-        );
-        // Cross-environment: the wall gate refuses, deterministic gates stay.
-        let cur = env(set(robust("Seeds"), "wall_us_median", 10_000_000u64), 2);
+    fn robust_campaign_wall_is_shown_never_gated() {
+        let base = robust("Seeds");
+        let cur = set(env(robust("Seeds"), 2), "wall_us_median", 10_000_000u64);
         let reports = diff_one(&base, &cur);
         assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        assert!(reports[0].notes.iter().any(|n| n.contains("REFUSED")));
+        assert!(reports[0].render_text().contains("wall_us_median"));
         let reports = diff_one(&base, &set(cur, "yield", 0.5));
         assert!(!reports[0].passed());
     }
@@ -1550,26 +1135,6 @@ mod tests {
         let err = diff(&[a.clone(), b], &[a, c], DiffConfig::default()).unwrap_err();
         assert!(err.contains("\"Cardio\" missing"), "{err}");
         assert!(err.contains("\"Pendigits\" has no baseline"), "{err}");
-    }
-
-    #[test]
-    fn robust_uncalibrated_baseline_skips_timing_gates() {
-        let mut base = robust("Seeds");
-        for field in ["trials_median", "wall_us_median"] {
-            base = set(calibrate(base, field, None), field, 0u64);
-        }
-        let cur = set(robust("Seeds"), "trials_median", 1_000_000u64);
-        let cur = set(cur, "wall_us_median", 1_000_000u64);
-        let reports = diff_one(&base, &cur);
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        assert_eq!(
-            reports[0]
-                .notes
-                .iter()
-                .filter(|n| n.contains("skipped"))
-                .count(),
-            2
-        );
     }
 
     const COMMITTED: [&str; 3] = [
@@ -1596,11 +1161,10 @@ mod tests {
         // reproduces the committed lines exactly.
         let hot = COMMITTED[1].lines().next().unwrap();
         let (parsed, _) = BenchRecord::parse_all(hot);
-        let tp = parsed[0].metric("tp_median").unwrap().calibration.unwrap();
         let metrics = vec![
             Metric::new("calls", parsed[0].value("calls") as u64),
             Metric::new("items", parsed[0].value("items") as u64),
-            Metric::calibrated("tp_median", tp),
+            Metric::new("tp_median", parsed[0].value("tp_median") as u64),
         ];
         let built = BenchRecord::new(
             Axis::Kernel,
@@ -1613,7 +1177,6 @@ mod tests {
         let robust = COMMITTED[2].lines().next().unwrap();
         let (parsed, _) = BenchRecord::parse_all(robust);
         let r = &parsed[0];
-        let calibration = |f: &str| r.metric(f).unwrap().calibration.unwrap();
         let metrics = vec![
             Metric::new("tau", r.value("tau")),
             Metric::new("depth", r.value("depth") as u64),
@@ -1624,8 +1187,8 @@ mod tests {
             Metric::new("droop_margin", r.value("droop_margin")),
             Metric::new("pruned_points", r.value("pruned_points") as u64),
             Metric::new("trials_budget", r.value("trials_budget") as u64),
-            Metric::calibrated("trials_median", calibration("trials_median")),
-            Metric::calibrated("wall_us_median", calibration("wall_us_median")),
+            Metric::new("trials_median", r.value("trials_median") as u64),
+            Metric::new("wall_us_median", r.value("wall_us_median") as u64),
         ];
         let built = BenchRecord::new(Axis::Robust, &r.key, r.provenance.clone(), metrics);
         assert_eq!(built.to_json(), robust);

@@ -139,7 +139,7 @@ fn civil_date(unix_secs: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::{Calibration, Metric};
+    use crate::diff::Metric;
     use printed_telemetry::RunManifest;
 
     const SHA: &str = "0123456789abcdef0123456789abcdef01234567";
@@ -182,14 +182,14 @@ mod tests {
 
     #[test]
     fn history_lines_carry_the_guarded_numbers_of_a_baseline() {
-        let wall = Calibration::of(&[2468, 2468, 2500]);
-        let stats = entry("Seeds", 0, 1_754_611_200).with(Metric::calibrated("wall_us", wall));
+        let mut stats = entry("Seeds", 2468, 1_754_611_200);
+        stats.provenance.cpus = 2;
         let (parsed, _) = parse_history(&stats.to_history_json());
         assert_eq!(parsed[0].key, "Seeds");
         assert_eq!(parsed[0].value("wall_us"), 2468.0);
         assert_eq!(parsed[0].provenance.unix_secs, 1_754_611_200);
-        // The calibration stays in the baseline, out of the history.
-        assert!(!stats.to_history_json().contains("wall_us_mad"));
+        // The environment stays in the baseline, out of the history.
+        assert!(!stats.to_history_json().contains("cpus"));
     }
 
     #[test]
@@ -291,13 +291,10 @@ mod tests {
 
     #[test]
     fn kernel_history_condenses_from_a_kernel_baseline() {
-        let tp = Calibration::of(&[5_000, 5_000, 5_100]);
-        let stats = kernel_entry("netlist_synth", 0, 1_754_611_200)
-            .with(Metric::calibrated("tp_median", tp));
+        let stats = kernel_entry("netlist_synth", 5_000, 1_754_611_200);
         let line = stats.to_history_json();
         assert!(line.contains(r#""kernel":"netlist_synth""#), "{line}");
         assert!(line.contains(r#""tp_median":5000"#), "{line}");
-        assert!(!line.contains("tp_mad"), "{line}");
         assert!(line.contains(r#""unix_secs":1754611200"#), "{line}");
     }
 
@@ -339,7 +336,7 @@ mod tests {
         // its history line has always put them last.
         let stats = robust_entry(99, 1_754_611_200)
             .with(Metric::new("nominal", 0.9))
-            .with(Metric::calibrated("trials_median", Calibration::of(&[99])));
+            .with(Metric::new("trials_median", 99u64));
         let line = stats.to_history_json();
         assert!(
             line.ends_with(r#""trials_median":99,"trials_budget":384,"pruned_points":3}"#),

@@ -14,8 +14,9 @@
 //! * **Did this change make things worse?** [`BenchRecord`] condenses a
 //!   run (or a kernel, or a robustness campaign) to its guarded numbers
 //!   and [`diff()`] gates a fresh suite against a committed `BENCH_*`
-//!   baseline under each metric's gate policy: exact, drift, regress or
-//!   noise-calibrated.
+//!   baseline under each metric's gate policy: exact, drift or regress.
+//!   Only numbers that replay bit for bit are gated; timings are shown
+//!   with their Δ, and the repository benchmark (perfbench) owns them.
 //!
 //! The `printed-trace` CLI wraps all three (`report`, `diff`,
 //! `snapshot`); the library API serves programmatic use:
@@ -60,7 +61,7 @@ pub mod watch;
 pub use printed_telemetry::json;
 
 pub use cost::{AdcRow, ClassRow, CostReport, RobustRow, SelectedDesign};
-pub use diff::{diff, Axis, BenchRecord, Calibration, DiffConfig, Metric, Verdict};
+pub use diff::{diff, Axis, BenchRecord, DiffConfig, Metric, Verdict};
 pub use history::{parse_history, render_history};
 pub use parse::{parse_trace, ParsedTrace};
 pub use profile::{Profile, ProfileNode};

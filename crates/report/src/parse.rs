@@ -279,7 +279,7 @@ fn parse_manifest(value: &JsonValue) -> Result<RunManifest, String> {
             .get("unix_secs")
             .and_then(JsonValue::as_u64)
             .unwrap_or(0),
-        // Environment fingerprint, absent on pre-calibration manifests.
+        // Environment fingerprint, absent on older manifests.
         cpus: value.get("cpus").and_then(JsonValue::as_u64).unwrap_or(0),
         threads: value
             .get("threads")

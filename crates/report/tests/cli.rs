@@ -1,15 +1,15 @@
 //! End-to-end tests of the `printed-trace` CLI against a real traced
 //! Seeds co-design run: `report` must render stage self-times and the
-//! per-ADC cost table, and `diff` must exit 1 when a >5% wall-time
-//! regression is injected.
+//! per-ADC cost table, and `diff` must exit 1 when a >5% Gini-eval
+//! regression is injected while a slower wall time only shows.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use printed_codesign::{CodesignFlow, ExplorationConfig};
 use printed_datasets::Benchmark;
-use printed_report::{parse_trace, Axis, BenchRecord, Calibration, Metric};
-use printed_telemetry::{FlowTrace, RunManifest};
+use printed_report::{parse_trace, Axis, BenchRecord, Metric};
+use printed_telemetry::{keys, FlowTrace, RunManifest};
 
 fn traced_seeds() -> FlowTrace {
     let (train, test) = Benchmark::Seeds.load_quantized(4).unwrap();
@@ -83,18 +83,23 @@ fn report_renders_profile_and_cost_tables_for_a_real_run() {
     assert!(stdout.contains("manifest: Seeds"), "{stdout}");
 }
 
+/// `trace` with its Gini-eval counter scaled by `1 + 1/divisor`.
+fn more_gini_evals(trace: &FlowTrace, divisor: u64) -> FlowTrace {
+    let mut grown = trace.clone();
+    let evals = grown.counters.get_mut(keys::GINI_EVALS).expect("counter");
+    *evals += evals.div_ceil(divisor);
+    grown
+}
+
 #[test]
-fn diff_exits_one_on_injected_wall_time_regression() {
+fn diff_gates_work_counts_and_only_shows_wall_time() {
     let trace = traced_seeds();
     let baseline_path = scratch("seeds_baseline.ndjson");
     std::fs::write(&baseline_path, trace.to_ndjson()).unwrap();
 
-    // Same run, wall time inflated 10% — past the 5% gate.
-    let mut slower = trace.clone();
-    slower.wall_us = trace.wall_us + trace.wall_us.div_ceil(10);
-    let current_path = scratch("seeds_slower.ndjson");
-    std::fs::write(&current_path, slower.to_ndjson()).unwrap();
-
+    // Same run, Gini evals inflated 10% — past the 5% gate.
+    let current_path = scratch("seeds_more_evals.ndjson");
+    std::fs::write(&current_path, more_gini_evals(&trace, 10).to_ndjson()).unwrap();
     let output = printed_trace(&[
         "diff",
         baseline_path.to_str().unwrap(),
@@ -102,15 +107,25 @@ fn diff_exits_one_on_injected_wall_time_regression() {
         "--max-regress",
         "5%",
     ]);
-    assert_eq!(
-        output.status.code(),
-        Some(1),
-        "stdout: {}",
-        String::from_utf8_lossy(&output.stdout)
-    );
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("wall time"), "{stdout}");
+    assert_eq!(output.status.code(), Some(1), "stdout: {stdout}");
+    assert!(stdout.contains("gini evals regressed"), "{stdout}");
     assert!(stdout.contains("verdict: REGRESSION"), "{stdout}");
+
+    // Ten times the wall time is shown with its delta, never gated.
+    let mut slower = trace.clone();
+    slower.wall_us = trace.wall_us * 10;
+    let slower_path = scratch("seeds_slower.ndjson");
+    std::fs::write(&slower_path, slower.to_ndjson()).unwrap();
+    let output = printed_trace(&[
+        "diff",
+        baseline_path.to_str().unwrap(),
+        slower_path.to_str().unwrap(),
+    ]);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(0), "stdout: {stdout}");
+    assert!(stdout.contains("+900.0%"), "{stdout}");
+    assert!(!stdout.contains("note:"), "{stdout}");
 
     // The identical trace passes the same gate.
     let output = printed_trace(&[
@@ -129,11 +144,9 @@ fn max_regress_reads_bare_numbers_of_one_or_more_as_percentages() {
     let trace = traced_seeds();
     let baseline_path = scratch("pct_baseline.ndjson");
     std::fs::write(&baseline_path, trace.to_ndjson()).unwrap();
-    // Same run, wall time inflated 50%.
-    let mut slower = trace.clone();
-    slower.wall_us = trace.wall_us + trace.wall_us.div_ceil(2);
-    let current_path = scratch("pct_slower.ndjson");
-    std::fs::write(&current_path, slower.to_ndjson()).unwrap();
+    // Same run, Gini evals inflated 50%.
+    let current_path = scratch("pct_more_evals.ndjson");
+    std::fs::write(&current_path, more_gini_evals(&trace, 2).to_ndjson()).unwrap();
     let exit = |pct: &str| {
         let output = printed_trace(&[
             "diff",
@@ -194,8 +207,7 @@ fn snapshot_produces_a_baseline_diff_accepts() {
 #[test]
 fn suite_diff_pairs_by_dataset_and_fails_on_missing_counterparts() {
     let trace = traced_seeds();
-    let wall = Calibration::of(&[2400, 2468, 2500]);
-    let seeds = BenchRecord::from_trace(&trace).with(Metric::calibrated("wall_us", wall));
+    let seeds = BenchRecord::from_trace(&trace);
     let mut cardio = seeds.clone();
     cardio.key = "Cardiotocography".into();
 
@@ -368,11 +380,10 @@ fn gauge_records_round_trip_losslessly_through_report_and_diff() {
 
 #[test]
 fn kernel_diff_cli_gates_counts_and_refuses_mixed_axes() {
-    let tp = Calibration::of(&[980_000, 990_000, 1_000_000, 1_010_000, 1_030_000]);
     let metrics = vec![
         Metric::new("calls", 17u64),
         Metric::new("items", 785u64),
-        Metric::calibrated("tp_median", tp),
+        Metric::new("tp_median", 1_000_000u64),
     ];
     let base = BenchRecord::new(
         Axis::Kernel,
@@ -441,4 +452,47 @@ fn usage_errors_exit_two() {
         Some(2)
     );
     assert_eq!(printed_trace(&["--help"]).status.code(), Some(0));
+}
+
+/// Runs `printed-trace` with a stdout whose reader is already gone, so
+/// its first write fails with a broken pipe.
+fn printed_trace_into_closed_pipe(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_printed-trace"))
+        .args(args)
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("printed-trace runs")
+        .wait_with_output()
+        .expect("printed-trace exits")
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_not_the_command() {
+    let suite = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_all.ndjson");
+    let history = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.ndjson");
+    let regressed_path = scratch("closed_pipe_regressed.ndjson");
+    let text = std::fs::read_to_string(suite).unwrap();
+    let seeds = text
+        .lines()
+        .find(|l| l.contains(r#""dataset":"Seeds""#))
+        .unwrap();
+    let grown = seeds.replace(r#""comparators":3"#, r#""comparators":4"#);
+    assert_ne!(grown, seeds);
+    std::fs::write(&regressed_path, text.replace(seeds, &grown)).unwrap();
+    let regressed = regressed_path.to_str().unwrap();
+    // The exit code is the command's own: the verdict's 0 or 1 for diff.
+    for (args, code) in [
+        (vec!["diff", suite, suite], 0),
+        (vec!["diff", suite, regressed], 1),
+        (vec!["history", history], 0),
+        (vec!["--help"], 0),
+    ] {
+        let output = printed_trace_into_closed_pipe(&args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

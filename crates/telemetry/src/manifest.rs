@@ -97,23 +97,6 @@ impl RunManifest {
         self
     }
 
-    /// The host-environment class this run belongs to, e.g.
-    /// `"8cpu/auto/release"`, or `None` when the manifest predates
-    /// environment capture. Wall-time baselines refuse to gate across
-    /// different classes: a 2-core debug run tells you nothing about an
-    /// 8-core release regression.
-    pub fn env_class(&self) -> Option<String> {
-        if self.cpus == 0 && self.build.is_empty() {
-            return None;
-        }
-        let threads = if self.threads == 0 {
-            "auto".to_owned()
-        } else {
-            format!("{}t", self.threads)
-        };
-        Some(format!("{}cpu/{}/{}", self.cpus, threads, self.build))
-    }
-
     /// Grid points this manifest describes (`taus × depths`).
     pub fn grid_size(&self) -> usize {
         self.taus.len() * self.depths.len()
@@ -240,15 +223,8 @@ mod tests {
         let manifest = RunManifest::capture("Seeds");
         assert!(manifest.cpus > 0);
         assert!(matches!(manifest.build.as_str(), "debug" | "release"));
-        let class = manifest.env_class().expect("captured manifest has a class");
-        assert!(class.contains("cpu/auto/"), "{class}");
-        let with_threads = manifest.with_threads(Some(4));
-        assert!(with_threads.env_class().unwrap().contains("/4t/"));
-    }
-
-    #[test]
-    fn pre_env_manifest_has_no_class() {
-        assert_eq!(RunManifest::default().env_class(), None);
+        assert_eq!(manifest.threads, 0, "auto");
+        assert_eq!(manifest.with_threads(Some(4)).threads, 4);
     }
 
     #[test]
