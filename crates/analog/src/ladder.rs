@@ -162,22 +162,37 @@ impl Ladder {
 
         let mut tap_nodes = BTreeMap::new();
         let mut below = Node::GROUND;
-        let mut below_order = 0usize;
-        for (seg, &tap) in self.taps.iter().enumerate() {
-            let node = ckt.node(format!("tap{tap}"));
-            let units = (tap - below_order) as f64;
-            ckt.resistor(below, node, perturb(seg, units * self.unit_ohms));
-            tap_nodes.insert(tap, node);
-            below = node;
-            below_order = tap;
+        for (seg, nominal) in self.segment_ohms().enumerate() {
+            let above = match self.taps.get(seg) {
+                Some(&tap) => {
+                    let node = ckt.node(format!("tap{tap}"));
+                    tap_nodes.insert(tap, node);
+                    node
+                }
+                None => vdd,
+            };
+            ckt.resistor(below, above, perturb(seg, nominal));
+            below = above;
         }
-        let top_units = ((1usize << self.bits) - below_order) as f64;
-        ckt.resistor(
-            below,
-            vdd,
-            perturb(self.taps.len(), top_units * self.unit_ohms),
-        );
         (ckt, tap_nodes)
+    }
+
+    /// Nominal resistance of every merged segment, bottom (ground side) to
+    /// top: the gaps between consecutive retained taps, then the segment
+    /// up to the supply.
+    pub(crate) fn segment_ohms(&self) -> impl Iterator<Item = f64> + '_ {
+        let top = 1usize << self.bits;
+        let mut below_order = 0usize;
+        self.taps.iter().copied().chain([top]).map(move |order| {
+            let units = (order - below_order) as f64;
+            below_order = order;
+            units * self.unit_ohms
+        })
+    }
+
+    /// Supply voltage across the string, in volts.
+    pub(crate) fn supply_volts(&self) -> f64 {
+        self.supply_volts
     }
 
     /// Solves the ladder and returns each retained tap's voltage.

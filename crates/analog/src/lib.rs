@@ -46,7 +46,7 @@ pub mod transient;
 pub use comparator::Comparator;
 pub use ladder::{Ladder, LadderError};
 pub use linalg::{Matrix, SolveError};
-pub use mc::{MismatchModel, MismatchSample, PerturbedTap};
+pub use mc::{LadderSampler, MismatchModel, MismatchSample, PerturbedTap};
 pub use mna::{Circuit, MnaError, Node, OperatingPoint};
 pub use spice::ladder_deck;
 pub use transient::{ladder_tap_thevenin_ohms, RcNode};

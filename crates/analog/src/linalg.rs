@@ -70,7 +70,7 @@ impl Matrix {
     /// Solves `self · x = b` by Gaussian elimination with partial pivoting.
     ///
     /// The receiver is borrowed immutably; elimination happens on a copy
-    /// (matrices here are tiny).
+    /// through [`solve_in_place`] (matrices here are tiny).
     ///
     /// # Errors
     ///
@@ -84,55 +84,89 @@ impl Matrix {
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolveError> {
         assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(b.len(), self.rows, "rhs length must match matrix order");
-        let n = self.rows;
         let mut a = self.data.clone();
         let mut x = b.to_vec();
-        // Scale tolerance by the largest entry so ill-conditioned but valid
-        // systems (kΩ vs siemens mixtures) are not misreported as singular.
-        let max_abs = a.iter().fold(0.0_f64, |m, &v| m.max(v.abs())).max(1.0);
-        let tol = 1e-12 * max_abs;
-
-        for col in 0..n {
-            // Partial pivot: find the largest |entry| at or below the diagonal.
-            let pivot_row = (col..n)
-                .max_by(|&r1, &r2| {
-                    a[r1 * n + col]
-                        .abs()
-                        .partial_cmp(&a[r2 * n + col].abs())
-                        .expect("matrix entries must not be NaN")
-                })
-                .expect("non-empty pivot range");
-            if a[pivot_row * n + col].abs() <= tol {
-                return Err(SolveError::Singular { column: col });
-            }
-            if pivot_row != col {
-                for k in 0..n {
-                    a.swap(col * n + k, pivot_row * n + k);
-                }
-                x.swap(col, pivot_row);
-            }
-            let pivot = a[col * n + col];
-            for row in (col + 1)..n {
-                let factor = a[row * n + col] / pivot;
-                if factor == 0.0 {
-                    continue;
-                }
-                for k in col..n {
-                    a[row * n + k] -= factor * a[col * n + k];
-                }
-                x[row] -= factor * x[col];
-            }
-        }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let mut acc = x[col];
-            for k in (col + 1)..n {
-                acc -= a[col * n + k] * x[k];
-            }
-            x[col] = acc / a[col * n + col];
-        }
+        solve_in_place(self.rows, &mut a, &mut x)?;
         Ok(x)
     }
+}
+
+/// Solves `a · x = b` in place by Gaussian elimination with partial
+/// pivoting: `a` is an `n × n` row-major matrix and is overwritten by its
+/// eliminated form; `x` holds `b` on entry and the solution on exit.
+///
+/// This is the one elimination routine of the crate — [`Matrix::solve`]
+/// runs it on a copy, and the Monte-Carlo ladder sampler runs it on a
+/// reused buffer — so every caller gets bit-identical results for the same
+/// system.
+///
+/// # Errors
+///
+/// Returns [`SolveError::Singular`] when a pivot falls below the
+/// numerical tolerance, as for [`Matrix::solve`]. `a` and `x` are then
+/// partially eliminated.
+///
+/// # Panics
+///
+/// Panics if `a.len() != n * n` or `x.len() != n`.
+///
+/// ```
+/// use printed_analog::linalg::solve_in_place;
+///
+/// let mut a = [0.0, 1.0, 1.0, 0.0];
+/// let mut x = [3.0, 7.0];
+/// solve_in_place(2, &mut a, &mut x)?;
+/// assert_eq!(x, [7.0, 3.0]);
+/// # Ok::<(), printed_analog::linalg::SolveError>(())
+/// ```
+pub fn solve_in_place(n: usize, a: &mut [f64], x: &mut [f64]) -> Result<(), SolveError> {
+    assert_eq!(a.len(), n * n, "matrix must be n × n");
+    assert_eq!(x.len(), n, "rhs length must match matrix order");
+    // Scale tolerance by the largest entry so ill-conditioned but valid
+    // systems (kΩ vs siemens mixtures) are not misreported as singular.
+    let max_abs = a.iter().fold(0.0_f64, |m, &v| m.max(v.abs())).max(1.0);
+    let tol = 1e-12 * max_abs;
+
+    for col in 0..n {
+        // Partial pivot: find the largest |entry| at or below the diagonal.
+        let pivot_row = (col..n)
+            .max_by(|&r1, &r2| {
+                a[r1 * n + col]
+                    .abs()
+                    .partial_cmp(&a[r2 * n + col].abs())
+                    .expect("matrix entries must not be NaN")
+            })
+            .expect("non-empty pivot range");
+        if a[pivot_row * n + col].abs() <= tol {
+            return Err(SolveError::Singular { column: col });
+        }
+        if pivot_row != col {
+            for k in 0..n {
+                a.swap(col * n + k, pivot_row * n + k);
+            }
+            x.swap(col, pivot_row);
+        }
+        let pivot = a[col * n + col];
+        for row in (col + 1)..n {
+            let factor = a[row * n + col] / pivot;
+            if factor == 0.0 {
+                continue;
+            }
+            for k in col..n {
+                a[row * n + k] -= factor * a[col * n + k];
+            }
+            x[row] -= factor * x[col];
+        }
+    }
+    // Back substitution.
+    for col in (0..n).rev() {
+        let mut acc = x[col];
+        for k in (col + 1)..n {
+            acc -= a[col * n + k] * x[k];
+        }
+        x[col] = acc / a[col * n + col];
+    }
+    Ok(())
 }
 
 impl core::ops::Index<(usize, usize)> for Matrix {
@@ -217,6 +251,16 @@ mod tests {
         let err = m.solve(&[1.0, 2.0]).unwrap_err();
         assert!(matches!(err, SolveError::Singular { column: 1 }));
         assert!(err.to_string().contains("singular"));
+    }
+
+    #[test]
+    fn in_place_solve_reports_the_same_singular_column() {
+        let mut a = [1.0, 2.0, 2.0, 4.0];
+        let mut x = [1.0, 2.0];
+        assert_eq!(
+            solve_in_place(2, &mut a, &mut x),
+            Err(SolveError::Singular { column: 1 })
+        );
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //!
 //! [`Exploration::select_robust`]: crate::explore::Exploration::select_robust
 
+use std::borrow::Cow;
+
 use printed_analog::MismatchModel;
 use printed_datasets::{Dataset, QuantizedDataset};
 use printed_dtree::DecisionTree;
@@ -36,7 +38,7 @@ use printed_telemetry::{keys, FieldValue, Recorder};
 
 use crate::checkpoint::{Fingerprint, Journal, RobustCheckpointLine};
 use crate::explore::{fan_out, Exploration};
-use crate::mismatch::{AnalogTree, MismatchTrialStream, MismatchTrials};
+use crate::mismatch::{AnalogColumns, MismatchTrialStream, MismatchTrials, PackedAnalogTree};
 use crate::robustness::fault_robustness;
 
 /// Comparator-threshold drift as the harvester's storage capacitor sags.
@@ -107,9 +109,24 @@ impl SupplyDroopModel {
     /// failing step (margins are reported conservatively, not for
     /// non-monotone recoveries deeper into the sag).
     pub fn margin(&self, tree: &DecisionTree, test: &Dataset, nominal: f64) -> f64 {
+        let columns = AnalogColumns::new(test, tree.used_features());
+        self.margin_packed(
+            &mut PackedAnalogTree::new(tree, &columns),
+            &columns,
+            nominal,
+        )
+    }
+
+    /// [`margin`](Self::margin) of a tree already compiled against its
+    /// test split's columns.
+    fn margin_packed(
+        &self,
+        packed: &mut PackedAnalogTree,
+        columns: &AnalogColumns,
+        nominal: f64,
+    ) -> f64 {
         let max_sag = self.max_sag();
-        let analog = AnalogTree::new(tree);
-        let nominal_thresholds = analog.nominal_thresholds();
+        let nominal_thresholds = packed.nominal_thresholds().to_vec();
         let mut thresholds = nominal_thresholds.clone();
         let mut margin = 0.0;
         for step in 1..=self.steps {
@@ -117,7 +134,7 @@ impl SupplyDroopModel {
             for (t, &nominal_t) in thresholds.iter_mut().zip(&nominal_thresholds) {
                 *t = nominal_t * (1.0 - self.vref_leak * sag) - self.offset_per_sag * sag;
             }
-            let accuracy = analog.accuracy(test, &thresholds);
+            let accuracy = packed.accuracy(columns, &thresholds);
             if accuracy >= nominal - self.tolerance - 1e-12 {
                 margin = sag;
             } else {
@@ -644,11 +661,12 @@ impl RobustnessCampaign {
     ) -> RobustnessProfile {
         self.validate();
         let exhaustive = AdaptiveBudget::new(self.trials);
+        let columns = AnalogColumns::new(test_analog, tree.used_features());
         match self.evaluate_with_seed(
             &exhaustive,
             tree,
             test_q,
-            test_analog,
+            &columns,
             analog,
             recorder,
             self.seed,
@@ -668,7 +686,7 @@ impl RobustnessCampaign {
         policy: &AdaptiveBudget,
         tree: &DecisionTree,
         test_q: &QuantizedDataset,
-        test_analog: &Dataset,
+        columns: &AnalogColumns,
         analog: &AnalogModel,
         recorder: &Recorder,
         seed: u64,
@@ -678,14 +696,15 @@ impl RobustnessCampaign {
         if tree.split_count() == 0 {
             let faults = fault_robustness(tree, test_q);
             recorder.add(keys::FAULTS_INJECTED, faults.fault_count as u64);
-            let nominal = AnalogTree::new(tree).accuracy(test_analog, &[]);
+            let mut packed = PackedAnalogTree::new(tree, columns);
+            let nominal = packed.accuracy(columns, &[]);
             let profile = RobustnessProfile {
                 nominal,
                 mean_under_mismatch: nominal,
                 min_under_mismatch: nominal,
                 worst_single_fault: faults.worst_accuracy,
                 benign_fault_fraction: faults.benign_fraction,
-                droop_margin: self.droop.margin(tree, test_analog, nominal),
+                droop_margin: self.droop.margin_packed(&mut packed, columns, nominal),
                 yield_estimate: 1.0,
             };
             return PointEvaluation::Profiled {
@@ -696,8 +715,14 @@ impl RobustnessCampaign {
 
         // The stream computes the nominal accuracy up front without
         // consuming any RNG — the probe's first input.
-        let mut stream =
-            MismatchTrialStream::new(tree, test_analog, &self.mismatch, seed, analog, recorder);
+        let mut stream = MismatchTrialStream::with_columns(
+            tree,
+            Cow::Borrowed(columns),
+            &self.mismatch,
+            seed,
+            analog,
+            recorder,
+        );
         let nominal = stream.nominal();
         if policy.probe {
             if let Some(floor) = policy.robust_floor {
@@ -710,7 +735,8 @@ impl RobustnessCampaign {
                 }
             }
         }
-        let droop_margin = self.droop.margin(tree, test_analog, nominal);
+        let (packed, columns) = stream.scorer();
+        let droop_margin = self.droop.margin_packed(packed, columns, nominal);
         if policy.probe {
             if let Some(min_droop) = policy.constraints.min_droop_margin {
                 if droop_margin < min_droop - 1e-12 {
@@ -881,6 +907,13 @@ impl RobustnessCampaign {
             Journal::<RobustCheckpointLine>::open(path, stamp)
         });
 
+        // Every worker scores against one set of sorted test columns.
+        let columns = AnalogColumns::new(
+            test_analog,
+            candidates
+                .iter()
+                .flat_map(|candidate| candidate.tree.used_features()),
+        );
         let total = candidates.len();
         let done = AtomicUsize::new(0);
         let trials_running = AtomicU64::new(0);
@@ -894,7 +927,7 @@ impl RobustnessCampaign {
                 }
                 None => {
                     let line =
-                        self.evaluate_candidate(candidate, test_q, test_analog, analog, recorder);
+                        self.evaluate_candidate(candidate, test_q, &columns, analog, recorder);
                     if let Some(journal) = &journal {
                         journal.append(&line);
                     }
@@ -960,7 +993,7 @@ impl RobustnessCampaign {
         &self,
         candidate: &crate::explore::CandidateDesign,
         test_q: &QuantizedDataset,
-        test_analog: &Dataset,
+        columns: &AnalogColumns,
         analog: &AnalogModel,
         recorder: &Recorder,
     ) -> RobustCheckpointLine {
@@ -978,7 +1011,7 @@ impl RobustnessCampaign {
             &policy,
             &candidate.tree,
             test_q,
-            test_analog,
+            columns,
             analog,
             recorder,
             seed,
@@ -1069,6 +1102,7 @@ impl Default for RobustnessCampaign {
 mod tests {
     use super::*;
     use crate::explore::{explore, ExplorationConfig};
+    use crate::mismatch::AnalogTree;
     use printed_datasets::Benchmark;
 
     fn small_sweep() -> (Exploration, QuantizedDataset, Dataset) {

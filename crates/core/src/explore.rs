@@ -1005,11 +1005,11 @@ mod tests {
 
     #[test]
     fn whole_grid_lint_overhead_is_bounded() {
-        // The lint trajectory's budget gate: the in-flow whole-grid lint
-        // may add at most max(50 ms, 1× the lint-free sweep) of wall to
-        // the quick grid — the same 50 ms noise floor the committed
-        // BENCH_all.ndjson wall gate uses, so a sweep that passes this
-        // budget cannot trip the suite gate on lint cost alone.
+        // The lint trajectory's budget: the in-flow whole-grid lint may
+        // add at most max(50 ms, 1× the lint-free sweep) of wall to the
+        // quick grid. The 50 ms floor keeps host noise on a sub-second
+        // sweep from failing the bound. This is the only wall-time bound
+        // on the lint; end-to-end wall is perfbench's to measure.
         // Prefix-shared T001 skipping is what keeps the overhead small:
         // only the deepest cap of each τ re-proves tree equivalence.
         // Interleaved pairs with a best-of-N minimum, like the kernel

@@ -60,7 +60,10 @@ pub use explore::{
 };
 pub use flow::{record_process_gauges, record_selection, CodesignFlow, FlowOutcome};
 pub use lint::{fix_candidate, lint_candidate, lint_candidate_scoped, record_lint};
-pub use mismatch::{mismatch_accuracy, MismatchReport, MismatchTrialStream, MismatchTrials};
+pub use mismatch::{
+    mismatch_accuracy, AnalogColumns, MismatchReport, MismatchTrialStream, MismatchTrials,
+    PackedAnalogTree,
+};
 pub use printed_lint::{Diagnostic, LintConfig, LintLevel, LintReport, Severity};
 pub use robustness::{decode_one_hot, fault_robustness, FaultRobustness};
 pub use serial::{estimate_serial_unary, SerialUnaryEstimate};

@@ -7,6 +7,14 @@
 //! and re-scores the tree on *analog* test inputs, where every decision
 //! boundary has drifted to its sampled effective threshold.
 //!
+//! Scoring is packed: [`AnalogColumns`] sorts each test column the trees
+//! read once (per campaign, shared by every worker) and keeps one label
+//! mask per class in 64-sample words, and [`PackedAnalogTree`] turns a
+//! threshold into a rank in its sorted column, so moving a threshold flips
+//! only the samples it crosses, and a whole test set is classified by
+//! walking the tree on word masks. Accuracies are integer hit counts over
+//! the test size, bit-identical to walking the tree sample by sample.
+//!
 //! ```no_run
 //! use printed_analog::MismatchModel;
 //! use printed_codesign::mismatch::mismatch_accuracy;
@@ -22,19 +30,19 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
+use std::borrow::Cow;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use printed_telemetry::Recorder;
 
 use printed_analog::ladder::Ladder;
-use printed_analog::mc::sample_normal;
+use printed_analog::mc::{sample_normal, LadderSampler};
 use printed_analog::MismatchModel;
 use printed_datasets::Dataset;
 use printed_dtree::{DecisionTree, Node};
 use printed_pdk::AnalogModel;
-
-use crate::unary::UnaryClassifier;
 
 /// Monte-Carlo accuracy statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,16 +130,277 @@ impl MismatchTrials {
     }
 }
 
-/// A tree whose splits read their effective thresholds from a dense slice
-/// ordered like [`DecisionTree::distinct_pairs`]: split node `i` compares
-/// against `thresholds[slots[i]]`, so scoring a trial or a sag step costs
-/// one slice index per split instead of a map lookup.
+/// An analog test split prepared for packed scoring: the column of every
+/// requested feature sorted once, and one label mask per class, in 64-sample
+/// words (bit `s % 64` of word `s / 64` is sample `s`).
+///
+/// A campaign builds one for the union of the features its candidates
+/// read and shares it, read-only, across its workers; every
+/// [`PackedAnalogTree`] scores against it.
+#[derive(Debug, Clone)]
+pub struct AnalogColumns {
+    len: usize,
+    words: usize,
+    n_features: usize,
+    /// Per feature, its `(value, sample)` pairs in ascending value order;
+    /// `None` for a feature not requested.
+    columns: Vec<Option<Vec<(f64, u32)>>>,
+    /// `labels[class * words + w]`: the samples of `class` in word `w`.
+    /// Lanes past the last sample are zero in every mask.
+    labels: Vec<u64>,
+    n_classes: usize,
+}
+
+impl AnalogColumns {
+    /// Sorts the columns of `features` in `test` and packs its labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `test` is empty, or a feature is not a column of `test`.
+    pub fn new(test: &Dataset, features: impl IntoIterator<Item = usize>) -> Self {
+        assert!(!test.is_empty(), "cannot score an empty dataset");
+        let len = test.len();
+        let words = len.div_ceil(64);
+        let mut columns = vec![None; test.n_features()];
+        for feature in features {
+            assert!(
+                feature < test.n_features(),
+                "dataset narrower than the tree"
+            );
+            if columns[feature].is_some() {
+                continue;
+            }
+            let mut sorted: Vec<(f64, u32)> = test
+                .iter()
+                .zip(0u32..)
+                .map(|((x, _), s)| (x[feature], s))
+                .collect();
+            sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            columns[feature] = Some(sorted);
+        }
+        let n_classes = test.n_classes();
+        let mut labels = vec![0u64; n_classes * words];
+        for (s, &label) in test.labels().iter().enumerate() {
+            labels[label * words + s / 64] |= 1 << (s % 64);
+        }
+        Self {
+            len,
+            words,
+            n_features: test.n_features(),
+            columns,
+            labels,
+            n_classes,
+        }
+    }
+
+    fn column(&self, feature: usize) -> &[(f64, u32)] {
+        self.columns[feature]
+            .as_ref()
+            .expect("the column of every feature the tree reads is sorted")
+    }
+}
+
+/// A decision tree compiled for packed scoring on analog inputs, with one
+/// movable effective threshold per distinct `(feature, tap)` pair (its
+/// *slot*, ordered like [`DecisionTree::distinct_pairs`]).
+///
+/// Per slot it keeps the threshold's *rank* — how many samples of the
+/// feature's sorted column lie below it (`v < t`) — and the lane mask of
+/// the samples at or above it, which take the `hi` branch (the tree's
+/// `sample ≥ threshold` rule). Moving a threshold binary-searches the new
+/// rank and XORs only the lanes of the samples between the old rank and
+/// the new one. Scoring walks the tree on reach masks (a split sends
+/// `reach & mask` high and `reach & !mask` low) and counts each leaf's
+/// reach against its class's label mask with `popcount`. Starts at the
+/// nominal thresholds.
+///
+/// ```
+/// use printed_codesign::mismatch::{AnalogColumns, PackedAnalogTree};
+/// use printed_datasets::Dataset;
+/// use printed_dtree::{DecisionTree, Node};
+///
+/// // x0 ≥ 8/16 → class 1.
+/// let nodes = vec![
+///     Node::Split { feature: 0, threshold: 8, lo: 1, hi: 2 },
+///     Node::Leaf { class: 0 },
+///     Node::Leaf { class: 1 },
+/// ];
+/// let tree = DecisionTree::from_nodes(4, 1, 2, nodes)?;
+/// let rows = vec![(vec![0.2], 0), (vec![0.5], 1), (vec![0.7], 1)];
+/// let test = Dataset::from_rows("toy", 1, rows).unwrap();
+/// let columns = AnalogColumns::new(&test, tree.used_features());
+/// let mut packed = PackedAnalogTree::new(&tree, &columns);
+/// assert_eq!(packed.accuracy(&columns, &[0.5]), 1.0); // 0.5 ≥ 0.5 goes high
+/// assert_eq!(packed.accuracy(&columns, &[0.6]), 2.0 / 3.0);
+/// # Ok::<(), printed_dtree::TreeError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct PackedAnalogTree {
+    steps: Vec<Step>,
+    /// The distinct `(feature, tap)` pairs, in slot order.
+    pairs: Vec<(usize, u8)>,
+    nominal: Vec<f64>,
+    /// Per slot, the rank of its current threshold.
+    ranks: Vec<usize>,
+    /// `masks[slot * words + w]`: the samples at or above the slot's
+    /// current threshold.
+    masks: Vec<u64>,
+    /// One reach word per node: scratch for the walk.
+    reach: Vec<u64>,
+    words: usize,
+}
+
+/// One tree node as the packed walk reads it. Children always follow
+/// their parent in node order, so one forward pass visits every parent
+/// before its children.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Split {
+        slot: usize,
+        lo: usize,
+        hi: usize,
+    },
+    /// `labels`: the offset of the leaf class's label mask, `None` for a
+    /// class the test split has no samples of.
+    Leaf {
+        labels: Option<usize>,
+    },
+}
+
+impl PackedAnalogTree {
+    /// Compiles `tree` against `columns` at its nominal thresholds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the split `columns` was built from is narrower than the
+    /// tree, or lacks the sorted column of a feature the tree reads.
+    pub fn new(tree: &DecisionTree, columns: &AnalogColumns) -> Self {
+        assert!(
+            columns.n_features >= tree.n_features(),
+            "dataset narrower than the tree"
+        );
+        let words = columns.words;
+        let pairs: Vec<(usize, u8)> = tree.distinct_pairs().into_iter().collect();
+        let steps = tree
+            .nodes()
+            .iter()
+            .map(|node| match *node {
+                Node::Split {
+                    feature,
+                    threshold,
+                    lo,
+                    hi,
+                } => Step::Split {
+                    slot: pairs
+                        .binary_search(&(feature, threshold))
+                        .expect("every split is a distinct pair"),
+                    lo,
+                    hi,
+                },
+                Node::Leaf { class } => Step::Leaf {
+                    labels: (class < columns.n_classes).then_some(class * words),
+                },
+            })
+            .collect();
+        let full = (1u64 << tree.bits()) as f64;
+        let nominal: Vec<f64> = pairs.iter().map(|&(_, c)| c as f64 / full).collect();
+        // Rank 0: every sample is at or above the threshold.
+        let mut all = vec![!0u64; words];
+        all[words - 1] = !0 >> (words * 64 - columns.len);
+        let mut packed = Self {
+            steps,
+            ranks: vec![0; pairs.len()],
+            masks: all.repeat(pairs.len()),
+            reach: vec![0; tree.nodes().len()],
+            pairs,
+            nominal: Vec::new(),
+            words,
+        };
+        packed.set_thresholds(columns, &nominal);
+        packed.nominal = nominal;
+        packed
+    }
+
+    /// The distinct `(feature, tap)` pairs, in slot order.
+    fn pairs(&self) -> &[(usize, u8)] {
+        &self.pairs
+    }
+
+    /// The ideal (unperturbed) effective thresholds of the tree's bespoke
+    /// ADC bank, in normalized-volts space: tap `c` sits at `c / 2^bits`.
+    pub fn nominal_thresholds(&self) -> &[f64] {
+        &self.nominal
+    }
+
+    /// Accuracy on the split of `columns` with one effective threshold per
+    /// slot: the fraction of samples whose leaf (`sample ≥ threshold` goes
+    /// high) holds their label.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thresholds` does not hold one value per slot, or
+    /// `columns` is not the split the tree was compiled against.
+    pub fn accuracy(&mut self, columns: &AnalogColumns, thresholds: &[f64]) -> f64 {
+        self.set_thresholds(columns, thresholds);
+        self.correct(columns) as f64 / columns.len as f64
+    }
+
+    /// Moves every slot to its new threshold, flipping only the lanes of
+    /// the samples it crosses.
+    fn set_thresholds(&mut self, columns: &AnalogColumns, thresholds: &[f64]) {
+        assert_eq!(thresholds.len(), self.pairs.len(), "one threshold per slot");
+        assert_eq!(columns.words, self.words, "columns of another split");
+        let words = self.words;
+        for (slot, (&(feature, _), &t)) in self.pairs.iter().zip(thresholds).enumerate() {
+            let column = columns.column(feature);
+            let rank = column.partition_point(|&(v, _)| v < t);
+            let old = std::mem::replace(&mut self.ranks[slot], rank);
+            let crossed = &column[rank.min(old)..rank.max(old)];
+            let mask = &mut self.masks[slot * words..(slot + 1) * words];
+            for &(_, s) in crossed {
+                mask[s as usize / 64] ^= 1 << (s % 64);
+            }
+        }
+    }
+
+    /// Samples classified correctly at the current thresholds.
+    fn correct(&mut self, columns: &AnalogColumns) -> usize {
+        let words = self.words;
+        let mut correct = 0;
+        for w in 0..words {
+            // Lanes past the last sample reach leaves too, but no label
+            // mask holds them, so they never count.
+            self.reach[0] = !0;
+            for (i, step) in self.steps.iter().enumerate() {
+                let reach = self.reach[i];
+                match *step {
+                    Step::Split { slot, lo, hi } => {
+                        let mask = self.masks[slot * words + w];
+                        self.reach[hi] = reach & mask;
+                        self.reach[lo] = reach & !mask;
+                    }
+                    Step::Leaf { labels: Some(base) } => {
+                        correct += (reach & columns.labels[base + w]).count_ones() as usize;
+                    }
+                    Step::Leaf { labels: None } => {}
+                }
+            }
+        }
+        correct
+    }
+}
+
+/// The scalar reference the packed evaluator is tested against: walks the
+/// tree sample by sample, split node `i` comparing against
+/// `thresholds[slot of i]`.
+#[cfg(test)]
 pub(crate) struct AnalogTree<'a> {
     tree: &'a DecisionTree,
     pairs: Vec<(usize, u8)>,
     slots: Vec<usize>,
 }
 
+#[cfg(test)]
 impl<'a> AnalogTree<'a> {
     pub(crate) fn new(tree: &'a DecisionTree) -> Self {
         let pairs: Vec<(usize, u8)> = tree.distinct_pairs().into_iter().collect();
@@ -150,13 +419,7 @@ impl<'a> AnalogTree<'a> {
         Self { tree, pairs, slots }
     }
 
-    /// The distinct `(feature, tap)` pairs, in threshold-slot order.
-    pub(crate) fn pairs(&self) -> &[(usize, u8)] {
-        &self.pairs
-    }
-
-    /// The ideal (unperturbed) effective thresholds of the tree's bespoke
-    /// ADC bank, in normalized-volts space: tap `c` sits at `c / 2^bits`.
+    /// The ideal (unperturbed) effective thresholds, in slot order.
     pub(crate) fn nominal_thresholds(&self) -> Vec<f64> {
         let full = (1u64 << self.tree.bits()) as f64;
         self.pairs.iter().map(|&(_, c)| c as f64 / full).collect()
@@ -270,11 +533,11 @@ pub fn mismatch_accuracy_recorded(
 /// narrower than the tree's feature space (same contract as
 /// [`mismatch_accuracy`], minus the trial count).
 pub struct MismatchTrialStream<'a> {
-    analog: AnalogTree<'a>,
-    test: &'a Dataset,
+    columns: Cow<'a, AnalogColumns>,
+    packed: PackedAnalogTree,
     mismatch: &'a MismatchModel,
     recorder: &'a Recorder,
-    ladder: Ladder,
+    sampler: LadderSampler,
     /// Per threshold slot, the position of its tap in the ladder's
     /// (ascending) retained taps — and so in every mismatch sample's.
     tap_index: Vec<usize>,
@@ -294,47 +557,61 @@ impl<'a> MismatchTrialStream<'a> {
         analog: &AnalogModel,
         recorder: &'a Recorder,
     ) -> Self {
+        let columns = Cow::Owned(AnalogColumns::new(test, tree.used_features()));
+        Self::with_columns(tree, columns, mismatch, seed, analog, recorder)
+    }
+
+    /// [`new`](Self::new) against prepared columns — in a campaign, one
+    /// set sorted for every candidate.
+    pub(crate) fn with_columns(
+        tree: &DecisionTree,
+        columns: Cow<'a, AnalogColumns>,
+        mismatch: &'a MismatchModel,
+        seed: u64,
+        analog: &AnalogModel,
+        recorder: &'a Recorder,
+    ) -> Self {
         assert!(
             tree.split_count() > 0,
             "a constant tree has no thresholds to perturb"
         );
-        assert!(!test.is_empty(), "cannot score an empty dataset");
-        assert!(
-            test.n_features() >= tree.n_features(),
-            "dataset narrower than the tree"
-        );
-
-        let bank = UnaryClassifier::from_tree(tree).adc_bank();
-        let distinct = bank.distinct_taps();
+        // Nominal thresholds: ideal tap voltages.
+        let mut packed = PackedAnalogTree::new(tree, &columns);
+        let nominal_thresholds = packed.nominal_thresholds().to_vec();
+        let nominal = packed.accuracy(&columns, &nominal_thresholds);
+        // The shared ladder keeps the distinct taps of the tree's bespoke
+        // ADC bank: one per tap any pair reads (`pruned` sorts and
+        // dedups).
+        let taps: Vec<usize> = packed
+            .pairs()
+            .iter()
+            .map(|&(_, c)| usize::from(c))
+            .collect();
         let ladder = Ladder::pruned(
             tree.bits(),
-            &distinct,
+            &taps,
             analog.supply.volts(),
             analog.unit_resistor.ohms(),
         )
         .expect("tree taps are valid");
-
-        // Nominal thresholds: ideal tap voltages.
-        let analog_tree = AnalogTree::new(tree);
-        let nominal = analog_tree.accuracy(test, &analog_tree.nominal_thresholds());
-        let tap_index = analog_tree
+        let tap_index = packed
             .pairs()
             .iter()
             .map(|&(_, c)| {
                 ladder
                     .taps()
-                    .binary_search(&(c as usize))
+                    .binary_search(&usize::from(c))
                     .expect("every tree tap is retained")
             })
             .collect();
 
         Self {
-            thresholds: vec![0.0; analog_tree.pairs().len()],
-            analog: analog_tree,
-            test,
+            thresholds: vec![0.0; packed.pairs().len()],
+            packed,
+            columns,
             mismatch,
             recorder,
-            ladder,
+            sampler: LadderSampler::new(&ladder),
             tap_index,
             rng: StdRng::seed_from_u64(seed),
             nominal,
@@ -349,24 +626,34 @@ impl<'a> MismatchTrialStream<'a> {
     /// Samples one perturbed front-end and scores the tree on it.
     pub fn next_accuracy(&mut self) -> f64 {
         // Shared perturbed ladder: one vref per distinct tap.
-        let sample = self
-            .mismatch
-            .sample_recorded(&self.ladder, &mut self.rng, self.recorder)
+        let taps = self
+            .sampler
+            .draw(self.mismatch, &mut self.rng, self.recorder)
             .expect("perturbed ladder solves");
         // Per-comparator offsets on top, drawn in distinct-pair order.
         for (threshold, &tap) in self.thresholds.iter_mut().zip(&self.tap_index) {
             let offset = sample_normal(&mut self.rng, 0.0, self.mismatch.comparator_offset_sigma_v);
-            *threshold = sample.taps()[tap].vref_volts - offset;
+            *threshold = taps[tap].vref_volts - offset;
         }
-        self.analog.accuracy(self.test, &self.thresholds)
+        self.packed.accuracy(&self.columns, &self.thresholds)
+    }
+
+    /// The stream's compiled tree and the columns it scores against, for
+    /// the campaign's droop scan of the same candidate. Moving its
+    /// thresholds does not disturb later trials: every trial sets all of
+    /// them.
+    pub(crate) fn scorer(&mut self) -> (&mut PackedAnalogTree, &AnalogColumns) {
+        (&mut self.packed, &self.columns)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unary::UnaryClassifier;
     use printed_datasets::Benchmark;
     use printed_dtree::cart::train_depth_selected;
+    use proptest::prelude::*;
 
     fn setup() -> (DecisionTree, Dataset) {
         let (train_q, test_q) = Benchmark::Seeds.load_quantized(4).unwrap();
@@ -518,6 +805,202 @@ mod tests {
         };
         assert!(all_nan.report().mean.is_nan());
         assert_eq!(all_nan.yield_within(1.0), 0.0);
+    }
+
+    /// A random valid tree at `bits` ∈ 1..=8 over three features and four
+    /// classes, grown breadth-first from `(split?, feature, tap, class)`
+    /// decisions; a first decision that is no split gives a constant tree.
+    fn arb_tree() -> impl Strategy<Value = DecisionTree> {
+        (
+            1u32..9,
+            vec((any::<bool>(), 0usize..3, any::<u8>(), 0usize..4), 1..40),
+        )
+            .prop_map(|(bits, decisions)| {
+                let max_tap = (1u16 << bits) - 1;
+                let mut nodes = vec![Node::Leaf { class: 0 }];
+                let mut queue = std::collections::VecDeque::from([(0usize, 0usize)]);
+                let mut cursor = 0;
+                while let Some((slot, depth)) = queue.pop_front() {
+                    let (split, feature, tap, class) = decisions[cursor % decisions.len()];
+                    cursor += 1;
+                    if split && depth < 5 && cursor < decisions.len() {
+                        let (lo, hi) = (nodes.len(), nodes.len() + 1);
+                        nodes.extend([Node::Leaf { class: 0 }, Node::Leaf { class: 0 }]);
+                        let threshold = (1 + u16::from(tap) % max_tap) as u8;
+                        nodes[slot] = Node::Split {
+                            feature,
+                            threshold,
+                            lo,
+                            hi,
+                        };
+                        queue.extend([(lo, depth + 1), (hi, depth + 1)]);
+                    } else {
+                        nodes[slot] = Node::Leaf { class };
+                    }
+                }
+                DecisionTree::from_nodes(bits, 3, 4, nodes).expect("valid by construction")
+            })
+    }
+
+    proptest! {
+        /// The packed evaluator counts exactly the samples the scalar walk
+        /// classifies correctly, whatever the thresholds did before: ties
+        /// (`v == t` goes high), thresholds below every sample or above
+        /// every sample, test sizes around the 64-lane word boundary,
+        /// single-class splits, features read by several slots, and leaf
+        /// classes the split has no samples of.
+        #[test]
+        fn packed_evaluator_matches_the_scalar_walk(
+            tree in arb_tree(),
+            data_seed in any::<u64>(),
+            label_classes in 1usize..4,
+            moves in vec(vec((0u8..5, any::<u16>(), 0.0f64..1.0), 12), 6),
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(data_seed);
+            for len in [1usize, 63, 64, 65, 128] {
+                // Coarse levels make ties between samples and with taps.
+                let rows: Vec<(Vec<f64>, usize)> = (0..len)
+                    .map(|_| {
+                        let features = (0..3)
+                            .map(|_| {
+                                if rng.gen_bool(0.5) {
+                                    f64::from(rng.gen_range(0u32..=16)) / 16.0
+                                } else {
+                                    rng.gen::<f64>()
+                                }
+                            })
+                            .collect();
+                        (features, rng.gen_range(0..label_classes))
+                    })
+                    .collect();
+                let test = Dataset::from_rows("random", 3, rows).unwrap();
+                let scalar = AnalogTree::new(&tree);
+                let columns = AnalogColumns::new(&test, tree.used_features());
+                let mut packed = PackedAnalogTree::new(&tree, &columns);
+                let nominal = scalar.nominal_thresholds();
+                prop_assert_eq!(packed.nominal_thresholds(), nominal.as_slice());
+                let expected = scalar.accuracy(&test, &nominal);
+                prop_assert_eq!(packed.accuracy(&columns, &nominal).to_bits(), expected.to_bits());
+                for slots in &moves {
+                    let thresholds: Vec<f64> = packed
+                        .pairs()
+                        .iter()
+                        .zip(slots)
+                        .map(|(&(feature, _), &(kind, pick, uniform))| {
+                            let column: Vec<f64> = test.iter().map(|(x, _)| x[feature]).collect();
+                            let lo = column.iter().copied().fold(f64::INFINITY, f64::min);
+                            let hi = column.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                            match kind {
+                                0 => column[usize::from(pick) % len],
+                                1 => lo - 0.25,
+                                2 => hi + 0.25,
+                                3 => lo,
+                                _ => uniform,
+                            }
+                        })
+                        .collect();
+                    let expected = scalar.accuracy(&test, &thresholds);
+                    prop_assert_eq!(
+                        packed.accuracy(&columns, &thresholds).to_bits(),
+                        expected.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The trial the compiled stream replaces, from scratch: draw the
+    /// segment factors, solve the perturbed ladder as a [`Circuit`], draw
+    /// one offset per retained tap, then one offset per threshold slot,
+    /// and walk the tree sample by sample.
+    ///
+    /// [`Circuit`]: printed_analog::Circuit
+    fn reference_trial(
+        tree: &DecisionTree,
+        ladder: &Ladder,
+        test: &Dataset,
+        model: &MismatchModel,
+        rng: &mut StdRng,
+    ) -> f64 {
+        let sigma = model.resistor_sigma_rel;
+        let factors: Vec<f64> = (0..ladder.resistor_count())
+            .map(|_| {
+                sample_normal(rng, 1.0, sigma)
+                    .clamp((1.0 - 3.0 * sigma).max(0.1), 1.0 + 3.0 * sigma)
+            })
+            .collect();
+        let (ckt, nodes) = ladder.build_circuit_with(|seg, nominal| nominal * factors[seg]);
+        let op = ckt.dc_operating_point().unwrap();
+        for _ in ladder.taps() {
+            sample_normal(rng, 0.0, model.comparator_offset_sigma_v);
+        }
+        let scalar = AnalogTree::new(tree);
+        let thresholds: Vec<f64> = scalar
+            .pairs
+            .iter()
+            .map(|&(_, tap)| {
+                let offset = sample_normal(rng, 0.0, model.comparator_offset_sigma_v);
+                op.voltage(nodes[&usize::from(tap)]) - offset
+            })
+            .collect();
+        scalar.accuracy(test, &thresholds)
+    }
+
+    /// Every paper-grid candidate of Seeds and Vertebral-3C, at the
+    /// campaign's own per-point seeds: the stream's first 50 trials equal
+    /// the circuit-and-scalar-walk reference bit for bit.
+    #[test]
+    fn stream_trials_equal_the_circuit_reference_on_the_paper_grid() {
+        use crate::campaign::RobustnessCampaign;
+        use crate::explore::{explore, point_seed, ExplorationConfig};
+        let campaign = RobustnessCampaign::typical();
+        let analog = AnalogModel::egfet();
+        for bench in [Benchmark::Seeds, Benchmark::Vertebral3C] {
+            let (train_q, test_q) = bench.load_quantized(4).unwrap();
+            let (_, test) = bench.load_split().unwrap();
+            let sweep = explore(&train_q, &test_q, &ExplorationConfig::paper());
+            assert_eq!(sweep.candidates.len(), 49);
+            for candidate in sweep.candidates.iter().filter(|c| c.tree.split_count() > 0) {
+                let tree = &candidate.tree;
+                let seed = point_seed(campaign.seed, candidate.depth, candidate.tau);
+                let recorder = Recorder::disabled();
+                let mut stream = MismatchTrialStream::new(
+                    tree,
+                    &test,
+                    &campaign.mismatch,
+                    seed,
+                    &analog,
+                    &recorder,
+                );
+                let scalar = AnalogTree::new(tree);
+                assert_eq!(
+                    stream.nominal().to_bits(),
+                    scalar
+                        .accuracy(&test, &scalar.nominal_thresholds())
+                        .to_bits()
+                );
+                let ladder = Ladder::pruned(
+                    tree.bits(),
+                    &UnaryClassifier::from_tree(tree).adc_bank().distinct_taps(),
+                    analog.supply.volts(),
+                    analog.unit_resistor.ohms(),
+                )
+                .unwrap();
+                let mut rng = StdRng::seed_from_u64(seed);
+                for trial in 0..50 {
+                    let expected =
+                        reference_trial(tree, &ladder, &test, &campaign.mismatch, &mut rng);
+                    assert_eq!(
+                        stream.next_accuracy().to_bits(),
+                        expected.to_bits(),
+                        "{bench:?} tau={} depth={} trial {trial}",
+                        candidate.tau,
+                        candidate.depth
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,16 +7,13 @@
 //! and renders the verdict against the printed energy harvester's 2 mW
 //! budget ([`printed_pdk::HARVESTER_BUDGET`]).
 //!
-//! Two construction paths produce the same report:
-//!
-//! * [`CostReport::from_trace`] reads a recorded [`FlowTrace`] (e.g. one
-//!   parsed back from NDJSON by [`crate::parse::parse_trace`]) — this is
-//!   what the `printed-trace` CLI uses;
-//! * [`CostReport::from_outcome`] recomputes from a live [`FlowOutcome`]
-//!   via printed-adc's `BespokeAdcBank::input_cost` — no tracing needed.
+//! The report has one construction path, [`CostReport::from_trace`]: it
+//! reads a recorded [`FlowTrace`] — a live run's (`FlowOutcome::trace` of a
+//! traced flow) or one parsed back from NDJSON by
+//! [`crate::parse::parse_trace`], which is what the `printed-trace` CLI
+//! uses.
 
-use printed_codesign::FlowOutcome;
-use printed_pdk::{AnalogModel, HARVESTER_BUDGET};
+use printed_pdk::HARVESTER_BUDGET;
 use printed_telemetry::{keys, EventRecord, FieldValue, FlowTrace};
 
 /// One bespoke ADC (one tree input feature) and its share of the bank.
@@ -360,146 +357,6 @@ impl CostReport {
         }
     }
 
-    /// Recomputes the report directly from a flow outcome — the
-    /// untelemetered path. Sweep-level counters (splits, Gini evals,
-    /// trees) come from the outcome's trace when one rode along, else
-    /// stay zero.
-    pub fn from_outcome(outcome: &FlowOutcome, model: &AnalogModel) -> Self {
-        let system = &outcome.chosen.system;
-        let bank = system.classifier.adc_bank();
-        let adcs = bank
-            .iter()
-            .map(|(feature, taps)| {
-                let cost = bank.input_cost(feature, model);
-                AdcRow {
-                    feature: feature as u64,
-                    taps: taps.len() as u64,
-                    comparators: cost.comparators as u64,
-                    area_mm2: cost.area.mm2(),
-                    power_uw: cost.power.uw(),
-                }
-            })
-            .collect();
-        let classes = (0..system.classifier.n_classes())
-            .map(|class| {
-                let sop = system.classifier.class_sop(class);
-                ClassRow {
-                    class: class as u64,
-                    cubes: sop.cubes().len() as u64,
-                    literals: sop.literal_count() as u64,
-                }
-            })
-            .collect();
-        let (mut and_gates, mut or_gates) = (0u64, 0u64);
-        for &(kind, n) in &system.digital.histogram {
-            use printed_pdk::CellKind::*;
-            match kind {
-                And2 | And3 | And4 | Nand2 | Nand3 | Nand4 => and_gates += n as u64,
-                Or2 | Or3 | Or4 | Nor2 | Nor3 | Nor4 => or_gates += n as u64,
-                _ => {}
-            }
-        }
-        let retained = system.comparator_count() as u64;
-        let full = (bank.input_count() * ((1usize << bank.bits()) - 1)) as u64;
-        let mut sweep_lint = SweepLint::default();
-        let mut matrix: std::collections::BTreeMap<(String, String), (u64, u64)> =
-            std::collections::BTreeMap::new();
-        for candidate in &outcome.sweep.lint {
-            let errors = candidate.report.error_count() as u64;
-            let warnings = candidate.report.warning_count() as u64;
-            sweep_lint.candidates += 1;
-            sweep_lint.errors += errors;
-            sweep_lint.warnings += warnings;
-            sweep_lint.consider_worst(candidate.tau, candidate.depth as u64, errors, warnings);
-            let mut per_candidate: std::collections::BTreeMap<(String, String), u64> =
-                std::collections::BTreeMap::new();
-            for d in &candidate.report.diagnostics {
-                *per_candidate
-                    .entry((d.code.clone(), d.severity.label().to_owned()))
-                    .or_insert(0) += 1;
-            }
-            for (key, count) in per_candidate {
-                let cell = matrix.entry(key).or_insert((0, 0));
-                cell.0 += count;
-                cell.1 += 1;
-            }
-        }
-        sweep_lint.matrix = matrix
-            .into_iter()
-            .map(|((code, severity), (findings, candidates))| SweepLintRow {
-                code,
-                severity,
-                findings,
-                candidates,
-            })
-            .collect();
-        let base = Self {
-            title: outcome.title.clone(),
-            selected: Some(SelectedDesign {
-                tau: outcome.chosen.tau,
-                depth: outcome.chosen.depth as u64,
-                accuracy: outcome.chosen.test_accuracy,
-                area_mm2: system.total_area().mm2(),
-                power_mw: system.total_power().mw(),
-                comparators: retained,
-            }),
-            adcs,
-            classes,
-            comparators_retained: retained,
-            comparators_dropped: full.saturating_sub(retained),
-            ladder_resistors: match bank.distinct_taps().len() {
-                0 => 0,
-                distinct => (distinct + 1) as u64,
-            },
-            and_gates,
-            or_gates,
-            robustness: outcome
-                .robustness
-                .as_ref()
-                .map(|campaign| {
-                    campaign
-                        .profiles
-                        .iter()
-                        .map(|row| RobustRow {
-                            tau: row.tau,
-                            depth: row.depth as u64,
-                            nominal: row.profile.nominal,
-                            mean_mismatch: row.profile.mean_under_mismatch,
-                            worst_fault: row.profile.worst_single_fault,
-                            droop_margin: row.profile.droop_margin,
-                            yield_est: row.profile.yield_estimate,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
-            failed_candidates: outcome.sweep.failed_candidates.len() as u64,
-            lint: outcome
-                .lint
-                .diagnostics
-                .iter()
-                .map(|d| LintRow {
-                    code: d.code.clone(),
-                    severity: d.severity.label().to_owned(),
-                    locus: d.locus.clone(),
-                    message: d.message.clone(),
-                })
-                .collect(),
-            lint_errors: outcome.lint.error_count() as u64,
-            sweep_lint,
-            ..Self::default()
-        };
-        match outcome.trace() {
-            Some(trace) => Self {
-                splits: trace.split_selections(),
-                gini_evals: trace.counter(keys::GINI_EVALS),
-                trees: trace.counter(keys::TREES_TRAINED),
-                trees_shared: trace.counter(keys::TREES_SHARED),
-                ..base
-            },
-            None => base,
-        }
-    }
-
     /// Total ADC-bank power across the per-input rows, µW (excludes the
     /// shared ladder, which is priced once per bank).
     pub fn adc_power_uw(&self) -> f64 {
@@ -661,9 +518,10 @@ impl CostReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use printed_codesign::CodesignFlow;
     use printed_codesign::ExplorationConfig;
+    use printed_codesign::{CodesignFlow, FlowOutcome};
     use printed_datasets::Benchmark;
+    use printed_pdk::AnalogModel;
 
     fn traced_outcome() -> FlowOutcome {
         let (train, test) = Benchmark::Seeds.load_quantized(4).unwrap();
@@ -674,58 +532,91 @@ mod tests {
             .run()
     }
 
+    /// The report read back from a live run's trace holds exactly what
+    /// the run's outcome says about the chosen design and the grid.
     #[test]
-    fn trace_and_outcome_paths_agree() {
+    fn trace_report_matches_the_live_outcome() {
         let outcome = traced_outcome();
         let model = AnalogModel::egfet();
-        let from_trace = CostReport::from_trace(outcome.trace().expect("traced run"));
-        let from_outcome = CostReport::from_outcome(&outcome, &model);
-        assert_eq!(from_trace.adcs, from_outcome.adcs);
-        assert_eq!(from_trace.classes, from_outcome.classes);
+        let report = CostReport::from_trace(outcome.trace().expect("traced run"));
+        let system = &outcome.chosen.system;
+        let bank = system.classifier.adc_bank();
+        let adcs: Vec<AdcRow> = bank
+            .iter()
+            .map(|(feature, taps)| {
+                let cost = bank.input_cost(feature, &model);
+                AdcRow {
+                    feature: feature as u64,
+                    taps: taps.len() as u64,
+                    comparators: cost.comparators as u64,
+                    area_mm2: cost.area.mm2(),
+                    power_uw: cost.power.uw(),
+                }
+            })
+            .collect();
+        assert_eq!(report.adcs, adcs);
+        let classes: Vec<ClassRow> = (0..system.classifier.n_classes())
+            .map(|class| {
+                let sop = system.classifier.class_sop(class);
+                ClassRow {
+                    class: class as u64,
+                    cubes: sop.cubes().len() as u64,
+                    literals: sop.literal_count() as u64,
+                }
+            })
+            .collect();
+        assert_eq!(report.classes, classes);
+        let retained = system.comparator_count() as u64;
+        let full = (bank.input_count() * ((1usize << bank.bits()) - 1)) as u64;
+        assert_eq!(report.comparators_retained, retained);
+        assert_eq!(report.comparators_dropped, full - retained);
         assert_eq!(
-            from_trace.comparators_retained,
-            from_outcome.comparators_retained
+            report.ladder_resistors,
+            bank.distinct_taps().len() as u64 + 1
         );
+        let gates: u64 = system
+            .digital
+            .histogram
+            .iter()
+            .map(|&(_, n)| n as u64)
+            .sum();
+        assert!(report.and_gates > 0 && report.and_gates + report.or_gates <= gates);
+        let lint: Vec<(String, String)> = outcome
+            .lint
+            .diagnostics
+            .iter()
+            .map(|d| (d.code.clone(), d.message.clone()))
+            .collect();
+        let reported: Vec<(String, String)> = report
+            .lint
+            .iter()
+            .map(|row| (row.code.clone(), row.message.clone()))
+            .collect();
+        assert_eq!(reported, lint);
+        assert_eq!(report.lint_errors, 0, "clean design must lint clean");
         assert_eq!(
-            from_trace.comparators_dropped,
-            from_outcome.comparators_dropped
-        );
-        assert_eq!(from_trace.ladder_resistors, from_outcome.ladder_resistors);
-        assert_eq!(from_trace.and_gates, from_outcome.and_gates);
-        assert_eq!(from_trace.or_gates, from_outcome.or_gates);
-        assert_eq!(from_trace.splits, from_outcome.splits);
-        assert_eq!(from_trace.lint, from_outcome.lint);
-        assert_eq!(from_trace.lint_errors, from_outcome.lint_errors);
-        assert_eq!(from_trace.lint_errors, 0, "clean design must lint clean");
-        // The whole-grid rollup reconstructs identically from the
-        // lint_candidate records and from the outcome's lint vector.
-        assert_eq!(from_trace.sweep_lint, from_outcome.sweep_lint);
-        assert_eq!(
-            from_trace.sweep_lint.candidates,
+            report.sweep_lint.candidates,
             outcome.sweep.candidates.len() as u64,
             "every grid candidate was linted in-flow"
         );
-        assert_eq!(from_trace.sweep_lint.errors, 0, "grid must lint error-free");
+        assert_eq!(report.sweep_lint.errors, 0, "grid must lint error-free");
         // The NDJSON round trip (kind:"lint_candidate" lines) preserves it.
         let parsed = crate::parse::parse_trace(&outcome.trace().unwrap().to_ndjson());
         assert!(parsed.warnings.is_empty(), "{:?}", parsed.warnings);
         let reparsed = CostReport::from_trace(&parsed.trace);
-        assert_eq!(reparsed.sweep_lint, from_trace.sweep_lint);
-        let (a, b) = (
-            from_trace.selected.expect("selected event"),
-            from_outcome.selected.expect("chosen design"),
-        );
-        assert_eq!(a.depth, b.depth);
-        assert_eq!(a.comparators, b.comparators);
-        assert!((a.area_mm2 - b.area_mm2).abs() < 1e-9);
-        assert!((a.power_mw - b.power_mw).abs() < 1e-9);
+        assert_eq!(reparsed.sweep_lint, report.sweep_lint);
+        let selected = report.selected.expect("selected event");
+        assert_eq!(selected.depth, outcome.chosen.depth as u64);
+        assert_eq!(selected.comparators, retained);
+        assert!((selected.area_mm2 - system.total_area().mm2()).abs() < 1e-9);
+        assert!((selected.power_mw - system.total_power().mw()).abs() < 1e-9);
     }
 
     #[test]
     fn per_input_shares_cover_the_system_adc_cost() {
         let outcome = traced_outcome();
         let model = AnalogModel::egfet();
-        let report = CostReport::from_outcome(&outcome, &model);
+        let report = CostReport::from_trace(outcome.trace().expect("traced run"));
         let system = &outcome.chosen.system;
         let bank = system.classifier.adc_bank();
         let bank_cost = bank.cost(&model);
@@ -757,7 +648,7 @@ mod tests {
     }
 
     #[test]
-    fn robustness_section_round_trips_both_paths() {
+    fn robustness_section_matches_the_outcome_and_round_trips() {
         use printed_codesign::RobustnessCampaign;
         let (train, test) = Benchmark::Seeds.load_quantized(4).unwrap();
         let (_, analog_test) = Benchmark::Seeds.load_split().unwrap();
@@ -769,11 +660,25 @@ mod tests {
             .traced()
             .run();
         let from_trace = CostReport::from_trace(outcome.trace().expect("traced run"));
-        let from_outcome = CostReport::from_outcome(&outcome, &AnalogModel::egfet());
+        let profiles: Vec<RobustRow> = outcome
+            .robustness
+            .as_ref()
+            .expect("campaign ran")
+            .profiles
+            .iter()
+            .map(|row| RobustRow {
+                tau: row.tau,
+                depth: row.depth as u64,
+                nominal: row.profile.nominal,
+                mean_mismatch: row.profile.mean_under_mismatch,
+                worst_fault: row.profile.worst_single_fault,
+                droop_margin: row.profile.droop_margin,
+                yield_est: row.profile.yield_estimate,
+            })
+            .collect();
         assert_eq!(from_trace.robustness.len(), outcome.sweep.candidates.len());
-        assert_eq!(from_trace.robustness, from_outcome.robustness);
+        assert_eq!(from_trace.robustness, profiles);
         assert_eq!(from_trace.failed_candidates, 0);
-        assert_eq!(from_outcome.failed_candidates, 0);
         let text = from_trace.render_text();
         assert!(text.contains("robustness"), "{text}");
         assert!(text.contains("worst-fault"), "{text}");

@@ -265,7 +265,7 @@ fn robust_selection_diverges_from_plain_on_seeds() {
         (flow_outcome.chosen.tau, flow_outcome.chosen.depth),
         (robust.tau, robust.depth)
     );
-    let report = CostReport::from_outcome(&flow_outcome, &AnalogModel::egfet());
+    let report = CostReport::from_trace(flow_outcome.trace().expect("traced run"));
     assert_eq!(report.robustness.len(), sweep.candidates.len());
     let text = report.render_text();
     assert!(text.contains("robustness"), "missing section:\n{text}");

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use printed_ml::adc::{BespokeAdcBank, UnaryCode};
 use printed_ml::analog::ladder::Ladder;
-use printed_ml::codesign::{decode_one_hot, UnaryClassifier};
+use printed_ml::codesign::{decode_one_hot, AnalogColumns, PackedAnalogTree, UnaryClassifier};
 use printed_ml::datasets::{quantize_level, Dataset, QuantizedDataset};
 use printed_ml::dtree::baseline::{baseline_netlist, decode_label, encode_sample};
 use printed_ml::dtree::cart::{train, CartConfig};
@@ -358,6 +358,19 @@ proptest! {
                 prop_assert_eq!(decode_one_hot(&outs), Some(tree.predict(sample)));
             }
         }
+        // Sixth evaluator: the packed analog walk at the nominal
+        // thresholds, on the samples as analog levels (`level / 16` sits
+        // on tap `level` exactly) labelled with the tree's own predictions,
+        // so every sample must land on its leaf.
+        let rows: Vec<(Vec<f64>, usize)> = samples
+            .iter()
+            .map(|s| (s.iter().map(|&l| f64::from(l) / 16.0).collect(), tree.predict(s)))
+            .collect();
+        let analog = Dataset::from_rows("levels", 4, rows).unwrap();
+        let columns = AnalogColumns::new(&analog, tree.used_features());
+        let mut packed = PackedAnalogTree::new(&tree, &columns);
+        let nominal = packed.nominal_thresholds().to_vec();
+        prop_assert_eq!(packed.accuracy(&columns, &nominal), 1.0);
     }
 
     /// Structural queries agree with each other: paths, distinct pairs,
