@@ -31,6 +31,7 @@
 //! ```
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -139,6 +140,9 @@ impl MismatchTrials {
 /// [`PackedAnalogTree`] scores against it.
 #[derive(Debug, Clone)]
 pub struct AnalogColumns {
+    /// Unique per [`AnalogColumns::new`] call (clones share it, with the
+    /// content): what a [`PackedAnalogTree`] checks it is scored against.
+    id: u64,
     len: usize,
     words: usize,
     n_features: usize,
@@ -158,6 +162,7 @@ impl AnalogColumns {
     ///
     /// Panics if `test` is empty, or a feature is not a column of `test`.
     pub fn new(test: &Dataset, features: impl IntoIterator<Item = usize>) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         assert!(!test.is_empty(), "cannot score an empty dataset");
         let len = test.len();
         let words = len.div_ceil(64);
@@ -184,6 +189,7 @@ impl AnalogColumns {
             labels[label * words + s / 64] |= 1 << (s % 64);
         }
         Self {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             len,
             words,
             n_features: test.n_features(),
@@ -248,6 +254,8 @@ pub struct PackedAnalogTree {
     /// One reach word per node: scratch for the walk.
     reach: Vec<u64>,
     words: usize,
+    /// The [`AnalogColumns`] the ranks and masks index into.
+    columns: u64,
 }
 
 /// One tree node as the packed walk reads it. Children always follow
@@ -315,6 +323,7 @@ impl PackedAnalogTree {
             pairs,
             nominal: Vec::new(),
             words,
+            columns: columns.id,
         };
         packed.set_thresholds(columns, &nominal);
         packed.nominal = nominal;
@@ -339,7 +348,8 @@ impl PackedAnalogTree {
     /// # Panics
     ///
     /// Panics if `thresholds` does not hold one value per slot, or
-    /// `columns` is not the split the tree was compiled against.
+    /// `columns` is neither the [`AnalogColumns`] the tree was compiled
+    /// against nor a clone of it.
     pub fn accuracy(&mut self, columns: &AnalogColumns, thresholds: &[f64]) -> f64 {
         self.set_thresholds(columns, thresholds);
         self.correct(columns) as f64 / columns.len as f64
@@ -349,7 +359,7 @@ impl PackedAnalogTree {
     /// the samples it crosses.
     fn set_thresholds(&mut self, columns: &AnalogColumns, thresholds: &[f64]) {
         assert_eq!(thresholds.len(), self.pairs.len(), "one threshold per slot");
-        assert_eq!(columns.words, self.words, "columns of another split");
+        assert_eq!(columns.id, self.columns, "columns of another split");
         let words = self.words;
         for (slot, (&(feature, _), &t)) in self.pairs.iter().zip(thresholds).enumerate() {
             let column = columns.column(feature);
@@ -1009,5 +1019,21 @@ mod tests {
         let (_, test) = setup();
         let tree = DecisionTree::constant(4, test.n_features(), 3, 0);
         mismatch_accuracy(&tree, &test, &MismatchModel::none(), 1, 0);
+    }
+
+    /// Ranks and lane masks index one `AnalogColumns`: a clone scores, but
+    /// columns sorted separately — even from a split of the same size —
+    /// are refused instead of silently read at the wrong positions.
+    #[test]
+    #[should_panic(expected = "columns of another split")]
+    fn packed_tree_refuses_columns_it_was_not_compiled_against() {
+        let (tree, test) = setup();
+        let columns = AnalogColumns::new(&test, tree.used_features());
+        let mut packed = PackedAnalogTree::new(&tree, &columns);
+        let nominal = packed.nominal_thresholds().to_vec();
+        let expected = packed.accuracy(&columns, &nominal);
+        assert_eq!(packed.accuracy(&columns.clone(), &nominal), expected);
+        let other = AnalogColumns::new(&test, tree.used_features());
+        packed.accuracy(&other, &nominal);
     }
 }

@@ -574,26 +574,65 @@ mod tests {
             report.ladder_resistors,
             bank.distinct_taps().len() as u64 + 1
         );
-        let gates: u64 = system
-            .digital
-            .histogram
-            .iter()
-            .map(|&(_, n)| n as u64)
-            .sum();
-        assert!(report.and_gates > 0 && report.and_gates + report.or_gates <= gates);
-        let lint: Vec<(String, String)> = outcome
+        let (mut and_gates, mut or_gates) = (0u64, 0u64);
+        for &(kind, n) in &system.digital.histogram {
+            use printed_pdk::CellKind::*;
+            match kind {
+                And2 | And3 | And4 | Nand2 | Nand3 | Nand4 => and_gates += n as u64,
+                Or2 | Or3 | Or4 | Nor2 | Nor3 | Nor4 => or_gates += n as u64,
+                _ => {}
+            }
+        }
+        assert!(and_gates > 0);
+        assert_eq!(report.and_gates, and_gates);
+        assert_eq!(report.or_gates, or_gates);
+        let lint: Vec<LintRow> = outcome
             .lint
             .diagnostics
             .iter()
-            .map(|d| (d.code.clone(), d.message.clone()))
+            .map(|d| LintRow {
+                code: d.code.clone(),
+                severity: d.severity.label().to_owned(),
+                locus: d.locus.clone(),
+                message: d.message.clone(),
+            })
             .collect();
-        let reported: Vec<(String, String)> = report
-            .lint
-            .iter()
-            .map(|row| (row.code.clone(), row.message.clone()))
-            .collect();
-        assert_eq!(reported, lint);
+        assert_eq!(report.lint, lint);
+        assert_eq!(report.lint_errors, outcome.lint.error_count() as u64);
         assert_eq!(report.lint_errors, 0, "clean design must lint clean");
+        // The whole-grid rollup read from the lint_candidate records equals
+        // the one rebuilt from the outcome's per-candidate lint reports.
+        let mut sweep_lint = SweepLint::default();
+        let mut matrix = std::collections::BTreeMap::<(String, String), (u64, u64)>::new();
+        for candidate in &outcome.sweep.lint {
+            let errors = candidate.report.error_count() as u64;
+            let warnings = candidate.report.warning_count() as u64;
+            sweep_lint.candidates += 1;
+            sweep_lint.errors += errors;
+            sweep_lint.warnings += warnings;
+            sweep_lint.consider_worst(candidate.tau, candidate.depth as u64, errors, warnings);
+            let mut per_candidate = std::collections::BTreeMap::<(String, String), u64>::new();
+            for d in &candidate.report.diagnostics {
+                *per_candidate
+                    .entry((d.code.clone(), d.severity.label().to_owned()))
+                    .or_insert(0) += 1;
+            }
+            for (key, count) in per_candidate {
+                let cell = matrix.entry(key).or_insert((0, 0));
+                cell.0 += count;
+                cell.1 += 1;
+            }
+        }
+        sweep_lint.matrix = matrix
+            .into_iter()
+            .map(|((code, severity), (findings, candidates))| SweepLintRow {
+                code,
+                severity,
+                findings,
+                candidates,
+            })
+            .collect();
+        assert_eq!(report.sweep_lint, sweep_lint);
         assert_eq!(
             report.sweep_lint.candidates,
             outcome.sweep.candidates.len() as u64,
