@@ -16,7 +16,7 @@
 //!   grid point panicked or no candidate could be profiled;
 //! * `--trials <n>` — Monte-Carlo trials per candidate for `--robust`;
 //! * `--trials-max <n>` — switch the campaign to the adaptive sequential
-//!   budget: candidates stop early once a confidence bound proves they
+//!   budget: candidates stop early once a completion bound proves they
 //!   admit or violate the selection constraints, spending at most `n`
 //!   trials each, and the cheap-probe pre-pass prunes grid points whose
 //!   nominal accuracy or droop margin already rules them out;

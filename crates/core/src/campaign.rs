@@ -37,7 +37,7 @@ use printed_pdk::AnalogModel;
 use printed_telemetry::{keys, FieldValue, Recorder};
 
 use crate::checkpoint::{Fingerprint, Journal, RobustCheckpointLine};
-use crate::explore::{fan_out, Exploration};
+use crate::explore::{fan_out, CandidateDesign, Exploration};
 use crate::mismatch::{AnalogColumns, MismatchTrialStream, MismatchTrials, PackedAnalogTree};
 use crate::robustness::fault_robustness;
 
@@ -265,17 +265,18 @@ impl RobustnessConstraints {
 /// campaign (attach with [`RobustnessCampaign::budgeted`]).
 ///
 /// The sequential decision treats every candidate as a hypothetical
-/// exhaustive campaign of [`trials_max`](Self::trials_max) trials and
-/// stops as soon as confidence bounds prove the candidate's admit/reject
-/// outcome — the conjunction of the [`constraints`](Self::constraints)
-/// and the [`robust_floor`](Self::robust_floor) — cannot change with the
+/// exhaustive campaign of [`trials_max`](Self::trials_max) trials and,
+/// after a 4-trial warm-up, stops as soon as completion bounds prove the
+/// candidate's admit/reject outcome — the conjunction of the
+/// [`constraints`](Self::constraints) and the
+/// [`robust_floor`](Self::robust_floor) — cannot change with the
 /// remaining trials. Because the Monte-Carlo RNG is consumed strictly
 /// per-trial (see [`crate::mismatch::MismatchTrialStream`]), a budgeted
-/// run observes an exact prefix of the exhaustive accuracy stream; at
-/// [`confidence`](Self::confidence) `1.0` the bounds are worst-case over
-/// every completion of that prefix, so admit/reject decisions — and hence
-/// [`Exploration::select_robust`] — agree with the exhaustive campaign
-/// *exactly*, while spending fewer trials.
+/// run observes an exact prefix of the exhaustive accuracy stream; the
+/// bounds are worst-case over every completion of that prefix, so
+/// admit/reject decisions — and hence [`Exploration::select_robust`] —
+/// agree with the exhaustive campaign *exactly*, while spending fewer
+/// trials.
 ///
 /// [`Exploration::select_robust`]: crate::explore::Exploration::select_robust
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -284,14 +285,6 @@ pub struct AdaptiveBudget {
     /// sequential decisions are proved against, and the worst-case spend
     /// when nothing is decidable (exact-mode fallback).
     pub trials_max: usize,
-    /// Trials always run before any early exit.
-    pub min_trials: usize,
-    /// Confidence of the sequential bounds, in `(0, 1]`. `1.0` (default)
-    /// uses the worst-case interval — exact agreement with the exhaustive
-    /// campaign; below `1.0` the Wilson (yield) and Hoeffding (mean)
-    /// intervals tighten around the running estimates, exiting earlier at
-    /// the stated confidence.
-    pub confidence: f64,
     /// Admission constraints the early exit decides against. These must
     /// match the constraints later given to `select_robust` — deciding
     /// against weaker constraints would surrender the agreement guarantee.
@@ -315,15 +308,13 @@ pub struct AdaptiveBudget {
 }
 
 impl AdaptiveBudget {
-    /// A budget of `trials_max` with the exact (confidence-1) bounds, a
-    /// 4-trial warm-up, unconstrained admission, no floor, and no probe.
+    /// A budget of `trials_max` with unconstrained admission, no floor,
+    /// and no probe.
     /// With nothing to decide it never exits early: it is the exhaustive
     /// `trials_max`-trial campaign.
     pub fn new(trials_max: usize) -> Self {
         Self {
             trials_max,
-            min_trials: 4,
-            confidence: 1.0,
             constraints: RobustnessConstraints::default(),
             robust_floor: None,
             probe: false,
@@ -395,117 +386,19 @@ pub struct PrunedPoint {
     pub droop_margin: Option<f64>,
 }
 
-/// Standard-normal quantile (probit) via the Acklam rational
-/// approximation — good to ~1e-9 over (0, 1), plenty for sequential-test
-/// z-scores without pulling in a stats dependency.
-fn probit(p: f64) -> f64 {
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.38357751867269e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    assert!(
-        (0.0..1.0).contains(&p) && p > 0.0,
-        "probit domain is (0, 1)"
-    );
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        -probit(1.0 - p)
-    }
-}
+/// Monte-Carlo trials every non-constant candidate runs before any early
+/// exit (clamped to the budget).
+const WARMUP_TRIALS: usize = 4;
 
-/// Wilson score interval for a Bernoulli proportion after `successes` of
-/// `k` observations, at normal quantile `z`. Always contains the point
-/// estimate `successes/k`, so a decision taken against one bound is
-/// consistent with the estimate the profile reports.
-pub(crate) fn wilson_interval(successes: usize, k: usize, z: f64) -> (f64, f64) {
-    if k == 0 {
-        return (0.0, 1.0);
-    }
-    let (s, n) = (successes as f64, k as f64);
-    let p = s / n;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let center = p + z2 / (2.0 * n);
-    let half = z * ((p * (1.0 - p) + z2 / (4.0 * n)) / n).sqrt();
-    (
-        ((center - half) / denom).max(0.0),
-        ((center + half) / denom).min(1.0),
-    )
-}
-
-/// Interval containing the *budget-`n` empirical mean* of a `[0, 1]`
-/// statistic after observing the first `k` trials summing to `sum`.
-///
-/// At `confidence == 1.0` the interval is worst-case — every remaining
-/// trial pessimal or optimal — so any decision taken against it holds for
-/// the exhaustive campaign *with certainty*. Below `1.0` it is
-/// intersected with the projection of the Hoeffding confidence interval
-/// for the underlying mean onto the remaining trials.
-fn budget_mean_interval(sum: f64, k: usize, n: usize, confidence: f64) -> (f64, f64) {
-    let (k_f, n_f) = (k as f64, n as f64);
-    let rest = n_f - k_f;
-    let mut lo = sum / n_f;
-    let mut hi = (sum + rest) / n_f;
-    if confidence < 1.0 && k > 0 {
-        let delta = 1.0 - confidence;
-        let eps = ((2.0 / delta).ln() / (2.0 * k_f)).sqrt();
-        let mu = sum / k_f;
-        lo = lo.max((sum + rest * (mu - eps).max(0.0)) / n_f);
-        hi = hi.min((sum + rest * (mu + eps).min(1.0)) / n_f);
-    }
-    (lo, hi)
-}
-
-/// [`budget_mean_interval`] for the yield proportion: the worst-case
-/// interval, tightened below confidence 1.0 by projecting the Wilson
-/// interval for the underlying success probability onto the remaining
-/// trials.
-fn budget_yield_interval(successes: usize, k: usize, n: usize, confidence: f64) -> (f64, f64) {
-    let (s, n_f) = (successes as f64, n as f64);
-    let rest = (n - k) as f64;
-    let mut lo = s / n_f;
-    let mut hi = (s + rest) / n_f;
-    if confidence < 1.0 && k > 0 {
-        let z = probit(1.0 - (1.0 - confidence) / 2.0);
-        let (p_lo, p_hi) = wilson_interval(successes, k, z);
-        lo = lo.max((s + rest * p_lo) / n_f);
-        hi = hi.min((s + rest * p_hi) / n_f);
-    }
-    (lo, hi)
+/// Exact completion bounds on the *budget-`n` empirical mean* of a
+/// `[0, 1]` statistic after observing the first `k` trials summing to
+/// `sum`: every remaining trial pessimal (`0`) or optimal (`1`). A
+/// decision taken against them holds for the exhaustive campaign with
+/// certainty. The yield term passes its success count as `sum`.
+fn completion_bounds(sum: f64, k: usize, n: usize) -> (f64, f64) {
+    let n_f = n as f64;
+    let rest = n_f - k as f64;
+    (sum / n_f, (sum + rest) / n_f)
 }
 
 /// The campaign runner: per sweep candidate, a full stuck-at fault sweep,
@@ -569,9 +462,9 @@ impl RobustnessCampaign {
     ///
     /// # Panics
     ///
-    /// Panics if `trials` is 0, `yield_loss` is negative or non-finite,
-    /// the droop scan has no steps, or the harvester's voltage swing is
-    /// inverted.
+    /// Panics if `trials` (or an adaptive budget's `trials_max`) is 0,
+    /// `yield_loss` is negative or non-finite, the droop scan has no
+    /// steps, or the harvester's voltage swing is inverted.
     pub fn validate(&self) {
         assert!(
             self.trials > 0,
@@ -591,11 +484,6 @@ impl RobustnessCampaign {
             assert!(
                 adaptive.trials_max > 0,
                 "adaptive budget needs at least one Monte-Carlo trial"
-            );
-            assert!(
-                adaptive.confidence > 0.0 && adaptive.confidence <= 1.0,
-                "adaptive confidence must be in (0, 1], got {}",
-                adaptive.confidence
             );
         }
     }
@@ -626,8 +514,10 @@ impl RobustnessCampaign {
             None => mix(0),
             Some(a) => {
                 mix(1);
-                mix(a.min_trials as u64);
-                mix(a.confidence.to_bits());
+                // The warm-up and the exact bounds' former confidence
+                // (1.0) stay in the stamp, so older checkpoints resume.
+                mix(WARMUP_TRIALS as u64);
+                mix(1.0f64.to_bits());
                 mix(a.robust_floor.map_or(u64::MAX, f64::to_bits));
                 mix(u64::from(a.probe));
                 mix(a.constraints.min_yield.map_or(u64::MAX, f64::to_bits));
@@ -641,56 +531,40 @@ impl RobustnessCampaign {
         stamp
     }
 
-    /// Profiles a single tree under this campaign (seeded with the
-    /// campaign's base seed — sweep-level runs derive per-candidate
-    /// seeds instead). Always exhaustive: exactly
-    /// [`trials`](Self::trials) Monte-Carlo trials, whatever the
-    /// [`adaptive`](Self::adaptive) policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed campaign (see [`validate`](Self::validate))
-    /// or when either test split is empty or narrower than the tree.
-    pub fn profile_tree(
-        &self,
-        tree: &DecisionTree,
-        test_q: &QuantizedDataset,
-        test_analog: &Dataset,
-        analog: &AnalogModel,
-        recorder: &Recorder,
-    ) -> RobustnessProfile {
-        self.validate();
-        let exhaustive = AdaptiveBudget::new(self.trials);
-        let columns = AnalogColumns::new(test_analog, tree.used_features());
-        match self.evaluate_with_seed(
-            &exhaustive,
-            tree,
-            test_q,
-            &columns,
-            analog,
-            recorder,
-            self.seed,
-        ) {
-            PointEvaluation::Profiled { profile, .. } => profile,
-            PointEvaluation::Pruned { .. } => unreachable!("an exhaustive policy never probes"),
-        }
-    }
-
     /// Evaluates one grid point under `policy`: probe pruning, then the
-    /// sequential Monte Carlo with early exit. The exhaustive campaign is
-    /// the policy with nothing decidable — [`AdaptiveBudget::new`]`(trials)`
-    /// — which runs every trial, so both share this one path.
+    /// sequential Monte Carlo with early exit, resolved straight into its
+    /// checkpoint record. The exhaustive campaign is the policy with
+    /// nothing decidable — [`AdaptiveBudget::new`]`(trials)` — which runs
+    /// every trial, so both share this one path.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_with_seed(
         &self,
         policy: &AdaptiveBudget,
-        tree: &DecisionTree,
+        candidate: &CandidateDesign,
         test_q: &QuantizedDataset,
         columns: &AnalogColumns,
         analog: &AnalogModel,
         recorder: &Recorder,
         seed: u64,
-    ) -> PointEvaluation {
+    ) -> RobustCheckpointLine {
+        let (tree, tau, depth) = (&candidate.tree, candidate.tau, candidate.depth);
+        let profiled = |profile, trials_spent| {
+            RobustCheckpointLine::Profiled(CandidateRobustness {
+                tau,
+                depth,
+                profile,
+                trials_spent,
+            })
+        };
+        let pruned = |reason, nominal, droop_margin| {
+            RobustCheckpointLine::Pruned(PrunedPoint {
+                tau,
+                depth,
+                reason,
+                nominal,
+                droop_margin,
+            })
+        };
         // A constant tree has no thresholds to perturb: it yields by
         // construction and droops only at the electrical limit.
         if tree.split_count() == 0 {
@@ -707,10 +581,7 @@ impl RobustnessCampaign {
                 droop_margin: self.droop.margin_packed(&mut packed, columns, nominal),
                 yield_estimate: 1.0,
             };
-            return PointEvaluation::Profiled {
-                profile,
-                trials_spent: 0,
-            };
+            return profiled(profile, 0);
         }
 
         // The stream computes the nominal accuracy up front without
@@ -727,11 +598,7 @@ impl RobustnessCampaign {
         if policy.probe {
             if let Some(floor) = policy.robust_floor {
                 if nominal < floor - 1e-12 {
-                    return PointEvaluation::Pruned {
-                        reason: PruneReason::NominalBelowFloor,
-                        nominal,
-                        droop_margin: None,
-                    };
+                    return pruned(PruneReason::NominalBelowFloor, nominal, None);
                 }
             }
         }
@@ -740,11 +607,7 @@ impl RobustnessCampaign {
         if policy.probe {
             if let Some(min_droop) = policy.constraints.min_droop_margin {
                 if droop_margin < min_droop - 1e-12 {
-                    return PointEvaluation::Pruned {
-                        reason: PruneReason::DroopMargin,
-                        nominal,
-                        droop_margin: Some(droop_margin),
-                    };
+                    return pruned(PruneReason::DroopMargin, nominal, Some(droop_margin));
                 }
             }
         }
@@ -752,15 +615,15 @@ impl RobustnessCampaign {
         let faults = fault_robustness(tree, test_q);
         recorder.add(keys::FAULTS_INJECTED, faults.fault_count as u64);
         // Deterministic metrics gate exactly: a violated droop or
-        // worst-fault bound is a zero-width "confidence interval" that
-        // already proves the reject, so the Monte Carlo only needs the
-        // warm-up trials for a reportable mean/yield estimate.
+        // worst-fault bound already proves the reject, so the Monte Carlo
+        // only needs the warm-up trials for a reportable mean/yield
+        // estimate.
         let meets = |bound: Option<f64>, value: f64| bound.is_none_or(|min| value >= min - 1e-12);
         let rejected_deterministically = !meets(policy.constraints.min_droop_margin, droop_margin)
             || !meets(policy.constraints.min_worst_fault, faults.worst_accuracy);
 
         let n = policy.trials_max;
-        let min_trials = policy.min_trials.clamp(1, n);
+        let warmup = WARMUP_TRIALS.clamp(1, n);
         let mut accuracies: Vec<f64> = Vec::with_capacity(n);
         let mut successes = 0usize;
         let mut sum = 0.0;
@@ -772,7 +635,7 @@ impl RobustnessCampaign {
             }
             sum += accuracy;
             accuracies.push(accuracy);
-            if k < min_trials || k == n {
+            if k < warmup || k == n {
                 continue;
             }
             if rejected_deterministically {
@@ -780,37 +643,20 @@ impl RobustnessCampaign {
             }
             // Sequential decision: stop once the admit/reject conjunction
             // is settled for every completion the bounds still allow.
-            let yield_term = match policy.constraints.min_yield {
-                None => TermStatus::Pass,
-                Some(min) => {
-                    let (lo, hi) = budget_yield_interval(successes, k, n, policy.confidence);
-                    if hi < min - 1e-12 {
-                        TermStatus::Fail
-                    } else if lo >= min - 1e-12 {
-                        TermStatus::Pass
-                    } else {
-                        TermStatus::Open
-                    }
-                }
-            };
+            let yield_term = policy
+                .constraints
+                .min_yield
+                .map_or(TermStatus::Pass, |min| {
+                    TermStatus::of(completion_bounds(successes as f64, k, n), min)
+                });
             if yield_term == TermStatus::Fail {
                 break;
             }
-            let mean_term = match policy.robust_floor {
-                // Without a floor an admit can never be certified — the
-                // exact-mode fallback runs the remaining budget.
-                None => TermStatus::Open,
-                Some(floor) => {
-                    let (lo, hi) = budget_mean_interval(sum, k, n, policy.confidence);
-                    if hi < floor - 1e-12 {
-                        TermStatus::Fail
-                    } else if lo >= floor - 1e-12 {
-                        TermStatus::Pass
-                    } else {
-                        TermStatus::Open
-                    }
-                }
-            };
+            // Without a floor an admit can never be certified — the
+            // exact-mode fallback runs the remaining budget.
+            let mean_term = policy.robust_floor.map_or(TermStatus::Open, |floor| {
+                TermStatus::of(completion_bounds(sum, k, n), floor)
+            });
             if mean_term == TermStatus::Fail
                 || (mean_term == TermStatus::Pass && yield_term == TermStatus::Pass)
             {
@@ -833,10 +679,7 @@ impl RobustnessCampaign {
             droop_margin,
             yield_estimate: trials.yield_within(self.yield_loss),
         };
-        PointEvaluation::Profiled {
-            profile,
-            trials_spent,
-        }
+        profiled(profile, trials_spent)
     }
 
     /// Runs the campaign over every candidate of `sweep` with default
@@ -991,7 +834,7 @@ impl RobustnessCampaign {
     /// outcome assembly consume.
     fn evaluate_candidate(
         &self,
-        candidate: &crate::explore::CandidateDesign,
+        candidate: &CandidateDesign,
         test_q: &QuantizedDataset,
         columns: &AnalogColumns,
         analog: &AnalogModel,
@@ -1007,46 +850,20 @@ impl RobustnessCampaign {
         let policy = self
             .adaptive
             .unwrap_or_else(|| AdaptiveBudget::new(self.trials));
-        let evaluation = self.evaluate_with_seed(
-            &policy,
-            &candidate.tree,
-            test_q,
-            columns,
-            analog,
-            recorder,
-            seed,
-        );
-        match evaluation {
-            PointEvaluation::Profiled {
-                profile,
-                trials_spent,
-            } => {
+        let line =
+            self.evaluate_with_seed(&policy, candidate, test_q, columns, analog, recorder, seed);
+        match &line {
+            RobustCheckpointLine::Profiled(row) => {
+                let profile = &row.profile;
                 span.field("nominal", profile.nominal)
                     .field("mean_mismatch", profile.mean_under_mismatch)
                     .field("worst_fault", profile.worst_single_fault)
                     .field("droop_margin", profile.droop_margin)
                     .field("yield_est", profile.yield_estimate)
-                    .field("trials_spent", trials_spent as u64)
+                    .field("trials_spent", row.trials_spent as u64)
                     .finish();
-                RobustCheckpointLine::Profiled(CandidateRobustness {
-                    tau: candidate.tau,
-                    depth: candidate.depth,
-                    profile,
-                    trials_spent,
-                })
             }
-            PointEvaluation::Pruned {
-                reason,
-                nominal,
-                droop_margin,
-            } => {
-                let point = PrunedPoint {
-                    tau: candidate.tau,
-                    depth: candidate.depth,
-                    reason,
-                    nominal,
-                    droop_margin,
-                };
+            RobustCheckpointLine::Pruned(point) => {
                 span.field("pruned", point.reason.as_str().to_owned())
                     .field("nominal", point.nominal)
                     .finish();
@@ -1064,9 +881,9 @@ impl RobustnessCampaign {
                 }
                 recorder.event(keys::ROBUST_PRUNED_EVENT, fields);
                 recorder.add(keys::ROBUST_PRUNED, 1);
-                RobustCheckpointLine::Pruned(point)
             }
         }
+        line
     }
 }
 
@@ -1078,18 +895,17 @@ enum TermStatus {
     Open,
 }
 
-/// How a grid point's evaluation resolved.
-enum PointEvaluation {
-    Profiled {
-        profile: RobustnessProfile,
-        trials_spent: usize,
-    },
-    /// The probe pre-pass pruned the point before any trial.
-    Pruned {
-        reason: PruneReason,
-        nominal: f64,
-        droop_margin: Option<f64>,
-    },
+impl TermStatus {
+    /// Settles a `value >= min` term whose value lies within `(lo, hi)`.
+    fn of((lo, hi): (f64, f64), min: f64) -> Self {
+        if hi < min - 1e-12 {
+            Self::Fail
+        } else if lo >= min - 1e-12 {
+            Self::Pass
+        } else {
+            Self::Open
+        }
+    }
 }
 
 impl Default for RobustnessCampaign {
@@ -1212,21 +1028,30 @@ mod tests {
     }
 
     #[test]
-    fn constant_tree_profile_is_trivially_robust() {
-        let (_, test_q) = Benchmark::Seeds.load_quantized(4).unwrap();
-        let (_, test_analog) = Benchmark::Seeds.load_split().unwrap();
-        let tree = DecisionTree::constant(4, test_q.n_features(), test_q.n_classes(), 0);
+    fn constant_tree_candidate_is_trivially_robust_and_spends_no_trials() {
+        let (mut sweep, test_q, test_analog) = small_sweep();
         let campaign = RobustnessCampaign::quick();
-        let profile = campaign.profile_tree(
-            &tree,
-            &test_q,
-            &test_analog,
-            &AnalogModel::egfet(),
-            &Recorder::disabled(),
-        );
-        assert_eq!(profile.yield_estimate, 1.0);
-        assert_eq!(profile.mean_under_mismatch, profile.nominal);
-        assert!((profile.droop_margin - campaign.droop.max_sag()).abs() < 1e-12);
+        let base = campaign.run(&sweep, &test_q, &test_analog, &Recorder::disabled());
+        let tree = DecisionTree::constant(4, test_q.n_features(), test_q.n_classes(), 0);
+        sweep.candidates.push(CandidateDesign {
+            tau: 0.0,
+            depth: 1,
+            test_accuracy: tree.accuracy(&test_q),
+            system: crate::system::synthesize_unary(&tree),
+            tree,
+        });
+        let outcome = campaign.run(&sweep, &test_q, &test_analog, &Recorder::disabled());
+        let row = outcome.profiles.last().unwrap();
+        assert_eq!((row.tau, row.depth), (0.0, 1));
+        assert_eq!(row.profile.yield_estimate, 1.0);
+        assert_eq!(row.profile.mean_under_mismatch, row.profile.nominal);
+        assert!((row.profile.droop_margin - campaign.droop.max_sag()).abs() < 1e-12);
+        assert_eq!(row.trials_spent, 0);
+        // The constant candidate neither spends nor budgets a trial, and
+        // leaves every other candidate's profile untouched.
+        assert_eq!(outcome.trials_budget, base.trials_budget);
+        assert_eq!(outcome.trials_spent, base.trials_spent);
+        assert_eq!(outcome.profiles[..base.profiles.len()], base.profiles[..]);
     }
 
     #[test]
@@ -1277,36 +1102,40 @@ mod tests {
     }
 
     #[test]
-    fn sequential_intervals_are_sane() {
-        // Wilson contains the point estimate and stays in [0, 1].
-        let z = probit(0.975);
-        assert!((z - 1.959_964).abs() < 1e-4, "probit(0.975) = {z}");
-        for &(s, k) in &[(0usize, 5usize), (3, 5), (5, 5), (40, 64)] {
-            let (lo, hi) = wilson_interval(s, k, z);
-            let p = s as f64 / k as f64;
-            assert!((0.0..=1.0).contains(&lo) && (0.0..=1.0).contains(&hi));
-            assert!(
-                lo <= p + 1e-12 && p <= hi + 1e-12,
-                "({s}/{k}): [{lo}, {hi}]"
-            );
-        }
-        // Worst-case budget intervals: exact completion bounds.
-        let (lo, hi) = budget_mean_interval(3.0, 4, 10, 1.0);
+    fn completion_bounds_are_exact() {
+        // Every remaining trial pessimal, then every one optimal.
+        let (lo, hi) = completion_bounds(3.0, 4, 10);
         assert!((lo - 0.3).abs() < 1e-12 && (hi - 0.9).abs() < 1e-12);
-        let (lo, hi) = budget_yield_interval(2, 4, 10, 1.0);
+        let (lo, hi) = completion_bounds(2.0, 4, 10);
         assert!((lo - 0.2).abs() < 1e-12 && (hi - 0.8).abs() < 1e-12);
-        // Below confidence 1.0 the intervals only tighten.
-        let (clo, chi) = budget_mean_interval(3.0, 4, 10, 0.95);
-        assert!(clo >= lo - 1e-12 && chi <= 0.9 + 1e-12);
-        let (ylo, yhi) = budget_yield_interval(2, 4, 10, 0.95);
-        assert!(ylo >= 0.2 - 1e-12 && yhi <= 0.8 + 1e-12);
         // Fully observed: the interval collapses onto the estimate.
-        let (lo, hi) = budget_mean_interval(6.0, 10, 10, 1.0);
+        let (lo, hi) = completion_bounds(6.0, 10, 10);
         assert!((lo - 0.6).abs() < 1e-12 && (hi - 0.6).abs() < 1e-12);
     }
 
-    /// The tentpole guarantee: at confidence 1.0 the budgeted campaign's
-    /// admit/reject decisions — and hence `select_robust` — agree with the
+    /// Checkpoint stamps are a persisted format: `.robust` files written
+    /// by earlier builds must keep resuming, so these values never move.
+    #[test]
+    fn checkpoint_stamps_are_pinned() {
+        assert_eq!(
+            RobustnessCampaign::typical().checkpoint_stamp(),
+            0x5e79_9e26_a45e_108c
+        );
+        let probed = RobustnessCampaign::quick()
+            .budgeted(AdaptiveBudget::new(8).with_floor(0.8).with_probe());
+        assert_eq!(probed.checkpoint_stamp(), 0xe3a0_326b_4ece_7213);
+        let constrained = RobustnessCampaign::typical().budgeted(
+            AdaptiveBudget::new(24).with_constraints(RobustnessConstraints {
+                min_yield: Some(0.9),
+                min_worst_fault: Some(0.5),
+                min_droop_margin: Some(0.2),
+            }),
+        );
+        assert_eq!(constrained.checkpoint_stamp(), 0x95bb_adca_3a3a_152e);
+    }
+
+    /// The adaptive guarantee: the budgeted campaign's admit/reject
+    /// decisions — and hence `select_robust` — agree with the
     /// exhaustive campaign exactly, while spending measurably fewer
     /// Monte-Carlo trials.
     #[test]

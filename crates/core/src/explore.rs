@@ -325,32 +325,13 @@ pub fn explore(
     test_data: &QuantizedDataset,
     config: &ExplorationConfig,
 ) -> Exploration {
-    explore_with(
+    explore_instrumented(
         train_data,
         test_data,
         config,
         &CellLibrary::egfet(),
         &AnalogModel::egfet(),
         &AnalysisConfig::printed_20hz(),
-    )
-}
-
-/// [`explore`] under explicit technology/analysis choices.
-pub fn explore_with(
-    train_data: &QuantizedDataset,
-    test_data: &QuantizedDataset,
-    config: &ExplorationConfig,
-    library: &CellLibrary,
-    analog: &AnalogModel,
-    analysis: &AnalysisConfig,
-) -> Exploration {
-    explore_instrumented(
-        train_data,
-        test_data,
-        config,
-        library,
-        analog,
-        analysis,
         &Recorder::disabled(),
         None,
     )
@@ -437,7 +418,8 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
     results.into_iter().map(|(_, result)| result).collect()
 }
 
-/// [`explore_with`] plus observability: one [`keys::CANDIDATE_SPAN`] per
+/// [`explore`] under explicit technology/analysis choices, plus
+/// observability: one [`keys::CANDIDATE_SPAN`] per
 /// evaluated grid point (fields `tau`, `depth`, `accuracy`,
 /// `comparators`) and — independent of the recorder — an optional live
 /// `progress` callback fired from the worker threads as each candidate
@@ -469,7 +451,8 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
 /// fraction of the sweep's wall time.
 ///
 /// The instrumentation never touches the per-τ RNG seeds, so the returned
-/// [`Exploration`] is bit-identical to [`explore_with`]'s.
+/// [`Exploration`] is bit-identical to [`explore`]'s under the same
+/// technology.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_instrumented(
     train_data: &QuantizedDataset,

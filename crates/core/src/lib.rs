@@ -59,7 +59,7 @@ pub use explore::{
     explore, CandidateDesign, CandidateLint, Exploration, ExplorationConfig, FailedCandidate,
 };
 pub use flow::{record_process_gauges, record_selection, CodesignFlow, FlowOutcome};
-pub use lint::{fix_candidate, lint_candidate, lint_candidate_scoped, record_lint};
+pub use lint::{fix_candidate, lint_candidate, record_lint};
 pub use mismatch::{
     mismatch_accuracy, AnalogColumns, MismatchReport, MismatchTrialStream, MismatchTrials,
     PackedAnalogTree,

@@ -42,25 +42,8 @@ pub fn lint_candidate(
     grid: Option<&ExplorationConfig>,
     config: &LintConfig,
 ) -> LintReport {
-    lint_candidate_scoped(candidate, analog, grid, config, true)
-}
-
-/// [`lint_candidate`] with the tree-fidelity scope explicit: passing
-/// `verify_tree = false` leaves the tree out of the target, skipping the
-/// T001 path-fidelity/equivalence re-verification. The whole-grid sweep
-/// lint uses this for every candidate below the deepest cap — those trees
-/// are BFS truncations of the deepest tree of their τ, so re-proving the
-/// prefix-shared structure at every depth would only re-check what the
-/// deepest candidate's full lint already covers.
-pub fn lint_candidate_scoped(
-    candidate: &CandidateDesign,
-    analog: &AnalogModel,
-    grid: Option<&ExplorationConfig>,
-    config: &LintConfig,
-    verify_tree: bool,
-) -> LintReport {
     let netlist = candidate.system.classifier.to_netlist();
-    lint_candidate_borrowed(candidate, &netlist, analog, grid, config, verify_tree, None)
+    lint_candidate_borrowed(candidate, &netlist, analog, grid, config, true, None)
 }
 
 /// Cap on the feasible patterns the in-flow grid lint's T001
@@ -74,11 +57,15 @@ pub fn lint_candidate_scoped(
 /// ([`lint_candidate`] passes `equiv_budget: None`).
 pub(crate) const GRID_EQUIV_BUDGET: usize = 512;
 
-/// [`lint_candidate_scoped`] over a netlist the caller already holds —
-/// the whole-grid sweep lint borrows the synthesis's own netlist so the
+/// [`lint_candidate`] over a netlist the caller already holds — the
+/// whole-grid sweep lint borrows the synthesis's own netlist so the
 /// in-flow analysis costs no second lowering (and perturbs no kernel
-/// tallies), and caps T001's equivalence leg at `equiv_budget`
-/// feasible patterns (`None` = full budget).
+/// tallies), and caps T001's equivalence leg at `equiv_budget` feasible
+/// patterns (`None` = full budget). Passing `verify_tree = false` leaves
+/// the tree out of the target, skipping the T001 path-fidelity and
+/// equivalence re-verification: the sweep does so for every candidate
+/// below the deepest cap, whose trees are BFS truncations of the deepest
+/// tree of their τ that the deepest candidate's full lint already covers.
 pub(crate) fn lint_candidate_borrowed(
     candidate: &CandidateDesign,
     netlist: &printed_logic::netlist::Netlist,
@@ -88,26 +75,47 @@ pub(crate) fn lint_candidate_borrowed(
     verify_tree: bool,
     equiv_budget: Option<usize>,
 ) -> LintReport {
+    let bank = candidate.system.classifier.adc_bank();
+    let target = lint_target(
+        candidate,
+        netlist,
+        &bank,
+        analog,
+        grid,
+        verify_tree,
+        equiv_budget,
+    );
+    Linter::with_config(config.clone()).run(&target)
+}
+
+/// Lowers `candidate` into the linter's vocabulary around a netlist and
+/// bank the caller holds.
+fn lint_target<'a>(
+    candidate: &'a CandidateDesign,
+    netlist: &'a printed_logic::netlist::Netlist,
+    bank: &'a printed_adc::BespokeAdcBank,
+    analog: &'a AnalogModel,
+    grid: Option<&'a ExplorationConfig>,
+    verify_tree: bool,
+    equiv_budget: Option<usize>,
+) -> LintTarget<'a> {
     let classifier = &candidate.system.classifier;
-    let bank = classifier.adc_bank();
-    let grid_ref = grid.map(|g| GridRef {
-        taus: &g.taus,
-        depths: &g.depths,
-        seed: g.seed,
-    });
-    let target = LintTarget {
+    LintTarget {
         tree: verify_tree.then_some(&candidate.tree),
         netlist,
-        bank: &bank,
+        bank,
         literals: classifier.literals(),
         class_sops: classifier.class_sops(),
         reported_adc: Some(&candidate.system.adc),
         model: analog,
-        grid: grid_ref,
+        grid: grid.map(|g| GridRef {
+            taus: &g.taus,
+            depths: &g.depths,
+            seed: g.seed,
+        }),
         droop: Some(printed_droop()),
         equiv_budget,
-    };
-    Linter::with_config(config.clone()).run(&target)
+    }
 }
 
 /// Runs the `--lint=fix` fixpoint rewriter over a synthesized candidate,
@@ -126,23 +134,7 @@ pub fn fix_candidate(
     let classifier = &candidate.system.classifier;
     let netlist = classifier.to_netlist();
     let bank = classifier.adc_bank();
-    let grid_ref = grid.map(|g| GridRef {
-        taus: &g.taus,
-        depths: &g.depths,
-        seed: g.seed,
-    });
-    let target = LintTarget {
-        tree: Some(&candidate.tree),
-        netlist: &netlist,
-        bank: &bank,
-        literals: classifier.literals(),
-        class_sops: classifier.class_sops(),
-        reported_adc: Some(&candidate.system.adc),
-        model: analog,
-        grid: grid_ref,
-        droop: Some(printed_droop()),
-        equiv_budget: None,
-    };
+    let target = lint_target(candidate, &netlist, &bank, analog, grid, true, None);
     printed_lint::fix::fix(&target, config)
 }
 

@@ -479,33 +479,23 @@ pub fn mismatch_accuracy(
     trials: usize,
     seed: u64,
 ) -> MismatchReport {
-    mismatch_accuracy_with(tree, test, mismatch, trials, seed, &AnalogModel::egfet())
-}
-
-/// [`mismatch_accuracy`] under an explicit analog model.
-pub fn mismatch_accuracy_with(
-    tree: &DecisionTree,
-    test: &Dataset,
-    mismatch: &MismatchModel,
-    trials: usize,
-    seed: u64,
-    analog: &AnalogModel,
-) -> MismatchReport {
     mismatch_accuracy_recorded(
         tree,
         test,
         mismatch,
         trials,
         seed,
-        analog,
+        &AnalogModel::egfet(),
         &Recorder::disabled(),
     )
 }
 
-/// [`mismatch_accuracy_with`] plus instrumentation: every trial bumps
+/// [`mismatch_accuracy`] under an explicit analog model, plus
+/// instrumentation: every trial bumps
 /// [`printed_telemetry::keys::MC_TRIALS`] (and `MC_FAILURES` on solve
 /// failures) through the shared Monte-Carlo counters in `printed-analog`.
-/// The report is bit-identical to the unrecorded variants.
+/// The report is bit-identical to [`mismatch_accuracy`]'s under the
+/// same analog model.
 #[allow(clippy::too_many_arguments)]
 pub fn mismatch_accuracy_recorded(
     tree: &DecisionTree,

@@ -512,8 +512,8 @@ fn campaign_fixture() -> &'static (printed_ml::codesign::Exploration, QuantizedD
 }
 
 proptest! {
-    /// DESIGN.md §6 sequential statistics: at full confidence (the
-    /// default), the budgeted campaign's admit/reject decision for every
+    /// DESIGN.md §6 sequential statistics: under the exact completion
+    /// bounds, the budgeted campaign's admit/reject decision for every
     /// grid point — and therefore the robust selection — agrees exactly
     /// with an exhaustive campaign at the same per-candidate budget, for
     /// arbitrary budgets, seeds, selection constraints, and loss floors,
