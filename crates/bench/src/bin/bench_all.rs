@@ -18,17 +18,16 @@
 //! * `--paper` — the full paper τ×depth grid instead of the quick grid
 //!   (slow; the committed baselines use the quick grid).
 //!
-//! The per-run flow mirrors the `codesign` binary exactly — reference
-//! training, the traced τ×depth sweep, and selection at 1% accuracy
-//! loss — so a `bench_all` record gates a `PRINTED_TRACE`d `codesign`
-//! run of the same dataset with 0.0% deterministic drift.
+//! Each run makes the same traced τ×depth sweep, the same selection at
+//! 1% accuracy loss and the same records as the `codesign` binary, so a
+//! `bench_all` record gates a `PRINTED_TRACE`d `codesign` run of the
+//! same dataset with 0.0% deterministic drift.
 
 use std::process::ExitCode;
 
-use printed_bench::{choose, explore_traced, stderr_progress, BITS, DEPTH_CAP};
+use printed_bench::{choose, explore_traced, stderr_progress, BITS};
 use printed_codesign::explore::ExplorationConfig;
 use printed_datasets::Benchmark;
-use printed_dtree::cart::train_depth_selected;
 use printed_pdk::AnalogModel;
 use printed_report::BenchRecord;
 use printed_telemetry::{FlowTrace, Recorder, RunManifest};
@@ -58,15 +57,14 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One traced run of the paper flow on a benchmark, identical to what
-/// `codesign <benchmark> --quick --loss 0.01` records under
-/// `PRINTED_TRACE`.
+/// One traced run of the paper flow on a benchmark: the sweep,
+/// selection and records of `codesign <benchmark> --quick --loss 0.01`
+/// under `PRINTED_TRACE`.
 fn run_once(benchmark: Benchmark, grid: &ExplorationConfig) -> Result<FlowTrace, String> {
     let (train, test) = benchmark
         .load_quantized(BITS)
         .map_err(|e| format!("{benchmark}: load: {e}"))?;
     let recorder = Recorder::collecting().0;
-    let _reference = train_depth_selected(&train, &test, DEPTH_CAP);
     let progress = stderr_progress();
     let sweep = explore_traced(&train, &test, grid, &recorder, Some(&progress));
     let chosen = choose(&sweep, LOSS);

@@ -308,10 +308,9 @@ impl<'a> CodesignFlow<'a> {
     }
 }
 
-/// Stamps process-level gauges ([`keys::PEAK_RSS_KB`], and the allocation
-/// totals when `printed-telemetry`'s `count-allocs` feature is active)
-/// into `recorder`, so the finalized trace carries a memory axis next to
-/// the wall-time one. Call once, immediately before snapshotting — peak
+/// Stamps process-level gauges ([`keys::PEAK_RSS_KB`]) into `recorder`,
+/// so the finalized trace carries a memory axis next to the wall-time
+/// one. Call once, immediately before snapshotting — peak
 /// RSS is monotone, so the last value is the run's high-water mark.
 /// No-op when the recorder is disabled or off Linux.
 pub fn record_process_gauges(recorder: &Recorder) {
@@ -320,10 +319,6 @@ pub fn record_process_gauges(recorder: &Recorder) {
     }
     if let Some(kb) = printed_telemetry::peak_rss_kb() {
         recorder.set_gauge(keys::PEAK_RSS_KB, kb);
-    }
-    if let Some((count, bytes)) = printed_telemetry::alloc_counts() {
-        recorder.set_gauge(keys::ALLOC_COUNT, count);
-        recorder.set_gauge(keys::ALLOC_BYTES, bytes);
     }
 }
 

@@ -12,25 +12,19 @@
 //!
 //! # Tail an in-flight traced run (PRINTED_TRACE_LIVE=1) or checkpoint:
 //! printed-trace watch seeds_live.ndjson
-//!
-//! # Render cross-PR drift from the benchmark history:
-//! printed-trace history BENCH_history.ndjson --dataset Seeds
-//!
-//! # Condense a trace into a one-line baseline record:
-//! printed-trace snapshot seeds.ndjson -o seeds_stats.json
 //! ```
 //!
 //! Exit codes: `0` success / gate passed, `1` regression detected,
-//! `2` usage or I/O error. A closed stdout (`printed-trace diff … | head
-//! -1`) ends the output, not the command: the exit code stays the one
-//! the command would have returned.
+//! `2` usage or I/O error, or an input from which no record parses. A
+//! closed stdout (`printed-trace diff … | head -1`) ends the output, not
+//! the command: the exit code stays the one the command would have
+//! returned.
 
 use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 use printed_report::{
-    diff, parse_history, parse_trace, render_history, BenchRecord, CostReport, DiffConfig, Profile,
-    Verdict, Watcher,
+    diff, parse_trace, BenchRecord, CostReport, DiffConfig, ParsedTrace, Profile, Verdict, Watcher,
 };
 use printed_telemetry::FlowTrace;
 
@@ -58,15 +52,7 @@ commands:
       rate, ETA, and failed-candidate alerts. Robust to torn tails and
       to the final rewrite into the flow dump, which it waits for and
       exits on. --once prints one status line and exits (for scripts/CI
-      smoke checks).
-  history <history.ndjson> [--dataset NAME]
-      Render per-key drift tables from an append-only history file.
-  history append <history.ndjson> <stats.ndjson>
-      Append one history record per baseline record or trace (what CI
-      runs after a gate passes). The bench, kernel and robustness axes
-      share the file without crosstalk.
-  snapshot <trace.ndjson> [-o out.json]
-      Condense a trace to a one-line bench_stats baseline.";
+      smoke checks).";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,8 +60,6 @@ fn main() -> ExitCode {
         Some("report") => cmd_report(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("watch") => cmd_watch(&args[1..]),
-        Some("history") => cmd_history(&args[1..]),
-        Some("snapshot") => cmd_snapshot(&args[1..]),
         Some("--help" | "-h" | "help") => out(&format!("{USAGE}\n")).map(|()| ExitCode::SUCCESS),
         Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
         None => Err(USAGE.to_owned()),
@@ -125,23 +109,28 @@ fn load(path: &str) -> Result<(Vec<BenchRecord>, bool), String> {
         }
         return Ok((records, false));
     }
-    let parsed = parse_trace(&text);
-    if parsed.trace == FlowTrace::default() && !parsed.warnings.is_empty() {
-        return Err(format!(
-            "{path}: not a bench_stats file or a parseable trace ({})",
-            parsed.warnings[0]
-        ));
+    let parsed = trace(path, &text, "a bench_stats file or a parseable trace")?;
+    Ok((vec![BenchRecord::from_trace(&parsed.trace)], true))
+}
+
+/// Parses a trace dump, refusing a file from which no record parses
+/// (empty, blank or all damaged) as not `expected`: an empty trace must
+/// not pass a gate.
+fn trace(path: &str, text: &str, expected: &str) -> Result<ParsedTrace, String> {
+    let parsed = parse_trace(text);
+    if parsed.trace == FlowTrace::default() {
+        let reason = parsed.warnings.first().map_or("no records", String::as_str);
+        return Err(format!("{path}: not {expected} ({reason})"));
     }
     warn(path, &parsed.warnings);
-    Ok((vec![BenchRecord::from_trace(&parsed.trace)], true))
+    Ok(parsed)
 }
 
 fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
     let [path] = args else {
         return Err("usage: printed-trace report <trace.ndjson>".into());
     };
-    let parsed = parse_trace(&read(path)?);
-    warn(path, &parsed.warnings);
+    let parsed = trace(path, &read(path)?, "a parseable trace")?;
     out(&format!(
         "{}\n{}\n{}",
         parsed.trace.render_text(),
@@ -306,70 +295,6 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         }
         std::thread::sleep(std::time::Duration::from_millis(poll_ms));
     }
-}
-
-fn cmd_history(args: &[String]) -> Result<ExitCode, String> {
-    if args.first().map(String::as_str) == Some("append") {
-        let [_, history_path, stats_path] = args else {
-            return Err(
-                "usage: printed-trace history append <history.ndjson> <stats.ndjson>".into(),
-            );
-        };
-        let (records, _) = load(stats_path)?;
-        let appended: String = records
-            .iter()
-            .map(|r| format!("{}\n", r.to_history_json()))
-            .collect();
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(history_path)
-            .map_err(|e| format!("{history_path}: {e}"))?;
-        file.write_all(appended.as_bytes())
-            .map_err(|e| format!("{history_path}: {e}"))?;
-        eprintln!("appended {} record(s) to {history_path}", records.len());
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let mut path = None;
-    let mut dataset = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--dataset" => {
-                dataset = Some(iter.next().ok_or("--dataset needs a value")?.to_owned());
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
-            p => {
-                if path.replace(p.to_owned()).is_some() {
-                    return Err("history takes exactly one path".into());
-                }
-            }
-        }
-    }
-    let path = path.ok_or("usage: printed-trace history <history.ndjson> [--dataset NAME]")?;
-    let (entries, warnings) = parse_history(&read(&path)?);
-    warn(&path, &warnings);
-    out(&render_history(&entries, dataset.as_deref()))?;
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {
-    let (path, dest) = match args {
-        [path] => (path, None),
-        [path, flag, dest] if flag == "-o" || flag == "--out" => (path, Some(dest)),
-        _ => return Err("usage: printed-trace snapshot <trace.ndjson> [-o out.json]".into()),
-    };
-    let (records, _) = load(path)?;
-    let json = records[0].to_json();
-    match dest {
-        Some(dest) => {
-            std::fs::write(dest, format!("{json}\n")).map_err(|e| format!("{dest}: {e}"))?;
-            eprintln!("wrote {dest}");
-        }
-        None => out(&format!("{json}\n"))?,
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 /// Reads a tolerance: `5%` and `5` are five percent, as is any bare

@@ -75,24 +75,16 @@ const fn spec(field: &'static str, label: &'static str, policy: Policy) -> Spec 
     }
 }
 
-/// Everything the record codec, the gate and the history know about one
-/// axis.
-pub(crate) struct AxisSpec {
-    /// `kind` of a baseline line and of a history line.
-    pub(crate) kind: &'static str,
-    pub(crate) history_kind: &'static str,
+/// Everything the record codec and the gate know about one axis.
+struct AxisSpec {
+    /// `kind` of a baseline line.
+    kind: &'static str,
     /// JSON fields that make up the key, joined by `/`.
     key: &'static [&'static str],
     /// Whether baseline lines carry the sweep grid (`taus`, `depths`).
     grid: bool,
     /// Metrics in gate order.
     metrics: &'static [Spec],
-    /// History-line fields, in line order.
-    pub(crate) history: &'static [&'static str],
-    /// History fields rendered with a per-step Δ column, and its label.
-    pub(crate) trend: &'static [(&'static str, &'static str)],
-    /// Title of a history table.
-    pub(crate) history_title: &'static str,
     /// Suite summary: `{0}: k/n {1} passed`.
     summary: (&'static str, &'static str),
 }
@@ -102,7 +94,6 @@ const CAMPAIGN: Policy = Policy::Exact("campaign metric");
 const AXES: [AxisSpec; 3] = [
     AxisSpec {
         kind: "bench_stats",
-        history_kind: "bench_history",
         key: &["dataset"],
         grid: true,
         metrics: &[
@@ -115,23 +106,10 @@ const AXES: [AxisSpec; 3] = [
             spec("comparators", "comparators", Policy::Drift),
             spec("peak_rss_kb", "peak RSS (kB)", Policy::Info),
         ],
-        history: &[
-            "wall_us",
-            "gini_evals",
-            "trees",
-            "trees_shared",
-            "area_mm2",
-            "power_mw",
-            "comparators",
-            "peak_rss_kb",
-        ],
-        trend: &[("wall_us", "wall"), ("peak_rss_kb", "rss")],
-        history_title: "history",
         summary: ("suite", "benchmarks"),
     },
     AxisSpec {
         kind: "kernel_stats",
-        history_kind: "kernel_history",
         key: &["dataset", "kernel"],
         grid: false,
         metrics: &[
@@ -139,14 +117,10 @@ const AXES: [AxisSpec; 3] = [
             spec("items", "items", Policy::Exact("work count")),
             spec("tp_median", "throughput", Policy::Info),
         ],
-        history: &["calls", "items", "tp_median"],
-        trend: &[("tp_median", "tp")],
-        history_title: "kernel history",
         summary: ("hotpath", "kernels"),
     },
     AxisSpec {
         kind: "robust_stats",
-        history_kind: "robust_history",
         key: &["dataset"],
         grid: false,
         metrics: &[
@@ -162,23 +136,12 @@ const AXES: [AxisSpec; 3] = [
             spec("trials_median", "trials spent", Policy::Regress),
             spec("wall_us_median", "campaign wall", Policy::Info),
         ],
-        history: &[
-            "tau",
-            "depth",
-            "yield",
-            "worst_fault",
-            "trials_median",
-            "trials_budget",
-            "pruned_points",
-        ],
-        trend: &[("trials_median", "trials")],
-        history_title: "robust history",
         summary: ("robustness", "benchmarks"),
     },
 ];
 
 impl Axis {
-    pub(crate) fn spec(self) -> &'static AxisSpec {
+    fn spec(self) -> &'static AxisSpec {
         &AXES[self as usize]
     }
 
@@ -211,7 +174,7 @@ impl Metric {
     }
 }
 
-/// One line of a baseline suite (or of the history file).
+/// One line of a baseline suite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Which suite the record belongs to.
@@ -292,7 +255,7 @@ impl BenchRecord {
     }
 
     /// The first eight characters of the git SHA, `unknown` when empty.
-    pub(crate) fn short_sha(&self) -> &str {
+    fn short_sha(&self) -> &str {
         match self.provenance.short_sha() {
             "" => "unknown",
             sha => sha,
@@ -310,7 +273,19 @@ impl BenchRecord {
     /// Parses every baseline line of `text`, of any axis, plus one
     /// warning per unparseable line. Other record kinds are skipped.
     pub fn parse_all(text: &str) -> (Vec<Self>, Vec<String>) {
-        parse_lines(text, false)
+        let mut records = Vec::new();
+        let mut warnings = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            match parse_json(line) {
+                Ok(value) => records.extend(Self::from_json(&value)),
+                Err(e) => warnings.push(format!("line {}: unparseable ({e:?})", i + 1)),
+            }
+        }
+        (records, warnings)
     }
 
     /// Serializes to one baseline line, in the field order the bench
@@ -318,9 +293,11 @@ impl BenchRecord {
     /// environment, timestamp.
     pub fn to_json(&self) -> String {
         let spec = self.axis.spec();
-        let mut line = self
-            .key_fields(JsonLine::new().str("kind", spec.kind))
-            .str("git_sha", &self.provenance.git_sha);
+        let mut line = JsonLine::new().str("kind", spec.kind);
+        for (field, part) in spec.key.iter().zip(self.key.splitn(spec.key.len(), '/')) {
+            line = line.str(field, part);
+        }
+        line = line.str("git_sha", &self.provenance.git_sha);
         if spec.grid {
             let taus: Vec<String> = self.provenance.taus.iter().map(|t| float(*t)).collect();
             let depths: Vec<String> = self.provenance.depths.iter().map(u64::to_string).collect();
@@ -344,27 +321,11 @@ impl BenchRecord {
         line.finish()
     }
 
-    /// Appends the key fields (`dataset`, then `kernel` on that axis).
-    pub(crate) fn key_fields(&self, mut line: JsonLine) -> JsonLine {
-        let fields = self.axis.spec().key;
-        for (field, part) in fields.iter().zip(self.key.splitn(fields.len(), '/')) {
-            line = line.str(field, part);
-        }
-        line
-    }
-
-    fn from_json(value: &JsonValue, history: bool) -> Option<Self> {
+    fn from_json(value: &JsonValue) -> Option<Self> {
         let kind = value.get("kind")?.as_str()?;
         let axis = [Axis::Bench, Axis::Kernel, Axis::Robust]
             .into_iter()
-            .find(|a| {
-                let spec = a.spec();
-                kind == if history {
-                    spec.history_kind
-                } else {
-                    spec.kind
-                }
-            })?;
+            .find(|a| a.kind() == kind)?;
         let get = |key: &str| value.get(key);
         let text = |key: &str| get(key).and_then(JsonValue::as_str).unwrap_or_default();
         let int = |key: &str| get(key).and_then(JsonValue::as_u64).unwrap_or(0);
@@ -399,23 +360,6 @@ impl BenchRecord {
             .collect();
         Some(Self::new(axis, key.join("/"), provenance, metrics))
     }
-}
-
-/// Parses every baseline (or, with `history`, history) line of `text`.
-pub(crate) fn parse_lines(text: &str, history: bool) -> (Vec<BenchRecord>, Vec<String>) {
-    let mut records = Vec::new();
-    let mut warnings = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_json(line) {
-            Ok(value) => records.extend(BenchRecord::from_json(&value, history)),
-            Err(e) => warnings.push(format!("line {}: unparseable ({e:?})", i + 1)),
-        }
-    }
-    (records, warnings)
 }
 
 /// A float as the NDJSON writer renders it (integral values keep `.0`).
@@ -933,6 +877,28 @@ mod tests {
         let (records, warnings) = BenchRecord::parse_all("definitely not json");
         assert!(records.is_empty());
         assert_eq!(warnings.len(), 1);
+    }
+
+    #[test]
+    fn torn_final_line_warns_but_parses_the_rest() {
+        let good = stats().to_json();
+        let torn = &good[..good.len() / 2];
+        let (parsed, warnings) = BenchRecord::parse_all(&format!("{good}\n{torn}"));
+        assert_eq!(parsed, vec![stats()]);
+        assert_eq!(warnings.len(), 1);
+        assert!(warnings[0].contains("line 2"), "{warnings:?}");
+    }
+
+    #[test]
+    fn foreign_kinds_are_skipped_silently() {
+        let text = format!(
+            "{}\n{}\n",
+            r#"{"kind":"flow","title":"Seeds","wall_us":1}"#,
+            stats().to_json()
+        );
+        let (parsed, warnings) = BenchRecord::parse_all(&text);
+        assert_eq!(parsed, vec![stats()]);
+        assert!(warnings.is_empty(), "{warnings:?}");
     }
 
     fn kernel(dataset: &str, name: &'static str) -> BenchRecord {

@@ -18,8 +18,8 @@
 //!   Only numbers that replay bit for bit are gated; timings are shown
 //!   with their Δ, and the repository benchmark (perfbench) owns them.
 //!
-//! The `printed-trace` CLI wraps all three (`report`, `diff`,
-//! `snapshot`); the library API serves programmatic use:
+//! The `printed-trace` CLI wraps all three (`report`, `diff`) and tails
+//! a run in flight (`watch`); the library API serves programmatic use:
 //!
 //! ```
 //! use printed_codesign::{CodesignFlow, ExplorationConfig};
@@ -53,7 +53,6 @@
 
 pub mod cost;
 pub mod diff;
-pub mod history;
 pub mod parse;
 pub mod profile;
 pub mod watch;
@@ -62,7 +61,6 @@ pub use printed_telemetry::json;
 
 pub use cost::{AdcRow, ClassRow, CostReport, RobustRow, SelectedDesign};
 pub use diff::{diff, Axis, BenchRecord, DiffConfig, Metric, Verdict};
-pub use history::{parse_history, render_history};
 pub use parse::{parse_trace, ParsedTrace};
 pub use profile::{Profile, ProfileNode};
 pub use watch::{WatchState, Watcher};

@@ -166,29 +166,17 @@ fn max_regress_reads_bare_numbers_of_one_or_more_as_percentages() {
 }
 
 #[test]
-fn snapshot_produces_a_baseline_diff_accepts() {
+fn a_baseline_condensed_from_a_trace_gates_that_trace() {
     let trace = traced_seeds();
-    let trace_path = scratch("seeds_snap.ndjson");
+    let trace_path = scratch("seeds_condensed.ndjson");
     std::fs::write(&trace_path, trace.to_ndjson()).unwrap();
-    let baseline_path = scratch("BENCH_seeds.json");
-
-    let output = printed_trace(&[
-        "snapshot",
-        trace_path.to_str().unwrap(),
-        "-o",
-        baseline_path.to_str().unwrap(),
-    ]);
-    assert_eq!(
-        output.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let baseline = std::fs::read_to_string(&baseline_path).unwrap();
+    let baseline_path = scratch("seeds_condensed_baseline.ndjson");
+    let baseline = BenchRecord::from_trace(&trace).to_json();
     assert!(
         baseline.starts_with("{\"kind\":\"bench_stats\""),
         "{baseline}"
     );
+    std::fs::write(&baseline_path, format!("{baseline}\n")).unwrap();
 
     // The condensed baseline gates the trace it came from: clean pass.
     let output = printed_trace(&[
@@ -302,50 +290,6 @@ fn watch_once_reports_progress_from_a_live_stream() {
 }
 
 #[test]
-fn history_append_then_render_shows_drift() {
-    let trace = traced_seeds();
-    let stats = BenchRecord::from_trace(&trace);
-    let stats_path = scratch("hist_stats.ndjson");
-    std::fs::write(&stats_path, format!("{}\n", stats.to_json())).unwrap();
-
-    let history_path = scratch("BENCH_history_test.ndjson");
-    let _ = std::fs::remove_file(&history_path);
-    for _ in 0..2 {
-        let output = printed_trace(&[
-            "history",
-            "append",
-            history_path.to_str().unwrap(),
-            stats_path.to_str().unwrap(),
-        ]);
-        assert_eq!(
-            output.status.code(),
-            Some(0),
-            "stderr: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-    }
-
-    let output = printed_trace(&["history", history_path.to_str().unwrap()]);
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert_eq!(output.status.code(), Some(0), "stdout: {stdout}");
-    assert!(
-        stdout.contains(&format!("history: {} (2 records)", stats.key)),
-        "{stdout}"
-    );
-    assert!(stdout.contains("+0.0%"), "{stdout}");
-
-    // Filtering to an absent dataset still exits 0 with a clear message.
-    let output = printed_trace(&[
-        "history",
-        history_path.to_str().unwrap(),
-        "--dataset",
-        "Nope",
-    ]);
-    assert_eq!(output.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&output.stdout).contains("no records for"));
-}
-
-#[test]
 fn gauge_records_round_trip_losslessly_through_report_and_diff() {
     use printed_telemetry::keys;
 
@@ -353,7 +297,7 @@ fn gauge_records_round_trip_losslessly_through_report_and_diff() {
     trace.gauges.insert(keys::PEAK_RSS_KB.to_owned(), 31_744);
     trace
         .gauges
-        .insert(keys::ALLOC_BYTES.to_owned(), 123_456_789);
+        .insert("process.test_gauge".to_owned(), 123_456_789);
 
     // NDJSON keeps the gauge map intact, bit for bit.
     let ndjson = trace.to_ndjson();
@@ -451,7 +395,43 @@ fn usage_errors_exit_two() {
             .code(),
         Some(2)
     );
-    assert_eq!(printed_trace(&["--help"]).status.code(), Some(0));
+    let help = printed_trace(&["--help"]);
+    assert_eq!(help.status.code(), Some(0));
+    let usage = String::from_utf8_lossy(&help.stdout);
+    for gone in ["history", "snapshot"] {
+        assert!(!usage.contains(gone), "{usage}");
+        let output = printed_trace(&[gone, "x.ndjson"]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{gone}: {stderr}");
+        assert!(stderr.contains("unknown command"), "{gone}: {stderr}");
+    }
+
+    // A file no record parses from is an error on either side of a diff
+    // and for report, never a pass over an empty trace.
+    let suite = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_all.ndjson");
+    for (name, text) in [
+        ("empty", ""),
+        ("blank", "\n  \n\n"),
+        ("garbage", "not json\n{torn\n"),
+    ] {
+        let path = scratch(&format!("{name}.ndjson"));
+        std::fs::write(&path, text).unwrap();
+        let path = path.to_str().unwrap();
+        for args in [
+            vec!["diff", path, path],
+            vec!["diff", suite, path],
+            vec!["diff", path, suite],
+            vec!["report", path],
+        ] {
+            let output = printed_trace(&args);
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+            let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+            assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+            assert!(errors[0].contains(path), "{args:?}: {stderr}");
+            assert!(output.stdout.is_empty(), "{args:?}");
+        }
+    }
 }
 
 /// Runs `printed-trace` with a stdout whose reader is already gone, so
@@ -472,7 +452,9 @@ fn printed_trace_into_closed_pipe(args: &[&str]) -> Output {
 #[test]
 fn a_closed_stdout_ends_the_output_not_the_command() {
     let suite = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_all.ndjson");
-    let history = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.ndjson");
+    let trace_path = scratch("closed_pipe_trace.ndjson");
+    std::fs::write(&trace_path, traced_seeds().to_ndjson()).unwrap();
+    let trace = trace_path.to_str().unwrap();
     let regressed_path = scratch("closed_pipe_regressed.ndjson");
     let text = std::fs::read_to_string(suite).unwrap();
     let seeds = text
@@ -487,7 +469,7 @@ fn a_closed_stdout_ends_the_output_not_the_command() {
     for (args, code) in [
         (vec!["diff", suite, suite], 0),
         (vec!["diff", suite, regressed], 1),
-        (vec!["history", history], 0),
+        (vec!["report", trace], 0),
         (vec!["--help"], 0),
     ] {
         let output = printed_trace_into_closed_pipe(&args);

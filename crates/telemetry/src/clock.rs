@@ -32,11 +32,6 @@ impl Timer {
     pub fn elapsed_us(&self) -> u64 {
         self.elapsed().as_micros() as u64
     }
-
-    /// The underlying start instant (for offset arithmetic).
-    pub fn started(&self) -> Instant {
-        self.started
-    }
 }
 
 /// Formats a duration for humans: `412ns`, `3.4µs`, `18.2ms`, `2.41s`,

@@ -93,11 +93,6 @@ impl Kernel {
         }
     }
 
-    /// Parses a trace-record name back to the kernel.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.name() == name)
-    }
-
     /// Counter key for invocations: `kernel.<name>.calls`.
     pub fn calls_key(self) -> &'static str {
         match self {
@@ -377,7 +372,6 @@ mod tests {
     #[test]
     fn kernel_names_round_trip() {
         for kernel in Kernel::ALL {
-            assert_eq!(Kernel::from_name(kernel.name()), Some(kernel));
             assert_eq!(
                 kernel.calls_key(),
                 format!("kernel.{}.calls", kernel.name())
@@ -388,6 +382,5 @@ mod tests {
             );
             assert_eq!(kernel.ns_key(), format!("kernel.{}.ns", kernel.name()));
         }
-        assert_eq!(Kernel::from_name("mystery"), None);
     }
 }

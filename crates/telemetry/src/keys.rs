@@ -184,14 +184,6 @@ pub const PROGRESS_EVENT: &str = "progress";
 /// `/proc/self/status`), stamped once at trace finalization.
 pub const PEAK_RSS_KB: &str = "process.peak_rss_kb";
 
-/// Gauge: heap allocations performed by the process (only populated when
-/// the `count-allocs` feature installs the counting global allocator).
-pub const ALLOC_COUNT: &str = "process.alloc_count";
-
-/// Gauge: bytes requested from the heap across all allocations (only
-/// populated under the `count-allocs` feature).
-pub const ALLOC_BYTES: &str = "process.alloc_bytes";
-
 /// Prefix shared by all per-kernel profiling counters. A kernel `k`
 /// tallies three counters — `kernel.<k>.calls`, `kernel.<k>.items`,
 /// `kernel.<k>.ns` — which trace renderers lift into `kind:"kernel"`

@@ -44,11 +44,7 @@
 //! [`Recorder::default`]): spans skip even the clock reads, and counter
 //! and gauge updates are no-ops.
 
-// The only unsafe code in the crate is the optional `count-allocs`
-// counting global allocator (GlobalAlloc is an unsafe trait); without the
-// feature the crate stays forbid-clean.
-#![cfg_attr(not(feature = "count-allocs"), forbid(unsafe_code))]
-#![cfg_attr(feature = "count-allocs", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod clock;
@@ -68,9 +64,7 @@ pub use clock::{fmt_duration, Timer};
 pub use json::JsonLine;
 pub use kernel::{Kernel, KernelScope, KernelTimer};
 pub use manifest::RunManifest;
-#[cfg(feature = "count-allocs")]
-pub use process::CountingAlloc;
-pub use process::{alloc_counts, peak_rss_kb};
+pub use process::peak_rss_kb;
 pub use recorder::{Progress, Recorder};
 pub use sink::{CollectingSink, NullSink, Sink, TraceSnapshot};
 pub use span::{EventRecord, FieldValue, Span, SpanRecord};

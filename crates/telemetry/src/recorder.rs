@@ -137,15 +137,6 @@ pub struct Progress {
 }
 
 impl Progress {
-    /// Completion as a fraction in `[0, 1]` (1.0 for an empty grid).
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.done as f64 / self.total as f64
-        }
-    }
-
     /// Whether the sweep is finished.
     pub fn is_done(&self) -> bool {
         self.done >= self.total
@@ -237,9 +228,7 @@ mod tests {
     fn progress_formats_and_fractions() {
         let p = Progress { done: 3, total: 9 };
         assert_eq!(p.to_string(), "3/9 candidates done");
-        assert!((p.fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert!(!p.is_done());
         assert!(Progress { done: 9, total: 9 }.is_done());
-        assert_eq!(Progress { done: 0, total: 0 }.fraction(), 1.0);
     }
 }

@@ -90,8 +90,8 @@ pub struct FlowTrace {
     pub sweep: SweepTrace,
     /// Final counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Final gauge readings by name (peak RSS, allocation totals; absent
-    /// on pre-gauge traces).
+    /// Final gauge readings by name (peak RSS; absent on pre-gauge
+    /// traces).
     pub gauges: BTreeMap<String, u64>,
     /// Per-kernel profiling totals, by kernel name ascending (absent on
     /// traces recorded without a kernel scope).
@@ -329,17 +329,9 @@ impl FlowTrace {
         let rss_kb = self.gauge(keys::PEAK_RSS_KB);
         if rss_kb > 0 {
             out.push_str(&format!(
-                "  memory: {:.1} MiB peak RSS",
+                "  memory: {:.1} MiB peak RSS\n",
                 rss_kb as f64 / 1024.0
             ));
-            let allocs = self.gauge(keys::ALLOC_COUNT);
-            if allocs > 0 {
-                out.push_str(&format!(
-                    ", {allocs} allocations ({:.1} MiB requested)",
-                    self.gauge(keys::ALLOC_BYTES) as f64 / (1024.0 * 1024.0),
-                ));
-            }
-            out.push('\n');
         }
         let trials = self.counter(keys::MC_TRIALS);
         if trials > 0 {

@@ -13,8 +13,7 @@
 //! ```sh
 //! PRINTED_TRACE=seeds.ndjson cargo run --release -p printed-bench --bin codesign -- seeds --quick
 //! cargo run --release -p printed-report --bin printed-trace -- report seeds.ndjson
-//! cargo run --release -p printed-report --bin printed-trace -- snapshot seeds.ndjson -o BENCH_seeds.json
-//! cargo run --release -p printed-report --bin printed-trace -- diff BENCH_seeds.json seeds.ndjson
+//! cargo run --release -p printed-report --bin printed-trace -- diff BENCH_all.ndjson seeds.ndjson
 //! ```
 
 use printed_ml::codesign::explore::ExplorationConfig;
