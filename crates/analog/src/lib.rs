@@ -41,7 +41,6 @@ pub mod linalg;
 pub mod mc;
 pub mod mna;
 pub mod spice;
-pub mod transient;
 
 pub use comparator::Comparator;
 pub use ladder::{Ladder, LadderError};
@@ -49,4 +48,3 @@ pub use linalg::{Matrix, SolveError};
 pub use mc::{LadderSampler, MismatchModel, MismatchSample, PerturbedTap};
 pub use mna::{Circuit, MnaError, Node, OperatingPoint};
 pub use spice::ladder_deck;
-pub use transient::{ladder_tap_thevenin_ohms, RcNode};

@@ -18,19 +18,18 @@
 //! * `--paper` — the full paper τ×depth grid instead of the quick grid
 //!   (slow; the committed baselines use the quick grid).
 //!
-//! Each run makes the same traced τ×depth sweep, the same selection at
-//! 1% accuracy loss and the same records as the `codesign` binary, so a
-//! `bench_all` record gates a `PRINTED_TRACE`d `codesign` run of the
-//! same dataset with 0.0% deterministic drift.
+//! Each run is the traced [`CodesignFlow`] that `codesign <benchmark>
+//! --quick` runs, with the same title, selection at 1% accuracy loss and
+//! records, so a `bench_all` record gates a `PRINTED_TRACE`d `codesign`
+//! run of the same dataset with 0.0% deterministic drift.
 
 use std::process::ExitCode;
 
-use printed_bench::{choose, explore_traced, stderr_progress, BITS};
-use printed_codesign::explore::ExplorationConfig;
+use printed_bench::{stderr_progress, BITS};
+use printed_codesign::{CodesignFlow, ExplorationConfig};
 use printed_datasets::Benchmark;
-use printed_pdk::AnalogModel;
 use printed_report::BenchRecord;
-use printed_telemetry::{FlowTrace, Recorder, RunManifest};
+use printed_telemetry::FlowTrace;
 
 /// The selection constraint every baseline records — the paper's 1%.
 const LOSS: f64 = 0.01;
@@ -57,28 +56,21 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One traced run of the paper flow on a benchmark: the sweep,
-/// selection and records of `codesign <benchmark> --quick --loss 0.01`
-/// under `PRINTED_TRACE`.
+/// One traced run of the paper flow on a benchmark: `codesign
+/// <benchmark> --quick --loss 0.01` under `PRINTED_TRACE`.
 fn run_once(benchmark: Benchmark, grid: &ExplorationConfig) -> Result<FlowTrace, String> {
     let (train, test) = benchmark
         .load_quantized(BITS)
         .map_err(|e| format!("{benchmark}: load: {e}"))?;
-    let recorder = Recorder::collecting().0;
     let progress = stderr_progress();
-    let sweep = explore_traced(&train, &test, grid, &recorder, Some(&progress));
-    let chosen = choose(&sweep, LOSS);
-    printed_codesign::record_selection(&recorder, chosen, &AnalogModel::egfet());
-    printed_codesign::record_process_gauges(&recorder);
-    let snapshot = recorder
-        .snapshot()
-        .ok_or_else(|| format!("{benchmark}: collecting recorder yielded no snapshot"))?;
-    let title = benchmark.to_string();
-    let manifest = RunManifest::capture(&title)
-        .with_grid(&grid.taus, grid.depths.iter().copied())
-        .with_seed(grid.seed)
-        .with_accuracy_loss(LOSS);
-    Ok(FlowTrace::from_snapshot(&title, &snapshot).with_manifest(manifest))
+    let outcome = CodesignFlow::new(&train, &test)
+        .accuracy_loss(LOSS)
+        .grid(grid.clone())
+        .title(benchmark.to_string())
+        .progress(&progress)
+        .traced()
+        .run();
+    Ok(outcome.trace.expect("a traced flow carries its trace"))
 }
 
 fn run(args: &Args) -> Result<(), String> {

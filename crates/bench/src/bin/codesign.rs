@@ -1,5 +1,7 @@
-//! The co-design CLI: run the full flow on a benchmark and optionally
-//! export the resulting hardware as structural Verilog and SPICE.
+//! The co-design CLI: run the full flow ([`CodesignFlow`]) on a benchmark,
+//! print its outcome and optionally export the resulting hardware as
+//! structural Verilog and SPICE. The flow composes the pipeline; this
+//! binary only parses arguments, prints and decides the exit code.
 //!
 //! ```sh
 //! cargo run --release -p printed-bench --bin codesign -- seeds --loss 0.01 \
@@ -26,8 +28,8 @@
 //!   re-training (lines from any other run are ignored); with
 //!   `--robust` the campaign checkpoints per-candidate profiles to
 //!   `<path>.robust` and resumes them the same way;
-//! * `--lint[=deny|=deny-warnings|=fix]` — run the static-analysis suite
-//!   over the selected design (and report the whole-grid sweep lint that
+//! * `--lint[=deny|=deny-warnings|=fix]` — print the static-analysis
+//!   findings on the selected design (and the whole-grid sweep lint that
 //!   every exploration already performs in-flow). With `=deny`, exit
 //!   non-zero when any error-severity diagnostic fires — on the chosen
 //!   design *or on any grid candidate* — while warnings-only runs still
@@ -43,16 +45,13 @@ use std::process::ExitCode;
 
 use printed_analog::ladder::Ladder;
 use printed_analog::spice::ladder_deck;
-use printed_bench::{choose, explore_traced, stderr_progress, TraceHook, BITS};
+use printed_bench::{stderr_progress, TraceHook, BITS};
 use printed_codesign::explore::ExplorationConfig;
-use printed_codesign::{AdaptiveBudget, RobustnessCampaign, RobustnessConstraints};
+use printed_codesign::{AdaptiveBudget, CodesignFlow, FlowOutcome, RobustnessCampaign};
 use printed_datasets::Benchmark;
-use printed_dtree::cart::train_depth_selected;
-use printed_dtree::synthesize_baseline;
 use printed_logic::equiv::Equivalence;
 use printed_logic::verilog::to_verilog;
 use printed_pdk::AnalogModel;
-use printed_telemetry::{keys, RunManifest};
 
 #[derive(Clone, Copy, PartialEq)]
 enum LintMode {
@@ -177,25 +176,31 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         train.n_classes()
     );
 
-    let reference = train_depth_selected(&train, &test, 8);
-    let baseline = synthesize_baseline(&reference.tree);
-    println!(
-        "baseline [2]: {:.1}% accuracy, {:.2}, {:.2}",
-        reference.test_accuracy * 100.0,
-        baseline.total_area(),
-        baseline.total_power()
-    );
-
     let mut grid = if args.quick {
         ExplorationConfig::quick()
     } else {
         ExplorationConfig::paper()
     };
+    let mut campaign = if args.quick {
+        RobustnessCampaign::quick()
+    } else {
+        RobustnessCampaign::typical()
+    };
+    if let Some(trials) = args.trials {
+        campaign.trials = trials;
+    }
+    if let Some(trials_max) = args.trials_max {
+        // The flow injects the selection's constraints and robust floor.
+        campaign = campaign.budgeted(AdaptiveBudget::new(trials_max).with_probe());
+    }
     if let Some(path) = &args.resume {
         // Open the sweep and campaign checkpoints before any work starts:
         // an unwritable path fails here with one line, not in a worker.
-        let campaign = format!("{path}.robust");
-        for file in std::iter::once(path).chain(args.robust.then_some(&campaign)) {
+        // The campaign checkpoints beside the sweep checkpoint, never
+        // inside it: sweep compaction rewrites the file and would drop
+        // robust lines.
+        let robust = format!("{path}.robust");
+        for file in std::iter::once(path).chain(args.robust.then_some(&robust)) {
             std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -203,19 +208,44 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
                 .map_err(|e| format!("cannot open checkpoint file {file}: {e}"))?;
         }
         grid = grid.with_checkpoint(path);
+        campaign.checkpoint_path = Some(robust);
+    }
+    let test_analog = if args.robust {
+        let (_, test_analog) = args
+            .benchmark
+            .load_split()
+            .map_err(|e| format!("load analog split: {e}"))?;
+        Some(test_analog)
+    } else {
+        None
+    };
+
+    let progress = stderr_progress();
+    let mut flow = CodesignFlow::new(&train, &test)
+        .accuracy_loss(args.loss)
+        .grid(grid.clone())
+        .title(args.benchmark.to_string())
+        .recorder(hook.recorder().clone())
+        .progress(&progress);
+    if let Some(test_analog) = &test_analog {
+        flow = flow.robustness(campaign.clone(), test_analog);
+    }
+    let outcome = flow.run();
+    if let Some(manifest) = outcome.trace().and_then(|trace| trace.manifest.clone()) {
+        hook.set_manifest(manifest);
+    }
+
+    println!(
+        "baseline [2]: {:.1}% accuracy, {:.2}, {:.2}",
+        outcome.reference_accuracy * 100.0,
+        outcome.baseline.total_area(),
+        outcome.baseline.total_power()
+    );
+    if let Some(path) = &args.resume {
         println!("checkpointing sweep to {path} (resumes completed points)");
     }
-    hook.set_manifest(
-        RunManifest::capture(format!("{}", args.benchmark))
-            .with_grid(&grid.taus, grid.depths.iter().copied())
-            .with_seed(grid.seed)
-            .with_accuracy_loss(args.loss),
-    );
-    let progress = stderr_progress();
-    let sweep = explore_traced(&train, &test, &grid, hook.recorder(), Some(&progress));
-    let chosen = choose(&sweep, args.loss);
-    printed_codesign::record_selection(hook.recorder(), chosen, &AnalogModel::egfet());
-    let r = chosen.system.reduction_vs(&baseline);
+    let chosen = &outcome.chosen;
+    let r = outcome.reduction();
     println!(
         "co-design (τ={}, depth {}): {:.1}% accuracy, {:.2}, {:.2} — {:.1}x area, {:.1}x power vs baseline",
         chosen.tau,
@@ -232,34 +262,20 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         chosen.system.input_count(),
         chosen.system.is_self_powered()
     );
-    println!(
-        "{}",
-        printed_codesign::Datasheet::new(
-            format!("{}", args.benchmark),
-            &chosen.system,
-            Some(chosen.test_accuracy),
-        )
-    );
+    println!("{}", outcome.datasheet());
 
     if args.lint.enabled() {
-        let stage = hook.recorder().span(keys::STAGE_LINT);
-        let report = printed_codesign::lint_candidate(
-            chosen,
-            &AnalogModel::egfet(),
-            Some(&grid),
-            &printed_codesign::LintConfig::new(),
-        );
-        printed_codesign::record_lint(hook.recorder(), &report);
-        stage.finish();
+        let report = &outcome.lint;
         println!("{}", report.render_text());
 
         // The whole-grid in-flow lint already ran inside the sweep
         // workers; surface its verdict next to the chosen design's.
-        let grid_errors: usize = sweep.lint.iter().map(|l| l.report.error_count()).sum();
-        let grid_warnings: usize = sweep.lint.iter().map(|l| l.report.warning_count()).sum();
+        let grid_lint = &outcome.sweep.lint;
+        let grid_errors: usize = grid_lint.iter().map(|l| l.report.error_count()).sum();
+        let grid_warnings: usize = grid_lint.iter().map(|l| l.report.warning_count()).sum();
         println!(
             "whole-grid lint: {} candidate(s), {grid_errors} error(s) / {grid_warnings} warning(s)",
-            sweep.lint.len()
+            grid_lint.len()
         );
 
         if args.lint == LintMode::Fix {
@@ -284,7 +300,7 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
     }
 
     if args.robust {
-        run_robustness(args, hook, &sweep, &test, chosen.tau, chosen.depth)?;
+        report_robustness(args, &campaign, &outcome)?;
     }
 
     if let Some(path) = &args.verilog {
@@ -373,62 +389,27 @@ fn run_fix(
     }
 }
 
-/// The `--robust` leg: profile every sweep candidate under faults,
-/// mismatch, and supply droop, print the profile table, and report the
-/// robustness-aware selection next to the plain one. Errors (→ non-zero
-/// exit, the CI smoke assertion) when any grid point panicked or when the
-/// campaign produced no profiles.
-fn run_robustness(
+/// The `--robust` leg: print the flow's per-candidate profile table
+/// (faults, mismatch, supply droop) and its robustness-aware selection
+/// next to the plain one. Errors (→ non-zero exit, the CI smoke
+/// assertion) when any grid point panicked or when the campaign produced
+/// no profiles.
+fn report_robustness(
     args: &Args,
-    hook: &mut TraceHook,
-    sweep: &printed_codesign::Exploration,
-    test_q: &printed_datasets::QuantizedDataset,
-    plain_tau: f64,
-    plain_depth: usize,
+    campaign: &RobustnessCampaign,
+    flow: &FlowOutcome,
 ) -> Result<(), String> {
-    let (_, test_analog) = args
-        .benchmark
-        .load_split()
-        .map_err(|e| format!("load analog split: {e}"))?;
-    let mut campaign = if args.quick {
-        RobustnessCampaign::quick()
-    } else {
-        RobustnessCampaign::typical()
-    };
-    if let Some(trials) = args.trials {
-        campaign.trials = trials;
-    }
-    let constraints = RobustnessConstraints::default();
-    if let Some(trials_max) = args.trials_max {
-        campaign = campaign.budgeted(
-            AdaptiveBudget::new(trials_max)
-                .with_constraints(constraints)
-                .with_floor(sweep.reference_accuracy - args.loss)
-                .with_probe(),
-        );
-    }
-    // The campaign checkpoints beside the sweep checkpoint, never inside
-    // it: sweep compaction rewrites the file and would drop robust lines.
-    let campaign_ckpt = args.resume.as_ref().map(|path| format!("{path}.robust"));
-    if let Some(path) = &campaign_ckpt {
+    let outcome = flow
+        .robustness
+        .as_ref()
+        .expect("--robust runs the campaign");
+    if let Some(path) = &campaign.checkpoint_path {
         println!("checkpointing campaign to {path} (resumes profiled candidates)");
     }
-
-    let stage = hook.recorder().span(keys::STAGE_ROBUSTNESS);
-    let outcome = campaign.run_checkpointed(
-        sweep,
-        test_q,
-        &test_analog,
-        &AnalogModel::egfet(),
-        hook.recorder(),
-        campaign_ckpt.as_deref(),
-    );
-    stage.finish();
-
-    if !sweep.failed_candidates.is_empty() {
+    if !flow.sweep.failed_candidates.is_empty() {
         return Err(format!(
             "{} grid point(s) panicked during the sweep",
-            sweep.failed_candidates.len()
+            flow.sweep.failed_candidates.len()
         ));
     }
     if outcome.profiles.is_empty() {
@@ -481,8 +462,9 @@ fn run_robustness(
         );
     }
 
-    match sweep.select_robust(args.loss, &outcome, &constraints) {
+    match &flow.robust_choice {
         Some(robust) => {
+            let (plain_tau, plain_depth) = (flow.chosen.tau, flow.chosen.depth);
             let agrees = robust.depth == plain_depth && robust.tau.to_bits() == plain_tau.to_bits();
             println!(
                 "robust selection (τ={}, depth {}): {:.1}% nominal — {}",

@@ -14,8 +14,7 @@
 //! interrupted earlier run (`printed-trace watch` can tail those files).
 
 use printed_bench::{
-    baseline_model, choose, explore_traced, hrule, load, row_label, stderr_progress, TraceHook,
-    BENCHMARK_SPAN,
+    explore_traced, hrule, load, row_label, stderr_progress, TraceHook, BENCHMARK_SPAN,
 };
 use printed_codesign::explore::ExplorationConfig;
 use printed_codesign::synthesize_unary;
@@ -64,8 +63,6 @@ fn main() {
             .span(BENCHMARK_SPAN)
             .field("dataset", benchmark.to_string());
         let (train, test) = load(benchmark);
-        let unaware = baseline_model(benchmark);
-        let unaware_system = synthesize_unary(&unaware.tree);
         let mut grid = ExplorationConfig::paper();
         if let Some(prefix) = &resume {
             let slug = benchmark.to_string().to_lowercase();
@@ -73,12 +70,15 @@ fn main() {
         }
         let sweep = explore_traced(&train, &test, &grid, hook.recorder(), Some(&progress));
         span.finish();
+        // The sweep's reference is the unaware model (the paper grid
+        // reaches depth 8, the baseline cap).
+        let unaware_system = synthesize_unary(&sweep.reference);
 
         let mut cells = Vec::new();
         for (k, &loss) in losses.iter().enumerate() {
             // Fall back to the most accurate candidate when the reference
             // accuracy is unreachable at 0% (can happen on noisy data).
-            let chosen = choose(&sweep, loss);
+            let chosen = sweep.choose(loss);
             let a0 = unaware_system.total_area().mm2();
             let p0 = unaware_system.total_power().uw();
             let area_gain = 100.0 * (1.0 - chosen.system.total_area().mm2() / a0);

@@ -1,7 +1,7 @@
 //! # printed-bench
 //!
-//! Experiment harness regenerating every table and figure of the paper,
-//! plus Criterion benchmarks of the substrates. The binaries:
+//! Experiment harness regenerating every table and figure of the paper.
+//! The binaries:
 //!
 //! * `table1` — baseline bespoke decision trees (accuracy, #comparators,
 //!   #inputs, ADC/total area and power) for all eight benchmarks.
@@ -15,6 +15,8 @@
 //!   2 mW self-powering verdict.
 //! * `ablations` — objective ablations of Algorithm 1 and Monte-Carlo
 //!   mismatch robustness.
+//! * `codesign` and `bench_all` — the co-design CLI and the suite-baseline
+//!   generator, both thin shells over `printed_codesign::CodesignFlow`.
 //!
 //! Shared helpers live in this library crate: row formatting, dataset
 //! loading, sweep selection, live progress rendering, and the
@@ -86,18 +88,16 @@ pub fn baseline_design(benchmark: Benchmark) -> (TrainedModel, BaselineDesign) {
     (model, design)
 }
 
-/// The selection rule every binary uses: the most efficient design within
-/// `loss` of the reference, falling back to the most accurate candidate
-/// when even the reference accuracy is unreachable (noisy datasets).
+/// [`Exploration::choose`] as a free function, the form the `perfbench/`
+/// package calls: the most efficient design within `loss` of the
+/// reference, falling back to the most accurate candidate when even the
+/// reference accuracy is unreachable (noisy datasets).
 ///
 /// # Panics
 ///
 /// Panics on an empty sweep (cannot happen for validated grids).
 pub fn choose(sweep: &Exploration, loss: f64) -> &CandidateDesign {
-    sweep
-        .select(loss)
-        .or_else(|| sweep.most_accurate())
-        .expect("non-empty sweep yields candidates")
+    sweep.choose(loss)
 }
 
 /// Runs the τ×depth sweep under the default EGFET technology, wired to a

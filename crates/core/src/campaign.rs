@@ -420,6 +420,18 @@ pub struct RobustnessCampaign {
     /// default) runs the classic exhaustive campaign: exactly
     /// [`trials`](Self::trials) Monte-Carlo trials for every candidate.
     pub adaptive: Option<AdaptiveBudget>,
+    /// Appends each finished grid point to this NDJSON file (kind
+    /// `robust_ckpt`) and restores the points it already holds instead of
+    /// re-profiling them, so a killed campaign resumes mid-grid with a
+    /// bit-identical outcome. After a fully successful run the file is
+    /// compacted to one line per grid point. Lines written under a
+    /// different [`checkpoint_stamp`](Self::checkpoint_stamp), other test
+    /// splits or another sweep's trees are ignored. Not part of the stamp.
+    ///
+    /// [`run_with`](Self::run_with) panics with `cannot open checkpoint
+    /// file <path>: <err>` when the file cannot be opened for append,
+    /// before any candidate is profiled.
+    pub checkpoint_path: Option<String>,
 }
 
 impl RobustnessCampaign {
@@ -433,6 +445,7 @@ impl RobustnessCampaign {
             droop: SupplyDroopModel::printed_default(),
             yield_loss: 0.05,
             adaptive: None,
+            checkpoint_path: None,
         }
     }
 
@@ -699,7 +712,8 @@ impl RobustnessCampaign {
     /// worker per available core pulls the next candidate as it frees up),
     /// each under a [`keys::ROBUST_SPAN`] carrying its grid point and
     /// profile; per-candidate derived seeds keep the outcome identical for
-    /// any thread count.
+    /// any thread count. Checkpoints to
+    /// [`checkpoint_path`](Self::checkpoint_path) when it is set.
     pub fn run_with(
         &self,
         sweep: &Exploration,
@@ -708,38 +722,11 @@ impl RobustnessCampaign {
         analog: &AnalogModel,
         recorder: &Recorder,
     ) -> CampaignOutcome {
-        self.run_checkpointed(sweep, test_q, test_analog, analog, recorder, None)
-    }
-
-    /// [`run_with`](Self::run_with) plus per-candidate checkpointing: each
-    /// finished grid point is appended to `checkpoint_path` as one
-    /// stamped NDJSON line (kind `robust_ckpt`), and candidates the file
-    /// already holds are restored instead of re-profiled — a killed
-    /// campaign resumes mid-grid with a bit-identical outcome. After a
-    /// fully successful run the file is compacted to one line per grid
-    /// point. Lines written under a different campaign configuration (see
-    /// [`checkpoint_stamp`](Self::checkpoint_stamp)), other test splits or
-    /// another sweep's trees are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics with `cannot open checkpoint file <path>: <err>` when
-    /// `checkpoint_path` cannot be opened for append, before any candidate
-    /// is profiled.
-    pub fn run_checkpointed(
-        &self,
-        sweep: &Exploration,
-        test_q: &QuantizedDataset,
-        test_analog: &Dataset,
-        analog: &AnalogModel,
-        recorder: &Recorder,
-        checkpoint_path: Option<&str>,
-    ) -> CampaignOutcome {
         use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
         self.validate();
         let candidates = &sweep.candidates;
-        let journal = checkpoint_path.map(|path| {
+        let journal = self.checkpoint_path.as_deref().map(|path| {
             let print = Fingerprint::new(self.checkpoint_stamp())
                 .quantized(test_q)
                 .analog(test_analog);
@@ -1331,6 +1318,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let campaign = RobustnessCampaign {
             trials: 12,
+            checkpoint_path: Some(path_str.clone()),
             ..RobustnessCampaign::quick()
         }
         .budgeted(
@@ -1342,14 +1330,19 @@ mod tests {
                 .with_floor(sweep.reference_accuracy - 0.05),
         );
         let analog = AnalogModel::egfet();
+        // Where the file lives does not shape the outcome.
+        let unpersisted = RobustnessCampaign {
+            checkpoint_path: None,
+            ..campaign.clone()
+        };
+        assert_eq!(campaign.checkpoint_stamp(), unpersisted.checkpoint_stamp());
 
-        let full = campaign.run_checkpointed(
+        let full = campaign.run_with(
             &sweep,
             &test_q,
             &test_analog,
             &analog,
             &Recorder::disabled(),
-            Some(&path_str),
         );
         // After a clean finish the file is compacted: one line per point.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -1364,14 +1357,7 @@ mod tests {
         std::fs::write(&path, partial).unwrap();
 
         let (recorder, sink) = Recorder::collecting();
-        let resumed = campaign.run_checkpointed(
-            &sweep,
-            &test_q,
-            &test_analog,
-            &analog,
-            &recorder,
-            Some(&path_str),
-        );
+        let resumed = campaign.run_with(&sweep, &test_q, &test_analog, &analog, &recorder);
         assert_eq!(resumed, full, "resume must be bit-identical");
         // The two intact lines were restored, the torn one re-evaluated.
         assert_eq!(sink.snapshot().counter(keys::ROBUST_CHECKPOINT_HITS), 2);
@@ -1385,14 +1371,7 @@ mod tests {
             ..campaign.clone()
         };
         let (recorder, sink) = Recorder::collecting();
-        reseeded.run_checkpointed(
-            &sweep,
-            &test_q,
-            &test_analog,
-            &analog,
-            &recorder,
-            Some(&path_str),
-        );
+        reseeded.run_with(&sweep, &test_q, &test_analog, &analog, &recorder);
         assert_eq!(sink.snapshot().counter(keys::ROBUST_CHECKPOINT_HITS), 0);
         let _ = std::fs::remove_file(&path);
     }
@@ -1415,10 +1394,14 @@ mod tests {
         // Same campaign, same grid keys, Seeds' profiles on disk.
         let (seeds, seeds_q, seeds_analog) = small_sweep();
         let disabled = Recorder::disabled();
-        let run = |sweep, test_q, test_analog, recorder, path| {
-            campaign.run_checkpointed(sweep, test_q, test_analog, &analog, recorder, path)
+        let checkpointed = RobustnessCampaign {
+            checkpoint_path: Some(path_str.clone()),
+            ..campaign.clone()
         };
-        run(&seeds, &seeds_q, &seeds_analog, &disabled, Some(&path_str));
+        let run = |campaign: &RobustnessCampaign, sweep, test_q, test_analog, recorder| {
+            campaign.run_with(sweep, test_q, test_analog, &analog, recorder)
+        };
+        run(&checkpointed, &seeds, &seeds_q, &seeds_analog, &disabled);
 
         let (train_q, test_q) = Benchmark::Vertebral2C.load_quantized(4).unwrap();
         let (_, test_analog) = Benchmark::Vertebral2C.load_split().unwrap();
@@ -1429,9 +1412,12 @@ mod tests {
         };
         let sweep = explore(&train_q, &test_q, &config);
         let (recorder, sink) = Recorder::collecting();
-        let resumed = run(&sweep, &test_q, &test_analog, &recorder, Some(&path_str));
+        let resumed = run(&checkpointed, &sweep, &test_q, &test_analog, &recorder);
         assert_eq!(sink.snapshot().counter(keys::ROBUST_CHECKPOINT_HITS), 0);
-        assert_eq!(resumed, run(&sweep, &test_q, &test_analog, &disabled, None));
+        assert_eq!(
+            resumed,
+            run(&campaign, &sweep, &test_q, &test_analog, &disabled)
+        );
         let _ = std::fs::remove_file(&path);
     }
 }

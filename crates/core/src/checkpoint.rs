@@ -10,7 +10,7 @@
 //!   point and, on resume, re-synthesizes the hardware from the stored
 //!   tree — synthesis is deterministic, so only training cost is saved
 //!   and the resumed sweep is bit-identical to an uninterrupted one;
-//! * the robustness campaign ([`RobustnessCampaign::run_checkpointed`])
+//! * the robustness campaign ([`RobustnessCampaign::checkpoint_path`])
 //!   appends a [`RobustCheckpointLine`] (kind `robust_ckpt`) per profiled
 //!   or pruned candidate and restores it verbatim on resume.
 //!
@@ -23,7 +23,7 @@
 //! configuration or a different dataset — are skipped rather than trusted.
 //!
 //! [`ExplorationConfig::checkpoint_path`]: crate::explore::ExplorationConfig::checkpoint_path
-//! [`RobustnessCampaign::run_checkpointed`]: crate::campaign::RobustnessCampaign::run_checkpointed
+//! [`RobustnessCampaign::checkpoint_path`]: crate::campaign::RobustnessCampaign::checkpoint_path
 
 use std::collections::HashMap;
 use std::io::Write as _;

@@ -209,8 +209,11 @@ pub struct CandidateLint {
 pub struct Exploration {
     /// Every grid point, in `(depth, tau)` order.
     pub candidates: Vec<CandidateDesign>,
-    /// Test accuracy of the ADC-unaware, depth-selected reference model —
-    /// the anchor the accuracy-loss constraints are measured from.
+    /// The ADC-unaware reference: CART depth-selected on the test split up
+    /// to the grid's deepest cap. Baseline \[2\] is synthesized from it.
+    pub reference: DecisionTree,
+    /// Test accuracy of [`reference`](Self::reference) — the anchor the
+    /// accuracy-loss constraints are measured from.
     pub reference_accuracy: f64,
     /// Grid points whose workers panicked, in `(depth, tau)` order. Empty
     /// on a healthy sweep; a partial sweep is still usable for selection.
@@ -231,6 +234,19 @@ impl Exploration {
             .iter()
             .filter(|c| c.test_accuracy >= floor - 1e-12)
             .min_by(|a, b| cheaper_hardware(a, b))
+    }
+
+    /// The nominal selection rule: [`select`](Self::select), falling back
+    /// to [`most_accurate`](Self::most_accurate) when even the reference
+    /// accuracy is out of reach (noisy datasets).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a sweep without candidates.
+    pub fn choose(&self, max_loss: f64) -> &CandidateDesign {
+        self.select(max_loss)
+            .or_else(|| self.most_accurate())
+            .expect("non-empty sweep yields candidates")
     }
 
     /// Robustness-aware selection: like [`select`](Self::select), but the
@@ -419,7 +435,8 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
 }
 
 /// [`explore`] under explicit technology/analysis choices, plus
-/// observability: one [`keys::CANDIDATE_SPAN`] per
+/// observability: one [`keys::REFERENCE_SPAN`] around the reference
+/// training, one [`keys::CANDIDATE_SPAN`] per
 /// evaluated grid point (fields `tau`, `depth`, `accuracy`,
 /// `comparators`) and — independent of the recorder — an optional live
 /// `progress` callback fired from the worker threads as each candidate
@@ -486,7 +503,9 @@ fn explore_core(
 ) -> Exploration {
     config.validate();
     let max_depth = *config.depths.iter().max().expect("non-empty");
+    let span = recorder.span(keys::REFERENCE_SPAN);
     let reference = train_depth_selected(train_data, test_data, max_depth);
+    span.finish();
     let total = config.grid_size();
     let done = AtomicUsize::new(0);
 
@@ -735,6 +754,7 @@ fn explore_core(
 
     Exploration {
         candidates,
+        reference: reference.tree,
         reference_accuracy: reference.test_accuracy,
         failed_candidates: failed,
         lint,

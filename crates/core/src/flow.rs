@@ -1,11 +1,12 @@
 //! The one-call co-design flow.
 //!
-//! Everything the paper's framework does, behind a single builder: train
-//! the ADC-unaware reference, synthesize the baseline system, sweep the
-//! ADC-aware grid, select under the accuracy-loss constraint, and package
-//! the result with its comparisons. The experiment binaries and examples
-//! compose the pieces by hand for transparency; downstream users usually
-//! want exactly this.
+//! Everything the paper's framework does, behind a single builder: sweep
+//! the ADC-aware grid (which trains the ADC-unaware reference on the way),
+//! synthesize the baseline system from that reference, optionally profile
+//! the grid's robustness, select under the accuracy-loss constraint, lint
+//! the selection, and package the result with its comparisons. This is
+//! the one place the pipeline is composed: the `codesign` and `bench_all`
+//! binaries run it and only parse arguments and print the outcome.
 //!
 //! ```no_run
 //! use printed_codesign::flow::CodesignFlow;
@@ -19,7 +20,6 @@
 //! ```
 
 use printed_datasets::QuantizedDataset;
-use printed_dtree::cart::train_depth_selected;
 use printed_dtree::{synthesize_baseline_with, BaselineDesign};
 use printed_logic::report::AnalysisConfig;
 use printed_pdk::{AnalogModel, CellKind, CellLibrary};
@@ -119,7 +119,8 @@ impl<'a> CodesignFlow<'a> {
         self
     }
 
-    /// Sets the title used in the datasheet rendering.
+    /// Sets the title used in the datasheet rendering and as the dataset
+    /// key of the trace's manifest (default: the training split's name).
     pub fn title(mut self, title: impl Into<String>) -> Self {
         self.title = title.into();
         self
@@ -148,19 +149,21 @@ impl<'a> CodesignFlow<'a> {
         self
     }
 
-    /// Runs `campaign` over the sweep and selects on *robust* accuracy
-    /// (mean under mismatch) instead of nominal, with default (empty)
-    /// admission constraints. `analog_test` is the normalized analog test
-    /// split the Monte Carlo scores on (same benchmark as the quantized
-    /// pair). See [`Exploration::select_robust`].
+    /// Runs `campaign` over the sweep and also selects on *robust*
+    /// accuracy (mean under mismatch), with default (empty) admission
+    /// constraints, into [`FlowOutcome::robust_choice`]. `analog_test` is
+    /// the normalized analog test split the Monte Carlo scores on (same
+    /// benchmark as the quantized pair). Setting the campaign's
+    /// [`checkpoint_path`](RobustnessCampaign::checkpoint_path) makes it
+    /// resumable. See [`Exploration::select_robust`].
     pub fn robustness(self, campaign: RobustnessCampaign, analog_test: &'a Dataset) -> Self {
         self.robustness_with(campaign, analog_test, RobustnessConstraints::default())
     }
 
     /// [`robustness`](Self::robustness) with explicit admission
     /// constraints (minimum yield / worst-fault accuracy / droop margin).
-    /// When no candidate meets the robust floor and constraints, the flow
-    /// falls back to nominal selection so it still returns a design.
+    /// When no candidate meets the robust floor and constraints,
+    /// [`FlowOutcome::robust_choice`] is `None`.
     pub fn robustness_with(
         mut self,
         campaign: RobustnessCampaign,
@@ -175,32 +178,18 @@ impl<'a> CodesignFlow<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if either dataset is empty or the grid is malformed (see
-    /// [`ExplorationConfig::validate`]) — the grid is checked here, before
-    /// any training starts.
+    /// Panics if either dataset is empty, the grid is malformed (see
+    /// [`ExplorationConfig::validate`]; checked here, before any training
+    /// starts) or every grid point failed.
     pub fn run(self) -> FlowOutcome {
         self.grid.validate();
         // Main-thread kernel tallies (selection-path synthesis, lint);
         // sweep workers enter their own per-thread scopes. Dropped before
         // the snapshot below so the tallies land in the trace.
         let kernel_scope = printed_telemetry::KernelScope::enter(&self.recorder);
-        let max_depth = self
-            .grid
-            .depths
-            .iter()
-            .copied()
-            .max()
-            .expect("validated non-empty depths");
 
-        let stage = self.recorder.span(keys::STAGE_REFERENCE);
-        let reference = train_depth_selected(self.train, self.test, max_depth);
-        stage.finish();
-
-        let stage = self.recorder.span(keys::STAGE_BASELINE);
-        let baseline =
-            synthesize_baseline_with(&reference.tree, &self.library, &self.analog, &self.analysis);
-        stage.finish();
-
+        // The sweep trains the ADC-unaware reference (its
+        // `reference_training` span nests under this stage) and keeps it.
         let stage = self.recorder.span(keys::STAGE_SWEEP);
         let sweep = explore_instrumented(
             self.train,
@@ -211,6 +200,15 @@ impl<'a> CodesignFlow<'a> {
             &self.analysis,
             &self.recorder,
             self.progress,
+        );
+        stage.finish();
+
+        let stage = self.recorder.span(keys::STAGE_BASELINE);
+        let baseline = synthesize_baseline_with(
+            &sweep.reference,
+            &self.library,
+            &self.analog,
+            &self.analysis,
         );
         stage.finish();
 
@@ -244,35 +242,31 @@ impl<'a> CodesignFlow<'a> {
                 });
 
         let stage = self.recorder.span(keys::STAGE_SELECTION);
-        let robust_choice = campaign_outcome.as_ref().and_then(|outcome| {
-            let (_, _, constraints) = self.robustness.as_ref().expect("campaign implies config");
-            sweep
-                .select_robust(self.accuracy_loss, outcome, constraints)
-                .cloned()
-        });
-        if let Some(choice) = &robust_choice {
-            let profile = campaign_outcome
-                .as_ref()
-                .and_then(|o| o.profile_for(choice.tau, choice.depth))
-                .expect("robust choice was profiled");
-            self.recorder.event(
-                keys::ROBUST_SELECTED_EVENT,
-                vec![
-                    ("tau".to_owned(), FieldValue::F64(choice.tau)),
-                    ("depth".to_owned(), FieldValue::U64(choice.depth as u64)),
-                    ("accuracy".to_owned(), FieldValue::F64(choice.test_accuracy)),
-                    (
-                        "robust_accuracy".to_owned(),
-                        FieldValue::F64(profile.robust_accuracy()),
-                    ),
-                ],
-            );
-        }
-        let chosen = robust_choice
-            .or_else(|| sweep.select(self.accuracy_loss).cloned())
-            .or_else(|| sweep.most_accurate().cloned())
-            .expect("non-empty grid yields candidates");
+        let chosen = sweep.choose(self.accuracy_loss).clone();
         record_selection(&self.recorder, &chosen, &self.analog);
+        let robust_choice = self
+            .robustness
+            .as_ref()
+            .zip(campaign_outcome.as_ref())
+            .and_then(|((_, _, constraints), outcome)| {
+                let choice = sweep.select_robust(self.accuracy_loss, outcome, constraints)?;
+                let profile = outcome
+                    .profile_for(choice.tau, choice.depth)
+                    .expect("robust choice was profiled");
+                self.recorder.event(
+                    keys::ROBUST_SELECTED_EVENT,
+                    vec![
+                        ("tau".to_owned(), FieldValue::F64(choice.tau)),
+                        ("depth".to_owned(), FieldValue::U64(choice.depth as u64)),
+                        ("accuracy".to_owned(), FieldValue::F64(choice.test_accuracy)),
+                        (
+                            "robust_accuracy".to_owned(),
+                            FieldValue::F64(profile.robust_accuracy()),
+                        ),
+                    ],
+                );
+                Some(choice.clone())
+            });
         stage.finish();
 
         let stage = self.recorder.span(keys::STAGE_LINT);
@@ -288,7 +282,7 @@ impl<'a> CodesignFlow<'a> {
         drop(kernel_scope);
         record_process_gauges(&self.recorder);
         let trace = self.recorder.snapshot().map(|snapshot| {
-            let manifest = RunManifest::capture(self.train.name())
+            let manifest = RunManifest::capture(&self.title)
                 .with_grid(&self.grid.taus, self.grid.depths.iter().copied())
                 .with_seed(self.grid.seed)
                 .with_accuracy_loss(self.accuracy_loss);
@@ -301,6 +295,7 @@ impl<'a> CodesignFlow<'a> {
             baseline,
             sweep,
             chosen,
+            robust_choice,
             robustness: campaign_outcome,
             lint,
             trace,
@@ -330,8 +325,8 @@ pub fn record_process_gauges(recorder: &Recorder) {
 /// No-op when the recorder is disabled.
 ///
 /// [`CodesignFlow::run`] calls this at selection time; standalone sweeps
-/// (e.g. the bench binaries' `explore` + `choose` path) call it directly
-/// so their traces carry the same hardware-attribution records.
+/// call it directly so their traces carry the same hardware-attribution
+/// records.
 pub fn record_selection(recorder: &Recorder, chosen: &CandidateDesign, analog: &AnalogModel) {
     if !recorder.is_enabled() {
         return;
@@ -411,10 +406,18 @@ pub struct FlowOutcome {
     pub reference_accuracy: f64,
     /// The synthesized state-of-the-art baseline (\[2\]).
     pub baseline: BaselineDesign,
-    /// The full exploration (all grid points), for custom selection.
+    /// The full exploration (all grid points and the reference tree), for
+    /// custom selection.
     pub sweep: Exploration,
-    /// The selected co-design.
+    /// The selected co-design: [`Exploration::choose`] at the
+    /// accuracy-loss constraint. This is the design that is linted and
+    /// recorded ([`keys::SELECTED_EVENT`]).
     pub chosen: CandidateDesign,
+    /// The robustness-aware selection ([`Exploration::select_robust`],
+    /// recorded as [`keys::ROBUST_SELECTED_EVENT`]) — `Some` iff the
+    /// campaign ran and a candidate meets its robust floor and
+    /// constraints.
+    pub robust_choice: Option<CandidateDesign>,
     /// The robustness campaign's per-candidate profiles — `Some` iff the
     /// flow ran with [`CodesignFlow::robustness`].
     pub robustness: Option<CampaignOutcome>,
@@ -519,7 +522,6 @@ mod tests {
             .run();
         let trace = outcome.trace().expect("traced flow must carry a trace");
         for stage in [
-            keys::STAGE_REFERENCE,
             keys::STAGE_BASELINE,
             keys::STAGE_SWEEP,
             keys::STAGE_SELECTION,
@@ -527,6 +529,18 @@ mod tests {
         ] {
             assert!(trace.stage(stage).is_some(), "missing {stage}");
         }
+        // The reference is trained once, inside the sweep stage.
+        let sweep = trace.stage(keys::STAGE_SWEEP).unwrap();
+        let reference: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == keys::REFERENCE_SPAN)
+            .collect();
+        assert_eq!(reference.len(), 1);
+        assert!(reference[0].start_us >= sweep.start_us);
+        assert!(
+            reference[0].start_us + reference[0].duration_us <= sweep.start_us + sweep.duration_us
+        );
         // The lint stage ran, found no errors on a clean design, and its
         // counters mirror the report carried on the outcome.
         let lint = &outcome.lint;
@@ -631,34 +645,40 @@ mod tests {
             .run();
         let campaign = outcome.robustness.as_ref().expect("campaign ran");
         assert_eq!(campaign.profiles.len(), outcome.sweep.candidates.len());
-        // The chosen design is one the campaign profiled.
-        assert!(campaign
-            .profile_for(outcome.chosen.tau, outcome.chosen.depth)
-            .is_some());
+        // The campaign does not move the nominal selection.
+        assert_eq!(&outcome.chosen, outcome.sweep.choose(0.05));
+        let robust = outcome.robust_choice.as_ref().expect("Seeds admits one");
+        assert_eq!(
+            Some(robust),
+            outcome
+                .sweep
+                .select_robust(0.05, campaign, &RobustnessConstraints::default())
+        );
         let trace = outcome.trace().expect("traced");
         assert!(trace.stage(keys::STAGE_ROBUSTNESS).is_some());
-        // The robust-selection event matches the chosen design whenever
-        // robust selection (not the nominal fallback) decided.
+        // One robust-selection event, for the robust choice.
         let robust_events: Vec<_> = trace
             .events
             .iter()
             .filter(|e| e.name == keys::ROBUST_SELECTED_EVENT)
             .collect();
-        if let [event] = robust_events.as_slice() {
-            assert_eq!(
-                event.field("depth").and_then(FieldValue::as_u64),
-                Some(outcome.chosen.depth as u64)
-            );
-            assert!(event
-                .field("robust_accuracy")
-                .and_then(FieldValue::as_f64)
-                .is_some());
-        }
+        let [event] = robust_events.as_slice() else {
+            panic!("expected one robust selection event, got {robust_events:?}");
+        };
+        assert_eq!(
+            event.field("depth").and_then(FieldValue::as_u64),
+            Some(robust.depth as u64)
+        );
+        assert!(event
+            .field("robust_accuracy")
+            .and_then(FieldValue::as_f64)
+            .is_some());
         // Flow without robustness: no campaign rides along.
         let plain = CodesignFlow::new(&train, &test)
             .accuracy_loss(0.05)
             .grid(ExplorationConfig::quick())
             .run();
         assert!(plain.robustness.is_none());
+        assert!(plain.robust_choice.is_none());
     }
 }

@@ -35,7 +35,6 @@ pub mod baseline;
 pub mod cart;
 pub mod forest;
 pub mod metrics;
-pub mod prune;
 pub mod tree;
 
 pub use approx::{synthesize_approx, ApproxConfig, ApproxDesign};
@@ -46,5 +45,4 @@ pub use cart::{
 };
 pub use forest::{train_forest, Forest, ForestConfig};
 pub use metrics::{evaluate, ClassMetrics, Classifier, Evaluation};
-pub use prune::{prune, pruning_path};
 pub use tree::{DecisionTree, Node, Path, TreeError};

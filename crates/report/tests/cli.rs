@@ -193,6 +193,30 @@ fn a_baseline_condensed_from_a_trace_gates_that_trace() {
 }
 
 #[test]
+fn a_traced_flow_pairs_with_its_committed_suite_record() {
+    // The flow stamps its title as the manifest's dataset, so the dump
+    // pairs with the `Seeds` record `bench_all` committed, metric for
+    // metric.
+    let trace_path = scratch("seeds_flow.ndjson");
+    std::fs::write(&trace_path, traced_seeds().to_ndjson()).unwrap();
+    let suite = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_all.ndjson");
+    let output = printed_trace(&[
+        "diff",
+        suite,
+        trace_path.to_str().unwrap(),
+        "--max-regress",
+        "0.001%",
+    ]);
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "stdout: {}\nstderr: {}",
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr)
+    );
+}
+
+#[test]
 fn suite_diff_pairs_by_dataset_and_fails_on_missing_counterparts() {
     let trace = traced_seeds();
     let seeds = BenchRecord::from_trace(&trace);

@@ -7,8 +7,8 @@
 /// Prefix shared by all flow-stage span names.
 pub const STAGE_PREFIX: &str = "stage:";
 
-/// Stage span: ADC-unaware reference training.
-pub const STAGE_REFERENCE: &str = "stage:reference_training";
+/// Span: ADC-unaware reference training, nested under [`STAGE_SWEEP`].
+pub const REFERENCE_SPAN: &str = "reference_training";
 
 /// Stage span: baseline \[2\] synthesis.
 pub const STAGE_BASELINE: &str = "stage:baseline_synthesis";

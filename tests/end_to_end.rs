@@ -172,13 +172,18 @@ fn traced_flow_records_one_candidate_span_per_grid_point() {
     assert_eq!(trace.sweep.total_candidates, expected);
     assert_eq!(trace.sweep.candidates.len(), expected);
     for stage in [
-        keys::STAGE_REFERENCE,
         keys::STAGE_BASELINE,
         keys::STAGE_SWEEP,
         keys::STAGE_SELECTION,
     ] {
         assert!(trace.stage(stage).is_some(), "missing {stage}");
     }
+    // The reference trains once, in a span nested under the sweep stage.
+    let reference = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == keys::REFERENCE_SPAN);
+    assert_eq!(reference.count(), 1);
     // Prefix sharing: one training per τ, everything else derived.
     assert_eq!(trace.counter(keys::TREES_TRAINED), expected_taus as u64);
     assert_eq!(
@@ -254,16 +259,25 @@ fn robust_selection_diverges_from_plain_on_seeds() {
     );
 
     // Same divergence end-to-end: the flow with the constrained campaign
-    // picks the robust design, and the report renders its profile.
+    // picks the robust design as its robust choice, and the report renders
+    // its profile.
     let flow_outcome = CodesignFlow::new(&train, &test)
         .grid(grid)
         .accuracy_loss(0.05)
         .robustness_with(campaign, &analog_test, constraints)
         .traced()
         .run();
+    let robust_choice = flow_outcome
+        .robust_choice
+        .as_ref()
+        .expect("the flow makes the same robust choice");
+    assert_eq!(
+        (robust_choice.tau, robust_choice.depth),
+        (robust.tau, robust.depth)
+    );
     assert_eq!(
         (flow_outcome.chosen.tau, flow_outcome.chosen.depth),
-        (robust.tau, robust.depth)
+        (plain.tau, plain.depth)
     );
     let report = CostReport::from_trace(flow_outcome.trace().expect("traced run"));
     assert_eq!(report.robustness.len(), sweep.candidates.len());
