@@ -14,7 +14,7 @@
 //! Run with `cargo run --release -p printed-bench --bin ablations`.
 
 use printed_analog::MismatchModel;
-use printed_bench::{baseline_model, hrule, row_label, TraceHook, BITS};
+use printed_bench::{baseline_model, experiment_args, hrule, row_label, TraceHook, BITS};
 use printed_codesign::mismatch::mismatch_accuracy_recorded;
 use printed_codesign::train::{train_adc_aware_recorded, AdcAwareConfig};
 use printed_codesign::UnaryClassifier;
@@ -26,6 +26,7 @@ use printed_telemetry::Recorder;
 type Ablation<'a> = (&'static str, &'a dyn Fn(&Recorder));
 
 fn main() {
+    experiment_args("ablations", false);
     let hook = TraceHook::from_env("ablations");
     let recorder = hook.recorder();
     // Each ablation runs under a `stage:` span so the PRINTED_TRACE

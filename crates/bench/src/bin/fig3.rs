@@ -10,7 +10,7 @@
 //! Run with `cargo run --release -p printed-bench --bin fig3`.
 
 use printed_adc::{BespokeAdcBank, ConventionalAdc};
-use printed_bench::{hrule, TraceHook};
+use printed_bench::{experiment_args, hrule, TraceHook};
 use printed_pdk::AnalogModel;
 
 fn bespoke_cost(taps: &[usize], model: &AnalogModel) -> (f64, f64) {
@@ -23,6 +23,7 @@ fn bespoke_cost(taps: &[usize], model: &AnalogModel) -> (f64, f64) {
 }
 
 fn main() {
+    experiment_args("fig3", false);
     let hook = TraceHook::from_env("fig3");
     let model = AnalogModel::egfet();
     let conventional = ConventionalAdc::new(4).standalone_cost(&model);

@@ -5,11 +5,14 @@
 //!
 //! Run with `cargo run --release -p printed-bench --bin fig4`.
 
-use printed_bench::{baseline_design, hrule, row_label, TraceHook, BENCHMARK_SPAN};
+use printed_bench::{
+    baseline_design, experiment_args, hrule, row_label, TraceHook, BENCHMARK_SPAN,
+};
 use printed_codesign::synthesize_unary;
 use printed_datasets::Benchmark;
 
 fn main() {
+    experiment_args("fig4", false);
     let hook = TraceHook::from_env("fig4");
     println!("Fig. 4 — Area/power reduction vs baseline [2] (same models, bespoke ADCs");
     println!("+ parallel unary architecture only; paper averages: 3.0x area, 6.6x power)\n");

@@ -14,38 +14,16 @@
 //! interrupted earlier run (`printed-trace watch` can tail those files).
 
 use printed_bench::{
-    explore_traced, hrule, load, row_label, stderr_progress, TraceHook, BENCHMARK_SPAN,
+    experiment_args, explore_traced, hrule, load, row_label, stderr_progress, TraceHook,
+    BENCHMARK_SPAN,
 };
 use printed_codesign::explore::ExplorationConfig;
 use printed_codesign::synthesize_unary;
 use printed_datasets::Benchmark;
 
-/// Parses the optional `--resume <prefix>` flag shared by the sweep
-/// binaries.
-fn resume_prefix() -> Option<String> {
-    let mut prefix = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        match flag.as_str() {
-            "--resume" => match argv.next() {
-                Some(p) => prefix = Some(p),
-                None => {
-                    eprintln!("error: --resume needs a path prefix");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown flag {other} (usage: fig5 [--resume PREFIX])");
-                std::process::exit(2);
-            }
-        }
-    }
-    prefix
-}
-
 fn main() {
+    let resume = experiment_args("fig5", true);
     let hook = TraceHook::from_env("fig5");
-    let resume = resume_prefix();
     let progress = stderr_progress();
     println!("Fig. 5 — Additional gains from ADC-aware training (vs the Fig. 4 designs)");
     println!("(paper averages: 0% loss → 11% area / 15% power; 5% loss → 45% / 57%)\n");

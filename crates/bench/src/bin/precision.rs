@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --release -p printed-bench --bin precision`.
 
-use printed_bench::{hrule, row_label, TraceHook, BENCHMARK_SPAN, DEPTH_CAP};
+use printed_bench::{experiment_args, hrule, row_label, TraceHook, BENCHMARK_SPAN, DEPTH_CAP};
 use printed_codesign::system::synthesize_unary_with;
 use printed_datasets::Benchmark;
 use printed_dtree::cart::train_depth_selected;
@@ -14,6 +14,7 @@ use printed_logic::report::AnalysisConfig;
 use printed_pdk::{AnalogModel, CellLibrary};
 
 fn main() {
+    experiment_args("precision", false);
     let hook = TraceHook::from_env("precision");
     println!("Input-precision sweep: accuracy (and co-designed power µW) per bit width");
     println!("(the paper's 4-bit choice should sit at the accuracy knee)\n");

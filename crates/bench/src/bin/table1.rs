@@ -4,7 +4,9 @@
 //!
 //! Run with `cargo run --release -p printed-bench --bin table1`.
 
-use printed_bench::{baseline_design, hrule, row_label, TraceHook, BENCHMARK_SPAN};
+use printed_bench::{
+    baseline_design, experiment_args, hrule, row_label, TraceHook, BENCHMARK_SPAN,
+};
 use printed_datasets::Benchmark;
 
 /// Paper's Table I rows: (accuracy %, #comp, #inputs, ADC area, total area,
@@ -21,6 +23,7 @@ const PAPER: [(f64, usize, usize, f64, f64, f64, f64); 8] = [
 ];
 
 fn main() {
+    experiment_args("table1", false);
     let hook = TraceHook::from_env("table1");
     println!("Table I — Evaluation of the baseline bespoke decision trees [2]");
     println!("(measured by this reproduction vs the paper's published values)\n");

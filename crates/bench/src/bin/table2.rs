@@ -9,7 +9,8 @@
 //! interrupted earlier run (`printed-trace watch` can tail those files).
 
 use printed_bench::{
-    explore_traced, hrule, load, row_label, stderr_progress, TraceHook, BENCHMARK_SPAN, DEPTH_CAP,
+    experiment_args, explore_traced, hrule, load, row_label, stderr_progress, TraceHook,
+    BENCHMARK_SPAN, DEPTH_CAP,
 };
 use printed_codesign::explore::{Exploration, ExplorationConfig};
 use printed_datasets::Benchmark;
@@ -33,32 +34,9 @@ const PAPER: [PaperRow; 8] = [
     (89.00, 6.12, 3.0, 2.8, Some(4.2), Some(2.6)),
 ];
 
-/// Parses the optional `--resume <prefix>` flag shared by the sweep
-/// binaries.
-fn resume_prefix() -> Option<String> {
-    let mut prefix = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        match flag.as_str() {
-            "--resume" => match argv.next() {
-                Some(p) => prefix = Some(p),
-                None => {
-                    eprintln!("error: --resume needs a path prefix");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown flag {other} (usage: table2 [--resume PREFIX])");
-                std::process::exit(2);
-            }
-        }
-    }
-    prefix
-}
-
 fn main() {
+    let resume = experiment_args("table2", true);
     let hook = TraceHook::from_env("table2");
-    let resume = resume_prefix();
     let progress = stderr_progress();
     println!("Table II — Our co-designed decision trees (≤1% accuracy loss) vs [2] and [7]");
     println!("(measured | paper in parentheses)\n");

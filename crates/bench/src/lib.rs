@@ -144,6 +144,38 @@ pub fn stderr_progress() -> impl Fn(Progress) + Send + Sync {
     }
 }
 
+/// Parses the command line of a table/figure binary and returns its
+/// `--resume` prefix. Only the sweep binaries (`resumable`) take an
+/// argument, `--resume <prefix>`: checkpoint each benchmark's sweep to
+/// `<prefix>-<dataset>.ndjson` and resume the grid points completed there.
+/// Any other argument exits 2 with one `error:` line naming it and the
+/// usage, so call this before any work starts.
+pub fn experiment_args(bin: &str, resumable: bool) -> Option<String> {
+    let usage = if resumable {
+        format!("{bin} [--resume PREFIX]")
+    } else {
+        bin.to_owned()
+    };
+    let mut prefix = None;
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        match flag.as_str() {
+            "--resume" if resumable => match argv.next() {
+                Some(p) => prefix = Some(p),
+                None => {
+                    eprintln!("error: --resume needs a path prefix");
+                    std::process::exit(2);
+                }
+            },
+            other => {
+                eprintln!("error: unknown flag {other} (usage: {usage})");
+                std::process::exit(2);
+            }
+        }
+    }
+    prefix
+}
+
 /// The `PRINTED_TRACE` observability hook shared by every binary.
 ///
 /// `PRINTED_TRACE=<path>` installs a collecting recorder; when the binary

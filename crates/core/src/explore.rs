@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::available_parallelism;
 
 use printed_datasets::{DatasetIndex, QuantizedDataset};
-use printed_dtree::cart::train_depth_selected;
+use printed_dtree::cart::{train_depth_selected, AnnotatedTree};
 use printed_dtree::DecisionTree;
 use printed_logic::report::AnalysisConfig;
 use printed_pdk::{AnalogModel, CellLibrary};
@@ -52,7 +52,7 @@ use printed_telemetry::{keys, FieldValue, Progress, Recorder};
 use crate::campaign::{CampaignOutcome, RobustnessConstraints};
 use crate::checkpoint::{CheckpointLine, Fingerprint, Journal};
 use crate::system::{synthesize_unary_parts, UnarySystem};
-use crate::train::{train_adc_aware_annotated_with_index, AdcAwareConfig, AnnotatedTree};
+use crate::train::{train_adc_aware_annotated_with_index, AdcAwareConfig};
 
 /// Live progress callback for [`explore_instrumented`]: invoked from the
 /// sweep's worker threads, once per finished grid point.

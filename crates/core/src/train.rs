@@ -19,6 +19,11 @@
 //! With `τ = 0` the candidate set contains only Gini-optimal splits, so
 //! accuracy is unaffected — property-tested in this crate's test-suite.
 //!
+//! Growth itself is [`printed_dtree::cart::grow`], the breadth-first loop
+//! CART and forests share; Algorithm 1 is only the chooser it is handed
+//! (the selection rule above plus the `S_Z`/`S_M`/`S_H` tallies and the
+//! selected-pair state).
+//!
 //! ```
 //! use printed_codesign::train::{train_adc_aware, AdcAwareConfig};
 //! use printed_datasets::Benchmark;
@@ -36,7 +41,8 @@ use rand::{Rng, SeedableRng};
 
 use printed_datasets::{DatasetIndex, QuantizedDataset};
 use printed_dtree::cart::{
-    is_pure, majority_class, split_candidates, CartConfig, SplitCandidate, SplitEngine,
+    grow, is_pure, majority_class, split_candidates, AnnotatedTree, CartConfig, SplitCandidate,
+    SplitEngine,
 };
 use printed_dtree::{DecisionTree, IndexArena, Node};
 use printed_telemetry::{keys, Recorder};
@@ -115,38 +121,11 @@ pub fn train_adc_aware_recorded(
     train_adc_aware_annotated(data, config, recorder).tree
 }
 
-/// A trained tree together with the per-node training majorities Algorithm
-/// 1 computed on the way — everything needed to derive every shallower
-/// depth cap by [`DecisionTree::truncated`] without retraining.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnnotatedTree {
-    /// The tree grown at `config.max_depth`.
-    pub tree: DecisionTree,
-    /// Majority training class per node, indexed by node slot: the class
-    /// the trainer would have placed at that position had growth stopped
-    /// there (exactly what [`DecisionTree::truncated`] substitutes for
-    /// splits beyond a shallower cap).
-    pub majorities: Vec<usize>,
-}
-
-impl AnnotatedTree {
-    /// The tree truncated to `max_depth` — bit-identical to training with
-    /// the same config at the lower cap, because BFS growth commits every
-    /// depth < `max_depth` decision (splits, RNG draws, hardware-state
-    /// mutations) before considering any deeper node. Pinned by the
-    /// `truncation_matches_fresh_training_*` tests.
-    pub fn truncated(&self, max_depth: usize) -> DecisionTree {
-        let timer = printed_telemetry::KernelTimer::start(printed_telemetry::Kernel::BfsTruncate);
-        let truncated = self.tree.truncated(max_depth, &self.majorities);
-        timer.finish(self.tree.nodes().len() as u64);
-        truncated
-    }
-}
-
 /// [`train_adc_aware_recorded`], additionally returning the per-node
-/// majority classes (see [`AnnotatedTree`]). The tree and the RNG stream
-/// are bit-identical to the unannotated path — the majorities were always
-/// computed; this merely keeps them.
+/// majority classes (see [`AnnotatedTree`]), from which
+/// [`AnnotatedTree::truncated`] derives every shallower depth cap. The
+/// tree and the RNG stream are bit-identical to the unannotated path — the
+/// majorities were always computed; this merely keeps them.
 ///
 /// Builds a fresh [`DatasetIndex`]; sweep drivers training many trees on
 /// the same dataset should build the index once and call
@@ -183,7 +162,6 @@ pub fn train_adc_aware_annotated_with_index(
     let mut arena = IndexArena::new();
     arena.reset_identity(data.len());
     train_adc_aware_seeded(
-        data,
         &mut engine,
         &mut arena,
         config,
@@ -208,18 +186,6 @@ pub fn train_adc_aware_forest(
     config: &AdcAwareConfig,
     trees: usize,
 ) -> printed_dtree::Forest {
-    train_adc_aware_forest_recorded(data, config, trees, &Recorder::disabled())
-}
-
-/// [`train_adc_aware_forest`] with instrumentation: one
-/// [`keys::TRAIN_SPAN`] per ensemble member plus the global `train.*`
-/// counters, exactly as [`train_adc_aware_recorded`].
-pub fn train_adc_aware_forest_recorded(
-    data: &QuantizedDataset,
-    config: &AdcAwareConfig,
-    trees: usize,
-    recorder: &Recorder,
-) -> printed_dtree::Forest {
     assert!(trees >= 1, "need at least one tree");
     let mut selected: BTreeSet<(usize, u8)> = BTreeSet::new();
     let mut used_features: BTreeSet<usize> = BTreeSet::new();
@@ -240,13 +206,12 @@ pub fn train_adc_aware_forest_recorded(
             };
             arena.reset_from(&indices);
             train_adc_aware_seeded(
-                data,
                 &mut engine,
                 &mut arena,
                 &cfg,
                 &mut selected,
                 &mut used_features,
-                recorder,
+                &Recorder::disabled(),
             )
             .tree
         })
@@ -254,18 +219,12 @@ pub fn train_adc_aware_forest_recorded(
     printed_dtree::Forest::from_trees(members)
 }
 
-/// Core Algorithm 1 growth with externally owned hardware state (so
-/// ensembles can share it) over the arena's current root subset. Also
-/// returns the per-slot majority classes: the FIFO BFS pops nodes in
-/// slot-allocation order, so recording the majority at each pop yields a
-/// slot-indexed vector.
-///
-/// In-place partitioning is safe under BFS: every queued node owns a
-/// disjoint arena range, a pop only permutes *within* its own range, and
-/// ancestors are never partitioned again — so a child's range is exactly
-/// what its parent's stable partition left there.
+/// Algorithm 1 over the arena's current root subset, with externally owned
+/// hardware state (so ensembles can share it): [`grow`] does the growth,
+/// and the chooser handed to it applies [`select_split`], tallies the
+/// `S_Z`/`S_M`/`S_H` classes and commits each pick to `selected` and
+/// `used_features`. Also returns the per-slot majority classes.
 fn train_adc_aware_seeded(
-    data: &QuantizedDataset,
     engine: &mut SplitEngine<'_>,
     arena: &mut IndexArena,
     config: &AdcAwareConfig,
@@ -273,7 +232,6 @@ fn train_adc_aware_seeded(
     used_features: &mut BTreeSet<usize>,
     recorder: &Recorder,
 ) -> AnnotatedTree {
-    assert!(!data.is_empty(), "cannot train on an empty dataset");
     assert!(
         config.tau.is_finite() && config.tau >= 0.0,
         "tau must be a non-negative finite number, got {}",
@@ -291,36 +249,10 @@ fn train_adc_aware_seeded(
         threshold_strides: Vec::new(),
     };
 
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut majorities: Vec<usize> = Vec::new();
-
-    // BFS queue of (placeholder index, arena range start, range len, depth).
-    let root_len = arena.len();
-    assert!(root_len > 0, "cannot train on an empty subset");
-    let mut queue: VecDeque<(usize, usize, usize, usize)> = VecDeque::new();
-    nodes.push(Node::Leaf { class: 0 }); // placeholder for the root
-    queue.push_back((0, 0, root_len, 0));
-
-    while let Some((slot, start, len, depth)) = queue.pop_front() {
-        let majority = engine.majority_class(arena.slice(start, len));
-        debug_assert_eq!(majorities.len(), slot, "FIFO pops in slot order");
-        majorities.push(majority);
-        let stop = depth >= config.max_depth
-            || len < config.min_samples_split
-            || engine.is_pure(arena.slice(start, len));
-        if stop {
-            nodes[slot] = Node::Leaf { class: majority };
-            continue;
-        }
-        // The scan's work is proportional to the sample values it reads
-        // (node size × features), not the candidate count it returns.
-        let timer = printed_telemetry::KernelTimer::start(printed_telemetry::Kernel::GiniScan);
-        let candidates = engine.candidates(arena.slice(start, len), &cart_cfg);
-        timer.finish((len * data.n_features()) as u64);
+    let annotated = grow(engine, arena, &cart_cfg, |candidates| {
         gini_evals += candidates.len() as u64;
         if candidates.is_empty() {
-            nodes[slot] = Node::Leaf { class: majority };
-            continue;
+            return None;
         }
         let split = select_split(candidates, selected, used_features, config.tau, &mut rng);
         // Classify against the hardware state *before* committing the
@@ -332,26 +264,11 @@ fn train_adc_aware_seeded(
         }
         selected.insert((split.feature, split.threshold));
         used_features.insert(split.feature);
-
-        let column = engine.index().column(split.feature);
-        let lo_len = arena.partition(start, len, column, split.threshold);
-        debug_assert!(lo_len > 0 && lo_len < len);
-
-        let lo_slot = nodes.len();
-        nodes.push(Node::Leaf { class: 0 }); // placeholder
-        let hi_slot = nodes.len();
-        nodes.push(Node::Leaf { class: 0 }); // placeholder
-        nodes[slot] = Node::Split {
-            feature: split.feature,
-            threshold: split.threshold,
-            lo: lo_slot,
-            hi: hi_slot,
-        };
-        queue.push_back((lo_slot, start, lo_len, depth + 1));
-        queue.push_back((hi_slot, start + lo_len, len - lo_len, depth + 1));
-    }
+        Some(split)
+    });
 
     if recorder.is_enabled() {
+        let nodes = annotated.tree.nodes();
         let split_nodes = nodes
             .iter()
             .filter(|n| matches!(n, Node::Split { .. }))
@@ -369,10 +286,7 @@ fn train_adc_aware_seeded(
         span.record("nodes", nodes.len());
     }
     span.finish();
-
-    let tree = DecisionTree::from_nodes(data.bits(), data.n_features(), data.n_classes(), nodes)
-        .expect("trainer builds valid trees");
-    AnnotatedTree { tree, majorities }
+    annotated
 }
 
 /// Algorithm 1's selection rule over one node's candidate set.
@@ -711,22 +625,6 @@ mod tests {
             spans[0].field("gini_evals").and_then(FieldValue::as_u64),
             Some(snap.counter(keys::GINI_EVALS))
         );
-    }
-
-    #[test]
-    fn recorded_forest_emits_one_span_per_tree() {
-        let (train_data, _) = Benchmark::Seeds.load_quantized(4).unwrap();
-        let cfg = AdcAwareConfig {
-            max_depth: 3,
-            tau: 0.01,
-            ..Default::default()
-        };
-        let (recorder, sink) = Recorder::collecting();
-        let forest = train_adc_aware_forest_recorded(&train_data, &cfg, 3, &recorder);
-        assert_eq!(forest, train_adc_aware_forest(&train_data, &cfg, 3));
-        let snap = sink.snapshot();
-        assert_eq!(snap.counter(keys::TREES_TRAINED), 3);
-        assert_eq!(snap.spans_named(keys::TRAIN_SPAN).count(), 3);
     }
 
     #[test]

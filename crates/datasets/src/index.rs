@@ -1,5 +1,5 @@
-//! Precomputed per-dataset training index: feature-major level columns,
-//! per-feature sorted sample orders, and class-count prefix sums.
+//! Precomputed per-dataset training index: feature-major level columns
+//! and class-count prefix sums.
 //!
 //! Split-candidate enumeration reads every sample once per feature at
 //! every tree node, so its memory layout dominates training wall time.
@@ -9,12 +9,10 @@
 //! * **feature-major columns** — `column(f)[i] == sample(i)[f]`, so a
 //!   per-node scan of one feature walks contiguous bytes instead of
 //!   striding across row-major samples;
-//! * **per-feature sorted orders** — sample indices counting-sorted
-//!   (stably) by the feature's level;
-//! * **class-count prefix sums along those orders** —
-//!   `counts_below(f, level)[c]` is the number of class-`c` samples with
-//!   `column(f) < level`, so any level-range class histogram of the
-//!   *whole* dataset is a subtraction, with no per-sample scan at all.
+//! * **class-count prefix sums over levels** — `counts_below(f,
+//!   level)[c]` is the number of class-`c` samples with `column(f) <
+//!   level`, so any level-range class histogram of the *whole* dataset is
+//!   a subtraction, with no per-sample scan at all.
 //!
 //! The index is plain read-only data (`Sync`), built once and shared by
 //! every training across a τ×depth sweep grid.
@@ -27,11 +25,9 @@
 //! // Class histogram of samples with feature 0 in levels [4, 8):
 //! let lo = index.counts_below(0, 4);
 //! let hi = index.counts_below(0, 8);
-//! let in_range: Vec<u32> = lo.iter().zip(hi).map(|(&a, &b)| b - a).collect();
-//! assert_eq!(in_range.iter().sum::<u32>() as usize,
-//!            index.sorted_order(0).iter()
-//!                .filter(|&&i| (4..8).contains(&index.column(0)[i as usize]))
-//!                .count());
+//! let in_range: u32 = lo.iter().zip(hi).map(|(&a, &b)| b - a).sum();
+//! assert_eq!(in_range as usize,
+//!            index.column(0).iter().filter(|&&level| (4..8).contains(&level)).count());
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
@@ -49,10 +45,6 @@ pub struct DatasetIndex {
     columns: Vec<u8>,
     /// Sample labels, one per sample (u32: datasets are index-arena sized).
     labels: Vec<u32>,
-    /// Per-feature stable counting-sorted sample order: feature `f`
-    /// occupies `orders[f * n_samples .. (f + 1) * n_samples]`, samples
-    /// ascending by level, ties in dataset order.
-    orders: Vec<u32>,
     /// Per-feature class-count prefix sums: entry
     /// `((f * (levels + 1) + level) * n_classes + class)` counts class
     /// `class` samples with `column(f) < level`.
@@ -82,39 +74,20 @@ impl DatasetIndex {
             }
         }
 
-        let mut orders = vec![0u32; n_features * n];
         let mut prefix = vec![0u32; n_features * (levels + 1) * n_classes];
-        let mut starts = vec![0u32; levels + 1];
         for f in 0..n_features {
             let column = &columns[f * n..(f + 1) * n];
-            // Counting sort: level histogram → start offsets → stable place.
-            starts.fill(0);
-            for &level in column {
-                starts[level as usize + 1] += 1;
-            }
-            for level in 0..levels {
-                starts[level + 1] += starts[level];
-            }
-            let order = &mut orders[f * n..(f + 1) * n];
-            for (i, &level) in column.iter().enumerate() {
-                order[starts[level as usize] as usize] = i as u32;
-                starts[level as usize] += 1;
-            }
-            // Class-count prefix sums along the sorted order: row `level`
-            // holds the class histogram of everything strictly below it.
+            // Row `level + 1` first holds the level × class histogram,
+            // then the running sum turns row `level` into the class
+            // histogram of everything strictly below it.
             let rows =
                 &mut prefix[f * (levels + 1) * n_classes..(f + 1) * (levels + 1) * n_classes];
-            let mut cursor = 0usize;
-            for level in 0..levels {
-                let (done, rest) = rows.split_at_mut((level + 1) * n_classes);
-                let row = &mut rest[..n_classes];
-                row.copy_from_slice(&done[level * n_classes..]);
-                while cursor < n && column[order[cursor] as usize] as usize == level {
-                    row[labels[order[cursor] as usize] as usize] += 1;
-                    cursor += 1;
-                }
+            for (&level, &label) in column.iter().zip(&labels) {
+                rows[(level as usize + 1) * n_classes + label as usize] += 1;
             }
-            debug_assert_eq!(cursor, n, "every sample lands in exactly one level");
+            for at in n_classes..rows.len() {
+                rows[at] += rows[at - n_classes];
+            }
         }
 
         Self {
@@ -124,7 +97,6 @@ impl DatasetIndex {
             levels,
             columns,
             labels,
-            orders,
             prefix,
         }
     }
@@ -170,16 +142,6 @@ impl DatasetIndex {
         &self.columns[feature * self.n_samples..(feature + 1) * self.n_samples]
     }
 
-    /// Sample ids sorted (stably) by `feature`'s level, ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `feature` is out of range.
-    pub fn sorted_order(&self, feature: usize) -> &[u32] {
-        assert!(feature < self.n_features, "feature out of range");
-        &self.orders[feature * self.n_samples..(feature + 1) * self.n_samples]
-    }
-
     /// Class histogram of samples whose `feature` level is strictly below
     /// `level` (`level` may be `levels()`, giving the whole dataset's
     /// class counts). One `u32` per class.
@@ -215,28 +177,6 @@ mod tests {
             assert_eq!(index.labels()[i] as usize, label);
             for (f, &level) in sample.iter().enumerate() {
                 assert_eq!(index.column(f)[i], level);
-            }
-        }
-    }
-
-    #[test]
-    fn sorted_orders_are_stable_permutations() {
-        let (data, index) = index_of(Benchmark::Cardio);
-        for f in 0..data.n_features() {
-            let order = index.sorted_order(f);
-            assert_eq!(order.len(), data.len());
-            let mut seen = vec![false; data.len()];
-            for pair in order.windows(2) {
-                let (a, b) = (pair[0] as usize, pair[1] as usize);
-                let (la, lb) = (index.column(f)[a], index.column(f)[b]);
-                assert!(la <= lb, "order must ascend by level");
-                if la == lb {
-                    assert!(a < b, "ties must keep dataset order (stable sort)");
-                }
-            }
-            for &i in order {
-                assert!(!seen[i as usize], "each sample appears once");
-                seen[i as usize] = true;
             }
         }
     }
@@ -287,8 +227,6 @@ mod tests {
         assert_eq!(index.levels(), 4);
         // 0.1 → level 0, 0.9 → level 3.
         assert_eq!(index.column(0), &[3, 0, 3, 0]);
-        // Stable: the two level-0 samples keep dataset order, then level 3.
-        assert_eq!(index.sorted_order(0), &[1, 3, 0, 2]);
         assert_eq!(index.counts_below(0, 0), &[0, 0]);
         assert_eq!(index.counts_below(0, 1), &[1, 1]);
         assert_eq!(index.counts_below(0, 4), &[2, 2]);

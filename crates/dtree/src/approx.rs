@@ -29,12 +29,12 @@
 use std::collections::BTreeMap;
 
 use printed_adc::{AdcCost, ConventionalAdc};
-use printed_datasets::QuantizedDataset;
+use printed_datasets::{DatasetIndex, QuantizedDataset};
 use printed_logic::report::{analyze, AnalysisConfig, DesignReport};
 use printed_pdk::{AnalogModel, Area, CellLibrary, Power};
 
 use crate::baseline::baseline_netlist;
-use crate::cart::{train, train_depth_selected, CartConfig};
+use crate::cart::{train_depth_selected, train_with_index, CartConfig};
 use crate::tree::DecisionTree;
 
 /// Configuration for the precision-scaling baseline.
@@ -146,10 +146,13 @@ pub fn synthesize_approx_with(
         .map(|f| (f, full_bits))
         .collect();
 
+    // Strides only filter thresholds, so every greedy retrain shares one
+    // index of the full-precision data.
+    let index = DatasetIndex::new(train_data);
     let train_at = |bits: &BTreeMap<usize, u32>| -> (DecisionTree, f64) {
         let mut cfg = CartConfig::with_max_depth(retrain_depth);
         cfg.threshold_strides = strides_from_bits(bits, train_data.n_features(), full_bits);
-        let tree = train(train_data, &cfg);
+        let tree = train_with_index(train_data, &index, &cfg);
         let acc = tree.accuracy(test_data);
         (tree, acc)
     };

@@ -1,7 +1,7 @@
 //! Gini-based CART training over quantized features.
 //!
 //! This is the conventional (ADC-unaware) trainer of the baseline \[2\]:
-//! greedy recursive partitioning minimizing the Gini impurity of each
+//! greedy top-down partitioning minimizing the Gini impurity of each
 //! split, thresholds drawn from the values the feature takes in the data.
 //! The split-candidate enumeration is exposed so the ADC-aware trainer in
 //! `printed-codesign` can reuse it verbatim and differ only in *which*
@@ -19,9 +19,15 @@
 //!   arithmetic is exact integer accumulation feeding the very same
 //!   [`gini_impurity`] expression).
 //!
-//! Tree growth itself partitions node subsets in place through an
-//! [`IndexArena`] instead of allocating per-node
-//! index vectors.
+//! Tree growth has one implementation, [`grow`]: a breadth-first FIFO
+//! over an [`IndexArena`] (node subsets are partitioned in place, never
+//! allocated per node) that asks a caller-supplied rule which candidate to
+//! split on. CART passes [`best_split`], forests pass `best_split` over
+//! their kept features, and the ADC-aware trainer in `printed-codesign`
+//! passes Algorithm 1's selection. Because a CART node's choice depends on
+//! its own subset only, truncating a deep tree ([`AnnotatedTree`]) is
+//! bit-identical to growing at the lower cap — [`train_depth_selected`]
+//! grows one tree and derives every shallower depth from it.
 //!
 //! ```
 //! use printed_datasets::{Dataset, QuantizedDataset};
@@ -36,7 +42,10 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
+use std::collections::VecDeque;
+
 use printed_datasets::{DatasetIndex, QuantizedDataset};
+use printed_telemetry::{Kernel, KernelTimer};
 
 use crate::arena::IndexArena;
 use crate::tree::{DecisionTree, Node};
@@ -462,74 +471,109 @@ pub fn train_with_index(
         index.len() == data.len() && index.n_features() == data.n_features(),
         "index must be built from the training dataset"
     );
-    let mut engine = SplitEngine::new(index);
     let mut arena = IndexArena::new();
     arena.reset_identity(data.len());
-    let mut nodes = Vec::new();
-    grow(
-        &mut engine,
-        &mut arena,
-        config,
-        0,
-        data.len(),
-        0,
-        &mut nodes,
-    );
-    DecisionTree::from_nodes(data.bits(), data.n_features(), data.n_classes(), nodes)
-        .expect("trainer builds valid trees")
+    grow(&mut SplitEngine::new(index), &mut arena, config, best_split).tree
 }
 
-fn grow(
+/// A grown tree together with the per-node training majorities its grower
+/// computed on the way — everything needed to derive every shallower
+/// depth cap by [`DecisionTree::truncated`] without retraining.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AnnotatedTree {
+    /// The tree grown at the config's `max_depth`.
+    pub tree: DecisionTree,
+    /// Majority training class per node, indexed by node slot: the class
+    /// the grower would have placed at that position had growth stopped
+    /// there (exactly what [`DecisionTree::truncated`] substitutes for
+    /// splits beyond a shallower cap).
+    pub majorities: Vec<usize>,
+}
+
+impl AnnotatedTree {
+    /// The tree truncated to `max_depth` — bit-identical to growing with
+    /// the same chooser at the lower cap, because [`grow`] commits every
+    /// depth < `max_depth` decision (splits, and whatever state the
+    /// chooser keeps) before considering any deeper node.
+    pub fn truncated(&self, max_depth: usize) -> DecisionTree {
+        let timer = KernelTimer::start(Kernel::BfsTruncate);
+        let truncated = self.tree.truncated(max_depth, &self.majorities);
+        timer.finish(self.tree.nodes().len() as u64);
+        truncated
+    }
+}
+
+/// Grows a tree over the arena's root subset — the one growth loop every
+/// trainer in the workspace shares.
+///
+/// Nodes are popped breadth-first from a FIFO, so they are visited in
+/// slot-allocation order. Each popped node records its majority class,
+/// becomes a leaf when a stop rule fires (`config.max_depth`,
+/// `config.min_samples_split`, purity), and otherwise scans its split
+/// candidates (timed as [`Kernel::GiniScan`]) and asks `choose` for one;
+/// `None` makes a leaf. A chosen split partitions the node's arena range
+/// in place and queues both children.
+///
+/// In-place partitioning is safe under BFS: every queued node owns a
+/// disjoint arena range, a pop only permutes *within* its own range, and
+/// ancestors are never partitioned again — so a child's range is exactly
+/// what its parent's stable partition left there.
+///
+/// # Panics
+///
+/// Panics if the arena's root subset is empty, or if `choose` returns a
+/// split that leaves one side empty.
+pub fn grow(
     engine: &mut SplitEngine<'_>,
     arena: &mut IndexArena,
     config: &CartConfig,
-    start: usize,
-    len: usize,
-    depth: usize,
-    nodes: &mut Vec<Node>,
-) -> usize {
-    if depth >= config.max_depth
-        || len < config.min_samples_split
-        || engine.is_pure(arena.slice(start, len))
-    {
-        let class = engine.majority_class(arena.slice(start, len));
-        nodes.push(Node::Leaf { class });
-        return nodes.len() - 1;
+    mut choose: impl FnMut(&[SplitCandidate]) -> Option<SplitCandidate>,
+) -> AnnotatedTree {
+    let root_len = arena.len();
+    assert!(root_len > 0, "cannot train on an empty dataset");
+    let index = engine.index();
+    let mut nodes = vec![Node::Leaf { class: 0 }]; // placeholder for the root
+    let mut majorities = Vec::new();
+    // (slot, arena range start, range len, depth)
+    let mut queue = VecDeque::from([(0usize, 0usize, root_len, 0usize)]);
+    while let Some((slot, start, len, depth)) = queue.pop_front() {
+        let majority = engine.majority_class(arena.slice(start, len));
+        debug_assert_eq!(majorities.len(), slot, "FIFO pops in slot order");
+        majorities.push(majority);
+        nodes[slot] = Node::Leaf { class: majority };
+        if depth >= config.max_depth
+            || len < config.min_samples_split
+            || engine.is_pure(arena.slice(start, len))
+        {
+            continue;
+        }
+        // The scan's work is proportional to the sample values it reads
+        // (node size × features), not the candidate count it returns.
+        let timer = KernelTimer::start(Kernel::GiniScan);
+        let candidates = engine.candidates(arena.slice(start, len), config);
+        timer.finish((len * index.n_features()) as u64);
+        let Some(split) = choose(candidates) else {
+            continue;
+        };
+        let lo_len = arena.partition(start, len, index.column(split.feature), split.threshold);
+        assert!(lo_len > 0 && lo_len < len, "a split must divide its node");
+
+        let lo = nodes.len();
+        nodes.extend([Node::Leaf { class: 0 }; 2]); // child placeholders
+        nodes[slot] = Node::Split {
+            feature: split.feature,
+            threshold: split.threshold,
+            lo,
+            hi: lo + 1,
+        };
+        queue.push_back((lo, start, lo_len, depth + 1));
+        queue.push_back((lo + 1, start + lo_len, len - lo_len, depth + 1));
     }
-    let Some(best) = best_split(engine.candidates(arena.slice(start, len), config)) else {
-        let class = engine.majority_class(arena.slice(start, len));
-        nodes.push(Node::Leaf { class });
-        return nodes.len() - 1;
-    };
-
-    let column = engine.index().column(best.feature);
-    let lo_len = arena.partition(start, len, column, best.threshold);
-    debug_assert!(lo_len > 0 && lo_len < len);
-
-    let me = nodes.len();
-    nodes.push(Node::Split {
-        feature: best.feature,
-        threshold: best.threshold,
-        lo: usize::MAX,
-        hi: usize::MAX,
-    });
-    let lo = grow(engine, arena, config, start, lo_len, depth + 1, nodes);
-    let hi = grow(
-        engine,
-        arena,
-        config,
-        start + lo_len,
-        len - lo_len,
-        depth + 1,
-        nodes,
-    );
-    nodes[me] = Node::Split {
-        feature: best.feature,
-        threshold: best.threshold,
-        lo,
-        hi,
-    };
-    me
+    // The index holds `levels == 2^bits`.
+    let bits = index.levels().trailing_zeros();
+    let tree = DecisionTree::from_nodes(bits, index.n_features(), index.n_classes(), nodes)
+        .expect("trainer builds valid trees");
+    AnnotatedTree { tree, majorities }
 }
 
 /// A trained model with its selection metadata.
@@ -545,10 +589,10 @@ pub struct TrainedModel {
     pub test_accuracy: f64,
 }
 
-/// Trains at every depth `1..=max_depth` and returns the model at the
-/// *minimum* depth achieving the maximum test accuracy — the paper's
-/// baseline model-selection rule. The [`DatasetIndex`] is built once and
-/// shared across every depth.
+/// Picks, among depth caps `1..=max_depth`, the *minimum* depth achieving
+/// the maximum test accuracy — the paper's baseline model-selection rule.
+/// One tree is grown at `max_depth`; every shallower cap is its
+/// truncation, bit-identical to training at that cap.
 ///
 /// # Panics
 ///
@@ -560,9 +604,17 @@ pub fn train_depth_selected(
 ) -> TrainedModel {
     assert!(max_depth >= 1, "max_depth must be at least 1");
     let index = DatasetIndex::new(train_data);
+    let mut arena = IndexArena::new();
+    arena.reset_identity(train_data.len());
+    let deep = grow(
+        &mut SplitEngine::new(&index),
+        &mut arena,
+        &CartConfig::with_max_depth(max_depth),
+        best_split,
+    );
     let mut best: Option<TrainedModel> = None;
     for depth in 1..=max_depth {
-        let tree = train_with_index(train_data, &index, &CartConfig::with_max_depth(depth));
+        let tree = deep.truncated(depth);
         let model = TrainedModel {
             train_accuracy: tree.accuracy(train_data),
             test_accuracy: tree.accuracy(test_data),
@@ -751,6 +803,123 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A recursive depth-first CART grower, kept as an oracle: the same
+    /// choices as [`grow`] with [`best_split`], laid out in pre-order.
+    fn depth_first_oracle(
+        data: &QuantizedDataset,
+        index: &DatasetIndex,
+        config: &CartConfig,
+    ) -> DecisionTree {
+        fn recurse(
+            engine: &mut SplitEngine<'_>,
+            arena: &mut IndexArena,
+            config: &CartConfig,
+            (start, len, depth): (usize, usize, usize),
+            nodes: &mut Vec<Node>,
+        ) -> usize {
+            let best = if depth >= config.max_depth
+                || len < config.min_samples_split
+                || engine.is_pure(arena.slice(start, len))
+            {
+                None
+            } else {
+                best_split(engine.candidates(arena.slice(start, len), config))
+            };
+            let Some(best) = best else {
+                let class = engine.majority_class(arena.slice(start, len));
+                nodes.push(Node::Leaf { class });
+                return nodes.len() - 1;
+            };
+            let column = engine.index().column(best.feature);
+            let lo_len = arena.partition(start, len, column, best.threshold);
+            let me = nodes.len();
+            nodes.push(Node::Leaf { class: 0 }); // placeholder
+            let lo = recurse(engine, arena, config, (start, lo_len, depth + 1), nodes);
+            let hi = recurse(
+                engine,
+                arena,
+                config,
+                (start + lo_len, len - lo_len, depth + 1),
+                nodes,
+            );
+            nodes[me] = Node::Split {
+                feature: best.feature,
+                threshold: best.threshold,
+                lo,
+                hi,
+            };
+            me
+        }
+        let mut engine = SplitEngine::new(index);
+        let mut arena = IndexArena::new();
+        arena.reset_identity(data.len());
+        let mut nodes = Vec::new();
+        recurse(
+            &mut engine,
+            &mut arena,
+            config,
+            (0, data.len(), 0),
+            &mut nodes,
+        );
+        DecisionTree::from_nodes(data.bits(), data.n_features(), data.n_classes(), nodes).unwrap()
+    }
+
+    #[test]
+    fn breadth_first_growth_matches_the_depth_first_oracle() {
+        // Same splits and leaves at every depth, full precision and
+        // stride 2; only the node layout moves from pre-order to BFS.
+        for bench in Benchmark::ALL {
+            let (train_data, _) = bench.load_quantized(4).unwrap();
+            let index = DatasetIndex::new(&train_data);
+            for depth in 1..=8 {
+                for strides in [Vec::new(), vec![2; train_data.n_features()]] {
+                    let config = CartConfig {
+                        threshold_strides: strides,
+                        ..CartConfig::with_max_depth(depth)
+                    };
+                    let oracle = depth_first_oracle(&train_data, &index, &config);
+                    let relaid = oracle.truncated(usize::MAX, &oracle.node_majorities(&train_data));
+                    assert_eq!(
+                        train_with_index(&train_data, &index, &config),
+                        relaid,
+                        "{bench} depth {depth}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn depth_selection_equals_training_at_every_depth() {
+        for bench in Benchmark::ALL {
+            let (train_data, test_data) = bench.load_quantized(4).unwrap();
+            let index = DatasetIndex::new(&train_data);
+            // The per-depth loop one truncated tree replaces.
+            let mut want: Option<TrainedModel> = None;
+            for depth in 1..=8 {
+                let tree =
+                    train_with_index(&train_data, &index, &CartConfig::with_max_depth(depth));
+                let model = TrainedModel {
+                    train_accuracy: tree.accuracy(&train_data),
+                    test_accuracy: tree.accuracy(&test_data),
+                    tree,
+                    depth,
+                };
+                if want
+                    .as_ref()
+                    .is_none_or(|b| model.test_accuracy > b.test_accuracy + 1e-12)
+                {
+                    want = Some(model);
+                }
+            }
+            assert_eq!(
+                train_depth_selected(&train_data, &test_data, 8),
+                want.unwrap(),
+                "{bench}"
+            );
         }
     }
 

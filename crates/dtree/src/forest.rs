@@ -19,14 +19,16 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
+use std::collections::BTreeSet;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use printed_datasets::{DatasetIndex, QuantizedDataset};
 
 use crate::arena::IndexArena;
-use crate::cart::{best_split, CartConfig, SplitCandidate, SplitEngine};
-use crate::tree::{DecisionTree, Node};
+use crate::cart::{best_split, grow, CartConfig, SplitCandidate, SplitEngine};
+use crate::tree::DecisionTree;
 
 /// Configuration for [`train_forest`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,14 +126,15 @@ impl Forest {
     /// All distinct `(feature, threshold)` pairs across the ensemble —
     /// comparators shared at the ADC bank whenever trees agree on a
     /// threshold.
-    pub fn distinct_pairs(&self) -> std::collections::BTreeSet<(usize, u8)> {
+    pub fn distinct_pairs(&self) -> BTreeSet<(usize, u8)> {
         self.trees.iter().flat_map(|t| t.distinct_pairs()).collect()
     }
 }
 
 /// Trains a bagged forest: each tree sees a bootstrap resample of the
-/// training data and a random feature subset (via threshold-stride
-/// masking of the excluded features).
+/// training data and splits only on a random subset of the features (every
+/// node's candidates are filtered to the kept set before
+/// [`best_split`]).
 ///
 /// # Panics
 ///
@@ -146,6 +149,7 @@ pub fn train_forest(data: &QuantizedDataset, config: &ForestConfig) -> Forest {
     );
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n_keep = ((data.n_features() as f64 * config.feature_fraction).ceil() as usize).max(1);
+    let cart_cfg = CartConfig::with_max_depth(config.max_depth);
 
     // One dataset index, split engine, and index arena serve the whole
     // ensemble — only the arena's root subset changes per tree.
@@ -165,88 +169,20 @@ pub fn train_forest(data: &QuantizedDataset, config: &ForestConfig) -> Forest {
                 let j = rng.gen_range(0..=i);
                 features.swap(i, j);
             }
-            let keep: std::collections::BTreeSet<usize> =
-                features.into_iter().take(n_keep).collect();
-            let cart_cfg = CartConfig::with_max_depth(config.max_depth);
+            let keep: BTreeSet<usize> = features.into_iter().take(n_keep).collect();
             arena.reset_from(&indices);
-            let mut nodes = Vec::new();
-            grow(
-                &mut engine,
-                &mut arena,
-                &keep,
-                &cart_cfg,
-                0,
-                data.len(),
-                0,
-                &mut nodes,
-            );
-            DecisionTree::from_nodes(data.bits(), data.n_features(), data.n_classes(), nodes)
-                .expect("trainer builds valid trees")
+            grow(&mut engine, &mut arena, &cart_cfg, |candidates| {
+                let kept: Vec<SplitCandidate> = candidates
+                    .iter()
+                    .copied()
+                    .filter(|c| keep.contains(&c.feature))
+                    .collect();
+                best_split(&kept)
+            })
+            .tree
         })
         .collect();
     Forest::from_trees(trees)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn grow(
-    engine: &mut SplitEngine<'_>,
-    arena: &mut IndexArena,
-    keep: &std::collections::BTreeSet<usize>,
-    config: &CartConfig,
-    start: usize,
-    len: usize,
-    depth: usize,
-    nodes: &mut Vec<Node>,
-) -> usize {
-    if depth >= config.max_depth
-        || len < config.min_samples_split
-        || engine.is_pure(arena.slice(start, len))
-    {
-        let class = engine.majority_class(arena.slice(start, len));
-        nodes.push(Node::Leaf { class });
-        return nodes.len() - 1;
-    }
-    // Candidates restricted to the kept features.
-    let kept: Vec<SplitCandidate> = engine
-        .candidates(arena.slice(start, len), config)
-        .iter()
-        .copied()
-        .filter(|c| keep.contains(&c.feature))
-        .collect();
-    let Some(best) = best_split(&kept) else {
-        let class = engine.majority_class(arena.slice(start, len));
-        nodes.push(Node::Leaf { class });
-        return nodes.len() - 1;
-    };
-    let column = engine.index().column(best.feature);
-    let lo_len = arena.partition(start, len, column, best.threshold);
-    debug_assert!(lo_len > 0 && lo_len < len);
-
-    let me = nodes.len();
-    nodes.push(Node::Split {
-        feature: best.feature,
-        threshold: best.threshold,
-        lo: usize::MAX,
-        hi: usize::MAX,
-    });
-    let lo = grow(engine, arena, keep, config, start, lo_len, depth + 1, nodes);
-    let hi = grow(
-        engine,
-        arena,
-        keep,
-        config,
-        start + lo_len,
-        len - lo_len,
-        depth + 1,
-        nodes,
-    );
-    nodes[me] = Node::Split {
-        feature: best.feature,
-        threshold: best.threshold,
-        lo,
-        hi,
-    };
-    me
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //!   the structural queries circuit generators need (paths, distinct
 //!   `(feature, threshold)` pairs, used features).
 //! * [`cart`] — conventional Gini CART training over quantized thresholds,
-//!   with the split-candidate enumeration exposed for the ADC-aware trainer
-//!   in `printed-codesign`, plus the paper's depth-selection rule.
+//!   the one breadth-first tree grower every trainer shares (the
+//!   ADC-aware trainer in `printed-codesign` hands it Algorithm 1 as its
+//!   split chooser), and the paper's depth-selection rule.
 //! * [`baseline`] — the exact baseline "\[2\]": bespoke binary comparator
 //!   tree + mux network + conventional flash ADC bank, synthesized as a
 //!   real netlist.

@@ -317,15 +317,16 @@ impl DecisionTree {
 
     /// The tree truncated to at most `max_depth` levels of splits: splits
     /// at depth `max_depth` and below are replaced by leaves predicting
-    /// `majorities[node]` (see [`DecisionTree::node_majorities`]; trainers
-    /// can supply the majorities they already computed during growth).
-    /// Nodes are re-laid-out in BFS order, so for a breadth-first-grown
-    /// tree the result is *bit-identical* to growing with the lower cap:
-    /// BFS commits every depth < `max_depth` decision before the first
-    /// depth-`max_depth` node is even considered.
+    /// `majorities[node]` (see [`DecisionTree::node_majorities`];
+    /// [`AnnotatedTree`](crate::cart::AnnotatedTree) keeps the majorities
+    /// its grower already computed). Nodes are re-laid-out breadth-first,
+    /// the layout [`cart::grow`](crate::cart::grow) builds, so for every
+    /// trainer-built tree the result is *bit-identical* to growing with the
+    /// lower cap: BFS commits every depth < `max_depth` decision before the
+    /// first depth-`max_depth` node is even considered.
     ///
-    /// `max_depth >= self.depth()` returns the tree unchanged (modulo the
-    /// BFS re-layout, which is the identity for trainer-built trees);
+    /// `max_depth >= self.depth()` returns a trainer-built tree unchanged
+    /// (a hand-built tree in another layout comes back breadth-first);
     /// `max_depth == 0` collapses to a single root-majority leaf.
     ///
     /// # Panics

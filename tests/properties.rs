@@ -449,7 +449,8 @@ proptest! {
     /// training Algorithm 1 at a deep cap and truncating to `d` is
     /// bit-identical to training at `d` with the same seed, for random
     /// datasets, τ values, seeds, and caps (including the degenerate
-    /// `d = 0`/`d = 1` and `d ≥` trained-depth cases).
+    /// `d = 0`/`d = 1` and `d ≥` trained-depth cases). CART, which the
+    /// reference model's depth selection truncates, obeys the same law.
     #[test]
     fn truncation_equals_fresh_training_on_random_data(
         rows in vec((vec(0.0f64..1.0, 3), 0usize..3), 12..40),
@@ -470,6 +471,9 @@ proptest! {
         let deep = train_adc_aware_annotated(&q, &deep_cfg, &Recorder::disabled());
         let fresh = train_adc_aware(&q, &AdcAwareConfig { max_depth: cap, ..deep_cfg });
         prop_assert_eq!(deep.truncated(cap), fresh);
+        let deep_cart = train(&q, &CartConfig::with_max_depth(6));
+        let fresh_cart = train(&q, &CartConfig::with_max_depth(cap));
+        prop_assert_eq!(deep_cart.truncated(cap, &deep_cart.node_majorities(&q)), fresh_cart);
     }
 
     /// The thermometer priority encoder inverts the unary encoding for all
