@@ -12,12 +12,13 @@
 //!   executable specification the fast path is pinned against.
 //! * [`SplitEngine`] — the production hot path: reads feature-major
 //!   columns from a shared [`DatasetIndex`], tracks only *occupied*
-//!   stride-grid cells, walks them with incremental low-side histograms,
-//!   and answers whole-dataset nodes straight from class-count prefix
-//!   sums with no per-sample scan at all. Bit-identical to the scalar
-//!   path: same candidate order, same `gini` f64 bits (all histogram
-//!   arithmetic is exact integer accumulation feeding the very same
-//!   [`gini_impurity`] expression).
+//!   stride-grid cells, walks them with incremental low-side histograms
+//!   over only the classes the node holds, and builds whole-dataset
+//!   nodes' cell histograms straight from class-count prefix sums with no
+//!   per-feature sample scan. Bit-identical to the scalar path: same
+//!   candidate order, same `gini` f64 bits (all histogram arithmetic is
+//!   exact integer accumulation feeding the [`gini_impurity`] expression,
+//!   whose skipped absent-class terms are exact zeros).
 //!
 //! Tree growth has one implementation, [`grow`]: a breadth-first FIFO
 //! over an [`IndexArena`] (node subsets are partitioned in place, never
@@ -114,6 +115,17 @@ pub fn gini_impurity(counts: &[usize]) -> f64 {
     1.0 - counts.iter().map(|&c| (c as f64 / n).powi(2)).sum::<f64>()
 }
 
+/// [`gini_impurity`] of the histogram `count` over `n > 0` samples whose
+/// nonzero classes all lie in `present` — bit-identical to it (see
+/// [`SplitEngine`]'s exactness note).
+fn gini_over(present: &[usize], n: usize, count: impl Fn(usize) -> usize) -> f64 {
+    let n = n as f64;
+    1.0 - present
+        .iter()
+        .map(|&c| (count(c) as f64 / n).powi(2))
+        .sum::<f64>()
+}
+
 /// Enumerates every valid split of the node subset `indices`, with Gini
 /// scores — "all possible combinations between input features and their
 /// corresponding values in the training dataset" (Algorithm 1, line 3).
@@ -197,16 +209,23 @@ pub fn split_candidates(
 /// Incremental split-candidate engine over a shared [`DatasetIndex`].
 ///
 /// One engine serves every node of every tree trained on the dataset: all
-/// scratch (grid-cell histograms, occupied-cell list, low/high/total class
-/// histograms, the output vector) is allocated once and reused, so a call
-/// to [`candidates`](Self::candidates) allocates nothing.
+/// scratch (grid-cell histograms, occupied-cell list, low-side and total
+/// class histograms, the present-class list, the output vector) is
+/// allocated once and reused, so a call to
+/// [`candidates`](Self::candidates) allocates nothing.
 ///
 /// Exactness: the engine produces the same `Vec<SplitCandidate>` as
 /// [`split_candidates`] — same order, same `gini` down to the f64 bit
 /// pattern. Histogram accumulation is integer (order-insensitive, exact),
 /// skipped empty cells contribute zero exactly as the scalar path's
-/// explicit zero-adds do, and the final score evaluates the identical
-/// floating-point expression on identical integer inputs.
+/// explicit zero-adds do, and the final score evaluates the
+/// [`gini_impurity`] expression on identical integer inputs. Its square
+/// sums run over the classes the node holds only: a class absent from the
+/// node has a zero count on both sides, so its term is `+0.0`. The sum
+/// starts at `-0.0` (as `Iterator::sum` does), and adding `+0.0` changes
+/// a running sum only while it is still `-0.0` (to `+0.0`). Each side
+/// holds a sample, so a positive term follows, and `±0.0 + t == t`:
+/// from there on a skipped `+0.0` term leaves every bit unchanged.
 #[derive(Debug)]
 pub struct SplitEngine<'a> {
     index: &'a DatasetIndex,
@@ -218,8 +237,10 @@ pub struct SplitEngine<'a> {
     /// Occupied stride-grid cells of the current feature, ascending.
     touched: Vec<usize>,
     lo: Vec<usize>,
-    hi: Vec<usize>,
+    /// Class totals of the current node.
     total: Vec<usize>,
+    /// Classes with a nonzero total in the current node, ascending.
+    present: Vec<usize>,
     class_counts: Vec<usize>,
     out: Vec<SplitCandidate>,
 }
@@ -235,8 +256,8 @@ impl<'a> SplitEngine<'a> {
             cell_n: vec![0; levels],
             touched: Vec::with_capacity(levels),
             lo: vec![0; n_classes],
-            hi: vec![0; n_classes],
             total: vec![0; n_classes],
+            present: Vec::with_capacity(n_classes),
             class_counts: vec![0; n_classes],
             out: Vec::new(),
         }
@@ -269,6 +290,16 @@ impl<'a> SplitEngine<'a> {
         // are prefix-sum differences.
         let identity =
             n == self.index.len() && indices.iter().enumerate().all(|(i, &id)| id as usize == i);
+        // The node's class totals (the same for every feature) and the
+        // classes present in it.
+        let labels = self.index.labels();
+        self.total.fill(0);
+        for &id in indices {
+            self.total[labels[id as usize] as usize] += 1;
+        }
+        self.present.clear();
+        self.present
+            .extend((0..n_classes).filter(|&c| self.total[c] > 0));
 
         for feature in 0..self.index.n_features() {
             let stride = config.stride(feature) as usize;
@@ -296,7 +327,6 @@ impl<'a> SplitEngine<'a> {
                 }
             } else {
                 let column = self.index.column(feature);
-                let labels = self.index.labels();
                 for &id in indices {
                     let i = id as usize;
                     let level = (column[i] as usize / stride) * stride;
@@ -309,26 +339,17 @@ impl<'a> SplitEngine<'a> {
                 self.touched.sort_unstable();
             }
 
-            // Subset class totals (integer sums over occupied cells only —
-            // the scalar path also sums the empty cells, which add zero, so
-            // the values are identical).
-            self.total.fill(0);
-            for k in 0..self.touched.len() {
-                let t = self.touched[k];
-                for c in 0..n_classes {
-                    self.total[c] += self.counts[t * n_classes + c];
-                }
-            }
-
             // Walk occupied cells, folding each previous cell into the
             // incremental low side. The first occupied cell is skipped
-            // (trivial split), exactly like the scalar path.
+            // (trivial split), exactly like the scalar path. Only the
+            // classes present in the node can have nonzero counts.
             self.lo.fill(0);
             let mut lo_n = 0usize;
             for k in 1..self.touched.len() {
                 let prev = self.touched[k - 1];
-                for c in 0..n_classes {
-                    self.lo[c] += self.counts[prev * n_classes + c];
+                let row = &self.counts[prev * n_classes..(prev + 1) * n_classes];
+                for &c in &self.present {
+                    self.lo[c] += row[c];
                 }
                 lo_n += self.cell_n[prev];
                 let t = self.touched[k];
@@ -336,12 +357,10 @@ impl<'a> SplitEngine<'a> {
                     lo_n > 0 && lo_n < n,
                     "occupied-cell thresholds split non-trivially"
                 );
-                for c in 0..n_classes {
-                    self.hi[c] = self.total[c] - self.lo[c];
-                }
                 let hi_n = n - lo_n;
-                let g = (lo_n as f64 * gini_impurity(&self.lo)
-                    + hi_n as f64 * gini_impurity(&self.hi))
+                let (lo, total) = (&self.lo, &self.total);
+                let g = (lo_n as f64 * gini_over(&self.present, lo_n, |c| lo[c])
+                    + hi_n as f64 * gini_over(&self.present, hi_n, |c| total[c] - lo[c]))
                     / n as f64;
                 self.out.push(SplitCandidate {
                     feature,
@@ -763,7 +782,15 @@ mod tests {
 
     #[test]
     fn engine_matches_scalar_reference_bit_for_bit() {
-        for bench in [Benchmark::Seeds, Benchmark::Cardio, Benchmark::WhiteWine] {
+        // Arrhythmia (16 classes) and Pendigits (10) reach nodes that hold
+        // only some classes, the case the present-class Gini sums skip.
+        for bench in [
+            Benchmark::Seeds,
+            Benchmark::Cardio,
+            Benchmark::WhiteWine,
+            Benchmark::Arrhythmia,
+            Benchmark::Pendigits,
+        ] {
             let (train_data, _) = bench.load_quantized(4).unwrap();
             let index = DatasetIndex::new(&train_data);
             let mut engine = SplitEngine::new(&index);

@@ -41,7 +41,9 @@
 //! monotonicity a cube constrains each feature to an interval
 //! `max(positive taps) ≤ x < min(negative taps)`, so a cube pair
 //! intersects on the feasible domain iff every per-feature interval is
-//! non-empty — an `O(cubes² · literals)` scan.
+//! non-empty. Each cube's intervals are built once per run as a box
+//! sorted by feature, and each cross-class pair is a merge walk over two
+//! boxes — an `O(cubes² · features)` scan with no allocation per pair.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

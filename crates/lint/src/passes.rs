@@ -6,7 +6,7 @@
 //! reachability, domination, and pairwise intersection are all interval
 //! arithmetic — no SAT required. See the crate docs for the code table.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use printed_analog::ladder::Ladder;
 use printed_dtree::DecisionTree;
@@ -36,35 +36,114 @@ pub(crate) fn builtin() -> Vec<Box<dyn Lint>> {
     ]
 }
 
-/// Per-feature interval a cube imposes: feature → `(max positive tap,
-/// min negative tap)`. A positive literal at tap `t` means `x ≥ t`, a
+/// One feature's interval in a cube: `(feature, max positive tap, min
+/// negative tap)`. A positive literal at tap `t` means `x ≥ t`, a
 /// negative one `x < t`.
-fn feature_bounds(
-    cube: &Cube,
-    literals: &[(usize, u8)],
-) -> BTreeMap<usize, (Option<u8>, Option<u8>)> {
-    let mut bounds: BTreeMap<usize, (Option<u8>, Option<u8>)> = BTreeMap::new();
-    for (var, pol) in cube.literals() {
-        let (feature, tap) = literals[var];
-        let entry = bounds.entry(feature).or_insert((None, None));
-        if pol {
-            entry.0 = Some(entry.0.map_or(tap, |t| t.max(tap)));
-        } else {
-            entry.1 = Some(entry.1.map_or(tap, |t| t.min(tap)));
+type Interval = (usize, Option<u8>, Option<u8>);
+
+/// The interval box a cube imposes: one [`Interval`] per constrained
+/// feature, ascending by feature. Every pass reads cubes through it, and
+/// L001 builds each cube's box once per run and intersects boxes with a
+/// merge walk.
+#[derive(Debug, PartialEq, Eq)]
+struct IntervalBox(Vec<Interval>);
+
+impl IntervalBox {
+    /// The box of `cube` over the variable table `literals` (in any
+    /// order).
+    fn of(cube: &Cube, literals: &[(usize, u8)]) -> Self {
+        let mut bounds: Vec<Interval> = Vec::with_capacity(cube.len());
+        for (var, pol) in cube.literals() {
+            let (feature, tap) = literals[var];
+            let at = match bounds.binary_search_by_key(&feature, |b| b.0) {
+                Ok(at) => at,
+                Err(at) => {
+                    bounds.insert(at, (feature, None, None));
+                    at
+                }
+            };
+            let (_, pos, neg) = &mut bounds[at];
+            if pol {
+                *pos = Some(pos.map_or(tap, |t| t.max(tap)));
+            } else {
+                *neg = Some(neg.map_or(tap, |t| t.min(tap)));
+            }
         }
+        Self(bounds)
     }
-    bounds
+
+    /// The first feature whose interval is empty (`max_pos ≥ min_neg`),
+    /// if any — the cube can then never fire on a thermometer-consistent
+    /// input.
+    fn contradiction(&self) -> Option<(usize, u8, u8)> {
+        self.0
+            .iter()
+            .find_map(|&(feature, pos, neg)| match (pos, neg) {
+                (Some(p), Some(n)) if p >= n => Some((feature, p, n)),
+                _ => None,
+            })
+    }
+
+    /// The per-feature intersection of two boxes, ascending by feature:
+    /// a merge walk over the two sorted lists that allocates nothing.
+    fn meet<'b>(&'b self, other: &'b Self) -> impl Iterator<Item = Interval> + 'b {
+        let (a, b) = (&self.0, &other.0);
+        let (mut i, mut j) = (0, 0);
+        std::iter::from_fn(move || {
+            let next = match (a.get(i), b.get(j)) {
+                (Some(&(fa, pa, na)), Some(&(fb, pb, nb))) if fa == fb => {
+                    i += 1;
+                    j += 1;
+                    let neg = match (na, nb) {
+                        (Some(x), Some(y)) => Some(x.min(y)),
+                        (x, y) => x.or(y),
+                    };
+                    // `None < Some(_)`, so `max` keeps the larger positive tap.
+                    (fa, pa.max(pb), neg)
+                }
+                (Some(&x), Some(&y)) if x.0 < y.0 => {
+                    i += 1;
+                    x
+                }
+                (_, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (None, None) => return None,
+            };
+            Some(next)
+        })
+    }
+
+    /// A sample on which both cubes fire, if one exists, rendered as
+    /// `x0=3, x2=0` (every constrained feature at its lower bound).
+    fn overlap_witness(&self, other: &Self) -> Option<String> {
+        if self
+            .meet(other)
+            .any(|(_, pos, neg)| matches!((pos, neg), (Some(p), Some(n)) if p >= n))
+        {
+            return None;
+        }
+        let witness: Vec<String> = self
+            .meet(other)
+            .map(|(feature, pos, _)| format!("x{feature}={}", pos.unwrap_or(0)))
+            .collect();
+        Some(if witness.is_empty() {
+            "(any sample)".to_owned()
+        } else {
+            witness.join(", ")
+        })
+    }
 }
 
-/// The first feature whose interval is empty (`max_pos ≥ min_neg`), if
-/// any — the cube can then never fire on a thermometer-consistent input.
+/// The first feature whose interval in `cube` is empty, if any (see
+/// [`IntervalBox::contradiction`]).
 pub(crate) fn contradiction(cube: &Cube, literals: &[(usize, u8)]) -> Option<(usize, u8, u8)> {
-    feature_bounds(cube, literals)
-        .into_iter()
-        .find_map(|(feature, (pos, neg))| match (pos, neg) {
-            (Some(p), Some(n)) if p >= n => Some((feature, p, n)),
-            _ => None,
-        })
+    IntervalBox::of(cube, literals).contradiction()
 }
 
 fn input_name_pair(name: &str) -> Option<(usize, usize)> {
@@ -127,28 +206,22 @@ impl Lint for DominatedLiteral {
             for (idx, cube) in sop.cubes().iter().enumerate() {
                 // A contradictory cube is already U001; domination inside
                 // it is noise.
-                if contradiction(cube, target.literals).is_some() {
+                let bounds = IntervalBox::of(cube, target.literals);
+                if bounds.contradiction().is_some() {
                     continue;
                 }
-                let mut by_feature: BTreeMap<usize, (Vec<u8>, Vec<u8>)> = BTreeMap::new();
-                for (var, pol) in cube.literals() {
-                    let (feature, tap) = target.literals[var];
-                    let entry = by_feature.entry(feature).or_default();
-                    if pol {
-                        entry.0.push(tap);
-                    } else {
-                        entry.1.push(tap);
-                    }
-                }
-                for (feature, (pos, neg)) in by_feature {
-                    if let Some(&strongest) = pos.iter().max() {
-                        for &tap in pos.iter().filter(|&&t| t != strongest) {
-                            out.push(dominated(class, idx, feature, tap, true, strongest));
-                        }
-                    }
-                    if let Some(&strongest) = neg.iter().min() {
-                        for &tap in neg.iter().filter(|&&t| t != strongest) {
-                            out.push(dominated(class, idx, feature, tap, false, strongest));
+                // The box holds each feature's strongest taps; every other
+                // same-feature, same-polarity literal is implied by them.
+                for &(feature, pos, neg) in &bounds.0 {
+                    for (strongest, polarity) in [(pos, true), (neg, false)] {
+                        let Some(strongest) = strongest else {
+                            continue;
+                        };
+                        for (var, pol) in cube.literals() {
+                            let (f, tap) = target.literals[var];
+                            if f == feature && pol == polarity && tap != strongest {
+                                out.push(dominated(class, idx, feature, tap, polarity, strongest));
+                            }
                         }
                     }
                 }
@@ -258,21 +331,23 @@ impl Lint for DeadComparator {
         Severity::Warning
     }
     fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+        // The variables some feasible cube reads. A read from a
+        // contradictory cube does not count: the cube never fires, so the
+        // comparator is dead either way.
+        let mut read_vars = vec![false; target.literals.len()];
+        for cube in target.class_sops.iter().flat_map(|sop| sop.cubes()) {
+            if contradiction(cube, target.literals).is_none() {
+                for (var, _) in cube.literals() {
+                    read_vars[var] = true;
+                }
+            }
+        }
         for (feature, taps) in target.bank.iter() {
             for tap in taps {
-                // A read from a contradictory cube does not count: the
-                // cube never fires, so the comparator is dead either way.
                 let read = target
                     .literals
                     .binary_search(&(feature, tap as u8))
-                    .is_ok_and(|var| {
-                        target.class_sops.iter().any(|sop| {
-                            sop.cubes().iter().any(|cube| {
-                                contradiction(cube, target.literals).is_none()
-                                    && cube.literals().any(|(v, _)| v == var)
-                            })
-                        })
-                    });
+                    .is_ok_and(|var| read_vars[var]);
                 if !read {
                     let power = target.model.comparator_power(tap).uw();
                     let area = target.model.comparator_bank_area(1).mm2();
@@ -390,8 +465,9 @@ impl Lint for CostDrift {
 }
 
 /// L001 — two class outputs that can assert together on a
-/// thermometer-feasible input. Pairwise cube-intersection emptiness is
-/// checked per feature interval, `O(cubes² · literals)`, no SAT.
+/// thermometer-feasible input. Each cube's [`IntervalBox`] is built once
+/// per run; a cube pair intersects iff the merge walk of their boxes
+/// finds no empty interval — `O(cubes² · features)`, no SAT.
 struct ClassOverlap;
 
 impl Lint for ClassOverlap {
@@ -405,10 +481,25 @@ impl Lint for ClassOverlap {
         Severity::Error
     }
     fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        let n = target.class_sops.len();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if let Some(witness) = overlap_witness(target, i, j) {
+        // Contradictory cubes never fire, so they overlap nothing; dropping
+        // them keeps the first overlap of every class pair unchanged.
+        let boxes: Vec<Vec<IntervalBox>> = target
+            .class_sops
+            .iter()
+            .map(|sop| {
+                sop.cubes()
+                    .iter()
+                    .map(|cube| IntervalBox::of(cube, target.literals))
+                    .filter(|b| b.contradiction().is_none())
+                    .collect()
+            })
+            .collect();
+        for (i, boxes_i) in boxes.iter().enumerate() {
+            for (j, boxes_j) in boxes.iter().enumerate().skip(i + 1) {
+                let witness = boxes_i
+                    .iter()
+                    .find_map(|a| boxes_j.iter().find_map(|b| a.overlap_witness(b)));
+                if let Some(witness) = witness {
                     out.push(
                         Diagnostic::new(
                             self.code(),
@@ -425,39 +516,6 @@ impl Lint for ClassOverlap {
             }
         }
     }
-}
-
-/// A sample on which a cube of class `i` and a cube of class `j` both
-/// fire, if one exists, rendered as `x0=3, x2=0`.
-fn overlap_witness(target: &LintTarget<'_>, i: usize, j: usize) -> Option<String> {
-    for a in target.class_sops[i].cubes() {
-        let bounds_a = feature_bounds(a, target.literals);
-        'pair: for b in target.class_sops[j].cubes() {
-            let mut merged = bounds_a.clone();
-            for (feature, (pos, neg)) in feature_bounds(b, target.literals) {
-                let entry = merged.entry(feature).or_insert((None, None));
-                if let Some(p) = pos {
-                    entry.0 = Some(entry.0.map_or(p, |t| t.max(p)));
-                }
-                if let Some(n) = neg {
-                    entry.1 = Some(entry.1.map_or(n, |t| t.min(n)));
-                }
-            }
-            let mut witness = Vec::new();
-            for (&feature, &(pos, neg)) in &merged {
-                match (pos, neg) {
-                    (Some(p), Some(n)) if p >= n => continue 'pair, // empty interval
-                    _ => witness.push(format!("x{feature}={}", pos.unwrap_or(0))),
-                }
-            }
-            return Some(if witness.is_empty() {
-                "(any sample)".to_owned()
-            } else {
-                witness.join(", ")
-            });
-        }
-    }
-    None
 }
 
 /// T001 — tree/netlist path fidelity: every feasible root-to-leaf path
@@ -1056,6 +1114,8 @@ impl Lint for SagMargin {
 mod tests {
     use super::*;
     use crate::{DroopRef, GridRef, LintReport, Linter};
+    use std::collections::BTreeMap;
+
     use printed_adc::{AdcCost, BespokeAdcBank};
     use printed_dtree::Node;
     use printed_logic::sop::Sop;
@@ -1629,6 +1689,227 @@ mod tests {
                     );
                 }
                 offset += run;
+            }
+        }
+    }
+
+    /// The BTreeMap interval bounds L001 and `contradiction` were first
+    /// written against — kept as the oracle the interval boxes are pinned
+    /// to.
+    fn oracle_feature_bounds(
+        cube: &Cube,
+        literals: &[(usize, u8)],
+    ) -> BTreeMap<usize, (Option<u8>, Option<u8>)> {
+        let mut bounds: BTreeMap<usize, (Option<u8>, Option<u8>)> = BTreeMap::new();
+        for (var, pol) in cube.literals() {
+            let (feature, tap) = literals[var];
+            let entry = bounds.entry(feature).or_insert((None, None));
+            if pol {
+                entry.0 = Some(entry.0.map_or(tap, |t| t.max(tap)));
+            } else {
+                entry.1 = Some(entry.1.map_or(tap, |t| t.min(tap)));
+            }
+        }
+        bounds
+    }
+
+    fn oracle_contradiction(cube: &Cube, literals: &[(usize, u8)]) -> Option<(usize, u8, u8)> {
+        oracle_feature_bounds(cube, literals)
+            .into_iter()
+            .find_map(|(feature, (pos, neg))| match (pos, neg) {
+                (Some(p), Some(n)) if p >= n => Some((feature, p, n)),
+                _ => None,
+            })
+    }
+
+    fn oracle_overlap_witness(target: &LintTarget<'_>, i: usize, j: usize) -> Option<String> {
+        for a in target.class_sops[i].cubes() {
+            let bounds_a = oracle_feature_bounds(a, target.literals);
+            'pair: for b in target.class_sops[j].cubes() {
+                let mut merged = bounds_a.clone();
+                for (feature, (pos, neg)) in oracle_feature_bounds(b, target.literals) {
+                    let entry = merged.entry(feature).or_insert((None, None));
+                    if let Some(p) = pos {
+                        entry.0 = Some(entry.0.map_or(p, |t| t.max(p)));
+                    }
+                    if let Some(n) = neg {
+                        entry.1 = Some(entry.1.map_or(n, |t| t.min(n)));
+                    }
+                }
+                let mut witness = Vec::new();
+                for (&feature, &(pos, neg)) in &merged {
+                    match (pos, neg) {
+                        (Some(p), Some(n)) if p >= n => continue 'pair,
+                        _ => witness.push(format!("x{feature}={}", pos.unwrap_or(0))),
+                    }
+                }
+                return Some(if witness.is_empty() {
+                    "(any sample)".to_owned()
+                } else {
+                    witness.join(", ")
+                });
+            }
+        }
+        None
+    }
+
+    /// The L001 pass as first written: one BTreeMap merge per cube pair.
+    fn oracle_l001(target: &LintTarget<'_>) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        let n = target.class_sops.len();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if let Some(witness) = oracle_overlap_witness(target, i, j) {
+                    out.push(
+                        Diagnostic::new(
+                            "L001",
+                            Severity::Error,
+                            format!("class{i}×class{j}"),
+                            format!(
+                                "classes {i} and {j} both assert on the feasible input \
+                                 {witness} — the one-hot invariant is violated"
+                            ),
+                        )
+                        .suggest("the covers intersect; re-derive them from disjoint tree paths"),
+                    );
+                }
+            }
+        }
+        out
+    }
+
+    /// Asserts L001 and `contradiction` agree with their oracles on the
+    /// covers `class_sops` over `literals`; returns the L001 count.
+    fn assert_matches_oracle(literals: &[(usize, u8)], class_sops: &[Sop]) -> usize {
+        let netlist = Netlist::new("oracle");
+        let bank = BespokeAdcBank::new(4);
+        let model = AnalogModel::egfet();
+        let target = LintTarget {
+            tree: None,
+            netlist: &netlist,
+            bank: &bank,
+            literals,
+            class_sops,
+            reported_adc: None,
+            model: &model,
+            grid: None,
+            droop: None,
+            equiv_budget: None,
+        };
+        let mut got = Vec::new();
+        ClassOverlap.run(&target, &mut got);
+        assert_eq!(got, oracle_l001(&target), "literals {literals:?}");
+        for cube in class_sops.iter().flat_map(|sop| sop.cubes()) {
+            assert_eq!(
+                contradiction(cube, literals),
+                oracle_contradiction(cube, literals),
+                "{cube:?} over {literals:?}"
+            );
+        }
+        got.len()
+    }
+
+    #[test]
+    fn interval_box_sorts_features_of_an_unsorted_literal_table() {
+        let literals = [(2usize, 5u8), (0, 9), (2, 3), (0, 4)];
+        let cube = Cube::from_literals(&[(0, false), (1, true), (2, true), (3, true)]);
+        assert_eq!(
+            IntervalBox::of(&cube, &literals),
+            IntervalBox(vec![(0, Some(9), None), (2, Some(3), Some(5))])
+        );
+        assert_eq!(contradiction(&cube, &literals), None);
+        // Empty in both features: the lower feature is reported.
+        let twice = Cube::from_literals(&[(0, true), (1, true), (2, false), (3, false)]);
+        assert_eq!(contradiction(&twice, &literals), Some((0, 9, 4)));
+        let universe = IntervalBox::of(&Cube::universe(), &literals);
+        assert_eq!(universe.contradiction(), None);
+        assert_eq!(
+            universe.overlap_witness(&universe).as_deref(),
+            Some("(any sample)")
+        );
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// L001's merge walk reproduces the BTreeMap oracle's full
+            /// diagnostic list (code, locus, message, order) on random
+            /// covers — contradictory cubes, universe cubes, empty classes
+            /// and copied cubes that force overlaps — under every rotation
+            /// of a random, unsorted literal table.
+            #[test]
+            fn l001_matches_the_btreemap_oracle(
+                table in vec((0usize..4, 1u8..16), 1..10),
+                covers in vec(vec(vec((0usize..64, any::<bool>()), 0..8), 0..4), 0..6),
+                copies in vec((0usize..64, 0usize..64, 0usize..64), 0..3),
+            ) {
+                let mut literals: Vec<(usize, u8)> = Vec::new();
+                for entry in table {
+                    if !literals.contains(&entry) {
+                        literals.push(entry);
+                    }
+                }
+                let n_vars = literals.len();
+                let mut cubes: Vec<Vec<Cube>> = covers
+                    .iter()
+                    .map(|class| {
+                        class
+                            .iter()
+                            .filter_map(|lits| {
+                                let lits: Vec<(usize, bool)> =
+                                    lits.iter().map(|&(v, p)| (v % n_vars, p)).collect();
+                                Cube::try_from_literals(&lits)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                // Copy a cube into another class: that pair overlaps unless
+                // the cube is contradictory.
+                for (src, cube, dst) in copies {
+                    if cubes.is_empty() {
+                        break;
+                    }
+                    let (src, dst) = (src % cubes.len(), dst % cubes.len());
+                    if let Some(copy) = cubes[src].get(cube % cubes[src].len().max(1)).cloned() {
+                        cubes[dst].push(copy);
+                    }
+                }
+                let class_sops: Vec<Sop> = cubes
+                    .into_iter()
+                    .map(|c| Sop::from_cubes(n_vars, c))
+                    .collect();
+                for _ in 0..n_vars {
+                    assert_matches_oracle(&literals, &class_sops);
+                    literals.rotate_left(1);
+                }
+            }
+        }
+
+        /// Every candidate of the paper grid on all eight benchmarks: the
+        /// covers alone (one-hot, so no L001) and each cover set twice
+        /// over (every class overlaps its copy, with a witness rendered
+        /// from real cubes).
+        #[test]
+        fn l001_matches_the_btreemap_oracle_on_the_paper_grid() {
+            use printed_codesign::explore::{explore, ExplorationConfig};
+            use printed_datasets::Benchmark;
+
+            let grid = ExplorationConfig::paper();
+            for benchmark in Benchmark::ALL {
+                let (train, test) = benchmark.load_quantized(4).unwrap();
+                let sweep = explore(&train, &test, &grid);
+                assert_eq!(sweep.candidates.len(), grid.grid_size(), "{benchmark}");
+                for candidate in &sweep.candidates {
+                    let classifier = &candidate.system.classifier;
+                    let literals = classifier.literals();
+                    let covers = classifier.class_sops();
+                    assert_eq!(assert_matches_oracle(literals, covers), 0, "{benchmark}");
+                    let doubled: Vec<Sop> = covers.iter().chain(covers).cloned().collect();
+                    let fired = assert_matches_oracle(literals, &doubled);
+                    assert!(fired >= 1, "{benchmark}: a cover overlaps its copy");
+                }
             }
         }
     }

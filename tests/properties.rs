@@ -273,10 +273,12 @@ proptest! {
     /// The vectorized split engine is pinned bit-for-bit to the scalar
     /// reference scan: for random datasets, node subsets, and per-feature
     /// stride grids, both paths return the same candidates in the same
-    /// order with the same `gini` f64 bit pattern.
+    /// order with the same `gini` f64 bit pattern. Sixteen labels over at
+    /// most 47 rows leave classes absent from the node, the case the
+    /// engine's present-class Gini sums skip.
     #[test]
     fn split_engine_matches_scalar_scan_bit_for_bit(
-        rows in vec((vec(0.0f64..1.0, 4), 0usize..3), 12..48),
+        rows in vec((vec(0.0f64..1.0, 4), 0usize..16), 12..48),
         subset_bits in vec(any::<bool>(), 48),
         strides in vec(1u8..=8, 4),
         strided in any::<bool>(),
