@@ -42,7 +42,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::available_parallelism;
 
-use printed_datasets::{DatasetIndex, QuantizedDataset};
+use printed_datasets::{DatasetIndex, QuantizedDataset, ThermometerPlanes};
 use printed_dtree::cart::{train_depth_selected, AnnotatedTree};
 use printed_dtree::DecisionTree;
 use printed_logic::report::AnalysisConfig;
@@ -547,6 +547,9 @@ fn explore_core(
     // One dataset index for the whole grid: every τ's training reads the
     // same feature-major columns and prefix sums (read-only, Sync).
     let train_index = DatasetIndex::new(train_data);
+    // And one set of thermometer bit-planes of the test split: every
+    // candidate is scored on them, 64 samples per word.
+    let test_planes = ThermometerPlanes::new(test_data);
     // Whole-grid in-flow lint: the candidate is analyzed by the worker
     // that produced it, with the T001 re-verification reserved for the
     // deepest cap (a pure function of the grid point, so every scheduling
@@ -704,10 +707,10 @@ fn explore_core(
                             };
                             let (system, netlist) =
                                 synthesize_unary_parts(&tree, library, analog, analysis);
-                            // Packed word-parallel scoring; bit-equal to
+                            // Bit-sliced scoring; bit-equal to
                             // tree.accuracy (the covers are exact indicator
                             // functions of the tree's regions).
-                            let test_accuracy = system.classifier.packed().accuracy(test_data);
+                            let test_accuracy = system.classifier.accuracy_on(&test_planes);
                             span.field("accuracy", test_accuracy)
                                 .field("comparators", system.comparator_count())
                                 .finish();

@@ -20,7 +20,7 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
-use printed_datasets::QuantizedDataset;
+use printed_datasets::{QuantizedDataset, ThermometerPlanes};
 use printed_dtree::DecisionTree;
 use printed_logic::faults::{enumerate_faults, StuckAt};
 use printed_logic::sim::{Lanes, PackedNetlist};
@@ -63,8 +63,9 @@ pub fn decode_one_hot(outputs: &[bool]) -> Option<usize> {
 /// Runs the campaign: every single stuck-at fault on the unary netlist of
 /// `tree`, scored on `test`.
 ///
-/// The encoded test set is packed once into 64-sample words ([`Lanes`]),
-/// the good circuit is simulated once, and each fault re-simulates only
+/// The test set's [`ThermometerPlanes`] are the netlist's input columns
+/// ([`Lanes`], 64 samples per word) and carry its per-class label masks.
+/// The good circuit is simulated once, and each fault re-simulates only
 /// the gates after the faulted one. A sample is correct when exactly one
 /// class line is asserted and it is the label's — the [`decode_one_hot`]
 /// rule as word operations — so every accuracy is the same integer count
@@ -84,21 +85,17 @@ pub fn fault_robustness(tree: &DecisionTree, test: &QuantizedDataset) -> FaultRo
     let netlist = classifier.to_netlist();
     let sim = PackedNetlist::compile(&netlist);
 
-    // Pack the encoded test set and the per-class label masks once.
+    // The encoded test set: input `v` is the thermometer plane of literal
+    // `v`, and the class masks come with the planes.
+    let planes = ThermometerPlanes::new(test);
     let mut good = sim.lanes(test.len());
-    let mut labels = vec![vec![0u64; good.words()]; sim.output_count()];
-    let encoded: Vec<Vec<bool>> = test
-        .iter()
-        .enumerate()
-        .map(|(s, (sample, label))| {
-            if let Some(mask) = labels.get_mut(label) {
-                mask[s / 64] |= 1 << (s % 64);
-            }
-            classifier.encode_sample(sample)
-        })
-        .collect();
-    good.load(&encoded);
+    for (v, &(feature, tap)) in classifier.literals().iter().enumerate() {
+        good.set_input(v, planes.plane(feature, tap));
+    }
     sim.simulate(&mut good);
+    let labels: Vec<&[u64]> = (0..sim.output_count())
+        .map(|k| planes.class_mask(k))
+        .collect();
     let score = |lanes: &Lanes| -> f64 {
         let correct: u32 = (0..lanes.words())
             .map(|w| {

@@ -27,7 +27,7 @@
 use std::collections::BTreeSet;
 
 use printed_adc::BespokeAdcBank;
-use printed_datasets::QuantizedDataset;
+use printed_datasets::{QuantizedDataset, ThermometerPlanes};
 use printed_dtree::DecisionTree;
 use printed_logic::netlist::Netlist;
 use printed_logic::sop::{Cube, PackedCover, Sop};
@@ -347,8 +347,31 @@ impl UnaryClassifier {
         )
     }
 
+    /// Fraction of the samples behind `planes` classified correctly, 64
+    /// samples per word: each cube is the AND of its literals' planes
+    /// (complemented for negative literals), each class line the OR of its
+    /// cubes, and a sample counts when exactly one line is asserted and it
+    /// is its label's — the [`decode_one_hot`](crate::decode_one_hot) rule
+    /// as word operations. For tree-derived classifiers this equals
+    /// `tree.accuracy(data)` exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes` holds no sample or is narrower than the feature
+    /// space.
+    pub fn accuracy_on(&self, planes: &ThermometerPlanes) -> f64 {
+        sliced_accuracy(
+            &self.literals,
+            self.n_features,
+            self.class_sops
+                .iter()
+                .map(|sop| sop.cubes().iter().map(Cube::literals)),
+            planes,
+        )
+    }
+
     /// Compiles the classifier's covers to bit-parallel word masks for
-    /// fast repeated prediction — the hot shape for grid accuracy scoring.
+    /// fast repeated per-sample prediction.
     pub fn packed(&self) -> PackedClassifier {
         let covers: Vec<PackedCover> = self.class_sops.iter().map(PackedCover::from_sop).collect();
         let words = PackedCover::words_for(self.literals.len());
@@ -392,9 +415,10 @@ impl UnaryClassifier {
 ///
 /// Exact: [`predict`](Self::predict) returns precisely what
 /// [`UnaryClassifier::predict`] returns on every sample (the packing and
-/// the packed cover evaluation are both exact — pinned by tests), so
-/// [`accuracy`](Self::accuracy) equals the unpacked score and, for
-/// classifiers built from a tree, the tree's own accuracy.
+/// the packed cover evaluation are both exact — pinned by tests).
+/// [`accuracy`](Self::accuracy) scores a whole dataset bit-sliced, with
+/// the evaluator of [`UnaryClassifier::accuracy_on`]; for classifiers
+/// built from a tree it is the tree's own accuracy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedClassifier {
     n_features: usize,
@@ -469,24 +493,72 @@ impl PackedClassifier {
     }
 
     /// Fraction of `data` classified correctly (a `None` prediction counts
-    /// as wrong). For tree-derived classifiers this equals
-    /// `tree.accuracy(data)` exactly.
+    /// as wrong): builds the [`ThermometerPlanes`] of `data` and scores
+    /// them with the evaluator of [`UnaryClassifier::accuracy_on`]. For
+    /// tree-derived classifiers this equals `tree.accuracy(data)` exactly.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty or narrower than the feature space.
     pub fn accuracy(&self, data: &QuantizedDataset) -> f64 {
-        assert!(!data.is_empty(), "cannot score an empty dataset");
-        let mut packed = Vec::with_capacity(self.words);
-        let correct = data
-            .iter()
-            .filter(|(sample, label)| {
-                self.assignment_into(sample, &mut packed);
-                self.predict_packed(&packed) == Some(*label)
-            })
-            .count();
-        correct as f64 / data.len() as f64
+        sliced_accuracy(
+            &self.literals,
+            self.n_features,
+            self.covers
+                .iter()
+                .map(|cover| (0..cover.n_cubes()).map(|i| cover.cube_literals(i))),
+            &ThermometerPlanes::new(data),
+        )
     }
+}
+
+/// The bit-sliced scorer behind [`UnaryClassifier::accuracy_on`]: `covers`
+/// yields, per class, its cubes as `(variable, polarity)` literals over
+/// `literals`.
+fn sliced_accuracy<Cubes, Literals>(
+    literals: &[(usize, u8)],
+    n_features: usize,
+    covers: impl Iterator<Item = Cubes>,
+    planes: &ThermometerPlanes,
+) -> f64
+where
+    Cubes: Iterator<Item = Literals>,
+    Literals: Iterator<Item = (usize, bool)>,
+{
+    assert!(!planes.is_empty(), "cannot score an empty dataset");
+    assert!(
+        planes.n_features() >= n_features,
+        "dataset narrower than the feature space"
+    );
+    let words = planes.words();
+    let (mut cube, mut line) = (vec![0u64; words], vec![0u64; words]);
+    let (mut ones, mut twos, mut hit) = (vec![0u64; words], vec![0u64; words], vec![0u64; words]);
+    for (class, cubes) in covers.enumerate() {
+        line.fill(0);
+        for cube_literals in cubes {
+            cube.fill(!0);
+            for (v, positive) in cube_literals {
+                let (feature, tap) = literals[v];
+                let flip = if positive { 0 } else { !0 };
+                for (c, &p) in cube.iter_mut().zip(planes.plane(feature, tap)) {
+                    *c &= p ^ flip;
+                }
+            }
+            for (l, &c) in line.iter_mut().zip(cube.iter()) {
+                *l |= c;
+            }
+        }
+        let label = planes.class_mask(class);
+        for w in 0..words {
+            twos[w] |= ones[w] & line[w];
+            ones[w] |= line[w];
+            hit[w] |= line[w] & label[w];
+        }
+    }
+    let correct: u32 = (0..words)
+        .map(|w| (hit[w] & ones[w] & !twos[w] & planes.valid(w)).count_ones())
+        .sum();
+    correct as f64 / planes.len() as f64
 }
 
 #[cfg(test)]
@@ -794,17 +866,53 @@ mod tests {
 
     #[test]
     fn packed_accuracy_equals_tree_accuracy_on_benchmarks() {
-        // The grid scorer's substitution: packed classifier accuracy must
-        // be the very same f64 as the tree's accuracy.
+        // The grid scorer's substitution: bit-sliced accuracy must be the
+        // very same f64 as the tree's accuracy.
         for bench in [Benchmark::Seeds, Benchmark::Cardio, Benchmark::WhiteWine] {
             let (train_data, test_data) = bench.load_quantized(4).unwrap();
             let tree = train(&train_data, &CartConfig::with_max_depth(6));
-            let p = UnaryClassifier::from_tree(&tree).packed();
-            assert_eq!(
-                p.accuracy(&test_data).to_bits(),
-                tree.accuracy(&test_data).to_bits(),
-                "{bench}"
-            );
+            let u = UnaryClassifier::from_tree(&tree);
+            let want = tree.accuracy(&test_data).to_bits();
+            assert_eq!(u.packed().accuracy(&test_data).to_bits(), want, "{bench}");
+            let planes = ThermometerPlanes::new(&test_data);
+            assert_eq!(u.accuracy_on(&planes).to_bits(), want, "{bench}");
+        }
+    }
+
+    #[test]
+    fn bit_sliced_scoring_follows_the_one_hot_rule_on_edited_covers() {
+        // Hand-edited covers break the one-hot invariant trees guarantee:
+        // overlapping classes, a universe cube and a class without cubes.
+        // Scoring must still count exactly the samples `predict` gets
+        // right, including none of label 3, which no cover names.
+        let x0 = Cube::from_literals(&[(0, true)]);
+        let not_x2 = Cube::from_literals(&[(2, false)]);
+        let edits = [
+            vec![(1, Sop::from_cubes(3, vec![x0.clone()]))],
+            vec![(2, Sop::constant_true(3)), (0, Sop::constant_false(3))],
+            vec![(0, Sop::from_cubes(3, vec![not_x2, x0]))],
+        ];
+        let rows: Vec<(Vec<f64>, usize)> = (0..16 * 16 * 16 + 7)
+            .map(|i: usize| {
+                let level = |k: usize| ((i >> (4 * k)) % 16) as f64 / 16.0;
+                (vec![0.5, level(0), level(1), 0.0, level(2)], i % 4)
+            })
+            .collect();
+        let ds = printed_datasets::Dataset::from_rows("grid", 5, rows).unwrap();
+        let data = QuantizedDataset::from_dataset(&ds, 4);
+        let planes = ThermometerPlanes::new(&data);
+        for edit in edits {
+            let mut u = UnaryClassifier::from_tree(&fig2_tree());
+            for (class, sop) in edit {
+                u.class_sops[class] = sop;
+            }
+            let correct = data
+                .iter()
+                .filter(|&(sample, label)| u.predict(sample) == Some(label))
+                .count();
+            let want = (correct as f64 / data.len() as f64).to_bits();
+            assert_eq!(u.accuracy_on(&planes).to_bits(), want);
+            assert_eq!(u.packed().accuracy(&data).to_bits(), want);
         }
     }
 

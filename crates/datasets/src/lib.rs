@@ -23,6 +23,7 @@
 pub mod dataset;
 pub mod index;
 pub mod io;
+pub mod planes;
 pub mod quantize;
 pub mod registry;
 pub mod synth;
@@ -30,6 +31,7 @@ pub mod synth;
 pub use dataset::{Dataset, DatasetError};
 pub use index::DatasetIndex;
 pub use io::{parse_csv, read_csv, to_csv, write_csv, CsvError};
+pub use planes::ThermometerPlanes;
 pub use quantize::{dequantize_level, quantize_level, QuantizedDataset};
 pub use registry::{Benchmark, BenchmarkSpec, TRAIN_FRACTION};
 pub use synth::{balance_scale, GaussianSpec};

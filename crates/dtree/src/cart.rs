@@ -10,11 +10,13 @@
 //! * [`split_candidates`] — the scalar reference implementation: per-node
 //!   histogram built from scratch, row-major sample reads. Kept as the
 //!   executable specification the fast path is pinned against.
-//! * [`SplitEngine`] — the production hot path: reads feature-major
-//!   columns from a shared [`DatasetIndex`], tracks only *occupied*
-//!   stride-grid cells, walks them with incremental low-side histograms
-//!   over only the classes the node holds, and builds whole-dataset
-//!   nodes' cell histograms straight from class-count prefix sums with no
+//! * [`SplitEngine`] — the production hot path: counts a node's class
+//!   totals once (majority, purity and the classes present all come from
+//!   them), reads feature-major columns from a shared [`DatasetIndex`]
+//!   into dense `levels × present-classes` histograms of node-local class
+//!   ranks, marks occupied stride-grid cells in a bitmask and walks its
+//!   set bits with an incremental low-side histogram. Whole-dataset nodes
+//!   fill the same rows straight from class-count prefix sums, with no
 //!   per-feature sample scan. Bit-identical to the scalar path: same
 //!   candidate order, same `gini` f64 bits (all histogram arithmetic is
 //!   exact integer accumulation feeding the [`gini_impurity`] expression,
@@ -111,19 +113,14 @@ pub fn gini_impurity(counts: &[usize]) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let n = n as f64;
-    1.0 - counts.iter().map(|&c| (c as f64 / n).powi(2)).sum::<f64>()
+    gini_of(n, counts.iter().copied())
 }
 
-/// [`gini_impurity`] of the histogram `count` over `n > 0` samples whose
-/// nonzero classes all lie in `present` — bit-identical to it (see
-/// [`SplitEngine`]'s exactness note).
-fn gini_over(present: &[usize], n: usize, count: impl Fn(usize) -> usize) -> f64 {
+/// The [`gini_impurity`] expression over the class counts `counts` of
+/// `n > 0` samples, summed in the order given.
+fn gini_of(n: usize, counts: impl Iterator<Item = usize>) -> f64 {
     let n = n as f64;
-    1.0 - present
-        .iter()
-        .map(|&c| (count(c) as f64 / n).powi(2))
-        .sum::<f64>()
+    1.0 - counts.map(|c| (c as f64 / n).powi(2)).sum::<f64>()
 }
 
 /// Enumerates every valid split of the node subset `indices`, with Gini
@@ -206,13 +203,29 @@ pub fn split_candidates(
     out
 }
 
+/// The class statistics of one node, from one pass over its labels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeClasses {
+    /// Majority class (shared tie-break rule: [`majority_from_counts`]).
+    pub majority: usize,
+    /// True when every sample of the node has the same label.
+    pub pure: bool,
+}
+
 /// Incremental split-candidate engine over a shared [`DatasetIndex`].
 ///
 /// One engine serves every node of every tree trained on the dataset: all
-/// scratch (grid-cell histograms, occupied-cell list, low-side and total
-/// class histograms, the present-class list, the output vector) is
-/// allocated once and reused, so a call to
-/// [`candidates`](Self::candidates) allocates nothing.
+/// scratch (class totals and ranks, the dense cell histogram, the
+/// occupancy bitmask, the low side, the output vector) is allocated once
+/// and reused, so a call to [`candidates`](Self::candidates) allocates
+/// nothing.
+///
+/// Per node the engine counts the class totals once
+/// ([`classes`](Self::classes)) and ranks the `P` classes present in
+/// ascending class order. Each feature is histogrammed into `levels × P`
+/// rows of node-local ranks, with a bit per occupied cell; the walk visits
+/// the set bits in ascending order and zeroes each row it has folded
+/// into the low side, so sparse nodes pay for what they used.
 ///
 /// Exactness: the engine produces the same `Vec<SplitCandidate>` as
 /// [`split_candidates`] — same order, same `gini` down to the f64 bit
@@ -220,28 +233,33 @@ pub fn split_candidates(
 /// skipped empty cells contribute zero exactly as the scalar path's
 /// explicit zero-adds do, and the final score evaluates the
 /// [`gini_impurity`] expression on identical integer inputs. Its square
-/// sums run over the classes the node holds only: a class absent from the
-/// node has a zero count on both sides, so its term is `+0.0`. The sum
-/// starts at `-0.0` (as `Iterator::sum` does), and adding `+0.0` changes
-/// a running sum only while it is still `-0.0` (to `+0.0`). Each side
-/// holds a sample, so a positive term follows, and `±0.0 + t == t`:
-/// from there on a skipped `+0.0` term leaves every bit unchanged.
+/// sums run over the classes the node holds only, in ascending class
+/// order: a class absent from the node has a zero count on both sides, so
+/// its term is `+0.0`. The sum starts at `-0.0` (as `Iterator::sum`
+/// does), and adding `+0.0` changes a running sum only while it is still
+/// `-0.0` (to `+0.0`). Each side holds a sample, so a positive term
+/// follows, and `±0.0 + t == t`: from there on a skipped `+0.0` term
+/// leaves every bit unchanged.
 #[derive(Debug)]
 pub struct SplitEngine<'a> {
     index: &'a DatasetIndex,
-    /// Flat `levels × n_classes` grid-cell histogram scratch; only cells
-    /// in `touched` are nonzero between features.
-    counts: Vec<usize>,
-    /// Per-cell subset totals (`cell_n[level] == Σ_c counts[level][c]`).
-    cell_n: Vec<usize>,
-    /// Occupied stride-grid cells of the current feature, ascending.
-    touched: Vec<usize>,
-    lo: Vec<usize>,
-    /// Class totals of the current node.
+    /// Class totals of the current node, by class.
     total: Vec<usize>,
-    /// Classes with a nonzero total in the current node, ascending.
+    /// Classes present in the current node, ascending: rank `r` is class
+    /// `present[r]`.
     present: Vec<usize>,
-    class_counts: Vec<usize>,
+    /// Rank of each present class.
+    rank_of: Vec<u32>,
+    /// The current node's labels as ranks, in node order.
+    ranks: Vec<u32>,
+    /// Class totals of the current node, by rank.
+    rank_total: Vec<usize>,
+    /// Flat `levels × P` cell histogram by rank; all zero between features.
+    counts: Vec<usize>,
+    /// One bit per occupied cell; all zero between features.
+    occupied: Vec<u64>,
+    /// Low-side histogram by rank.
+    lo: Vec<usize>,
     out: Vec<SplitCandidate>,
 }
 
@@ -252,13 +270,14 @@ impl<'a> SplitEngine<'a> {
         let n_classes = index.n_classes();
         Self {
             index,
-            counts: vec![0; levels * n_classes],
-            cell_n: vec![0; levels],
-            touched: Vec::with_capacity(levels),
-            lo: vec![0; n_classes],
             total: vec![0; n_classes],
             present: Vec::with_capacity(n_classes),
-            class_counts: vec![0; n_classes],
+            rank_of: vec![0; n_classes],
+            ranks: Vec::with_capacity(index.len()),
+            rank_total: Vec::with_capacity(n_classes),
+            counts: vec![0; levels * n_classes],
+            occupied: vec![0; levels.div_ceil(64)],
+            lo: vec![0; n_classes],
             out: Vec::new(),
         }
     }
@@ -267,6 +286,28 @@ impl<'a> SplitEngine<'a> {
     /// callers can hold column slices across later `&mut self` calls).
     pub fn index(&self) -> &'a DatasetIndex {
         self.index
+    }
+
+    /// Counts the class totals of the node subset `indices` — the one pass
+    /// over its labels — and returns its majority class and purity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indices` is empty or contains an out-of-range id.
+    pub fn classes(&mut self, indices: &[u32]) -> NodeClasses {
+        assert!(!indices.is_empty(), "non-empty subset");
+        let labels = self.index.labels();
+        self.total.fill(0);
+        for &id in indices {
+            self.total[labels[id as usize] as usize] += 1;
+        }
+        self.present.clear();
+        self.present
+            .extend((0..self.total.len()).filter(|&c| self.total[c] > 0));
+        NodeClasses {
+            majority: majority_from_counts(&self.total),
+            pure: self.present.len() == 1,
+        }
     }
 
     /// Enumerates every valid split of the node subset `indices` —
@@ -281,129 +322,126 @@ impl<'a> SplitEngine<'a> {
             !indices.is_empty(),
             "cannot enumerate splits of an empty node"
         );
+        self.classes(indices);
+        self.scan(indices, config)
+    }
+
+    /// [`candidates`](Self::candidates) of the node whose class totals the
+    /// last [`classes`](Self::classes) call counted.
+    fn scan(&mut self, indices: &[u32], config: &CartConfig) -> &[SplitCandidate] {
         let n = indices.len();
+        debug_assert_eq!(self.total.iter().sum::<usize>(), n, "totals of this node");
         let levels = self.index.levels();
-        let n_classes = self.index.n_classes();
+        let p = self.present.len();
         self.out.clear();
+        self.rank_total.clear();
+        for (r, &c) in self.present.iter().enumerate() {
+            self.rank_of[c] = r as u32;
+            self.rank_total.push(self.total[c]);
+        }
         // A whole-dataset node in identity order (every non-bootstrap
-        // root) needs no per-sample scan at all: its grid-cell histograms
-        // are prefix-sum differences.
+        // root) needs no per-sample scan at all: its cell histograms are
+        // prefix-sum differences.
         let identity =
             n == self.index.len() && indices.iter().enumerate().all(|(i, &id)| id as usize == i);
-        // The node's class totals (the same for every feature) and the
-        // classes present in it.
-        let labels = self.index.labels();
-        self.total.fill(0);
-        for &id in indices {
-            self.total[labels[id as usize] as usize] += 1;
+        if !identity {
+            let labels = self.index.labels();
+            self.ranks.clear();
+            self.ranks.extend(
+                indices
+                    .iter()
+                    .map(|&id| self.rank_of[labels[id as usize] as usize]),
+            );
         }
-        self.present.clear();
-        self.present
-            .extend((0..n_classes).filter(|&c| self.total[c] > 0));
 
         for feature in 0..self.index.n_features() {
             let stride = config.stride(feature) as usize;
-            self.touched.clear();
             if identity {
                 let mut t = 0usize;
                 while t < levels {
                     let below_t = self.index.counts_below(feature, t);
                     let below_next = self.index.counts_below(feature, (t + stride).min(levels));
-                    let row = &mut self.counts[t * n_classes..(t + 1) * n_classes];
-                    let mut cell_total = 0usize;
-                    for c in 0..n_classes {
-                        let v = (below_next[c] - below_t[c]) as usize;
-                        row[c] = v;
-                        cell_total += v;
+                    let row = &mut self.counts[t * p..(t + 1) * p];
+                    let mut cell_n = 0usize;
+                    for (cell, &c) in row.iter_mut().zip(&self.present) {
+                        *cell = (below_next[c] - below_t[c]) as usize;
+                        cell_n += *cell;
                     }
-                    if cell_total > 0 {
-                        self.touched.push(t);
-                        self.cell_n[t] = cell_total;
-                    } else {
-                        // Keep the scratch invariant: untouched rows stay 0.
-                        row.fill(0);
+                    if cell_n > 0 {
+                        self.occupied[t / 64] |= 1 << (t % 64);
                     }
                     t += stride;
                 }
             } else {
                 let column = self.index.column(feature);
-                for &id in indices {
-                    let i = id as usize;
-                    let level = (column[i] as usize / stride) * stride;
-                    if self.cell_n[level] == 0 {
-                        self.touched.push(level);
-                    }
-                    self.cell_n[level] += 1;
-                    self.counts[level * n_classes + labels[i] as usize] += 1;
+                if stride == 1 {
+                    self.histogram(column, indices, |level| level);
+                } else {
+                    self.histogram(column, indices, |level| level / stride * stride);
                 }
-                self.touched.sort_unstable();
             }
-
-            // Walk occupied cells, folding each previous cell into the
-            // incremental low side. The first occupied cell is skipped
-            // (trivial split), exactly like the scalar path. Only the
-            // classes present in the node can have nonzero counts.
-            self.lo.fill(0);
-            let mut lo_n = 0usize;
-            for k in 1..self.touched.len() {
-                let prev = self.touched[k - 1];
-                let row = &self.counts[prev * n_classes..(prev + 1) * n_classes];
-                for &c in &self.present {
-                    self.lo[c] += row[c];
-                }
-                lo_n += self.cell_n[prev];
-                let t = self.touched[k];
-                debug_assert!(
-                    lo_n > 0 && lo_n < n,
-                    "occupied-cell thresholds split non-trivially"
-                );
-                let hi_n = n - lo_n;
-                let (lo, total) = (&self.lo, &self.total);
-                let g = (lo_n as f64 * gini_over(&self.present, lo_n, |c| lo[c])
-                    + hi_n as f64 * gini_over(&self.present, hi_n, |c| total[c] - lo[c]))
-                    / n as f64;
-                self.out.push(SplitCandidate {
-                    feature,
-                    threshold: t as u8,
-                    gini: g,
-                });
-            }
-
-            // Zero only what this feature touched.
-            for k in 0..self.touched.len() {
-                let t = self.touched[k];
-                self.cell_n[t] = 0;
-                self.counts[t * n_classes..(t + 1) * n_classes].fill(0);
-            }
+            self.walk(feature, n);
         }
         &self.out
     }
 
-    /// Majority class of the subset (shared tie-break rule:
-    /// [`majority_from_counts`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty or contains an out-of-range id.
-    pub fn majority_class(&mut self, indices: &[u32]) -> usize {
-        assert!(!indices.is_empty(), "non-empty subset");
-        let labels = self.index.labels();
-        self.class_counts.fill(0);
-        for &id in indices {
-            self.class_counts[labels[id as usize] as usize] += 1;
+    /// Adds the node's samples of one feature column to the `levels × P`
+    /// rank histogram, each level floored onto the stride grid by `floor`,
+    /// and marks the occupied cells.
+    fn histogram(&mut self, column: &[u8], indices: &[u32], floor: impl Fn(usize) -> usize) {
+        let p = self.present.len();
+        for (&id, &r) in indices.iter().zip(&self.ranks) {
+            let level = floor(column[id as usize] as usize);
+            self.occupied[level / 64] |= 1 << (level % 64);
+            self.counts[level * p + r as usize] += 1;
         }
-        majority_from_counts(&self.class_counts)
     }
 
-    /// True when every sample in the subset has the same label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty or contains an out-of-range id.
-    pub fn is_pure(&self, indices: &[u32]) -> bool {
-        let labels = self.index.labels();
-        let first = labels[indices[0] as usize];
-        indices.iter().all(|&id| labels[id as usize] == first)
+    /// Walks the occupied cells in ascending order, folding each previous
+    /// cell into the incremental low side and pushing one candidate per
+    /// threshold; the first occupied cell is skipped (trivial split),
+    /// exactly like the scalar path. Leaves the histogram and the
+    /// occupancy bits zero.
+    fn walk(&mut self, feature: usize, n: usize) {
+        let p = self.present.len();
+        let (lo, total) = (&mut self.lo[..p], &self.rank_total[..p]);
+        lo.fill(0);
+        let mut lo_n = 0usize;
+        let mut prev: Option<usize> = None;
+        for w in 0..self.occupied.len() {
+            let mut bits = std::mem::take(&mut self.occupied[w]);
+            while bits != 0 {
+                let t = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if let Some(prev) = prev {
+                    for (l, cell) in lo
+                        .iter_mut()
+                        .zip(&mut self.counts[prev * p..(prev + 1) * p])
+                    {
+                        *l += *cell;
+                        lo_n += *cell;
+                        *cell = 0;
+                    }
+                    debug_assert!(
+                        lo_n > 0 && lo_n < n,
+                        "occupied-cell thresholds split non-trivially"
+                    );
+                    let hi_n = n - lo_n;
+                    let lo_gini = gini_of(lo_n, lo.iter().copied());
+                    let hi_gini = gini_of(hi_n, total.iter().zip(lo.iter()).map(|(&c, &l)| c - l));
+                    let g = (lo_n as f64 * lo_gini + hi_n as f64 * hi_gini) / n as f64;
+                    self.out.push(SplitCandidate {
+                        feature,
+                        threshold: t as u8,
+                        gini: g,
+                    });
+                }
+                prev = Some(t);
+            }
+        }
+        if let Some(last) = prev {
+            self.counts[last * p..(last + 1) * p].fill(0);
+        }
     }
 }
 
@@ -526,8 +564,9 @@ impl AnnotatedTree {
 /// trainer in the workspace shares.
 ///
 /// Nodes are popped breadth-first from a FIFO, so they are visited in
-/// slot-allocation order. Each popped node records its majority class,
-/// becomes a leaf when a stop rule fires (`config.max_depth`,
+/// slot-allocation order. Each popped node counts its class totals once
+/// ([`SplitEngine::classes`]), records its majority class, becomes a leaf
+/// when a stop rule fires (`config.max_depth`,
 /// `config.min_samples_split`, purity), and otherwise scans its split
 /// candidates (timed as [`Kernel::GiniScan`]) and asks `choose` for one;
 /// `None` makes a leaf. A chosen split partitions the node's arena range
@@ -556,20 +595,19 @@ pub fn grow(
     // (slot, arena range start, range len, depth)
     let mut queue = VecDeque::from([(0usize, 0usize, root_len, 0usize)]);
     while let Some((slot, start, len, depth)) = queue.pop_front() {
-        let majority = engine.majority_class(arena.slice(start, len));
+        let classes = engine.classes(arena.slice(start, len));
         debug_assert_eq!(majorities.len(), slot, "FIFO pops in slot order");
-        majorities.push(majority);
-        nodes[slot] = Node::Leaf { class: majority };
-        if depth >= config.max_depth
-            || len < config.min_samples_split
-            || engine.is_pure(arena.slice(start, len))
-        {
+        majorities.push(classes.majority);
+        nodes[slot] = Node::Leaf {
+            class: classes.majority,
+        };
+        if depth >= config.max_depth || len < config.min_samples_split || classes.pure {
             continue;
         }
         // The scan's work is proportional to the sample values it reads
         // (node size × features), not the candidate count it returns.
         let timer = KernelTimer::start(Kernel::GiniScan);
-        let candidates = engine.candidates(arena.slice(start, len), config);
+        let candidates = engine.scan(arena.slice(start, len), config);
         timer.finish((len * index.n_features()) as u64);
         let Some(split) = choose(candidates) else {
             continue;
@@ -711,10 +749,10 @@ mod tests {
         assert_eq!(majority_class(&q, &[0, 1]), 0, "1-vs-1 tie → class 0");
         let index = DatasetIndex::new(&q);
         let mut engine = SplitEngine::new(&index);
-        assert_eq!(engine.majority_class(&[0, 1]), 0);
-        assert_eq!(engine.majority_class(&[0, 1, 2]), 1);
-        assert!(!engine.is_pure(&[0, 1]));
-        assert!(engine.is_pure(&[0, 2]));
+        assert_eq!(engine.classes(&[0, 1]).majority, 0);
+        assert_eq!(engine.classes(&[0, 1, 2]).majority, 1);
+        assert!(!engine.classes(&[0, 1]).pure);
+        assert!(engine.classes(&[0, 2]).pure);
     }
 
     /// Brute-force recount of one split — the slowest possible oracle.
@@ -783,15 +821,18 @@ mod tests {
     #[test]
     fn engine_matches_scalar_reference_bit_for_bit() {
         // Arrhythmia (16 classes) and Pendigits (10) reach nodes that hold
-        // only some classes, the case the present-class Gini sums skip.
-        for bench in [
-            Benchmark::Seeds,
-            Benchmark::Cardio,
-            Benchmark::WhiteWine,
-            Benchmark::Arrhythmia,
-            Benchmark::Pendigits,
+        // only some classes, the case the present-class Gini sums skip; at
+        // 8 bits the 256 levels span a four-word occupancy mask.
+        for (bench, bits) in [
+            (Benchmark::Seeds, 4),
+            (Benchmark::Cardio, 4),
+            (Benchmark::WhiteWine, 4),
+            (Benchmark::Arrhythmia, 4),
+            (Benchmark::Pendigits, 4),
+            (Benchmark::Cardio, 8),
+            (Benchmark::Arrhythmia, 8),
         ] {
-            let (train_data, _) = bench.load_quantized(4).unwrap();
+            let (train_data, _) = bench.load_quantized(bits).unwrap();
             let index = DatasetIndex::new(&train_data);
             let mut engine = SplitEngine::new(&index);
             let n = train_data.len();
@@ -807,23 +848,20 @@ mod tests {
                 ("reversed", &reversed),
                 ("tail", &tail),
             ] {
-                for strides in [Vec::new(), vec![2; train_data.n_features()]] {
+                for stride in [1, 2, 64] {
                     let mut config = CartConfig::with_max_depth(8);
-                    config.threshold_strides = strides;
+                    config.threshold_strides = vec![stride; train_data.n_features()];
                     let want = split_candidates(&train_data, subset, &config);
                     let ids: Vec<u32> = subset.iter().map(|&i| i as u32).collect();
                     let got = engine.candidates(&ids, &config);
-                    assert_eq!(got.len(), want.len(), "{bench:?}/{name}");
+                    let at = format!("{bench:?}/{bits} bits/{name}/stride {stride}");
+                    assert_eq!(got.len(), want.len(), "{at}");
                     for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(
-                            (g.feature, g.threshold),
-                            (w.feature, w.threshold),
-                            "{bench:?}/{name}"
-                        );
+                        assert_eq!((g.feature, g.threshold), (w.feature, w.threshold), "{at}");
                         assert_eq!(
                             g.gini.to_bits(),
                             w.gini.to_bits(),
-                            "{bench:?}/{name} f{} t{}",
+                            "{at} f{} t{}",
                             g.feature,
                             g.threshold
                         );
@@ -841,22 +879,28 @@ mod tests {
         config: &CartConfig,
     ) -> DecisionTree {
         fn recurse(
-            engine: &mut SplitEngine<'_>,
+            (data, engine): (&QuantizedDataset, &mut SplitEngine<'_>),
             arena: &mut IndexArena,
             config: &CartConfig,
             (start, len, depth): (usize, usize, usize),
             nodes: &mut Vec<Node>,
         ) -> usize {
+            // The node's stop rules through the scalar subset helpers.
+            let subset: Vec<usize> = arena
+                .slice(start, len)
+                .iter()
+                .map(|&id| id as usize)
+                .collect();
             let best = if depth >= config.max_depth
                 || len < config.min_samples_split
-                || engine.is_pure(arena.slice(start, len))
+                || is_pure(data, &subset)
             {
                 None
             } else {
                 best_split(engine.candidates(arena.slice(start, len), config))
             };
             let Some(best) = best else {
-                let class = engine.majority_class(arena.slice(start, len));
+                let class = majority_class(data, &subset);
                 nodes.push(Node::Leaf { class });
                 return nodes.len() - 1;
             };
@@ -864,9 +908,15 @@ mod tests {
             let lo_len = arena.partition(start, len, column, best.threshold);
             let me = nodes.len();
             nodes.push(Node::Leaf { class: 0 }); // placeholder
-            let lo = recurse(engine, arena, config, (start, lo_len, depth + 1), nodes);
+            let lo = recurse(
+                (data, engine),
+                arena,
+                config,
+                (start, lo_len, depth + 1),
+                nodes,
+            );
             let hi = recurse(
-                engine,
+                (data, engine),
                 arena,
                 config,
                 (start + lo_len, len - lo_len, depth + 1),
@@ -885,7 +935,7 @@ mod tests {
         arena.reset_identity(data.len());
         let mut nodes = Vec::new();
         recurse(
-            &mut engine,
+            (data, &mut engine),
             &mut arena,
             config,
             (0, data.len(), 0),

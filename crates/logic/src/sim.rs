@@ -264,6 +264,19 @@ impl Lanes {
         self.patterns = patterns.len();
     }
 
+    /// Replaces input `i`'s column with `words`, pattern `p` in bit
+    /// `p % 64` of word `p / 64`, keeping the pattern count the arena was
+    /// made for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not an input or `words` is not one signal wide.
+    pub fn set_input(&mut self, i: usize, words: &[u64]) {
+        assert!(i < self.inputs, "input {i} out of range");
+        assert_eq!(words.len(), self.words, "one signal's words");
+        self.values[i * self.words..(i + 1) * self.words].copy_from_slice(words);
+    }
+
     /// The input values of pattern `p`.
     pub(crate) fn inputs_at(&self, p: usize) -> Vec<bool> {
         (0..self.inputs).map(|i| self.bit(i, p)).collect()
@@ -342,9 +355,20 @@ mod tests {
                 let mut lanes = sim.lanes(n);
                 lanes.load(&patterns);
                 sim.simulate(&mut lanes);
+                // The same arena written one input column at a time.
+                let mut by_input = sim.lanes(n);
+                for (i, column) in lanes.columns().chunks(lanes.words()).enumerate() {
+                    by_input.set_input(i, column);
+                }
+                sim.simulate(&mut by_input);
                 for (p, pattern) in patterns.iter().enumerate() {
                     assert_eq!(lanes.inputs_at(p), *pattern);
                     assert_eq!(sim.outputs_at(&lanes, p), nl.eval(pattern), "n={n} p={p}");
+                    assert_eq!(
+                        sim.outputs_at(&by_input, p),
+                        nl.eval(pattern),
+                        "n={n} p={p}"
+                    );
                 }
             }
         }

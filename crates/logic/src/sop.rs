@@ -377,7 +377,7 @@ impl Sop {
 /// in every word. A whole cube therefore evaluates in `words_per_cube()`
 /// AND+compare operations instead of one `BTreeMap` walk per literal, and
 /// the assignment itself is a packed word vector instead of a `Vec<bool>`
-/// — the hot shape for grid accuracy scoring and Quine–McCluskey cover
+/// — the hot shape for per-sample prediction and Quine–McCluskey cover
 /// checks. Exact: [`eval_words`](Self::eval_words) returns precisely what
 /// [`Sop::eval`] returns on the unpacked assignment (pinned by tests).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -432,6 +432,30 @@ impl PackedCover {
     /// Number of cubes.
     pub fn n_cubes(&self) -> usize {
         self.care.len() / self.words
+    }
+
+    /// The `(variable, polarity)` literals of cube `i`, ascending — the
+    /// cube's [`Cube::literals`] read back from its masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i ≥ self.n_cubes()`.
+    pub fn cube_literals(&self, i: usize) -> impl Iterator<Item = (usize, bool)> + '_ {
+        let row = i * self.words..(i + 1) * self.words;
+        self.care[row.clone()]
+            .iter()
+            .zip(&self.value[row])
+            .enumerate()
+            .flat_map(|(w, (&care, &value))| {
+                let mut bits = care;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let b = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        (64 * w + b, value >> b & 1 == 1)
+                    })
+                })
+            })
     }
 
     /// Evaluates on a packed assignment (bit `v` of word `v / 64` is
@@ -701,6 +725,9 @@ mod tests {
         for sop in cases {
             let packed = PackedCover::from_sop(&sop);
             assert_eq!(packed.n_cubes(), sop.cubes().len());
+            for (i, cube) in sop.cubes().iter().enumerate() {
+                assert!(packed.cube_literals(i).eq(cube.literals()), "{sop:?}");
+            }
             for a in assignments(3) {
                 assert_eq!(packed.eval(&a), sop.eval(&a), "{a:?} in {sop:?}");
             }
@@ -716,6 +743,7 @@ mod tests {
         );
         let packed = PackedCover::from_sop(&sop);
         assert_eq!(packed.words_per_cube(), 2);
+        assert!(packed.cube_literals(0).eq(sop.cubes()[0].literals()));
         let mut a = vec![false; 70];
         a[0] = true;
         a[65] = true;

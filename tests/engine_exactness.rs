@@ -1,15 +1,15 @@
 //! Exactness pinning for the vectorized training engine (DESIGN.md §13).
 //!
 //! The hot path — [`SplitEngine`] over a shared `DatasetIndex`, in-place
-//! arena partitioning, packed word-parallel cover scoring — claims to be
+//! arena partitioning, bit-sliced cover scoring — claims to be
 //! *bit-identical* to the scalar reference, not merely close. These tests
 //! hold it to that on every registry benchmark:
 //!
 //! 1. the production trainer and the scalar reference grow the same tree
 //!    (node for node) at the paper's depth cap, with and without Gini
 //!    slack;
-//! 2. packed thermometer scoring returns the exact accuracy the tree
-//!    walk returns;
+//! 2. bit-sliced thermometer scoring returns the exact accuracy the tree
+//!    walk returns, for every paper-grid candidate on both splits;
 //! 3. a fresh quick-grid sweep selects the same design — same grid
 //!    point, same area, power, and comparator count — as the committed
 //!    `BENCH_all.ndjson` baseline, i.e. 0.0% deterministic drift.
@@ -19,7 +19,7 @@
 use printed_ml::codesign::explore::{explore, ExplorationConfig};
 use printed_ml::codesign::train::{train_adc_aware, train_adc_aware_reference, AdcAwareConfig};
 use printed_ml::codesign::UnaryClassifier;
-use printed_ml::datasets::Benchmark;
+use printed_ml::datasets::{Benchmark, ThermometerPlanes};
 use printed_ml::report::BenchRecord;
 
 /// The registry resolution every baseline uses.
@@ -47,17 +47,42 @@ fn vectorized_trainer_matches_the_scalar_reference_on_every_benchmark() {
 fn packed_scoring_equals_tree_accuracy_on_every_benchmark() {
     for benchmark in Benchmark::ALL {
         let (train, test) = benchmark.load_quantized(BITS).expect("built-ins load");
-        let tree = train_adc_aware(&train, &AdcAwareConfig::default());
-        let packed = UnaryClassifier::from_tree(&tree).packed();
-        // The covers are exact indicator functions of the tree's regions,
-        // so the packed word-parallel evaluation must agree bit for bit
-        // with the tree walk on both splits.
-        for data in [&train, &test] {
+        let sweep = explore(&train, &test, &ExplorationConfig::paper());
+        assert_eq!(
+            sweep.candidates.len(),
+            49,
+            "{benchmark}: the whole paper grid"
+        );
+        let planes = [
+            ThermometerPlanes::new(&train),
+            ThermometerPlanes::new(&test),
+        ];
+        for candidate in &sweep.candidates {
+            let at = format!("{benchmark} τ={} depth={}", candidate.tau, candidate.depth);
+            let tree = &candidate.tree;
+            let unary = UnaryClassifier::from_tree(tree);
+            let packed = unary.packed();
             assert_eq!(
-                packed.accuracy(data).to_bits(),
-                tree.accuracy(data).to_bits(),
-                "{benchmark}: packed scoring drifted from the tree walk"
+                candidate.test_accuracy.to_bits(),
+                tree.accuracy(&test).to_bits(),
+                "{at}: the sweep's score drifted from the tree walk"
             );
+            // The covers are exact indicator functions of the tree's
+            // regions, so bit-sliced scoring must agree bit for bit with
+            // the tree walk on both splits.
+            for (data, planes) in [&train, &test].into_iter().zip(&planes) {
+                let want = tree.accuracy(data).to_bits();
+                assert_eq!(
+                    unary.accuracy_on(planes).to_bits(),
+                    want,
+                    "{at}: bit-sliced scoring drifted from the tree walk"
+                );
+                assert_eq!(
+                    packed.accuracy(data).to_bits(),
+                    want,
+                    "{at}: packed scoring drifted from the tree walk"
+                );
+            }
         }
     }
 }

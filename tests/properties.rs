@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use printed_ml::adc::{BespokeAdcBank, UnaryCode};
 use printed_ml::analog::ladder::Ladder;
 use printed_ml::codesign::{decode_one_hot, AnalogColumns, PackedAnalogTree, UnaryClassifier};
-use printed_ml::datasets::{quantize_level, Dataset, QuantizedDataset};
+use printed_ml::datasets::{quantize_level, Dataset, QuantizedDataset, ThermometerPlanes};
 use printed_ml::dtree::baseline::{baseline_netlist, decode_label, encode_sample};
 use printed_ml::dtree::cart::{train, CartConfig};
 use printed_ml::dtree::{DecisionTree, Node};
@@ -21,37 +21,67 @@ use printed_ml::pdk::AnalogModel;
 /// Strategy: a random valid decision tree over `n_features` 4-bit features
 /// and `n_classes` classes, built top-down from a random shape seed.
 fn arb_tree(n_features: usize, n_classes: usize) -> impl Strategy<Value = DecisionTree> {
-    // A vector of (split?, feature, threshold, class) decisions consumed in
-    // BFS order; depth capped by consumption.
-    vec((any::<bool>(), 0..n_features, 1u8..16, 0..n_classes), 1..64).prop_map(move |decisions| {
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        let mut cursor = 0usize;
-        nodes.push(Node::Leaf { class: 0 });
-        queue.push_back((0usize, 0usize)); // (slot, depth)
-        while let Some((slot, depth)) = queue.pop_front() {
-            let (split, feature, threshold, class) = decisions[cursor % decisions.len()];
-            cursor += 1;
-            if split && depth < 4 && cursor < decisions.len() {
-                let lo = nodes.len();
-                nodes.push(Node::Leaf { class: 0 });
-                let hi = nodes.len();
-                nodes.push(Node::Leaf { class: 0 });
-                nodes[slot] = Node::Split {
-                    feature,
-                    threshold,
-                    lo,
-                    hi,
-                };
-                queue.push_back((lo, depth + 1));
-                queue.push_back((hi, depth + 1));
-            } else {
-                nodes[slot] = Node::Leaf { class };
-            }
+    vec((any::<bool>(), 0..n_features, 1u8..16, 0..n_classes), 1..64)
+        .prop_map(move |decisions| tree_from_decisions(4, n_features, n_classes, &decisions))
+}
+
+/// Strategy: [`arb_tree`] at a random precision `bits` ∈ 1..=8, each
+/// threshold folded into `1..2^bits`.
+fn arb_tree_any_bits(n_features: usize, n_classes: usize) -> impl Strategy<Value = DecisionTree> {
+    (
+        1u32..9,
+        vec(
+            (any::<bool>(), 0..n_features, any::<u8>(), 0..n_classes),
+            1..64,
+        ),
+    )
+        .prop_map(move |(bits, decisions)| {
+            let max_tap = (1u16 << bits) - 1;
+            let decisions: Vec<_> = decisions
+                .into_iter()
+                .map(|(split, f, tap, class)| {
+                    (split, f, (1 + u16::from(tap) % max_tap) as u8, class)
+                })
+                .collect();
+            tree_from_decisions(bits, n_features, n_classes, &decisions)
+        })
+}
+
+/// Builds a tree top-down from `(split?, feature, threshold, class)`
+/// decisions consumed in BFS order; depth capped by consumption.
+fn tree_from_decisions(
+    bits: u32,
+    n_features: usize,
+    n_classes: usize,
+    decisions: &[(bool, usize, u8, usize)],
+) -> DecisionTree {
+    let mut nodes: Vec<Node> = Vec::new();
+    let mut queue = std::collections::VecDeque::new();
+    let mut cursor = 0usize;
+    nodes.push(Node::Leaf { class: 0 });
+    queue.push_back((0usize, 0usize)); // (slot, depth)
+    while let Some((slot, depth)) = queue.pop_front() {
+        let (split, feature, threshold, class) = decisions[cursor % decisions.len()];
+        cursor += 1;
+        if split && depth < 4 && cursor < decisions.len() {
+            let lo = nodes.len();
+            nodes.push(Node::Leaf { class: 0 });
+            let hi = nodes.len();
+            nodes.push(Node::Leaf { class: 0 });
+            nodes[slot] = Node::Split {
+                feature,
+                threshold,
+                lo,
+                hi,
+            };
+            queue.push_back((lo, depth + 1));
+            queue.push_back((hi, depth + 1));
+        } else {
+            nodes[slot] = Node::Leaf { class };
         }
-        DecisionTree::from_nodes(4, n_features, n_classes, nodes)
-            .expect("construction is valid by design")
-    })
+    }
+    DecisionTree::from_nodes(bits, n_features, n_classes, nodes)
+        .expect("construction is valid by design")
 }
 
 /// Strategy: a random combinational netlist over `n_inputs` inputs with up
@@ -271,16 +301,18 @@ proptest! {
     }
 
     /// The vectorized split engine is pinned bit-for-bit to the scalar
-    /// reference scan: for random datasets, node subsets, and per-feature
-    /// stride grids, both paths return the same candidates in the same
-    /// order with the same `gini` f64 bit pattern. Sixteen labels over at
-    /// most 47 rows leave classes absent from the node, the case the
-    /// engine's present-class Gini sums skip.
+    /// reference scan: for random datasets at 1..=8 bits, node subsets,
+    /// and per-feature stride grids, both paths return the same
+    /// candidates in the same order with the same `gini` f64 bit pattern.
+    /// Sixteen labels over at most 47 rows leave classes absent from the
+    /// node, the case the engine's present-class Gini sums skip; 7 and 8
+    /// bits spread the cells over a two- and four-word occupancy mask.
     #[test]
     fn split_engine_matches_scalar_scan_bit_for_bit(
         rows in vec((vec(0.0f64..1.0, 4), 0usize..16), 12..48),
         subset_bits in vec(any::<bool>(), 48),
-        strides in vec(1u8..=8, 4),
+        bits in 1u32..=8,
+        strides in vec(1u8..=128, 4),
         strided in any::<bool>(),
     ) {
         use printed_ml::datasets::DatasetIndex;
@@ -289,7 +321,7 @@ proptest! {
         rows[0].1 = 0;
         rows[1].1 = 1;
         let ds = Dataset::from_rows("prop", 4, rows).expect("consistent rows");
-        let q = QuantizedDataset::from_dataset(&ds.normalized(), 4);
+        let q = QuantizedDataset::from_dataset(&ds.normalized(), bits);
         let config = CartConfig {
             threshold_strides: if strided {
                 // Clamp to powers of two, the stride contract.
@@ -319,14 +351,27 @@ proptest! {
         }
     }
 
-    /// For arbitrary valid trees, the baseline netlist, the unary covers,
-    /// and all three unary netlist styles — evaluated pattern by pattern
-    /// and word-parallel — agree with tree prediction on random samples.
+    /// For arbitrary valid trees at 1..=8 bits, the baseline netlist, the
+    /// unary covers, and all three unary netlist styles — evaluated
+    /// pattern by pattern and word-parallel — agree with tree prediction
+    /// on a random batch, and bit-sliced scoring agrees with the tree's
+    /// accuracy on batches of 1, 63, 64, 65, 128, 129, 200 and a random
+    /// 1..200 samples, across word boundaries. Constant trees (one
+    /// universe cube), classes without cubes, and label 3, which no tree
+    /// predicts, all occur.
     #[test]
     fn all_representations_agree_on_random_trees(
-        tree in arb_tree(4, 3),
-        samples in vec(vec(0u8..16, 4), 1..12),
+        tree in arb_tree_any_bits(4, 3),
+        raw in vec((vec(any::<u8>(), 4), 0usize..4), 200),
+        cut in 1usize..200,
     ) {
+        // Fold the raw levels onto the tree's precision.
+        let bits = tree.bits();
+        let batch: Vec<(Vec<u8>, usize)> = raw
+            .into_iter()
+            .map(|(s, label)| (s.into_iter().map(|l| l >> (8 - bits)).collect(), label))
+            .collect();
+        let samples: Vec<Vec<u8>> = batch.iter().map(|(s, _)| s.clone()).collect();
         let unary = UnaryClassifier::from_tree(&tree);
         let baseline = baseline_netlist(&tree);
         let shared = unary.to_netlist();
@@ -336,7 +381,7 @@ proptest! {
             let expected = tree.predict(sample);
             prop_assert_eq!(unary.predict(sample), Some(expected));
             prop_assert_eq!(
-                decode_label(&baseline.eval(&encode_sample(sample, 4))),
+                decode_label(&baseline.eval(&encode_sample(sample, bits))),
                 expected
             );
             let digits = unary.encode_sample(sample);
@@ -361,18 +406,39 @@ proptest! {
             }
         }
         // Sixth evaluator: the packed analog walk at the nominal
-        // thresholds, on the samples as analog levels (`level / 16` sits
-        // on tap `level` exactly) labelled with the tree's own predictions,
-        // so every sample must land on its leaf.
+        // thresholds, on the samples as analog levels (`level / 2^bits`
+        // sits on tap `level` exactly) labelled with the tree's own
+        // predictions, so every sample must land on its leaf.
+        let full = f64::from(1u32 << bits);
+        let analog_level = |s: &[u8]| s.iter().map(|&l| f64::from(l) / full).collect::<Vec<_>>();
         let rows: Vec<(Vec<f64>, usize)> = samples
             .iter()
-            .map(|s| (s.iter().map(|&l| f64::from(l) / 16.0).collect(), tree.predict(s)))
+            .map(|s| (analog_level(s), tree.predict(s)))
             .collect();
         let analog = Dataset::from_rows("levels", 4, rows).unwrap();
         let columns = AnalogColumns::new(&analog, tree.used_features());
         let mut packed = PackedAnalogTree::new(&tree, &columns);
         let nominal = packed.nominal_thresholds().to_vec();
         prop_assert_eq!(packed.accuracy(&columns, &nominal), 1.0);
+        // Seventh evaluator: bit-sliced scoring over the thermometer
+        // planes of batch prefixes (and through the packed classifier),
+        // against the tree walk's accuracy on the drawn labels, to the f64
+        // bit.
+        for n in [1, 63, 64, 65, 128, 129, 200, cut] {
+            let rows = batch[..n]
+                .iter()
+                .map(|(s, label)| (analog_level(s), *label))
+                .collect();
+            let labelled = Dataset::from_rows("batch", 4, rows).unwrap();
+            let quantized = QuantizedDataset::from_dataset(&labelled, bits);
+            for (i, sample) in samples[..n].iter().enumerate() {
+                prop_assert_eq!(quantized.sample(i), sample.as_slice());
+            }
+            let want = tree.accuracy(&quantized).to_bits();
+            let planes = ThermometerPlanes::new(&quantized);
+            prop_assert_eq!(unary.accuracy_on(&planes).to_bits(), want, "{} samples", n);
+            prop_assert_eq!(unary.packed().accuracy(&quantized).to_bits(), want, "{} samples", n);
+        }
     }
 
     /// Structural queries agree with each other: paths, distinct pairs,
