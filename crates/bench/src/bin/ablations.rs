@@ -14,7 +14,7 @@
 //! Run with `cargo run --release -p printed-bench --bin ablations`.
 
 use printed_analog::MismatchModel;
-use printed_bench::{baseline_model, experiment_args, hrule, row_label, TraceHook, BITS};
+use printed_bench::{baseline_model, experiment_args, hrule, outln, row_label, TraceHook, BITS};
 use printed_codesign::mismatch::mismatch_accuracy_recorded;
 use printed_codesign::train::{train_adc_aware_recorded, AdcAwareConfig};
 use printed_codesign::UnaryClassifier;
@@ -54,10 +54,16 @@ fn ablation_ensembles() {
     use printed_codesign::ensemble::synthesize_ensemble;
     use printed_codesign::synthesize_unary;
     use printed_dtree::forest::{train_forest, ForestConfig};
-    println!("Ablation — Tree ensembles (shared bespoke ADC bank) vs single tree");
-    println!(
+    outln!("Ablation — Tree ensembles (shared bespoke ADC bank) vs single tree");
+    outln!(
         "{:<14} | {:>10} {:>9} {:>9} | {:>10} {:>9} {:>9}",
-        "Dataset", "single acc", "mm²", "µW", "3x3 acc", "mm²", "µW"
+        "Dataset",
+        "single acc",
+        "mm²",
+        "µW",
+        "3x3 acc",
+        "mm²",
+        "µW"
     );
     hrule(84);
     for benchmark in [Benchmark::Seeds, Benchmark::Vertebral3C, Benchmark::Cardio] {
@@ -74,7 +80,7 @@ fn ablation_ensembles() {
             },
         );
         let forest_sys = synthesize_ensemble(&forest);
-        println!(
+        outln!(
             "{} | {:>9.1}% {:>9.2} {:>9.0} | {:>9.1}% {:>9.2} {:>9.0}",
             row_label(benchmark),
             single.test_accuracy * 100.0,
@@ -85,7 +91,7 @@ fn ablation_ensembles() {
             forest_sys.total_power().uw(),
         );
     }
-    println!(
+    outln!(
         "\nThree depth-3 trees share one comparator pool; whether the ensemble wins\n\
          depends on how much the trees' thresholds overlap.\n"
     );
@@ -94,10 +100,15 @@ fn ablation_ensembles() {
 /// Single-stuck-at fault campaigns over the unary classifier netlists.
 fn ablation_fault_robustness() {
     use printed_codesign::robustness::fault_robustness;
-    println!("Ablation — Accuracy under single stuck-at manufacturing defects");
-    println!(
+    outln!("Ablation — Accuracy under single stuck-at manufacturing defects");
+    outln!(
         "{:<14} | {:>9} | {:>9} | {:>9} | {:>7} | {:>7}",
-        "Dataset", "fault-free", "mean", "worst", "faults", "benign"
+        "Dataset",
+        "fault-free",
+        "mean",
+        "worst",
+        "faults",
+        "benign"
     );
     hrule(76);
     for benchmark in [
@@ -108,7 +119,7 @@ fn ablation_fault_robustness() {
         let model = baseline_model(benchmark);
         let (_, test) = benchmark.load_quantized(BITS).expect("built-ins load");
         let report = fault_robustness(&model.tree, &test);
-        println!(
+        outln!(
             "{} | {:>8.1}% | {:>8.1}% | {:>8.1}% | {:>7} | {:>6.0}%",
             row_label(benchmark),
             report.fault_free_accuracy * 100.0,
@@ -118,7 +129,7 @@ fn ablation_fault_robustness() {
             report.benign_fraction * 100.0,
         );
     }
-    println!(
+    outln!(
         "\nBespoke logic is lean: nearly every gate is load-bearing, so a single stuck\n\
          output costs tens of accuracy points on average. Manufacturing test (or\n\
          redundancy) is mandatory for printed classifiers — a finding the nominal-only\n\
@@ -131,10 +142,15 @@ fn ablation_fault_robustness() {
 fn ablation_adc_architectures() {
     use printed_adc::{ConventionalAdc, SarAdc};
     use printed_pdk::SequentialParams;
-    println!("Ablation — ADC architectures for the same input banks (4-bit)");
-    println!(
+    outln!("Ablation — ADC architectures for the same input banks (4-bit)");
+    outln!(
         "{:<14} | {:>5} | {:>12} | {:>12} | {:>12} | {:>10}",
-        "Dataset", "#in", "flash µW", "SAR µW", "bespoke µW", "SAR ms"
+        "Dataset",
+        "#in",
+        "flash µW",
+        "SAR µW",
+        "bespoke µW",
+        "SAR ms"
     );
     hrule(84);
     let analog = AnalogModel::egfet();
@@ -148,7 +164,7 @@ fn ablation_adc_architectures() {
         let bespoke = UnaryClassifier::from_tree(&model.tree)
             .adc_bank()
             .cost(&analog);
-        println!(
+        outln!(
             "{} | {:>5} | {:>12.0} | {:>12.0} | {:>12.0} | {:>10.1}",
             row_label(benchmark),
             inputs,
@@ -158,7 +174,7 @@ fn ablation_adc_architectures() {
             sar.conversion_latency(&analog, &seq).ms(),
         );
     }
-    println!(
+    outln!(
         "\nSAR trades 15 comparators for one but pays in printed registers and a\n\
          multi-cycle conversion — and, unlike flash, offers no thermometer taps to\n\
          prune, so the bespoke co-design cannot be applied to it at all.\n"
@@ -170,10 +186,18 @@ fn ablation_adc_architectures() {
 fn ablation_serial_strawman() {
     use printed_codesign::serial::estimate_serial_unary;
     use printed_codesign::synthesize_unary;
-    println!("Ablation — Serial (temporal) unary strawman vs parallel unary (§II-C claim)");
-    println!(
+    outln!("Ablation — Serial (temporal) unary strawman vs parallel unary (§II-C claim)");
+    outln!(
         "{:<14} | {:>9} {:>9} | {:>9} {:>9} | {:>5} {:>5} | {:>9} {:>6}",
-        "Dataset", "ser mm²", "par mm²", "ser µW", "par µW", "sCmp", "pCmp", "ser ms", "20Hz?"
+        "Dataset",
+        "ser mm²",
+        "par mm²",
+        "ser µW",
+        "par µW",
+        "sCmp",
+        "pCmp",
+        "ser ms",
+        "20Hz?"
     );
     hrule(96);
     for benchmark in [
@@ -185,7 +209,7 @@ fn ablation_serial_strawman() {
         let model = baseline_model(benchmark);
         let serial = estimate_serial_unary(&model.tree);
         let parallel = synthesize_unary(&model.tree);
-        println!(
+        outln!(
             "{} | {:>9.2} {:>9.2} | {:>9.0} {:>9.0} | {:>5} {:>5} | {:>9.1} {:>6}",
             row_label(benchmark),
             serial.area.mm2(),
@@ -198,7 +222,7 @@ fn ablation_serial_strawman() {
             if serial.meets_20hz() { "yes" } else { "NO" },
         );
     }
-    println!(
+    outln!(
         "\nSerial unary does save comparators (one per input) but pays in registers,\n\
          control, and — decisively — a serialized conversion that cannot meet the\n\
          20 Hz cycle budget with millisecond-scale printed comparators.\n"
@@ -207,8 +231,8 @@ fn ablation_serial_strawman() {
 
 /// τ sensitivity of Algorithm 1: comparators and ADC power vs τ.
 fn ablation_tau(recorder: &Recorder) {
-    println!("Ablation 1 — Algorithm 1 hardware-awareness vs τ (depth 6)");
-    println!(
+    outln!("Ablation 1 — Algorithm 1 hardware-awareness vs τ (depth 6)");
+    outln!(
         "{:<14} | τ = 0.000 … 0.030: retained comparators (ADC µW)",
         "Dataset"
     );
@@ -241,18 +265,25 @@ fn ablation_tau(recorder: &Recorder) {
                 cost.power.uw()
             ));
         }
-        println!("{} | {}", row_label(benchmark), cells.join("  "));
+        outln!("{} | {}", row_label(benchmark), cells.join("  "));
     }
-    println!();
+    outln!();
 }
 
 /// Prefix-shared (Fig. 2b style) vs pure two-level vs NAND–NAND unary
 /// netlists.
 fn ablation_netlist_style() {
-    println!("Ablation 2 — Unary netlist style: prefix-shared vs two-level AND-OR vs NAND-NAND");
-    println!(
+    outln!("Ablation 2 — Unary netlist style: prefix-shared vs two-level AND-OR vs NAND-NAND");
+    outln!(
         "{:<14} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} | {:>12}",
-        "Dataset", "shr mm²", "2lvl mm²", "nand mm²", "shr µW", "2lvl µW", "nand µW", "cells s/2/n"
+        "Dataset",
+        "shr mm²",
+        "2lvl mm²",
+        "nand mm²",
+        "shr µW",
+        "2lvl µW",
+        "nand µW",
+        "cells s/2/n"
     );
     hrule(104);
     let lib = CellLibrary::egfet();
@@ -270,7 +301,7 @@ fn ablation_netlist_style() {
             .map(|nl| analyze(&nl, &lib, &cfg))
             .map(|r| format!("{:>6.0} µW", r.total_power().uw()))
             .unwrap_or_else(|| "     —   ".to_owned());
-        println!(
+        outln!(
             "{} | {:>9.2} {:>9.2} {:>9.2} | {:>9.0} {:>9.0} {:>9.0} | {:>3}/{:>3}/{:>3} | QM+dc {}",
             row_label(benchmark),
             shared.area.mm2(),
@@ -285,7 +316,7 @@ fn ablation_netlist_style() {
             qm,
         );
     }
-    println!(
+    outln!(
         "(QM+dc: exact Quine–McCluskey per class using thermometer-infeasible input\n\
          assignments as don't-cares — only enumerable for small classifiers.)\n"
     );
@@ -293,10 +324,17 @@ fn ablation_netlist_style() {
 
 /// Accuracy under printing mismatch for the co-designed classifiers.
 fn ablation_mismatch(recorder: &Recorder) {
-    println!("Ablation 3 — Accuracy under printing variation (100 Monte-Carlo trials)");
-    println!(
+    outln!("Ablation 3 — Accuracy under printing variation (100 Monte-Carlo trials)");
+    outln!(
         "{:<14} | {:>8} | {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8}",
-        "Dataset", "nominal", "typ mean", "typ min", "typ max", "pes mean", "pes min", "pes max"
+        "Dataset",
+        "nominal",
+        "typ mean",
+        "typ min",
+        "typ max",
+        "pes mean",
+        "pes min",
+        "pes max"
     );
     hrule(96);
     for benchmark in [
@@ -326,7 +364,7 @@ fn ablation_mismatch(recorder: &Recorder) {
             &AnalogModel::egfet(),
             recorder,
         );
-        println!(
+        outln!(
             "{} | {:>7.1}% | {:>7.1}% {:>7.1}% {:>7.1}% | {:>7.1}% {:>7.1}% {:>7.1}%",
             row_label(benchmark),
             typical.nominal * 100.0,
@@ -338,7 +376,7 @@ fn ablation_mismatch(recorder: &Recorder) {
             pessimistic.max * 100.0,
         );
     }
-    println!(
+    outln!(
         "\nTypical printing variation (5% resistor σ, 15 mV offset σ) costs only a few\n\
          accuracy points; the pessimistic corner (10%, 40 mV) is where low-order-tap\n\
          designs show their robustness advantage.\n"
@@ -349,7 +387,7 @@ fn ablation_mismatch(recorder: &Recorder) {
     use printed_adc::mc_linearity;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    println!("Converter linearity under the same variation (4-bit flash, 200 instances):");
+    outln!("Converter linearity under the same variation (4-bit flash, 200 instances):");
     for (label, model) in [
         ("typical", MismatchModel::typical_printed()),
         ("pessimistic", MismatchModel::pessimistic_printed()),
@@ -360,7 +398,7 @@ fn ablation_mismatch(recorder: &Recorder) {
             200,
             &mut StdRng::seed_from_u64(0xD41),
         );
-        println!(
+        outln!(
             "  {label:<12} mean max |DNL| {:.2} LSB (worst {:.2}) | mean max |INL| {:.2} LSB | {:.0}% monotonic",
             lin.mean_max_dnl, lin.worst_dnl, lin.mean_max_inl, lin.monotonic_fraction * 100.0
         );

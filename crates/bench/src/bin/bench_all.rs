@@ -25,7 +25,7 @@
 
 use std::process::ExitCode;
 
-use printed_bench::{stderr_progress, BITS};
+use printed_bench::{outln, stderr_progress, BITS};
 use printed_codesign::{CodesignFlow, ExplorationConfig};
 use printed_datasets::Benchmark;
 use printed_report::BenchRecord;
@@ -83,7 +83,7 @@ fn run(args: &Args) -> Result<(), String> {
     for benchmark in Benchmark::ALL {
         eprintln!("bench_all: {benchmark}");
         let record = BenchRecord::from_trace(&run_once(benchmark, &grid)?);
-        println!(
+        outln!(
             "{:<14} wall {:>8} µs  gini {:>8}  area {:.3} mm²  power {:.3} mW",
             record.key,
             record.value("wall_us"),

@@ -39,7 +39,7 @@
 
 use std::process::ExitCode;
 
-use printed_bench::{BITS, DEPTH_CAP};
+use printed_bench::{outln, BITS, DEPTH_CAP};
 use printed_codesign::train::{train_adc_aware_annotated, AdcAwareConfig};
 use printed_codesign::UnaryClassifier;
 use printed_datasets::Benchmark;
@@ -170,7 +170,7 @@ fn run(out: &str) -> Result<(), String> {
                 Metric::new("tp_median", tp),
             ];
             let record = BenchRecord::new(Axis::Kernel, &key, manifest.clone(), metrics);
-            println!(
+            outln!(
                 "{key:<29} calls {calls:>5}  items {items:>8}  {tp:>12} items/s (median of {RUNS})"
             );
             lines.push_str(&record.to_json());

@@ -32,7 +32,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use printed_bench::{explore_traced, stderr_progress, BITS};
+use printed_bench::{explore_traced, outln, stderr_progress, BITS};
 use printed_codesign::explore::ExplorationConfig;
 use printed_codesign::{
     AdaptiveBudget, CampaignOutcome, RobustnessCampaign, RobustnessConstraints,
@@ -216,7 +216,7 @@ fn run(args: &Args) -> Result<(), String> {
                 Metric::new("wall_us_median", wall),
             ],
         );
-        println!(
+        outln!(
             "{:<14} τ={:<5} depth {}  yield {:>3.0}%  worst-fault {:>5.1}%  droop {:.2}  \
              trials {:>5} of {:>5} ({} pruned)  wall {:>7} µs (median of {RUNS})",
             record.key,

@@ -45,7 +45,7 @@ use std::process::ExitCode;
 
 use printed_analog::ladder::Ladder;
 use printed_analog::spice::ladder_deck;
-use printed_bench::{stderr_progress, TraceHook, BITS};
+use printed_bench::{outln, stderr_progress, TraceHook, BITS};
 use printed_codesign::explore::ExplorationConfig;
 use printed_codesign::{AdaptiveBudget, CodesignFlow, FlowOutcome, RobustnessCampaign};
 use printed_datasets::Benchmark;
@@ -167,7 +167,7 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         .benchmark
         .load_quantized(BITS)
         .map_err(|e| format!("load: {e}"))?;
-    println!(
+    outln!(
         "{}: {} train / {} test samples, {} features, {} classes",
         args.benchmark,
         train.len(),
@@ -235,18 +235,18 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         hook.set_manifest(manifest);
     }
 
-    println!(
+    outln!(
         "baseline [2]: {:.1}% accuracy, {:.2}, {:.2}",
         outcome.reference_accuracy * 100.0,
         outcome.baseline.total_area(),
         outcome.baseline.total_power()
     );
     if let Some(path) = &args.resume {
-        println!("checkpointing sweep to {path} (resumes completed points)");
+        outln!("checkpointing sweep to {path} (resumes completed points)");
     }
     let chosen = &outcome.chosen;
     let r = outcome.reduction();
-    println!(
+    outln!(
         "co-design (τ={}, depth {}): {:.1}% accuracy, {:.2}, {:.2} — {:.1}x area, {:.1}x power vs baseline",
         chosen.tau,
         chosen.depth,
@@ -256,24 +256,24 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         r.area_factor,
         r.power_factor
     );
-    println!(
+    outln!(
         "{} comparators over {} inputs; self-powered: {}\n",
         chosen.system.comparator_count(),
         chosen.system.input_count(),
         chosen.system.is_self_powered()
     );
-    println!("{}", outcome.datasheet());
+    outln!("{}", outcome.datasheet());
 
     if args.lint.enabled() {
         let report = &outcome.lint;
-        println!("{}", report.render_text());
+        outln!("{}", report.render_text());
 
         // The whole-grid in-flow lint already ran inside the sweep
         // workers; surface its verdict next to the chosen design's.
         let grid_lint = &outcome.sweep.lint;
         let grid_errors: usize = grid_lint.iter().map(|l| l.report.error_count()).sum();
         let grid_warnings: usize = grid_lint.iter().map(|l| l.report.warning_count()).sum();
-        println!(
+        outln!(
             "whole-grid lint: {} candidate(s), {grid_errors} error(s) / {grid_warnings} warning(s)",
             grid_lint.len()
         );
@@ -306,7 +306,7 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
     if let Some(path) = &args.verilog {
         let netlist = chosen.system.classifier.to_netlist();
         std::fs::write(path, to_verilog(&netlist)).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote unary classifier netlist to {path}");
+        outln!("wrote unary classifier netlist to {path}");
     }
     if let Some(path) = &args.spice {
         let analog = AnalogModel::egfet();
@@ -326,7 +326,7 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
             &format!("{} bespoke reference ladder", args.benchmark),
         );
         std::fs::write(path, deck).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote bespoke ladder SPICE deck to {path}");
+        outln!("wrote bespoke ladder SPICE deck to {path}");
     }
     Ok(())
 }
@@ -348,17 +348,17 @@ fn run_fix(
         &printed_codesign::LintConfig::new(),
     );
     if outcome.dropped.is_empty() {
-        println!("autofix: design is already a fixpoint — nothing to repair");
+        outln!("autofix: design is already a fixpoint — nothing to repair");
     } else {
-        println!(
+        outln!(
             "autofix: {} iteration(s) released {} dead comparator(s):",
             outcome.iterations,
             outcome.dropped.len()
         );
         for &(feature, tap) in &outcome.dropped {
-            println!("  - adc x{feature} tap {tap}");
+            outln!("  - adc x{feature} tap {tap}");
         }
-        println!(
+        outln!(
             "  ADC bank: {} → {} comparators, {:.2} → {:.2}, {:.2} → {:.2}",
             before.comparators,
             outcome.reported.comparators,
@@ -370,17 +370,17 @@ fn run_fix(
     }
     match &outcome.equivalence {
         Equivalence::Equivalent { exhaustive: true } => {
-            println!("  equivalence: proven exhaustively over the feasible domain")
+            outln!("  equivalence: proven exhaustively over the feasible domain")
         }
         Equivalence::Equivalent { exhaustive: false } => {
-            println!("  equivalence: holds on the seeded feasible-domain sample")
+            outln!("  equivalence: holds on the seeded feasible-domain sample")
         }
-        other => println!("  equivalence: FAILED — {other:?}"),
+        other => outln!("  equivalence: FAILED — {other:?}"),
     }
     if outcome.report.diagnostics.is_empty() {
-        println!("  re-lint: clean");
+        outln!("  re-lint: clean");
     } else {
-        println!("  re-lint:\n{}", outcome.report.render_text());
+        outln!("  re-lint:\n{}", outcome.report.render_text());
     }
     if outcome.is_sound() {
         Ok(())
@@ -404,7 +404,7 @@ fn report_robustness(
         .as_ref()
         .expect("--robust runs the campaign");
     if let Some(path) = &campaign.checkpoint_path {
-        println!("checkpointing campaign to {path} (resumes profiled candidates)");
+        outln!("checkpointing campaign to {path} (resumes profiled candidates)");
     }
     if !flow.sweep.failed_candidates.is_empty() {
         return Err(format!(
@@ -420,20 +420,20 @@ fn report_robustness(
     }
 
     if campaign.adaptive.is_some() {
-        println!(
+        outln!(
             "robustness campaign: adaptive, ≤{} trials/candidate, {:.0}% yield tolerance",
             campaign.trial_budget(),
             campaign.yield_loss * 100.0
         );
         let saved = outcome.trials_budget.saturating_sub(outcome.trials_spent);
-        println!(
+        outln!(
             "  trials spent {} of {} budgeted ({saved} saved); {} grid point(s) probe-pruned",
             outcome.trials_spent,
             outcome.trials_budget,
             outcome.pruned.len()
         );
         for pruned in &outcome.pruned {
-            println!(
+            outln!(
                 "  pruned τ={} depth {} ({}: nominal {:.1}%)",
                 pruned.tau,
                 pruned.depth,
@@ -442,15 +442,15 @@ fn report_robustness(
             );
         }
     } else {
-        println!(
+        outln!(
             "robustness campaign: {} trials/candidate, {:.0}% yield tolerance",
             campaign.trials,
             campaign.yield_loss * 100.0
         );
     }
-    println!("     τ      depth  nominal  mismatch  worst-fault  droop  yield");
+    outln!("     τ      depth  nominal  mismatch  worst-fault  droop  yield");
     for row in &outcome.profiles {
-        println!(
+        outln!(
             "  {:<8} {:>3}    {:>5.1}%    {:>5.1}%      {:>5.1}%   {:>5.2}  {:>4.0}%",
             row.tau,
             row.depth,
@@ -466,7 +466,7 @@ fn report_robustness(
         Some(robust) => {
             let (plain_tau, plain_depth) = (flow.chosen.tau, flow.chosen.depth);
             let agrees = robust.depth == plain_depth && robust.tau.to_bits() == plain_tau.to_bits();
-            println!(
+            outln!(
                 "robust selection (τ={}, depth {}): {:.1}% nominal — {}",
                 robust.tau,
                 robust.depth,
@@ -480,12 +480,12 @@ fn report_robustness(
                 }
             );
         }
-        None => println!(
+        None => outln!(
             "no candidate meets the robustness constraints within {:.1}% loss",
             args.loss * 100.0
         ),
     }
-    println!();
+    outln!();
     Ok(())
 }
 

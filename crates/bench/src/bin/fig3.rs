@@ -10,7 +10,7 @@
 //! Run with `cargo run --release -p printed-bench --bin fig3`.
 
 use printed_adc::{BespokeAdcBank, ConventionalAdc};
-use printed_bench::{experiment_args, hrule, TraceHook};
+use printed_bench::{experiment_args, hrule, outln, TraceHook};
 use printed_pdk::AnalogModel;
 
 fn bespoke_cost(taps: &[usize], model: &AnalogModel) -> (f64, f64) {
@@ -28,15 +28,20 @@ fn main() {
     let model = AnalogModel::egfet();
     let conventional = ConventionalAdc::new(4).standalone_cost(&model);
 
-    println!("Fig. 3 — Bespoke (4-bit) ADC area/power vs output unary digits");
-    println!(
+    outln!("Fig. 3 — Bespoke (4-bit) ADC area/power vs output unary digits");
+    outln!(
         "Reference conventional 4-bit flash ADC: {:.2} / {:.0}  (paper: 11 mm², 830 µW — \
          power deviation documented in printed-pdk::calibration)\n",
-        conventional.area, conventional.power
+        conventional.area,
+        conventional.power
     );
-    println!(
+    outln!(
         "{:<6} | {:>9} | {:>11} | {:>11} | {:>7} | window detail (sliding tap windows, µW)",
-        "k-U_D", "area mm²", "min µW", "max µW", "ratio"
+        "k-U_D",
+        "area mm²",
+        "min µW",
+        "max µW",
+        "ratio"
     );
     hrule(110);
 
@@ -51,7 +56,7 @@ fn main() {
         let min = costs.iter().map(|c| c.1).fold(f64::INFINITY, f64::min);
         let max = costs.iter().map(|c| c.1).fold(f64::NEG_INFINITY, f64::max);
         let detail: Vec<String> = costs.iter().map(|c| format!("{:.0}", c.1)).collect();
-        println!(
+        outln!(
             "{:<6} | {:>9.2} | {:>11.1} | {:>11.1} | {:>6.2}x | {}",
             format!("{k}-U_D"),
             area,
@@ -70,14 +75,14 @@ fn main() {
     // The paper's headline anchors for this figure.
     let (_, p_low) = bespoke_cost(&[1, 2, 3, 4], &model);
     let (_, p_high) = bespoke_cost(&[12, 13, 14, 15], &model);
-    println!(
+    outln!(
         "\n4-U_D span: {:.0} µW (taps 1–4) … {:.0} µW (taps 12–15), ratio {:.1}x \
          (paper: 47 µW … 205 µW, 4.4x)",
         p_low - model.full_ladder_power.uw(),
         p_high - model.full_ladder_power.uw(),
         (p_high - model.full_ladder_power.uw()) / (p_low - model.full_ladder_power.uw())
     );
-    println!(
+    outln!(
         "Area is linear in the retained-comparator count and independent of tap position;\n\
          power grows with tap order because higher reference voltages draw more static\n\
          current in the comparator input stages."

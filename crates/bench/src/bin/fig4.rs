@@ -6,7 +6,7 @@
 //! Run with `cargo run --release -p printed-bench --bin fig4`.
 
 use printed_bench::{
-    baseline_design, experiment_args, hrule, row_label, TraceHook, BENCHMARK_SPAN,
+    baseline_design, experiment_args, hrule, outln, row_label, TraceHook, BENCHMARK_SPAN,
 };
 use printed_codesign::synthesize_unary;
 use printed_datasets::Benchmark;
@@ -14,11 +14,17 @@ use printed_datasets::Benchmark;
 fn main() {
     experiment_args("fig4", false);
     let hook = TraceHook::from_env("fig4");
-    println!("Fig. 4 — Area/power reduction vs baseline [2] (same models, bespoke ADCs");
-    println!("+ parallel unary architecture only; paper averages: 3.0x area, 6.6x power)\n");
-    println!(
+    outln!("Fig. 4 — Area/power reduction vs baseline [2] (same models, bespoke ADCs");
+    outln!("+ parallel unary architecture only; paper averages: 3.0x area, 6.6x power)\n");
+    outln!(
         "{:<14} | {:>9} {:>9} | {:>9} {:>9} | {:>8} {:>8}",
-        "Dataset", "base mm²", "ours mm²", "base mW", "ours mW", "area x", "power x"
+        "Dataset",
+        "base mm²",
+        "ours mm²",
+        "base mW",
+        "ours mW",
+        "area x",
+        "power x"
     );
     hrule(88);
 
@@ -40,7 +46,7 @@ fn main() {
         geo_power *= r.power_factor;
         sum_area += r.area_factor;
         sum_power += r.power_factor;
-        println!(
+        outln!(
             "{} | {:>9.1} {:>9.1} | {:>9.2} {:>9.2} | {:>7.1}x {:>7.1}x",
             row_label(benchmark),
             baseline.total_area().mm2(),
@@ -53,13 +59,13 @@ fn main() {
     }
     stage.finish();
     hrule(88);
-    println!(
+    outln!(
         "Average: {:.1}x area, {:.1}x power (arithmetic) | {:.1}x / {:.1}x (geometric)",
         sum_area / 8.0,
         sum_power / 8.0,
         geo_area.powf(1.0 / 8.0),
         geo_power.powf(1.0 / 8.0),
     );
-    println!("(paper: 3.0x area, 6.6x power on its testbed)");
+    outln!("(paper: 3.0x area, 6.6x power on its testbed)");
     hook.finish_or_exit();
 }

@@ -14,7 +14,7 @@
 //! interrupted earlier run (`printed-trace watch` can tail those files).
 
 use printed_bench::{
-    experiment_args, explore_traced, hrule, load, row_label, stderr_progress, TraceHook,
+    experiment_args, explore_traced, hrule, load, outln, row_label, stderr_progress, TraceHook,
     BENCHMARK_SPAN,
 };
 use printed_codesign::explore::ExplorationConfig;
@@ -25,11 +25,14 @@ fn main() {
     let resume = experiment_args("fig5", true);
     let hook = TraceHook::from_env("fig5");
     let progress = stderr_progress();
-    println!("Fig. 5 — Additional gains from ADC-aware training (vs the Fig. 4 designs)");
-    println!("(paper averages: 0% loss → 11% area / 15% power; 5% loss → 45% / 57%)\n");
-    println!(
+    outln!("Fig. 5 — Additional gains from ADC-aware training (vs the Fig. 4 designs)");
+    outln!("(paper averages: 0% loss → 11% area / 15% power; 5% loss → 45% / 57%)\n");
+    outln!(
         "{:<14} | {:>16} | {:>16} | {:>16}",
-        "Dataset", "0% loss (A/P)", "1% loss (A/P)", "5% loss (A/P)"
+        "Dataset",
+        "0% loss (A/P)",
+        "1% loss (A/P)",
+        "5% loss (A/P)"
     );
     hrule(72);
 
@@ -65,7 +68,7 @@ fn main() {
             avg[k][1] += power_gain / 8.0;
             cells.push(format!("{:>6.1}% /{:>6.1}%", area_gain, power_gain));
         }
-        println!(
+        outln!(
             "{} | {} | {} | {}",
             row_label(benchmark),
             cells[0],
@@ -74,11 +77,16 @@ fn main() {
         );
     }
     hrule(72);
-    println!(
+    outln!(
         "Average        | {:>6.1}% /{:>6.1}% | {:>6.1}% /{:>6.1}% | {:>6.1}% /{:>6.1}%",
-        avg[0][0], avg[0][1], avg[1][0], avg[1][1], avg[2][0], avg[2][1]
+        avg[0][0],
+        avg[0][1],
+        avg[1][0],
+        avg[1][1],
+        avg[2][0],
+        avg[2][1]
     );
-    println!(
+    outln!(
         "\nPositive percentages are area/power *savings* of the ADC-aware model over the\n\
          unaware model, both synthesized with bespoke ADCs + unary logic."
     );

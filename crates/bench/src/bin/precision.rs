@@ -6,7 +6,9 @@
 //!
 //! Run with `cargo run --release -p printed-bench --bin precision`.
 
-use printed_bench::{experiment_args, hrule, row_label, TraceHook, BENCHMARK_SPAN, DEPTH_CAP};
+use printed_bench::{
+    experiment_args, hrule, out, outln, row_label, TraceHook, BENCHMARK_SPAN, DEPTH_CAP,
+};
 use printed_codesign::system::synthesize_unary_with;
 use printed_datasets::Benchmark;
 use printed_dtree::cart::train_depth_selected;
@@ -16,13 +18,13 @@ use printed_pdk::{AnalogModel, CellLibrary};
 fn main() {
     experiment_args("precision", false);
     let hook = TraceHook::from_env("precision");
-    println!("Input-precision sweep: accuracy (and co-designed power µW) per bit width");
-    println!("(the paper's 4-bit choice should sit at the accuracy knee)\n");
-    print!("{:<14}", "Dataset");
+    outln!("Input-precision sweep: accuracy (and co-designed power µW) per bit width");
+    outln!("(the paper's 4-bit choice should sit at the accuracy knee)\n");
+    out!("{:<14}", "Dataset");
     for bits in 2..=6u32 {
-        print!(" | {bits:>5} bits        ");
+        out!(" | {bits:>5} bits        ");
     }
-    println!();
+    outln!();
     hrule(14 + 5 * 22);
 
     let stage = hook.recorder().span("stage:benchmarks");
@@ -34,7 +36,7 @@ fn main() {
         Benchmark::Cardio,
         Benchmark::WhiteWine,
     ] {
-        print!("{}", row_label(benchmark));
+        out!("{}", row_label(benchmark));
         let bench_span = hook
             .recorder()
             .span(BENCHMARK_SPAN)
@@ -53,7 +55,7 @@ fn main() {
                 &AnalogModel::egfet_with_bits(bits),
                 &AnalysisConfig::printed_20hz(),
             );
-            print!(
+            out!(
                 " | {:>5.1}% ({:>6.0})",
                 model.test_accuracy * 100.0,
                 system.total_power().uw()
@@ -63,10 +65,10 @@ fn main() {
                 .finish();
         }
         bench_span.finish();
-        println!();
+        outln!();
     }
     stage.finish();
-    println!(
+    outln!(
         "\nReading: accuracy typically saturates by 4 bits while ADC power keeps\n\
          growing with precision — the knee that justifies the paper's choice."
     );

@@ -5,7 +5,7 @@
 //! Run with `cargo run --release -p printed-bench --bin table1`.
 
 use printed_bench::{
-    baseline_design, experiment_args, hrule, row_label, TraceHook, BENCHMARK_SPAN,
+    baseline_design, experiment_args, hrule, outln, row_label, TraceHook, BENCHMARK_SPAN,
 };
 use printed_datasets::Benchmark;
 
@@ -25,9 +25,9 @@ const PAPER: [(f64, usize, usize, f64, f64, f64, f64); 8] = [
 fn main() {
     experiment_args("table1", false);
     let hook = TraceHook::from_env("table1");
-    println!("Table I — Evaluation of the baseline bespoke decision trees [2]");
-    println!("(measured by this reproduction vs the paper's published values)\n");
-    println!(
+    outln!("Table I — Evaluation of the baseline bespoke decision trees [2]");
+    outln!("(measured by this reproduction vs the paper's published values)\n");
+    outln!(
         "{:<14} | {:>6} {:>6} | {:>6} {:>6} | {:>5} {:>4} | {:>7} {:>7} | {:>7} {:>7} | {:>6} {:>6} | {:>6} {:>6}",
         "Dataset", "Acc%", "paper", "#Comp", "paper", "#In", "pap",
         "ADCmm2", "paper", "TOTmm2", "paper", "ADCmW", "paper", "TOTmW", "paper"
@@ -53,7 +53,7 @@ fn main() {
         let tot_power = design.total_power().mw();
         avg_area += tot_area / 8.0;
         avg_power += tot_power / 8.0;
-        println!(
+        outln!(
             "{} | {:>6.1} {:>6.1} | {:>6} {:>6} | {:>5} {:>4} | {:>7.1} {:>7.1} | {:>7.1} {:>7.1} | {:>6.1} {:>6.1} | {:>6.1} {:>6.1}",
             row_label(benchmark),
             acc, paper.0,
@@ -67,8 +67,8 @@ fn main() {
     }
     stage.finish();
     hrule(140);
-    println!("Average total: {avg_area:.1} mm², {avg_power:.2} mW  (paper: 102 mm², 8.5 mW)");
-    println!(
+    outln!("Average total: {avg_area:.1} mm², {avg_power:.2} mW  (paper: 102 mm², 8.5 mW)");
+    outln!(
         "\nKey claims to check: every baseline exceeds the 2 mW harvester budget;\n\
          ADCs account for a large share of area (~40%) and power (~74%)."
     );
@@ -88,7 +88,7 @@ fn main() {
         })
         .sum::<f64>()
         / 8.0;
-    println!(
+    outln!(
         "Measured ADC share: {:.0}% of area, {:.0}% of power",
         adc_area_share * 100.0,
         adc_power_share * 100.0

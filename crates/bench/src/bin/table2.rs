@@ -9,7 +9,7 @@
 //! interrupted earlier run (`printed-trace watch` can tail those files).
 
 use printed_bench::{
-    experiment_args, explore_traced, hrule, load, row_label, stderr_progress, TraceHook,
+    experiment_args, explore_traced, hrule, load, outln, row_label, stderr_progress, TraceHook,
     BENCHMARK_SPAN, DEPTH_CAP,
 };
 use printed_codesign::explore::{Exploration, ExplorationConfig};
@@ -38,9 +38,9 @@ fn main() {
     let resume = experiment_args("table2", true);
     let hook = TraceHook::from_env("table2");
     let progress = stderr_progress();
-    println!("Table II — Our co-designed decision trees (≤1% accuracy loss) vs [2] and [7]");
-    println!("(measured | paper in parentheses)\n");
-    println!(
+    outln!("Table II — Our co-designed decision trees (≤1% accuracy loss) vs [2] and [7]");
+    outln!("(measured | paper in parentheses)\n");
+    outln!(
         "{:<14} | {:>8} {:>8} | {:>7} {:>7} | {:>13} {:>13} | {:>13} {:>13} | {:>5}",
         "Dataset",
         "mm²",
@@ -106,7 +106,7 @@ fn main() {
             Some(pv) => format!("{v:>5.1}x ({pv:>4.1}x)"),
             None => format!("{v:>5.1}x (  – )"),
         };
-        println!(
+        outln!(
             "{} | {:>8.2} ({:>6.2}) | {:>7.2} ({:>5.2}) | {:>5.1}x ({:>4.1}x) | {:>5.1}x ({:>4.1}x) | {} | {} | {:>5}",
             row_label(benchmark),
             area,
@@ -126,7 +126,7 @@ fn main() {
         }
     }
     hrule(132);
-    println!(
+    outln!(
         "Average: {:.2} mm², {:.2} mW | vs[2]: {:.1}x area, {:.1}x power (paper: 8.6x / 12.2x) | \
          vs[7]: {:.1}x / {:.1}x (paper: 4.4x / 2.6x)",
         avg[0],
@@ -136,7 +136,7 @@ fn main() {
         avg[4] / approx_counted as f64,
         avg[5] / approx_counted as f64,
     );
-    println!(
+    outln!(
         "\nSelf-powering claim: every co-designed classifier except (possibly) Pendigits\n\
          fits the {} printed-energy-harvester budget.",
         HARVESTER_BUDGET
@@ -152,7 +152,7 @@ fn main() {
         if let Some(tight) = sweep.select(0.01) {
             let load = tight.system.total_power();
             let rate = h.max_decision_rate_hz(load, printed_pdk::Delay::from_ms(50.0));
-            println!(
+            outln!(
                 "Duty-cycled Pendigits at ≤1% loss ({:.2} mW): {:.1} decisions/s from a 2 mW harvester",
                 load.mw(),
                 rate
@@ -162,7 +162,7 @@ fn main() {
 
     // The paper's footnote: Pendigits does fit the budget at a 10% loss.
     if let Some(relaxed) = sweep.select(0.10) {
-        println!(
+        outln!(
             "Pendigits at ≤10% accuracy loss: {:.2} mm², {:.2} mW → {} \
              (paper: fits the budget at 10% loss)",
             relaxed.system.total_area().mm2(),

@@ -19,8 +19,9 @@
 //!   generator, both thin shells over `printed_codesign::CodesignFlow`.
 //!
 //! Shared helpers live in this library crate: row formatting, dataset
-//! loading, sweep selection, live progress rendering, and the
-//! `PRINTED_TRACE` observability hook every binary honors.
+//! loading, sweep selection, live progress rendering, the
+//! `PRINTED_TRACE` observability hook every binary honors, and the
+//! [`out!`]/[`outln!`] stdout writers that end quietly on a closed pipe.
 //!
 //! ## Tracing a run
 //!
@@ -300,7 +301,43 @@ pub fn row_label(benchmark: Benchmark) -> String {
 
 /// Prints a horizontal rule of the given width.
 pub fn hrule(width: usize) {
-    println!("{}", "-".repeat(width));
+    crate::outln!("{}", "-".repeat(width));
+}
+
+/// Writes formatted text to stdout, the one writer behind [`out!`] and
+/// [`outln!`]. A closed pipe is the end of the output, not an error: the
+/// text is dropped and the run goes on, so `codesign seeds | head -1`
+/// ends with the run's own exit status and nothing on stderr.
+///
+/// # Panics
+///
+/// Panics, as `print!` does, on any other write error.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            panic!("failed printing to stdout: {e}")
+        }
+        _ => {}
+    }
+}
+
+/// `print!` through [`write_stdout`]: quiet on a closed stdout.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`]: quiet on a closed stdout.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 #[cfg(test)]

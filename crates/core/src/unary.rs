@@ -207,15 +207,29 @@ impl UnaryClassifier {
             .collect();
         let mut class_terms: Vec<Vec<printed_logic::Signal>> =
             vec![Vec::new(); self.class_sops.len()];
+        // `chain[k]` is the previous path's literal `k` and the AND of its
+        // first `k + 1` literals. A path resumes after the prefix it shares
+        // with the previous one: re-instantiating those gates would only
+        // hit the structural hash and return the same signals.
+        let mut chain: Vec<((usize, bool), printed_logic::Signal)> = Vec::new();
         for (lits, class) in &self.paths {
-            let mut acc = printed_logic::Signal::Const(true);
-            for &(var, pol) in lits {
+            let shared = chain
+                .iter()
+                .zip(lits)
+                .take_while(|((lit, _), next)| lit == *next)
+                .count();
+            chain.truncate(shared);
+            let mut acc = chain
+                .last()
+                .map_or(printed_logic::Signal::Const(true), |&(_, s)| s);
+            for &(var, pol) in &lits[shared..] {
                 let lit = if pol {
                     vars[var]
                 } else {
                     nl.gate(printed_pdk::CellKind::Inv, &[vars[var]])
                 };
                 acc = nl.gate(printed_pdk::CellKind::And2, &[acc, lit]);
+                chain.push(((var, pol), acc));
             }
             class_terms[*class].push(acc);
         }

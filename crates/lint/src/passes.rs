@@ -520,10 +520,12 @@ impl Lint for ClassOverlap {
 
 /// T001 — tree/netlist path fidelity: every feasible root-to-leaf path
 /// must be absorbed by its class's cover, and the netlist must equal the
-/// tree on the thermometer-feasible domain (checked with
+/// tree on the thermometer-feasible domain. A netlist with the same gates
+/// and output signals as the reference rebuilt from the tree is proved
+/// equal on every input; any other netlist is checked with
 /// [`printed_logic::equiv::check_equivalence_on`] over the enumerated
 /// feasible patterns, or a seeded feasible sample when the domain is
-/// huge).
+/// huge.
 struct PathFidelity;
 
 /// Above this many feasible patterns the equivalence leg samples instead
@@ -619,6 +621,13 @@ impl Lint for PathFidelity {
             return; // A001 (or leg 1) already explains the mismatch
         }
         let reference = tree_netlist(tree, target.literals);
+        // Identical structure computes identical outputs on every input.
+        let signals = |nl: &Netlist| nl.outputs().iter().map(|&(_, s)| s).collect::<Vec<_>>();
+        if reference.gates() == target.netlist.gates()
+            && signals(&reference) == signals(target.netlist)
+        {
+            return;
+        }
         let runs = feature_runs(target.literals);
         let domain_size: usize = runs
             .iter()
@@ -681,10 +690,21 @@ pub(crate) fn tree_netlist(tree: &DecisionTree, literals: &[(usize, u8)]) -> Net
         .map(|&(feature, tap)| nl.input(format!("u{feature}_{tap}")))
         .collect();
     let mut class_terms: Vec<Vec<Signal>> = vec![Vec::new(); tree.n_classes()];
+    // `chain[k]` is the previous path's condition `k` and the AND of its
+    // first `k + 1` literals; a path resumes after the prefix it shares
+    // with the previous one, whose gates the structural hash would only
+    // return again.
+    let mut chain: Vec<((usize, u8, bool), Signal)> = Vec::new();
     for path in tree.paths() {
-        let mut acc = Signal::Const(true);
+        let shared = chain
+            .iter()
+            .zip(&path.conditions)
+            .take_while(|((condition, _), next)| condition == *next)
+            .count();
+        chain.truncate(shared);
+        let mut acc = chain.last().map_or(Signal::Const(true), |&(_, s)| s);
         let mut mapped = true;
-        for &(feature, threshold, polarity) in &path.conditions {
+        for &(feature, threshold, polarity) in &path.conditions[shared..] {
             let Ok(var) = literals.binary_search(&(feature, threshold)) else {
                 mapped = false;
                 break;
@@ -695,6 +715,7 @@ pub(crate) fn tree_netlist(tree: &DecisionTree, literals: &[(usize, u8)]) -> Net
                 nl.gate(CellKind::Inv, &[vars[var]])
             };
             acc = nl.gate(CellKind::And2, &[acc, lit]);
+            chain.push(((feature, threshold, polarity), acc));
         }
         if mapped {
             class_terms[path.class].push(acc);
@@ -1392,6 +1413,72 @@ mod tests {
         let diag = report.with_code("T001").next().expect("T001 fires");
         assert!(diag.message.contains("diverges"), "{}", diag.message);
         assert!(report.diagnostics.iter().all(|d| d.code == "T001"));
+    }
+
+    #[test]
+    fn t001_simulates_a_netlist_with_one_gate_kind_swapped() {
+        // Each mutant differs from the tree's reference netlist in one
+        // gate's kind, so the structural proof must not fire: T001 runs
+        // the full equivalence leg and reports its first counterexample,
+        // or nothing when the swap is invisible on the feasible domain.
+        let fx = Fixture::pristine();
+        let reference = tree_netlist(&fx.tree, &fx.literals);
+        assert_eq!(fx.lint().with_code("T001").count(), 0, "pristine is clean");
+        let mut diverging = 0;
+        for (k, gate) in reference.gates().iter().enumerate() {
+            let swapped = match gate.kind {
+                CellKind::And2 => CellKind::Or2,
+                CellKind::Or2 => CellKind::And2,
+                CellKind::Inv => continue, // no unfolded one-input swap
+                other => panic!("unexpected {other} in the reference"),
+            };
+            let mut mutant = Netlist::new("mutant");
+            let mut signal: Vec<Signal> = Vec::new();
+            for name in reference.input_names() {
+                mutant.input(name.clone());
+            }
+            let moved = |signal: &[Signal], s: Signal| match s {
+                Signal::Gate(g) => signal[g],
+                other => other,
+            };
+            for (i, g) in reference.gates().iter().enumerate() {
+                let inputs: Vec<Signal> = g.inputs.iter().map(|&s| moved(&signal, s)).collect();
+                let kind = if i == k { swapped } else { g.kind };
+                signal.push(mutant.gate(kind, &inputs));
+            }
+            for (name, s) in reference.outputs() {
+                mutant.output(name.clone(), moved(&signal, *s));
+            }
+            assert_ne!(mutant.gates(), reference.gates());
+
+            let mut fx = Fixture::pristine();
+            fx.netlist = mutant;
+            let report = fx.lint();
+            let got: Vec<&str> = report
+                .with_code("T001")
+                .map(|d| d.message.as_str())
+                .collect();
+            let runs = feature_runs(&fx.literals);
+            match check_equivalence_on(&reference, &fx.netlist, thermometer_patterns(&runs)) {
+                Equivalence::Counterexample {
+                    inputs,
+                    left,
+                    right,
+                } => {
+                    diverging += 1;
+                    let want = format!(
+                        "netlist diverges from the tree on the feasible input {inputs:?} \
+                         (tree outputs {left:?}, netlist {right:?})"
+                    );
+                    assert_eq!(got, [want.as_str()], "gate {k} swapped to {swapped}");
+                }
+                verdict => {
+                    assert!(verdict.is_equivalent(), "{verdict:?}");
+                    assert!(got.is_empty(), "gate {k}: {got:?}");
+                }
+            }
+        }
+        assert!(diverging > 0, "some swap must be visible");
     }
 
     #[test]

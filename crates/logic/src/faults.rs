@@ -24,7 +24,6 @@
 //! ```
 
 use crate::netlist::{Netlist, Signal};
-use crate::sim::PackedNetlist;
 
 /// One single stuck-at fault: gate `gate`'s output forced to `value`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,22 +115,25 @@ impl<'a> FaultyNetlist<'a> {
     }
 }
 
-/// Summary of a fault campaign over a set of stimulus patterns.
+/// Summary of a fault campaign over a set of stimulus patterns: the
+/// test oracle the packed simulator's fault path is checked against.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultCampaign {
+pub(crate) struct FaultCampaign {
     /// Faults injected.
-    pub total_faults: usize,
+    pub(crate) total_faults: usize,
     /// Faults whose output differed from the good circuit on at least one
     /// pattern (i.e. *detectable* by the pattern set).
-    pub detected: usize,
+    pub(crate) detected: usize,
     /// Per-fault count of differing patterns, aligned with
     /// [`enumerate_faults`] order.
-    pub mismatch_counts: Vec<usize>,
+    pub(crate) mismatch_counts: Vec<usize>,
 }
 
+#[cfg(test)]
 impl FaultCampaign {
     /// Fault coverage of the pattern set: detected / total.
-    pub fn coverage(&self) -> f64 {
+    pub(crate) fn coverage(&self) -> f64 {
         if self.total_faults == 0 {
             1.0
         } else {
@@ -145,16 +147,18 @@ impl FaultCampaign {
 /// pattern set) and, via `mismatch_counts`, a behavioral-sensitivity
 /// profile (how often each fault corrupts the output in service).
 ///
-/// The patterns are simulated 64 per word on a [`PackedNetlist`]: the good
-/// circuit once, then each fault from its gate onward, counting
-/// `popcount(OR_outputs(faulty ^ good))` over the valid lanes.
+/// The patterns are simulated 64 per word on a
+/// [`crate::sim::PackedNetlist`]: the good circuit once, then each fault
+/// from its gate onward, counting `popcount(OR_outputs(faulty ^ good))`
+/// over the valid lanes.
 ///
 /// # Panics
 ///
 /// Panics if a pattern's length does not match the input count.
-pub fn fault_campaign(netlist: &Netlist, patterns: &[Vec<bool>]) -> FaultCampaign {
+#[cfg(test)]
+pub(crate) fn fault_campaign(netlist: &Netlist, patterns: &[Vec<bool>]) -> FaultCampaign {
     let faults = enumerate_faults(netlist);
-    let sim = PackedNetlist::compile(netlist);
+    let sim = crate::sim::PackedNetlist::compile(netlist);
     let mut good = sim.lanes(patterns.len());
     good.load(patterns);
     sim.simulate(&mut good);

@@ -38,6 +38,8 @@ pub mod equiv;
 pub mod fanout;
 pub mod faults;
 pub mod netlist;
+#[cfg(test)]
+mod oracle;
 pub mod qm;
 pub mod report;
 pub mod sim;
@@ -46,7 +48,7 @@ pub mod verilog;
 
 pub use equiv::{check_equivalence, Equivalence};
 pub use fanout::{fanout_counts, legalize_fanout, max_fanout};
-pub use faults::{enumerate_faults, fault_campaign, FaultCampaign, FaultyNetlist, StuckAt};
+pub use faults::{enumerate_faults, FaultyNetlist, StuckAt};
 pub use netlist::{Gate, Netlist, Signal};
 pub use report::{analyze, AnalysisConfig, DesignReport};
 pub use sim::{Lanes, PackedNetlist};

@@ -28,6 +28,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use printed_pdk::CellKind;
 
@@ -52,6 +53,48 @@ pub struct Gate {
     pub inputs: Vec<Signal>,
 }
 
+/// The structural-hashing key of a gate: its kind and its inputs padded
+/// to the widest cell's four pins. A kind fixes its arity, so the padding
+/// never makes two different gates collide.
+type GateKey = (CellKind, [Signal; 4]);
+
+fn gate_key(kind: CellKind, inputs: &[Signal]) -> GateKey {
+    let mut pins = [Signal::Const(false); 4];
+    pins[..inputs.len()].copy_from_slice(inputs);
+    (kind, pins)
+}
+
+/// A multiply-rotate hasher for [`GateKey`]s: a handful of small integers
+/// per key, hashed in a few instructions. The keys are gates synthesis
+/// builds, not input from outside the program, so collision resistance
+/// buys nothing; lookup order never leaks out of the map, so the hash
+/// only sets speed.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
 /// A combinational gate-level netlist.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
@@ -59,7 +102,7 @@ pub struct Netlist {
     input_names: Vec<String>,
     gates: Vec<Gate>,
     outputs: Vec<(String, Signal)>,
-    structural: HashMap<Gate, usize>,
+    structural: HashMap<GateKey, usize, BuildHasherDefault<KeyHasher>>,
 }
 
 impl Netlist {
@@ -70,7 +113,7 @@ impl Netlist {
             input_names: Vec::new(),
             gates: Vec::new(),
             outputs: Vec::new(),
-            structural: HashMap::new(),
+            structural: HashMap::default(),
         }
     }
 
@@ -120,16 +163,17 @@ impl Netlist {
             return folded;
         }
 
-        let gate = Gate {
-            kind,
-            inputs: inputs.to_vec(),
-        };
-        if let Some(&idx) = self.structural.get(&gate) {
-            return Signal::Gate(idx);
+        let next = self.gates.len();
+        let idx = *self
+            .structural
+            .entry(gate_key(kind, inputs))
+            .or_insert(next);
+        if idx == next {
+            self.gates.push(Gate {
+                kind,
+                inputs: inputs.to_vec(),
+            });
         }
-        self.gates.push(gate.clone());
-        let idx = self.gates.len() - 1;
-        self.structural.insert(gate, idx);
         Signal::Gate(idx)
     }
 
@@ -139,14 +183,11 @@ impl Netlist {
         use CellKind::*;
         // Fully-constant inputs fold to a constant output.
         if inputs.iter().all(|s| matches!(s, Signal::Const(_))) {
-            let vals: Vec<bool> = inputs
-                .iter()
-                .map(|s| match s {
-                    Signal::Const(b) => *b,
-                    _ => unreachable!(),
-                })
-                .collect();
-            return Some(Signal::Const(kind.eval(&vals)));
+            let mut vals = [false; 4];
+            for (val, s) in vals.iter_mut().zip(inputs) {
+                *val = *s == Signal::Const(true);
+            }
+            return Some(Signal::Const(kind.eval(&vals[..inputs.len()])));
         }
         match kind {
             Buf => Some(inputs[0]),
@@ -159,36 +200,35 @@ impl Netlist {
                 if inputs.contains(&Signal::Const(false)) {
                     return Some(Signal::Const(false));
                 }
-                let live: Vec<Signal> = inputs
-                    .iter()
-                    .copied()
-                    .filter(|s| *s != Signal::Const(true))
-                    .collect();
-                self.fold_variadic(true, &live, inputs.len())
+                self.fold_variadic(true, inputs)
             }
             Or2 | Or3 | Or4 => {
                 if inputs.contains(&Signal::Const(true)) {
                     return Some(Signal::Const(true));
                 }
-                let live: Vec<Signal> = inputs
-                    .iter()
-                    .copied()
-                    .filter(|s| *s != Signal::Const(false))
-                    .collect();
-                self.fold_variadic(false, &live, inputs.len())
+                self.fold_variadic(false, inputs)
             }
             _ => None,
         }
     }
 
-    /// Shared AND/OR folding once constants are stripped: collapse to a
-    /// smaller gate when possible. Returns `None` when the original arity is
-    /// still required.
-    fn fold_variadic(&mut self, is_and: bool, live: &[Signal], original: usize) -> Option<Signal> {
-        match live.len() {
+    /// Shared AND/OR folding: strips the identity constants (`1` for AND,
+    /// `0` for OR) and collapses to a smaller gate when possible. Returns
+    /// `None` when the original arity is still required.
+    fn fold_variadic(&mut self, is_and: bool, inputs: &[Signal]) -> Option<Signal> {
+        let mut pins = [Signal::Const(is_and); 4];
+        let mut n = 0;
+        for &s in inputs {
+            if s != Signal::Const(is_and) {
+                pins[n] = s;
+                n += 1;
+            }
+        }
+        let live = &pins[..n];
+        match n {
             0 => Some(Signal::Const(is_and)),
             1 => Some(live[0]),
-            n if n < original => {
+            n if n < inputs.len() => {
                 let kind = if is_and {
                     CellKind::and_of(n).expect("arity 2..=3 exists")
                 } else {
@@ -387,7 +427,7 @@ impl Netlist {
             .gates
             .iter()
             .enumerate()
-            .map(|(i, g)| (g.clone(), i))
+            .map(|(i, g)| (gate_key(g.kind, &g.inputs), i))
             .collect();
         removed
     }
@@ -406,7 +446,78 @@ impl Netlist {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::blocks::{and_tree, or_tree};
+    use crate::oracle;
+
+    /// One build step: `(op, picks)`. An `op` below `CellKind::ALL.len()`
+    /// instantiates that cell over picked signals; the next one binds two
+    /// picked signals as outputs and prunes; the last reduces the picks
+    /// with an AND tree (even first pick) or an OR tree. A pick `p`
+    /// counts back from the newest signal, so chains such as `INV(INV(x))`
+    /// and gates over the constants come up often.
+    fn arb_steps() -> impl Strategy<Value = Vec<(usize, Vec<usize>)>> {
+        proptest::collection::vec(
+            (
+                0usize..CellKind::ALL.len() + 2,
+                proptest::collection::vec(0usize..8, 1..10),
+            ),
+            1..48,
+        )
+    }
+
+    proptest! {
+        /// The copy-keyed builder returns the same signal as the
+        /// gate-keyed oracle on every call, and holds the same gates and
+        /// outputs after every step, pruning included.
+        #[test]
+        fn builder_matches_the_gate_keyed_oracle(runs in proptest::collection::vec(arb_steps(), 8)) {
+            for steps in runs {
+                let mut nl = Netlist::new("random");
+                let mut reference = oracle::Netlist::default();
+                let base: Vec<Signal> = [Signal::Const(false), Signal::Const(true)]
+                    .into_iter()
+                    .chain(nl.input_bus("x", 3))
+                    .collect();
+                let mut pool = base.clone();
+                for (op, picks) in steps {
+                    let picked: Vec<Signal> = picks
+                        .iter()
+                        .map(|&p| pool[pool.len() - 1 - p % pool.len()])
+                        .collect();
+                    if let Some(&kind) = CellKind::ALL.get(op) {
+                        let inputs: Vec<Signal> =
+                            (0..kind.inputs()).map(|i| picked[i % picked.len()]).collect();
+                        let got = nl.gate(kind, &inputs);
+                        prop_assert_eq!(got, reference.gate(kind, &inputs), "{} {:?}", kind, inputs);
+                        pool.push(got);
+                    } else if op == CellKind::ALL.len() {
+                        for &s in picked.iter().take(2) {
+                            nl.output("o", s);
+                            reference.output(s);
+                        }
+                        nl.prune();
+                        reference.prune();
+                        pool = base.clone();
+                        pool.extend(nl.outputs().iter().map(|&(_, s)| s));
+                    } else {
+                        let is_and = picks[0] % 2 == 0;
+                        let got = if is_and {
+                            and_tree(&mut nl, &picked)
+                        } else {
+                            or_tree(&mut nl, &picked)
+                        };
+                        prop_assert_eq!(got, oracle::reduce_tree(&mut reference, &picked, is_and));
+                        pool.push(got);
+                    }
+                    prop_assert_eq!(nl.gates(), reference.gates());
+                    prop_assert!(nl.outputs().iter().map(|&(_, s)| s).eq(reference.outputs().iter().copied()));
+                }
+            }
+        }
+    }
 
     #[test]
     fn structural_hashing_shares_gates() {

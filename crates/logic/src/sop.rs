@@ -27,25 +27,45 @@
 //! assert_eq!(sop.cubes()[0], Cube::from_literals(&[(0, true)]));
 //! ```
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::blocks::{and_tree, not, or_tree};
 use crate::netlist::{Netlist, Signal};
 
 /// A product term: a conjunction of literals over variables `0..n`.
 ///
-/// Internally a sorted map variable → polarity; a variable absent from the
-/// map is unconstrained (don't care) in this cube.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Internally the `(variable, polarity)` pairs sorted by variable, each
+/// variable at most once; a variable absent from the list is
+/// unconstrained (don't care) in this cube. Cubes order, compare and hash
+/// lexicographically by variable, as a map keyed by variable would, and
+/// print as one.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cube {
-    literals: BTreeMap<usize, bool>,
+    literals: Vec<(usize, bool)>,
+}
+
+impl fmt::Debug for Cube {
+    /// Prints as a map, `Cube { literals: {0: true, 2: false} }`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct AsMap<'a>(&'a [(usize, bool)]);
+        impl fmt::Debug for AsMap<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(v, p)| (v, p)))
+                    .finish()
+            }
+        }
+        f.debug_struct("Cube")
+            .field("literals", &AsMap(&self.literals))
+            .finish()
+    }
 }
 
 impl Cube {
     /// The universal cube (empty conjunction: always true).
     pub fn universe() -> Self {
         Self {
-            literals: BTreeMap::new(),
+            literals: Vec::new(),
         }
     }
 
@@ -66,25 +86,22 @@ impl Cube {
     /// when a variable appears with both polarities (the cube would be
     /// constant false).
     pub fn try_from_literals(literals: &[(usize, bool)]) -> Option<Self> {
-        let mut map = BTreeMap::new();
-        for &(var, pol) in literals {
-            if let Some(&prev) = map.get(&var) {
-                if prev != pol {
-                    return None;
-                }
-            }
-            map.insert(var, pol);
+        let mut sorted = literals.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.windows(2).any(|w| w[0].0 == w[1].0) {
+            return None;
         }
         debug_assert!(
-            literals.iter().all(|&(v, p)| map.get(&v) == Some(&p)),
+            literals.iter().all(|lit| sorted.binary_search(lit).is_ok()),
             "constructed cube must retain every input literal"
         );
-        Some(Self { literals: map })
+        Some(Self { literals: sorted })
     }
 
     /// Iterates `(variable, polarity)` in ascending variable order.
     pub fn literals(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
-        self.literals.iter().map(|(&v, &p)| (v, p))
+        self.literals.iter().copied()
     }
 
     /// Number of literals.
@@ -103,17 +120,34 @@ impl Cube {
     ///
     /// Panics if the assignment is shorter than the largest variable.
     pub fn eval(&self, assignment: &[bool]) -> bool {
-        self.literals.iter().all(|(&v, &p)| assignment[v] == p)
+        self.literals.iter().all(|&(v, p)| assignment[v] == p)
     }
 
     /// True when `self` implies `other` (every assignment satisfying `self`
     /// satisfies `other`) — i.e. `other`'s literals are a subset of
-    /// `self`'s.
+    /// `self`'s. One merge walk over both sorted lists.
     pub fn implies(&self, other: &Cube) -> bool {
+        if other.literals.len() > self.literals.len() {
+            return false;
+        }
+        let mut mine = self.literals.iter();
         other
             .literals
             .iter()
-            .all(|(v, p)| self.literals.get(v) == Some(p))
+            .all(|lit| mine.by_ref().find(|m| m.0 >= lit.0) == Some(lit))
+    }
+
+    /// Bloom signatures of the cube: bit `(2·var + polarity) mod 64` set
+    /// per literal, and bit `var mod 64` per variable. `a.implies(b)`
+    /// needs `b`'s literal bits within `a`'s, and `merge_adjacent` needs
+    /// equal variable bits, so most pairs are rejected by one word test.
+    fn signatures(&self) -> (u64, u64) {
+        self.literals.iter().fold((0, 0), |(lits, vars), &(v, p)| {
+            (
+                lits | 1 << ((2 * v + usize::from(p)) % 64),
+                vars | 1 << (v % 64),
+            )
+        })
     }
 
     /// If `self` and `other` differ only in the polarity of exactly one
@@ -123,21 +157,21 @@ impl Cube {
         if self.literals.len() != other.literals.len() {
             return None;
         }
-        let mut diff_var = None;
-        for ((&v1, &p1), (&v2, &p2)) in self.literals.iter().zip(&other.literals) {
+        let mut diff_at = None;
+        for (i, (&(v1, p1), &(v2, p2))) in self.literals.iter().zip(&other.literals).enumerate() {
             if v1 != v2 {
                 return None; // different variable support
             }
             if p1 != p2 {
-                if diff_var.is_some() {
+                if diff_at.is_some() {
                     return None;
                 }
-                diff_var = Some(v1);
+                diff_at = Some(i);
             }
         }
-        diff_var.map(|v| {
+        diff_at.map(|i| {
             let mut merged = self.literals.clone();
-            merged.remove(&v);
+            merged.remove(i);
             debug_assert_eq!(
                 merged.len(),
                 self.literals.len() - 1,
@@ -216,56 +250,60 @@ impl Sop {
 
     /// Applies duplicate removal, absorption, and adjacent-cube merging to a
     /// fixpoint. Safe for any cover (does not consult don't-cares).
+    ///
+    /// Each round sorts, deduplicates, drops absorbed cubes and merges
+    /// adjacent pairs. Every one of those edits shortens the cover, so a
+    /// round whose output is as long as its input only sorted it, and a
+    /// further round would return that sorted list unchanged: that is
+    /// the fixpoint.
     pub fn simplified(&self) -> Sop {
         let timer = printed_telemetry::KernelTimer::start(printed_telemetry::Kernel::CubeMerge);
         let mut cubes = self.cubes.clone();
+        let mut used = Vec::new();
+        let mut sigs = Vec::new();
         loop {
-            let before = cubes.clone();
+            let len_in = cubes.len();
 
-            // Duplicates + absorption: keep a cube only if no *other* kept
-            // cube contains it.
+            // Duplicates + absorption: keep a cube only if no *other* cube
+            // contains it (after dedup no two cubes contain each other).
             cubes.sort();
             cubes.dedup();
-            let mut kept: Vec<Cube> = Vec::with_capacity(cubes.len());
-            'outer: for (i, cube) in cubes.iter().enumerate() {
-                for (j, other) in cubes.iter().enumerate() {
-                    if i != j && cube.implies(other) && !(other.implies(cube) && i < j) {
-                        // `cube ⊆ other`: drop `cube` (ties broken by index
-                        // so exactly one of two equal cubes survives —
-                        // unreachable after dedup, kept for clarity).
-                        continue 'outer;
-                    }
-                }
-                kept.push(cube.clone());
-            }
-            cubes = kept;
+            sigs.clear();
+            sigs.extend(cubes.iter().map(Cube::signatures));
+            used.clear();
+            used.extend((0..cubes.len()).map(|i| {
+                (0..cubes.len())
+                    .any(|j| i != j && sigs[j].0 & !sigs[i].0 == 0 && cubes[i].implies(&cubes[j]))
+            }));
+            let mut absorbed = used.iter();
+            cubes.retain(|_| !absorbed.next().expect("one flag per cube"));
+            let mut absorbed = used.iter();
+            sigs.retain(|_| !absorbed.next().expect("one flag per signature"));
 
-            // One round of adjacent merging.
-            let mut merged_any = false;
+            // One round of adjacent merging: each cube merges with the
+            // first later unmerged cube it is adjacent to.
+            used.clear();
+            used.resize(cubes.len(), false);
             let mut result: Vec<Cube> = Vec::with_capacity(cubes.len());
-            let mut used = vec![false; cubes.len()];
             for i in 0..cubes.len() {
                 if used[i] {
                     continue;
                 }
-                let mut merged_cube = None;
-                for j in (i + 1)..cubes.len() {
-                    if used[j] {
-                        continue;
-                    }
-                    if let Some(m) = cubes[i].merge_adjacent(&cubes[j]) {
-                        used[i] = true;
+                let merged = ((i + 1)..cubes.len())
+                    .filter(|&j| !used[j] && sigs[j].1 == sigs[i].1)
+                    .find_map(|j| cubes[i].merge_adjacent(&cubes[j]).map(|m| (j, m)));
+                result.push(match merged {
+                    Some((j, m)) => {
                         used[j] = true;
-                        merged_cube = Some(m);
-                        merged_any = true;
-                        break;
+                        m
                     }
-                }
-                result.push(merged_cube.unwrap_or_else(|| cubes[i].clone()));
+                    // Index `i` is never read again.
+                    None => std::mem::replace(&mut cubes[i], Cube::universe()),
+                });
             }
             cubes = result;
 
-            if !merged_any && cubes == before {
+            if cubes.len() == len_in {
                 break;
             }
         }
@@ -508,10 +546,80 @@ impl PackedCover {
 
 #[cfg(test)]
 mod tests {
+    use std::hash::{BuildHasher, RandomState};
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::oracle;
 
     fn assignments(n: usize) -> impl Iterator<Item = Vec<bool>> {
         (0..(1u32 << n)).map(move |p| (0..n).map(|k| (p >> k) & 1 == 1).collect())
+    }
+
+    /// Literal lists over six variables (a variable may repeat, with the
+    /// same polarity or the other one) plus `(cube, variable, polarity)`
+    /// extras, each of which re-adds a drawn list whole, with one more
+    /// literal, and with one literal's polarity flipped: duplicates,
+    /// absorbable cubes, contradictions and adjacent (mergeable) pairs.
+    /// The variables are `SPREAD`, so that pairs 64 apart share
+    /// signature bits.
+    type DrawnCover = (Vec<Vec<(usize, bool)>>, Vec<(usize, usize, bool)>);
+
+    const SPREAD: [usize; 6] = [0, 1, 2, 64, 65, 130];
+
+    fn arb_cover() -> impl Strategy<Value = DrawnCover> {
+        let var = || (0usize..6).prop_map(|v| SPREAD[v]);
+        (
+            proptest::collection::vec(
+                proptest::collection::vec((var(), any::<bool>()), 0..5),
+                0..12,
+            ),
+            proptest::collection::vec((0usize..12, var(), any::<bool>()), 0..6),
+        )
+    }
+
+    proptest! {
+        /// The sorted-`Vec` cube builds, orders, hashes and prints as the
+        /// `BTreeMap` cube did, and the in-place fixpoint returns the
+        /// oracle's cube list in the same order.
+        #[test]
+        fn simplified_matches_the_btreemap_oracle(covers in proptest::collection::vec(arb_cover(), 32)) {
+            let hasher = RandomState::new();
+            for (mut lists, extras) in covers {
+                for (k, var, pol) in extras {
+                    if let Some(base) = lists.get(k % lists.len().max(1)).cloned() {
+                        let mut longer = base.clone();
+                        longer.push((var, pol));
+                        let mut flipped = base.clone();
+                        if let Some(lit) = flipped.get_mut(var % base.len().max(1)) {
+                            lit.1 = !lit.1;
+                        }
+                        lists.extend([base, longer, flipped]);
+                    }
+                }
+                let mut cubes = Vec::new();
+                let mut want = Vec::new();
+                for lits in &lists {
+                    let cube = Cube::try_from_literals(lits);
+                    let reference = oracle::Cube::try_from_literals(lits);
+                    prop_assert_eq!(cube.is_some(), reference.is_some(), "{:?}", lits);
+                    if let (Some(cube), Some(reference)) = (cube, reference) {
+                        prop_assert_eq!(cube.literals().collect::<Vec<_>>(), reference.literals());
+                        prop_assert_eq!(format!("{cube:?}"), format!("{reference:?}"));
+                        prop_assert_eq!(hasher.hash_one(&cube), hasher.hash_one(&reference));
+                        cubes.push(cube);
+                        want.push(reference);
+                    }
+                }
+                let got = Sop::from_cubes(SPREAD[5] + 1, cubes).simplified();
+                let want = oracle::simplified(want);
+                prop_assert_eq!(
+                    got.cubes().iter().map(|c| c.literals().collect()).collect::<Vec<Vec<_>>>(),
+                    want.iter().map(oracle::Cube::literals).collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

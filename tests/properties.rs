@@ -6,6 +6,7 @@ use proptest::prelude::*;
 
 use printed_ml::adc::{BespokeAdcBank, UnaryCode};
 use printed_ml::analog::ladder::Ladder;
+use printed_ml::codesign::train::{train_adc_aware, AdcAwareConfig};
 use printed_ml::codesign::{decode_one_hot, AnalogColumns, PackedAnalogTree, UnaryClassifier};
 use printed_ml::datasets::{quantize_level, Dataset, QuantizedDataset, ThermometerPlanes};
 use printed_ml::dtree::baseline::{baseline_netlist, decode_label, encode_sample};
@@ -118,6 +119,135 @@ fn arb_netlist(n_inputs: usize, max_gates: usize) -> impl Strategy<Value = Netli
         }
         nl
     })
+}
+
+/// Levels as analog values: `level / 2^bits` sits on tap `level`
+/// exactly, so quantizing at `bits` gives the levels back.
+fn analog_level(sample: &[u8], bits: u32) -> Vec<f64> {
+    let full = f64::from(1u32 << bits);
+    sample.iter().map(|&l| f64::from(l) / full).collect()
+}
+
+/// Training sets the trainers must survive, cut from `batch`: every
+/// label replaced by the first (one class), feature `feature` pinned to
+/// the first sample's level, every feature pinned (only the labels
+/// vary), and the first sample alone.
+fn degenerate_training_sets(
+    batch: &[(Vec<u8>, usize)],
+    bits: u32,
+    feature: usize,
+) -> Vec<QuantizedDataset> {
+    let (first, first_label) = &batch[0];
+    let one_class: Vec<_> = batch
+        .iter()
+        .map(|(s, _)| (s.clone(), *first_label))
+        .collect();
+    let one_constant: Vec<_> = batch
+        .iter()
+        .map(|(s, label)| {
+            let mut s = s.clone();
+            s[feature] = first[feature];
+            (s, *label)
+        })
+        .collect();
+    let all_constant: Vec<_> = batch
+        .iter()
+        .map(|(_, label)| (first.clone(), *label))
+        .collect();
+    let single = vec![(first.clone(), *first_label)];
+    [one_class, one_constant, all_constant, single]
+        .into_iter()
+        .map(|rows| {
+            let rows = rows
+                .into_iter()
+                .map(|(s, label)| (analog_level(&s, bits), label))
+                .collect();
+            let data = Dataset::from_rows("degenerate", 4, rows).unwrap();
+            QuantizedDataset::from_dataset(&data, bits)
+        })
+        .collect()
+}
+
+/// The checks of `all_representations_agree_on_random_trees` for one
+/// tree on one batch of `(levels, label)` samples at the tree's
+/// precision.
+fn assert_representations_agree(tree: &DecisionTree, batch: &[(Vec<u8>, usize)], cut: usize) {
+    let bits = tree.bits();
+    let samples: Vec<Vec<u8>> = batch.iter().map(|(s, _)| s.clone()).collect();
+    let unary = UnaryClassifier::from_tree(tree);
+    let baseline = baseline_netlist(tree);
+    let shared = unary.to_netlist();
+    let two_level = unary.to_two_level_netlist();
+    let nand_nand = unary.to_nand_nand_netlist();
+    for sample in &samples {
+        let expected = tree.predict(sample);
+        assert_eq!(unary.predict(sample), Some(expected));
+        assert_eq!(
+            decode_label(&baseline.eval(&encode_sample(sample, bits))),
+            expected
+        );
+        let digits = unary.encode_sample(sample);
+        for netlist in [&shared, &two_level, &nand_nand] {
+            let outs = netlist.eval(&digits);
+            let hot: Vec<usize> = outs
+                .iter()
+                .enumerate()
+                .filter(|(_, &o)| o)
+                .map(|(c, _)| c)
+                .collect();
+            assert_eq!(&hot, &vec![expected], "{}", netlist.name());
+        }
+    }
+    // Fifth evaluator: the word-parallel simulator over the whole batch.
+    let encoded: Vec<Vec<bool>> = samples.iter().map(|s| unary.encode_sample(s)).collect();
+    for netlist in [&shared, &two_level, &nand_nand] {
+        let sim = PackedNetlist::compile(netlist);
+        let mut lanes = sim.lanes(encoded.len());
+        lanes.load(&encoded);
+        sim.simulate(&mut lanes);
+        for (p, (sample, digits)) in samples.iter().zip(&encoded).enumerate() {
+            let outs = sim.outputs_at(&lanes, p);
+            assert_eq!(&outs, &netlist.eval(digits), "{}", netlist.name());
+            assert_eq!(decode_one_hot(&outs), Some(tree.predict(sample)));
+        }
+    }
+    // Sixth evaluator: the packed analog walk at the nominal
+    // thresholds, on the samples as analog levels (`level / 2^bits`
+    // sits on tap `level` exactly) labelled with the tree's own
+    // predictions, so every sample must land on its leaf.
+    let rows: Vec<(Vec<f64>, usize)> = samples
+        .iter()
+        .map(|s| (analog_level(s, bits), tree.predict(s)))
+        .collect();
+    let analog = Dataset::from_rows("levels", 4, rows).unwrap();
+    let columns = AnalogColumns::new(&analog, tree.used_features());
+    let mut packed = PackedAnalogTree::new(tree, &columns);
+    let nominal = packed.nominal_thresholds().to_vec();
+    assert_eq!(packed.accuracy(&columns, &nominal), 1.0);
+    // Seventh evaluator: bit-sliced scoring over the thermometer
+    // planes of batch prefixes (and through the packed classifier),
+    // against the tree walk's accuracy on the drawn labels, to the f64
+    // bit.
+    for n in [1, 63, 64, 65, 128, 129, 200, cut] {
+        let rows = batch[..n]
+            .iter()
+            .map(|(s, label)| (analog_level(s, bits), *label))
+            .collect();
+        let labelled = Dataset::from_rows("batch", 4, rows).unwrap();
+        let quantized = QuantizedDataset::from_dataset(&labelled, bits);
+        for (i, sample) in samples[..n].iter().enumerate() {
+            assert_eq!(quantized.sample(i), sample.as_slice());
+        }
+        let want = tree.accuracy(&quantized).to_bits();
+        let planes = ThermometerPlanes::new(&quantized);
+        assert_eq!(unary.accuracy_on(&planes).to_bits(), want, "{} samples", n);
+        assert_eq!(
+            unary.packed().accuracy(&quantized).to_bits(),
+            want,
+            "{} samples",
+            n
+        );
+    }
 }
 
 proptest! {
@@ -358,12 +488,15 @@ proptest! {
     /// accuracy on batches of 1, 63, 64, 65, 128, 129, 200 and a random
     /// 1..200 samples, across word boundaries. Constant trees (one
     /// universe cube), classes without cubes, and label 3, which no tree
-    /// predicts, all occur.
+    /// predicts, all occur. So do trees trained on degenerate data:
+    /// single-class data, a constant feature, constant features
+    /// throughout, a single sample, and depth-0 caps.
     #[test]
     fn all_representations_agree_on_random_trees(
         tree in arb_tree_any_bits(4, 3),
         raw in vec((vec(any::<u8>(), 4), 0usize..4), 200),
         cut in 1usize..200,
+        degenerate in (0usize..4, 0usize..5),
     ) {
         // Fold the raw levels onto the tree's precision.
         let bits = tree.bits();
@@ -371,73 +504,19 @@ proptest! {
             .into_iter()
             .map(|(s, label)| (s.into_iter().map(|l| l >> (8 - bits)).collect(), label))
             .collect();
-        let samples: Vec<Vec<u8>> = batch.iter().map(|(s, _)| s.clone()).collect();
-        let unary = UnaryClassifier::from_tree(&tree);
-        let baseline = baseline_netlist(&tree);
-        let shared = unary.to_netlist();
-        let two_level = unary.to_two_level_netlist();
-        let nand_nand = unary.to_nand_nand_netlist();
-        for sample in &samples {
-            let expected = tree.predict(sample);
-            prop_assert_eq!(unary.predict(sample), Some(expected));
-            prop_assert_eq!(
-                decode_label(&baseline.eval(&encode_sample(sample, bits))),
-                expected
-            );
-            let digits = unary.encode_sample(sample);
-            for netlist in [&shared, &two_level, &nand_nand] {
-                let outs = netlist.eval(&digits);
-                let hot: Vec<usize> =
-                    outs.iter().enumerate().filter(|(_, &o)| o).map(|(c, _)| c).collect();
-                prop_assert_eq!(&hot, &vec![expected], "{}", netlist.name());
+        assert_representations_agree(&tree, &batch, cut);
+        let (feature, depth) = degenerate;
+        for data in degenerate_training_sets(&batch, bits, feature) {
+            for max_depth in [0, depth] {
+                let cart = train(&data, &CartConfig::with_max_depth(max_depth));
+                assert_representations_agree(&cart, &batch, cut);
+                let aware = AdcAwareConfig {
+                    max_depth,
+                    tau: 0.01,
+                    ..AdcAwareConfig::default()
+                };
+                assert_representations_agree(&train_adc_aware(&data, &aware), &batch, cut);
             }
-        }
-        // Fifth evaluator: the word-parallel simulator over the whole batch.
-        let encoded: Vec<Vec<bool>> = samples.iter().map(|s| unary.encode_sample(s)).collect();
-        for netlist in [&shared, &two_level, &nand_nand] {
-            let sim = PackedNetlist::compile(netlist);
-            let mut lanes = sim.lanes(encoded.len());
-            lanes.load(&encoded);
-            sim.simulate(&mut lanes);
-            for (p, (sample, digits)) in samples.iter().zip(&encoded).enumerate() {
-                let outs = sim.outputs_at(&lanes, p);
-                prop_assert_eq!(&outs, &netlist.eval(digits), "{}", netlist.name());
-                prop_assert_eq!(decode_one_hot(&outs), Some(tree.predict(sample)));
-            }
-        }
-        // Sixth evaluator: the packed analog walk at the nominal
-        // thresholds, on the samples as analog levels (`level / 2^bits`
-        // sits on tap `level` exactly) labelled with the tree's own
-        // predictions, so every sample must land on its leaf.
-        let full = f64::from(1u32 << bits);
-        let analog_level = |s: &[u8]| s.iter().map(|&l| f64::from(l) / full).collect::<Vec<_>>();
-        let rows: Vec<(Vec<f64>, usize)> = samples
-            .iter()
-            .map(|s| (analog_level(s), tree.predict(s)))
-            .collect();
-        let analog = Dataset::from_rows("levels", 4, rows).unwrap();
-        let columns = AnalogColumns::new(&analog, tree.used_features());
-        let mut packed = PackedAnalogTree::new(&tree, &columns);
-        let nominal = packed.nominal_thresholds().to_vec();
-        prop_assert_eq!(packed.accuracy(&columns, &nominal), 1.0);
-        // Seventh evaluator: bit-sliced scoring over the thermometer
-        // planes of batch prefixes (and through the packed classifier),
-        // against the tree walk's accuracy on the drawn labels, to the f64
-        // bit.
-        for n in [1, 63, 64, 65, 128, 129, 200, cut] {
-            let rows = batch[..n]
-                .iter()
-                .map(|(s, label)| (analog_level(s), *label))
-                .collect();
-            let labelled = Dataset::from_rows("batch", 4, rows).unwrap();
-            let quantized = QuantizedDataset::from_dataset(&labelled, bits);
-            for (i, sample) in samples[..n].iter().enumerate() {
-                prop_assert_eq!(quantized.sample(i), sample.as_slice());
-            }
-            let want = tree.accuracy(&quantized).to_bits();
-            let planes = ThermometerPlanes::new(&quantized);
-            prop_assert_eq!(unary.accuracy_on(&planes).to_bits(), want, "{} samples", n);
-            prop_assert_eq!(unary.packed().accuracy(&quantized).to_bits(), want, "{} samples", n);
         }
     }
 
@@ -526,9 +605,7 @@ proptest! {
         seed in any::<u64>(),
         cap in 0usize..=6,
     ) {
-        use printed_ml::codesign::train::{
-            train_adc_aware, train_adc_aware_annotated, AdcAwareConfig,
-        };
+        use printed_ml::codesign::train::train_adc_aware_annotated;
         use printed_ml::telemetry::Recorder;
         let mut rows = rows;
         rows[0].1 = 0;
