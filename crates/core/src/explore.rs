@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::available_parallelism;
 
 use printed_datasets::{DatasetIndex, QuantizedDataset, ThermometerPlanes};
-use printed_dtree::cart::{train_depth_selected, AnnotatedTree};
+use printed_dtree::cart::{train_depth_selected_with_index, AnnotatedTree};
 use printed_dtree::DecisionTree;
 use printed_logic::report::AnalysisConfig;
 use printed_pdk::{AnalogModel, CellLibrary};
@@ -503,8 +503,12 @@ fn explore_core(
 ) -> Exploration {
     config.validate();
     let max_depth = *config.depths.iter().max().expect("non-empty");
+    // One dataset index for the whole sweep: the reference and every τ's
+    // training read the same feature-major columns and prefix sums
+    // (read-only, Sync).
+    let train_index = DatasetIndex::new(train_data);
     let span = recorder.span(keys::REFERENCE_SPAN);
-    let reference = train_depth_selected(train_data, test_data, max_depth);
+    let reference = train_depth_selected_with_index(train_data, &train_index, test_data, max_depth);
     span.finish();
     let total = config.grid_size();
     let done = AtomicUsize::new(0);
@@ -544,10 +548,7 @@ fn explore_core(
         .flat_map(|&d| config.taus.iter().map(move |&t| (d, t)));
     tasks.extend(grid.filter_map(|(depth, tau)| restored(depth, tau).map(SweepTask::Restore)));
 
-    // One dataset index for the whole grid: every τ's training reads the
-    // same feature-major columns and prefix sums (read-only, Sync).
-    let train_index = DatasetIndex::new(train_data);
-    // And one set of thermometer bit-planes of the test split: every
+    // One set of thermometer bit-planes of the test split: every
     // candidate is scored on them, 64 samples per word.
     let test_planes = ThermometerPlanes::new(test_data);
     // Whole-grid in-flow lint: the candidate is analyzed by the worker

@@ -34,7 +34,7 @@ use printed_logic::report::{analyze, AnalysisConfig, DesignReport};
 use printed_pdk::{AnalogModel, Area, CellLibrary, Power};
 
 use crate::baseline::baseline_netlist;
-use crate::cart::{train_depth_selected, train_with_index, CartConfig};
+use crate::cart::{train_depth_selected_with_index, train_with_index, CartConfig};
 use crate::tree::DecisionTree;
 
 /// Configuration for the precision-scaling baseline.
@@ -133,8 +133,12 @@ pub fn synthesize_approx_with(
     analysis: &AnalysisConfig,
 ) -> ApproxDesign {
     let full_bits = train_data.bits();
+    // Strides only filter thresholds, so the reference and every greedy
+    // retrain share one index of the full-precision data.
+    let index = DatasetIndex::new(train_data);
     // Exact reference: the baseline's depth-selected model.
-    let reference = train_depth_selected(train_data, test_data, config.max_depth);
+    let reference =
+        train_depth_selected_with_index(train_data, &index, test_data, config.max_depth);
     let floor = reference.test_accuracy - config.accuracy_loss_budget;
     // [7] compensates approximation with deeper trees; retrain at the cap.
     let retrain_depth = config.max_depth;
@@ -146,9 +150,6 @@ pub fn synthesize_approx_with(
         .map(|f| (f, full_bits))
         .collect();
 
-    // Strides only filter thresholds, so every greedy retrain shares one
-    // index of the full-precision data.
-    let index = DatasetIndex::new(train_data);
     let train_at = |bits: &BTreeMap<usize, u32>| -> (DecisionTree, f64) {
         let mut cfg = CartConfig::with_max_depth(retrain_depth);
         cfg.threshold_strides = strides_from_bits(bits, train_data.n_features(), full_bits);

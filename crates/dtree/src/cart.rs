@@ -20,7 +20,9 @@
 //!   per-feature sample scan. Bit-identical to the scalar path: same
 //!   candidate order, same `gini` f64 bits (all histogram arithmetic is
 //!   exact integer accumulation feeding the [`gini_impurity`] expression,
-//!   whose skipped absent-class terms are exact zeros).
+//!   whose skipped absent-class terms are exact zeros, and whose terms for
+//!   sides of at most 127 samples come from a table that same expression
+//!   filled).
 //!
 //! Tree growth has one implementation, [`grow`]: a breadth-first FIFO
 //! over an [`IndexArena`] (node subsets are partitioned in place, never
@@ -30,7 +32,8 @@
 //! passes Algorithm 1's selection. Because a CART node's choice depends on
 //! its own subset only, truncating a deep tree ([`AnnotatedTree`]) is
 //! bit-identical to growing at the lower cap — [`train_depth_selected`]
-//! grows one tree and derives every shallower depth from it.
+//! grows one tree, scores every shallower depth in one walk per sample
+//! and truncates it once, to the depth it selects.
 //!
 //! ```
 //! use printed_datasets::{Dataset, QuantizedDataset};
@@ -46,6 +49,7 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::sync::LazyLock;
 
 use printed_datasets::{DatasetIndex, QuantizedDataset};
 use printed_telemetry::{Kernel, KernelTimer};
@@ -121,6 +125,41 @@ pub fn gini_impurity(counts: &[usize]) -> f64 {
 fn gini_of(n: usize, counts: impl Iterator<Item = usize>) -> f64 {
     let n = n as f64;
     1.0 - counts.map(|c| (c as f64 / n).powi(2)).sum::<f64>()
+}
+
+/// Largest split side, in samples, whose Gini terms [`SplitEngine`] reads
+/// from [`SQUARES`]; larger sides divide. The bound is set by memory: the
+/// whole table is written when it is built, and 127 rows keep it at
+/// 64.5 KiB, while 321 rows (406 KiB) measured +7–9% peak RSS on the
+/// small-dataset robustness runs (5.4 MiB).
+const SQUARES_MAX: usize = 127;
+
+/// `(c/m)²` for every `1 ≤ m ≤ SQUARES_MAX` and `0 ≤ c ≤ m`, row `m` at
+/// [`squares_row`]'s offset, each entry evaluated by the [`gini_of`]
+/// expression itself, so a lookup has the division's f64 bits by
+/// construction (8,255 entries).
+static SQUARES: LazyLock<Box<[f64]>> = LazyLock::new(|| {
+    (1..=SQUARES_MAX)
+        .flat_map(|m| (0..=m).map(move |c| (c as f64 / m as f64).powi(2)))
+        .collect()
+});
+
+/// The `m + 1` tabulated terms `(0/m)², …, (m/m)²`, for `1 ≤ m ≤
+/// SQUARES_MAX`.
+fn squares_row(squares: &[f64], m: usize) -> &[f64] {
+    let start = m * (m + 1) / 2 - 1;
+    &squares[start..=start + m]
+}
+
+/// [`gini_of`] over a split side of `n > 0` samples, reading its terms
+/// from `squares` (the [`SQUARES`] table) when `n ≤ SQUARES_MAX`. Same
+/// terms, same summation order: bit-identical to [`gini_of`].
+fn gini_tabulated(squares: &[f64], n: usize, counts: impl Iterator<Item = usize>) -> f64 {
+    if n > SQUARES_MAX {
+        return gini_of(n, counts);
+    }
+    let row = squares_row(squares, n);
+    1.0 - counts.map(|c| row[c]).sum::<f64>()
 }
 
 /// Enumerates every valid split of the node subset `indices`, with Gini
@@ -232,10 +271,11 @@ pub struct NodeClasses {
 /// pattern. Histogram accumulation is integer (order-insensitive, exact),
 /// skipped empty cells contribute zero exactly as the scalar path's
 /// explicit zero-adds do, and the final score evaluates the
-/// [`gini_impurity`] expression on identical integer inputs. Its square
-/// sums run over the classes the node holds only, in ascending class
-/// order: a class absent from the node has a zero count on both sides, so
-/// its term is `+0.0`. The sum starts at `-0.0` (as `Iterator::sum`
+/// [`gini_impurity`] expression on identical integer inputs; for a side
+/// of at most `SQUARES_MAX` samples each term `(c/m)²` is read from a
+/// table that the same expression filled. Its square sums run over the
+/// classes the node holds only, in ascending class order: a class absent
+/// from the node has a zero count on both sides, so its term is `+0.0`. The sum starts at `-0.0` (as `Iterator::sum`
 /// does), and adding `+0.0` changes a running sum only while it is still
 /// `-0.0` (to `+0.0`). Each side holds a sample, so a positive term
 /// follows, and `±0.0 + t == t`: from there on a skipped `+0.0` term
@@ -389,12 +429,36 @@ impl<'a> SplitEngine<'a> {
     /// rank histogram, each level floored onto the stride grid by `floor`,
     /// and marks the occupied cells.
     fn histogram(&mut self, column: &[u8], indices: &[u32], floor: impl Fn(usize) -> usize) {
+        // Up to 64 levels (6 bits) the mask is one word; 8 bits need 4.
+        if self.occupied.len() == 1 {
+            self.histogram_words::<1>(column, indices, floor);
+        } else {
+            self.histogram_words::<4>(column, indices, floor);
+        }
+    }
+
+    /// [`histogram`](Self::histogram) with the occupancy mask held in `W`
+    /// local words (`64 · W ≥ levels`) and stored once at the end, so no
+    /// sample waits on the previous sample's read-modify-write of the
+    /// mask in memory. The stored words replace the all-zero ones.
+    fn histogram_words<const W: usize>(
+        &mut self,
+        column: &[u8],
+        indices: &[u32],
+        floor: impl Fn(usize) -> usize,
+    ) {
+        debug_assert!(self.occupied.len() <= W, "the mask fits in W words");
         let p = self.present.len();
+        let mut mask = [0u64; W];
         for (&id, &r) in indices.iter().zip(&self.ranks) {
             let level = floor(column[id as usize] as usize);
-            self.occupied[level / 64] |= 1 << (level % 64);
+            // `% W` is a no-op on in-range levels; at W = 1 it lets the
+            // compiler keep the single word in a register.
+            mask[level / 64 % W] |= 1 << (level % 64);
             self.counts[level * p + r as usize] += 1;
         }
+        let words = self.occupied.len();
+        self.occupied.copy_from_slice(&mask[..words]);
     }
 
     /// Walks the occupied cells in ascending order, folding each previous
@@ -404,6 +468,7 @@ impl<'a> SplitEngine<'a> {
     /// occupancy bits zero.
     fn walk(&mut self, feature: usize, n: usize) {
         let p = self.present.len();
+        let squares: &[f64] = &SQUARES;
         let (lo, total) = (&mut self.lo[..p], &self.rank_total[..p]);
         lo.fill(0);
         let mut lo_n = 0usize;
@@ -427,8 +492,12 @@ impl<'a> SplitEngine<'a> {
                         "occupied-cell thresholds split non-trivially"
                     );
                     let hi_n = n - lo_n;
-                    let lo_gini = gini_of(lo_n, lo.iter().copied());
-                    let hi_gini = gini_of(hi_n, total.iter().zip(lo.iter()).map(|(&c, &l)| c - l));
+                    let lo_gini = gini_tabulated(squares, lo_n, lo.iter().copied());
+                    let hi_gini = gini_tabulated(
+                        squares,
+                        hi_n,
+                        total.iter().zip(lo.iter()).map(|(&c, &l)| c - l),
+                    );
                     let g = (lo_n as f64 * lo_gini + hi_n as f64 * hi_gini) / n as f64;
                     self.out.push(SplitCandidate {
                         feature,
@@ -558,6 +627,38 @@ impl AnnotatedTree {
         timer.finish(self.tree.nodes().len() as u64);
         truncated
     }
+
+    /// For each cap `d` in `0..=max_depth`, how many samples of `data`
+    /// `self.truncated(d)` classifies correctly, from one walk per sample:
+    /// a split at depth `d` predicts its majority under cap `d` and routes
+    /// the sample on for deeper caps; a leaf at depth `d` predicts its
+    /// class under every cap from `d` on.
+    fn correct_per_cap(&self, data: &QuantizedDataset, max_depth: usize) -> Vec<usize> {
+        let nodes = self.tree.nodes();
+        let mut correct = vec![0usize; max_depth + 1];
+        for (sample, label) in data.iter() {
+            let mut node = 0;
+            for cap in 0..=max_depth {
+                match nodes[node] {
+                    Node::Split {
+                        feature,
+                        threshold,
+                        lo,
+                        hi,
+                    } => {
+                        correct[cap] += usize::from(self.majorities[node] == label);
+                        node = if sample[feature] >= threshold { hi } else { lo };
+                    }
+                    Node::Leaf { class } => {
+                        let hit = usize::from(class == label);
+                        correct[cap..].iter_mut().for_each(|c| *c += hit);
+                        break;
+                    }
+                }
+            }
+        }
+        correct
+    }
 }
 
 /// Grows a tree over the arena's root subset — the one growth loop every
@@ -649,7 +750,9 @@ pub struct TrainedModel {
 /// Picks, among depth caps `1..=max_depth`, the *minimum* depth achieving
 /// the maximum test accuracy — the paper's baseline model-selection rule.
 /// One tree is grown at `max_depth`; every shallower cap is its
-/// truncation, bit-identical to training at that cap.
+/// truncation, bit-identical to training at that cap. Builds a fresh
+/// [`DatasetIndex`]; a caller that already holds one for `train_data`
+/// should use [`train_depth_selected_with_index`].
 ///
 /// # Panics
 ///
@@ -659,35 +762,62 @@ pub fn train_depth_selected(
     test_data: &QuantizedDataset,
     max_depth: usize,
 ) -> TrainedModel {
-    assert!(max_depth >= 1, "max_depth must be at least 1");
     let index = DatasetIndex::new(train_data);
+    train_depth_selected_with_index(train_data, &index, test_data, max_depth)
+}
+
+/// [`train_depth_selected`] with a caller-provided (shared)
+/// [`DatasetIndex`] of `train_data`.
+///
+/// Every cap is scored from one walk per sample down the deep tree: the
+/// cap-`d` truncation predicts the leaf a sample reaches at depth ≤ `d`,
+/// or else the training majority of the depth-`d` node on its path (what
+/// [`AnnotatedTree::truncated`] puts there). Only the selected cap's
+/// tree is materialised.
+///
+/// # Panics
+///
+/// Panics if either dataset is empty, `max_depth` is 0, or `index` was
+/// not built from `train_data`.
+pub fn train_depth_selected_with_index(
+    train_data: &QuantizedDataset,
+    index: &DatasetIndex,
+    test_data: &QuantizedDataset,
+    max_depth: usize,
+) -> TrainedModel {
+    assert!(max_depth >= 1, "max_depth must be at least 1");
+    assert!(!test_data.is_empty(), "cannot score an empty dataset");
+    assert!(!train_data.is_empty(), "cannot train on an empty dataset");
+    assert!(
+        index.len() == train_data.len() && index.n_features() == train_data.n_features(),
+        "index must be built from the training dataset"
+    );
     let mut arena = IndexArena::new();
     arena.reset_identity(train_data.len());
     let deep = grow(
-        &mut SplitEngine::new(&index),
+        &mut SplitEngine::new(index),
         &mut arena,
         &CartConfig::with_max_depth(max_depth),
         best_split,
     );
-    let mut best: Option<TrainedModel> = None;
-    for depth in 1..=max_depth {
-        let tree = deep.truncated(depth);
-        let model = TrainedModel {
-            train_accuracy: tree.accuracy(train_data),
-            test_accuracy: tree.accuracy(test_data),
-            tree,
-            depth,
-        };
-        let better = match &best {
-            None => true,
-            // Strictly better accuracy wins; ties keep the shallower tree.
-            Some(b) => model.test_accuracy > b.test_accuracy + 1e-12,
-        };
-        if better {
-            best = Some(model);
+    // The same quotient `DecisionTree::accuracy` forms.
+    let accuracy = |correct: usize, data: &QuantizedDataset| correct as f64 / data.len() as f64;
+    let test_correct = deep.correct_per_cap(test_data, max_depth);
+    let mut depth = 1;
+    for cap in 2..=max_depth {
+        // Strictly better accuracy wins; ties keep the shallower tree.
+        if accuracy(test_correct[cap], test_data) > accuracy(test_correct[depth], test_data) + 1e-12
+        {
+            depth = cap;
         }
     }
-    best.expect("at least one depth trained")
+    let train_correct = deep.correct_per_cap(train_data, max_depth);
+    TrainedModel {
+        tree: deep.truncated(depth),
+        depth,
+        train_accuracy: accuracy(train_correct[depth], train_data),
+        test_accuracy: accuracy(test_correct[depth], test_data),
+    }
 }
 
 #[cfg(test)]
@@ -842,12 +972,23 @@ mod tests {
             let strided: Vec<usize> = (0..n).step_by(7).collect();
             let reversed: Vec<usize> = (0..n).rev().collect();
             let tail: Vec<usize> = (n.saturating_sub(5)..n).collect();
-            for (name, subset) in [
-                ("identity", &identity),
-                ("strided", &strided),
-                ("reversed", &reversed),
-                ("tail", &tail),
-            ] {
+            let mut subsets = vec![
+                ("identity".to_owned(), identity),
+                ("strided".to_owned(), strided),
+                ("reversed".to_owned(), reversed),
+                ("tail".to_owned(), tail),
+            ];
+            // Nodes of 126–129 and 255 samples, spread over the training
+            // split so that many classes are present: their split sides
+            // fall on both sides of the Gini table's bound, SQUARES_MAX.
+            if matches!(bench, Benchmark::Pendigits | Benchmark::Arrhythmia) {
+                for k in [126, 127, 128, 129, 255] {
+                    assert!(k <= n, "{bench:?} holds {n} training samples");
+                    let spread = (0..k).map(|i| i * n / k).collect();
+                    subsets.push((format!("{k} samples"), spread));
+                }
+            }
+            for (name, subset) in &subsets {
                 for stride in [1, 2, 64] {
                     let mut config = CartConfig::with_max_depth(8);
                     config.threshold_strides = vec![stride; train_data.n_features()];
@@ -867,6 +1008,141 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn tabulated_gini_terms_equal_the_division_bit_for_bit() {
+        let squares: &[f64] = &SQUARES;
+        assert_eq!(squares.len(), SQUARES_MAX * (SQUARES_MAX + 3) / 2);
+        for m in 1..=SQUARES_MAX {
+            let row = squares_row(squares, m);
+            assert_eq!(row.len(), m + 1);
+            let n = m as f64;
+            for (c, term) in row.iter().enumerate() {
+                assert_eq!(
+                    term.to_bits(),
+                    (c as f64 / n).powi(2).to_bits(),
+                    "({c}/{m})²"
+                );
+            }
+        }
+    }
+
+    /// The depth selection the one-walk scoring replaced, kept as an
+    /// oracle: every cap's truncation materialised and scored by
+    /// [`DecisionTree::accuracy`] on both splits.
+    fn depth_selected_oracle(
+        train_data: &QuantizedDataset,
+        test_data: &QuantizedDataset,
+        max_depth: usize,
+    ) -> TrainedModel {
+        let index = DatasetIndex::new(train_data);
+        let mut arena = IndexArena::new();
+        arena.reset_identity(train_data.len());
+        let deep = grow(
+            &mut SplitEngine::new(&index),
+            &mut arena,
+            &CartConfig::with_max_depth(max_depth),
+            best_split,
+        );
+        let mut best: Option<TrainedModel> = None;
+        for depth in 1..=max_depth {
+            let tree = deep.truncated(depth);
+            let model = TrainedModel {
+                train_accuracy: tree.accuracy(train_data),
+                test_accuracy: tree.accuracy(test_data),
+                tree,
+                depth,
+            };
+            if best
+                .as_ref()
+                .is_none_or(|b| model.test_accuracy > b.test_accuracy + 1e-12)
+            {
+                best = Some(model);
+            }
+        }
+        best.expect("at least one depth trained")
+    }
+
+    /// The tree, depth and both accuracies' bits of the one-walk depth
+    /// selection equal the oracle's.
+    fn assert_depth_selection_matches_oracle(
+        train_data: &QuantizedDataset,
+        test_data: &QuantizedDataset,
+        max_depth: usize,
+        at: &str,
+    ) {
+        let want = depth_selected_oracle(train_data, test_data, max_depth);
+        let got = train_depth_selected(train_data, test_data, max_depth);
+        assert_eq!(got.tree, want.tree, "{at}");
+        assert_eq!(got.depth, want.depth, "{at}");
+        assert_eq!(
+            got.train_accuracy.to_bits(),
+            want.train_accuracy.to_bits(),
+            "{at}"
+        );
+        assert_eq!(
+            got.test_accuracy.to_bits(),
+            want.test_accuracy.to_bits(),
+            "{at}"
+        );
+    }
+
+    #[test]
+    fn one_walk_depth_selection_matches_the_per_depth_oracle() {
+        for bench in Benchmark::ALL {
+            let (train_data, test_data) = bench.load_quantized(4).unwrap();
+            let index = DatasetIndex::new(&train_data);
+            for max_depth in 1..=8 {
+                let at = format!("{bench} max_depth {max_depth}");
+                assert_depth_selection_matches_oracle(&train_data, &test_data, max_depth, &at);
+                assert_eq!(
+                    train_depth_selected_with_index(&train_data, &index, &test_data, max_depth),
+                    train_depth_selected(&train_data, &test_data, max_depth),
+                    "{at}: the shared index changes nothing"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The one-walk depth selection equals the per-depth oracle on
+        /// random data at 1..=8 bits and caps 1..=8, and on degenerate
+        /// training sets cut from it — one class, constant features, one
+        /// sample — each of which grows a root leaf. Test labels run past
+        /// the training classes, so some are never predicted.
+        #[test]
+        fn one_walk_depth_selection_matches_the_oracle_on_random_data(
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(0.0f64..1.0, 3), 0usize..4),
+                1..60,
+            ),
+            test_rows in proptest::collection::vec(
+                (proptest::collection::vec(0.0f64..1.0, 3), 0usize..5),
+                1..40,
+            ),
+            bits in 1u32..=8,
+            max_depth in 1usize..=8,
+        ) {
+            let quantized = |rows: Vec<(Vec<f64>, usize)>| {
+                let ds = Dataset::from_rows("prop", 3, rows).unwrap();
+                QuantizedDataset::from_dataset(&ds, bits)
+            };
+            let test_data = quantized(test_rows);
+            let first = rows[0].clone();
+            let one_class = rows.iter().map(|(s, _)| (s.clone(), first.1)).collect();
+            let constant = rows.iter().map(|(_, label)| (first.0.clone(), *label)).collect();
+            for (name, train_rows) in [
+                ("random", rows.clone()),
+                ("one class", one_class),
+                ("constant features", constant),
+                ("one sample", vec![first]),
+            ] {
+                let train_data = quantized(train_rows);
+                let at = format!("{name}, {bits} bits, max_depth {max_depth}");
+                assert_depth_selection_matches_oracle(&train_data, &test_data, max_depth, &at);
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Offline functional mini-proptest: enough of the `proptest 1` API to
 //! compile and *run* the workspace's property tests under the offline
 //! harness. Strategies generate uniformly at random (no shrinking); the
-//! `proptest!` macro expands to plain `#[test]` functions running a fixed
-//! number of cases.
+//! `proptest!` macro expands to plain `#[test]` functions running
+//! `PROPTEST_CASES` cases (default 16).
 
 use std::ops::{Range, RangeInclusive};
 
@@ -207,14 +207,31 @@ macro_rules! prop_assert_ne {
     ($($args:tt)*) => { assert_ne!($($args)*) };
 }
 
-/// Expands each property into a plain `#[test]` running 16 random cases.
+/// Cases per property: `PROPTEST_CASES` when set (as the real crate reads
+/// it), else 16.
+///
+/// # Panics
+///
+/// Panics if `PROPTEST_CASES` is set but is not a case count.
+pub fn cases() -> u32 {
+    match std::env::var("PROPTEST_CASES") {
+        Ok(value) => value
+            .parse()
+            .unwrap_or_else(|_| panic!("PROPTEST_CASES={value:?} is not a case count")),
+        Err(_) => 16,
+    }
+}
+
+/// Expands each property into a plain `#[test]` running [`cases`] random
+/// cases from one fixed seed, so the first 16 cases of a longer run are
+/// the default run's.
 #[macro_export]
 macro_rules! proptest {
     ($($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),* $(,)?) $body:block)*) => {$(
         $(#[$meta])*
         fn $name() {
             let mut prop_rng = $crate::TestRng::new(0x0ADC_5EED);
-            for _case in 0..16u32 {
+            for _case in 0..$crate::cases() {
                 $(let $arg = $crate::Strategy::generate(&($strat), &mut prop_rng);)*
                 $body
             }
