@@ -20,9 +20,7 @@
 //!   per-feature sample scan. Bit-identical to the scalar path: same
 //!   candidate order, same `gini` f64 bits (all histogram arithmetic is
 //!   exact integer accumulation feeding the [`gini_impurity`] expression,
-//!   whose skipped absent-class terms are exact zeros, and whose terms for
-//!   sides of at most 127 samples come from a table that same expression
-//!   filled).
+//!   whose skipped absent-class terms are exact zeros).
 //!
 //! Tree growth has one implementation, [`grow`]: a breadth-first FIFO
 //! over an [`IndexArena`] (node subsets are partitioned in place, never
@@ -49,7 +47,6 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::LazyLock;
 
 use printed_datasets::{DatasetIndex, QuantizedDataset};
 use printed_telemetry::{Kernel, KernelTimer};
@@ -125,41 +122,6 @@ pub fn gini_impurity(counts: &[usize]) -> f64 {
 fn gini_of(n: usize, counts: impl Iterator<Item = usize>) -> f64 {
     let n = n as f64;
     1.0 - counts.map(|c| (c as f64 / n).powi(2)).sum::<f64>()
-}
-
-/// Largest split side, in samples, whose Gini terms [`SplitEngine`] reads
-/// from [`SQUARES`]; larger sides divide. The bound is set by memory: the
-/// whole table is written when it is built, and 127 rows keep it at
-/// 64.5 KiB, while 321 rows (406 KiB) measured +7–9% peak RSS on the
-/// small-dataset robustness runs (5.4 MiB).
-const SQUARES_MAX: usize = 127;
-
-/// `(c/m)²` for every `1 ≤ m ≤ SQUARES_MAX` and `0 ≤ c ≤ m`, row `m` at
-/// [`squares_row`]'s offset, each entry evaluated by the [`gini_of`]
-/// expression itself, so a lookup has the division's f64 bits by
-/// construction (8,255 entries).
-static SQUARES: LazyLock<Box<[f64]>> = LazyLock::new(|| {
-    (1..=SQUARES_MAX)
-        .flat_map(|m| (0..=m).map(move |c| (c as f64 / m as f64).powi(2)))
-        .collect()
-});
-
-/// The `m + 1` tabulated terms `(0/m)², …, (m/m)²`, for `1 ≤ m ≤
-/// SQUARES_MAX`.
-fn squares_row(squares: &[f64], m: usize) -> &[f64] {
-    let start = m * (m + 1) / 2 - 1;
-    &squares[start..=start + m]
-}
-
-/// [`gini_of`] over a split side of `n > 0` samples, reading its terms
-/// from `squares` (the [`SQUARES`] table) when `n ≤ SQUARES_MAX`. Same
-/// terms, same summation order: bit-identical to [`gini_of`].
-fn gini_tabulated(squares: &[f64], n: usize, counts: impl Iterator<Item = usize>) -> f64 {
-    if n > SQUARES_MAX {
-        return gini_of(n, counts);
-    }
-    let row = squares_row(squares, n);
-    1.0 - counts.map(|c| row[c]).sum::<f64>()
 }
 
 /// Enumerates every valid split of the node subset `indices`, with Gini
@@ -271,11 +233,10 @@ pub struct NodeClasses {
 /// pattern. Histogram accumulation is integer (order-insensitive, exact),
 /// skipped empty cells contribute zero exactly as the scalar path's
 /// explicit zero-adds do, and the final score evaluates the
-/// [`gini_impurity`] expression on identical integer inputs; for a side
-/// of at most `SQUARES_MAX` samples each term `(c/m)²` is read from a
-/// table that the same expression filled. Its square sums run over the
-/// classes the node holds only, in ascending class order: a class absent
-/// from the node has a zero count on both sides, so its term is `+0.0`. The sum starts at `-0.0` (as `Iterator::sum`
+/// [`gini_impurity`] expression on identical integer inputs. Its square
+/// sums run over the classes the node holds only, in ascending class
+/// order: a class absent from the node has a zero count on both sides, so
+/// its term is `+0.0`. The sum starts at `-0.0` (as `Iterator::sum`
 /// does), and adding `+0.0` changes a running sum only while it is still
 /// `-0.0` (to `+0.0`). Each side holds a sample, so a positive term
 /// follows, and `±0.0 + t == t`: from there on a skipped `+0.0` term
@@ -429,36 +390,28 @@ impl<'a> SplitEngine<'a> {
     /// rank histogram, each level floored onto the stride grid by `floor`,
     /// and marks the occupied cells.
     fn histogram(&mut self, column: &[u8], indices: &[u32], floor: impl Fn(usize) -> usize) {
-        // Up to 64 levels (6 bits) the mask is one word; 8 bits need 4.
-        if self.occupied.len() == 1 {
-            self.histogram_words::<1>(column, indices, floor);
-        } else {
-            self.histogram_words::<4>(column, indices, floor);
-        }
-    }
-
-    /// [`histogram`](Self::histogram) with the occupancy mask held in `W`
-    /// local words (`64 · W ≥ levels`) and stored once at the end, so no
-    /// sample waits on the previous sample's read-modify-write of the
-    /// mask in memory. The stored words replace the all-zero ones.
-    fn histogram_words<const W: usize>(
-        &mut self,
-        column: &[u8],
-        indices: &[u32],
-        floor: impl Fn(usize) -> usize,
-    ) {
-        debug_assert!(self.occupied.len() <= W, "the mask fits in W words");
         let p = self.present.len();
-        let mut mask = [0u64; W];
-        for (&id, &r) in indices.iter().zip(&self.ranks) {
-            let level = floor(column[id as usize] as usize);
-            // `% W` is a no-op on in-range levels; at W = 1 it lets the
-            // compiler keep the single word in a register.
-            mask[level / 64 % W] |= 1 << (level % 64);
-            self.counts[level * p + r as usize] += 1;
+        let samples = indices
+            .iter()
+            .zip(&self.ranks)
+            .map(|(&id, &r)| (floor(column[id as usize] as usize), r as usize));
+        if let [word] = self.occupied[..] {
+            debug_assert_eq!(word, 0, "the walk left the mask clear");
+            // Up to 64 levels (6 bits) the mask is one word, kept in a
+            // register and stored once: OR-ing each sample's bit into
+            // memory makes every sample wait on the previous one's store.
+            let mut mask = 0u64;
+            for (level, r) in samples {
+                mask |= 1 << level;
+                self.counts[level * p + r] += 1;
+            }
+            self.occupied[0] = mask;
+        } else {
+            for (level, r) in samples {
+                self.occupied[level / 64] |= 1 << (level % 64);
+                self.counts[level * p + r] += 1;
+            }
         }
-        let words = self.occupied.len();
-        self.occupied.copy_from_slice(&mask[..words]);
     }
 
     /// Walks the occupied cells in ascending order, folding each previous
@@ -468,7 +421,6 @@ impl<'a> SplitEngine<'a> {
     /// occupancy bits zero.
     fn walk(&mut self, feature: usize, n: usize) {
         let p = self.present.len();
-        let squares: &[f64] = &SQUARES;
         let (lo, total) = (&mut self.lo[..p], &self.rank_total[..p]);
         lo.fill(0);
         let mut lo_n = 0usize;
@@ -492,12 +444,8 @@ impl<'a> SplitEngine<'a> {
                         "occupied-cell thresholds split non-trivially"
                     );
                     let hi_n = n - lo_n;
-                    let lo_gini = gini_tabulated(squares, lo_n, lo.iter().copied());
-                    let hi_gini = gini_tabulated(
-                        squares,
-                        hi_n,
-                        total.iter().zip(lo.iter()).map(|(&c, &l)| c - l),
-                    );
+                    let lo_gini = gini_of(lo_n, lo.iter().copied());
+                    let hi_gini = gini_of(hi_n, total.iter().zip(lo.iter()).map(|(&c, &l)| c - l));
                     let g = (lo_n as f64 * lo_gini + hi_n as f64 * hi_gini) / n as f64;
                     self.out.push(SplitCandidate {
                         feature,
@@ -756,7 +704,8 @@ pub struct TrainedModel {
 ///
 /// # Panics
 ///
-/// Panics if either dataset is empty or `max_depth` is 0.
+/// Panics if either dataset is empty, `max_depth` is 0, or `test_data`
+/// has fewer features than `train_data`.
 pub fn train_depth_selected(
     train_data: &QuantizedDataset,
     test_data: &QuantizedDataset,
@@ -777,8 +726,9 @@ pub fn train_depth_selected(
 ///
 /// # Panics
 ///
-/// Panics if either dataset is empty, `max_depth` is 0, or `index` was
-/// not built from `train_data`.
+/// Panics if either dataset is empty, `max_depth` is 0, `test_data` has
+/// fewer features than `train_data`, or `index` was not built from
+/// `train_data`.
 pub fn train_depth_selected_with_index(
     train_data: &QuantizedDataset,
     index: &DatasetIndex,
@@ -788,6 +738,14 @@ pub fn train_depth_selected_with_index(
     assert!(max_depth >= 1, "max_depth must be at least 1");
     assert!(!test_data.is_empty(), "cannot score an empty dataset");
     assert!(!train_data.is_empty(), "cannot train on an empty dataset");
+    // The check `DecisionTree::predict` makes per sample: the one-walk
+    // scoring indexes test samples by the tree's features directly.
+    assert!(
+        test_data.n_features() >= train_data.n_features(),
+        "test samples have {} features, the training set {}",
+        test_data.n_features(),
+        train_data.n_features()
+    );
     assert!(
         index.len() == train_data.len() && index.n_features() == train_data.n_features(),
         "index must be built from the training dataset"
@@ -972,23 +930,12 @@ mod tests {
             let strided: Vec<usize> = (0..n).step_by(7).collect();
             let reversed: Vec<usize> = (0..n).rev().collect();
             let tail: Vec<usize> = (n.saturating_sub(5)..n).collect();
-            let mut subsets = vec![
-                ("identity".to_owned(), identity),
-                ("strided".to_owned(), strided),
-                ("reversed".to_owned(), reversed),
-                ("tail".to_owned(), tail),
-            ];
-            // Nodes of 126–129 and 255 samples, spread over the training
-            // split so that many classes are present: their split sides
-            // fall on both sides of the Gini table's bound, SQUARES_MAX.
-            if matches!(bench, Benchmark::Pendigits | Benchmark::Arrhythmia) {
-                for k in [126, 127, 128, 129, 255] {
-                    assert!(k <= n, "{bench:?} holds {n} training samples");
-                    let spread = (0..k).map(|i| i * n / k).collect();
-                    subsets.push((format!("{k} samples"), spread));
-                }
-            }
-            for (name, subset) in &subsets {
+            for (name, subset) in [
+                ("identity", &identity),
+                ("strided", &strided),
+                ("reversed", &reversed),
+                ("tail", &tail),
+            ] {
                 for stride in [1, 2, 64] {
                     let mut config = CartConfig::with_max_depth(8);
                     config.threshold_strides = vec![stride; train_data.n_features()];
@@ -1008,24 +955,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn tabulated_gini_terms_equal_the_division_bit_for_bit() {
-        let squares: &[f64] = &SQUARES;
-        assert_eq!(squares.len(), SQUARES_MAX * (SQUARES_MAX + 3) / 2);
-        for m in 1..=SQUARES_MAX {
-            let row = squares_row(squares, m);
-            assert_eq!(row.len(), m + 1);
-            let n = m as f64;
-            for (c, term) in row.iter().enumerate() {
-                assert_eq!(
-                    term.to_bits(),
-                    (c as f64 / n).powi(2).to_bits(),
-                    "({c}/{m})²"
-                );
             }
         }
     }
@@ -1384,6 +1313,16 @@ mod tests {
     fn split_candidates_reject_empty_node() {
         let (train_data, _) = Benchmark::Seeds.load_quantized(4).unwrap();
         split_candidates(&train_data, &[], &CartConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "test samples have 1 features, the training set 2")]
+    fn depth_selection_rejects_a_test_set_with_fewer_features() {
+        // The tree splits on feature 0 only, so without the check the walk
+        // would score the short test set without complaint.
+        let train_data = quantized(vec![(vec![0.1, 0.5], 0), (vec![0.9, 0.5], 1)], 2);
+        let test_data = quantized(vec![(vec![0.1], 0), (vec![0.9], 1)], 1);
+        train_depth_selected(&train_data, &test_data, 2);
     }
 
     #[test]
