@@ -96,9 +96,10 @@ impl Matrix {
 /// eliminated form; `x` holds `b` on entry and the solution on exit.
 ///
 /// This is the one elimination routine of the crate — [`Matrix::solve`]
-/// runs it on a copy, and the Monte-Carlo ladder sampler runs it on a
-/// reused buffer — so every caller gets bit-identical results for the same
-/// system.
+/// runs it on a copy, and the Monte-Carlo ladder sampler runs the same
+/// operations restricted to its string's nonzero entries, calling it on a
+/// reused buffer wherever the restriction could round differently — so
+/// every caller gets bit-identical results for the same system.
 ///
 /// # Errors
 ///

@@ -13,16 +13,19 @@
 //! thousands of times per campaign, so the per-trial cost is dominated by
 //! whatever surrounds the arithmetic. [`LadderSampler`] compiles a
 //! [`Ladder`] once: it keeps the nominal merged-segment resistances and
-//! one reused `order × order` MNA system (`order` = taps + 2: every tap
-//! node, the supply node and the source's branch current). A string's
-//! topology fixes its rows — row 0 the supply node, row `i + 1` tap `i`,
-//! the last row the branch current, as the circuit path numbers them — so
-//! neither a segment's stamp nor a tap's read needs a lookup. A trial then
-//! draws the segment factors, stamps their conductances into the zeroed
-//! matrix in exactly the order [`Circuit::dc_operating_point`] stamps the
-//! same resistors, and eliminates in place with [`solve_in_place`] — the
-//! routine [`Matrix::solve`] runs on a copy. No node names, maps or fresh
-//! matrices are built, and every tap voltage is bit-identical to solving
+//! reused buffers for the drawn conductances and the MNA unknowns (taps +
+//! 2 of them: every tap node, the supply node and the source's branch
+//! current, numbered as the circuit path numbers them). A trial draws the
+//! segment factors and solves the string by the elimination
+//! [`solve_in_place`] performs on its stamped `order × order` system,
+//! restricted to the nonzero entries — the same tolerance, pivots and
+//! operations in the same order, in time linear in the taps. Where that
+//! restriction could round differently (a top segment below 1 Ω, a
+//! degenerate pivot, a zero accumulator) it stamps the dense system in
+//! exactly the order [`Circuit::dc_operating_point`] stamps the same
+//! resistors and runs [`solve_in_place`] — the routine [`Matrix::solve`]
+//! runs on a copy. No node names, maps or fresh matrices are built, and
+//! every tap voltage is bit-identical to solving
 //! [`Ladder::build_circuit_with`]'s circuit. (A closed-form divider would
 //! be cheaper still but rounds differently, so it is not used.)
 //! [`MismatchModel::sample`] is a thin wrapper over a freshly compiled
@@ -92,6 +95,12 @@ mod rand_distr_normal {
         pub fn new(mean: f64, std_dev: f64) -> Self {
             assert!(std_dev.is_finite() && std_dev >= 0.0, "std_dev must be ≥ 0");
             Self { mean, std_dev }
+        }
+
+        /// Advances `rng` past one sample without computing it: the two
+        /// uniforms [`sample`](Self::sample) draws.
+        pub fn skip<R: Rng + ?Sized>(rng: &mut R) {
+            let _: (f64, f64) = (rng.gen(), rng.gen());
         }
 
         /// Draws one sample.
@@ -183,8 +192,10 @@ impl MismatchModel {
 }
 
 /// A [`Ladder`] compiled for repeated mismatch sampling (see the
-/// [module docs](self)): nominal segment resistances and one reused MNA
-/// system, so a draw allocates nothing.
+/// [module docs](self)): nominal segment resistances, the perturbed
+/// conductances and the string's solution, reused from draw to draw, so a
+/// draw allocates nothing. [`draw_vrefs`](Self::draw_vrefs) is the draw
+/// for callers that read only the tap voltages.
 ///
 /// ```
 /// use printed_analog::ladder::Ladder;
@@ -209,16 +220,19 @@ pub struct LadderSampler {
     /// Nominal resistance of every merged segment, bottom to top.
     nominal_ohms: Vec<f64>,
     supply_volts: f64,
-    /// MNA order: row 0 is the supply node, row `i + 1` tap `i`'s node,
-    /// and the last row the supply's branch current (ground is
-    /// eliminated), as [`Circuit::dc_operating_point`] numbers them.
+    /// The drawn conductance of every merged segment, bottom to top.
+    conductances: Vec<f64>,
+    /// Eliminated diagonal of every tap row (index 0 unused).
+    pivots: Vec<f64>,
+    /// The string's MNA unknowns, as [`Circuit::dc_operating_point`]
+    /// numbers them: the supply node's voltage, tap `i`'s at `i + 1`,
+    /// and the supply's branch current last (ground is eliminated).
     ///
     /// [`Circuit::dc_operating_point`]: crate::mna::Circuit::dc_operating_point
-    order: usize,
-    /// Row-major `order × order` system, rebuilt in place every draw.
+    solution: Vec<f64>,
+    /// Row-major dense system over the same unknowns, stamped only when
+    /// [`solve_string`] leaves a draw to [`solve_in_place`].
     matrix: Vec<f64>,
-    /// Right-hand side on entry to the solve, node voltages after it.
-    rhs: Vec<f64>,
     drawn: Vec<PerturbedTap>,
 }
 
@@ -230,9 +244,10 @@ impl LadderSampler {
         Self {
             nominal_ohms: ladder.segment_ohms().collect(),
             supply_volts: ladder.supply_volts(),
-            order,
-            matrix: vec![0.0; order * order],
-            rhs: vec![0.0; order],
+            conductances: vec![0.0; taps.len() + 1],
+            pivots: vec![0.0; taps.len() + 1],
+            solution: vec![0.0; order],
+            matrix: Vec::new(),
             drawn: Vec::with_capacity(taps.len()),
             taps,
         }
@@ -258,27 +273,65 @@ impl LadderSampler {
         rng: &mut R,
         recorder: &Recorder,
     ) -> Result<&[PerturbedTap], LadderError> {
-        recorder.add(keys::MC_TRIALS, 1);
-        let off_dist = Normal::new(0.0, model.comparator_offset_sigma_v);
-        let solved = self.solve_perturbed(model.resistor_sigma_rel, rng);
-        if solved.is_err() {
-            recorder.add(keys::MC_FAILURES, 1);
-        }
-        solved?;
+        let off_dist = self.solve_recorded(model, rng, recorder)?;
         self.drawn.clear();
         for (i, &tap) in self.taps.iter().enumerate() {
             self.drawn.push(PerturbedTap {
                 tap,
-                vref_volts: self.rhs[i + 1],
+                vref_volts: self.solution[i + 1],
                 comparator: Comparator::with_offset(off_dist.sample(rng)),
             });
         }
         Ok(&self.drawn)
     }
 
+    /// [`draw`](Self::draw) for callers that read only the tap voltages:
+    /// the same counters, checks and solve, and the RNG left where `draw`
+    /// leaves it, but each comparator offset's two uniforms are skipped
+    /// rather than turned into an offset. Returns every retained tap's
+    /// perturbed voltage, ascending — the `vref_volts` of `draw`'s taps.
+    ///
+    /// # Errors
+    ///
+    /// As for [`MismatchModel::sample`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`draw`](Self::draw).
+    pub fn draw_vrefs<R: Rng + ?Sized>(
+        &mut self,
+        model: &MismatchModel,
+        rng: &mut R,
+        recorder: &Recorder,
+    ) -> Result<&[f64], LadderError> {
+        self.solve_recorded(model, rng, recorder)?;
+        for _ in &self.taps {
+            Normal::skip(rng);
+        }
+        Ok(&self.solution[1..=self.taps.len()])
+    }
+
+    /// The part of a draw before the offsets: counts the trial, checks
+    /// the offset sigma, solves the perturbed string (counting a failure)
+    /// and hands back the offset distribution.
+    fn solve_recorded<R: Rng + ?Sized>(
+        &mut self,
+        model: &MismatchModel,
+        rng: &mut R,
+        recorder: &Recorder,
+    ) -> Result<Normal, LadderError> {
+        recorder.add(keys::MC_TRIALS, 1);
+        let off_dist = Normal::new(0.0, model.comparator_offset_sigma_v);
+        let solved = self.solve_perturbed(model.resistor_sigma_rel, rng);
+        if solved.is_err() {
+            recorder.add(keys::MC_FAILURES, 1);
+        }
+        solved.map(|()| off_dist)
+    }
+
     /// Draws one factor per segment (relative σ `sigma`, truncated at ±3σ
-    /// and floored at 10%), stamps the perturbed string and solves it
-    /// into `rhs`.
+    /// and floored at 10%) and solves the perturbed string into
+    /// `solution`.
     fn solve_perturbed<R: Rng + ?Sized>(
         &mut self,
         sigma: f64,
@@ -286,41 +339,160 @@ impl LadderSampler {
     ) -> Result<(), LadderError> {
         let res_dist = Normal::new(1.0, sigma);
         let (lo, hi) = ((1.0 - 3.0 * sigma).max(0.1), 1.0 + 3.0 * sigma);
-        let n = self.order;
-        let a = &mut self.matrix;
-        a.fill(0.0);
-        self.rhs.fill(0.0);
-        // Segment `seg` joins the node below it (ground for the first) to
-        // tap `seg`'s node, or to the supply node for the last segment.
-        let mut below: Option<usize> = None;
-        for (seg, &nominal) in self.nominal_ohms.iter().enumerate() {
+        for (g, &nominal) in self.conductances.iter_mut().zip(&self.nominal_ohms) {
             let ohms = nominal * res_dist.sample(rng).clamp(lo, hi);
             assert!(
                 ohms.is_finite() && ohms > 0.0,
                 "resistance must be positive, got {ohms}"
             );
-            let above = if seg < self.taps.len() { seg + 1 } else { 0 };
-            let g = 1.0 / ohms;
-            if let Some(i) = below {
-                a[i * n + i] += g;
-            }
-            a[above * n + above] += g;
-            if let Some(i) = below {
-                a[i * n + above] -= g;
-                a[above * n + i] -= g;
-            }
-            below = Some(above);
+            *g = 1.0 / ohms;
         }
-        // The supply: from ground to the supply node, through the branch
-        // current's row and column.
-        let branch = n - 1;
-        a[branch] += 1.0;
-        a[branch * n] += 1.0;
-        self.rhs[branch] = self.supply_volts;
-        solve_in_place(n, a, &mut self.rhs).map_err(|SolveError::Singular { column }| {
+        self.solve().map_err(|SolveError::Singular { column }| {
             LadderError::Circuit(MnaError::Singular { equation: column })
         })
     }
+
+    /// Solves the string at the drawn conductances into `solution`: by
+    /// [`solve_string`], or by stamping the dense system and running
+    /// [`solve_in_place`] on it where `solve_string` declines.
+    fn solve(&mut self) -> Result<(), SolveError> {
+        if solve_string(
+            &self.conductances,
+            self.supply_volts,
+            &mut self.pivots,
+            &mut self.solution,
+        ) {
+            return Ok(());
+        }
+        stamp_string(
+            &self.conductances,
+            self.supply_volts,
+            &mut self.matrix,
+            &mut self.solution,
+        );
+        solve_in_place(self.solution.len(), &mut self.matrix, &mut self.solution)
+    }
+}
+
+/// Stamps the string with segment conductances `g` (bottom to top) and
+/// the `supply` source into the dense system `a · x = rhs` — in exactly
+/// the order [`Circuit::dc_operating_point`] stamps the same circuit.
+/// Segment `s` joins the node below it (ground for the first) to tap
+/// `s`'s node, or to the supply node for the last segment.
+///
+/// [`Circuit::dc_operating_point`]: crate::mna::Circuit::dc_operating_point
+fn stamp_string(g: &[f64], supply: f64, a: &mut Vec<f64>, rhs: &mut [f64]) {
+    let taps = g.len() - 1;
+    let n = taps + 2;
+    a.clear();
+    a.resize(n * n, 0.0);
+    rhs.fill(0.0);
+    let mut below: Option<usize> = None;
+    for (seg, &g) in g.iter().enumerate() {
+        let above = if seg < taps { seg + 1 } else { 0 };
+        if let Some(i) = below {
+            a[i * n + i] += g;
+        }
+        a[above * n + above] += g;
+        if let Some(i) = below {
+            a[i * n + above] -= g;
+            a[above * n + i] -= g;
+        }
+        below = Some(above);
+    }
+    // The supply: from ground to the supply node, through the branch
+    // current's row and column.
+    let branch = n - 1;
+    a[branch] += 1.0;
+    a[branch * n] += 1.0;
+    rhs[branch] = supply;
+}
+
+/// Solves the string [`stamp_string`] stamps by the elimination
+/// [`solve_in_place`] performs on it, restricted to the system's nonzero
+/// entries, into `x` (the unknowns as numbered there); `pivots` is
+/// scratch of one entry per segment. Returns `false`, leaving the draw to
+/// the dense solve, wherever that restriction could round differently:
+/// no tap, a pivot the dense search would take off its expected row or
+/// find below the tolerance, a non-finite entry or solution, or a
+/// back-substitution accumulator at zero (whose sign the dense solve's
+/// zero products could flip).
+///
+/// On every other system it is `solve_in_place` term for term. Column 0
+/// pivots on the branch row (its 1 is the largest entry of the column
+/// while the top conductance is at most 1 S); swapping it up leaves the
+/// tap rows a chain, each eliminated by the one above it, and the old
+/// supply row last, against the top tap alone. Every update the dense
+/// loops make outside those entries subtracts a zero product from a
+/// nonzero or `+0.0` value, which leaves it unchanged.
+fn solve_string(g: &[f64], supply: f64, pivots: &mut [f64], x: &mut [f64]) -> bool {
+    let taps = g.len() - 1;
+    if taps == 0 {
+        return false;
+    }
+    let branch = taps + 1;
+    // Tap row `i`'s diagonal, stamped as `0 + g[i - 1]`, then `+ g[i]`.
+    let mut max_abs = 1.0_f64.max(g[taps]);
+    for i in 1..=taps {
+        pivots[i] = g[i - 1] + g[i];
+        max_abs = max_abs.max(pivots[i]).max(g[i]);
+    }
+    if !max_abs.is_finite() {
+        return false;
+    }
+    let tol = 1e-12 * max_abs;
+    // Column 0: rows 0 and `taps` hold ±g[taps], the branch row 1; ties
+    // go to the last row, so the branch row pivots unless g[taps] > 1.
+    if g[taps] > 1.0 || 1.0 <= tol {
+        return false;
+    }
+    x.fill(0.0);
+    // The swap moves the branch row's `supply` up and the supply row's 0
+    // down, then both rows reading the supply node are eliminated.
+    x[0] = supply;
+    let factor = -g[taps] / 1.0;
+    x[taps] -= factor * x[0];
+    let factor = g[taps] / 1.0;
+    x[branch] -= factor * x[0];
+    // Columns 1..=taps: the row below tap row `c` holds -g[c] (the old
+    // supply row, for the top tap).
+    for c in 1..=taps {
+        let pivot = pivots[c];
+        if !(pivot > g[c] && pivot > tol) {
+            return false;
+        }
+        let factor = -g[c] / pivot;
+        if factor == 0.0 {
+            continue;
+        }
+        if c < taps {
+            pivots[c + 1] -= factor * -g[c];
+            x[c + 1] -= factor * x[c];
+        } else {
+            x[branch] -= factor * x[c];
+        }
+    }
+    // Back substitution. The old supply row kept its 1 on the diagonal
+    // (the top tap row is zero in the branch column), the top tap row
+    // reads nothing beyond its diagonal, tap row `c` reads tap `c + 1`,
+    // and the swapped-up branch row reads only the supply node.
+    x[branch] /= 1.0;
+    for c in (1..=taps).rev() {
+        let acc = if c < taps {
+            x[c] - -g[c] * x[c + 1]
+        } else {
+            x[c]
+        };
+        if acc == 0.0 {
+            return false;
+        }
+        x[c] = acc / pivots[c];
+    }
+    if x[0] == 0.0 {
+        return false;
+    }
+    x[0] /= 1.0;
+    x.iter().all(|v| v.is_finite())
 }
 
 /// One retained tap under a mismatch sample.
@@ -461,6 +633,107 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The dense reference of a string solve: the system stamped as the
+    /// circuit path stamps it, eliminated by [`solve_in_place`].
+    fn dense_solve(g: &[f64], supply: f64) -> Result<Vec<f64>, SolveError> {
+        let mut a = Vec::new();
+        let mut x = vec![0.0; g.len() + 1];
+        stamp_string(g, supply, &mut a, &mut x);
+        solve_in_place(x.len(), &mut a, &mut x).map(|()| x)
+    }
+
+    /// A sampler over a string of `g.len()` segments, solved at `g`.
+    fn sampler_solve(g: &[f64], supply: f64) -> Result<Vec<f64>, SolveError> {
+        let taps: Vec<usize> = (1..g.len()).collect();
+        let ladder = Ladder::pruned(8, &taps, supply, 1.0).unwrap();
+        let mut sampler = LadderSampler::new(&ladder);
+        sampler.conductances.copy_from_slice(g);
+        sampler.solve().map(|()| sampler.solution)
+    }
+
+    proptest! {
+        /// On every ladder — up to every tap of 1–8 bits, unit resistors
+        /// from 0.25 Ω (a top segment above 1 S, which the dense solve
+        /// pivots differently, so the fallback runs) to 100 kΩ — and every
+        /// preset, each vref is the dense elimination's to the bit, and
+        /// the vref-only draw returns `draw`'s vrefs and leaves the RNG
+        /// where `draw` leaves it.
+        #[test]
+        fn string_solve_and_vref_draw_match_the_dense_elimination(
+            bits in 1u32..9,
+            tap_picks in vec(any::<u16>(), 1..256),
+            log_unit_ohms in -0.6f64..5.0,
+            seed in any::<u64>(),
+        ) {
+            let max = (1usize << bits) - 1;
+            let taps: Vec<usize> = tap_picks.iter().map(|&p| 1 + p as usize % max).collect();
+            let ladder = Ladder::pruned(bits, &taps, 1.0, 10f64.powf(log_unit_ohms)).unwrap();
+            let (mut full, mut vrefs_only) = (LadderSampler::new(&ladder), LadderSampler::new(&ladder));
+            for model in [
+                MismatchModel::none(),
+                MismatchModel::typical_printed(),
+                MismatchModel::pessimistic_printed(),
+            ] {
+                let mut full_rng = StdRng::seed_from_u64(seed);
+                let mut vref_rng = StdRng::seed_from_u64(seed);
+                for _ in 0..3 {
+                    let drawn = full.draw(&model, &mut full_rng, &Recorder::disabled()).unwrap().to_vec();
+                    let vrefs = vrefs_only
+                        .draw_vrefs(&model, &mut vref_rng, &Recorder::disabled())
+                        .unwrap()
+                        .to_vec();
+                    let dense = dense_solve(&full.conductances, ladder.supply_volts()).unwrap();
+                    prop_assert_eq!(vrefs.len(), drawn.len());
+                    for (i, (tap, vref)) in drawn.iter().zip(&vrefs).enumerate() {
+                        prop_assert_eq!(tap.vref_volts.to_bits(), dense[i + 1].to_bits());
+                        prop_assert_eq!(vref.to_bits(), tap.vref_volts.to_bits());
+                    }
+                    prop_assert_eq!(full_rng.next_u64(), vref_rng.next_u64());
+                }
+            }
+        }
+
+        /// On arbitrary strings — conductances over 18 decades, so some
+        /// systems are singular and some pivot off the string's rows —
+        /// the sampler's solve returns the dense elimination's solution
+        /// to the bit, or its error.
+        #[test]
+        fn string_solve_matches_the_dense_elimination_on_any_conductances(
+            log_g in vec(-15.0f64..3.0, 2..40),
+            supply in 0.1f64..10.0,
+        ) {
+            let g: Vec<f64> = log_g.iter().map(|&e| 10f64.powf(e)).collect();
+            match (sampler_solve(&g, supply), dense_solve(&g, supply)) {
+                (Ok(x), Ok(dense)) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&x), bits(&dense));
+                }
+                (Err(e), Err(dense)) => prop_assert_eq!(e, dense),
+                (x, dense) => prop_assert!(false, "{x:?} vs dense {dense:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn string_solve_leaves_off_string_pivots_and_singular_systems_to_the_dense_solve() {
+        let mut pivots = vec![0.0; 4];
+        let mut x = vec![0.0; 5];
+        // Kilo-ohm segments: the string elimination runs.
+        let g = [1e-3, 2e-3, 1e-3, 5e-4];
+        assert!(solve_string(&g, 1.0, &mut pivots, &mut x));
+        assert_eq!(Ok(x.clone()), dense_solve(&g, 1.0));
+        // A top segment above 1 S: the dense search pivots on a tap row.
+        let g = [1e-3, 2e-3, 1e-3, 4.0];
+        assert!(!solve_string(&g, 1.0, &mut pivots, &mut x));
+        assert_eq!(sampler_solve(&g, 1.0), dense_solve(&g, 1.0));
+        // Tera-ohm segments fall below the tolerance: singular.
+        let g = [1e-13; 4];
+        assert!(!solve_string(&g, 1.0, &mut pivots, &mut x));
+        let dense = dense_solve(&g, 1.0);
+        assert!(matches!(dense, Err(SolveError::Singular { .. })));
+        assert_eq!(sampler_solve(&g, 1.0), dense);
     }
 
     #[test]

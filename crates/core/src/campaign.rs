@@ -30,7 +30,7 @@
 use std::borrow::Cow;
 
 use printed_analog::MismatchModel;
-use printed_datasets::{Dataset, QuantizedDataset};
+use printed_datasets::{Dataset, QuantizedDataset, ThermometerPlanes};
 use printed_dtree::DecisionTree;
 use printed_pdk::harvester::Harvester;
 use printed_pdk::AnalogModel;
@@ -39,7 +39,7 @@ use printed_telemetry::{keys, FieldValue, Recorder};
 use crate::checkpoint::{Fingerprint, Journal, RobustCheckpointLine};
 use crate::explore::{fan_out, CandidateDesign, Exploration};
 use crate::mismatch::{AnalogColumns, MismatchTrialStream, MismatchTrials, PackedAnalogTree};
-use crate::robustness::fault_robustness;
+use crate::robustness::classifier_fault_robustness;
 
 /// Comparator-threshold drift as the harvester's storage capacitor sags.
 ///
@@ -554,7 +554,7 @@ impl RobustnessCampaign {
         &self,
         policy: &AdaptiveBudget,
         candidate: &CandidateDesign,
-        test_q: &QuantizedDataset,
+        test_planes: &ThermometerPlanes,
         columns: &AnalogColumns,
         analog: &AnalogModel,
         recorder: &Recorder,
@@ -581,7 +581,7 @@ impl RobustnessCampaign {
         // A constant tree has no thresholds to perturb: it yields by
         // construction and droops only at the electrical limit.
         if tree.split_count() == 0 {
-            let faults = fault_robustness(tree, test_q);
+            let faults = classifier_fault_robustness(&candidate.system.classifier, test_planes);
             recorder.add(keys::FAULTS_INJECTED, faults.fault_count as u64);
             let mut packed = PackedAnalogTree::new(tree, columns);
             let nominal = packed.accuracy(columns, &[]);
@@ -625,7 +625,7 @@ impl RobustnessCampaign {
             }
         }
 
-        let faults = fault_robustness(tree, test_q);
+        let faults = classifier_fault_robustness(&candidate.system.classifier, test_planes);
         recorder.add(keys::FAULTS_INJECTED, faults.fault_count as u64);
         // Deterministic metrics gate exactly: a violated droop or
         // worst-fault bound already proves the reject, so the Monte Carlo
@@ -714,6 +714,17 @@ impl RobustnessCampaign {
     /// profile; per-candidate derived seeds keep the outcome identical for
     /// any thread count. Checkpoints to
     /// [`checkpoint_path`](Self::checkpoint_path) when it is set.
+    ///
+    /// The fault leg reads what the sweep built: it scores each
+    /// candidate's synthesized classifier (`candidate.system.classifier`)
+    /// on test planes built once per run, instead of re-deriving either
+    /// per candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the campaign is malformed (see [`validate`](Self::validate))
+    /// or a candidate is evaluated on a `test_q` that is empty or narrower
+    /// than its tree.
     pub fn run_with(
         &self,
         sweep: &Exploration,
@@ -737,7 +748,9 @@ impl RobustnessCampaign {
             Journal::<RobustCheckpointLine>::open(path, stamp)
         });
 
-        // Every worker scores against one set of sorted test columns.
+        // Every worker scores against one set of sorted test columns and
+        // faults against one set of test planes.
+        let test_planes = ThermometerPlanes::new(test_q);
         let columns = AnalogColumns::new(
             test_analog,
             candidates
@@ -756,8 +769,13 @@ impl RobustnessCampaign {
                     line.clone()
                 }
                 None => {
-                    let line =
-                        self.evaluate_candidate(candidate, test_q, &columns, analog, recorder);
+                    let line = self.evaluate_candidate(
+                        candidate,
+                        &test_planes,
+                        &columns,
+                        analog,
+                        recorder,
+                    );
                     if let Some(journal) = &journal {
                         journal.append(&line);
                     }
@@ -822,7 +840,7 @@ impl RobustnessCampaign {
     fn evaluate_candidate(
         &self,
         candidate: &CandidateDesign,
-        test_q: &QuantizedDataset,
+        test_planes: &ThermometerPlanes,
         columns: &AnalogColumns,
         analog: &AnalogModel,
         recorder: &Recorder,
@@ -837,8 +855,15 @@ impl RobustnessCampaign {
         let policy = self
             .adaptive
             .unwrap_or_else(|| AdaptiveBudget::new(self.trials));
-        let line =
-            self.evaluate_with_seed(&policy, candidate, test_q, columns, analog, recorder, seed);
+        let line = self.evaluate_with_seed(
+            &policy,
+            candidate,
+            test_planes,
+            columns,
+            analog,
+            recorder,
+            seed,
+        );
         match &line {
             RobustCheckpointLine::Profiled(row) => {
                 let profile = &row.profile;

@@ -625,15 +625,17 @@ impl<'a> MismatchTrialStream<'a> {
 
     /// Samples one perturbed front-end and scores the tree on it.
     pub fn next_accuracy(&mut self) -> f64 {
-        // Shared perturbed ladder: one vref per distinct tap.
-        let taps = self
+        // Shared perturbed ladder: one vref per distinct tap. The ladder's
+        // own per-tap offsets are never read, so only their RNG draws are
+        // kept.
+        let vrefs = self
             .sampler
-            .draw(self.mismatch, &mut self.rng, self.recorder)
+            .draw_vrefs(self.mismatch, &mut self.rng, self.recorder)
             .expect("perturbed ladder solves");
         // Per-comparator offsets on top, drawn in distinct-pair order.
         for (threshold, &tap) in self.thresholds.iter_mut().zip(&self.tap_index) {
             let offset = sample_normal(&mut self.rng, 0.0, self.mismatch.comparator_offset_sigma_v);
-            *threshold = taps[tap].vref_volts - offset;
+            *threshold = vrefs[tap] - offset;
         }
         self.packed.accuracy(&self.columns, &self.thresholds)
     }

@@ -22,7 +22,7 @@
 
 use printed_datasets::{QuantizedDataset, ThermometerPlanes};
 use printed_dtree::DecisionTree;
-use printed_logic::faults::{enumerate_faults, StuckAt};
+use printed_logic::faults::StuckAt;
 use printed_logic::sim::{Lanes, PackedNetlist};
 
 use crate::unary::UnaryClassifier;
@@ -65,30 +65,48 @@ pub fn decode_one_hot(outputs: &[bool]) -> Option<usize> {
 ///
 /// The test set's [`ThermometerPlanes`] are the netlist's input columns
 /// ([`Lanes`], 64 samples per word) and carry its per-class label masks.
-/// The good circuit is simulated once, and each fault re-simulates only
-/// the gates after the faulted one. A sample is correct when exactly one
-/// class line is asserted and it is the label's — the [`decode_one_hot`]
-/// rule as word operations — so every accuracy is the same integer count
-/// over `n` the scalar evaluation gives. Faults run serially: the
-/// campaign already spreads candidates over every core.
+/// The good circuit is simulated once; each fault then evaluates only its
+/// fanout cone ([`PackedNetlist::for_each_fault`]). A sample is correct
+/// when exactly one class line is asserted and it is the label's — the
+/// [`decode_one_hot`] rule as word operations, over every class line.
+/// Every accuracy is the same integer count over `n` the scalar
+/// evaluation gives, and the faults are summed in
+/// [`enumerate_faults`](printed_logic::faults::enumerate_faults) order.
+/// Faults run serially: the campaign already spreads candidates over
+/// every core.
+///
+/// This builds the tree's [`UnaryClassifier`] and the planes itself; the
+/// robustness campaign runs the same scoring on the sweep's classifiers
+/// and on planes it builds once per run.
 ///
 /// # Panics
 ///
 /// Panics if `test` is empty or narrower than the tree's feature space.
 pub fn fault_robustness(tree: &DecisionTree, test: &QuantizedDataset) -> FaultRobustness {
-    assert!(!test.is_empty(), "cannot score an empty dataset");
+    classifier_fault_robustness(
+        &UnaryClassifier::from_tree(tree),
+        &ThermometerPlanes::new(test),
+    )
+}
+
+/// [`fault_robustness`] of a synthesized classifier on the planes of its
+/// test set.
+///
+/// # Panics
+///
+/// Panics if `planes` holds no sample or is narrower than the
+/// classifier's feature space.
+pub(crate) fn classifier_fault_robustness(
+    classifier: &UnaryClassifier,
+    planes: &ThermometerPlanes,
+) -> FaultRobustness {
+    assert!(!planes.is_empty(), "cannot score an empty dataset");
     assert!(
-        test.n_features() >= tree.n_features(),
+        planes.n_features() >= classifier.n_features(),
         "dataset narrower than the tree"
     );
-    let classifier = UnaryClassifier::from_tree(tree);
-    let netlist = classifier.to_netlist();
-    let sim = PackedNetlist::compile(&netlist);
-
-    // The encoded test set: input `v` is the thermometer plane of literal
-    // `v`, and the class masks come with the planes.
-    let planes = ThermometerPlanes::new(test);
-    let mut good = sim.lanes(test.len());
+    let sim = PackedNetlist::compile(&classifier.to_netlist());
+    let mut good = sim.lanes(planes.len());
     for (v, &(feature, tap)) in classifier.literals().iter().enumerate() {
         good.set_input(v, planes.plane(feature, tap));
     }
@@ -109,12 +127,28 @@ pub fn fault_robustness(tree: &DecisionTree, test: &QuantizedDataset) -> FaultRo
                 (hit & ones & !twos & lanes.valid(w)).count_ones()
             })
             .sum();
-        correct as f64 / test.len() as f64
+        correct as f64 / planes.len() as f64
     };
 
     let fault_free_accuracy = score(&good);
-    let faults = enumerate_faults(&netlist);
-    if faults.is_empty() {
+    let mut fault_count = 0usize;
+    let mut sum = 0.0;
+    let mut worst = f64::INFINITY;
+    let mut worst_fault = None;
+    let mut benign = 0usize;
+    sim.for_each_fault(&good, |fault, faulty| {
+        fault_count += 1;
+        let acc = score(faulty);
+        sum += acc;
+        if acc < worst {
+            worst = acc;
+            worst_fault = Some(fault);
+        }
+        if (acc - fault_free_accuracy).abs() < 1e-12 {
+            benign += 1;
+        }
+    });
+    if fault_count == 0 {
         return FaultRobustness {
             fault_free_accuracy,
             mean_accuracy: fault_free_accuracy,
@@ -124,31 +158,13 @@ pub fn fault_robustness(tree: &DecisionTree, test: &QuantizedDataset) -> FaultRo
             benign_fraction: 1.0,
         };
     }
-
-    let mut faulty = good.clone();
-    let mut sum = 0.0;
-    let mut worst = f64::INFINITY;
-    let mut worst_fault = None;
-    let mut benign = 0usize;
-    for &fault in &faults {
-        sim.simulate_fault(&good, fault, &mut faulty);
-        let acc = score(&faulty);
-        sum += acc;
-        if acc < worst {
-            worst = acc;
-            worst_fault = Some(fault);
-        }
-        if (acc - fault_free_accuracy).abs() < 1e-12 {
-            benign += 1;
-        }
-    }
     FaultRobustness {
         fault_free_accuracy,
-        mean_accuracy: sum / faults.len() as f64,
+        mean_accuracy: sum / fault_count as f64,
         worst_accuracy: worst,
         worst_fault,
-        fault_count: faults.len(),
-        benign_fraction: benign as f64 / faults.len() as f64,
+        fault_count,
+        benign_fraction: benign as f64 / fault_count as f64,
     }
 }
 
@@ -157,7 +173,7 @@ mod tests {
     use super::*;
     use printed_datasets::Benchmark;
     use printed_dtree::cart::train_depth_selected;
-    use printed_logic::faults::FaultyNetlist;
+    use printed_logic::faults::{enumerate_faults, FaultyNetlist};
 
     fn setup() -> (DecisionTree, QuantizedDataset) {
         let (train, test) = Benchmark::Seeds.load_quantized(4).unwrap();

@@ -5,8 +5,11 @@
 //! the two constants, then the gates. Every signal is `ceil(n / 64)` words
 //! wide and bit `l` of word `w` carries pattern `64·w + l`, so one word
 //! operation evaluates a gate on 64 patterns. Gates are topologically
-//! ordered by construction, so a stuck-at fault on gate `g` only needs
-//! gates `g + 1..` re-simulated ([`PackedNetlist::simulate_fault`]).
+//! ordered by construction, so a stuck-at fault on gate `g` can only move
+//! gate `g`'s fanout cone: the gates that read `g`, directly or through
+//! other cone gates. [`PackedNetlist::for_each_fault`] injects each fault
+//! into the good arena, evaluates only that cone, hands the arena to the
+//! caller and restores the cone from the good values.
 //!
 //! Lanes past the last pattern of the final word hold garbage (an inverter
 //! turns their zeros into ones); consumers mask them with
@@ -117,24 +120,69 @@ impl PackedNetlist {
 
     /// Evaluates every gate on the input columns of `lanes`.
     pub fn simulate(&self, lanes: &mut Lanes) {
-        self.run(lanes, 0);
+        for g in 0..self.ops.len() {
+            self.eval(g, lanes);
+        }
     }
 
-    /// Evaluates the circuit with `fault` injected into `faulty`: the good
-    /// values below the faulted gate are copied from `good` (which must
-    /// already be simulated on the same patterns), the gate is stuck, and
-    /// only the gates after it are re-simulated.
+    /// Runs every single stuck-at fault against the circuit simulated in
+    /// `good`, in [`enumerate_faults`](crate::faults::enumerate_faults)
+    /// order: gate by gate, stuck-at-0 before stuck-at-1.
+    ///
+    /// `visit` gets the fault and an arena holding the faulty circuit's
+    /// values. A gate's cone is found on demand from the gates' readers.
+    /// Each fault is injected into a copy of `good` and only its cone is
+    /// evaluated; after the gate's two faults the cone is restored from
+    /// `good`.
     ///
     /// # Panics
     ///
-    /// Panics if the fault references a gate outside the netlist or the
-    /// two arenas differ in shape.
-    pub fn simulate_fault(&self, good: &Lanes, fault: StuckAt, faulty: &mut Lanes) {
-        assert!(
-            fault.gate < self.ops.len(),
-            "fault on missing gate {}",
-            fault.gate
+    /// Panics if `good` is not an arena of this netlist.
+    pub fn for_each_fault(&self, good: &Lanes, mut visit: impl FnMut(StuckAt, &Lanes)) {
+        assert_eq!(
+            good.values.len(),
+            (self.inputs + 2 + self.ops.len()) * good.words,
+            "arena of another netlist"
         );
+        let mut fanout = Fanout::new(self);
+        let mut faulty = good.clone();
+        let mut cone = Vec::new();
+        for gate in 0..self.ops.len() {
+            fanout.cone(gate, &mut cone);
+            for value in [false, true] {
+                let fault = StuckAt { gate, value };
+                self.inject(fault, &cone, &mut faulty);
+                visit(fault, &faulty);
+            }
+            self.restore(&cone, good, &mut faulty);
+        }
+    }
+
+    /// Sticks `fault`'s gate and re-evaluates the rest of its `cone`
+    /// (ascending, the faulted gate first).
+    fn inject(&self, fault: StuckAt, cone: &[usize], lanes: &mut Lanes) {
+        let at = (self.inputs + 2 + fault.gate) * lanes.words;
+        lanes.values[at..at + lanes.words].fill(if fault.value { !0 } else { 0 });
+        for &g in &cone[1..] {
+            self.eval(g, lanes);
+        }
+    }
+
+    /// Copies the good values of `cone`'s gates back into `faulty`.
+    fn restore(&self, cone: &[usize], good: &Lanes, faulty: &mut Lanes) {
+        let words = good.words;
+        for &g in cone {
+            let at = (self.inputs + 2 + g) * words;
+            faulty.values[at..at + words].copy_from_slice(&good.values[at..at + words]);
+        }
+    }
+
+    /// Evaluates the circuit with `fault` injected into `faulty`: the good
+    /// values below the faulted gate are copied from `good`, the gate is
+    /// stuck, and every gate after it is re-simulated. The whole-suffix
+    /// oracle of [`for_each_fault`](Self::for_each_fault)'s cones.
+    #[cfg(test)]
+    pub(crate) fn simulate_fault(&self, good: &Lanes, fault: StuckAt, faulty: &mut Lanes) {
         assert_eq!(
             good.values.len(),
             faulty.values.len(),
@@ -145,7 +193,9 @@ impl PackedNetlist {
         faulty.values[..start].copy_from_slice(&good.values[..start]);
         faulty.values[start..start + words].fill(if fault.value { !0 } else { 0 });
         faulty.patterns = good.patterns;
-        self.run(faulty, fault.gate + 1);
+        for g in fault.gate + 1..self.ops.len() {
+            self.eval(g, faulty);
+        }
     }
 
     /// The words of output `k` (lanes past the last pattern unmasked).
@@ -159,46 +209,123 @@ impl PackedNetlist {
         self.outputs.iter().map(|&s| lanes.bit(s, p)).collect()
     }
 
-    /// Evaluates gates `from..` in order, one word kernel per cell kind.
-    fn run(&self, lanes: &mut Lanes, from: usize) {
+    /// Evaluates gate `g` from its pins' slots, one word kernel per cell
+    /// kind. Inlined into each gate loop, as the kernel of one loop body.
+    #[inline(always)]
+    fn eval(&self, g: usize, lanes: &mut Lanes) {
         let words = lanes.words;
-        let base = self.inputs + 2;
-        for (g, op) in self.ops.iter().enumerate().skip(from) {
-            let (done, rest) = lanes.values.split_at_mut((base + g) * words);
-            let out = &mut rest[..words];
-            let arg = |k: usize| &done[op.args[k] * words..][..words];
-            match op.kind {
-                CellKind::TieLo => out.fill(0),
-                CellKind::TieHi => out.fill(!0),
-                CellKind::Inv => map1(out, arg(0), |a| !a),
-                CellKind::Buf => map1(out, arg(0), |a| a),
-                CellKind::Nand2 => map2(out, arg(0), arg(1), |a, b| !(a & b)),
-                CellKind::Nand3 => map3(out, arg(0), arg(1), arg(2), |a, b, c| !(a & b & c)),
-                CellKind::Nand4 => map4(out, [arg(0), arg(1), arg(2), arg(3)], |a, b, c, d| {
-                    !(a & b & c & d)
-                }),
-                CellKind::Nor2 => map2(out, arg(0), arg(1), |a, b| !(a | b)),
-                CellKind::Nor3 => map3(out, arg(0), arg(1), arg(2), |a, b, c| !(a | b | c)),
-                CellKind::Nor4 => map4(out, [arg(0), arg(1), arg(2), arg(3)], |a, b, c, d| {
-                    !(a | b | c | d)
-                }),
-                CellKind::And2 => map2(out, arg(0), arg(1), |a, b| a & b),
-                CellKind::And3 => map3(out, arg(0), arg(1), arg(2), |a, b, c| a & b & c),
-                CellKind::And4 => map4(out, [arg(0), arg(1), arg(2), arg(3)], |a, b, c, d| {
-                    a & b & c & d
-                }),
-                CellKind::Or2 => map2(out, arg(0), arg(1), |a, b| a | b),
-                CellKind::Or3 => map3(out, arg(0), arg(1), arg(2), |a, b, c| a | b | c),
-                CellKind::Or4 => map4(out, [arg(0), arg(1), arg(2), arg(3)], |a, b, c, d| {
-                    a | b | c | d
-                }),
-                CellKind::Xor2 => map2(out, arg(0), arg(1), |a, b| a ^ b),
-                CellKind::Xnor2 => map2(out, arg(0), arg(1), |a, b| !(a ^ b)),
-                CellKind::Aoi21 => map3(out, arg(0), arg(1), arg(2), |a, b, c| !((a & b) | c)),
-                CellKind::Oai21 => map3(out, arg(0), arg(1), arg(2), |a, b, c| !((a | b) & c)),
-                CellKind::Mux2 => map3(out, arg(0), arg(1), arg(2), |a, b, s| (a & !s) | (b & s)),
+        let op = &self.ops[g];
+        let (done, rest) = lanes.values.split_at_mut((self.inputs + 2 + g) * words);
+        let out = &mut rest[..words];
+        let arg = |k: usize| &done[op.args[k] * words..][..words];
+        match op.kind {
+            CellKind::TieLo => out.fill(0),
+            CellKind::TieHi => out.fill(!0),
+            CellKind::Inv => map1(out, arg(0), |a| !a),
+            CellKind::Buf => map1(out, arg(0), |a| a),
+            CellKind::Nand2 => map2(out, arg(0), arg(1), |a, b| !(a & b)),
+            CellKind::Nand3 => map3(out, arg(0), arg(1), arg(2), |a, b, c| !(a & b & c)),
+            CellKind::Nand4 => map4(out, [arg(0), arg(1), arg(2), arg(3)], |a, b, c, d| {
+                !(a & b & c & d)
+            }),
+            CellKind::Nor2 => map2(out, arg(0), arg(1), |a, b| !(a | b)),
+            CellKind::Nor3 => map3(out, arg(0), arg(1), arg(2), |a, b, c| !(a | b | c)),
+            CellKind::Nor4 => map4(out, [arg(0), arg(1), arg(2), arg(3)], |a, b, c, d| {
+                !(a | b | c | d)
+            }),
+            CellKind::And2 => map2(out, arg(0), arg(1), |a, b| a & b),
+            CellKind::And3 => map3(out, arg(0), arg(1), arg(2), |a, b, c| a & b & c),
+            CellKind::And4 => map4(out, [arg(0), arg(1), arg(2), arg(3)], |a, b, c, d| {
+                a & b & c & d
+            }),
+            CellKind::Or2 => map2(out, arg(0), arg(1), |a, b| a | b),
+            CellKind::Or3 => map3(out, arg(0), arg(1), arg(2), |a, b, c| a | b | c),
+            CellKind::Or4 => map4(out, [arg(0), arg(1), arg(2), arg(3)], |a, b, c, d| {
+                a | b | c | d
+            }),
+            CellKind::Xor2 => map2(out, arg(0), arg(1), |a, b| a ^ b),
+            CellKind::Xnor2 => map2(out, arg(0), arg(1), |a, b| !(a ^ b)),
+            CellKind::Aoi21 => map3(out, arg(0), arg(1), arg(2), |a, b, c| !((a & b) | c)),
+            CellKind::Oai21 => map3(out, arg(0), arg(1), arg(2), |a, b, c| !((a | b) & c)),
+            CellKind::Mux2 => map3(out, arg(0), arg(1), arg(2), |a, b, s| (a & !s) | (b & s)),
+        }
+    }
+}
+
+/// Which gates read each gate, from which
+/// [`PackedNetlist::for_each_fault`] finds a fault's cone.
+struct Fanout {
+    readers: Table,
+    /// Scratch marks of the cone being collected; all clear between cones.
+    seen: Vec<bool>,
+}
+
+impl Fanout {
+    fn new(sim: &PackedNetlist) -> Self {
+        let base = sim.inputs + 2;
+        let gates = sim.ops.len();
+        let reads = sim.ops.iter().enumerate().flat_map(|(g, op)| {
+            op.args[..op.kind.inputs()]
+                .iter()
+                .filter(|&&slot| slot >= base)
+                .map(move |&slot| (slot - base, g))
+        });
+        Self {
+            readers: Table::new(gates, reads),
+            seen: vec![false; gates],
+        }
+    }
+
+    /// Collects `gate`'s fanout cone into `cone` (ascending, so `gate`
+    /// first and every gate after the gates it reads).
+    fn cone(&mut self, gate: usize, cone: &mut Vec<usize>) {
+        cone.clear();
+        cone.push(gate);
+        self.seen[gate] = true;
+        let mut next = 0;
+        while let Some(&g) = cone.get(next) {
+            next += 1;
+            for &reader in self.readers.get(g) {
+                if !self.seen[reader] {
+                    self.seen[reader] = true;
+                    cone.push(reader);
+                }
             }
         }
+        for &g in cone.iter() {
+            self.seen[g] = false;
+        }
+        cone.sort_unstable();
+    }
+}
+
+/// `(key, value)` pairs grouped by key in one flat array: key `k`'s
+/// values, in pair order, are `values[start[k]..start[k + 1]]`.
+struct Table {
+    start: Vec<usize>,
+    values: Vec<usize>,
+}
+
+impl Table {
+    fn new(keys: usize, pairs: impl Iterator<Item = (usize, usize)> + Clone) -> Self {
+        let mut start = vec![0; keys + 1];
+        for (k, _) in pairs.clone() {
+            start[k + 1] += 1;
+        }
+        for k in 0..keys {
+            start[k + 1] += start[k];
+        }
+        let mut fill = start.clone();
+        let mut values = vec![0; start[keys]];
+        for (k, v) in pairs {
+            values[fill[k]] = v;
+            fill[k] += 1;
+        }
+        Self { start, values }
+    }
+
+    fn get(&self, k: usize) -> &[usize] {
+        &self.values[self.start[k]..self.start[k + 1]]
     }
 }
 
@@ -310,6 +437,7 @@ impl Lanes {
 mod tests {
     use super::*;
     use crate::faults::{enumerate_faults, fault_campaign, FaultyNetlist};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -402,6 +530,71 @@ mod tests {
                         assert_eq!(sim.outputs_at(&faulty, p), reference.eval(pattern));
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        /// Every fault of a random netlist with every cell kind, at 1, 63,
+        /// 64, 65 and 129 patterns: the cone path leaves the whole-suffix
+        /// oracle's arena, the cone is exactly the faulted gate's
+        /// transitive readers, and every restore gives back the good
+        /// arena bit for bit.
+        #[test]
+        fn fault_cones_match_the_whole_suffix_oracle_and_restore_the_good_arena(
+            seed in any::<u64>(),
+            extra_gates in 0usize..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let nl = random_netlist(&mut rng, 6, CellKind::ALL.len() + extra_gates);
+            let sim = PackedNetlist::compile(&nl);
+            let base = sim.inputs + 2;
+            let faults = enumerate_faults(&nl);
+            for n in [1, 63, 64, 65, 129] {
+                let patterns = random_patterns(&mut rng, 6, n);
+                let mut good = sim.lanes(n);
+                good.load(&patterns);
+                sim.simulate(&mut good);
+                let mut oracle = good.clone();
+
+                // The steps `for_each_fault` composes, with the arena
+                // checked after every restore.
+                let mut fanout = Fanout::new(&sim);
+                let mut faulty = good.clone();
+                let mut cone = Vec::new();
+                for gate in 0..sim.ops.len() {
+                    fanout.cone(gate, &mut cone);
+                    let mut expected = vec![gate];
+                    for (g, op) in sim.ops.iter().enumerate().skip(gate + 1) {
+                        let pins = &op.args[..op.kind.inputs()];
+                        if pins
+                            .iter()
+                            .any(|&slot| slot >= base && expected.contains(&(slot - base)))
+                        {
+                            expected.push(g);
+                        }
+                    }
+                    prop_assert_eq!(&cone, &expected, "cone of gate {}", gate);
+                    for value in [false, true] {
+                        let fault = StuckAt { gate, value };
+                        sim.inject(fault, &cone, &mut faulty);
+                        sim.simulate_fault(&good, fault, &mut oracle);
+                        prop_assert_eq!(&faulty.values, &oracle.values, "n={} {:?}", n, fault);
+                    }
+                    sim.restore(&cone, &good, &mut faulty);
+                    prop_assert_eq!(&faulty.values, &good.values, "n={} restored after gate {}", n, gate);
+                }
+
+                // The public loop visits the same faults, in order, with
+                // the oracle's arena.
+                let mut visited = 0;
+                sim.for_each_fault(&good, |fault, lanes| {
+                    assert_eq!(fault, faults[visited]);
+                    visited += 1;
+                    sim.simulate_fault(&good, fault, &mut oracle);
+                    assert_eq!(lanes.values, oracle.values, "n={n} {fault:?}");
+                });
+                prop_assert_eq!(visited, faults.len());
             }
         }
     }

@@ -169,7 +169,10 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> Self {
             assert!(r.start < r.end);
-            Self { lo: r.start, hi: r.end - 1 }
+            Self {
+                lo: r.start,
+                hi: r.end - 1,
+            }
         }
     }
 
@@ -179,7 +182,10 @@ pub mod collection {
     }
 
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {

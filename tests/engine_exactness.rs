@@ -17,19 +17,26 @@
 //!    builder oracles (`crates/logic/src/oracle.rs`);
 //! 4. a fresh quick-grid sweep selects the same design — same grid
 //!    point, same area, power, and comparator count — as the committed
-//!    `BENCH_all.ndjson` baseline, i.e. 0.0% deterministic drift.
+//!    `BENCH_all.ndjson` baseline, i.e. 0.0% deterministic drift;
+//! 5. every paper-grid candidate's single-stuck-at `FaultRobustness`,
+//!    scored fault by fault on its fanout cone, and the campaign's fault
+//!    columns are those of simulating each faulty netlist whole.
 //!
 //! [`SplitEngine`]: printed_ml::dtree::cart::SplitEngine
 
 use printed_ml::codesign::explore::{explore, ExplorationConfig};
 use printed_ml::codesign::train::{train_adc_aware, train_adc_aware_reference, AdcAwareConfig};
-use printed_ml::codesign::{SupplyDroopModel, UnaryClassifier};
-use printed_ml::datasets::{Benchmark, ThermometerPlanes};
+use printed_ml::codesign::{
+    fault_robustness, FaultRobustness, RobustnessCampaign, SupplyDroopModel, UnaryClassifier,
+};
+use printed_ml::datasets::{Benchmark, QuantizedDataset, ThermometerPlanes};
 use printed_ml::lint::{DroopRef, GridRef, LintConfig, LintTarget, Linter};
+use printed_ml::logic::faults::{enumerate_faults, StuckAt};
 use printed_ml::logic::sop::{Cube, Sop};
-use printed_ml::logic::{analyze, AnalysisConfig, Signal};
+use printed_ml::logic::{analyze, AnalysisConfig, PackedNetlist, Signal};
 use printed_ml::pdk::{AnalogModel, CellKind, CellLibrary};
 use printed_ml::report::BenchRecord;
+use printed_ml::telemetry::Recorder;
 
 // The oracle file names its netlist types as `crate::netlist`.
 use printed_ml::logic::netlist;
@@ -246,6 +253,143 @@ fn paper_grid_synthesis_and_grid_lint_match_the_oracles_on_every_benchmark() {
     // Grid-lint warnings per benchmark before the sorted-`Vec` cubes,
     // copy-keyed hashing and T001's structural proof landed.
     assert_eq!(warnings, [1720, 386, 185, 1463, 441, 233, 319, 637]);
+}
+
+#[test]
+fn paper_grid_fault_robustness_matches_the_whole_netlist_oracle_on_every_benchmark() {
+    // One Monte-Carlo trial: only the campaign's fault columns are pinned.
+    let campaign = RobustnessCampaign {
+        trials: 1,
+        ..RobustnessCampaign::typical()
+    };
+    for benchmark in Benchmark::ALL {
+        let (train, test) = benchmark.load_quantized(BITS).expect("built-ins load");
+        let (_, test_analog) = benchmark.load_split().expect("built-ins load");
+        let sweep = explore(&train, &test, &ExplorationConfig::paper());
+        let outcome = campaign.run(&sweep, &test, &test_analog, &Recorder::disabled());
+        assert_eq!(
+            outcome.profiles.len(),
+            sweep.candidates.len(),
+            "{benchmark}"
+        );
+        for (candidate, row) in sweep.candidates.iter().zip(&outcome.profiles) {
+            let at = format!("{benchmark} τ={} depth={}", candidate.tau, candidate.depth);
+            assert!(row.tau.to_bits() == candidate.tau.to_bits() && row.depth == candidate.depth);
+            let oracle = whole_netlist_fault_robustness(&candidate.system.classifier, &test);
+            let got = fault_robustness(&candidate.tree, &test);
+            let bits = |r: &FaultRobustness| {
+                [
+                    r.fault_free_accuracy,
+                    r.mean_accuracy,
+                    r.worst_accuracy,
+                    r.benign_fraction,
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(bits(&got), bits(&oracle), "{at}: fault accuracies");
+            assert_eq!(got.worst_fault, oracle.worst_fault, "{at}: worst fault");
+            assert_eq!(got.fault_count, oracle.fault_count, "{at}: fault count");
+            let profile = &row.profile;
+            assert_eq!(
+                [profile.worst_single_fault, profile.benign_fault_fraction].map(f64::to_bits),
+                [oracle.worst_accuracy, oracle.benign_fraction].map(f64::to_bits),
+                "{at}: the campaign's fault columns"
+            );
+        }
+    }
+}
+
+/// The fault leg's oracle: every single stuck-at fault simulated on the
+/// whole faulty netlist, rebuilt with the faulted gate replaced by its
+/// stuck constant, and scored by the one-hot rule over every class line.
+fn whole_netlist_fault_robustness(
+    classifier: &UnaryClassifier,
+    test: &QuantizedDataset,
+) -> FaultRobustness {
+    let netlist = classifier.to_netlist();
+    let planes = ThermometerPlanes::new(test);
+    let accuracy = |netlist: &netlist::Netlist| -> f64 {
+        let sim = PackedNetlist::compile(netlist);
+        let mut lanes = sim.lanes(test.len());
+        for (v, &(feature, tap)) in classifier.literals().iter().enumerate() {
+            lanes.set_input(v, planes.plane(feature, tap));
+        }
+        sim.simulate(&mut lanes);
+        let correct: u32 = (0..lanes.words())
+            .map(|w| {
+                let (mut ones, mut twos, mut hit) = (0u64, 0u64, 0u64);
+                for k in 0..sim.output_count() {
+                    let line = sim.output(&lanes, k)[w];
+                    twos |= ones & line;
+                    ones |= line;
+                    hit |= line & planes.class_mask(k)[w];
+                }
+                (hit & ones & !twos & lanes.valid(w)).count_ones()
+            })
+            .sum();
+        correct as f64 / test.len() as f64
+    };
+
+    let fault_free_accuracy = accuracy(&netlist);
+    let faults = enumerate_faults(&netlist);
+    let (mut sum, mut worst, mut worst_fault, mut benign) = (0.0, f64::INFINITY, None, 0usize);
+    for &fault in &faults {
+        let acc = accuracy(&with_stuck_gate(&netlist, fault));
+        sum += acc;
+        if acc < worst {
+            worst = acc;
+            worst_fault = Some(fault);
+        }
+        if (acc - fault_free_accuracy).abs() < 1e-12 {
+            benign += 1;
+        }
+    }
+    if faults.is_empty() {
+        return FaultRobustness {
+            fault_free_accuracy,
+            mean_accuracy: fault_free_accuracy,
+            worst_accuracy: fault_free_accuracy,
+            worst_fault: None,
+            fault_count: 0,
+            benign_fraction: 1.0,
+        };
+    }
+    FaultRobustness {
+        fault_free_accuracy,
+        mean_accuracy: sum / faults.len() as f64,
+        worst_accuracy: worst,
+        worst_fault,
+        fault_count: faults.len(),
+        benign_fraction: benign as f64 / faults.len() as f64,
+    }
+}
+
+/// `netlist` rebuilt gate by gate with `fault`'s gate replaced by its
+/// stuck constant. The builder folds the constant into the gates that
+/// read it, which changes their structure but not the function.
+fn with_stuck_gate(netlist: &netlist::Netlist, fault: StuckAt) -> netlist::Netlist {
+    let mut faulty = netlist::Netlist::new("faulty");
+    for name in netlist.input_names() {
+        faulty.input(name.clone());
+    }
+    let mut signals: Vec<Signal> = Vec::with_capacity(netlist.gate_count());
+    let map = |s: Signal, signals: &[Signal]| match s {
+        Signal::Gate(g) => signals[g],
+        other => other,
+    };
+    for (g, gate) in netlist.gates().iter().enumerate() {
+        let signal = if g == fault.gate {
+            Signal::Const(fault.value)
+        } else {
+            let pins: Vec<Signal> = gate.inputs.iter().map(|&s| map(s, &signals)).collect();
+            faulty.gate(gate.kind, &pins)
+        };
+        signals.push(signal);
+    }
+    for (name, s) in netlist.outputs() {
+        faulty.output(name.clone(), map(*s, &signals));
+    }
+    faulty
 }
 
 #[test]
