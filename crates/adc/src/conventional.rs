@@ -23,7 +23,6 @@ use printed_analog::ladder::Ladder;
 use printed_pdk::AnalogModel;
 
 use crate::cost::AdcCost;
-use crate::unary::UnaryCode;
 
 /// A conventional `bits`-bit flash ADC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,12 +83,6 @@ impl ConventionalAdc {
         // Same at-or-above boundary convention as `convert`, with a small
         // epsilon absorbing MNA rounding at exact tap voltages.
         taps.values().filter(|&&vref| vin >= vref - 1e-12).count() as u8
-    }
-
-    /// The full thermometer code of the conversion (what the ADC's
-    /// comparator bank outputs before the encoder).
-    pub fn convert_unary(&self, vin: f64) -> UnaryCode {
-        UnaryCode::from_level(self.convert(vin), self.bits)
     }
 
     /// Cost of one standalone ADC (private ladder + comparators + encoder).
@@ -191,15 +184,6 @@ mod tests {
                 "vin={vin}"
             );
         }
-    }
-
-    #[test]
-    fn unary_conversion_counts_taps() {
-        let adc = ConventionalAdc::new(4);
-        let code = adc.convert_unary(0.70);
-        assert_eq!(code.to_level(), 11);
-        assert!(code.digit(11));
-        assert!(!code.digit(12));
     }
 
     #[test]

@@ -43,4 +43,4 @@ pub use conventional::ConventionalAdc;
 pub use cost::AdcCost;
 pub use linearity::{linearity_of_thresholds, mc_linearity, LinearityReport, McLinearity};
 pub use sar::SarAdc;
-pub use unary::{InvalidUnaryError, UnaryCode};
+pub use unary::UnaryCode;

@@ -47,53 +47,9 @@ impl UnaryCode {
         Self { bits, level }
     }
 
-    /// Reconstructs a code from raw digits (LSB-first: `digits[0]` is
-    /// `U_1`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidUnaryError`] if the digit count is not `2^bits − 1`
-    /// for some `bits ≤ 8`, or the digits are not prefix-closed (a "bubble"
-    /// — a 1 above a 0).
-    pub fn from_digits(digits: &[bool]) -> Result<Self, InvalidUnaryError> {
-        let m = digits.len();
-        let bits = match m {
-            1 => 1,
-            3 => 2,
-            7 => 3,
-            15 => 4,
-            31 => 5,
-            63 => 6,
-            127 => 7,
-            255 => 8,
-            _ => return Err(InvalidUnaryError::BadLength { len: m }),
-        };
-        let level = digits.iter().filter(|&&d| d).count();
-        // Prefix closure: all ones must be at the bottom.
-        if digits.iter().take(level).any(|&d| !d) {
-            let position = digits.iter().position(|&d| !d).expect("a zero exists") + 1;
-            return Err(InvalidUnaryError::Bubble { position });
-        }
-        Ok(Self {
-            bits,
-            level: level as u8,
-        })
-    }
-
-    /// The resolution in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Number of digits in the code: `2^bits − 1`.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         (1usize << self.bits) - 1
-    }
-
-    /// Never true — a unary code always has at least one digit. Present for
-    /// API completeness next to [`UnaryCode::len`].
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// The encoded level (number of 1 digits).
@@ -113,11 +69,6 @@ impl UnaryCode {
             self.len()
         );
         (self.level as usize) >= k
-    }
-
-    /// All digits, LSB-first (`U_1` first).
-    pub fn digits(&self) -> Vec<bool> {
-        (1..=self.len()).map(|k| self.digit(k)).collect()
     }
 
     /// Evaluates `self ≥ c` via the unary identity (reads digit `U_c`;
@@ -149,36 +100,6 @@ impl fmt::Display for UnaryCode {
         Ok(())
     }
 }
-
-/// Errors from [`UnaryCode::from_digits`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InvalidUnaryError {
-    /// The digit count is not `2^bits − 1` for any supported `bits`.
-    BadLength {
-        /// Offending length.
-        len: usize,
-    },
-    /// The code has a 0 below a 1 (not thermometer-shaped).
-    Bubble {
-        /// 1-based position of the first offending 0.
-        position: usize,
-    },
-}
-
-impl fmt::Display for InvalidUnaryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InvalidUnaryError::BadLength { len } => {
-                write!(f, "unary code length {len} is not 2^bits − 1")
-            }
-            InvalidUnaryError::Bubble { position } => {
-                write!(f, "unary code has a bubble at digit {position}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for InvalidUnaryError {}
 
 #[cfg(test)]
 mod tests {
@@ -224,29 +145,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn digits_roundtrip() {
-        for level in 0..16u8 {
-            let code = UnaryCode::from_level(level, 4);
-            let back = UnaryCode::from_digits(&code.digits()).unwrap();
-            assert_eq!(back, code);
-        }
-    }
-
-    #[test]
-    fn from_digits_rejects_bubbles() {
-        // U_1=1, U_2=0, U_3=1 — a bubble.
-        let err = UnaryCode::from_digits(&[true, false, true]).unwrap_err();
-        assert_eq!(err, InvalidUnaryError::Bubble { position: 2 });
-        assert!(err.to_string().contains("bubble"));
-    }
-
-    #[test]
-    fn from_digits_rejects_bad_length() {
-        let err = UnaryCode::from_digits(&[true, true]).unwrap_err();
-        assert_eq!(err, InvalidUnaryError::BadLength { len: 2 });
     }
 
     #[test]

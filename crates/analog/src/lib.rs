@@ -5,11 +5,11 @@
 //! the paper's Cadence/SPICE flow.
 //!
 //! * [`linalg`] — dense Gaussian elimination with partial pivoting.
-//! * [`mna`] — Modified Nodal Analysis for resistive DC circuits (resistors,
-//!   voltage sources, current sources).
+//! * [`mna`] — Modified Nodal Analysis for resistive DC circuits (resistors
+//!   and voltage sources).
 //! * [`ladder`] — flash-ADC reference ladders; proves electrically that a
 //!   pruned bespoke ladder keeps every retained tap voltage.
-//! * [`comparator`] — behavioral comparator with offset/gain/metastability.
+//! * [`comparator`] — behavioral comparator with an input-referred offset.
 //! * [`mc`] — Monte-Carlo printing-mismatch sampling.
 //!
 //! ## Why this exists

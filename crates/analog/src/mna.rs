@@ -1,7 +1,7 @@
 //! Modified Nodal Analysis (MNA) for DC operating points.
 //!
-//! A tiny SPICE-like DC engine: build a [`Circuit`] out of resistors, ideal
-//! voltage sources, and current sources, then ask for the
+//! A tiny SPICE-like DC engine: build a [`Circuit`] out of resistors and
+//! ideal voltage sources, then ask for the
 //! [`Circuit::dc_operating_point`]. This is what the ADC models use to
 //! compute reference-ladder tap voltages — including verifying that a
 //! *pruned* bespoke ladder (series segments merged) is electrically
@@ -17,8 +17,8 @@
 //! ```
 //!
 //! where `G` is the conductance matrix stamped by resistors, `B` maps
-//! voltage-source branch currents into node equations, `i` holds current
-//! source injections and `e` the source voltages.
+//! voltage-source branch currents into node equations, `e` holds the
+//! source voltages, and `i = 0` (no element injects current directly).
 //!
 //! ```
 //! use printed_analog::mna::{Circuit, Node};
@@ -70,13 +70,6 @@ struct VoltageSource {
     volts: f64,
 }
 
-#[derive(Debug, Clone)]
-struct CurrentSource {
-    from: Node,
-    into: Node,
-    amps: f64,
-}
-
 /// A resistive DC circuit under construction.
 ///
 /// The builder API stamps elements; [`Circuit::dc_operating_point`] solves
@@ -88,7 +81,6 @@ pub struct Circuit {
     node_names: Vec<String>,
     resistors: Vec<Resistor>,
     vsources: Vec<VoltageSource>,
-    isources: Vec<CurrentSource>,
 }
 
 impl Circuit {
@@ -104,11 +96,6 @@ impl Circuit {
     pub fn node(&mut self, name: impl Into<String>) -> Node {
         self.node_names.push(name.into());
         Node(self.node_names.len() - 1)
-    }
-
-    /// Number of nodes including ground.
-    pub fn node_count(&self) -> usize {
-        self.node_names.len()
     }
 
     /// The name given to `node` at creation.
@@ -158,21 +145,6 @@ impl Circuit {
         self
     }
 
-    /// Adds an ideal current source driving `amps` from node `from` into
-    /// node `into` (conventional current).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amps` is not finite or if `from == into`.
-    pub fn current_source(&mut self, from: Node, into: Node, amps: f64) -> &mut Self {
-        self.check_node(from);
-        self.check_node(into);
-        assert!(amps.is_finite(), "source current must be finite");
-        assert_ne!(from, into, "current source terminals must differ");
-        self.isources.push(CurrentSource { from, into, amps });
-        self
-    }
-
     /// Solves for the DC operating point.
     ///
     /// # Errors
@@ -206,14 +178,6 @@ impl Circuit {
                 a[(j, i)] -= g;
             }
         }
-        for s in &self.isources {
-            if let Some(i) = row(s.into) {
-                rhs[i] += s.amps;
-            }
-            if let Some(j) = row(s.from) {
-                rhs[j] -= s.amps;
-            }
-        }
         for (k, v) in self.vsources.iter().enumerate() {
             let col = n + k;
             if let Some(i) = row(v.plus) {
@@ -227,14 +191,12 @@ impl Circuit {
             rhs[col] = v.volts;
         }
 
-        let solution = a.solve(&rhs).map_err(|e| match e {
+        let mut node_voltages = a.solve(&rhs).map_err(|e| match e {
             SolveError::Singular { column } => MnaError::Singular { equation: column },
         })?;
-        let (voltages, currents) = solution.split_at(n);
-        Ok(OperatingPoint {
-            node_voltages: voltages.to_vec(),
-            source_currents: currents.to_vec(),
-        })
+        // The trailing `m` unknowns are the sources' branch currents.
+        node_voltages.truncate(n);
+        Ok(OperatingPoint { node_voltages })
     }
 }
 
@@ -242,7 +204,6 @@ impl Circuit {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     node_voltages: Vec<f64>,
-    source_currents: Vec<f64>,
 }
 
 impl OperatingPoint {
@@ -257,28 +218,6 @@ impl OperatingPoint {
         } else {
             self.node_voltages[node.0 - 1]
         }
-    }
-
-    /// Branch current through the `k`-th voltage source (insertion order),
-    /// in amperes, flowing from `plus` through the source to `minus`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn source_current(&self, k: usize) -> f64 {
-        self.source_currents[k]
-    }
-
-    /// Total power delivered by the `k`-th voltage source, in watts
-    /// (positive when the source supplies energy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn source_power(&self, k: usize, volts: f64) -> f64 {
-        // MNA convention: positive branch current flows into the + terminal,
-        // so a supplying source has negative branch current.
-        -self.source_currents[k] * volts
     }
 }
 
@@ -328,28 +267,6 @@ mod tests {
         assert!((divider(1e4, 1e4) - 0.5).abs() < 1e-12);
         assert!((divider(3e4, 1e4) - 0.25).abs() < 1e-12);
         assert!((divider(1e4, 3e4) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn source_current_matches_ohms_law() {
-        let mut ckt = Circuit::new();
-        let top = ckt.node("top");
-        ckt.voltage_source(top, Node::GROUND, 2.0);
-        ckt.resistor(top, Node::GROUND, 1000.0);
-        let op = ckt.dc_operating_point().unwrap();
-        // 2 V across 1 kΩ → 2 mA delivered.
-        assert!((op.source_power(0, 2.0) - 0.004).abs() < 1e-12);
-        assert!((op.source_current(0) + 0.002).abs() < 1e-12);
-    }
-
-    #[test]
-    fn current_source_into_resistor() {
-        let mut ckt = Circuit::new();
-        let n = ckt.node("n");
-        ckt.current_source(Node::GROUND, n, 1e-3);
-        ckt.resistor(n, Node::GROUND, 2000.0);
-        let op = ckt.dc_operating_point().unwrap();
-        assert!((op.voltage(n) - 2.0).abs() < 1e-12);
     }
 
     #[test]

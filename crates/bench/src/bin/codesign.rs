@@ -341,12 +341,7 @@ fn run_fix(
     grid: &ExplorationConfig,
 ) -> Result<(), String> {
     let before = &chosen.system.adc;
-    let outcome = printed_codesign::fix_candidate(
-        chosen,
-        &AnalogModel::egfet(),
-        Some(grid),
-        &printed_codesign::LintConfig::new(),
-    );
+    let outcome = printed_codesign::fix_candidate(chosen, &AnalogModel::egfet(), Some(grid));
     if outcome.dropped.is_empty() {
         outln!("autofix: design is already a fixpoint — nothing to repair");
     } else {

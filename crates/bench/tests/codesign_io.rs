@@ -1,5 +1,6 @@
 //! The `codesign` binary reports unwritable output paths as one `error:`
-//! line and exit code 1 — never a panic, never a silent exit 0.
+//! line and exit code 1 — never a panic, never a silent exit 0 — and its
+//! `--lint=deny` / `--lint=deny-warnings` policies decide the exit code.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -72,4 +73,27 @@ fn an_unwritable_trace_path_exits_non_zero() {
         &output,
         "PRINTED_TRACE: cannot write /nonexistent/dir/t.ndjson",
     );
+}
+
+#[test]
+fn lint_deny_passes_a_design_with_warnings_only() {
+    let output = codesign(&["seeds", "--quick", "--lint=deny"], None);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("whole-grid lint: "), "stdout: {stdout}");
+}
+
+#[test]
+fn lint_deny_warnings_fails_on_the_grid_warnings() {
+    // The Seeds quick grid has warnings but no errors, so only the
+    // stricter policy fails the run.
+    let output = codesign(&["seeds", "--quick", "--lint=deny-warnings"], None);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    let errors = stderr
+        .lines()
+        .filter(|line| line.starts_with("error: lint found"))
+        .count();
+    assert_eq!(errors, 1, "stderr: {stderr}");
 }

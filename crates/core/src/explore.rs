@@ -569,7 +569,6 @@ fn explore_core(
                 netlist,
                 analog,
                 Some(config),
-                &printed_lint::LintConfig::new(),
                 candidate.depth == max_depth,
                 Some(crate::lint::GRID_EQUIV_BUDGET),
             ),

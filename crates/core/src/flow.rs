@@ -41,9 +41,6 @@ pub struct CodesignFlow<'a> {
     test: &'a QuantizedDataset,
     accuracy_loss: f64,
     grid: ExplorationConfig,
-    library: CellLibrary,
-    analog: AnalogModel,
-    analysis: AnalysisConfig,
     title: String,
     recorder: Recorder,
     progress: Option<ProgressFn<'a>>,
@@ -64,16 +61,14 @@ impl std::fmt::Debug for CodesignFlow<'_> {
 
 impl<'a> CodesignFlow<'a> {
     /// Starts a flow over a train/test pair with the paper's defaults
-    /// (1% accuracy loss, full τ×depth grid, EGFET technology at 20 Hz).
+    /// (1% accuracy loss, full τ×depth grid). Every flow prices its
+    /// designs in the EGFET technology at 20 Hz.
     pub fn new(train: &'a QuantizedDataset, test: &'a QuantizedDataset) -> Self {
         Self {
             train,
             test,
             accuracy_loss: 0.01,
             grid: ExplorationConfig::paper(),
-            library: CellLibrary::egfet(),
-            analog: AnalogModel::egfet(),
-            analysis: AnalysisConfig::printed_20hz(),
             title: train.name().to_owned(),
             recorder: Recorder::disabled(),
             progress: None,
@@ -98,24 +93,6 @@ impl<'a> CodesignFlow<'a> {
     /// Replaces the exploration grid (e.g. [`ExplorationConfig::quick`]).
     pub fn grid(mut self, grid: ExplorationConfig) -> Self {
         self.grid = grid;
-        self
-    }
-
-    /// Replaces the digital cell library.
-    pub fn library(mut self, library: CellLibrary) -> Self {
-        self.library = library;
-        self
-    }
-
-    /// Replaces the analog cost model.
-    pub fn analog(mut self, analog: AnalogModel) -> Self {
-        self.analog = analog;
-        self
-    }
-
-    /// Replaces the analysis conditions.
-    pub fn analysis(mut self, analysis: AnalysisConfig) -> Self {
-        self.analysis = analysis;
         self
     }
 
@@ -183,6 +160,9 @@ impl<'a> CodesignFlow<'a> {
     /// starts) or every grid point failed.
     pub fn run(self) -> FlowOutcome {
         self.grid.validate();
+        let library = CellLibrary::egfet();
+        let analog = AnalogModel::egfet();
+        let analysis = AnalysisConfig::printed_20hz();
         // Main-thread kernel tallies (selection-path synthesis, lint);
         // sweep workers enter their own per-thread scopes. Dropped before
         // the snapshot below so the tallies land in the trace.
@@ -195,21 +175,16 @@ impl<'a> CodesignFlow<'a> {
             self.train,
             self.test,
             &self.grid,
-            &self.library,
-            &self.analog,
-            &self.analysis,
+            &library,
+            &analog,
+            &analysis,
             &self.recorder,
             self.progress,
         );
         stage.finish();
 
         let stage = self.recorder.span(keys::STAGE_BASELINE);
-        let baseline = synthesize_baseline_with(
-            &sweep.reference,
-            &self.library,
-            &self.analog,
-            &self.analysis,
-        );
+        let baseline = synthesize_baseline_with(&sweep.reference, &library, &analog, &analysis);
         stage.finish();
 
         let campaign_outcome =
@@ -230,20 +205,15 @@ impl<'a> CodesignFlow<'a> {
                         }
                     }
                     let stage = self.recorder.span(keys::STAGE_ROBUSTNESS);
-                    let outcome = campaign.run_with(
-                        &sweep,
-                        self.test,
-                        analog_test,
-                        &self.analog,
-                        &self.recorder,
-                    );
+                    let outcome =
+                        campaign.run_with(&sweep, self.test, analog_test, &analog, &self.recorder);
                     stage.finish();
                     outcome
                 });
 
         let stage = self.recorder.span(keys::STAGE_SELECTION);
         let chosen = sweep.choose(self.accuracy_loss).clone();
-        record_selection(&self.recorder, &chosen, &self.analog);
+        record_selection(&self.recorder, &chosen, &analog);
         let robust_choice = self
             .robustness
             .as_ref()
@@ -272,7 +242,7 @@ impl<'a> CodesignFlow<'a> {
         let stage = self.recorder.span(keys::STAGE_LINT);
         let lint = crate::lint::lint_candidate(
             &chosen,
-            &self.analog,
+            &analog,
             Some(&self.grid),
             &printed_lint::LintConfig::new(),
         );

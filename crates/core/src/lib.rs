@@ -64,7 +64,7 @@ pub use mismatch::{
     mismatch_accuracy, AnalogColumns, MismatchReport, MismatchTrialStream, MismatchTrials,
     PackedAnalogTree,
 };
-pub use printed_lint::{Diagnostic, LintConfig, LintLevel, LintReport, Severity};
+pub use printed_lint::{Diagnostic, LintConfig, LintReport, Severity};
 pub use robustness::{decode_one_hot, fault_robustness, FaultRobustness};
 pub use serial::{estimate_serial_unary, SerialUnaryEstimate};
 pub use system::{synthesize_unary, Reduction, UnarySystem};

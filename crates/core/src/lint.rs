@@ -35,15 +35,16 @@ pub(crate) fn printed_droop() -> DroopRef {
 /// canonical lowering), while the *reported* ADC cost comes from the
 /// candidate's priced system — so C001 genuinely cross-checks the stored
 /// numbers against a fresh recomputation. Pass the exploration grid to
-/// enable the G001 hygiene checks.
+/// enable the G001 hygiene checks. Every pass reports at its built-in
+/// severity whatever `_config` is ([`LintConfig`] has one value).
 pub fn lint_candidate(
     candidate: &CandidateDesign,
     analog: &AnalogModel,
     grid: Option<&ExplorationConfig>,
-    config: &LintConfig,
+    _config: &LintConfig,
 ) -> LintReport {
     let netlist = candidate.system.classifier.to_netlist();
-    lint_candidate_borrowed(candidate, &netlist, analog, grid, config, true, None)
+    lint_candidate_borrowed(candidate, &netlist, analog, grid, true, None)
 }
 
 /// Cap on the feasible patterns the in-flow grid lint's T001
@@ -71,7 +72,6 @@ pub(crate) fn lint_candidate_borrowed(
     netlist: &printed_logic::netlist::Netlist,
     analog: &AnalogModel,
     grid: Option<&ExplorationConfig>,
-    config: &LintConfig,
     verify_tree: bool,
     equiv_budget: Option<usize>,
 ) -> LintReport {
@@ -85,7 +85,7 @@ pub(crate) fn lint_candidate_borrowed(
         verify_tree,
         equiv_budget,
     );
-    Linter::with_config(config.clone()).run(&target)
+    Linter::new().run(&target)
 }
 
 /// Lowers `candidate` into the linter's vocabulary around a netlist and
@@ -129,13 +129,12 @@ pub fn fix_candidate(
     candidate: &CandidateDesign,
     analog: &AnalogModel,
     grid: Option<&ExplorationConfig>,
-    config: &LintConfig,
 ) -> printed_lint::fix::FixOutcome {
     let classifier = &candidate.system.classifier;
     let netlist = classifier.to_netlist();
     let bank = classifier.adc_bank();
     let target = lint_target(candidate, &netlist, &bank, analog, grid, true, None);
-    printed_lint::fix::fix(&target, config)
+    printed_lint::fix::fix(&target)
 }
 
 /// Renders a report's code tally as the compact `codes` event field:

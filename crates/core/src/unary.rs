@@ -137,11 +137,6 @@ impl UnaryClassifier {
         &self.class_sops
     }
 
-    /// Total AND-term count across classes (a two-level size metric).
-    pub fn term_count(&self) -> usize {
-        self.class_sops.iter().map(|s| s.cubes().len()).sum()
-    }
-
     /// Evaluates the unary literals for a quantized sample.
     fn assignment(&self, sample: &[u8]) -> Vec<bool> {
         self.literals
@@ -286,29 +281,6 @@ impl UnaryClassifier {
         self.assignment(sample)
     }
 
-    /// True when a raw literal assignment is *thermometer-consistent*: for
-    /// any two literals of the same feature, the higher tap being 1 implies
-    /// the lower tap is 1. Assignments violating this can never appear at
-    /// the ADC outputs, so they are structural don't-cares for logic
-    /// minimization.
-    pub fn is_feasible_assignment(&self, assignment: &[bool]) -> bool {
-        assert_eq!(
-            assignment.len(),
-            self.literals.len(),
-            "one value per literal"
-        );
-        for i in 1..self.literals.len() {
-            let (f_prev, _) = self.literals[i - 1];
-            let (f, _) = self.literals[i];
-            // Literals are sorted by (feature, tap): within a feature run,
-            // taps ascend, so each digit must imply its predecessor.
-            if f == f_prev && assignment[i] && !assignment[i - 1] {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Exactly minimizes every class cover with Quine–McCluskey, using the
     /// thermometer-infeasible assignments as don't-cares — an optimization
     /// beyond the paper's two-level form that is only available *because*
@@ -331,8 +303,8 @@ impl UnaryClassifier {
         // `adj` marks literals sharing a feature with their predecessor
         // (literals are sorted by (feature, tap), so a feature's taps form
         // one ascending run). Thermometer-infeasible ⇔ some marked literal
-        // is 1 while its predecessor is 0: `(m & adj) & !(m << 1) != 0` —
-        // the mask form of [`UnaryClassifier::is_feasible_assignment`].
+        // is 1 while its predecessor is 0: `(m & adj) & !(m << 1) != 0`
+        // (a higher tap cannot be 1 while a lower tap of its feature is 0).
         let mut adj = 0u64;
         for i in 1..n {
             if self.literals[i].0 == self.literals[i - 1].0 {
@@ -773,8 +745,9 @@ mod tests {
     }
 
     #[test]
-    fn feasibility_encodes_thermometer_monotonicity() {
-        // Two literals on feature 1 (taps 3 and 9) plus one on feature 2.
+    fn literals_order_taps_ascending_within_a_feature() {
+        // Two literals on feature 1 (taps 3 and 9) plus one on feature 2:
+        // `minimized_covers` reads a feature's taps as one ascending run.
         let tree = DecisionTree::from_nodes(
             4,
             3,
@@ -807,11 +780,6 @@ mod tests {
         .unwrap();
         let u = UnaryClassifier::from_tree(&tree);
         assert_eq!(u.literals(), &[(1, 3), (1, 9), (2, 5)]);
-        // U_9 high with U_3 low is physically impossible.
-        assert!(!u.is_feasible_assignment(&[false, true, false]));
-        assert!(u.is_feasible_assignment(&[true, true, true]));
-        assert!(u.is_feasible_assignment(&[true, false, true]));
-        assert!(u.is_feasible_assignment(&[false, false, true]));
     }
 
     #[test]
@@ -928,13 +896,5 @@ mod tests {
             assert_eq!(u.accuracy_on(&planes).to_bits(), want);
             assert_eq!(u.packed().accuracy(&data).to_bits(), want);
         }
-    }
-
-    #[test]
-    fn term_count_counts_cubes() {
-        let u = UnaryClassifier::from_tree(&fig2_tree());
-        // 4 leaves, but two class-0 leaves may or may not merge (different
-        // support) — just check bounds.
-        assert!(u.term_count() >= 3 && u.term_count() <= 4);
     }
 }

@@ -221,103 +221,6 @@ impl Dataset {
         ))
     }
 
-    /// Stratified variant of [`Dataset::train_test_split`]: the split is
-    /// performed per class, so each side preserves the class proportions
-    /// (up to rounding, with at least one sample of every class in the
-    /// training set when the class has any). Essential for heavily
-    /// imbalanced data like WhiteWine's rare quality grades.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::BadSplit`] unless `0 < train_fraction < 1`
-    /// and both sides end up non-empty.
-    pub fn train_test_split_stratified(
-        &self,
-        train_fraction: f64,
-        seed: u64,
-    ) -> Result<(Dataset, Dataset), DatasetError> {
-        if !(train_fraction > 0.0 && train_fraction < 1.0) {
-            return Err(DatasetError::BadSplit { train_fraction });
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut train_idx = Vec::new();
-        let mut test_idx = Vec::new();
-        for class in 0..self.n_classes {
-            let mut members: Vec<usize> = (0..self.len())
-                .filter(|&i| self.labels[i] == class)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            members.shuffle(&mut rng);
-            let n_train = (((members.len() as f64) * train_fraction) as usize)
-                .max(1)
-                .min(members.len());
-            train_idx.extend_from_slice(&members[..n_train]);
-            test_idx.extend_from_slice(&members[n_train..]);
-        }
-        if train_idx.is_empty() || test_idx.is_empty() {
-            return Err(DatasetError::BadSplit { train_fraction });
-        }
-        // Interleave back into a shuffled order so downstream consumers do
-        // not see class-sorted data.
-        train_idx.shuffle(&mut rng);
-        test_idx.shuffle(&mut rng);
-        let pick = |idx: &[usize], suffix: &str| Dataset {
-            name: format!("{}-{suffix}", self.name),
-            n_features: self.n_features,
-            n_classes: self.n_classes,
-            samples: idx.iter().map(|&i| self.samples[i].clone()).collect(),
-            labels: idx.iter().map(|&i| self.labels[i]).collect(),
-        };
-        Ok((pick(&train_idx, "train"), pick(&test_idx, "test")))
-    }
-
-    /// Seeded k-fold split: returns `k` (train, validation) pairs, each
-    /// validation fold disjoint and jointly covering the dataset. Useful
-    /// for hyperparameter selection without touching the held-out test set
-    /// (the paper selects depth on the test split; k-fold is the
-    /// leak-free alternative this crate also offers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::BadSplit`] if `k < 2` or `k > len` (encoded
-    /// with `train_fraction = 0.0` since no fraction applies).
-    pub fn k_folds(&self, k: usize, seed: u64) -> Result<Vec<(Dataset, Dataset)>, DatasetError> {
-        if k < 2 || k > self.len() {
-            return Err(DatasetError::BadSplit {
-                train_fraction: 0.0,
-            });
-        }
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        indices.shuffle(&mut rng);
-        let pick = |idx: &[usize], suffix: String| Dataset {
-            name: format!("{}-{suffix}", self.name),
-            n_features: self.n_features,
-            n_classes: self.n_classes,
-            samples: idx.iter().map(|&i| self.samples[i].clone()).collect(),
-            labels: idx.iter().map(|&i| self.labels[i]).collect(),
-        };
-        let fold_size = self.len().div_ceil(k);
-        Ok((0..k)
-            .map(|f| {
-                let start = f * fold_size;
-                let end = ((f + 1) * fold_size).min(self.len());
-                let val: Vec<usize> = indices[start..end].to_vec();
-                let train: Vec<usize> = indices[..start]
-                    .iter()
-                    .chain(&indices[end..])
-                    .copied()
-                    .collect();
-                (
-                    pick(&train, format!("fold{f}-train")),
-                    pick(&val, format!("fold{f}-val")),
-                )
-            })
-            .collect())
-    }
-
     /// The majority class and its frequency — the accuracy floor any
     /// classifier must beat.
     pub fn majority_class(&self) -> (usize, f64) {
@@ -486,105 +389,6 @@ mod tests {
             Dataset::from_rows("n", 1, vec![(vec![f64::NAN], 0)]).unwrap_err(),
             DatasetError::NonFinite { row: 0, feature: 0 }
         ));
-    }
-
-    #[test]
-    fn stratified_split_preserves_class_ratios() {
-        // 80/16/4 class mix over 100 samples.
-        let mut rows = Vec::new();
-        for i in 0..100 {
-            let label = if i < 80 {
-                0
-            } else if i < 96 {
-                1
-            } else {
-                2
-            };
-            rows.push((vec![i as f64], label));
-        }
-        let ds = Dataset::from_rows("imbalanced", 1, rows).unwrap();
-        let (train, test) = ds.train_test_split_stratified(0.75, 5).unwrap();
-        assert_eq!(train.len() + test.len(), 100);
-        let tr = train.class_counts();
-        let te = test.class_counts();
-        assert_eq!(tr, vec![60, 12, 3]);
-        assert_eq!(te, vec![20, 4, 1]);
-    }
-
-    #[test]
-    fn stratified_split_keeps_rare_classes_in_training() {
-        let ds = Dataset::from_rows(
-            "rare",
-            1,
-            vec![
-                (vec![0.0], 0),
-                (vec![1.0], 0),
-                (vec![2.0], 0),
-                (vec![3.0], 0),
-                (vec![4.0], 1), // a single-sample class
-            ],
-        )
-        .unwrap();
-        let (train, _) = ds.train_test_split_stratified(0.5, 1).unwrap();
-        assert!(
-            train.class_counts()[1] >= 1,
-            "rare class must reach training"
-        );
-    }
-
-    #[test]
-    fn stratified_split_is_deterministic_and_shuffled() {
-        let ds = Dataset::from_rows(
-            "det",
-            1,
-            (0..40)
-                .map(|i| (vec![i as f64], (i % 2) as usize))
-                .collect(),
-        )
-        .unwrap();
-        let a = ds.train_test_split_stratified(0.7, 9).unwrap();
-        let b = ds.train_test_split_stratified(0.7, 9).unwrap();
-        assert_eq!(a, b);
-        // Not class-sorted: the first few training labels should mix.
-        let labels: Vec<usize> = (0..10).map(|i| a.0.label(i)).collect();
-        assert!(labels.contains(&0) && labels.contains(&1));
-    }
-
-    #[test]
-    fn k_folds_partition_exactly() {
-        let ds = Dataset::from_rows(
-            "kf",
-            1,
-            (0..23)
-                .map(|i| (vec![i as f64], (i % 3) as usize))
-                .collect(),
-        )
-        .unwrap();
-        let folds = ds.k_folds(4, 7).unwrap();
-        assert_eq!(folds.len(), 4);
-        let mut seen = std::collections::BTreeSet::new();
-        for (train, val) in &folds {
-            assert_eq!(train.len() + val.len(), 23);
-            for i in 0..val.len() {
-                // Identify validation rows by their unique feature value.
-                let key = val.sample(i)[0] as i64;
-                assert!(
-                    seen.insert(key),
-                    "row {key} appears in two validation folds"
-                );
-            }
-        }
-        assert_eq!(seen.len(), 23, "validation folds cover everything");
-        // Determinism.
-        assert_eq!(ds.k_folds(4, 7).unwrap()[0], folds[0]);
-    }
-
-    #[test]
-    fn k_folds_rejects_degenerate_k() {
-        let ds = Dataset::from_rows("kf", 1, vec![(vec![1.0], 0), (vec![2.0], 1)]).unwrap();
-        assert!(ds.k_folds(1, 0).is_err());
-        assert!(ds.k_folds(3, 0).is_err());
-        assert!(ds.k_folds(2, 0).is_ok());
     }
 
     #[test]

@@ -144,25 +144,6 @@ impl QuantizedDataset {
             .zip(self.labels.iter().copied())
     }
 
-    /// The distinct levels feature `f` takes in this dataset, ascending —
-    /// the candidate thresholds a trainer evaluates ("∀ C value in dataset
-    /// for I_i" in the paper's Algorithm 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f ≥ n_features`.
-    pub fn distinct_levels(&self, f: usize) -> Vec<u8> {
-        assert!(f < self.n_features, "feature {f} out of range");
-        let mut seen = [false; 256];
-        for s in &self.levels {
-            seen[s[f] as usize] = true;
-        }
-        (0u16..256)
-            .filter(|&l| seen[l as usize])
-            .map(|l| l as u8)
-            .collect()
-    }
-
     /// Per-class sample counts.
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n_classes];
@@ -233,23 +214,6 @@ mod tests {
         assert_eq!(q.label(1), 1);
         assert_eq!(q.n_classes(), 2);
         assert_eq!(q.bits(), 4);
-    }
-
-    #[test]
-    fn distinct_levels_are_sorted_unique() {
-        let ds = Dataset::from_rows(
-            "d",
-            1,
-            vec![
-                (vec![0.9], 0),
-                (vec![0.1], 0),
-                (vec![0.9], 1),
-                (vec![0.5], 1),
-            ],
-        )
-        .unwrap();
-        let q = QuantizedDataset::from_dataset(&ds, 4);
-        assert_eq!(q.distinct_levels(0), vec![1, 8, 14]);
     }
 
     #[test]

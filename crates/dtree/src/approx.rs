@@ -20,7 +20,9 @@
 //! use printed_dtree::approx::{synthesize_approx, ApproxConfig};
 //!
 //! let (train, test) = Benchmark::Vertebral3C.load_quantized(4)?;
-//! let design = synthesize_approx(&train, &test, &ApproxConfig::one_percent());
+//! // Table II's setting: at most 1% accuracy loss, depth ≤ 8.
+//! let config = ApproxConfig { accuracy_loss_budget: 0.01, max_depth: 8, min_bits: 1 };
+//! let design = synthesize_approx(&train, &test, &config);
 //! // Some inputs dropped below 4 bits:
 //! assert!(design.bits_per_feature.values().any(|&b| b < 4));
 //! # Ok::<(), printed_datasets::DatasetError>(())
@@ -47,17 +49,6 @@ pub struct ApproxConfig {
     pub max_depth: usize,
     /// Minimum bits any input may be scaled down to.
     pub min_bits: u32,
-}
-
-impl ApproxConfig {
-    /// The paper's Table II setting: up to 1% accuracy loss, depth ≤ 8.
-    pub fn one_percent() -> Self {
-        Self {
-            accuracy_loss_budget: 0.01,
-            max_depth: 8,
-            min_bits: 1,
-        }
-    }
 }
 
 /// A synthesized precision-scaled system.

@@ -32,7 +32,7 @@ use printed_logic::Signal;
 use crate::passes::{
     contradiction, feature_runs, sample_thermometer_patterns, FEASIBLE_ENUM_LIMIT, FEASIBLE_SAMPLES,
 };
-use crate::{LintConfig, LintReport, LintTarget, Linter};
+use crate::{LintReport, LintTarget, Linter};
 
 /// Seed for the sampled-equivalence fallback on huge feasible domains.
 const FIX_SAMPLE_SEED: u64 = 0x0ADC_F1F0;
@@ -86,8 +86,7 @@ fn parse_a002_locus(locus: &str) -> Option<(usize, usize)> {
 
 /// Repairs `target` to a fixpoint of the fixable diagnostics (A002 dead
 /// comparators; C001 drift clears as a consequence of re-deriving the
-/// cost). `config` filters the diagnostics the rewriter sees — an A002
-/// allowed away is not fixed.
+/// cost).
 ///
 /// The returned [`FixOutcome`] carries the repaired artifacts plus the
 /// re-run lint report and the feasible-domain equivalence verdict; the
@@ -99,7 +98,7 @@ fn parse_a002_locus(locus: &str) -> Option<(usize, usize)> {
 /// condition, so the repaired netlist is an optimized rewrite of the
 /// tree's lowering rather than its direct structural image. Behavioral
 /// fidelity is covered by [`FixOutcome::equivalence`] instead.
-pub fn fix(target: &LintTarget<'_>, config: &LintConfig) -> FixOutcome {
+pub fn fix(target: &LintTarget<'_>) -> FixOutcome {
     let mut bank = target.bank.clone();
     let mut netlist = target.netlist.clone();
     let mut literals = target.literals.to_vec();
@@ -112,7 +111,7 @@ pub fn fix(target: &LintTarget<'_>, config: &LintConfig) -> FixOutcome {
     // applies; behavioral fidelity is re-proven by the feasible-domain
     // equivalence verdict instead.
     let mut tree_applies = true;
-    let linter = Linter::with_config(config.clone());
+    let linter = Linter::new();
 
     let report = loop {
         let reported = bank.cost(target.model);
@@ -411,7 +410,7 @@ mod tests {
                 }),
                 equiv_budget: None,
             };
-            fix(&target, &LintConfig::new())
+            fix(&target)
         }
     }
 

@@ -14,7 +14,7 @@
 //! * [`LintTarget`] — the design under analysis (tree, netlist, bank,
 //!   literals, covers, reported cost, grid).
 //! * [`Lint`] — one analysis pass; [`Linter`] is the registry of the
-//!   built-in suite, filtered through a [`LintConfig`] allow/deny map.
+//!   built-in suite, each pass reporting at its own severity.
 //! * [`Diagnostic`] / [`LintReport`] — findings with code, severity,
 //!   locus, message, and suggestion, renderable as a text table or NDJSON.
 //! * [`fix::fix`] — a fixpoint rewriter that consumes A002/C001
@@ -51,8 +51,6 @@
 pub mod fix;
 pub mod passes;
 
-use std::collections::BTreeMap;
-
 use printed_adc::{AdcCost, BespokeAdcBank};
 use printed_dtree::DecisionTree;
 use printed_logic::netlist::Netlist;
@@ -79,63 +77,14 @@ impl Severity {
     }
 }
 
-/// Per-code policy override.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LintLevel {
-    /// Suppress the code entirely.
-    Allow,
-    /// Force the code to [`Severity::Warning`].
-    Warn,
-    /// Force the code to [`Severity::Error`].
-    Deny,
-}
-
-/// Allow/deny configuration applied on top of each pass's default
-/// severity.
+/// The lint policy: every pass reports at its built-in severity.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LintConfig {
-    /// Blanket level applied to every code without an explicit entry.
-    pub all: Option<LintLevel>,
-    /// Per-code overrides (win over `all`).
-    pub levels: BTreeMap<String, LintLevel>,
-}
+pub struct LintConfig;
 
 impl LintConfig {
-    /// Default policy: every pass at its built-in severity.
+    /// The default (and only) policy.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Promotes every diagnostic to an error — the CI-gate policy.
-    pub fn deny_all() -> Self {
-        Self {
-            all: Some(LintLevel::Deny),
-            levels: BTreeMap::new(),
-        }
-    }
-
-    /// Sets the level of one code (builder-style).
-    pub fn set(mut self, code: &str, level: LintLevel) -> Self {
-        self.levels.insert(code.to_owned(), level);
-        self
-    }
-
-    /// Applies the policy to one diagnostic: `None` when allowed away,
-    /// otherwise the diagnostic at its effective severity.
-    fn apply(&self, mut diagnostic: Diagnostic) -> Option<Diagnostic> {
-        let level = self.levels.get(&diagnostic.code).or(self.all.as_ref());
-        match level {
-            Some(LintLevel::Allow) => None,
-            Some(LintLevel::Warn) => {
-                diagnostic.severity = Severity::Warning;
-                Some(diagnostic)
-            }
-            Some(LintLevel::Deny) => {
-                diagnostic.severity = Severity::Error;
-                Some(diagnostic)
-            }
-            None => Some(diagnostic),
-        }
+        Self
     }
 }
 
@@ -144,7 +93,7 @@ impl LintConfig {
 pub struct Diagnostic {
     /// Stable code (`U001`, `A002`, …).
     pub code: String,
-    /// Effective severity after [`LintConfig`] overrides.
+    /// How bad the finding is (the emitting pass's severity).
     pub severity: Severity,
     /// Where in the design the finding anchors (`class0 cube2`,
     /// `adc x3 tap 9`, `grid`).
@@ -247,17 +196,15 @@ pub trait Lint {
     fn code(&self) -> &'static str;
     /// One-line description of what the pass checks.
     fn description(&self) -> &'static str;
-    /// Severity the pass's findings carry before config overrides.
+    /// Severity the pass's findings carry.
     fn default_severity(&self) -> Severity;
     /// Runs the pass, appending findings to `out`.
     fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>);
 }
 
-/// The pass registry: the built-in suite filtered through a
-/// [`LintConfig`].
+/// The pass registry: the built-in suite.
 pub struct Linter {
     passes: Vec<Box<dyn Lint>>,
-    config: LintConfig,
 }
 
 impl Default for Linter {
@@ -269,32 +216,22 @@ impl Default for Linter {
 impl Linter {
     /// All built-in passes at their default severities.
     pub fn new() -> Self {
-        Self::with_config(LintConfig::default())
-    }
-
-    /// All built-in passes under an explicit policy.
-    pub fn with_config(config: LintConfig) -> Self {
         Self {
             passes: passes::builtin(),
-            config,
         }
     }
 
-    /// The registered diagnostic codes, in registration order.
-    pub fn codes(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.code()).collect()
+    /// All built-in passes under `config` (the same as [`Linter::new`]).
+    pub fn with_config(_config: LintConfig) -> Self {
+        Self::new()
     }
 
-    /// Runs every pass over `target` and returns the filtered report.
+    /// Runs every pass over `target` and returns the report.
     pub fn run(&self, target: &LintTarget<'_>) -> LintReport {
-        let mut raw = Vec::new();
+        let mut diagnostics = Vec::new();
         for pass in &self.passes {
-            pass.run(target, &mut raw);
+            pass.run(target, &mut diagnostics);
         }
-        let diagnostics = raw
-            .into_iter()
-            .filter_map(|d| self.config.apply(d))
-            .collect();
         LintReport { diagnostics }
     }
 }
@@ -395,27 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn config_overrides_apply_in_precedence_order() {
-        let config = LintConfig::deny_all().set("U002", LintLevel::Allow);
-        // Blanket deny promotes warnings…
-        let promoted = config.apply(diag("U001", Severity::Warning)).unwrap();
-        assert_eq!(promoted.severity, Severity::Error);
-        // …but the per-code allow wins over the blanket.
-        assert!(config.apply(diag("U002", Severity::Warning)).is_none());
-        // No policy: the default severity survives.
-        let plain = LintConfig::new()
-            .apply(diag("A002", Severity::Warning))
-            .unwrap();
-        assert_eq!(plain.severity, Severity::Warning);
-        // Warn demotes errors.
-        let demoted = LintConfig::new()
-            .set("A001", LintLevel::Warn)
-            .apply(diag("A001", Severity::Error))
-            .unwrap();
-        assert_eq!(demoted.severity, Severity::Warning);
-    }
-
-    #[test]
     fn report_counts_and_rendering() {
         let report = LintReport {
             diagnostics: vec![
@@ -480,7 +396,7 @@ mod tests {
 
     #[test]
     fn registry_lists_the_documented_codes() {
-        let codes = Linter::new().codes();
+        let codes: Vec<&str> = passes::builtin().iter().map(|p| p.code()).collect();
         for expected in [
             "U001", "U002", "A001", "A002", "C001", "L001", "T001", "G001", "P001", "P002", "P003",
         ] {

@@ -2,9 +2,8 @@
 //!
 //! These generators produce the recurring structures of printed classifier
 //! circuits: balanced AND/OR trees, bespoke constant comparators (the heart
-//! of the baseline decision tree of Mubarik et al.), multiplexer buses (the
-//! baseline's label-selection network), and the thermometer-to-binary
-//! priority encoder of a conventional flash ADC.
+//! of the baseline decision tree of Mubarik et al.) and multiplexer buses
+//! (the baseline's label-selection network).
 //!
 //! ```
 //! use printed_logic::blocks;
@@ -100,31 +99,6 @@ pub fn gte_const(nl: &mut Netlist, bits: &[Signal], c: u32) -> Signal {
     acc
 }
 
-/// Bespoke unsigned comparator `I > C` for a constant `C` (same chain with a
-/// `false` base case).
-///
-/// # Panics
-///
-/// As for [`gte_const`].
-pub fn gt_const(nl: &mut Netlist, bits: &[Signal], c: u32) -> Signal {
-    assert!(!bits.is_empty() && bits.len() <= 16, "1..=16 input bits");
-    assert!(
-        (c as u64) < (1u64 << bits.len()),
-        "constant {c} does not fit in {} bits",
-        bits.len()
-    );
-    let mut acc = Signal::Const(false);
-    for (k, &bit) in bits.iter().enumerate() {
-        let c_k = (c >> k) & 1 == 1;
-        acc = if c_k {
-            nl.gate(CellKind::And2, &[bit, acc])
-        } else {
-            nl.gate(CellKind::Or2, &[bit, acc])
-        };
-    }
-    acc
-}
-
 /// 2:1 multiplexer: returns `sel ? when_true : when_false`.
 pub fn mux2(nl: &mut Netlist, when_false: Signal, when_true: Signal, sel: Signal) -> Signal {
     if when_false == when_true {
@@ -160,55 +134,6 @@ pub fn const_bus(value: u32, width: usize) -> Vec<Signal> {
         .collect()
 }
 
-/// Thermometer-to-binary priority encoder.
-///
-/// `thermo` holds the comparator outputs `U_1..U_m` of a flash ADC
-/// (ascending reference order); `m` must be `2^n − 1`. Returns the `n`
-/// binary output bits, LSB first.
-///
-/// Uses the run-boundary identity for thermometer codes: output bit `j` is
-/// high iff the count `v` satisfies `v mod 2^(j+1) ≥ 2^j`, i.e.
-/// `OR_k (U_{k·2^(j+1)+2^j} AND !U_{(k+1)·2^(j+1)})` with `U_{m+1} = 0`.
-///
-/// # Panics
-///
-/// Panics if `thermo.len() + 1` is not a power of two or is less than 2.
-pub fn priority_encoder(nl: &mut Netlist, thermo: &[Signal]) -> Vec<Signal> {
-    let m = thermo.len();
-    assert!(
-        m >= 1 && (m + 1).is_power_of_two(),
-        "need 2^n − 1 thermometer inputs, got {m}"
-    );
-    let n = (m + 1).trailing_zeros() as usize;
-    let u = |i: usize| -> Signal {
-        if i <= m {
-            thermo[i - 1]
-        } else {
-            Signal::Const(false)
-        }
-    };
-    (0..n)
-        .map(|j| {
-            let stride = 1usize << (j + 1);
-            let mut terms = Vec::new();
-            let mut lo = 1usize << j;
-            while lo <= m {
-                let hi = lo + (stride >> 1);
-                let t_lo = u(lo);
-                let term = if hi <= m {
-                    let inv_hi = not(nl, u(hi));
-                    nl.gate(CellKind::And2, &[t_lo, inv_hi])
-                } else {
-                    t_lo
-                };
-                terms.push(term);
-                lo += stride;
-            }
-            or_tree(nl, &terms)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,19 +151,6 @@ mod tests {
             nl.output("o", out);
             for v in 0..16u32 {
                 assert_eq!(nl.eval(&bits_of(v, 4))[0], v >= c, "v={v}, c={c}");
-            }
-        }
-    }
-
-    #[test]
-    fn gt_const_exhaustive_4bit() {
-        for c in 0..16u32 {
-            let mut nl = Netlist::new("gt");
-            let bus = nl.input_bus("i", 4);
-            let out = gt_const(&mut nl, &bus, c);
-            nl.output("o", out);
-            for v in 0..16u32 {
-                assert_eq!(nl.eval(&bits_of(v, 4))[0], v > c, "v={v}, c={c}");
             }
         }
     }
@@ -307,57 +219,5 @@ mod tests {
                 Signal::Const(true)
             ]
         );
-    }
-
-    #[test]
-    fn priority_encoder_4bit_exhaustive() {
-        let mut nl = Netlist::new("enc");
-        let thermo = nl.input_bus("u", 15);
-        let bin = priority_encoder(&mut nl, &thermo);
-        for (i, &b) in bin.iter().enumerate() {
-            nl.output(format!("b[{i}]"), b);
-        }
-        for v in 0..=15usize {
-            let input: Vec<bool> = (1..=15).map(|i| v >= i).collect();
-            let out = nl.eval(&input);
-            for (j, &bit) in out.iter().enumerate() {
-                assert_eq!(bit, (v >> j) & 1 == 1, "v={v}, bit {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn priority_encoder_3bit_exhaustive() {
-        let mut nl = Netlist::new("enc3");
-        let thermo = nl.input_bus("u", 7);
-        let bin = priority_encoder(&mut nl, &thermo);
-        for (i, &b) in bin.iter().enumerate() {
-            nl.output(format!("b[{i}]"), b);
-        }
-        for v in 0..=7usize {
-            let input: Vec<bool> = (1..=7).map(|i| v >= i).collect();
-            let out = nl.eval(&input);
-            for (j, &bit) in out.iter().enumerate() {
-                assert_eq!(bit, (v >> j) & 1 == 1, "v={v}, bit {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn priority_encoder_1bit() {
-        let mut nl = Netlist::new("enc1");
-        let thermo = nl.input_bus("u", 1);
-        let bin = priority_encoder(&mut nl, &thermo);
-        nl.output("b", bin[0]);
-        assert_eq!(nl.eval(&[false]), vec![false]);
-        assert_eq!(nl.eval(&[true]), vec![true]);
-    }
-
-    #[test]
-    #[should_panic(expected = "thermometer")]
-    fn priority_encoder_rejects_bad_width() {
-        let mut nl = Netlist::new("bad");
-        let thermo = nl.input_bus("u", 6);
-        priority_encoder(&mut nl, &thermo);
     }
 }

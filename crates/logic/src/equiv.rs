@@ -439,17 +439,20 @@ mod tests {
 
     #[test]
     fn comparator_synthesis_variants_are_equivalent() {
-        // gte_const vs "not (gt_const of c-1 inverted)" style alternative:
-        // I ≥ C ⇔ I > C−1 for C ≥ 1.
-        for c in 1..16u32 {
+        // gte_const vs a redundant OR of two bespoke comparators:
+        // I ≥ C ⇔ (I ≥ C) ∨ (I ≥ C+1).
+        for c in 1..15u32 {
             let mut a = Netlist::new("ge");
             let bus = a.input_bus("i", 4);
             let o = blocks::gte_const(&mut a, &bus, c);
             a.output("o", o);
-            let mut b = Netlist::new("gt");
+            let mut b = Netlist::new("ge-or");
             let bus = b.input_bus("i", 4);
-            let o = blocks::gt_const(&mut b, &bus, c - 1);
+            let ge = blocks::gte_const(&mut b, &bus, c);
+            let ge_next = blocks::gte_const(&mut b, &bus, c + 1);
+            let o = blocks::or_tree(&mut b, &[ge, ge_next]);
             b.output("o", o);
+            assert_ne!(a.gate_count(), b.gate_count(), "c={c}");
             assert!(check_equivalence(&a, &b, 0).is_equivalent(), "c={c}");
         }
     }

@@ -8,8 +8,7 @@
 //!
 //! * [`netlist`] — combinational DAGs with structural hashing, constant
 //!   folding, and dead-logic pruning.
-//! * [`blocks`] — AND/OR trees, bespoke constant comparators, mux buses,
-//!   thermometer-to-binary priority encoders.
+//! * [`blocks`] — AND/OR trees, bespoke constant comparators, mux buses.
 //! * [`sop`] — sum-of-products covers with safe simplification and netlist
 //!   lowering (the unary decision tree's two-level logic).
 //! * [`qm`] — exact Quine–McCluskey minimization for small functions.
@@ -35,7 +34,6 @@
 
 pub mod blocks;
 pub mod equiv;
-pub mod fanout;
 pub mod faults;
 pub mod netlist;
 #[cfg(test)]
@@ -47,7 +45,6 @@ pub mod sop;
 pub mod verilog;
 
 pub use equiv::{check_equivalence, Equivalence};
-pub use fanout::{fanout_counts, legalize_fanout, max_fanout};
 pub use faults::{enumerate_faults, FaultyNetlist, StuckAt};
 pub use netlist::{Gate, Netlist, Signal};
 pub use report::{analyze, AnalysisConfig, DesignReport};

@@ -240,24 +240,6 @@ impl Netlist {
         }
     }
 
-    /// Inserts a *physical* buffer driving `s`, bypassing both folding and
-    /// structural sharing: every call creates a distinct cell. This is the
-    /// primitive fanout legalization needs — two buffers of the same signal
-    /// must stay two cells, or splitting a heavy net would be undone by
-    /// hashing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` does not belong to this netlist.
-    pub fn buffer(&mut self, s: Signal) -> Signal {
-        self.check_signal(s);
-        self.gates.push(Gate {
-            kind: CellKind::Buf,
-            inputs: vec![s],
-        });
-        Signal::Gate(self.gates.len() - 1)
-    }
-
     /// Appends a gate with neither folding nor sharing — the only way to
     /// instantiate tie cells, which simulator tests need.
     #[cfg(test)]

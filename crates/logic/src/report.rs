@@ -80,18 +80,6 @@ pub struct DesignReport {
 }
 
 impl DesignReport {
-    /// An empty (zero-cost) report — the report of a constant netlist.
-    pub fn empty() -> Self {
-        Self {
-            area: Area::ZERO,
-            static_power: Power::ZERO,
-            dynamic_power: Power::ZERO,
-            critical_path: Delay::ZERO,
-            cell_count: 0,
-            histogram: Vec::new(),
-        }
-    }
-
     /// Total power (static + dynamic).
     pub fn total_power(&self) -> Power {
         self.static_power + self.dynamic_power
@@ -100,27 +88,6 @@ impl DesignReport {
     /// Whether the critical path fits in a cycle of `cycle_ms` milliseconds.
     pub fn meets_timing(&self, cycle_ms: f64) -> bool {
         self.critical_path.ms() <= cycle_ms
-    }
-
-    /// Sums two reports (for composing sub-blocks analyzed separately).
-    /// The critical path takes the max, as for parallel blocks.
-    pub fn combine(&self, other: &DesignReport) -> DesignReport {
-        let mut histogram = self.histogram.clone();
-        for &(kind, count) in &other.histogram {
-            match histogram.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, c)) => *c += count,
-                None => histogram.push((kind, count)),
-            }
-        }
-        histogram.sort_by_key(|&(k, _)| k);
-        DesignReport {
-            area: self.area + other.area,
-            static_power: self.static_power + other.static_power,
-            dynamic_power: self.dynamic_power + other.dynamic_power,
-            critical_path: self.critical_path.max(other.critical_path),
-            cell_count: self.cell_count + other.cell_count,
-            histogram,
-        }
     }
 }
 
@@ -258,52 +225,5 @@ mod tests {
         nl.output("y", all);
         let r = analyze(&nl, &lib(), &AnalysisConfig::default());
         assert!(r.meets_timing(50.0), "critical path {}", r.critical_path);
-    }
-
-    #[test]
-    fn combine_adds_costs_and_maxes_delay() {
-        let mut nl1 = Netlist::new("a");
-        let a = nl1.input("a");
-        let b = nl1.input("b");
-        let x = nl1.gate(CellKind::And2, &[a, b]);
-        nl1.output("x", x);
-        let mut nl2 = Netlist::new("b");
-        let c = nl2.input("c");
-        let d = nl2.input("d");
-        let y0 = nl2.gate(CellKind::Or2, &[c, d]);
-        let y = nl2.gate(CellKind::Or2, &[y0, c]);
-        nl2.output("y", y);
-        let cfg = AnalysisConfig::default();
-        let r1 = analyze(&nl1, &lib(), &cfg);
-        let r2 = analyze(&nl2, &lib(), &cfg);
-        let c12 = r1.combine(&r2);
-        assert_eq!(c12.cell_count, 3);
-        assert!((c12.area.mm2() - (r1.area + r2.area).mm2()).abs() < 1e-12);
-        assert_eq!(c12.critical_path, r1.critical_path.max(r2.critical_path));
-        let and2 = c12
-            .histogram
-            .iter()
-            .find(|(k, _)| *k == CellKind::And2)
-            .unwrap()
-            .1;
-        let or2 = c12
-            .histogram
-            .iter()
-            .find(|(k, _)| *k == CellKind::Or2)
-            .unwrap()
-            .1;
-        assert_eq!((and2, or2), (1, 2));
-    }
-
-    #[test]
-    fn empty_report_is_identity_for_combine() {
-        let mut nl = Netlist::new("x");
-        let a = nl.input("a");
-        let b = nl.input("b");
-        let g = nl.gate(CellKind::Xor2, &[a, b]);
-        nl.output("g", g);
-        let r = analyze(&nl, &lib(), &AnalysisConfig::default());
-        let same = r.combine(&DesignReport::empty());
-        assert_eq!(same, r);
     }
 }

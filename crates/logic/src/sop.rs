@@ -412,7 +412,7 @@ impl Sop {
 ///
 /// Each cube becomes a `(care, value)` pair of `u64` word vectors over the
 /// variable bits: the cube is satisfied iff `(assignment & care) == value`
-/// in every word. A whole cube therefore evaluates in `words_per_cube()`
+/// in every word. A whole cube therefore evaluates in `ceil(num_vars / 64)`
 /// AND+compare operations instead of one `BTreeMap` walk per literal, and
 /// the assignment itself is a packed word vector instead of a `Vec<bool>`
 /// — the hot shape for per-sample prediction and Quine–McCluskey cover
@@ -462,11 +462,6 @@ impl PackedCover {
         self.num_vars
     }
 
-    /// Words per packed assignment (and per cube mask row).
-    pub fn words_per_cube(&self) -> usize {
-        self.words
-    }
-
     /// Number of cubes.
     pub fn n_cubes(&self) -> usize {
         self.care.len() / self.words
@@ -502,7 +497,7 @@ impl PackedCover {
     ///
     /// # Panics
     ///
-    /// Panics if `assignment.len() < self.words_per_cube()`.
+    /// Panics if `assignment` has fewer than `ceil(num_vars / 64)` words.
     pub fn eval_words(&self, assignment: &[u64]) -> bool {
         assert!(
             assignment.len() >= self.words,
@@ -850,7 +845,6 @@ mod tests {
             vec![Cube::from_literals(&[(0, true), (65, true), (69, false)])],
         );
         let packed = PackedCover::from_sop(&sop);
-        assert_eq!(packed.words_per_cube(), 2);
         assert!(packed.cube_literals(0).eq(sop.cubes()[0].literals()));
         let mut a = vec![false; 70];
         a[0] = true;

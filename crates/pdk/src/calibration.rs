@@ -17,6 +17,14 @@
 //! shared-reference-ladder model and calibrate to **Table I** (it feeds the
 //! headline reduction factors); the standalone-power anchor is the one we
 //! knowingly miss (see `DESIGN.md` §2 and EXPERIMENTS.md).
+//!
+//! Two further published anchors are recorded here as prose only: a
+//! 4-output bespoke ADC spans 47–205 µW (lowest vs highest taps, Fig. 3;
+//! `fig3` prints it and `tests/calibration.rs` checks it), and one
+//! baseline bespoke tree node
+//! (a 4-bit hardwired comparator plus its share of the decision logic)
+//! costs about 1.1 mm² and 44 µW, back-solved from Table I's digital
+//! residual (total minus ADCs, divided by node count).
 
 use crate::analog::AnalogModel;
 use crate::units::{Area, Power};
@@ -30,18 +38,6 @@ pub const PAPER_ADC4_AREA: Area = Area::from_mm2(11.0);
 
 /// Published power of a standalone conventional 4-bit flash ADC.
 pub const PAPER_ADC4_POWER: Power = Power::from_uw(830.0);
-
-/// Published power span of a 4-output bespoke ADC (lowest vs highest taps).
-pub const PAPER_4UD_POWER_SPAN: (Power, Power) = (Power::from_uw(47.0), Power::from_uw(205.0));
-
-/// Target cost of one baseline bespoke tree node (4-bit hardwired comparator
-/// plus its share of the decision logic), back-solved from Table I's
-/// digital residual (total minus ADCs, divided by node count).
-pub const PAPER_BASELINE_NODE_AREA: Area = Area::from_mm2(1.1);
-
-/// Target power of one baseline bespoke tree node (see
-/// [`PAPER_BASELINE_NODE_AREA`]).
-pub const PAPER_BASELINE_NODE_POWER: Power = Power::from_uw(44.0);
 
 /// Conventional 4-bit ADC cost under this PDK's model, as `(area, power)`.
 ///

@@ -29,8 +29,6 @@ use crate::units::{Delay, Power, Voltage};
 pub struct Harvester {
     /// Sustained harvest power.
     pub harvest_power: Power,
-    /// Storage capacitance in farads (printed supercap-style storage).
-    pub storage_farads: f64,
     /// Fully-charged storage voltage.
     pub full_voltage: Voltage,
     /// Minimum voltage at which the load still operates.
@@ -38,22 +36,14 @@ pub struct Harvester {
 }
 
 impl Harvester {
-    /// The paper's reference point: a ~2 mW printed harvester, with a
-    /// 10 mF printed storage capacitor swinging 1.0 → 0.6 V.
+    /// The paper's reference point: a ~2 mW printed harvester whose
+    /// printed storage capacitor swings 1.0 → 0.6 V.
     pub fn printed_default() -> Self {
         Self {
             harvest_power: Power::from_mw(2.0),
-            storage_farads: 10e-3,
             full_voltage: Voltage::from_v(1.0),
             min_voltage: Voltage::from_v(0.6),
         }
-    }
-
-    /// Usable stored energy across the allowed voltage swing, in joules:
-    /// `½·C·(V_full² − V_min²)`.
-    pub fn usable_storage_joules(&self) -> f64 {
-        0.5 * self.storage_farads
-            * (self.full_voltage.volts().powi(2) - self.min_voltage.volts().powi(2))
     }
 
     /// True when the load can run continuously (static criterion — the
@@ -87,17 +77,6 @@ impl Harvester {
         let energy_limited = harvest_watts / self.decision_energy_joules(load, decision_time);
         energy_limited.min(latency_limited)
     }
-
-    /// How many back-to-back decisions the storage alone can burst before
-    /// the capacitor sags to the minimum voltage (ignoring concurrent
-    /// harvesting — a worst-case count).
-    pub fn burst_decisions(&self, load: Power, decision_time: Delay) -> usize {
-        let per_decision = self.decision_energy_joules(load, decision_time);
-        if per_decision <= 0.0 {
-            return usize::MAX;
-        }
-        (self.usable_storage_joules() / per_decision) as usize
-    }
 }
 
 impl Default for Harvester {
@@ -118,13 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn storage_energy_formula() {
-        let h = Harvester::printed_default();
-        // ½·10mF·(1 − 0.36) = 3.2 mJ.
-        assert!((h.usable_storage_joules() - 3.2e-3).abs() < 1e-9);
-    }
-
-    #[test]
     fn continuous_loads_are_latency_limited() {
         let h = Harvester::printed_default();
         let rate = h.max_decision_rate_hz(Power::from_mw(0.5), Delay::from_ms(50.0));
@@ -141,16 +113,6 @@ mod tests {
         // Heavier load → slower.
         let slower = h.max_decision_rate_hz(Power::from_mw(8.0), Delay::from_ms(50.0));
         assert!(slower < rate);
-    }
-
-    #[test]
-    fn burst_count_from_storage() {
-        let h = Harvester::printed_default();
-        // 3.2 mJ storage / (4 mW × 50 ms = 0.2 mJ) = 16 decisions.
-        assert_eq!(
-            h.burst_decisions(Power::from_mw(4.0), Delay::from_ms(50.0)),
-            16
-        );
     }
 
     #[test]

@@ -52,28 +52,3 @@ pub use calibration::HARVESTER_BUDGET;
 pub use cells::{CellKind, CellLibrary, CellParams, MissingCellError, SequentialParams};
 pub use harvester::Harvester;
 pub use units::{Area, Capacitance, Delay, Power, Resistance, Voltage};
-
-/// Nominal operating frequency of the target printed applications, in hertz.
-///
-/// Printed sensor applications sample at a few hertz; the paper evaluates all
-/// circuits at 20 Hz, leaving a 50 ms combinational budget per decision.
-pub const OPERATING_FREQUENCY_HZ: f64 = 20.0;
-
-/// Input precision (bits) used throughout the paper's evaluation: 4-bit
-/// inputs deliver close-to-float accuracy on every benchmark dataset.
-pub const INPUT_PRECISION_BITS: u32 = 4;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cycle_budget_is_50ms() {
-        assert!((1000.0 / OPERATING_FREQUENCY_HZ - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn four_bit_default_resolution_matches_analog_model() {
-        assert_eq!(AnalogModel::egfet().resolution_bits, INPUT_PRECISION_BITS);
-    }
-}

@@ -227,12 +227,6 @@ impl Area {
     pub const fn mm2(self) -> f64 {
         self.value()
     }
-
-    /// The area in square centimetres.
-    #[inline]
-    pub fn cm2(self) -> f64 {
-        self.value() / 100.0
-    }
 }
 
 impl Power {
@@ -272,13 +266,6 @@ impl Delay {
     #[inline]
     pub const fn ms(self) -> f64 {
         self.value()
-    }
-
-    /// The maximum operating frequency implied by this critical-path delay,
-    /// in hertz. Returns `f64::INFINITY` for a zero delay.
-    #[inline]
-    pub fn max_frequency_hz(self) -> f64 {
-        1000.0 / self.value()
     }
 }
 
@@ -341,7 +328,6 @@ mod tests {
         assert_eq!((a * 3.0).mm2(), 6.0);
         assert_eq!((a / 2.0).mm2(), 1.0);
         assert_eq!(a / Area::from_mm2(0.5), 4.0);
-        assert_eq!(a.cm2(), 0.02);
     }
 
     #[test]
@@ -350,12 +336,6 @@ mod tests {
         assert_eq!(p.uw(), 2000.0);
         assert_eq!(p.mw(), 2.0);
         assert!(Power::from_uw(1999.0) < p);
-    }
-
-    #[test]
-    fn delay_to_frequency() {
-        let d = Delay::from_ms(50.0);
-        assert!((d.max_frequency_hz() - 20.0).abs() < 1e-12);
     }
 
     #[test]

@@ -357,17 +357,6 @@ impl CostReport {
         }
     }
 
-    /// Total ADC-bank power across the per-input rows, µW (excludes the
-    /// shared ladder, which is priced once per bank).
-    pub fn adc_power_uw(&self) -> f64 {
-        self.adcs.iter().map(|r| r.power_uw).sum()
-    }
-
-    /// Total ADC-bank area across the per-input rows, mm².
-    pub fn adc_area_mm2(&self) -> f64 {
-        self.adcs.iter().map(|r| r.area_mm2).sum()
-    }
-
     /// Whether the selected design fits the printed harvester's budget
     /// (`None` when no selection was recorded).
     pub fn within_harvester_budget(&self) -> Option<bool> {
@@ -660,8 +649,10 @@ mod tests {
         let bank = system.classifier.adc_bank();
         let bank_cost = bank.cost(&model);
         // Per-input rows plus the shared ladder reproduce the bank cost.
-        let ladder_area = bank_cost.area.mm2() - report.adc_area_mm2();
-        let ladder_power = bank_cost.power.uw() - report.adc_power_uw();
+        let rows_area: f64 = report.adcs.iter().map(|r| r.area_mm2).sum();
+        let rows_power: f64 = report.adcs.iter().map(|r| r.power_uw).sum();
+        let ladder_area = bank_cost.area.mm2() - rows_area;
+        let ladder_power = bank_cost.power.uw() - rows_power;
         assert!(ladder_area > 0.0, "shared ladder has area");
         assert!(ladder_power >= 0.0);
         let comparators: u64 = report.adcs.iter().map(|r| r.comparators).sum();

@@ -90,13 +90,6 @@ impl RunManifest {
         self
     }
 
-    /// Records an explicit sweep thread-count override (builder style);
-    /// `None` means auto (all CPUs), stored as 0.
-    pub fn with_threads(mut self, threads: Option<usize>) -> Self {
-        self.threads = threads.map(|t| t as u64).unwrap_or(0);
-        self
-    }
-
     /// Grid points this manifest describes (`taus × depths`).
     pub fn grid_size(&self) -> usize {
         self.taus.len() * self.depths.len()
@@ -138,34 +131,43 @@ impl RunManifest {
 }
 
 /// Resolves the HEAD commit SHA by walking up from `start` to the nearest
-/// `.git` directory, then following `HEAD` through loose or packed refs.
-/// Pure file reads — no `git` subprocess, so it works in minimal
-/// containers and costs microseconds.
+/// `.git`, then following `HEAD` through loose or packed refs.
+///
+/// A `.git` directory is the git directory itself. A `.git` file (a linked
+/// worktree or a submodule) names it in a `gitdir: <path>` line, relative
+/// to the file's directory. `HEAD` is read there, and refs resolve in the
+/// git directory's `commondir` when it has one (a worktree shares its main
+/// repository's refs). Pure file reads — no `git` subprocess, so it works
+/// in minimal containers and costs microseconds.
 fn read_git_sha(start: &Path) -> Option<String> {
-    let mut dir = Some(start);
-    while let Some(d) = dir {
-        let git = d.join(".git");
-        if git.is_dir() {
-            let head = fs::read_to_string(git.join("HEAD")).ok()?;
-            let head = head.trim();
-            return match head.strip_prefix("ref: ") {
-                Some(reference) => {
-                    if let Ok(sha) = fs::read_to_string(git.join(reference)) {
-                        return Some(sha.trim().to_owned());
-                    }
-                    let packed = fs::read_to_string(git.join("packed-refs")).ok()?;
-                    packed.lines().find_map(|line| {
-                        line.strip_suffix(reference)
-                            .map(|sha| sha.trim().to_owned())
-                            .filter(|sha| !sha.is_empty() && !sha.starts_with('#'))
-                    })
-                }
-                None => Some(head.to_owned()),
-            };
-        }
-        dir = d.parent();
+    let git = start
+        .ancestors()
+        .map(|dir| dir.join(".git"))
+        .find(|git| git.exists())?;
+    let git_dir = if git.is_dir() {
+        git
+    } else {
+        let link = fs::read_to_string(&git).ok()?;
+        let target = link.trim().strip_prefix("gitdir:")?.trim();
+        git.parent()?.join(target)
+    };
+    let head = fs::read_to_string(git_dir.join("HEAD")).ok()?;
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return Some(head.to_owned());
+    };
+    let refs = match fs::read_to_string(git_dir.join("commondir")) {
+        Ok(common) => git_dir.join(common.trim()),
+        Err(_) => git_dir,
+    };
+    if let Ok(sha) = fs::read_to_string(refs.join(reference)) {
+        return Some(sha.trim().to_owned());
     }
-    None
+    let packed = fs::read_to_string(refs.join("packed-refs")).ok()?;
+    packed.lines().find_map(|line| {
+        let (sha, name) = line.split_once(' ')?;
+        (name == reference).then(|| sha.to_owned())
+    })
 }
 
 #[cfg(test)]
@@ -224,7 +226,93 @@ mod tests {
         assert!(manifest.cpus > 0);
         assert!(matches!(manifest.build.as_str(), "debug" | "release"));
         assert_eq!(manifest.threads, 0, "auto");
-        assert_eq!(manifest.with_threads(Some(4)).threads, 4);
+    }
+
+    const SHA_A: &str = "1111111111111111111111111111111111111111";
+    const SHA_B: &str = "2222222222222222222222222222222222222222";
+
+    /// A fresh directory under the system temp dir, removed on drop.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir()
+                .join(format!("printed-manifest-{name}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+
+        /// Writes `contents` to `rel`, creating parent directories.
+        fn write(&self, rel: &str, contents: &str) -> &Self {
+            let path = self.0.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, contents).unwrap();
+            self
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    #[test]
+    fn git_directory_resolves_a_loose_ref() {
+        let repo = Scratch::new("loose");
+        repo.write(".git/HEAD", "ref: refs/heads/main\n")
+            .write(".git/refs/heads/main", &format!("{SHA_A}\n"))
+            .write("src/lib.rs", "");
+        assert_eq!(read_git_sha(&repo.0.join("src")).as_deref(), Some(SHA_A));
+    }
+
+    #[test]
+    fn git_directory_resolves_a_packed_ref_by_exact_name() {
+        let repo = Scratch::new("packed");
+        // `refs/heads/backup/refs/heads/main` (branch
+        // `backup/refs/heads/main`) ends with the wanted name; only the
+        // exact `<sha> <ref>` line may match.
+        repo.write(".git/HEAD", "ref: refs/heads/main\n").write(
+            ".git/packed-refs",
+            &format!(
+                "# pack-refs with: peeled fully-peeled sorted\n\
+                 {SHA_B} refs/heads/backup/refs/heads/main\n\
+                 {SHA_A} refs/heads/main\n\
+                 ^{SHA_B}\n"
+            ),
+        );
+        assert_eq!(read_git_sha(&repo.0).as_deref(), Some(SHA_A));
+    }
+
+    #[test]
+    fn detached_head_is_the_sha_itself() {
+        let repo = Scratch::new("detached");
+        repo.write(".git/HEAD", &format!("{SHA_B}\n"));
+        assert_eq!(read_git_sha(&repo.0).as_deref(), Some(SHA_B));
+    }
+
+    #[test]
+    fn worktree_git_file_resolves_refs_in_the_common_dir() {
+        let root = Scratch::new("worktree");
+        // The main repository's refs; its own HEAD is elsewhere.
+        root.write("main/.git/HEAD", "ref: refs/heads/main\n")
+            .write("main/.git/refs/heads/main", &format!("{SHA_A}\n"))
+            .write("main/.git/refs/heads/topic", &format!("{SHA_B}\n"))
+            .write("main/.git/worktrees/wt/HEAD", "ref: refs/heads/topic\n")
+            .write("main/.git/worktrees/wt/commondir", "../..\n")
+            .write("wt/.git", "gitdir: ../main/.git/worktrees/wt\n");
+        assert_eq!(read_git_sha(&root.0.join("wt")).as_deref(), Some(SHA_B));
+    }
+
+    #[test]
+    fn submodule_git_file_does_not_fall_through_to_the_superproject() {
+        let root = Scratch::new("submodule");
+        root.write(".git/HEAD", "ref: refs/heads/main\n")
+            .write(".git/refs/heads/main", &format!("{SHA_A}\n"))
+            .write(".git/modules/sub/HEAD", &format!("{SHA_B}\n"))
+            .write("sub/.git", "gitdir: ../.git/modules/sub\n");
+        assert_eq!(read_git_sha(&root.0.join("sub")).as_deref(), Some(SHA_B));
     }
 
     #[test]

@@ -1,15 +1,11 @@
-//! Integration tests of the hardware export paths and netlist transforms:
-//! Verilog for every benchmark's classifier, SPICE decks for every bespoke
-//! ladder, and fanout legalization on real classifier netlists.
+//! Integration tests of the hardware export paths: Verilog for every
+//! benchmark's classifier and SPICE decks for every bespoke ladder.
 
 use printed_ml::analog::ladder::Ladder;
 use printed_ml::analog::spice::ladder_deck;
 use printed_ml::codesign::UnaryClassifier;
 use printed_ml::datasets::Benchmark;
-use printed_ml::dtree::baseline::baseline_netlist;
 use printed_ml::dtree::cart::train_depth_selected;
-use printed_ml::logic::equiv::check_equivalence;
-use printed_ml::logic::fanout::{legalize_fanout, max_fanout};
 use printed_ml::logic::verilog::to_verilog;
 use printed_ml::pdk::AnalogModel;
 
@@ -87,28 +83,6 @@ fn spice_decks_conserve_ladder_resistance() {
             "{benchmark}: {total}"
         );
         assert_eq!(deck.matches(".print dc").count(), taps.len(), "{benchmark}");
-    }
-}
-
-/// Fanout legalization on real classifier netlists: function preserved,
-/// limit respected.
-#[test]
-fn classifier_netlists_legalize_cleanly() {
-    for benchmark in [Benchmark::Seeds, Benchmark::Vertebral3C] {
-        let (train, test) = benchmark.load_quantized(4).expect("built-ins load");
-        let model = train_depth_selected(&train, &test, 8);
-        for netlist in [
-            baseline_netlist(&model.tree),
-            UnaryClassifier::from_tree(&model.tree).to_netlist(),
-        ] {
-            let legal = legalize_fanout(&netlist, 4);
-            assert!(max_fanout(&legal) <= 4, "{benchmark} {}", netlist.name());
-            assert!(
-                check_equivalence(&netlist, &legal, 11).is_equivalent(),
-                "{benchmark} {}",
-                netlist.name()
-            );
-        }
     }
 }
 

@@ -178,7 +178,7 @@ proptest! {
             droop: Some(printed_droop()),
             equiv_budget: None,
         };
-        let outcome = printed_ml::lint::fix::fix(&target, &printed_ml::lint::LintConfig::new());
+        let outcome = printed_ml::lint::fix::fix(&target);
 
         // Every injected dead comparator was dropped, and the repaired
         // design carries no A002 (or any error) any more.

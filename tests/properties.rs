@@ -251,20 +251,6 @@ fn assert_representations_agree(tree: &DecisionTree, batch: &[(Vec<u8>, usize)],
 }
 
 proptest! {
-    /// Fanout legalization preserves function and respects the limit on
-    /// arbitrary netlists.
-    #[test]
-    fn fanout_legalization_sound_on_random_netlists(
-        nl in arb_netlist(4, 24),
-        limit in 2usize..=5,
-    ) {
-        use printed_ml::logic::equiv::check_equivalence;
-        use printed_ml::logic::fanout::{legalize_fanout, max_fanout};
-        let legal = legalize_fanout(&nl, limit);
-        prop_assert!(max_fanout(&legal) <= limit);
-        prop_assert!(check_equivalence(&nl, &legal, 3).is_equivalent());
-    }
-
     /// Pruning dead gates never changes observable behavior.
     #[test]
     fn prune_preserves_function_on_random_netlists(nl in arb_netlist(4, 24)) {
@@ -619,27 +605,6 @@ proptest! {
         let deep_cart = train(&q, &CartConfig::with_max_depth(6));
         let fresh_cart = train(&q, &CartConfig::with_max_depth(cap));
         prop_assert_eq!(deep_cart.truncated(cap, &deep_cart.node_majorities(&q)), fresh_cart);
-    }
-
-    /// The thermometer priority encoder inverts the unary encoding for all
-    /// resolutions up to 4 bits.
-    #[test]
-    fn priority_encoder_inverts_unary(bits in 1u32..=4, level in 0u8..16) {
-        let level = level % (1 << bits);
-        let mut nl = Netlist::new("enc");
-        let taps = (1usize << bits) - 1;
-        let thermo = nl.input_bus("u", taps);
-        let bin = blocks::priority_encoder(&mut nl, &thermo);
-        for (i, &b) in bin.iter().enumerate() {
-            nl.output(format!("b{i}"), b);
-        }
-        let code = UnaryCode::from_level(level, bits);
-        let out = nl.eval(&code.digits());
-        let decoded = out
-            .iter()
-            .enumerate()
-            .fold(0u8, |acc, (k, &bit)| acc | ((bit as u8) << k));
-        prop_assert_eq!(decoded, level);
     }
 }
 
