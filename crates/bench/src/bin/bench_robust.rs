@@ -37,7 +37,7 @@ use printed_codesign::explore::ExplorationConfig;
 use printed_codesign::{
     AdaptiveBudget, CampaignOutcome, RobustnessCampaign, RobustnessConstraints,
 };
-use printed_datasets::Benchmark;
+use printed_datasets::{Benchmark, QuantizedDataset};
 use printed_pdk::AnalogModel;
 use printed_report::{Axis, BenchRecord, Metric};
 use printed_telemetry::{Recorder, RunManifest};
@@ -111,12 +111,11 @@ fn run(args: &Args) -> Result<(), String> {
         eprintln!(
             "bench_robust: {benchmark} — sweep + exhaustive reference + {RUNS} adaptive runs"
         );
-        let (train, test_q) = benchmark
-            .load_quantized(BITS)
-            .map_err(|e| format!("{benchmark}: load: {e}"))?;
-        let (_, test_analog) = benchmark
+        let (train_analog, test_analog) = benchmark
             .load_split()
-            .map_err(|e| format!("{benchmark}: load analog split: {e}"))?;
+            .map_err(|e| format!("{benchmark}: load: {e}"))?;
+        let train = QuantizedDataset::from_dataset(&train_analog, BITS);
+        let test_q = QuantizedDataset::from_dataset(&test_analog, BITS);
         let progress = stderr_progress();
         let sweep = explore_traced(&train, &test_q, &grid, &recorder, Some(&progress));
         if !sweep.failed_candidates.is_empty() {

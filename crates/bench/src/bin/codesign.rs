@@ -48,7 +48,7 @@ use printed_analog::spice::ladder_deck;
 use printed_bench::{outln, stderr_progress, TraceHook, BITS};
 use printed_codesign::explore::ExplorationConfig;
 use printed_codesign::{AdaptiveBudget, CodesignFlow, FlowOutcome, RobustnessCampaign};
-use printed_datasets::Benchmark;
+use printed_datasets::{Benchmark, QuantizedDataset};
 use printed_logic::equiv::Equivalence;
 use printed_logic::verilog::to_verilog;
 use printed_pdk::AnalogModel;
@@ -163,10 +163,14 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
-    let (train, test) = args
+    // One load serves both views: the quantized splits train and score,
+    // the analog test split feeds the robustness campaign.
+    let (train_analog, test_analog) = args
         .benchmark
-        .load_quantized(BITS)
+        .load_split()
         .map_err(|e| format!("load: {e}"))?;
+    let train = QuantizedDataset::from_dataset(&train_analog, BITS);
+    let test = QuantizedDataset::from_dataset(&test_analog, BITS);
     outln!(
         "{}: {} train / {} test samples, {} features, {} classes",
         args.benchmark,
@@ -210,16 +214,6 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         grid = grid.with_checkpoint(path);
         campaign.checkpoint_path = Some(robust);
     }
-    let test_analog = if args.robust {
-        let (_, test_analog) = args
-            .benchmark
-            .load_split()
-            .map_err(|e| format!("load analog split: {e}"))?;
-        Some(test_analog)
-    } else {
-        None
-    };
-
     let progress = stderr_progress();
     let mut flow = CodesignFlow::new(&train, &test)
         .accuracy_loss(args.loss)
@@ -227,8 +221,8 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         .title(args.benchmark.to_string())
         .recorder(hook.recorder().clone())
         .progress(&progress);
-    if let Some(test_analog) = &test_analog {
-        flow = flow.robustness(campaign.clone(), test_analog);
+    if args.robust {
+        flow = flow.robustness(campaign.clone(), &test_analog);
     }
     let outcome = flow.run();
     if let Some(manifest) = outcome.trace().and_then(|trace| trace.manifest.clone()) {

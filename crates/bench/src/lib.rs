@@ -410,8 +410,17 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(r#"{"kind":"flow","title":"unit""#));
         assert!(text.contains(r#""kind":"manifest""#));
-        assert!(text.contains(r#""kind":"candidate""#));
-        assert!(text.contains("train.gini_evals"));
+        assert!(text.contains(r#"{"kind":"span","name":"candidate","#));
+        assert!(text.contains(r#"{"kind":"counter","name":"train.gini_evals","#));
+        let kinds = ["flow", "manifest", "span", "event", "counter", "gauge"];
+        for line in text.lines() {
+            assert!(
+                kinds
+                    .iter()
+                    .any(|kind| line.starts_with(&format!(r#"{{"kind":"{kind}","#))),
+                "{line}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -189,15 +189,6 @@ pub struct CostReport {
     pub and_gates: u64,
     /// OR-family gates (OR/NOR 2–4) in the synthesized classifier.
     pub or_gates: u64,
-    /// Algorithm 1 split selections by cost class `(S_Z, S_M, S_H)`.
-    pub splits: (u64, u64, u64),
-    /// Gini evaluations across the whole sweep.
-    pub gini_evals: u64,
-    /// Trees trained across the whole sweep.
-    pub trees: u64,
-    /// Candidates derived by truncating a shared per-τ tree instead of
-    /// training (the prefix-shared sweep engine's savings).
-    pub trees_shared: u64,
     /// Robustness-campaign profiles, in `(depth, τ)` order; empty when no
     /// campaign ran.
     pub robustness: Vec<RobustRow>,
@@ -345,10 +336,6 @@ impl CostReport {
             ladder_resistors: trace.counter(keys::HW_LADDER_RESISTORS),
             and_gates: trace.counter(keys::HW_AND_GATES),
             or_gates: trace.counter(keys::HW_OR_GATES),
-            splits: trace.split_selections(),
-            gini_evals: trace.counter(keys::GINI_EVALS),
-            trees: trace.counter(keys::TREES_TRAINED),
-            trees_shared: trace.counter(keys::TREES_SHARED),
             robustness,
             failed_candidates: trace.counter(keys::SWEEP_FAILED),
             lint,
@@ -388,22 +375,6 @@ impl CostReport {
             out.push_str(&format!(
                 "  logic: {} AND-family / {} OR-family gates\n",
                 self.and_gates, self.or_gates,
-            ));
-        }
-        let (s_z, s_m, s_h) = self.splits;
-        if s_z + s_m + s_h > 0 {
-            out.push_str(&format!(
-                "  splits: {s_z} S_Z / {s_m} S_M / {s_h} S_H  ({} gini evals, {} trees)\n",
-                self.gini_evals, self.trees,
-            ));
-        }
-        if self.trees_shared > 0 {
-            let total = self.trees + self.trees_shared;
-            out.push_str(&format!(
-                "  sharing: {}/{} candidates derived by prefix truncation ({:.0}% of the grid)\n",
-                self.trees_shared,
-                total,
-                100.0 * self.trees_shared as f64 / total as f64,
             ));
         }
         if !self.adcs.is_empty() {
@@ -628,7 +599,7 @@ mod tests {
             "every grid candidate was linted in-flow"
         );
         assert_eq!(report.sweep_lint.errors, 0, "grid must lint error-free");
-        // The NDJSON round trip (kind:"lint_candidate" lines) preserves it.
+        // The NDJSON round trip (lint_candidate event lines) preserves it.
         let parsed = crate::parse::parse_trace(&outcome.trace().unwrap().to_ndjson());
         assert!(parsed.warnings.is_empty(), "{:?}", parsed.warnings);
         let reparsed = CostReport::from_trace(&parsed.trace);
@@ -671,6 +642,13 @@ mod tests {
             text.contains("SELF-POWERED") || text.contains("OVER BUDGET"),
             "{text}"
         );
+        // The Algorithm 1 tallies are the flow trace's lines, not the
+        // cost report's: `printed-trace report` prints both reports.
+        assert!(!text.contains("splits:"), "{text}");
+        assert!(!text.contains("sharing:"), "{text}");
+        let flow_text = outcome.trace().unwrap().render_text();
+        assert!(flow_text.contains("splits:"), "{flow_text}");
+        assert!(flow_text.contains("sharing:"), "{flow_text}");
         // One table row per ADC input and per class.
         let system = &outcome.chosen.system;
         assert_eq!(report.adcs.len(), system.input_count());

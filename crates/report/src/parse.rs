@@ -1,25 +1,24 @@
 //! NDJSON trace ingestion: text → [`FlowTrace`], warn-and-skip on damage.
 //!
-//! The workspace writes one trace schema, [`FlowTrace::to_ndjson`]'s: a
-//! `{"kind":"flow"}` header, optional `{"kind":"manifest"}`, then
-//! `stage`/`candidate`/`span` lines (stage names prefix-stripped),
-//! `event`/`lint_candidate` lines, and `counter`/`gauge`/`kernel` lines. A
-//! live stream ([`printed_telemetry::StreamSink`]) writes the same span
-//! and event lines as the run goes; a stream whose run was killed before
-//! finalizing has no header and no totals, so its wall time is the last
-//! record's end and its spans are put back in start order, as
-//! [`FlowTrace::from_snapshot`] would have them.
+//! The workspace writes one trace schema, [`FlowTrace::to_ndjson`]'s,
+//! which is the recorder's [`TraceSnapshot`] line by line: a
+//! `{"kind":"flow"}` header, optional `{"kind":"manifest"}`, then `span`,
+//! `event`, `counter` and `gauge` lines. Reading decodes those lines back
+//! into a snapshot and hands it to [`FlowTrace::from_snapshot`], keeping
+//! the header's title and wall time and the manifest. A live stream
+//! ([`printed_telemetry::StreamSink`]) writes the same span and event
+//! lines as the run goes; a stream whose run was killed before finalizing
+//! has no header and no totals, so its wall time is the last record's end
+//! and its spans, which arrive in finish order, are put back in start
+//! order, as the recorder's snapshot has them.
 //!
 //! Damaged input — a truncated final line, a corrupted record, an unknown
 //! kind from a newer writer — is *skipped with a warning*, never a panic or
 //! a hard error: a 2-hour sweep's trace should not be unreadable because
 //! the run was Ctrl-C'd mid-write.
 
-use std::collections::BTreeMap;
-
-use printed_telemetry::keys::{CANDIDATE_SPAN, STAGE_PREFIX};
 use printed_telemetry::{
-    EventRecord, FieldValue, FlowTrace, KernelRecord, RunManifest, SpanRecord, SweepTrace,
+    EventRecord, FieldValue, FlowTrace, RunManifest, SpanRecord, TraceSnapshot,
 };
 
 use printed_telemetry::json::{parse as parse_json, JsonValue};
@@ -45,15 +44,11 @@ impl ParsedTrace {
 /// Parses an NDJSON trace dump. Never fails: unparseable lines become
 /// [`ParsedTrace::warnings`] and the rest of the file is still used.
 pub fn parse_trace(text: &str) -> ParsedTrace {
-    let mut out = ParsedTrace::default();
-    let mut saw_flow_header = false;
-    let mut stages: Vec<SpanRecord> = Vec::new();
-    let mut candidates: Vec<SpanRecord> = Vec::new();
-    let mut spans: Vec<SpanRecord> = Vec::new();
-    let mut events: Vec<EventRecord> = Vec::new();
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut gauges: BTreeMap<String, u64> = BTreeMap::new();
-    let mut kernels: Vec<KernelRecord> = Vec::new();
+    let mut warnings = Vec::new();
+    let mut snapshot = TraceSnapshot::default();
+    let mut title = String::new();
+    let mut wall_us = None;
+    let mut manifest = None;
 
     for (index, line) in text.lines().enumerate() {
         let lineno = index + 1;
@@ -64,86 +59,47 @@ pub fn parse_trace(text: &str) -> ParsedTrace {
         let value = match parse_json(line) {
             Ok(value) => value,
             Err(e) => {
-                out.warnings.push(format!("line {lineno}: skipped ({e})"));
+                warnings.push(format!("line {lineno}: skipped ({e})"));
                 continue;
             }
         };
         let Some(kind) = value.get("kind").and_then(JsonValue::as_str) else {
-            out.warnings
-                .push(format!("line {lineno}: skipped (no \"kind\" field)"));
+            warnings.push(format!("line {lineno}: skipped (no \"kind\" field)"));
             continue;
         };
         let outcome = match kind {
             "flow" => {
-                saw_flow_header = true;
-                out.trace.title = value
+                title = value
                     .get("title")
                     .and_then(JsonValue::as_str)
                     .unwrap_or_default()
                     .to_owned();
-                out.trace.wall_us = value
-                    .get("wall_us")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0);
+                wall_us = value.get("wall_us").and_then(JsonValue::as_u64);
                 Ok(())
             }
-            "manifest" => parse_manifest(&value).map(|m| {
-                out.trace.manifest = Some(m);
-            }),
-            "stage" => parse_span(&value).map(|mut span| {
-                // The writer strips the prefix for readability; restore
-                // it so `FlowTrace::stage` lookups by key work.
-                span.name = format!("{STAGE_PREFIX}{}", span.name);
-                stages.push(span);
-            }),
-            "candidate" => parse_span(&value).map(|mut span| {
-                span.name = CANDIDATE_SPAN.to_owned();
-                candidates.push(span);
-            }),
-            "span" => parse_span(&value).map(|span| spans.push(span)),
-            // Whole-grid lint verdicts have their own kind; structurally
-            // they are still events (name retained).
-            "event" | "lint_candidate" => parse_event(&value).map(|event| events.push(event)),
+            "manifest" => parse_manifest(&value).map(|m| manifest = Some(m)),
+            "span" => parse_span(&value).map(|span| snapshot.spans.push(span)),
+            "event" => parse_event(&value).map(|event| snapshot.events.push(event)),
             "counter" => parse_counter(&value).map(|(name, v)| {
-                counters.insert(name, v);
+                snapshot.counters.insert(name, v);
             }),
             "gauge" => parse_counter(&value).map(|(name, v)| {
-                gauges.insert(name, v);
+                snapshot.gauges.insert(name, v);
             }),
-            "kernel" => parse_kernel(&value).map(|k| kernels.push(k)),
             other => Err(format!("unknown kind {other:?}")),
         };
         if let Err(reason) = outcome {
-            out.warnings
-                .push(format!("line {lineno}: skipped {kind} ({reason})"));
+            warnings.push(format!("line {lineno}: skipped {kind} ({reason})"));
         }
     }
 
-    if !saw_flow_header {
-        // A live stream: spans arrive in finish order, not start order.
-        for list in [&mut stages, &mut candidates, &mut spans] {
-            list.sort_by_key(|s| (s.start_us, s.duration_us));
-        }
-        out.trace.wall_us = stages
-            .iter()
-            .chain(&candidates)
-            .chain(&spans)
-            .map(SpanRecord::end_us)
-            .chain(events.iter().map(|e| e.at_us))
-            .max()
-            .unwrap_or(0);
-    }
-    out.trace.sweep = SweepTrace {
-        total_candidates: candidates.len(),
-        candidates,
-    };
-    out.trace.stages = stages;
-    out.trace.spans = spans;
-    out.trace.events = events;
-    out.trace.counters = counters;
-    out.trace.gauges = gauges;
-    out.trace.kernels = kernels;
-    out
+    // A live stream's spans arrive in finish order; the snapshot's order
+    // (which a finalized dump already has) is start order.
+    snapshot.spans.sort_by_key(|s| (s.start_us, s.duration_us));
+    let mut trace = FlowTrace::from_snapshot(title, &snapshot);
+    trace.wall_us = wall_us.unwrap_or(trace.wall_us);
+    trace.manifest = manifest;
+    ParsedTrace { trace, warnings }
 }
 
 /// The JSON object keys that are structural (not span/event attributes).
@@ -221,26 +177,6 @@ fn parse_counter(value: &JsonValue) -> Result<(String, u64), String> {
     ))
 }
 
-fn parse_kernel(value: &JsonValue) -> Result<KernelRecord, String> {
-    let u = |key: &str| -> Result<u64, String> {
-        value
-            .get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("missing {key}"))
-    };
-    Ok(KernelRecord {
-        name: value
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing name")?
-            .to_owned(),
-        calls: u("calls")?,
-        items: u("items")?,
-        ns: u("ns")?,
-        // items_per_sec is derived at emission, never stored.
-    })
-}
-
 fn parse_manifest(value: &JsonValue) -> Result<RunManifest, String> {
     let nums = |key: &str| -> Result<Vec<JsonValue>, String> {
         Ok(value
@@ -316,9 +252,9 @@ mod tests {
         recorder.add(keys::GINI_EVALS, 321);
         recorder.add(keys::HW_COMPARATORS_RETAINED, 9);
         recorder.set_gauge(keys::PEAK_RSS_KB, 2048);
-        // Kernel tallies ride the counter namespace and are lifted into
-        // KernelRecords by FlowTrace::from_snapshot — the round trip must
-        // reconstruct them from the {"kind":"kernel"} lines.
+        // Kernel tallies ride the counter namespace and are written as
+        // plain counters; the round trip must bring back the kernel view
+        // derived from them.
         recorder.add("kernel.gini_scan.calls", 7);
         recorder.add("kernel.gini_scan.items", 250);
         recorder.add("kernel.gini_scan.ns", 1_250_000);
@@ -348,24 +284,36 @@ mod tests {
     #[test]
     fn flow_ndjson_round_trips_identically() {
         let original = sample_trace();
-        assert_eq!(original.kernels.len(), 1, "sample carries a kernel record");
+        assert_eq!(original.kernels().len(), 1, "sample carries a kernel");
         let parsed = parse_trace(&original.to_ndjson());
         assert!(parsed.is_clean(), "warnings: {:?}", parsed.warnings);
         assert_eq!(parsed.trace, original);
+        assert_eq!(parsed.trace.kernels(), original.kernels());
     }
 
     #[test]
     fn malformed_lines_warn_and_skip() {
         let original = sample_trace();
         let mut ndjson = original.to_ndjson();
-        ndjson.push_str("\nnot json at all\n{\"kind\":\"mystery\",\"x\":1}\n{\"kind\":\"stage\"}");
+        ndjson.push_str(concat!(
+            "\nnot json at all",
+            "\n{\"kind\":\"mystery\",\"x\":1}",
+            "\n{\"kind\":\"span\"}",
+            "\n{\"kind\":\"event\",\"name\":\"selected\"}",
+            // The kinds the schema no longer has are unknown kinds.
+            "\n{\"kind\":\"kernel\",\"name\":\"gini_scan\",\"calls\":1,\"items\":2,\"ns\":3}",
+            "\n{\"kind\":\"stage\",\"name\":\"sweep\",\"start_us\":0,\"duration_us\":1}",
+        ));
         let parsed = parse_trace(&ndjson);
-        assert_eq!(parsed.warnings.len(), 3, "warnings: {:?}", parsed.warnings);
+        assert_eq!(parsed.warnings.len(), 6, "warnings: {:?}", parsed.warnings);
         // Everything before the damage still parsed.
         assert_eq!(parsed.trace, original);
         assert!(parsed.warnings[0].contains("not json") || parsed.warnings[0].contains("skipped"));
         assert!(parsed.warnings[1].contains("mystery"));
-        assert!(parsed.warnings[2].contains("missing name"));
+        assert!(parsed.warnings[2].contains("skipped span (missing name)"));
+        assert!(parsed.warnings[3].contains("skipped event (missing at_us)"));
+        assert!(parsed.warnings[4].contains("unknown kind \"kernel\""));
+        assert!(parsed.warnings[5].contains("unknown kind \"stage\""));
     }
 
     #[test]
@@ -377,8 +325,8 @@ mod tests {
         let parsed = parse_trace(&ndjson[..cut]);
         assert_eq!(parsed.warnings.len(), 1);
         assert_eq!(parsed.trace.title, original.title);
-        assert_eq!(parsed.trace.stages, original.stages);
-        assert_eq!(parsed.trace.sweep.candidates, original.sweep.candidates);
+        assert_eq!(parsed.trace.spans, original.spans);
+        assert_eq!(parsed.trace.sweep, original.sweep);
     }
 
     #[test]

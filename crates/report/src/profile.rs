@@ -85,13 +85,7 @@ impl Profile {
     /// Builds the profile from every span in the trace: stages, sweep
     /// candidates, and free spans alike.
     pub fn from_trace(trace: &FlowTrace) -> Self {
-        let mut spans: Vec<SpanRecord> = trace
-            .stages
-            .iter()
-            .chain(&trace.sweep.candidates)
-            .chain(&trace.spans)
-            .cloned()
-            .collect();
+        let mut spans = trace.spans.clone();
         // Start-ascending, then duration-descending: a span and the spans
         // it contains share a start in the degenerate case, and the longer
         // one must come first to be seen as the parent.
@@ -250,21 +244,12 @@ mod tests {
         candidates: Vec<SpanRecord>,
         spans: Vec<SpanRecord>,
     ) -> FlowTrace {
-        let wall_us = stages
-            .iter()
-            .chain(&candidates)
-            .chain(&spans)
-            .map(SpanRecord::end_us)
-            .max()
-            .unwrap_or(0);
+        let total_candidates = candidates.len();
+        let spans: Vec<SpanRecord> = stages.into_iter().chain(candidates).chain(spans).collect();
         FlowTrace {
             title: "profile-test".into(),
-            wall_us,
-            sweep: SweepTrace {
-                total_candidates: candidates.len(),
-                candidates,
-            },
-            stages,
+            wall_us: spans.iter().map(SpanRecord::end_us).max().unwrap_or(0),
+            sweep: SweepTrace { total_candidates },
             spans,
             ..FlowTrace::default()
         }

@@ -4,7 +4,11 @@
 //! A traced sweep streaming through `printed_telemetry::StreamSink` (or a
 //! checkpointed sweep appending `sweep_ckpt` lines) produces an NDJSON
 //! file that grows one flushed line at a time, in the finalized flow
-//! dump's schema. [`Watcher`] consumes such a file *incrementally*: hand
+//! dump's schema: `span` lines (sweep `candidate` and campaign
+//! `robust_candidate` grid points among them) and `event` lines (progress,
+//! failures, `lint_candidate` verdicts, the selection). The checkpoint
+//! journals' `sweep_ckpt` and `robust_ckpt` lines are read too; they are
+//! not trace records. [`Watcher`] consumes such a file *incrementally*: hand
 //! it each poll's read of the file ([`Watcher::update`]) or raw chunks
 //! ([`Watcher::push`]) and it maintains rolling progress (k/N
 //! candidates), candidate rate, an ETA, and failed-candidate alerts.
@@ -31,6 +35,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use printed_telemetry::json::{parse as parse_json, JsonValue};
+use printed_telemetry::keys;
 
 /// Which candidate set a grid-point record belongs to.
 #[derive(Debug, Clone, Copy)]
@@ -315,16 +320,13 @@ impl Watcher {
                     self.state.total = self.state.total.max(taus * depths);
                 }
             }
-            // A sweep grid point (depth + tau).
-            "candidate" => {
-                self.observe_grid_point(&value, GridAxis::Sweep);
-                self.observe_timestamp(&value);
-            }
-            // Campaign spans ("robust_candidate") count toward the
-            // robustness axis; any other span only advances the clock.
+            // A sweep grid point or a campaign grid point (depth + tau);
+            // any other span only advances the clock.
             "span" => {
-                if value.get("name").and_then(JsonValue::as_str) == Some("robust_candidate") {
-                    self.observe_grid_point(&value, GridAxis::Robust);
+                match value.get("name").and_then(JsonValue::as_str) {
+                    Some(keys::CANDIDATE_SPAN) => self.observe_grid_point(&value, GridAxis::Sweep),
+                    Some(keys::ROBUST_SPAN) => self.observe_grid_point(&value, GridAxis::Robust),
+                    _ => {}
                 }
                 self.observe_timestamp(&value);
             }
@@ -336,15 +338,10 @@ impl Watcher {
             "robust_ckpt" => {
                 self.observe_grid_point(&value, GridAxis::Robust);
             }
-            // A whole-grid lint verdict.
-            "lint_candidate" => {
-                self.observe_timestamp(&value);
-                self.observe_lint(&value);
-            }
             "event" => {
                 self.observe_timestamp(&value);
                 match value.get("name").and_then(JsonValue::as_str) {
-                    Some("progress") => {
+                    Some(keys::PROGRESS_EVENT) => {
                         let done =
                             value.get("done").and_then(JsonValue::as_u64).unwrap_or(0) as usize;
                         let total =
@@ -352,7 +349,7 @@ impl Watcher {
                         self.state.progress_done = self.state.progress_done.max(done);
                         self.state.total = self.state.total.max(total);
                     }
-                    Some("candidate_failed") => {
+                    Some(keys::CANDIDATE_FAILED_EVENT) => {
                         let depth = value.get("depth").and_then(JsonValue::as_u64).unwrap_or(0);
                         let tau = value.get("tau").and_then(JsonValue::as_f64).unwrap_or(0.0);
                         let error = value
@@ -363,7 +360,7 @@ impl Watcher {
                             "candidate (depth {depth}, τ={tau}) FAILED: {error}"
                         ));
                     }
-                    Some("robust_progress") => {
+                    Some(keys::ROBUST_PROGRESS_EVENT) => {
                         let done =
                             value.get("done").and_then(JsonValue::as_u64).unwrap_or(0) as usize;
                         let total =
@@ -376,7 +373,7 @@ impl Watcher {
                         self.state.robust_pruned_reported =
                             self.state.robust_pruned_reported.max(pruned);
                     }
-                    Some("robust_pruned") => {
+                    Some(keys::ROBUST_PRUNED_EVENT) => {
                         self.observe_grid_point(&value, GridAxis::Robust);
                         if let (Some(depth), Some(tau)) = (
                             value.get("depth").and_then(JsonValue::as_u64),
@@ -385,7 +382,9 @@ impl Watcher {
                             self.state.robust_pruned_seen.insert((depth, tau.to_bits()));
                         }
                     }
-                    Some("selected") => {
+                    // A whole-grid lint verdict.
+                    Some(keys::LINT_CANDIDATE_EVENT) => self.observe_lint(&value),
+                    Some(keys::SELECTED_EVENT) => {
                         let depth = value.get("depth").and_then(JsonValue::as_u64).unwrap_or(0);
                         let tau = value.get("tau").and_then(JsonValue::as_f64).unwrap_or(0.0);
                         let accuracy = value
@@ -402,7 +401,7 @@ impl Watcher {
             }
             // Kinds a finalized dump contains but the watcher has no use
             // for — skipped without comment.
-            "stage" | "counter" | "gauge" | "kernel" => {}
+            "counter" | "gauge" => {}
             // Anything else is a record kind this watcher does not know
             // (a newer writer, or a foreign file): note it once per kind
             // instead of silently dropping it.
@@ -470,7 +469,7 @@ mod tests {
 
     fn span_line(depth: u64, tau: f64, start: u64, dur: u64) -> String {
         format!(
-            r#"{{"kind":"candidate","name":"candidate","start_us":{start},"duration_us":{dur},"depth":{depth},"tau":{tau:?}}}"#
+            r#"{{"kind":"span","name":"candidate","start_us":{start},"duration_us":{dur},"depth":{depth},"tau":{tau:?}}}"#
         )
     }
 
@@ -645,12 +644,27 @@ mod tests {
             "\n",
             r#"{"kind":"gauge","name":"process.peak_rss_kb","value":2048}"#,
             "\n",
-            r#"{"kind":"kernel","name":"gini_scan","calls":7,"items":250,"ns":125,"items_per_sec":2.0e9}"#,
+            r#"{"kind":"counter","name":"kernel.gini_scan.calls","value":7}"#,
             "\n",
-            r#"{"kind":"stage","name":"sweep","start_us":0,"duration_us":9}"#,
+            r#"{"kind":"span","name":"stage:sweep","start_us":0,"duration_us":9}"#,
             "\n",
         ));
         assert!(w.state().notes.is_empty(), "{:?}", w.state().notes);
+        // A stage is a span like any other: it advances the clock and
+        // counts toward no grid.
+        assert_eq!(w.state().last_at_us, 9);
+        assert_eq!(w.state().done(), 0);
+        // Kinds outside the six-kind schema are unknown kinds.
+        w.push(concat!(
+            r#"{"kind":"stage","name":"sweep","start_us":0,"duration_us":9}"#,
+            "\n",
+            r#"{"kind":"candidate","name":"candidate","start_us":1,"duration_us":2,"depth":2,"tau":0.0}"#,
+            "\n",
+        ));
+        assert_eq!(w.state().done(), 0);
+        assert_eq!(w.state().notes.len(), 2, "{:?}", w.state().notes);
+        assert!(w.state().notes[0].contains(r#""stage""#));
+        assert!(w.state().notes[1].contains(r#""candidate""#));
     }
 
     fn robust_progress_line(done: u64, total: u64, trials: u64, pruned: u64, at: u64) -> String {
@@ -709,7 +723,7 @@ mod tests {
 
     fn lint_event_line(depth: u64, tau: f64, errors: u64, warnings: u64, at: u64) -> String {
         format!(
-            r#"{{"kind":"lint_candidate","name":"lint_candidate","at_us":{at},"tau":{tau:?},"depth":{depth},"errors":{errors},"warnings":{warnings},"codes":"A002:warning={warnings}"}}"#
+            r#"{{"kind":"event","name":"lint_candidate","at_us":{at},"tau":{tau:?},"depth":{depth},"errors":{errors},"warnings":{warnings},"codes":"A002:warning={warnings}"}}"#
         )
     }
 
@@ -721,7 +735,7 @@ mod tests {
             r#"{"kind":"manifest","dataset":"Seeds","taus":[0.0,0.01,0.03],"depths":[2,4,6]}"#,
             lint_event_line(2, 0.0, 0, 2, 50),
             lint_event_line(4, 0.0, 1, 0, 60),
-            r#"{"kind":"lint_candidate","name":"lint_candidate","at_us":70,"tau":0.01,"depth":2,"errors":0,"warnings":3,"codes":"U002:warning=3"}"#,
+            r#"{"kind":"event","name":"lint_candidate","at_us":70,"tau":0.01,"depth":2,"errors":0,"warnings":3,"codes":"U002:warning=3"}"#,
         ));
         let s = w.state();
         // Verdicts land neither in the unknown-kind bin nor in the

@@ -288,11 +288,11 @@ fn watch_once_reports_progress_from_a_live_stream() {
         concat!(
             r#"{"kind":"manifest","dataset":"Seeds","taus":[0.0,0.01,0.03],"depths":[2,4,6]}"#,
             "\n",
-            r#"{"kind":"candidate","name":"candidate","start_us":100,"duration_us":50,"depth":2,"tau":0.0}"#,
+            r#"{"kind":"span","name":"candidate","start_us":100,"duration_us":50,"depth":2,"tau":0.0}"#,
             "\n",
             r#"{"kind":"event","name":"progress","at_us":160,"done":1,"total":9}"#,
             "\n",
-            r#"{"kind":"candidate","name":"candidate","start_us":150,"du"#, // torn
+            r#"{"kind":"span","name":"candidate","start_us":150,"du"#, // torn
         ),
     )
     .unwrap();
@@ -301,6 +301,7 @@ fn watch_once_reports_progress_from_a_live_stream() {
     assert_eq!(output.status.code(), Some(0), "stdout: {stdout}");
     assert!(stdout.contains("1/9 candidates"), "{stdout}");
     assert!(stdout.contains("Seeds"), "{stdout}");
+    assert!(!stdout.contains("unknown kind"), "{stdout}");
 
     // A finalized dump reports completion and the selection.
     let final_path = scratch("watch_final.ndjson");
@@ -311,6 +312,7 @@ fn watch_once_reports_progress_from_a_live_stream() {
     assert_eq!(output.status.code(), Some(0), "stdout: {stdout}");
     assert!(stdout.contains("finalized"), "{stdout}");
     assert!(stdout.contains("selected"), "{stdout}");
+    assert!(!stdout.contains("unknown kind"), "{stdout}");
 }
 
 #[test]

@@ -1,16 +1,18 @@
 //! The live-stream contract between the trace writers and the readers,
-//! pinned with real writer output: a quick-grid Seeds flow streamed
-//! through `StreamSink` (what `PRINTED_TRACE_LIVE=1` installs), then
-//! finalized through `FlowTrace::to_ndjson` (what replaces the stream when
-//! the run ends).
+//! pinned with real writer output: a quick-grid Seeds flow with its
+//! whole-grid lint and a robustness campaign, streamed through
+//! `StreamSink` (what `PRINTED_TRACE_LIVE=1` installs), then finalized
+//! through `FlowTrace::to_ndjson` (what replaces the stream when the run
+//! ends).
 
 use std::io::Write;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use printed_codesign::{CodesignFlow, ExplorationConfig};
+use printed_codesign::{CodesignFlow, ExplorationConfig, RobustnessCampaign};
 use printed_datasets::Benchmark;
+use printed_report::json::{parse as parse_json, JsonValue};
 use printed_report::{parse_trace, Watcher};
-use printed_telemetry::{FlowTrace, Recorder, Sink, StreamSink};
+use printed_telemetry::{keys, FlowTrace, Recorder, RunManifest, Sink, StreamSink};
 
 /// A `Write` handle over a shared buffer, so the stream can be read back
 /// while the sink still owns its writer.
@@ -27,17 +29,20 @@ impl Write for SharedBuf {
     }
 }
 
-/// The live stream of a traced quick-grid Seeds flow and the trace the
-/// run finalized, computed once per test binary.
+/// The live stream of a traced quick-grid Seeds flow with a campaign and
+/// the trace the run finalized, computed once per test binary.
 fn live_seeds() -> &'static (String, FlowTrace) {
     static RUN: OnceLock<(String, FlowTrace)> = OnceLock::new();
     RUN.get_or_init(|| {
         let (train, test) = Benchmark::Seeds.load_quantized(4).unwrap();
+        let (_, analog_test) = Benchmark::Seeds.load_split().unwrap();
         let buf = SharedBuf::default();
         let sink: Arc<dyn Sink> = Arc::new(StreamSink::new(buf.clone()));
         let outcome = CodesignFlow::new(&train, &test)
+            .accuracy_loss(0.05)
             .grid(ExplorationConfig::quick())
             .title("Seeds")
+            .robustness(RobustnessCampaign::quick(), &analog_test)
             .recorder(Recorder::with_sink(sink))
             .run();
         let trace = outcome.trace().expect("stream sink snapshots").clone();
@@ -46,26 +51,88 @@ fn live_seeds() -> &'static (String, FlowTrace) {
     })
 }
 
-/// Whether a dump line is a span or event record (the kinds the live
-/// stream carries).
-fn is_span_or_event(line: &str) -> bool {
-    ["stage", "candidate", "span", "event", "lint_candidate"]
-        .iter()
-        .any(|kind| line.starts_with(&format!(r#"{{"kind":"{kind}","#)))
+/// The record kind of an NDJSON line.
+fn kind_of(line: &str) -> String {
+    let value = parse_json(line).expect("every line is JSON");
+    value
+        .get("kind")
+        .and_then(JsonValue::as_str)
+        .expect("every line has a kind")
+        .to_owned()
+}
+
+/// The record name of an NDJSON line (empty for the header and manifest).
+fn name_of(line: &str) -> String {
+    let value = parse_json(line).expect("every line is JSON");
+    value
+        .get("name")
+        .and_then(JsonValue::as_str)
+        .unwrap_or_default()
+        .to_owned()
 }
 
 #[test]
 fn every_streamed_line_appears_verbatim_in_the_final_dump() {
     let (stream, trace) = live_seeds();
-    let dump = trace.to_ndjson();
+    let dump = trace
+        .clone()
+        .with_manifest(RunManifest::default())
+        .to_ndjson();
     let dumped: Vec<&str> = dump.lines().collect();
+    // The dump is the snapshot in six record kinds, all of them present.
+    let kinds = ["flow", "manifest", "span", "event", "counter", "gauge"];
+    for line in &dumped {
+        assert!(kinds.contains(&kind_of(line).as_str()), "{line}");
+    }
+    for kind in kinds {
+        assert!(dumped.iter().any(|l| kind_of(l) == kind), "no {kind} line");
+    }
+    // Every streamed line is a span or an event, verbatim in the dump ...
     for line in stream.lines() {
+        assert!(matches!(kind_of(line).as_str(), "span" | "event"), "{line}");
         assert!(dumped.contains(&line), "{line}\nmissing from the dump");
     }
     // ... and the stream misses none of the dump's spans and events.
-    let span_or_event = dumped.iter().filter(|l| is_span_or_event(l)).count();
+    let span_or_event = dumped
+        .iter()
+        .filter(|l| matches!(kind_of(l).as_str(), "span" | "event"))
+        .count();
     assert_eq!(stream.lines().count(), span_or_event);
-    assert!(stream.lines().all(is_span_or_event), "{stream}");
+    // Stages, sweep and campaign grid points, lint verdicts and kernel
+    // tallies all ride those kinds.
+    let streamed_names: Vec<String> = stream.lines().map(name_of).collect();
+    for name in [
+        keys::STAGE_SWEEP,
+        keys::STAGE_ROBUSTNESS,
+        keys::CANDIDATE_SPAN,
+        keys::ROBUST_SPAN,
+        keys::LINT_CANDIDATE_EVENT,
+        keys::SELECTED_EVENT,
+    ] {
+        assert!(
+            streamed_names.iter().any(|n| n == name),
+            "no {name} streamed"
+        );
+    }
+    assert!(
+        !trace.kernels().is_empty(),
+        "the flow runs in a kernel scope"
+    );
+    let kernel_counters = dumped
+        .iter()
+        .filter(|l| kind_of(l) == "counter" && name_of(l).starts_with(keys::KERNEL_PREFIX))
+        .count();
+    assert!(kernel_counters >= 3 * trace.kernels().len(), "{dump}");
+}
+
+#[test]
+fn the_final_dump_parses_back_to_the_trace() {
+    let (_, trace) = live_seeds();
+    let trace = trace.clone().with_manifest(RunManifest::default());
+    let parsed = parse_trace(&trace.to_ndjson());
+    assert!(parsed.is_clean(), "warnings: {:?}", parsed.warnings);
+    assert_eq!(parsed.trace, trace);
+    assert_eq!(parsed.trace.kernels(), trace.kernels());
 }
 
 #[test]
@@ -75,12 +142,12 @@ fn a_killed_live_stream_parses_like_the_snapshot() {
     // flow header, no manifest, no counters.
     let parsed = parse_trace(stream);
     assert!(parsed.is_clean(), "warnings: {:?}", parsed.warnings);
-    assert_eq!(parsed.trace.stages, trace.stages);
-    assert_eq!(parsed.trace.sweep, trace.sweep);
     assert_eq!(parsed.trace.spans, trace.spans);
+    assert_eq!(parsed.trace.sweep, trace.sweep);
     assert_eq!(parsed.trace.events, trace.events);
     assert_eq!(parsed.trace.wall_us, trace.wall_us);
     assert_eq!(parsed.trace.sweep.total_candidates, 9);
+    assert!(parsed.trace.counters.is_empty());
 }
 
 #[test]
@@ -96,6 +163,7 @@ fn watcher_counts_every_grid_point_of_a_real_stream() {
     let state = watcher.state();
     assert_eq!(state.done(), 9);
     assert_eq!(state.lint_done(), 9);
+    assert_eq!(state.robust_done(), 9);
     assert!(state.notes.is_empty(), "{:?}", state.notes);
     assert!(!state.finalized);
 }
@@ -116,4 +184,6 @@ fn watcher_notices_the_final_dump_replacing_the_stream() {
     assert!(state.selected.is_some());
     assert_eq!(state.done(), 9);
     assert_eq!(state.lint_done(), 9);
+    assert_eq!(state.robust_done(), 9);
+    assert!(state.notes.is_empty(), "{:?}", state.notes);
 }

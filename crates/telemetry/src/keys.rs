@@ -168,10 +168,10 @@ pub const LINT_EVENT: &str = "lint";
 
 /// Event: the whole-grid lint verdict of one sweep candidate (fields:
 /// `tau`, `depth`, `errors`, `warnings`, and `codes` — a
-/// `code:severity=count` summary joined with `;`). Finalized traces lift
-/// these into `kind:"lint_candidate"` records so `printed-trace report`
-/// can build the sweep-wide diagnostics matrix and `printed-trace watch`
-/// can show live lint progress.
+/// `code:severity=count` summary joined with `;`). Written as `event`
+/// records like every other event; `printed-trace report` builds the
+/// sweep-wide diagnostics matrix from them and `printed-trace watch`
+/// shows live lint progress.
 pub const LINT_CANDIDATE_EVENT: &str = "lint_candidate";
 
 /// Event: live sweep progress, emitted as each grid point completes
@@ -186,6 +186,7 @@ pub const PEAK_RSS_KB: &str = "process.peak_rss_kb";
 
 /// Prefix shared by all per-kernel profiling counters. A kernel `k`
 /// tallies three counters — `kernel.<k>.calls`, `kernel.<k>.items`,
-/// `kernel.<k>.ns` — which trace renderers lift into `kind:"kernel"`
-/// records (see [`crate::Kernel`]).
+/// `kernel.<k>.ns` — which traces write as plain `counter` records and
+/// [`crate::FlowTrace::kernels`] reads back as per-kernel totals (see
+/// [`crate::Kernel`]).
 pub const KERNEL_PREFIX: &str = "kernel.";

@@ -14,11 +14,13 @@
 //!   [`KernelScope`]): per-thread call/item/self-time tallies for the five
 //!   dominant kernels, merged into shared counters at scope close and
 //!   inert (one thread-local flag read) outside a scope,
-//! * [`FlowTrace`]/[`SweepTrace`] summaries with NDJSON and human-readable
-//!   text renderers, written through [`json`], the workspace's one JSON
-//!   codec (writer and parser). The trace has one schema: a live
-//!   [`StreamSink`] writes each span and event as exactly the line the
-//!   finalized [`FlowTrace::to_ndjson`] dump later contains, and
+//! * [`FlowTrace`] summaries with NDJSON and human-readable text
+//!   renderers, written through [`json`], the workspace's one JSON codec
+//!   (writer and parser). The trace has one schema, the snapshot's own
+//!   (`span`, `event`, `counter` and `gauge` records after a `flow`
+//!   header and a `manifest`): a live [`StreamSink`] writes each span and
+//!   event as exactly the line the finalized [`FlowTrace::to_ndjson`] dump
+//!   later contains, and
 //! * a [`Progress`] type for live `k/N candidates done` callbacks from the
 //!   sweep's scoped worker threads.
 //!

@@ -5,9 +5,10 @@
 //! The sink is a superset of [`CollectingSink`]: everything is still
 //! collected in memory (so the run can finalize a [`crate::FlowTrace`]
 //! with counters and gauges at the end), but span and event records are
-//! *also* rendered and flushed to the writer immediately, each as exactly
-//! the line the finalized [`crate::FlowTrace::to_ndjson`] dump will
-//! contain (one encoder per record, shared with the dump). A watcher
+//! *also* rendered and flushed to the writer immediately, as `span` and
+//! `event` lines, each exactly the line the finalized
+//! [`crate::FlowTrace::to_ndjson`] dump will contain (one encoder per
+//! record, shared with the dump). A watcher
 //! polling the file sees candidates, progress events, and failure alerts
 //! as they happen; when the run finishes and overwrites the file with the
 //! flow dump, the bytes the watcher already read stop being a prefix of
@@ -142,9 +143,9 @@ mod tests {
         let text = buf.text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "{text}");
-        assert!(lines[0].starts_with(r#"{"kind":"candidate","name":"candidate""#));
+        assert!(lines[0].starts_with(r#"{"kind":"span","name":"candidate","#));
         assert!(lines[0].contains(r#""depth":4"#));
-        assert!(lines[1].contains(r#""name":"progress""#));
+        assert!(lines[1].starts_with(r#"{"kind":"event","name":"progress","#));
         assert!(lines[1].contains(r#""done":1"#));
     }
 
@@ -165,15 +166,18 @@ mod tests {
     #[test]
     fn streamed_lines_are_parse_compatible() {
         // The live format is the flow dump's format: a stage streams as
-        // the dump's `stage` record, name prefix stripped. Assert the
-        // shape contract `printed-report`'s parser relies on here, on the
-        // producer side.
+        // the dump's `span` record, under its full `stage:` name. Assert
+        // the shape contract `printed-report`'s parser relies on here, on
+        // the producer side.
         let buf = SharedBuf::default();
         let sink = Arc::new(StreamSink::new(buf.clone()));
         let recorder = Recorder::with_sink(Arc::clone(&sink) as Arc<dyn Sink>);
         recorder.span(keys::STAGE_SWEEP).finish();
         let text = buf.text();
-        assert!(text.contains(r#"{"kind":"stage","name":"sweep""#), "{text}");
+        assert!(
+            text.starts_with(r#"{"kind":"span","name":"stage:sweep","#),
+            "{text}"
+        );
     }
 
     #[test]
@@ -182,14 +186,22 @@ mod tests {
         let sink = Arc::new(StreamSink::new(buf.clone()));
         let recorder = Recorder::with_sink(Arc::clone(&sink) as Arc<dyn Sink>);
         let stage = recorder.span(keys::STAGE_SWEEP);
-        recorder
-            .span(keys::CANDIDATE_SPAN)
-            .field("depth", 2u64)
-            .field("tau", 0.01)
-            .finish();
+        {
+            let _scope = crate::KernelScope::enter(&recorder);
+            crate::KernelTimer::start(crate::Kernel::GiniScan).finish(40);
+            recorder
+                .span(keys::CANDIDATE_SPAN)
+                .field("depth", 2u64)
+                .field("tau", 0.01)
+                .finish();
+        }
         recorder
             .span(keys::TRAIN_SPAN)
             .field("nodes", 3u64)
+            .finish();
+        recorder
+            .span(keys::ROBUST_SPAN)
+            .field("depth", 2u64)
             .finish();
         recorder.event(
             keys::LINT_CANDIDATE_EVENT,
@@ -198,17 +210,55 @@ mod tests {
         recorder.event(keys::SELECTED_EVENT, vec![("µ τ".into(), "\"q\"".into())]);
         stage.finish();
         recorder.add(keys::GINI_EVALS, 5);
+        recorder.set_gauge(keys::PEAK_RSS_KB, 64);
         let streamed = buf.text();
         let snapshot = recorder.snapshot().expect("stream sink snapshots");
-        let dump = crate::FlowTrace::from_snapshot("unit", &snapshot).to_ndjson();
+        let dump = crate::FlowTrace::from_snapshot("unit", &snapshot)
+            .with_manifest(crate::RunManifest::default())
+            .to_ndjson();
         let dumped: Vec<&str> = dump.lines().collect();
-        assert_eq!(streamed.lines().count(), 5, "{streamed}");
+        let kind_of = |line: &str| {
+            let rest = line.strip_prefix(r#"{"kind":""#).expect("kind leads");
+            rest[..rest.find('"').expect("kind closes")].to_owned()
+        };
+        // The stream holds only spans and events, each verbatim in the dump
+        // and together all of the dump's spans and events.
+        assert_eq!(streamed.lines().count(), 6, "{streamed}");
         for line in streamed.lines() {
             assert!(dumped.contains(&line), "{line} missing from\n{dump}");
+            assert!(matches!(kind_of(line).as_str(), "span" | "event"), "{line}");
         }
-        for kind in ["stage", "candidate", "span", "lint_candidate", "event"] {
-            let tag = format!(r#"{{"kind":"{kind}","#);
-            assert!(streamed.contains(&tag), "no {kind} line in\n{streamed}");
+        let spans_and_events = dumped
+            .iter()
+            .filter(|l| matches!(kind_of(l).as_str(), "span" | "event"))
+            .count();
+        assert_eq!(spans_and_events, 6, "{dump}");
+        // The dump holds the six kinds and no others; the kernel tallies
+        // are plain counters.
+        for line in &dumped {
+            let kind = kind_of(line);
+            assert!(
+                ["flow", "manifest", "span", "event", "counter", "gauge"].contains(&kind.as_str()),
+                "{line}"
+            );
+        }
+        for kind in ["flow", "manifest", "span", "event", "counter", "gauge"] {
+            assert!(
+                dumped.iter().any(|l| kind_of(l) == kind),
+                "no {kind} in\n{dump}"
+            );
+        }
+        assert!(
+            dump.contains(r#"{"kind":"counter","name":"kernel.gini_scan.items","value":40}"#),
+            "{dump}"
+        );
+        for name in ["stage:sweep", "candidate", "train", "robust_candidate"] {
+            let tag = format!(r#"{{"kind":"span","name":"{name}","#);
+            assert!(streamed.contains(&tag), "no {name} span in\n{streamed}");
+        }
+        for name in ["lint_candidate", "selected"] {
+            let tag = format!(r#"{{"kind":"event","name":"{name}","#);
+            assert!(streamed.contains(&tag), "no {name} event in\n{streamed}");
         }
     }
 }

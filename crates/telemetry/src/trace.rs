@@ -1,9 +1,15 @@
-//! Structured summaries of a co-design run: [`FlowTrace`] and
-//! [`SweepTrace`], with NDJSON and human-readable renderers.
+//! Structured summaries of a co-design run: a [`FlowTrace`] is a
+//! [`TraceSnapshot`] with a title, a wall time and a provenance manifest,
+//! plus NDJSON and human-readable renderers.
 //!
-//! The NDJSON schema has one encoder per record: [`span_line`] and
-//! [`event_line`] render every span and event, both for the finalized
-//! [`FlowTrace::to_ndjson`] dump and for the lines a live
+//! The NDJSON file is the snapshot itself, in six record kinds: a `flow`
+//! header, an optional `manifest`, one `span` line per span (in start
+//! order, under its full name: `stage:sweep`, `candidate`, ...), one
+//! `event` line per event, and one `counter` or `gauge` line per value.
+//! Kernel totals stay the `kernel.<name>.{calls,items,ns}` counters they
+//! are recorded as; [`FlowTrace::kernels`] derives the per-kernel view.
+//! [`span_line`] and [`event_line`] are the one encoding of a span and an
+//! event, shared by [`FlowTrace::to_ndjson`] and the live lines a
 //! [`crate::StreamSink`] writes as the run goes, so the stream's lines
 //! reappear verbatim in the dump.
 
@@ -17,7 +23,7 @@ use crate::manifest::RunManifest;
 use crate::sink::TraceSnapshot;
 use crate::span::{EventRecord, FieldValue, SpanRecord};
 
-/// Per-kernel profiling totals lifted out of the raw
+/// Per-kernel profiling totals read from the
 /// `kernel.<name>.{calls,items,ns}` counters: one record per kernel that
 /// ran inside a [`crate::KernelScope`].
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -36,8 +42,7 @@ pub struct KernelRecord {
 
 impl KernelRecord {
     /// Derived throughput: items per second of self time (zero when no
-    /// time was recorded). Recomputed on demand — never stored — so NDJSON
-    /// round trips stay lossless.
+    /// time was recorded).
     pub fn items_per_sec(&self) -> f64 {
         if self.ns == 0 {
             0.0
@@ -47,33 +52,16 @@ impl KernelRecord {
     }
 }
 
-/// The sweep portion of a trace: one span per τ×depth grid point the run
-/// evaluated.
+/// The sweep portion of a trace.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepTrace {
-    /// Candidate spans recorded, i.e. `candidates.len()`. This is the grid
-    /// size (`taus.len() × depths.len()`) only for a fresh sweep with no
-    /// failures: grid points restored from a checkpoint record no
-    /// candidate span, and a point whose evaluation panics records one
-    /// only if the panic came after its span opened, so a resumed or
-    /// failing sweep can report fewer.
+    /// Candidate spans recorded, i.e. `FlowTrace::candidates().count()`.
+    /// This is the grid size (`taus.len() × depths.len()`) only for a
+    /// fresh sweep with no failures: grid points restored from a
+    /// checkpoint record no candidate span, and a point whose evaluation
+    /// panics records one only if the panic came after its span opened, so
+    /// a resumed or failing sweep can report fewer.
     pub total_candidates: usize,
-    /// One record per evaluated grid point, in start order (fields: `tau`,
-    /// `depth`, `accuracy`, `comparators`).
-    pub candidates: Vec<SpanRecord>,
-}
-
-impl SweepTrace {
-    /// Sum of per-candidate wall time. With the sweep fanned out over N
-    /// cores this exceeds the sweep stage's wall time ~N-fold.
-    pub fn cpu_time(&self) -> Duration {
-        Duration::from_micros(self.candidates.iter().map(|c| c.duration_us).sum())
-    }
-
-    /// The slowest grid point, if any were recorded.
-    pub fn slowest(&self) -> Option<&SpanRecord> {
-        self.candidates.iter().max_by_key(|c| c.duration_us)
-    }
 }
 
 /// A serializable summary of one co-design flow run, built from a
@@ -84,47 +72,27 @@ pub struct FlowTrace {
     pub title: String,
     /// End offset of the last span/event, µs from the recorder epoch.
     pub wall_us: u64,
-    /// Flow-stage spans (`stage:*`), in start order.
-    pub stages: Vec<SpanRecord>,
-    /// The τ×depth sweep, if one ran.
+    /// The τ×depth sweep's size, if one ran.
     pub sweep: SweepTrace,
-    /// Final counter values by name.
+    /// Final counter values by name (kernel tallies included).
     pub counters: BTreeMap<String, u64>,
-    /// Final gauge readings by name (peak RSS; absent on pre-gauge
-    /// traces).
+    /// Final gauge readings by name (peak RSS).
     pub gauges: BTreeMap<String, u64>,
-    /// Per-kernel profiling totals, by kernel name ascending (absent on
-    /// traces recorded without a kernel scope).
-    pub kernels: Vec<KernelRecord>,
     /// Instant events (e.g. [`keys::SELECTED_EVENT`]), in submission
     /// order.
     pub events: Vec<EventRecord>,
-    /// Spans that are neither stages nor sweep candidates (per-benchmark,
-    /// per-tree, ...), in start order.
+    /// Every span (flow stages, sweep candidates, per-tree, ...), in
+    /// start order.
     pub spans: Vec<SpanRecord>,
     /// Provenance: what revision/dataset/grid produced this trace.
     pub manifest: Option<RunManifest>,
 }
 
 impl FlowTrace {
-    /// Splits a raw snapshot into the flow-shaped summary: `stage:*` spans
-    /// become [`FlowTrace::stages`], `candidate` spans become the
-    /// [`SweepTrace`], every other span lands in [`FlowTrace::spans`], and
-    /// counters/gauges/events ride along unchanged (kernel counters lifted
-    /// into [`FlowTrace::kernels`]).
+    /// Wraps a raw snapshot: its spans, events, counters and gauges ride
+    /// along unchanged, the wall time is the end of its last record, and
+    /// [`SweepTrace::total_candidates`] counts its `candidate` spans.
     pub fn from_snapshot(title: impl Into<String>, snapshot: &TraceSnapshot) -> Self {
-        let mut stages = Vec::new();
-        let mut candidates = Vec::new();
-        let mut spans = Vec::new();
-        for span in &snapshot.spans {
-            if span.name.starts_with(keys::STAGE_PREFIX) {
-                stages.push(span.clone());
-            } else if span.name == keys::CANDIDATE_SPAN {
-                candidates.push(span.clone());
-            } else {
-                spans.push(span.clone());
-            }
-        }
         let wall_us = snapshot
             .spans
             .iter()
@@ -132,21 +100,16 @@ impl FlowTrace {
             .chain(snapshot.events.iter().map(|e| e.at_us))
             .max()
             .unwrap_or(0);
-        let mut counters = snapshot.counters.clone();
-        let kernels = lift_kernels(&mut counters);
         Self {
             title: title.into(),
             wall_us,
-            stages,
             sweep: SweepTrace {
-                total_candidates: candidates.len(),
-                candidates,
+                total_candidates: snapshot.spans_named(keys::CANDIDATE_SPAN).count(),
             },
-            counters,
+            counters: snapshot.counters.clone(),
             gauges: snapshot.gauges.clone(),
-            kernels,
             events: snapshot.events.clone(),
-            spans,
+            spans: snapshot.spans.clone(),
             manifest: None,
         }
     }
@@ -167,9 +130,50 @@ impl FlowTrace {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
-    /// The profiling record of a named kernel, if that kernel ran.
-    pub fn kernel(&self, name: &str) -> Option<&KernelRecord> {
-        self.kernels.iter().find(|k| k.name == name)
+    /// Flow-stage spans (`stage:*`), in start order.
+    pub fn stages(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.spans
+            .iter()
+            .filter(|s| s.name.starts_with(keys::STAGE_PREFIX))
+    }
+
+    /// The stage span with the given name, if it ran.
+    pub fn stage(&self, name: &str) -> Option<&SpanRecord> {
+        self.stages().find(|s| s.name == name)
+    }
+
+    /// Sweep grid-point spans (`candidate`; fields: `tau`, `depth`,
+    /// `accuracy`, `comparators`), in start order.
+    pub fn candidates(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.spans.iter().filter(|s| s.name == keys::CANDIDATE_SPAN)
+    }
+
+    /// Per-kernel profiling totals, kernel name ascending, read from the
+    /// `kernel.<name>.{calls,items,ns}` counters. A `kernel.*` counter
+    /// with any other suffix is not a kernel metric and is left out.
+    pub fn kernels(&self) -> Vec<KernelRecord> {
+        let mut by_name: BTreeMap<&str, KernelRecord> = BTreeMap::new();
+        for (key, &value) in &self.counters {
+            let Some((name, metric)) = key
+                .strip_prefix(keys::KERNEL_PREFIX)
+                .and_then(|rest| rest.rsplit_once('.'))
+            else {
+                continue;
+            };
+            if !matches!(metric, "calls" | "items" | "ns") {
+                continue;
+            }
+            let record = by_name.entry(name).or_insert_with(|| KernelRecord {
+                name: name.to_owned(),
+                ..KernelRecord::default()
+            });
+            match metric {
+                "calls" => record.calls = value,
+                "items" => record.items = value,
+                _ => record.ns = value,
+            }
+        }
+        by_name.into_values().collect()
     }
 
     /// Algorithm 1 split selections by cost class: `(S_Z, S_M, S_H)`.
@@ -181,17 +185,12 @@ impl FlowTrace {
         )
     }
 
-    /// The stage span with the given name, if it ran.
-    pub fn stage(&self, name: &str) -> Option<&SpanRecord> {
-        self.stages.iter().find(|s| s.name == name)
-    }
-
     /// Renders the trace as NDJSON: a `{"kind":"flow"}` header line
     /// (`candidates` is [`SweepTrace::total_candidates`]), an optional
-    /// `{"kind":"manifest"}` provenance line, then one object per stage,
-    /// candidate, other span, event, counter, gauge, and kernel. Spans and
-    /// events use the same encoders as [`crate::StreamSink`]'s live lines.
-    /// No trailing newline.
+    /// `{"kind":"manifest"}` provenance line, then one `span` line per
+    /// span, one `event` line per event, and one `counter`/`gauge` line per
+    /// value. Spans and events use the same encoders as
+    /// [`crate::StreamSink`]'s live lines. No trailing newline.
     pub fn to_ndjson(&self) -> String {
         let mut lines = vec![JsonLine::new()
             .str("kind", "flow")
@@ -202,8 +201,7 @@ impl FlowTrace {
         if let Some(manifest) = &self.manifest {
             lines.push(manifest.to_json_line());
         }
-        let spans = self.stages.iter().chain(&self.sweep.candidates);
-        lines.extend(spans.chain(&self.spans).map(span_line));
+        lines.extend(self.spans.iter().map(span_line));
         lines.extend(self.events.iter().map(event_line));
         for (kind, values) in [("counter", &self.counters), ("gauge", &self.gauges)] {
             for (name, value) in values {
@@ -215,18 +213,6 @@ impl FlowTrace {
                         .finish(),
                 );
             }
-        }
-        for kernel in &self.kernels {
-            lines.push(
-                JsonLine::new()
-                    .str("kind", "kernel")
-                    .str("name", &kernel.name)
-                    .u64("calls", kernel.calls)
-                    .u64("items", kernel.items)
-                    .u64("ns", kernel.ns)
-                    .f64("items_per_sec", kernel.items_per_sec())
-                    .finish(),
-            );
         }
         lines.join("\n")
     }
@@ -250,11 +236,8 @@ impl FlowTrace {
                 m.seed,
             ));
         }
-        for stage in &self.stages {
-            let name = stage
-                .name
-                .strip_prefix(keys::STAGE_PREFIX)
-                .unwrap_or(&stage.name);
+        for stage in self.stages() {
+            let name = &stage.name[keys::STAGE_PREFIX.len()..];
             let share = if self.wall_us == 0 {
                 0.0
             } else {
@@ -266,12 +249,15 @@ impl FlowTrace {
             ));
         }
         if self.sweep.total_candidates > 0 {
+            // With the sweep fanned out over N cores, the candidates' summed
+            // wall time exceeds the sweep stage's ~N-fold.
+            let cpu_us: u64 = self.candidates().map(|c| c.duration_us).sum();
             out.push_str(&format!(
                 "  sweep: {} candidates, {} cpu-time",
                 self.sweep.total_candidates,
-                fmt_duration(self.sweep.cpu_time()),
+                fmt_duration(Duration::from_micros(cpu_us)),
             ));
-            if let Some(slowest) = self.sweep.slowest() {
+            if let Some(slowest) = self.candidates().max_by_key(|c| c.duration_us) {
                 out.push_str(&format!(
                     ", slowest {} (depth={} tau={})",
                     fmt_duration(slowest.duration()),
@@ -303,14 +289,15 @@ impl FlowTrace {
                 trained + shared,
             ));
         }
-        if !self.kernels.is_empty() {
-            let total_ns: u64 = self.kernels.iter().map(|k| k.ns).sum();
+        let kernels = self.kernels();
+        if !kernels.is_empty() {
+            let total_ns: u64 = kernels.iter().map(|k| k.ns).sum();
             out.push_str("  kernels (self time):\n");
             out.push_str(&format!(
                 "    {:<14} {:>9} {:>12} {:>10} {:>6} {:>14}\n",
                 "name", "calls", "items", "self", "share", "items/sec"
             ));
-            for kernel in &self.kernels {
+            for kernel in &kernels {
                 let share = if total_ns == 0 {
                     0.0
                 } else {
@@ -363,53 +350,12 @@ impl FlowTrace {
     }
 }
 
-/// Moves the `kernel.<name>.{calls,items,ns}` counters out of `counters`
-/// and folds them into per-kernel records, kernel name ascending. Only the
-/// three known metric suffixes are lifted; any other `kernel.*` counter
-/// stays in the map untouched.
-fn lift_kernels(counters: &mut BTreeMap<String, u64>) -> Vec<KernelRecord> {
-    let lifted: Vec<String> = counters
-        .keys()
-        .filter(|key| {
-            key.strip_prefix(keys::KERNEL_PREFIX)
-                .and_then(|rest| rest.rsplit_once('.'))
-                .is_some_and(|(_, metric)| matches!(metric, "calls" | "items" | "ns"))
-        })
-        .cloned()
-        .collect();
-    let mut by_name: BTreeMap<String, KernelRecord> = BTreeMap::new();
-    for key in lifted {
-        let value = counters.remove(&key).unwrap_or(0);
-        let rest = &key[keys::KERNEL_PREFIX.len()..];
-        let (name, metric) = rest.rsplit_once('.').expect("filtered above");
-        let record = by_name
-            .entry(name.to_owned())
-            .or_insert_with(|| KernelRecord {
-                name: name.to_owned(),
-                ..KernelRecord::default()
-            });
-        match metric {
-            "calls" => record.calls = value,
-            "items" => record.items = value,
-            _ => record.ns = value,
-        }
-    }
-    by_name.into_values().collect()
-}
-
-/// The one NDJSON encoding of a span. The kind follows the name: flow
-/// stages are `stage` records named without their `stage:` prefix, sweep
-/// grid points are `candidate` records, and every other span is a `span`
-/// record under its own name.
+/// The one NDJSON encoding of a span: a `span` record under the span's
+/// full name.
 pub(crate) fn span_line(span: &SpanRecord) -> String {
-    let (kind, name) = match span.name.strip_prefix(keys::STAGE_PREFIX) {
-        Some(stage) => ("stage", stage),
-        None if span.name == keys::CANDIDATE_SPAN => ("candidate", span.name.as_str()),
-        None => ("span", span.name.as_str()),
-    };
     let mut line = JsonLine::new()
-        .str("kind", kind)
-        .str("name", name)
+        .str("kind", "span")
+        .str("name", &span.name)
         .u64("start_us", span.start_us)
         .u64("duration_us", span.duration_us);
     for (key, value) in &span.fields {
@@ -418,18 +364,11 @@ pub(crate) fn span_line(span: &SpanRecord) -> String {
     line.finish()
 }
 
-/// The one NDJSON encoding of an event. Whole-grid lint verdicts get
-/// their own `lint_candidate` kind so consumers (report, watch) dispatch
-/// on the kind without sniffing event names; every other event is an
-/// `event` record.
+/// The one NDJSON encoding of an event: an `event` record under the
+/// event's name.
 pub(crate) fn event_line(event: &EventRecord) -> String {
-    let kind = if event.name == keys::LINT_CANDIDATE_EVENT {
-        keys::LINT_CANDIDATE_EVENT
-    } else {
-        "event"
-    };
     let mut line = JsonLine::new()
-        .str("kind", kind)
+        .str("kind", "event")
         .str("name", &event.name)
         .u64("at_us", event.at_us);
     for (key, value) in &event.fields {
@@ -469,14 +408,15 @@ mod tests {
     }
 
     #[test]
-    fn from_snapshot_partitions_spans() {
+    fn from_snapshot_keeps_the_spans_and_filters_by_name() {
         let trace = traced_run();
-        assert_eq!(trace.stages.len(), 1);
+        assert_eq!(trace.spans.len(), 3);
+        assert_eq!(trace.stages().count(), 1);
         assert!(trace.stage(keys::STAGE_SWEEP).is_some());
         assert_eq!(trace.sweep.total_candidates, 2);
-        assert_eq!(trace.sweep.candidates.len(), 2);
+        assert_eq!(trace.candidates().count(), 2);
         assert_eq!(trace.split_selections(), (3, 0, 5));
-        assert!(trace.wall_us >= trace.stages[0].end_us());
+        assert!(trace.wall_us >= trace.stage(keys::STAGE_SWEEP).unwrap().end_us());
     }
 
     #[test]
@@ -484,12 +424,19 @@ mod tests {
         let trace = traced_run();
         let text = trace.to_ndjson();
         let lines: Vec<&str> = text.lines().collect();
-        // header + 1 stage + 2 candidates + 1 event + 4 counters
+        // header + 3 spans (1 stage + 2 candidates) + 1 event + 4 counters
         assert_eq!(lines.len(), 9);
         assert!(lines[0].starts_with(r#"{"kind":"flow""#));
         assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
-        assert!(text.contains(r#""kind":"candidate""#));
-        assert!(text.contains(r#""name":"train.gini_evals","value":250"#));
+        // Spans keep their full names; then the event.
+        let count = |prefix: &str| lines.iter().filter(|l| l.starts_with(prefix)).count();
+        assert_eq!(count(r#"{"kind":"span","name":"stage:sweep","#), 1);
+        assert_eq!(count(r#"{"kind":"span","name":"candidate","#), 2);
+        assert!(lines[4].starts_with(r#"{"kind":"event","name":"selected","#));
+        assert!(text.contains(r#"{"kind":"counter","name":"train.gini_evals","value":250}"#));
+        for kind in ["stage", "candidate", "lint_candidate", "kernel"] {
+            assert!(!text.contains(&format!(r#""kind":"{kind}""#)), "{text}");
+        }
     }
 
     #[test]
@@ -538,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_counters_lift_into_records() {
+    fn kernel_counters_stay_counters_and_derive_records() {
         let (recorder, sink) = Recorder::collecting();
         {
             let _scope = crate::KernelScope::enter(&recorder);
@@ -547,21 +494,28 @@ mod tests {
         }
         recorder.span(keys::STAGE_SWEEP).finish();
         recorder.add("kernel.gini_scan.extra", 7); // unknown metric suffix
+        recorder.add("kernel.orphan.extra", 1); // no known metric at all
         let trace = FlowTrace::from_snapshot("unit", &sink.snapshot());
-        // The three known metrics are lifted out of the counter map ...
-        assert!(!trace.counters.contains_key("kernel.gini_scan.calls"));
-        let record = trace.kernel("gini_scan").expect("kernel record");
-        assert_eq!((record.calls, record.items), (1, 250));
-        // ... while unknown kernel.* counters stay behind untouched.
+        // The three known metrics stay in the counter map ...
+        assert_eq!(trace.counter("kernel.gini_scan.calls"), 1);
+        assert_eq!(trace.counter("kernel.gini_scan.items"), 250);
+        // ... and the kernel view is derived from them; unknown suffixes
+        // are plain counters that make no record.
+        let kernels = trace.kernels();
+        assert_eq!(kernels.len(), 1, "{kernels:?}");
+        assert_eq!(kernels[0].name, "gini_scan");
+        assert_eq!((kernels[0].calls, kernels[0].items), (1, 250));
         assert_eq!(trace.counter("kernel.gini_scan.extra"), 7);
         let ndjson = trace.to_ndjson();
         assert!(
-            ndjson.contains(r#""kind":"kernel","name":"gini_scan","calls":1,"items":250"#),
+            ndjson.contains(r#"{"kind":"counter","name":"kernel.gini_scan.items","value":250}"#),
             "{ndjson}"
         );
+        assert!(!ndjson.contains(r#""kind":"kernel""#), "{ndjson}");
         let text = trace.render_text();
         assert!(text.contains("kernels (self time):"), "{text}");
         assert!(text.contains("gini_scan"), "{text}");
+        assert!(!text.contains("orphan"), "{text}");
     }
 
     #[test]

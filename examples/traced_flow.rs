@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.counter(keys::GINI_EVALS),
         trace.counter(keys::TREES_TRAINED),
     );
-    if let Some(worst) = trace.sweep.slowest() {
+    if let Some(worst) = trace.candidates().max_by_key(|c| c.duration_us) {
         println!(
             "slowest grid point: depth={} tau={} took {}",
             worst.field("depth").and_then(|v| v.as_u64()).unwrap_or(0),
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Machine-readable export: one JSON object per line (flow header,
-    // stages, candidates, events, counters, gauges).
+    // spans, events, counters, gauges).
     let path = std::env::temp_dir().join("traced_flow.ndjson");
     let mut ndjson = trace.to_ndjson();
     ndjson.push('\n');

@@ -170,7 +170,7 @@ fn traced_flow_records_one_candidate_span_per_grid_point() {
     let outcome = CodesignFlow::new(&train, &test).grid(grid).traced().run();
     let trace = outcome.trace().expect("traced flow carries a trace");
     assert_eq!(trace.sweep.total_candidates, expected);
-    assert_eq!(trace.sweep.candidates.len(), expected);
+    assert_eq!(trace.candidates().count(), expected);
     for stage in [
         keys::STAGE_BASELINE,
         keys::STAGE_SWEEP,
