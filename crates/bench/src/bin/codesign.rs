@@ -36,8 +36,10 @@
 //!   exit 0; with `=deny-warnings`, warnings block too; with `=fix`, run
 //!   the fixpoint autofix rewriter (drop dead comparators, prune their
 //!   literals, re-derive the ADC cost), print the repair walkthrough, and
-//!   exit non-zero only if the repaired design fails to re-lint clean or
-//!   to prove feasible-domain equivalence;
+//!   exit non-zero only if the repair is unsound: the repaired design
+//!   fails to prove feasible-domain equivalence, or its re-lint still
+//!   reports an error, an A002 or a C001 (warnings the rewriter never
+//!   touches, such as U002, are printed but do not fail the run);
 //! * `--verilog <path>` — write the unary classifier netlist as Verilog;
 //! * `--spice <path>` — write the bespoke reference ladder as a SPICE deck.
 
@@ -329,7 +331,8 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
 /// chosen design and print the repair walkthrough — comparators
 /// released, the re-derived ADC cost, the re-lint verdict, and the
 /// feasible-domain equivalence proof. Errors (→ non-zero exit) only when
-/// the repaired design fails to re-lint clean or to prove equivalent.
+/// the repair breaks a promise of the rewriter: equivalence fails, or
+/// the re-lint reports an error, an A002 or a C001.
 fn run_fix(
     chosen: &printed_codesign::CandidateDesign,
     grid: &ExplorationConfig,
@@ -371,10 +374,9 @@ fn run_fix(
     } else {
         outln!("  re-lint:\n{}", outcome.report.render_text());
     }
-    if outcome.is_sound() {
-        Ok(())
-    } else {
-        Err("autofix produced an unsound repair (see the re-lint and equivalence verdicts)".into())
+    match outcome.unmet_obligation() {
+        None => Ok(()),
+        Some(why) => Err(format!("autofix produced an unsound repair: {why}")),
     }
 }
 

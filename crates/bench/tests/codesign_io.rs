@@ -1,6 +1,7 @@
 //! The `codesign` binary reports unwritable output paths as one `error:`
 //! line and exit code 1 — never a panic, never a silent exit 0 — and its
-//! `--lint=deny` / `--lint=deny-warnings` policies decide the exit code.
+//! `--lint=deny` / `--lint=deny-warnings` policies decide the exit code,
+//! and `--lint=fix` fails only an unsound repair.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -96,4 +97,21 @@ fn lint_deny_warnings_fails_on_the_grid_warnings() {
         .filter(|line| line.starts_with("error: lint found"))
         .count();
     assert_eq!(errors, 1, "stderr: {stderr}");
+}
+
+#[test]
+fn lint_fix_passes_a_sound_repair_that_leaves_warnings() {
+    // On the Cardio quick grid the fix releases the dead comparators and
+    // proves equivalence exhaustively; only U002 warnings, which the
+    // rewriter never touches, remain in the re-lint.
+    let output = codesign(&["cardio", "--quick", "--lint=fix"], None);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains("equivalence: proven exhaustively"),
+        "stdout: {stdout}"
+    );
+    let relint = stdout.split_once("re-lint:").map_or("", |(_, rest)| rest);
+    assert!(relint.contains("U002 warning"), "stdout: {stdout}");
 }

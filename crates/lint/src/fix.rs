@@ -1,19 +1,19 @@
 //! `--lint=fix`: the fixpoint autofix rewriter.
 //!
-//! [`fix`] consumes the diagnostics the pass suite emits and repairs the
-//! design in place of the human: every A002 dead comparator is released
-//! from the bank, the literal it backed (if any) is pruned from the
-//! covers and the netlist, and the reported [`AdcCost`] is re-derived
-//! from the repaired bank — which clears C001 drift *by construction*.
-//! The rewriter then re-lints and repeats until no fixable diagnostic
-//! remains.
+//! [`fix`] repairs the design in place of the human: every dead
+//! comparator A002 would report (computed directly from the bank and the
+//! covers) is released from the bank, the literal it backed (if any) is
+//! pruned from the covers and the netlist, and the reported [`AdcCost`]
+//! is re-derived from the repaired bank — which clears C001 drift *by
+//! construction*. Pruning can leave further comparators dead, so the
+//! rewriter repeats until none remains, then runs the full pass suite
+//! once over the repaired design.
 //!
 //! **Termination.** Each iteration that performs any rewrite strictly
 //! shrinks the comparator bank (a released comparator is never re-added;
 //! no rewrite grows the retained set), so the loop runs at most
-//! `comparator_count + 1` lint passes. An iteration that cannot make
-//! progress (e.g. a fixable diagnostic whose locus no longer resolves)
-//! exits immediately rather than spinning.
+//! `comparator_count + 1` dead-comparator scans. An iteration that
+//! releases nothing ends the loop.
 //!
 //! **Soundness.** A002 deadness means *no non-contradictory cube reads
 //! the digit*, so on the thermometer-feasible domain every class output
@@ -30,7 +30,8 @@ use printed_logic::sop::{Cube, Sop};
 use printed_logic::Signal;
 
 use crate::passes::{
-    contradiction, feature_runs, sample_thermometer_patterns, FEASIBLE_ENUM_LIMIT, FEASIBLE_SAMPLES,
+    contradiction, dead_comparators, feature_runs, sample_thermometer_patterns,
+    FEASIBLE_ENUM_LIMIT, FEASIBLE_SAMPLES,
 };
 use crate::{LintReport, LintTarget, Linter};
 
@@ -69,31 +70,42 @@ pub struct FixOutcome {
 }
 
 impl FixOutcome {
-    /// True when the repaired design lints clean *and* provably matches
-    /// the original on the feasible domain.
+    /// True when the repair keeps what the rewriter promises: the
+    /// repaired design provably matches the original on the feasible
+    /// domain, and its re-lint reports no error, no A002 and no C001.
+    /// Warnings the rewriter never touches (U002, P003, …) do not count.
     pub fn is_sound(&self) -> bool {
-        self.report.diagnostics.is_empty() && self.equivalence.is_equivalent()
+        self.unmet_obligation().is_none()
+    }
+
+    /// The first promise the repair breaks (see [`FixOutcome::is_sound`]),
+    /// worded for an error line; `None` when the repair is sound.
+    pub fn unmet_obligation(&self) -> Option<String> {
+        if !self.equivalence.is_equivalent() {
+            return Some("the repaired design is not equivalent on the feasible domain".into());
+        }
+        for code in ["A002", "C001"] {
+            let left = self.report.with_code(code).count();
+            if left > 0 {
+                return Some(format!(
+                    "the re-lint still reports {left} {code} finding(s)"
+                ));
+            }
+        }
+        let errors = self.report.error_count();
+        (errors > 0).then(|| format!("the re-lint reports {errors} error(s)"))
     }
 }
 
-/// Parses an A002 locus (`adc x{feature} tap {tap}`) back into its
-/// coordinates.
-fn parse_a002_locus(locus: &str) -> Option<(usize, usize)> {
-    let rest = locus.strip_prefix("adc x")?;
-    let (feature, tap) = rest.split_once(" tap ")?;
-    Some((feature.parse().ok()?, tap.parse().ok()?))
-}
-
-/// Repairs `target` to a fixpoint of the fixable diagnostics (A002 dead
-/// comparators; C001 drift clears as a consequence of re-deriving the
-/// cost).
+/// Repairs `target` to a fixpoint: no retained comparator is dead (A002),
+/// and C001 drift clears as a consequence of re-deriving the cost.
 ///
 /// The returned [`FixOutcome`] carries the repaired artifacts plus the
-/// re-run lint report and the feasible-domain equivalence verdict; the
-/// caller decides what to do with an unsound fix (none is expected —
-/// see the module docs for the argument).
+/// lint report of the repaired design and the feasible-domain
+/// equivalence verdict; the caller decides what to do with an unsound fix
+/// (none is expected — see the module docs for the argument).
 ///
-/// Once any literal is pruned, re-lints run without the T001 tree
+/// Once any literal is pruned, the final lint runs without the T001 tree
 /// cross-check: a cover-dead split may still appear in a tree path
 /// condition, so the repaired netlist is an optimized rewrite of the
 /// tree's lowering rather than its direct structural image. Behavioral
@@ -105,38 +117,11 @@ pub fn fix(target: &LintTarget<'_>) -> FixOutcome {
     let mut class_sops = target.class_sops.to_vec();
     let mut dropped: Vec<(usize, usize)> = Vec::new();
     let mut iterations = 0usize;
-    // Once a literal is pruned the netlist stops being the tree's direct
-    // structural lowering (a cover-dead split may still appear in a path
-    // condition), so T001's path-absorption cross-check no longer
-    // applies; behavioral fidelity is re-proven by the feasible-domain
-    // equivalence verdict instead.
     let mut tree_applies = true;
-    let linter = Linter::new();
 
-    let report = loop {
-        let reported = bank.cost(target.model);
-        let current = LintTarget {
-            tree: if tree_applies { target.tree } else { None },
-            netlist: &netlist,
-            bank: &bank,
-            literals: &literals,
-            class_sops: &class_sops,
-            reported_adc: Some(&reported),
-            model: target.model,
-            grid: target.grid,
-            droop: target.droop,
-            equiv_budget: target.equiv_budget,
-        };
-        let report = linter.run(&current);
-        let dead: Vec<(usize, usize)> = report
-            .with_code("A002")
-            .filter_map(|d| parse_a002_locus(&d.locus))
-            .collect();
-        if dead.is_empty() {
-            break report;
-        }
+    loop {
         let mut progressed = false;
-        for (feature, tap) in dead {
+        for (feature, tap) in dead_comparators(&bank, &literals, &class_sops) {
             if bank.release(feature, tap) {
                 dropped.push((feature, tap));
                 progressed = true;
@@ -152,16 +137,25 @@ pub fn fix(target: &LintTarget<'_>) -> FixOutcome {
             }
         }
         if !progressed {
-            // A fixable diagnostic whose locus no longer resolves —
-            // nothing this rewriter can do; report it instead of
-            // spinning.
-            break report;
+            break;
         }
         iterations += 1;
-    };
+    }
 
-    let equivalence = prove_equivalence(target.netlist, target.literals, &netlist, &literals);
     let reported = bank.cost(target.model);
+    let report = Linter::new().run(&LintTarget {
+        tree: if tree_applies { target.tree } else { None },
+        netlist: &netlist,
+        bank: &bank,
+        literals: &literals,
+        class_sops: &class_sops,
+        reported_adc: Some(&reported),
+        model: target.model,
+        grid: target.grid,
+        droop: target.droop,
+        equiv_budget: target.equiv_budget,
+    });
+    let equivalence = prove_equivalence(target.netlist, target.literals, &netlist, &literals);
     FixOutcome {
         bank,
         reported,
@@ -322,7 +316,7 @@ fn prove_equivalence(
 mod tests {
     use super::*;
     use crate::passes::tree_netlist;
-    use crate::{DroopRef, GridRef};
+    use crate::{Diagnostic, DroopRef, GridRef, Severity};
     use printed_dtree::{DecisionTree, Node};
     use printed_pdk::{AnalogModel, CellKind};
 
@@ -522,6 +516,37 @@ mod tests {
         );
     }
 
+    #[test]
+    fn warnings_the_rewriter_never_touches_leave_the_repair_sound() {
+        let mut scenario = Scenario::clean();
+        // x0 ≥ 3 AND x0 ≥ 9 draws a U002, and tap 12 is dead hardware.
+        scenario.class_sops[1] =
+            Sop::from_cubes(2, vec![Cube::from_literals(&[(0, true), (1, true)])]);
+        scenario.bank.require(0, 12).unwrap();
+
+        let mut outcome = scenario.fix();
+        assert_eq!(outcome.dropped, vec![(0, 12)]);
+        assert_eq!(outcome.report.with_code("U002").count(), 1);
+        assert!(outcome.is_sound(), "{}", outcome.report.render_text());
+        assert_eq!(outcome.unmet_obligation(), None);
+
+        // Each broken promise is named.
+        let dead = Diagnostic::new("A002", Severity::Warning, "adc x0 tap 12", "dead");
+        outcome.report.diagnostics.push(dead);
+        assert_eq!(
+            outcome.unmet_obligation().as_deref(),
+            Some("the re-lint still reports 1 A002 finding(s)")
+        );
+        outcome.equivalence = Equivalence::Mismatched {
+            reason: "test".into(),
+        };
+        assert!(!outcome.is_sound());
+        assert_eq!(
+            outcome.unmet_obligation().as_deref(),
+            Some("the repaired design is not equivalent on the feasible domain")
+        );
+    }
+
     /// A netlist over `literals` with a shared first output and a second
     /// one asserted only on `minterm` (constant 0 when it is empty).
     fn detector(literals: &[(usize, u8)], minterm: &[((usize, u8), bool)]) -> Netlist {
@@ -608,13 +633,5 @@ mod tests {
                 other => panic!("expected a counterexample, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn a002_locus_roundtrips() {
-        assert_eq!(parse_a002_locus("adc x3 tap 12"), Some((3, 12)));
-        assert_eq!(parse_a002_locus("adc x0 tap 1"), Some((0, 1)));
-        assert_eq!(parse_a002_locus("netlist"), None);
-        assert_eq!(parse_a002_locus("adc x tap "), None);
     }
 }

@@ -13,13 +13,14 @@
 //!
 //! * [`LintTarget`] — the design under analysis (tree, netlist, bank,
 //!   literals, covers, reported cost, grid).
-//! * [`Lint`] — one analysis pass; [`Linter`] is the registry of the
-//!   built-in suite, each pass reporting at its own severity.
+//! * [`Linter`] — runs the built-in suite: one table of pass functions,
+//!   in the code order below, each reporting at its own severity.
 //! * [`Diagnostic`] / [`LintReport`] — findings with code, severity,
 //!   locus, message, and suggestion, renderable as a text table or NDJSON.
-//! * [`fix::fix`] — a fixpoint rewriter that consumes A002/C001
-//!   diagnostics, drops the dead comparators, re-derives the cost, and
-//!   proves the repaired design equivalent on the feasible domain.
+//! * [`fix::fix`] — a fixpoint rewriter that releases the dead
+//!   comparators A002 reports (read straight from the bank and covers),
+//!   prunes their literals, re-derives the cost (clearing C001), lints
+//!   the result once, and proves it equivalent on the feasible domain.
 //!
 //! ## Diagnostic codes
 //!
@@ -190,47 +191,32 @@ pub struct GridRef<'a> {
     pub seed: u64,
 }
 
-/// One analysis pass.
-pub trait Lint {
-    /// Stable diagnostic code this pass emits (`U001`, …).
-    fn code(&self) -> &'static str;
-    /// One-line description of what the pass checks.
-    fn description(&self) -> &'static str;
-    /// Severity the pass's findings carry.
-    fn default_severity(&self) -> Severity;
-    /// Runs the pass, appending findings to `out`.
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>);
-}
-
-/// The pass registry: the built-in suite.
-pub struct Linter {
-    passes: Vec<Box<dyn Lint>>,
-}
-
-impl Default for Linter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The built-in suite: every pass in emission order, each reporting at
+/// its own severity.
+#[derive(Default)]
+pub struct Linter;
 
 impl Linter {
-    /// All built-in passes at their default severities.
+    /// The built-in suite.
     pub fn new() -> Self {
-        Self {
-            passes: passes::builtin(),
-        }
+        Self
     }
 
-    /// All built-in passes under `config` (the same as [`Linter::new`]).
+    /// The built-in suite under `config` (the same as [`Linter::new`]).
     pub fn with_config(_config: LintConfig) -> Self {
-        Self::new()
+        Self
     }
 
     /// Runs every pass over `target` and returns the report.
     pub fn run(&self, target: &LintTarget<'_>) -> LintReport {
         let mut diagnostics = Vec::new();
-        for pass in &self.passes {
-            pass.run(target, &mut diagnostics);
+        for (code, pass) in passes::PASSES {
+            let start = diagnostics.len();
+            pass(target, &mut diagnostics);
+            debug_assert!(
+                diagnostics[start..].iter().all(|d| d.code == code),
+                "pass {code} emitted another code"
+            );
         }
         LintReport { diagnostics }
     }
@@ -396,12 +382,13 @@ mod tests {
 
     #[test]
     fn registry_lists_the_documented_codes() {
-        let codes: Vec<&str> = passes::builtin().iter().map(|p| p.code()).collect();
-        for expected in [
-            "U001", "U002", "A001", "A002", "C001", "L001", "T001", "G001", "P001", "P002", "P003",
-        ] {
-            assert!(codes.contains(&expected), "missing {expected}");
-        }
-        assert_eq!(codes.len(), 11);
+        let codes: Vec<&str> = passes::PASSES.iter().map(|&(code, _)| code).collect();
+        assert_eq!(
+            codes,
+            [
+                "U001", "U002", "A001", "A002", "C001", "L001", "T001", "G001", "P001", "P002",
+                "P003"
+            ]
+        );
     }
 }

@@ -8,33 +8,35 @@
 
 use std::collections::BTreeSet;
 
+use printed_adc::BespokeAdcBank;
 use printed_analog::ladder::Ladder;
 use printed_dtree::DecisionTree;
 use printed_logic::blocks::or_tree;
 use printed_logic::equiv::{check_equivalence_on, thermometer_patterns, Equivalence};
 use printed_logic::netlist::Netlist;
-use printed_logic::sop::Cube;
+use printed_logic::sop::{Cube, Sop};
 use printed_logic::Signal;
 use printed_pdk::CellKind;
 
-use crate::{Diagnostic, Lint, LintTarget, Severity};
+use crate::{Diagnostic, LintTarget, Severity};
 
-/// The registered suite, in emission order.
-pub(crate) fn builtin() -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(ThermometerContradiction),
-        Box::new(DominatedLiteral),
-        Box::new(MissingComparator),
-        Box::new(DeadComparator),
-        Box::new(CostDrift),
-        Box::new(ClassOverlap),
-        Box::new(PathFidelity),
-        Box::new(GridHygiene),
-        Box::new(LadderMonotonicity),
-        Box::new(ReferenceOrdering),
-        Box::new(SagMargin),
-    ]
-}
+/// One pass: appends its findings on a target to the list.
+pub(crate) type Pass = fn(&LintTarget<'_>, &mut Vec<Diagnostic>);
+
+/// The suite, in emission order: each pass under the code it emits.
+pub(crate) const PASSES: [(&str, Pass); 11] = [
+    ("U001", thermometer_contradiction),
+    ("U002", dominated_literal),
+    ("A001", missing_comparator),
+    ("A002", dead_comparator),
+    ("C001", cost_drift),
+    ("L001", class_overlap),
+    ("T001", path_fidelity),
+    ("G001", grid_hygiene),
+    ("P001", ladder_monotonicity),
+    ("P002", reference_ordering),
+    ("P003", sag_margin),
+];
 
 /// One feature's interval in a cube: `(feature, max positive tap, min
 /// negative tap)`. A positive literal at tap `t` means `x ≥ t`, a
@@ -153,35 +155,22 @@ fn input_name_pair(name: &str) -> Option<(usize, usize)> {
 
 /// U001 — a cube contradictory under unary monotonicity. It can never
 /// fire on a physical input, so its AND chain is pure wasted area.
-struct ThermometerContradiction;
-
-impl Lint for ThermometerContradiction {
-    fn code(&self) -> &'static str {
-        "U001"
-    }
-    fn description(&self) -> &'static str {
-        "cube unreachable under thermometer monotonicity"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        for (class, sop) in target.class_sops.iter().enumerate() {
-            for (idx, cube) in sop.cubes().iter().enumerate() {
-                if let Some((feature, pos, neg)) = contradiction(cube, target.literals) {
-                    out.push(
-                        Diagnostic::new(
-                            self.code(),
-                            self.default_severity(),
-                            format!("class{class} cube{idx}"),
-                            format!(
-                                "cube requires x{feature} ≥ {pos} and x{feature} < {neg} — \
-                                 statically unreachable under thermometer monotonicity"
-                            ),
-                        )
-                        .suggest("delete the cube; it costs gates but can never fire"),
-                    );
-                }
+fn thermometer_contradiction(target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+    for (class, sop) in target.class_sops.iter().enumerate() {
+        for (idx, cube) in sop.cubes().iter().enumerate() {
+            if let Some((feature, pos, neg)) = contradiction(cube, target.literals) {
+                out.push(
+                    Diagnostic::new(
+                        "U001",
+                        Severity::Warning,
+                        format!("class{class} cube{idx}"),
+                        format!(
+                            "cube requires x{feature} ≥ {pos} and x{feature} < {neg} — \
+                             statically unreachable under thermometer monotonicity"
+                        ),
+                    )
+                    .suggest("delete the cube; it costs gates but can never fire"),
+                );
             }
         }
     }
@@ -189,39 +178,26 @@ impl Lint for ThermometerContradiction {
 
 /// U002 — a literal implied by a same-feature literal in the same cube
 /// (`x ≥ 3` is implied by `x ≥ 9`; `x < 9` is implied by `x < 3`).
-struct DominatedLiteral;
-
-impl Lint for DominatedLiteral {
-    fn code(&self) -> &'static str {
-        "U002"
-    }
-    fn description(&self) -> &'static str {
-        "literal dominated by a same-feature literal in the cube"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        for (class, sop) in target.class_sops.iter().enumerate() {
-            for (idx, cube) in sop.cubes().iter().enumerate() {
-                // A contradictory cube is already U001; domination inside
-                // it is noise.
-                let bounds = IntervalBox::of(cube, target.literals);
-                if bounds.contradiction().is_some() {
-                    continue;
-                }
-                // The box holds each feature's strongest taps; every other
-                // same-feature, same-polarity literal is implied by them.
-                for &(feature, pos, neg) in &bounds.0 {
-                    for (strongest, polarity) in [(pos, true), (neg, false)] {
-                        let Some(strongest) = strongest else {
-                            continue;
-                        };
-                        for (var, pol) in cube.literals() {
-                            let (f, tap) = target.literals[var];
-                            if f == feature && pol == polarity && tap != strongest {
-                                out.push(dominated(class, idx, feature, tap, polarity, strongest));
-                            }
+fn dominated_literal(target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+    for (class, sop) in target.class_sops.iter().enumerate() {
+        for (idx, cube) in sop.cubes().iter().enumerate() {
+            // A contradictory cube is already U001; domination inside it
+            // is noise.
+            let bounds = IntervalBox::of(cube, target.literals);
+            if bounds.contradiction().is_some() {
+                continue;
+            }
+            // The box holds each feature's strongest taps; every other
+            // same-feature, same-polarity literal is implied by them.
+            for &(feature, pos, neg) in &bounds.0 {
+                for (strongest, polarity) in [(pos, true), (neg, false)] {
+                    let Some(strongest) = strongest else {
+                        continue;
+                    };
+                    for (var, pol) in cube.literals() {
+                        let (f, tap) = target.literals[var];
+                        if f == feature && pol == polarity && tap != strongest {
+                            out.push(dominated(class, idx, feature, tap, polarity, strongest));
                         }
                     }
                 }
@@ -262,111 +238,93 @@ fn dominated(
 
 /// A001 — the design reads a unary digit whose comparator the bespoke
 /// bank does not retain: the wire would float. Hard error.
-struct MissingComparator;
-
-impl Lint for MissingComparator {
-    fn code(&self) -> &'static str {
-        "A001"
+fn missing_comparator(target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+    if target.netlist.input_count() != target.literals.len() {
+        out.push(Diagnostic::new(
+            "A001",
+            Severity::Error,
+            "netlist",
+            format!(
+                "netlist has {} inputs but the design defines {} unary literals",
+                target.netlist.input_count(),
+                target.literals.len()
+            ),
+        ));
     }
-    fn description(&self) -> &'static str {
-        "design reads a tap with no retained comparator"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        if target.netlist.input_count() != target.literals.len() {
-            out.push(Diagnostic::new(
-                self.code(),
-                self.default_severity(),
-                "netlist",
-                format!(
-                    "netlist has {} inputs but the design defines {} unary literals",
-                    target.netlist.input_count(),
-                    target.literals.len()
-                ),
-            ));
+    let mut reported: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let mut check = |feature: usize, tap: usize, out: &mut Vec<Diagnostic>| {
+        if !target.bank.taps_of(feature).contains(&tap) && reported.insert((feature, tap)) {
+            out.push(
+                Diagnostic::new(
+                    "A001",
+                    Severity::Error,
+                    format!("u{feature}_{tap}"),
+                    format!(
+                        "digit u{feature}_{tap} is read but the bank retains no \
+                         comparator at x{feature} ≥ {tap}"
+                    ),
+                )
+                .suggest(format!(
+                    "retain tap {tap} of input {feature} in the ADC bank"
+                )),
+            );
         }
-        let mut reported: BTreeSet<(usize, usize)> = BTreeSet::new();
-        let mut check = |feature: usize, tap: usize, out: &mut Vec<Diagnostic>| {
-            if !target.bank.taps_of(feature).contains(&tap) && reported.insert((feature, tap)) {
-                out.push(
-                    Diagnostic::new(
-                        self.code(),
-                        self.default_severity(),
-                        format!("u{feature}_{tap}"),
-                        format!(
-                            "digit u{feature}_{tap} is read but the bank retains no \
-                             comparator at x{feature} ≥ {tap}"
-                        ),
-                    )
-                    .suggest(format!(
-                        "retain tap {tap} of input {feature} in the ADC bank"
-                    )),
-                );
-            }
-        };
-        for &(feature, tap) in target.literals {
-            check(feature, tap as usize, out);
-        }
-        for name in target.netlist.input_names() {
-            if let Some((feature, tap)) = input_name_pair(name) {
-                check(feature, tap, out);
-            }
+    };
+    for &(feature, tap) in target.literals {
+        check(feature, tap as usize, out);
+    }
+    for name in target.netlist.input_names() {
+        if let Some((feature, tap)) = input_name_pair(name) {
+            check(feature, tap, out);
         }
     }
 }
 
-/// A002 — a retained comparator no cube reads: dead hardware, priced.
-struct DeadComparator;
+/// The retained comparators no feasible cube reads, as `(feature, tap)`
+/// in bank order. A read from a contradictory cube does not count: the
+/// cube never fires, so the comparator is dead either way. A002 reports
+/// each one, and [`crate::fix::fix`] releases them.
+pub(crate) fn dead_comparators(
+    bank: &BespokeAdcBank,
+    literals: &[(usize, u8)],
+    class_sops: &[Sop],
+) -> Vec<(usize, usize)> {
+    let mut read_vars = vec![false; literals.len()];
+    for cube in class_sops.iter().flat_map(|sop| sop.cubes()) {
+        if contradiction(cube, literals).is_none() {
+            for (var, _) in cube.literals() {
+                read_vars[var] = true;
+            }
+        }
+    }
+    bank.iter()
+        .flat_map(|(feature, taps)| taps.into_iter().map(move |tap| (feature, tap)))
+        .filter(|&(feature, tap)| {
+            !literals
+                .binary_search(&(feature, tap as u8))
+                .is_ok_and(|var| read_vars[var])
+        })
+        .collect()
+}
 
-impl Lint for DeadComparator {
-    fn code(&self) -> &'static str {
-        "A002"
-    }
-    fn description(&self) -> &'static str {
-        "retained comparator never read by any cube"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        // The variables some feasible cube reads. A read from a
-        // contradictory cube does not count: the cube never fires, so the
-        // comparator is dead either way.
-        let mut read_vars = vec![false; target.literals.len()];
-        for cube in target.class_sops.iter().flat_map(|sop| sop.cubes()) {
-            if contradiction(cube, target.literals).is_none() {
-                for (var, _) in cube.literals() {
-                    read_vars[var] = true;
-                }
-            }
-        }
-        for (feature, taps) in target.bank.iter() {
-            for tap in taps {
-                let read = target
-                    .literals
-                    .binary_search(&(feature, tap as u8))
-                    .is_ok_and(|var| read_vars[var]);
-                if !read {
-                    let power = target.model.comparator_power(tap).uw();
-                    let area = target.model.comparator_bank_area(1).mm2();
-                    out.push(
-                        Diagnostic::new(
-                            self.code(),
-                            self.default_severity(),
-                            format!("adc x{feature} tap {tap}"),
-                            format!(
-                                "comparator x{feature} ≥ {tap} is retained but no cube \
-                                 reads it — dead hardware wasting {power:.3} µW and \
-                                 {area:.4} mm²"
-                            ),
-                        )
-                        .suggest("drop the comparator from the bank or re-synthesize"),
-                    );
-                }
-            }
-        }
+/// A002 — a retained comparator no cube reads: dead hardware, priced.
+fn dead_comparator(target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+    for (feature, tap) in dead_comparators(target.bank, target.literals, target.class_sops) {
+        let power = target.model.comparator_power(tap).uw();
+        let area = target.model.comparator_bank_area(1).mm2();
+        out.push(
+            Diagnostic::new(
+                "A002",
+                Severity::Warning,
+                format!("adc x{feature} tap {tap}"),
+                format!(
+                    "comparator x{feature} ≥ {tap} is retained but no cube \
+                     reads it — dead hardware wasting {power:.3} µW and \
+                     {area:.4} mm²"
+                ),
+            )
+            .suggest("drop the comparator from the bank or re-synthesize"),
+        );
     }
 }
 
@@ -374,93 +332,80 @@ impl Lint for DeadComparator {
 /// ([`printed_adc::BespokeAdcBank::input_cost`]'s identity: per-input
 /// comparator shares plus the shared pruned ladder reproduce the bank
 /// cost exactly).
-struct CostDrift;
-
-impl Lint for CostDrift {
-    fn code(&self) -> &'static str {
-        "C001"
+fn cost_drift(target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(reported) = target.reported_adc else {
+        return;
+    };
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+    let recomputed = target.bank.cost(target.model);
+    // Component sum: Σ per-input shares + the shared pruned ladder.
+    let distinct = target.bank.distinct_taps().len();
+    let mut sum_area = 0.0;
+    let mut sum_power = 0.0;
+    let mut sum_comparators = 0;
+    for (feature, _) in target.bank.iter() {
+        let share = target.bank.input_cost(feature, target.model);
+        sum_area += share.area.mm2();
+        sum_power += share.power.uw();
+        sum_comparators += share.comparators;
     }
-    fn description(&self) -> &'static str {
-        "reported ADC cost drifts from the component sum"
+    if distinct > 0 {
+        sum_area += target.model.bespoke_ladder_area(distinct).mm2();
+        sum_power += target.model.bespoke_ladder_power(distinct).uw();
     }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
+    let mut drift = Vec::new();
+    if !close(recomputed.area.mm2(), sum_area)
+        || !close(recomputed.power.uw(), sum_power)
+        || recomputed.comparators != sum_comparators
+    {
+        drift.push(format!(
+            "bank cost breaks the input_cost sum identity \
+             ({:.6} mm² / {:.3} µW vs Σ {:.6} mm² / {:.3} µW)",
+            recomputed.area.mm2(),
+            recomputed.power.uw(),
+            sum_area,
+            sum_power,
+        ));
     }
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(reported) = target.reported_adc else {
-            return;
-        };
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
-        let recomputed = target.bank.cost(target.model);
-        // Component sum: Σ per-input shares + the shared pruned ladder.
-        let distinct = target.bank.distinct_taps().len();
-        let mut sum_area = 0.0;
-        let mut sum_power = 0.0;
-        let mut sum_comparators = 0;
-        for (feature, _) in target.bank.iter() {
-            let share = target.bank.input_cost(feature, target.model);
-            sum_area += share.area.mm2();
-            sum_power += share.power.uw();
-            sum_comparators += share.comparators;
-        }
-        if distinct > 0 {
-            sum_area += target.model.bespoke_ladder_area(distinct).mm2();
-            sum_power += target.model.bespoke_ladder_power(distinct).uw();
-        }
-        let mut drift = Vec::new();
-        if !close(recomputed.area.mm2(), sum_area)
-            || !close(recomputed.power.uw(), sum_power)
-            || recomputed.comparators != sum_comparators
-        {
-            drift.push(format!(
-                "bank cost breaks the input_cost sum identity \
-                 ({:.6} mm² / {:.3} µW vs Σ {:.6} mm² / {:.3} µW)",
-                recomputed.area.mm2(),
-                recomputed.power.uw(),
-                sum_area,
-                sum_power,
-            ));
-        }
-        if !close(reported.area.mm2(), recomputed.area.mm2()) {
-            drift.push(format!(
-                "area {:.6} mm² reported vs {:.6} mm² recomputed",
-                reported.area.mm2(),
-                recomputed.area.mm2()
-            ));
-        }
-        if !close(reported.power.uw(), recomputed.power.uw()) {
-            drift.push(format!(
-                "power {:.3} µW reported vs {:.3} µW recomputed",
-                reported.power.uw(),
-                recomputed.power.uw()
-            ));
-        }
-        if reported.comparators != recomputed.comparators {
-            drift.push(format!(
-                "{} comparators reported vs {} retained",
-                reported.comparators, recomputed.comparators
-            ));
-        }
-        if reported.ladder_resistors != recomputed.ladder_resistors {
-            drift.push(format!(
-                "{} ladder resistors reported vs {} recomputed",
-                reported.ladder_resistors, recomputed.ladder_resistors
-            ));
-        }
-        if !drift.is_empty() {
-            out.push(
-                Diagnostic::new(
-                    self.code(),
-                    self.default_severity(),
-                    "adc bank",
-                    format!(
-                        "reported ADC cost drifts from the component sum: {}",
-                        drift.join("; ")
-                    ),
-                )
-                .suggest("re-price the design with BespokeAdcBank::cost on the current model"),
-            );
-        }
+    if !close(reported.area.mm2(), recomputed.area.mm2()) {
+        drift.push(format!(
+            "area {:.6} mm² reported vs {:.6} mm² recomputed",
+            reported.area.mm2(),
+            recomputed.area.mm2()
+        ));
+    }
+    if !close(reported.power.uw(), recomputed.power.uw()) {
+        drift.push(format!(
+            "power {:.3} µW reported vs {:.3} µW recomputed",
+            reported.power.uw(),
+            recomputed.power.uw()
+        ));
+    }
+    if reported.comparators != recomputed.comparators {
+        drift.push(format!(
+            "{} comparators reported vs {} retained",
+            reported.comparators, recomputed.comparators
+        ));
+    }
+    if reported.ladder_resistors != recomputed.ladder_resistors {
+        drift.push(format!(
+            "{} ladder resistors reported vs {} recomputed",
+            reported.ladder_resistors, recomputed.ladder_resistors
+        ));
+    }
+    if !drift.is_empty() {
+        out.push(
+            Diagnostic::new(
+                "C001",
+                Severity::Error,
+                "adc bank",
+                format!(
+                    "reported ADC cost drifts from the component sum: {}",
+                    drift.join("; ")
+                ),
+            )
+            .suggest("re-price the design with BespokeAdcBank::cost on the current model"),
+        );
     }
 }
 
@@ -468,55 +413,47 @@ impl Lint for CostDrift {
 /// thermometer-feasible input. Each cube's [`IntervalBox`] is built once
 /// per run; a cube pair intersects iff the merge walk of their boxes
 /// finds no empty interval — `O(cubes² · features)`, no SAT.
-struct ClassOverlap;
-
-impl Lint for ClassOverlap {
-    fn code(&self) -> &'static str {
-        "L001"
-    }
-    fn description(&self) -> &'static str {
-        "class outputs not provably one-hot on the feasible domain"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        // Contradictory cubes never fire, so they overlap nothing; dropping
-        // them keeps the first overlap of every class pair unchanged.
-        let boxes: Vec<Vec<IntervalBox>> = target
-            .class_sops
-            .iter()
-            .map(|sop| {
-                sop.cubes()
-                    .iter()
-                    .map(|cube| IntervalBox::of(cube, target.literals))
-                    .filter(|b| b.contradiction().is_none())
-                    .collect()
-            })
-            .collect();
-        for (i, boxes_i) in boxes.iter().enumerate() {
-            for (j, boxes_j) in boxes.iter().enumerate().skip(i + 1) {
-                let witness = boxes_i
-                    .iter()
-                    .find_map(|a| boxes_j.iter().find_map(|b| a.overlap_witness(b)));
-                if let Some(witness) = witness {
-                    out.push(
-                        Diagnostic::new(
-                            self.code(),
-                            self.default_severity(),
-                            format!("class{i}×class{j}"),
-                            format!(
-                                "classes {i} and {j} both assert on the feasible input \
-                                 {witness} — the one-hot invariant is violated"
-                            ),
-                        )
-                        .suggest("the covers intersect; re-derive them from disjoint tree paths"),
-                    );
-                }
+fn class_overlap(target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+    // Contradictory cubes never fire, so they overlap nothing; dropping
+    // them keeps the first overlap of every class pair unchanged.
+    let boxes: Vec<Vec<IntervalBox>> = target
+        .class_sops
+        .iter()
+        .map(|sop| {
+            sop.cubes()
+                .iter()
+                .map(|cube| IntervalBox::of(cube, target.literals))
+                .filter(|b| b.contradiction().is_none())
+                .collect()
+        })
+        .collect();
+    for (i, boxes_i) in boxes.iter().enumerate() {
+        for (j, boxes_j) in boxes.iter().enumerate().skip(i + 1) {
+            let witness = boxes_i
+                .iter()
+                .find_map(|a| boxes_j.iter().find_map(|b| a.overlap_witness(b)));
+            if let Some(witness) = witness {
+                out.push(
+                    Diagnostic::new(
+                        "L001",
+                        Severity::Error,
+                        format!("class{i}×class{j}"),
+                        format!(
+                            "classes {i} and {j} both assert on the feasible input \
+                             {witness} — the one-hot invariant is violated"
+                        ),
+                    )
+                    .suggest("the covers intersect; re-derive them from disjoint tree paths"),
+                );
             }
         }
     }
 }
+
+/// Above this many feasible patterns the equivalence leg samples instead
+/// of enumerating (`Π (taps_per_feature + 1)` grows multiplicatively).
+pub(crate) const FEASIBLE_ENUM_LIMIT: usize = 1 << 16;
+pub(crate) const FEASIBLE_SAMPLES: usize = 4096;
 
 /// T001 — tree/netlist path fidelity: every feasible root-to-leaf path
 /// must be absorbed by its class's cover, and the netlist must equal the
@@ -526,156 +463,137 @@ impl Lint for ClassOverlap {
 /// [`printed_logic::equiv::check_equivalence_on`] over the enumerated
 /// feasible patterns, or a seeded feasible sample when the domain is
 /// huge.
-struct PathFidelity;
-
-/// Above this many feasible patterns the equivalence leg samples instead
-/// of enumerating (`Π (taps_per_feature + 1)` grows multiplicatively).
-pub(crate) const FEASIBLE_ENUM_LIMIT: usize = 1 << 16;
-pub(crate) const FEASIBLE_SAMPLES: usize = 4096;
-
-impl Lint for PathFidelity {
-    fn code(&self) -> &'static str {
-        "T001"
+fn path_fidelity(target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(tree) = target.tree else {
+        return;
+    };
+    if tree.n_classes() != target.class_sops.len() {
+        out.push(Diagnostic::new(
+            "T001",
+            Severity::Error,
+            "tree",
+            format!(
+                "tree has {} classes but the design carries {} covers",
+                tree.n_classes(),
+                target.class_sops.len()
+            ),
+        ));
+        return;
     }
-    fn description(&self) -> &'static str {
-        "tree paths not reflected by the covers/netlist"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(tree) = target.tree else {
-            return;
-        };
-        if tree.n_classes() != target.class_sops.len() {
-            out.push(Diagnostic::new(
-                self.code(),
-                self.default_severity(),
-                "tree",
-                format!(
-                    "tree has {} classes but the design carries {} covers",
-                    tree.n_classes(),
-                    target.class_sops.len()
-                ),
-            ));
-            return;
-        }
-        // Leg 1: every feasible path's cube is absorbed by its class's
-        // cover. (Simplification only merges/absorbs cubes, so each
-        // original path cube must still imply one surviving cube.)
-        let mut reconstructible = true;
-        for (idx, path) in tree.paths().iter().enumerate() {
-            let mut lits = Vec::with_capacity(path.conditions.len());
-            let mut mapped = true;
-            for &(feature, threshold, polarity) in &path.conditions {
-                match target.literals.binary_search(&(feature, threshold)) {
-                    Ok(var) => lits.push((var, polarity)),
-                    Err(_) => {
-                        out.push(Diagnostic::new(
-                            self.code(),
-                            self.default_severity(),
-                            format!("path{idx}"),
-                            format!(
-                                "path condition x{feature} ≥ {threshold} has no unary \
-                                 literal in the design"
-                            ),
-                        ));
-                        mapped = false;
-                        reconstructible = false;
-                    }
-                }
-            }
-            if !mapped {
-                continue;
-            }
-            // Contradictory or thermometer-infeasible paths can never
-            // fire; synthesis is free to drop them.
-            let Some(cube) = Cube::try_from_literals(&lits) else {
-                continue;
-            };
-            if contradiction(&cube, target.literals).is_some() {
-                continue;
-            }
-            let covered = target.class_sops[path.class]
-                .cubes()
-                .iter()
-                .any(|cover| cube.implies(cover));
-            if !covered {
-                out.push(
-                    Diagnostic::new(
-                        self.code(),
-                        self.default_severity(),
+    // Leg 1: every feasible path's cube is absorbed by its class's cover.
+    // (Simplification only merges/absorbs cubes, so each original path
+    // cube must still imply one surviving cube.)
+    let mut reconstructible = true;
+    for (idx, path) in tree.paths().iter().enumerate() {
+        let mut lits = Vec::with_capacity(path.conditions.len());
+        let mut mapped = true;
+        for &(feature, threshold, polarity) in &path.conditions {
+            match target.literals.binary_search(&(feature, threshold)) {
+                Ok(var) => lits.push((var, polarity)),
+                Err(_) => {
+                    out.push(Diagnostic::new(
+                        "T001",
+                        Severity::Error,
                         format!("path{idx}"),
                         format!(
-                            "feasible root-to-leaf path {idx} (class {}) is not absorbed \
-                             by the synthesized class cover",
-                            path.class
+                            "path condition x{feature} ≥ {threshold} has no unary \
+                             literal in the design"
                         ),
-                    )
-                    .suggest("the cover lost a path cube; re-derive it from the tree"),
-                );
+                    ));
+                    mapped = false;
+                    reconstructible = false;
+                }
             }
         }
-        // Leg 2: netlist ≡ tree on the feasible domain.
-        if !reconstructible || target.netlist.input_count() != target.literals.len() {
-            return; // A001 (or leg 1) already explains the mismatch
+        if !mapped {
+            continue;
         }
-        let reference = tree_netlist(tree, target.literals);
-        // Identical structure computes identical outputs on every input.
-        let signals = |nl: &Netlist| nl.outputs().iter().map(|&(_, s)| s).collect::<Vec<_>>();
-        if reference.gates() == target.netlist.gates()
-            && signals(&reference) == signals(target.netlist)
-        {
-            return;
-        }
-        let runs = feature_runs(target.literals);
-        let domain_size: usize = runs
-            .iter()
-            .try_fold(1usize, |acc, &r| acc.checked_mul(r + 1))
-            .unwrap_or(usize::MAX);
-        let enum_limit = target
-            .equiv_budget
-            .map_or(FEASIBLE_ENUM_LIMIT, |b| b.min(FEASIBLE_ENUM_LIMIT));
-        let samples = target
-            .equiv_budget
-            .map_or(FEASIBLE_SAMPLES, |b| b.min(FEASIBLE_SAMPLES));
-        let verdict = if domain_size <= enum_limit {
-            check_equivalence_on(&reference, target.netlist, thermometer_patterns(&runs))
-        } else {
-            check_equivalence_on(
-                &reference,
-                target.netlist,
-                sample_thermometer_patterns(&runs, 0x0ADC_11A7, samples),
-            )
+        // Contradictory or thermometer-infeasible paths can never fire;
+        // synthesis is free to drop them.
+        let Some(cube) = Cube::try_from_literals(&lits) else {
+            continue;
         };
-        match verdict {
-            Equivalence::Equivalent { .. } => {}
-            Equivalence::Counterexample {
-                inputs,
-                left,
-                right,
-            } => {
-                out.push(
-                    Diagnostic::new(
-                        self.code(),
-                        self.default_severity(),
-                        "netlist",
-                        format!(
-                            "netlist diverges from the tree on the feasible input \
-                             {inputs:?} (tree outputs {left:?}, netlist {right:?})"
-                        ),
-                    )
-                    .suggest("re-synthesize the netlist from the tree"),
-                );
-            }
-            Equivalence::Mismatched { reason } => {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    self.default_severity(),
+        if contradiction(&cube, target.literals).is_some() {
+            continue;
+        }
+        let covered = target.class_sops[path.class]
+            .cubes()
+            .iter()
+            .any(|cover| cube.implies(cover));
+        if !covered {
+            out.push(
+                Diagnostic::new(
+                    "T001",
+                    Severity::Error,
+                    format!("path{idx}"),
+                    format!(
+                        "feasible root-to-leaf path {idx} (class {}) is not absorbed \
+                         by the synthesized class cover",
+                        path.class
+                    ),
+                )
+                .suggest("the cover lost a path cube; re-derive it from the tree"),
+            );
+        }
+    }
+    // Leg 2: netlist ≡ tree on the feasible domain.
+    if !reconstructible || target.netlist.input_count() != target.literals.len() {
+        return; // A001 (or leg 1) already explains the mismatch
+    }
+    let reference = tree_netlist(tree, target.literals);
+    // Identical structure computes identical outputs on every input.
+    let signals = |nl: &Netlist| nl.outputs().iter().map(|&(_, s)| s).collect::<Vec<_>>();
+    if reference.gates() == target.netlist.gates() && signals(&reference) == signals(target.netlist)
+    {
+        return;
+    }
+    let runs = feature_runs(target.literals);
+    let domain_size: usize = runs
+        .iter()
+        .try_fold(1usize, |acc, &r| acc.checked_mul(r + 1))
+        .unwrap_or(usize::MAX);
+    let enum_limit = target
+        .equiv_budget
+        .map_or(FEASIBLE_ENUM_LIMIT, |b| b.min(FEASIBLE_ENUM_LIMIT));
+    let samples = target
+        .equiv_budget
+        .map_or(FEASIBLE_SAMPLES, |b| b.min(FEASIBLE_SAMPLES));
+    let verdict = if domain_size <= enum_limit {
+        check_equivalence_on(&reference, target.netlist, thermometer_patterns(&runs))
+    } else {
+        check_equivalence_on(
+            &reference,
+            target.netlist,
+            sample_thermometer_patterns(&runs, 0x0ADC_11A7, samples),
+        )
+    };
+    match verdict {
+        Equivalence::Equivalent { .. } => {}
+        Equivalence::Counterexample {
+            inputs,
+            left,
+            right,
+        } => {
+            out.push(
+                Diagnostic::new(
+                    "T001",
+                    Severity::Error,
                     "netlist",
-                    format!("netlist shape does not match the tree's: {reason}"),
-                ));
-            }
+                    format!(
+                        "netlist diverges from the tree on the feasible input \
+                         {inputs:?} (tree outputs {left:?}, netlist {right:?})"
+                    ),
+                )
+                .suggest("re-synthesize the netlist from the tree"),
+            );
+        }
+        Equivalence::Mismatched { reason } => {
+            out.push(Diagnostic::new(
+                "T001",
+                Severity::Error,
+                "netlist",
+                format!("netlist shape does not match the tree's: {reason}"),
+            ));
         }
     }
 }
@@ -782,76 +700,63 @@ pub(crate) fn sample_thermometer_patterns(
 /// duplicate grid points whose derived training seeds collide (warnings —
 /// `tau_seed` mixes `τ.to_bits()` bijectively, so seeds collide exactly
 /// when the bit patterns repeat).
-struct GridHygiene;
-
-impl Lint for GridHygiene {
-    fn code(&self) -> &'static str {
-        "G001"
+fn grid_hygiene(target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(grid) = &target.grid else {
+        return;
+    };
+    if grid.taus.is_empty() {
+        out.push(Diagnostic::new(
+            "G001",
+            Severity::Error,
+            "grid",
+            "τ grid is empty — the sweep has no candidates",
+        ));
     }
-    fn description(&self) -> &'static str {
-        "exploration-grid hygiene"
+    if grid.depths.is_empty() {
+        out.push(Diagnostic::new(
+            "G001",
+            Severity::Error,
+            "grid",
+            "depth grid is empty — the sweep has no candidates",
+        ));
     }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(grid) = &target.grid else {
-            return;
-        };
-        if grid.taus.is_empty() {
+    let mut seen_taus: BTreeSet<u64> = BTreeSet::new();
+    for &tau in grid.taus {
+        if !tau.is_finite() || tau < 0.0 {
             out.push(Diagnostic::new(
-                self.code(),
+                "G001",
                 Severity::Error,
                 "grid",
-                "τ grid is empty — the sweep has no candidates",
+                format!("τ={tau} is not a finite non-negative Gini slack"),
             ));
-        }
-        if grid.depths.is_empty() {
-            out.push(Diagnostic::new(
-                self.code(),
-                Severity::Error,
-                "grid",
-                "depth grid is empty — the sweep has no candidates",
-            ));
-        }
-        let mut seen_taus: BTreeSet<u64> = BTreeSet::new();
-        for &tau in grid.taus {
-            if !tau.is_finite() || tau < 0.0 {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    Severity::Error,
+        } else if !seen_taus.insert(tau.to_bits()) {
+            out.push(
+                Diagnostic::new(
+                    "G001",
+                    Severity::Warning,
                     "grid",
-                    format!("τ={tau} is not a finite non-negative Gini slack"),
-                ));
-            } else if !seen_taus.insert(tau.to_bits()) {
-                out.push(
-                    Diagnostic::new(
-                        self.code(),
-                        Severity::Warning,
-                        "grid",
-                        format!(
-                            "τ grid repeats {tau} — the duplicate grid points train \
-                             with colliding derived seeds (seed base {:#x})",
-                            grid.seed
-                        ),
-                    )
-                    .suggest("deduplicate the τ grid"),
-                );
-            }
+                    format!(
+                        "τ grid repeats {tau} — the duplicate grid points train \
+                         with colliding derived seeds (seed base {:#x})",
+                        grid.seed
+                    ),
+                )
+                .suggest("deduplicate the τ grid"),
+            );
         }
-        let mut seen_depths: BTreeSet<usize> = BTreeSet::new();
-        for &depth in grid.depths {
-            if !seen_depths.insert(depth) {
-                out.push(
-                    Diagnostic::new(
-                        self.code(),
-                        Severity::Warning,
-                        "grid",
-                        format!("depth grid repeats {depth} — duplicate grid points"),
-                    )
-                    .suggest("deduplicate the depth grid"),
-                );
-            }
+    }
+    let mut seen_depths: BTreeSet<usize> = BTreeSet::new();
+    for &depth in grid.depths {
+        if !seen_depths.insert(depth) {
+            out.push(
+                Diagnostic::new(
+                    "G001",
+                    Severity::Warning,
+                    "grid",
+                    format!("depth grid repeats {depth} — duplicate grid points"),
+                )
+                .suggest("deduplicate the depth grid"),
+            );
         }
     }
 }
@@ -862,114 +767,90 @@ impl Lint for GridHygiene {
 /// increasing tap voltages that track the ideal references. Every
 /// analog-layer failure surfaces as a diagnostic — the pass never panics,
 /// even on models with corrupted electrical parameters.
-struct LadderMonotonicity;
-
-impl Lint for LadderMonotonicity {
-    fn code(&self) -> &'static str {
-        "P001"
-    }
-    fn description(&self) -> &'static str {
-        "pruned-ladder tap voltages drift from the ideal references"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        let bits = target.bank.bits();
-        if bits != target.model.resolution_bits {
-            out.push(
-                Diagnostic::new(
-                    self.code(),
-                    self.default_severity(),
-                    "ladder",
-                    format!(
-                        "bank quantizes at {bits} bits but the analog model resolves \
-                         {} bits — the taps do not name the model's reference nodes",
-                        target.model.resolution_bits
-                    ),
-                )
-                .suggest("re-price the design with a model at the bank's resolution"),
-            );
-            return;
-        }
-        let distinct = target.bank.distinct_taps();
-        if distinct.is_empty() {
-            return;
-        }
-        let supply = target.model.supply.volts();
-        let unit_ohms = target.model.unit_resistor.ohms();
-        if !(supply > 0.0 && supply.is_finite() && unit_ohms > 0.0 && unit_ohms.is_finite()) {
-            out.push(Diagnostic::new(
-                self.code(),
-                self.default_severity(),
-                "ladder",
+fn ladder_monotonicity(target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+    let error =
+        |locus: String, message: String| Diagnostic::new("P001", Severity::Error, locus, message);
+    let bits = target.bank.bits();
+    if bits != target.model.resolution_bits {
+        out.push(
+            error(
+                "ladder".into(),
                 format!(
-                    "analog model is electrically invalid (supply {supply} V, unit \
-                     resistor {unit_ohms} Ω) — the ladder cannot be solved"
+                    "bank quantizes at {bits} bits but the analog model resolves \
+                     {} bits — the taps do not name the model's reference nodes",
+                    target.model.resolution_bits
                 ),
+            )
+            .suggest("re-price the design with a model at the bank's resolution"),
+        );
+        return;
+    }
+    let distinct = target.bank.distinct_taps();
+    if distinct.is_empty() {
+        return;
+    }
+    let supply = target.model.supply.volts();
+    let unit_ohms = target.model.unit_resistor.ohms();
+    if !(supply > 0.0 && supply.is_finite() && unit_ohms > 0.0 && unit_ohms.is_finite()) {
+        out.push(error(
+            "ladder".into(),
+            format!(
+                "analog model is electrically invalid (supply {supply} V, unit \
+                 resistor {unit_ohms} Ω) — the ladder cannot be solved"
+            ),
+        ));
+        return;
+    }
+    let ladder = match Ladder::pruned(bits, &distinct, supply, unit_ohms) {
+        Ok(ladder) => ladder,
+        Err(e) => {
+            out.push(error(
+                "ladder".into(),
+                format!("the bank's distinct taps do not form a buildable ladder: {e}"),
             ));
             return;
         }
-        let ladder = match Ladder::pruned(bits, &distinct, supply, unit_ohms) {
-            Ok(ladder) => ladder,
-            Err(error) => {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    self.default_severity(),
-                    "ladder",
-                    format!("the bank's distinct taps do not form a buildable ladder: {error}"),
-                ));
-                return;
-            }
-        };
-        let voltages = match ladder.tap_voltages() {
-            Ok(voltages) => voltages,
-            Err(error) => {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    self.default_severity(),
-                    "ladder",
-                    format!("the pruned ladder's MNA system did not solve: {error}"),
-                ));
-                return;
-            }
-        };
-        let mut prev = 0.0;
-        for &tap in &distinct {
-            let Some(&solved) = voltages.get(&tap) else {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    self.default_severity(),
-                    format!("ladder tap {tap}"),
-                    format!("the solved ladder reports no voltage for tap {tap}"),
-                ));
-                continue;
-            };
-            let ideal = ladder.ideal_tap_voltage(tap);
-            if solved <= prev {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    self.default_severity(),
-                    format!("ladder tap {tap}"),
-                    format!(
-                        "tap {tap} solves to {solved:.6} V, not above the previous tap's \
-                         {prev:.6} V — the reference ladder is electrically non-monotone"
-                    ),
-                ));
-            }
-            if (solved - ideal).abs() > 1e-6 * supply {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    self.default_severity(),
-                    format!("ladder tap {tap}"),
-                    format!(
-                        "tap {tap} solves to {solved:.9} V but the ideal divider gives \
-                         {ideal:.9} V — the pruned ladder is mis-sized"
-                    ),
-                ));
-            }
-            prev = solved;
+    };
+    let voltages = match ladder.tap_voltages() {
+        Ok(voltages) => voltages,
+        Err(e) => {
+            out.push(error(
+                "ladder".into(),
+                format!("the pruned ladder's MNA system did not solve: {e}"),
+            ));
+            return;
         }
+    };
+    let mut prev = 0.0;
+    for &tap in &distinct {
+        let locus = || format!("ladder tap {tap}");
+        let Some(&solved) = voltages.get(&tap) else {
+            out.push(error(
+                locus(),
+                format!("the solved ladder reports no voltage for tap {tap}"),
+            ));
+            continue;
+        };
+        let ideal = ladder.ideal_tap_voltage(tap);
+        if solved <= prev {
+            out.push(error(
+                locus(),
+                format!(
+                    "tap {tap} solves to {solved:.6} V, not above the previous tap's \
+                     {prev:.6} V — the reference ladder is electrically non-monotone"
+                ),
+            ));
+        }
+        if (solved - ideal).abs() > 1e-6 * supply {
+            out.push(error(
+                locus(),
+                format!(
+                    "tap {tap} solves to {solved:.9} V but the ideal divider gives \
+                     {ideal:.9} V — the pruned ladder is mis-sized"
+                ),
+            ));
+        }
+        prev = solved;
     }
 }
 
@@ -980,82 +861,69 @@ impl Lint for LadderMonotonicity {
 /// literal's position (crossed wires silently permute the comparator
 /// outputs), and each feature's retained references must be strictly
 /// increasing in voltage.
-struct ReferenceOrdering;
-
-impl Lint for ReferenceOrdering {
-    fn code(&self) -> &'static str {
-        "P002"
-    }
-    fn description(&self) -> &'static str {
-        "comparator reference ordering disagrees with the retained thresholds"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        for (i, pair) in target.literals.windows(2).enumerate() {
-            if pair[0] >= pair[1] {
-                let (f0, t0) = pair[0];
-                let (f1, t1) = pair[1];
-                out.push(
-                    Diagnostic::new(
-                        self.code(),
-                        self.default_severity(),
-                        format!("literal {i}"),
-                        format!(
-                            "literal order is not strictly ascending: (x{f0}, tap {t0}) \
-                             precedes (x{f1}, tap {t1}) — binary-searched passes and the \
-                             thermometer interval arithmetic both assume sorted literals"
-                        ),
-                    )
-                    .suggest("sort the literal order by (feature, tap) and rebuild the covers"),
-                );
-            }
+fn reference_ordering(target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+    for (i, pair) in target.literals.windows(2).enumerate() {
+        if pair[0] >= pair[1] {
+            let (f0, t0) = pair[0];
+            let (f1, t1) = pair[1];
+            out.push(
+                Diagnostic::new(
+                    "P002",
+                    Severity::Error,
+                    format!("literal {i}"),
+                    format!(
+                        "literal order is not strictly ascending: (x{f0}, tap {t0}) \
+                         precedes (x{f1}, tap {t1}) — binary-searched passes and the \
+                         thermometer interval arithmetic both assume sorted literals"
+                    ),
+                )
+                .suggest("sort the literal order by (feature, tap) and rebuild the covers"),
+            );
         }
-        for (i, name) in target.netlist.input_names().iter().enumerate() {
-            let Some((feature, tap)) = input_name_pair(name) else {
-                continue;
-            };
-            let Some(&(want_feature, want_tap)) = target.literals.get(i) else {
-                continue; // count mismatch is A001's finding
-            };
-            if (feature, tap) != (want_feature, want_tap as usize) {
-                out.push(
-                    Diagnostic::new(
-                        self.code(),
-                        self.default_severity(),
-                        format!("netlist input {i}"),
-                        format!(
-                            "netlist input {i} is wired to {name} but the design's \
-                             literal order places u{want_feature}_{want_tap} there — \
-                             the comparator outputs are crossed"
-                        ),
-                    )
-                    .suggest("re-synthesize the netlist in the design's literal order"),
-                );
-            }
+    }
+    for (i, name) in target.netlist.input_names().iter().enumerate() {
+        let Some((feature, tap)) = input_name_pair(name) else {
+            continue;
+        };
+        let Some(&(want_feature, want_tap)) = target.literals.get(i) else {
+            continue; // count mismatch is A001's finding
+        };
+        if (feature, tap) != (want_feature, want_tap as usize) {
+            out.push(
+                Diagnostic::new(
+                    "P002",
+                    Severity::Error,
+                    format!("netlist input {i}"),
+                    format!(
+                        "netlist input {i} is wired to {name} but the design's \
+                         literal order places u{want_feature}_{want_tap} there — \
+                         the comparator outputs are crossed"
+                    ),
+                )
+                .suggest("re-synthesize the netlist in the design's literal order"),
+            );
         }
-        if target.bank.bits() == target.model.resolution_bits {
-            for (feature, taps) in target.bank.iter() {
-                let mut prev = f64::NEG_INFINITY;
-                for tap in taps {
-                    if tap == 0 || tap > target.model.tap_count() {
-                        continue; // P001 reports the resolution breakage
-                    }
-                    let volts = target.model.reference_voltage(tap).volts();
-                    if volts <= prev {
-                        out.push(Diagnostic::new(
-                            self.code(),
-                            self.default_severity(),
-                            format!("adc x{feature} tap {tap}"),
-                            format!(
-                                "reference for x{feature} ≥ {tap} is {volts:.6} V, not \
-                                 above the previous retained reference {prev:.6} V"
-                            ),
-                        ));
-                    }
-                    prev = volts;
+    }
+    if target.bank.bits() == target.model.resolution_bits {
+        for (feature, taps) in target.bank.iter() {
+            let mut prev = f64::NEG_INFINITY;
+            for tap in taps {
+                if tap == 0 || tap > target.model.tap_count() {
+                    continue; // P001 reports the resolution breakage
                 }
+                let volts = target.model.reference_voltage(tap).volts();
+                if volts <= prev {
+                    out.push(Diagnostic::new(
+                        "P002",
+                        Severity::Error,
+                        format!("adc x{feature} tap {tap}"),
+                        format!(
+                            "reference for x{feature} ≥ {tap} is {volts:.6} V, not \
+                             above the previous retained reference {prev:.6} V"
+                        ),
+                    ));
+                }
+                prev = volts;
             }
         }
     }
@@ -1066,67 +934,55 @@ impl Lint for ReferenceOrdering {
 /// bin (shift < 1 LSB) and above ground. A reference that escapes its
 /// bin reorders decision boundaries exactly when the harvester browns
 /// out — suspicious, not provably wrong, hence a warning.
-struct SagMargin;
-
-impl Lint for SagMargin {
-    fn code(&self) -> &'static str {
-        "P003"
+fn sag_margin(target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(droop) = target.droop else {
+        return;
+    };
+    let sag = droop.max_sag;
+    if !(sag > 0.0 && sag.is_finite()) {
+        return;
     }
-    fn description(&self) -> &'static str {
-        "retained reference lacks margin under worst-case supply sag"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn run(&self, target: &LintTarget<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(droop) = target.droop else {
-            return;
-        };
-        let sag = droop.max_sag;
-        if !(sag > 0.0 && sag.is_finite()) {
-            return;
-        }
-        let lsb = 1.0 / (1u64 << target.bank.bits()) as f64;
-        for (feature, taps) in target.bank.iter() {
-            for tap in taps {
-                let nominal = tap as f64 * lsb;
-                // Same shift the droop campaign applies at full sag: the
-                // reference leaks proportionally and the comparator offset
-                // drifts additively (normalized full-scale units).
-                let shift = nominal * droop.vref_leak * sag + droop.offset_per_sag * sag;
-                let effective = nominal - shift;
-                if effective <= 0.0 {
-                    out.push(
-                        Diagnostic::new(
-                            self.code(),
-                            self.default_severity(),
-                            format!("adc x{feature} tap {tap}"),
-                            format!(
-                                "at {:.0}% sag the reference for x{feature} ≥ {tap} \
-                                 droops to {effective:.4} of full scale — the comparator \
-                                 saturates and the boundary vanishes",
-                                sag * 100.0
-                            ),
-                        )
-                        .suggest("raise the tap or regulate the reference supply"),
-                    );
-                } else if shift >= lsb {
-                    out.push(
-                        Diagnostic::new(
-                            self.code(),
-                            self.default_severity(),
-                            format!("adc x{feature} tap {tap}"),
-                            format!(
-                                "at {:.0}% sag the reference for x{feature} ≥ {tap} \
-                                 shifts by {shift:.4} of full scale (≥ 1 LSB = {lsb:.4}) \
-                                 — the decision boundary leaves its code bin",
-                                sag * 100.0
-                            ),
-                        )
-                        .suggest("tighten the droop budget or retrain with sag-aware thresholds"),
-                    );
-                }
-            }
+    let lsb = 1.0 / (1u64 << target.bank.bits()) as f64;
+    for (feature, taps) in target.bank.iter() {
+        for tap in taps {
+            let nominal = tap as f64 * lsb;
+            // Same shift the droop campaign applies at full sag: the
+            // reference leaks proportionally and the comparator offset
+            // drifts additively (normalized full-scale units).
+            let shift = nominal * droop.vref_leak * sag + droop.offset_per_sag * sag;
+            let effective = nominal - shift;
+            let (message, suggestion) = if effective <= 0.0 {
+                (
+                    format!(
+                        "at {:.0}% sag the reference for x{feature} ≥ {tap} \
+                         droops to {effective:.4} of full scale — the comparator \
+                         saturates and the boundary vanishes",
+                        sag * 100.0
+                    ),
+                    "raise the tap or regulate the reference supply",
+                )
+            } else if shift >= lsb {
+                (
+                    format!(
+                        "at {:.0}% sag the reference for x{feature} ≥ {tap} \
+                         shifts by {shift:.4} of full scale (≥ 1 LSB = {lsb:.4}) \
+                         — the decision boundary leaves its code bin",
+                        sag * 100.0
+                    ),
+                    "tighten the droop budget or retrain with sag-aware thresholds",
+                )
+            } else {
+                continue;
+            };
+            out.push(
+                Diagnostic::new(
+                    "P003",
+                    Severity::Warning,
+                    format!("adc x{feature} tap {tap}"),
+                    message,
+                )
+                .suggest(suggestion),
+            );
         }
     }
 }
@@ -1884,7 +1740,7 @@ mod tests {
             equiv_budget: None,
         };
         let mut got = Vec::new();
-        ClassOverlap.run(&target, &mut got);
+        class_overlap(&target, &mut got);
         assert_eq!(got, oracle_l001(&target), "literals {literals:?}");
         for cube in class_sops.iter().flat_map(|sop| sop.cubes()) {
             assert_eq!(

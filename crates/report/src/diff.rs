@@ -299,11 +299,9 @@ impl BenchRecord {
         }
         line = line.str("git_sha", &self.provenance.git_sha);
         if spec.grid {
-            let taus: Vec<String> = self.provenance.taus.iter().map(|t| float(*t)).collect();
-            let depths: Vec<String> = self.provenance.depths.iter().map(u64::to_string).collect();
             line = line
-                .raw("taus", &format!("[{}]", taus.join(",")))
-                .raw("depths", &format!("[{}]", depths.join(",")));
+                .array("taus", self.provenance.taus.iter().copied())
+                .array("depths", self.provenance.depths.iter().copied());
         }
         for metric in &self.metrics {
             line = line.field(metric.field, &metric.value);
@@ -359,16 +357,6 @@ impl BenchRecord {
             })
             .collect();
         Some(Self::new(axis, key.join("/"), provenance, metrics))
-    }
-}
-
-/// A float as the NDJSON writer renders it (integral values keep `.0`).
-fn float(value: f64) -> String {
-    let text = value.to_string();
-    if text.contains(['.', 'e', 'E']) {
-        text
-    } else {
-        format!("{text}.0")
     }
 }
 

@@ -55,58 +55,66 @@ impl JsonLine {
             self.buf.push(',');
         }
         self.empty = false;
-        self.buf.push('"');
-        escape_into(&mut self.buf, key);
-        self.buf.push_str("\":");
+        push_quoted(&mut self.buf, key);
+        self.buf.push(':');
     }
 
     /// Adds a string field.
     pub fn str(mut self, key: &str, value: &str) -> Self {
         self.key(key);
-        self.buf.push('"');
-        escape_into(&mut self.buf, value);
-        self.buf.push('"');
+        push_quoted(&mut self.buf, value);
         self
     }
 
     /// Adds an unsigned integer field.
-    pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
-        self
+    pub fn u64(self, key: &str, value: u64) -> Self {
+        self.field(key, &FieldValue::U64(value))
     }
 
     /// Adds a float field (non-finite values render as `null`, which JSON
     /// requires).
-    pub fn f64(mut self, key: &str, value: f64) -> Self {
-        self.key(key);
-        push_f64(&mut self.buf, value);
-        self
+    pub fn f64(self, key: &str, value: f64) -> Self {
+        self.field(key, &FieldValue::F64(value))
     }
 
     /// Adds a boolean field.
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
+    pub fn bool(self, key: &str, value: bool) -> Self {
+        self.field(key, &FieldValue::Bool(value))
     }
 
     /// Adds a field from a trace [`FieldValue`].
-    pub fn field(self, key: &str, value: &FieldValue) -> Self {
-        match value {
-            FieldValue::U64(v) => self.u64(key, *v),
-            FieldValue::F64(v) => self.f64(key, *v),
-            FieldValue::Bool(v) => self.bool(key, *v),
-            FieldValue::Str(v) => self.str(key, v),
-        }
+    pub fn field(mut self, key: &str, value: &FieldValue) -> Self {
+        self.key(key);
+        self.value(value);
+        self
     }
 
-    /// Adds an already-serialized JSON fragment verbatim (caller guarantees
-    /// validity — used for nested arrays/objects).
-    pub fn raw(mut self, key: &str, fragment: &str) -> Self {
+    /// Adds an array field, each element rendered as its scalar field
+    /// would be (`2.0` keeps its `.0`, so float arrays stay float arrays).
+    pub fn array<T: Into<FieldValue>>(
+        mut self,
+        key: &str,
+        values: impl IntoIterator<Item = T>,
+    ) -> Self {
         self.key(key);
-        self.buf.push_str(fragment);
+        self.buf.push('[');
+        for (i, value) in values.into_iter().enumerate() {
+            if i > 0 {
+                self.buf.push(',');
+            }
+            self.value(&value.into());
+        }
+        self.buf.push(']');
         self
+    }
+
+    fn value(&mut self, value: &FieldValue) {
+        match value {
+            FieldValue::U64(v) => self.buf.push_str(&v.to_string()),
+            FieldValue::F64(v) => push_f64(&mut self.buf, *v),
+            FieldValue::Bool(v) => self.buf.push_str(if *v { "true" } else { "false" }),
+            FieldValue::Str(v) => push_quoted(&mut self.buf, v),
+        }
     }
 
     /// Closes the object and returns the line (no trailing newline).
@@ -121,7 +129,7 @@ impl JsonLine {
 /// Integral floats keep a `.0` suffix (`2.0` renders as `"2.0"`, not
 /// `"2"`) so NDJSON consumers can distinguish float fields from integer
 /// fields and round-trip [`FieldValue`]s losslessly.
-pub(crate) fn push_f64(buf: &mut String, value: f64) {
+fn push_f64(buf: &mut String, value: f64) {
     if value.is_finite() {
         let rendered = value.to_string();
         let integral = !rendered.contains(['.', 'e', 'E']);
@@ -134,8 +142,10 @@ pub(crate) fn push_f64(buf: &mut String, value: f64) {
     }
 }
 
-/// Escapes `s` into `buf` per RFC 8259 (quotes, backslash, control chars).
-fn escape_into(buf: &mut String, s: &str) {
+/// Writes `s` into `buf` as a JSON string: quoted, with RFC 8259
+/// escapes (quotes, backslash, control chars).
+fn push_quoted(buf: &mut String, s: &str) {
+    buf.push('"');
     for c in s.chars() {
         match c {
             '"' => buf.push_str("\\\""),
@@ -149,19 +159,7 @@ fn escape_into(buf: &mut String, s: &str) {
             c => buf.push(c),
         }
     }
-}
-
-/// Renders a `[a,b,...]` JSON array from pre-serialized fragments.
-pub(crate) fn array(fragments: impl IntoIterator<Item = String>) -> String {
-    let mut buf = String::from("[");
-    for (i, frag) in fragments.into_iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        buf.push_str(&frag);
-    }
-    buf.push(']');
-    buf
+    buf.push('"');
 }
 
 /// A parsed JSON value. Object members keep source order, which the trace
@@ -493,12 +491,18 @@ mod tests {
     }
 
     #[test]
-    fn empty_object_and_raw_fragments() {
+    fn empty_object_and_arrays() {
         assert_eq!(JsonLine::new().finish(), "{}");
         let line = JsonLine::new()
-            .raw("xs", &array(["1".into(), "2".into()]))
+            .array("xs", [1u64, 2])
+            .array("ys", [2.0, 0.005, f64::NAN])
+            .array("zs", Vec::<u64>::new())
+            .array("ss", ["a\"b", "c"])
             .finish();
-        assert_eq!(line, r#"{"xs":[1,2]}"#);
+        assert_eq!(
+            line,
+            r#"{"xs":[1,2],"ys":[2.0,0.005,null],"zs":[],"ss":["a\"b","c"]}"#
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fs;
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::json::{array, JsonLine};
+use crate::json::JsonLine;
 
 /// Provenance for one traced run: revision, dataset, grid, and wall-clock
 /// timestamp. Attach to a [`crate::FlowTrace`] via
@@ -44,13 +44,15 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// Captures a manifest for `dataset`: resolves the git SHA by walking
-    /// up from the current directory and stamps the current time. Grid
-    /// parameters start empty; fill them with [`RunManifest::with_grid`].
+    /// up from the current directory, or from the source tree this crate
+    /// was built in when the current directory is outside any checkout,
+    /// and stamps the current time. Grid parameters start empty; fill
+    /// them with [`RunManifest::with_grid`].
     pub fn capture(dataset: impl Into<String>) -> Self {
-        let git_sha = std::env::current_dir()
-            .ok()
-            .and_then(|dir| read_git_sha(&dir))
-            .unwrap_or_else(|| "unknown".to_owned());
+        let git_sha = git_sha_from(
+            std::env::current_dir().ok().as_deref(),
+            Path::new(env!("CARGO_MANIFEST_DIR")),
+        );
         let unix_secs = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -111,15 +113,8 @@ impl RunManifest {
             .str("kind", "manifest")
             .str("git_sha", &self.git_sha)
             .str("dataset", &self.dataset)
-            .raw(
-                "taus",
-                &array(self.taus.iter().map(|t| {
-                    let mut buf = String::new();
-                    crate::json::push_f64(&mut buf, *t);
-                    buf
-                })),
-            )
-            .raw("depths", &array(self.depths.iter().map(u64::to_string)))
+            .array("taus", self.taus.iter().copied())
+            .array("depths", self.depths.iter().copied())
             .u64("seed", self.seed)
             .f64("accuracy_loss", self.accuracy_loss)
             .u64("unix_secs", self.unix_secs)
@@ -128,6 +123,14 @@ impl RunManifest {
             .str("build", &self.build)
             .finish()
     }
+}
+
+/// The HEAD SHA of the checkout above `cwd`, else of the one above
+/// `source`, else `"unknown"`.
+fn git_sha_from(cwd: Option<&Path>, source: &Path) -> String {
+    cwd.and_then(read_git_sha)
+        .or_else(|| read_git_sha(source))
+        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 /// Resolves the HEAD commit SHA by walking up from `start` to the nearest
@@ -177,9 +180,11 @@ mod tests {
     #[test]
     fn capture_in_this_repo_finds_a_sha() {
         let manifest = RunManifest::capture("Seeds");
-        // In a git checkout capture must resolve a real 40-hex SHA; a
-        // source tree without git metadata (a `git archive` export, a
-        // crate tarball) has none to find and gets the "unknown" fallback.
+        // When the source tree this test was compiled from is a git
+        // checkout, capture must resolve a real 40-hex SHA (from the
+        // current directory or, failing that, the source tree); a source
+        // tree without git metadata (a `git archive` export, a crate
+        // tarball) has none to find and gets the "unknown" fallback.
         let in_checkout = Path::new(env!("CARGO_MANIFEST_DIR"))
             .ancestors()
             .any(|dir| dir.join(".git").exists());
@@ -321,6 +326,27 @@ mod tests {
             .write(".git/modules/sub/HEAD", &format!("{SHA_B}\n"))
             .write("sub/.git", "gitdir: ../.git/modules/sub\n");
         assert_eq!(read_git_sha(&root.0.join("sub")).as_deref(), Some(SHA_B));
+    }
+
+    #[test]
+    fn a_run_outside_any_checkout_falls_back_to_the_source_tree() {
+        let root = Scratch::new("fallback");
+        root.write("src/.git/HEAD", &format!("{SHA_A}\n"))
+            .write("cwd/.git/HEAD", &format!("{SHA_B}\n"))
+            .write("elsewhere/run.log", "");
+        let (src, cwd, elsewhere) = (
+            root.0.join("src"),
+            root.0.join("cwd"),
+            root.0.join("elsewhere"),
+        );
+        assert_eq!(
+            git_sha_from(Some(&cwd), &src),
+            SHA_B,
+            "the current checkout wins"
+        );
+        assert_eq!(git_sha_from(Some(&elsewhere), &src), SHA_A);
+        assert_eq!(git_sha_from(None, &src), SHA_A);
+        assert_eq!(git_sha_from(Some(&elsewhere), &elsewhere), "unknown");
     }
 
     #[test]
