@@ -182,12 +182,12 @@ pub fn experiment_args(bin: &str, resumable: bool) -> Option<String> {
 /// `PRINTED_TRACE=<path>` installs a collecting recorder; when the binary
 /// finishes, the trace is dumped to `<path>` as NDJSON and a human-readable
 /// wall-time summary is printed to stderr. Adding `PRINTED_TRACE_LIVE=1`
-/// upgrades the sink to a streaming one: every span and event is flushed
+/// upgrades the recorder to a streaming one: every span and event is flushed
 /// to `<path>` the moment it happens, so `printed-trace watch <path>` can
 /// tail the run; [`TraceHook::finish`] then overwrites the stream with
 /// the flow dump, which repeats every streamed line after a new header
 /// (the watcher sees the file's start change and re-reads it). With the
-/// variable unset the recorder is the shared disabled one — no sink, no
+/// variable unset the recorder is the disabled one: no store, no
 /// allocation, no clock reads.
 #[derive(Debug)]
 pub struct TraceHook {
@@ -204,12 +204,8 @@ impl TraceHook {
         let path = std::env::var_os("PRINTED_TRACE").map(PathBuf::from);
         let live = std::env::var_os("PRINTED_TRACE_LIVE").is_some_and(|v| v == "1");
         let recorder = match &path {
-            Some(p) if live => match printed_telemetry::StreamSink::to_file(p) {
-                Ok(sink) => {
-                    let sink: std::sync::Arc<dyn printed_telemetry::Sink> =
-                        std::sync::Arc::new(sink);
-                    Recorder::with_sink(sink)
-                }
+            Some(p) if live => match std::fs::File::create(p) {
+                Ok(file) => Recorder::streaming(file),
                 Err(e) => {
                     eprintln!(
                         "PRINTED_TRACE_LIVE: cannot stream to {}: {e}; collecting instead",

@@ -1245,11 +1245,11 @@ mod tests {
     fn kernel_instrumentation_overhead_is_under_three_percent() {
         // The profiling subsystem's own acceptance gate: the paper 7×7
         // grid on Seeds, instrumented (collecting recorder + per-worker
-        // kernel scopes) vs uninstrumented (disabled recorder), runs
-        // interleaved and compared min-to-min so transient machine noise
-        // cancels. Inactive timers are one thread-local flag read and
-        // active ones are plain per-thread integer tallies, so the
-        // instrumented minimum must stay within 3% of the plain one.
+        // kernel scopes) vs uninstrumented (disabled recorder), run as
+        // back-to-back pairs, each pair giving one instrumented/plain wall
+        // ratio. Inactive timers are one thread-local flag read and
+        // active ones are plain per-thread integer tallies, so the best
+        // of up to six paired ratios must stay within 3%.
         let (train_data, test_data) = Benchmark::Seeds.load_quantized(4).unwrap();
         let config = ExplorationConfig::paper();
         let run = |recorder: &Recorder| {

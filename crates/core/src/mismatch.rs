@@ -885,10 +885,12 @@ mod tests {
                 let expected = scalar.accuracy(&test, &nominal);
                 prop_assert_eq!(packed.accuracy(&columns, &nominal).to_bits(), expected.to_bits());
                 for slots in &moves {
+                    // A tree can have more distinct pairs than a trial
+                    // draws moves; cycling gives every pair one.
                     let thresholds: Vec<f64> = packed
                         .pairs()
                         .iter()
-                        .zip(slots)
+                        .zip(slots.iter().cycle())
                         .map(|(&(feature, _), &(kind, pick, uniform))| {
                             let column: Vec<f64> = test.iter().map(|(x, _)| x[feature]).collect();
                             let lo = column.iter().copied().fold(f64::INFINITY, f64::min);

@@ -6,7 +6,7 @@
 //! `event`, `counter` and `gauge` lines. Reading decodes those lines back
 //! into a snapshot and hands it to [`FlowTrace::from_snapshot`], keeping
 //! the header's title and wall time and the manifest. A live stream
-//! ([`printed_telemetry::StreamSink`]) writes the same span and event
+//! ([`printed_telemetry::Recorder::streaming`]) writes the same span and event
 //! lines as the run goes; a stream whose run was killed before finalizing
 //! has no header and no totals, so its wall time is the last record's end
 //! and its spans, which arrive in finish order, are put back in start

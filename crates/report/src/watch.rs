@@ -1,7 +1,7 @@
 //! Live sweep monitoring: incremental NDJSON tailing for
 //! `printed-trace watch`.
 //!
-//! A traced sweep streaming through `printed_telemetry::StreamSink` (or a
+//! A traced sweep streaming through `printed_telemetry::Recorder::streaming` (or a
 //! checkpointed sweep appending `sweep_ckpt` lines) produces an NDJSON
 //! file that grows one flushed line at a time, in the finalized flow
 //! dump's schema: `span` lines (sweep `candidate` and campaign

@@ -1,7 +1,7 @@
 //! The live-stream contract between the trace writers and the readers,
 //! pinned with real writer output: a quick-grid Seeds flow with its
 //! whole-grid lint and a robustness campaign, streamed through
-//! `StreamSink` (what `PRINTED_TRACE_LIVE=1` installs), then finalized
+//! `Recorder::streaming` (what `PRINTED_TRACE_LIVE=1` installs), then finalized
 //! through `FlowTrace::to_ndjson` (what replaces the stream when the run
 //! ends).
 
@@ -12,10 +12,10 @@ use printed_codesign::{CodesignFlow, ExplorationConfig, RobustnessCampaign};
 use printed_datasets::Benchmark;
 use printed_report::json::{parse as parse_json, JsonValue};
 use printed_report::{parse_trace, Watcher};
-use printed_telemetry::{keys, FlowTrace, Recorder, RunManifest, Sink, StreamSink};
+use printed_telemetry::{keys, FlowTrace, Recorder, RunManifest};
 
 /// A `Write` handle over a shared buffer, so the stream can be read back
-/// while the sink still owns its writer.
+/// while the recorder still owns its writer.
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
@@ -37,15 +37,17 @@ fn live_seeds() -> &'static (String, FlowTrace) {
         let (train, test) = Benchmark::Seeds.load_quantized(4).unwrap();
         let (_, analog_test) = Benchmark::Seeds.load_split().unwrap();
         let buf = SharedBuf::default();
-        let sink: Arc<dyn Sink> = Arc::new(StreamSink::new(buf.clone()));
         let outcome = CodesignFlow::new(&train, &test)
             .accuracy_loss(0.05)
             .grid(ExplorationConfig::quick())
             .title("Seeds")
             .robustness(RobustnessCampaign::quick(), &analog_test)
-            .recorder(Recorder::with_sink(sink))
+            .recorder(Recorder::streaming(buf.clone()))
             .run();
-        let trace = outcome.trace().expect("stream sink snapshots").clone();
+        let trace = outcome
+            .trace()
+            .expect("a streaming recorder snapshots")
+            .clone();
         let stream = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         (stream, trace)
     })

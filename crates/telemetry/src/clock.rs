@@ -1,38 +1,6 @@
-//! Monotonic wall-clock timing and duration formatting.
+//! Duration formatting for humans.
 
-use std::time::{Duration, Instant};
-
-/// A simple monotonic stopwatch.
-///
-/// ```
-/// use printed_telemetry::Timer;
-/// let timer = Timer::start();
-/// let elapsed = timer.elapsed();
-/// assert!(elapsed <= timer.elapsed());
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Timer {
-    started: Instant,
-}
-
-impl Timer {
-    /// Starts the stopwatch now.
-    pub fn start() -> Self {
-        Self {
-            started: Instant::now(),
-        }
-    }
-
-    /// Time elapsed since [`Timer::start`].
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Elapsed time in whole microseconds (the trace resolution).
-    pub fn elapsed_us(&self) -> u64 {
-        self.elapsed().as_micros() as u64
-    }
-}
+use std::time::Duration;
 
 /// Formats a duration for humans: `412ns`, `3.4µs`, `18.2ms`, `2.41s`,
 /// `1m 12s`.
@@ -70,13 +38,5 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_millis(2_410)), "2.41s");
         assert_eq!(fmt_duration(Duration::from_secs(135)), "2m 15s");
         assert_eq!(fmt_duration(Duration::ZERO), "0ns");
-    }
-
-    #[test]
-    fn timer_is_monotone() {
-        let t = Timer::start();
-        let a = t.elapsed_us();
-        let b = t.elapsed_us();
-        assert!(b >= a);
     }
 }

@@ -14,7 +14,7 @@
 //! 2. **Per-thread tallies, merged at scope close.** The sweep fans
 //!    kernels across scoped worker threads; each thread accumulates plain
 //!    `u64` tallies and a single [`KernelScope`] drop folds them into the
-//!    recorder's shared atomic counters (`kernel.<name>.{calls,items,ns}`),
+//!    recorder's shared counters (`kernel.<name>.{calls,items,ns}`),
 //!    so the hot path never touches shared state.
 //! 3. **Self time, not inclusive time.** Kernels nest (thermometer
 //!    encoding runs cube merging internally), so each timer tracks the
@@ -42,7 +42,8 @@ use std::time::Instant;
 
 use crate::recorder::Recorder;
 
-/// The instrumented hot kernels, in fixed tally order.
+/// The instrumented hot kernels, in fixed tally order: a kernel's
+/// discriminant is its index into the tallies and the key table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Algorithm 1's Gini scan over split candidates (one BFS node's
@@ -83,63 +84,45 @@ impl Kernel {
 
     /// The kernel's snake_case name as it appears in trace records.
     pub fn name(self) -> &'static str {
-        match self {
-            Kernel::GiniScan => "gini_scan",
-            Kernel::NodePartition => "node_partition",
-            Kernel::ThermoEncode => "thermo_encode",
-            Kernel::BfsTruncate => "bfs_truncate",
-            Kernel::CubeMerge => "cube_merge",
-            Kernel::NetlistSynth => "netlist_synth",
-        }
+        KEYS[self as usize][0]
     }
 
     /// Counter key for invocations: `kernel.<name>.calls`.
     pub fn calls_key(self) -> &'static str {
-        match self {
-            Kernel::GiniScan => "kernel.gini_scan.calls",
-            Kernel::NodePartition => "kernel.node_partition.calls",
-            Kernel::ThermoEncode => "kernel.thermo_encode.calls",
-            Kernel::BfsTruncate => "kernel.bfs_truncate.calls",
-            Kernel::CubeMerge => "kernel.cube_merge.calls",
-            Kernel::NetlistSynth => "kernel.netlist_synth.calls",
-        }
+        KEYS[self as usize][1]
     }
 
     /// Counter key for items processed: `kernel.<name>.items`.
     pub fn items_key(self) -> &'static str {
-        match self {
-            Kernel::GiniScan => "kernel.gini_scan.items",
-            Kernel::NodePartition => "kernel.node_partition.items",
-            Kernel::ThermoEncode => "kernel.thermo_encode.items",
-            Kernel::BfsTruncate => "kernel.bfs_truncate.items",
-            Kernel::CubeMerge => "kernel.cube_merge.items",
-            Kernel::NetlistSynth => "kernel.netlist_synth.items",
-        }
+        KEYS[self as usize][2]
     }
 
     /// Counter key for cumulative self time in ns: `kernel.<name>.ns`.
     pub fn ns_key(self) -> &'static str {
-        match self {
-            Kernel::GiniScan => "kernel.gini_scan.ns",
-            Kernel::NodePartition => "kernel.node_partition.ns",
-            Kernel::ThermoEncode => "kernel.thermo_encode.ns",
-            Kernel::BfsTruncate => "kernel.bfs_truncate.ns",
-            Kernel::CubeMerge => "kernel.cube_merge.ns",
-            Kernel::NetlistSynth => "kernel.netlist_synth.ns",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Kernel::GiniScan => 0,
-            Kernel::NodePartition => 1,
-            Kernel::ThermoEncode => 2,
-            Kernel::BfsTruncate => 3,
-            Kernel::CubeMerge => 4,
-            Kernel::NetlistSynth => 5,
-        }
+        KEYS[self as usize][3]
     }
 }
+
+/// Each kernel's name and its three counter keys, in tally order.
+macro_rules! kernel_keys {
+    ($($name:literal),*) => {
+        [$([
+            $name,
+            concat!("kernel.", $name, ".calls"),
+            concat!("kernel.", $name, ".items"),
+            concat!("kernel.", $name, ".ns"),
+        ]),*]
+    };
+}
+
+const KEYS: [[&str; 4]; N] = kernel_keys!(
+    "gini_scan",
+    "node_partition",
+    "thermo_encode",
+    "bfs_truncate",
+    "cube_merge",
+    "netlist_synth"
+);
 
 /// Per-thread tallies: plain integers, touched only by this thread.
 #[derive(Default)]
@@ -199,7 +182,7 @@ impl KernelTimer {
     pub fn finish(self, items: u64) {
         let Some(start) = self.start else { return };
         let elapsed = start.elapsed().as_nanos() as u64;
-        let idx = self.kernel.index();
+        let idx = self.kernel as usize;
         TALLIES.with_borrow_mut(|t| {
             let child = t.child_ns.pop().unwrap_or(0);
             t.calls[idx] += 1;
@@ -253,7 +236,7 @@ impl Drop for KernelScope<'_> {
         ACTIVE.set(false);
         let tallies = TALLIES.with_borrow_mut(std::mem::take);
         for kernel in Kernel::ALL {
-            let idx = kernel.index();
+            let idx = kernel as usize;
             if tallies.calls[idx] == 0 {
                 continue;
             }

@@ -4,23 +4,25 @@
 //! the τ×depth sweep behind the paper's Fig. 5 / Table II fans out across
 //! every core and used to run blind. This crate gives the stack
 //!
-//! * [`Span`]s and [`Timer`]s over a shared monotonic epoch,
-//! * lock-free named counters ([`Recorder::add`]) and last-value gauges
+//! * [`Span`]s over a shared monotonic epoch,
+//! * named counters ([`Recorder::add`]) and last-value gauges
 //!   ([`Recorder::set_gauge`]),
-//! * a thread-safe [`Recorder`] behind a pluggable [`Sink`] trait whose
-//!   default ([`NullSink`]) makes every instrumentation call a no-op, so
-//!   instrumented hot paths cost ~nothing when tracing is off,
+//! * a thread-safe [`Recorder`] that either holds nothing
+//!   ([`Recorder::disabled`], the default), which makes every
+//!   instrumentation call a no-op so instrumented hot paths cost
+//!   ~nothing when tracing is off, or shares one in-memory
+//!   [`CollectingSink`] that may also stream to a live writer,
 //! * per-kernel hot-path profiling ([`Kernel`], [`KernelTimer`],
-//!   [`KernelScope`]): per-thread call/item/self-time tallies for the five
+//!   [`KernelScope`]): per-thread call/item/self-time tallies for the six
 //!   dominant kernels, merged into shared counters at scope close and
 //!   inert (one thread-local flag read) outside a scope,
 //! * [`FlowTrace`] summaries with NDJSON and human-readable text
 //!   renderers, written through [`json`], the workspace's one JSON codec
 //!   (writer and parser). The trace has one schema, the snapshot's own
 //!   (`span`, `event`, `counter` and `gauge` records after a `flow`
-//!   header and a `manifest`): a live [`StreamSink`] writes each span and
-//!   event as exactly the line the finalized [`FlowTrace::to_ndjson`] dump
-//!   later contains, and
+//!   header and a `manifest`): a [`Recorder::streaming`] recorder writes
+//!   each span and event as exactly the line the finalized
+//!   [`FlowTrace::to_ndjson`] dump later contains, and
 //! * a [`Progress`] type for live `k/N candidates done` callbacks from the
 //!   sweep's scoped worker threads.
 //!
@@ -56,19 +58,17 @@ mod process;
 mod recorder;
 mod sink;
 mod span;
-mod stream;
 mod trace;
 
 pub mod json;
 pub mod keys;
 
-pub use clock::{fmt_duration, Timer};
+pub use clock::fmt_duration;
 pub use json::JsonLine;
 pub use kernel::{Kernel, KernelScope, KernelTimer};
 pub use manifest::RunManifest;
 pub use process::peak_rss_kb;
 pub use recorder::{Progress, Recorder};
-pub use sink::{CollectingSink, NullSink, Sink, TraceSnapshot};
+pub use sink::{CollectingSink, TraceSnapshot};
 pub use span::{EventRecord, FieldValue, Span, SpanRecord};
-pub use stream::StreamSink;
 pub use trace::{FlowTrace, KernelRecord, SweepTrace};

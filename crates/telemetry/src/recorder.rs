@@ -1,31 +1,25 @@
 //! The [`Recorder`]: the handle instrumented code holds.
 
-use std::sync::{Arc, OnceLock};
+use std::io::Write;
+use std::sync::Arc;
 use std::time::Instant;
 
-use crate::sink::{CollectingSink, NullSink, Sink, TraceSnapshot};
+use crate::sink::{CollectingSink, TraceSnapshot};
 use crate::span::{EventRecord, FieldValue, Span, SpanInner};
 
 /// Entry point for producing telemetry.
 ///
-/// A `Recorder` pairs a shared [`Sink`] with an epoch instant; all span and
-/// event offsets are measured from that epoch so traces from scoped worker
-/// threads line up on one timeline. Cloning is cheap (one `Arc` bump) and
-/// clones share the sink *and* the epoch.
+/// An enabled `Recorder` holds a shared [`CollectingSink`], whose epoch
+/// every span and event offset is measured from, so traces from scoped
+/// worker threads line up on one timeline. Cloning is cheap (one `Arc`
+/// bump) and clones share the store *and* the epoch.
 ///
-/// The default recorder is [`disabled`](Recorder::disabled): spans skip
-/// even the clock reads and counter/gauge updates are no-ops, so
-/// instrumented hot paths cost ~nothing until a real sink is installed.
-#[derive(Clone)]
+/// The default recorder is [`disabled`](Recorder::disabled) and holds no
+/// store at all: spans skip even the clock reads and counter/gauge
+/// updates are no-ops, so instrumented hot paths cost ~nothing.
+#[derive(Clone, Default)]
 pub struct Recorder {
-    sink: Arc<dyn Sink>,
-    epoch: Instant,
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Self::disabled()
-    }
+    sink: Option<Arc<CollectingSink>>,
 }
 
 impl std::fmt::Debug for Recorder {
@@ -37,54 +31,48 @@ impl std::fmt::Debug for Recorder {
 }
 
 impl Recorder {
-    /// The no-op recorder. All handles share one static [`NullSink`], so
-    /// this never allocates.
+    /// The no-op recorder: no store, no allocation, no clock reads.
     pub fn disabled() -> Self {
-        static NULL: OnceLock<Arc<NullSink>> = OnceLock::new();
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        let sink = Arc::clone(NULL.get_or_init(|| Arc::new(NullSink)));
-        Self {
-            sink,
-            epoch: *EPOCH.get_or_init(Instant::now),
-        }
+        Self { sink: None }
     }
 
     /// A recorder feeding a fresh in-memory [`CollectingSink`], returned
     /// alongside it so the caller can snapshot what was recorded.
     pub fn collecting() -> (Self, Arc<CollectingSink>) {
-        let sink = Arc::new(CollectingSink::new());
-        (Self::with_sink(Arc::clone(&sink) as Arc<dyn Sink>), sink)
+        let sink = Arc::new(CollectingSink::new(None));
+        let recorder = Self {
+            sink: Some(Arc::clone(&sink)),
+        };
+        (recorder, sink)
     }
 
-    /// A recorder feeding an arbitrary sink, with its epoch set to now.
-    pub fn with_sink(sink: Arc<dyn Sink>) -> Self {
+    /// A collecting recorder that also writes every span and event to
+    /// `out` as one flushed NDJSON line the moment it is submitted, each
+    /// exactly its line in the final [`crate::FlowTrace::to_ndjson`] dump.
+    /// Write errors are ignored: they cost the live view, never the run or
+    /// the snapshot.
+    pub fn streaming(out: impl Write + Send + 'static) -> Self {
         Self {
-            sink,
-            epoch: Instant::now(),
+            sink: Some(Arc::new(CollectingSink::new(Some(Box::new(out))))),
         }
     }
 
-    /// Whether this recorder's sink records anything.
+    /// Whether this recorder records anything.
     pub fn is_enabled(&self) -> bool {
-        self.sink.enabled()
-    }
-
-    /// Microseconds elapsed since this recorder's epoch.
-    pub fn elapsed_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.sink.is_some()
     }
 
     /// Opens a [`Span`]. The record is submitted when the span is finished
     /// or dropped. Inert (no clock read, no allocation) when disabled.
     pub fn span(&self, name: &'static str) -> Span {
-        if !self.is_enabled() {
+        let Some(sink) = &self.sink else {
             return Span::noop();
-        }
+        };
         Span {
             inner: Some(Box::new(SpanInner {
-                sink: Arc::clone(&self.sink),
+                sink: Arc::clone(sink),
                 name,
-                start_us: self.elapsed_us(),
+                start_us: sink.elapsed_us(),
                 begun: Instant::now(),
                 fields: Vec::new(),
             })),
@@ -94,33 +82,33 @@ impl Recorder {
     /// Adds `n` to the named counter (a monotonically accumulating
     /// total).
     pub fn add(&self, name: &str, n: u64) {
-        if let Some(cell) = self.sink.counter(name) {
-            cell.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+        if let Some(sink) = &self.sink {
+            sink.add(name, n);
         }
     }
 
     /// Sets the named gauge (a last-value-wins level such as peak RSS)
     /// to `value`.
     pub fn set_gauge(&self, name: &str, value: u64) {
-        if let Some(cell) = self.sink.gauge(name) {
-            cell.store(value, std::sync::atomic::Ordering::Relaxed);
+        if let Some(sink) = &self.sink {
+            sink.set_gauge(name, value);
         }
     }
 
     /// Submits an instant event with attributes.
     pub fn event(&self, name: &str, fields: Vec<(String, FieldValue)>) {
-        if self.is_enabled() {
-            self.sink.event(EventRecord {
+        if let Some(sink) = &self.sink {
+            sink.event(EventRecord {
                 name: name.to_owned(),
-                at_us: self.elapsed_us(),
+                at_us: sink.elapsed_us(),
                 fields,
             });
         }
     }
 
-    /// Snapshot of the sink's contents, if it keeps any.
+    /// Snapshot of everything recorded so far (`None` when disabled).
     pub fn snapshot(&self) -> Option<TraceSnapshot> {
-        self.sink.snapshot()
+        self.sink.as_ref().map(|sink| sink.snapshot())
     }
 }
 

@@ -1,81 +1,66 @@
-//! Where telemetry goes: the [`Sink`] trait, the no-op [`NullSink`], and
-//! the in-memory [`CollectingSink`].
+//! Where telemetry goes: the one store, [`CollectingSink`], which keeps
+//! every span and event, the counter and gauge values, and the epoch the
+//! records are timed from.
+//!
+//! A store built by [`crate::Recorder::streaming`] also writes each span
+//! and event to a live writer the moment it is submitted, for tailing
+//! with `printed-trace watch` while the run is still in flight. Each line
+//! is exactly the line the finalized [`crate::FlowTrace::to_ndjson`] dump
+//! will contain (one encoder per record, shared with the dump); when the
+//! run finishes and overwrites the file with the flow dump, the bytes a
+//! watcher already read stop being a prefix of the file, and it re-reads
+//! from the top. Lines are written whole (one `write_all` and a flush per
+//! record), so a reader can at worst observe one torn line at the tail,
+//! the same contract the sweep checkpoint writer honors.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::io::Write;
+use std::sync::Mutex;
+use std::time::Instant;
 
 use crate::span::{EventRecord, SpanRecord};
+use crate::trace::{event_line, span_line};
 
-/// Destination for telemetry produced through a [`crate::Recorder`].
+/// The in-memory store behind an enabled [`crate::Recorder`]: it keeps
+/// every span and event and aggregates counters and gauges, for
+/// snapshotting into a [`crate::FlowTrace`], and streams spans and events
+/// to a live writer if it has one.
 ///
-/// Implementations must be thread-safe: the sweep submits spans and
-/// resolves counters from scoped worker threads concurrently. Counter and
-/// gauge cells are resolved per name and then updated lock-free, so only
-/// resolution and span/event submission may take a lock.
-pub trait Sink: Send + Sync {
-    /// Whether this sink records anything. `false` lets the recorder hand
-    /// out inert spans/handles that skip clock reads and allocation.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Accepts a finished span.
-    fn span(&self, record: SpanRecord);
-
-    /// Accepts an instant event.
-    fn event(&self, record: EventRecord);
-
-    /// Resolves (registering on first use) the shared cell behind a named
-    /// counter. `None` means counting is off for this sink.
-    fn counter(&self, name: &str) -> Option<Arc<AtomicU64>>;
-
-    /// Resolves (registering on first use) the shared cell behind a named
-    /// gauge (last-value-wins level, e.g. peak RSS). Defaults to `None`
-    /// (gauges off) so pre-gauge sink implementations keep compiling.
-    fn gauge(&self, _name: &str) -> Option<Arc<AtomicU64>> {
-        None
-    }
-
-    /// A point-in-time copy of everything recorded so far, if the sink
-    /// keeps anything to copy.
-    fn snapshot(&self) -> Option<TraceSnapshot> {
-        None
-    }
-}
-
-/// The do-nothing sink behind [`crate::Recorder::disabled`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn span(&self, _record: SpanRecord) {}
-
-    fn event(&self, _record: EventRecord) {}
-
-    fn counter(&self, _name: &str) -> Option<Arc<AtomicU64>> {
-        None
-    }
-}
-
-/// An in-memory sink that keeps every span and event and aggregates
-/// counters and gauges, for snapshotting into a [`crate::FlowTrace`].
-#[derive(Debug, Default)]
+/// Thread-safe: the sweep submits spans and updates counters from scoped
+/// worker threads concurrently, each under its store's lock.
 pub struct CollectingSink {
+    epoch: Instant,
     spans: Mutex<Vec<SpanRecord>>,
     events: Mutex<Vec<EventRecord>>,
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
+    counters: Mutex<BTreeMap<String, u64>>,
+    gauges: Mutex<BTreeMap<String, u64>>,
+    live: Option<Mutex<Box<dyn Write + Send>>>,
+}
+
+impl std::fmt::Debug for CollectingSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CollectingSink")
+            .field("live", &self.live.is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 impl CollectingSink {
-    /// A fresh, empty sink.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty store timed from now, streaming to `live` if given.
+    pub(crate) fn new(live: Option<Box<dyn Write + Send>>) -> Self {
+        Self {
+            epoch: Instant::now(),
+            spans: Mutex::default(),
+            events: Mutex::default(),
+            counters: Mutex::default(),
+            gauges: Mutex::default(),
+            live: live.map(Mutex::new),
+        }
+    }
+
+    /// Microseconds elapsed since this store's epoch.
+    pub(crate) fn elapsed_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
 
     /// A point-in-time copy of everything recorded so far.
@@ -100,70 +85,68 @@ impl CollectingSink {
                 .counters
                 .lock()
                 .expect("telemetry counter store poisoned")
-                .iter()
-                .map(|(name, cell)| {
-                    (
-                        name.clone(),
-                        cell.load(std::sync::atomic::Ordering::Relaxed),
-                    )
-                })
-                .collect(),
+                .clone(),
             gauges: self
                 .gauges
                 .lock()
                 .expect("telemetry gauge store poisoned")
-                .iter()
-                .map(|(name, cell)| {
-                    (
-                        name.clone(),
-                        cell.load(std::sync::atomic::Ordering::Relaxed),
-                    )
-                })
-                .collect(),
+                .clone(),
         }
+    }
+
+    /// Stores a finished span.
+    pub(crate) fn span(&self, record: SpanRecord) {
+        store(&self.live, &self.spans, record, span_line);
+    }
+
+    /// Stores an instant event.
+    pub(crate) fn event(&self, record: EventRecord) {
+        store(&self.live, &self.events, record, event_line);
+    }
+
+    /// Adds `n` to the named counter, registering it on first use.
+    pub(crate) fn add(&self, name: &str, n: u64) {
+        update(&self.counters, name, |v| *v = v.wrapping_add(n));
+    }
+
+    /// Sets the named gauge, registering it on first use.
+    pub(crate) fn set_gauge(&self, name: &str, value: u64) {
+        update(&self.gauges, name, |v| *v = value);
     }
 }
 
-impl Sink for CollectingSink {
-    fn span(&self, record: SpanRecord) {
-        self.spans
-            .lock()
-            .expect("telemetry span store poisoned")
-            .push(record);
-    }
+/// Pushes `record` onto `records`, first writing its `line` to the live
+/// writer if there is one. The writer lock is held until the record is
+/// stored, so the stream and the snapshot list records in one order.
+fn store<T>(
+    live: &Option<Mutex<Box<dyn Write + Send>>>,
+    records: &Mutex<Vec<T>>,
+    record: T,
+    line: fn(&T) -> String,
+) {
+    let _writer = live.as_ref().map(|out| {
+        let mut out = out.lock().expect("telemetry live writer poisoned");
+        let mut text = line(&record);
+        text.push('\n');
+        // Best-effort, like the checkpoint writer: a full disk must not
+        // kill the instrumented run, only the live view.
+        let _ = out.write_all(text.as_bytes());
+        let _ = out.flush();
+        out
+    });
+    records
+        .lock()
+        .expect("telemetry record store poisoned")
+        .push(record);
+}
 
-    fn event(&self, record: EventRecord) {
-        self.events
-            .lock()
-            .expect("telemetry event store poisoned")
-            .push(record);
-    }
-
-    fn counter(&self, name: &str) -> Option<Arc<AtomicU64>> {
-        let mut map = self
-            .counters
-            .lock()
-            .expect("telemetry counter store poisoned");
-        if let Some(cell) = map.get(name) {
-            return Some(Arc::clone(cell));
-        }
-        let cell = Arc::new(AtomicU64::new(0));
-        map.insert(name.to_owned(), Arc::clone(&cell));
-        Some(cell)
-    }
-
-    fn gauge(&self, name: &str) -> Option<Arc<AtomicU64>> {
-        let mut map = self.gauges.lock().expect("telemetry gauge store poisoned");
-        if let Some(cell) = map.get(name) {
-            return Some(Arc::clone(cell));
-        }
-        let cell = Arc::new(AtomicU64::new(0));
-        map.insert(name.to_owned(), Arc::clone(&cell));
-        Some(cell)
-    }
-
-    fn snapshot(&self) -> Option<TraceSnapshot> {
-        Some(CollectingSink::snapshot(self))
+/// Applies `f` to the named value in `map`, inserting a zero first if
+/// the name is new.
+fn update(map: &Mutex<BTreeMap<String, u64>>, name: &str, f: impl FnOnce(&mut u64)) {
+    let mut map = map.lock().expect("telemetry value store poisoned");
+    match map.get_mut(name) {
+        Some(value) => f(value),
+        None => f(map.entry(name.to_owned()).or_insert(0)),
     }
 }
 
@@ -205,7 +188,11 @@ impl TraceSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::keys;
+    use crate::recorder::Recorder;
     use crate::span::FieldValue;
 
     fn sample_span(name: &str, start_us: u64) -> SpanRecord {
@@ -217,9 +204,42 @@ mod tests {
         }
     }
 
+    /// A `Write` handle over a shared buffer, so the test can inspect what
+    /// was streamed while the store still owns its writer.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SharedBuf {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    /// A writer whose every `write` and `flush` fails, like a full disk.
+    struct FullDisk;
+
+    impl Write for FullDisk {
+        fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("no space left on device"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("no space left on device"))
+        }
+    }
+
     #[test]
     fn snapshot_sorts_spans_by_start() {
-        let sink = CollectingSink::new();
+        let sink = CollectingSink::new(None);
         sink.span(sample_span("b", 20));
         sink.span(sample_span("a", 10));
         let snap = sink.snapshot();
@@ -230,33 +250,19 @@ mod tests {
 
     #[test]
     fn counters_are_shared_per_name() {
-        let sink = CollectingSink::new();
-        let a = Sink::counter(&sink, "x").unwrap();
-        let b = Sink::counter(&sink, "x").unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        a.fetch_add(3, std::sync::atomic::Ordering::Relaxed);
-        b.fetch_add(4, std::sync::atomic::Ordering::Relaxed);
+        let (recorder, sink) = Recorder::collecting();
+        let clone = recorder.clone();
+        recorder.add("x", 3);
+        clone.add("x", 4);
         assert_eq!(sink.snapshot().counter("x"), 7);
         assert_eq!(sink.snapshot().counter("missing"), 0);
     }
 
     #[test]
-    fn null_sink_reports_disabled() {
-        let sink = NullSink;
-        assert!(!sink.enabled());
-        assert!(Sink::counter(&sink, "x").is_none());
-        assert!(Sink::gauge(&sink, "x").is_none());
-        assert!(Sink::snapshot(&sink).is_none());
-    }
-
-    #[test]
     fn gauges_are_shared_last_write_wins_and_render() {
-        let sink = CollectingSink::new();
-        let a = Sink::gauge(&sink, "process.peak_rss_kb").unwrap();
-        let b = Sink::gauge(&sink, "process.peak_rss_kb").unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        a.store(4096, std::sync::atomic::Ordering::Relaxed);
-        b.store(8192, std::sync::atomic::Ordering::Relaxed);
+        let (recorder, sink) = Recorder::collecting();
+        recorder.set_gauge("process.peak_rss_kb", 4096);
+        recorder.clone().set_gauge("process.peak_rss_kb", 8192);
         let snap = sink.snapshot();
         assert_eq!(snap.gauge("process.peak_rss_kb"), 8192);
         assert_eq!(snap.gauge("missing"), 0);
@@ -265,5 +271,159 @@ mod tests {
             text.contains(r#"{"kind":"gauge","name":"process.peak_rss_kb","value":8192}"#),
             "{text}"
         );
+    }
+
+    #[test]
+    fn spans_and_events_stream_immediately() {
+        let buf = SharedBuf::default();
+        let recorder = Recorder::streaming(buf.clone());
+        recorder
+            .span(keys::CANDIDATE_SPAN)
+            .field("depth", 4u64)
+            .finish();
+        recorder.event(
+            keys::PROGRESS_EVENT,
+            vec![
+                ("done".into(), FieldValue::U64(1)),
+                ("total".into(), FieldValue::U64(9)),
+            ],
+        );
+        // Streamed before any snapshot/finalization happened.
+        let text = buf.text();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].starts_with(r#"{"kind":"span","name":"candidate","#));
+        assert!(lines[0].contains(r#""depth":4"#));
+        assert!(lines[1].starts_with(r#"{"kind":"event","name":"progress","#));
+        assert!(lines[1].contains(r#""done":1"#));
+    }
+
+    #[test]
+    fn still_collects_for_the_final_snapshot() {
+        let recorder = Recorder::streaming(SharedBuf::default());
+        recorder.span(keys::STAGE_SWEEP).finish();
+        recorder.add(keys::GINI_EVALS, 50);
+        recorder.set_gauge(keys::PEAK_RSS_KB, 777);
+        let snap = recorder.snapshot().expect("a streaming recorder snapshots");
+        assert_eq!(snap.spans.len(), 1);
+        assert_eq!(snap.counter(keys::GINI_EVALS), 50);
+        assert_eq!(snap.gauge(keys::PEAK_RSS_KB), 777);
+    }
+
+    #[test]
+    fn a_failing_writer_loses_only_the_live_view() {
+        let recorder = Recorder::streaming(FullDisk);
+        recorder
+            .span(keys::CANDIDATE_SPAN)
+            .field("depth", 2u64)
+            .finish();
+        recorder.event(
+            keys::PROGRESS_EVENT,
+            vec![("done".into(), FieldValue::U64(1))],
+        );
+        recorder.add(keys::GINI_EVALS, 9);
+        recorder.set_gauge(keys::PEAK_RSS_KB, 64);
+        let snap = recorder.snapshot().expect("a streaming recorder snapshots");
+        assert_eq!(snap.spans_named(keys::CANDIDATE_SPAN).count(), 1);
+        assert_eq!(snap.events_named(keys::PROGRESS_EVENT).count(), 1);
+        assert_eq!(snap.counter(keys::GINI_EVALS), 9);
+        assert_eq!(snap.gauge(keys::PEAK_RSS_KB), 64);
+    }
+
+    #[test]
+    fn streamed_lines_are_parse_compatible() {
+        // The live format is the flow dump's format: a stage streams as
+        // the dump's `span` record, under its full `stage:` name. Assert
+        // the shape contract `printed-report`'s parser relies on here, on
+        // the producer side.
+        let buf = SharedBuf::default();
+        let recorder = Recorder::streaming(buf.clone());
+        recorder.span(keys::STAGE_SWEEP).finish();
+        let text = buf.text();
+        assert!(
+            text.starts_with(r#"{"kind":"span","name":"stage:sweep","#),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn every_record_kind_streams_as_its_dump_line() {
+        let buf = SharedBuf::default();
+        let recorder = Recorder::streaming(buf.clone());
+        let stage = recorder.span(keys::STAGE_SWEEP);
+        {
+            let _scope = crate::KernelScope::enter(&recorder);
+            crate::KernelTimer::start(crate::Kernel::GiniScan).finish(40);
+            recorder
+                .span(keys::CANDIDATE_SPAN)
+                .field("depth", 2u64)
+                .field("tau", 0.01)
+                .finish();
+        }
+        recorder
+            .span(keys::TRAIN_SPAN)
+            .field("nodes", 3u64)
+            .finish();
+        recorder
+            .span(keys::ROBUST_SPAN)
+            .field("depth", 2u64)
+            .finish();
+        recorder.event(
+            keys::LINT_CANDIDATE_EVENT,
+            vec![("errors".into(), FieldValue::U64(0))],
+        );
+        recorder.event(keys::SELECTED_EVENT, vec![("µ τ".into(), "\"q\"".into())]);
+        stage.finish();
+        recorder.add(keys::GINI_EVALS, 5);
+        recorder.set_gauge(keys::PEAK_RSS_KB, 64);
+        let streamed = buf.text();
+        let snapshot = recorder.snapshot().expect("a streaming recorder snapshots");
+        let dump = crate::FlowTrace::from_snapshot("unit", &snapshot)
+            .with_manifest(crate::RunManifest::default())
+            .to_ndjson();
+        let dumped: Vec<&str> = dump.lines().collect();
+        let kind_of = |line: &str| {
+            let rest = line.strip_prefix(r#"{"kind":""#).expect("kind leads");
+            rest[..rest.find('"').expect("kind closes")].to_owned()
+        };
+        // The stream holds only spans and events, each verbatim in the dump
+        // and together all of the dump's spans and events.
+        assert_eq!(streamed.lines().count(), 6, "{streamed}");
+        for line in streamed.lines() {
+            assert!(dumped.contains(&line), "{line} missing from\n{dump}");
+            assert!(matches!(kind_of(line).as_str(), "span" | "event"), "{line}");
+        }
+        let spans_and_events = dumped
+            .iter()
+            .filter(|l| matches!(kind_of(l).as_str(), "span" | "event"))
+            .count();
+        assert_eq!(spans_and_events, 6, "{dump}");
+        // The dump holds the six kinds and no others; the kernel tallies
+        // are plain counters.
+        for line in &dumped {
+            let kind = kind_of(line);
+            assert!(
+                ["flow", "manifest", "span", "event", "counter", "gauge"].contains(&kind.as_str()),
+                "{line}"
+            );
+        }
+        for kind in ["flow", "manifest", "span", "event", "counter", "gauge"] {
+            assert!(
+                dumped.iter().any(|l| kind_of(l) == kind),
+                "no {kind} in\n{dump}"
+            );
+        }
+        assert!(
+            dump.contains(r#"{"kind":"counter","name":"kernel.gini_scan.items","value":40}"#),
+            "{dump}"
+        );
+        for name in ["stage:sweep", "candidate", "train", "robust_candidate"] {
+            let tag = format!(r#"{{"kind":"span","name":"{name}","#);
+            assert!(streamed.contains(&tag), "no {name} span in\n{streamed}");
+        }
+        for name in ["lint_candidate", "selected"] {
+            let tag = format!(r#"{{"kind":"event","name":"{name}","#);
+            assert!(streamed.contains(&tag), "no {name} event in\n{streamed}");
+        }
     }
 }

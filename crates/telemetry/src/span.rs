@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::sink::Sink;
+use crate::sink::CollectingSink;
 
 /// A typed attribute attached to a span or event.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,7 +137,7 @@ impl EventRecord {
 }
 
 pub(crate) struct SpanInner {
-    pub(crate) sink: Arc<dyn Sink>,
+    pub(crate) sink: Arc<CollectingSink>,
     pub(crate) name: &'static str,
     pub(crate) start_us: u64,
     pub(crate) begun: Instant,
@@ -145,7 +145,7 @@ pub(crate) struct SpanInner {
 }
 
 /// A live timed region. Created by [`crate::Recorder::span`]; submits a
-/// [`SpanRecord`] to the sink when finished (or dropped).
+/// [`SpanRecord`] to the recorder's store when finished (or dropped).
 ///
 /// Spans from disabled recorders skip the clock reads and every
 /// allocation, so leaving instrumentation in hot paths is free.
@@ -177,7 +177,7 @@ impl Span {
         }
     }
 
-    /// Ends the span, submits it to the sink, and returns its duration
+    /// Ends the span, submits it to the store, and returns its duration
     /// ([`Duration::ZERO`] when disabled).
     pub fn finish(mut self) -> Duration {
         self.submit()

@@ -10,7 +10,8 @@
 //! are recorded as; [`FlowTrace::kernels`] derives the per-kernel view.
 //! [`span_line`] and [`event_line`] are the one encoding of a span and an
 //! event, shared by [`FlowTrace::to_ndjson`] and the live lines a
-//! [`crate::StreamSink`] writes as the run goes, so the stream's lines
+//! [`crate::Recorder::streaming`] recorder writes as the run goes, so the
+//! stream's lines
 //! reappear verbatim in the dump.
 
 use std::collections::BTreeMap;
@@ -189,8 +190,8 @@ impl FlowTrace {
     /// (`candidates` is [`SweepTrace::total_candidates`]), an optional
     /// `{"kind":"manifest"}` provenance line, then one `span` line per
     /// span, one `event` line per event, and one `counter`/`gauge` line per
-    /// value. Spans and events use the same encoders as
-    /// [`crate::StreamSink`]'s live lines. No trailing newline.
+    /// value. Spans and events use the same encoders as the live lines of
+    /// a [`crate::Recorder::streaming`] recorder. No trailing newline.
     pub fn to_ndjson(&self) -> String {
         let mut lines = vec![JsonLine::new()
             .str("kind", "flow")
