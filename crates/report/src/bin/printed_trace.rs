@@ -20,6 +20,7 @@
 //! the command: the exit code stays the one the command would have
 //! returned.
 
+use std::collections::HashSet;
 use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
@@ -51,8 +52,9 @@ commands:
       Tail an in-flight traced run: rolling k/N progress, candidate
       rate, ETA, and failed-candidate alerts. Robust to torn tails and
       to the final rewrite into the flow dump, which it waits for and
-      exits on. --once prints one status line and exits (for scripts/CI
-      smoke checks).";
+      exits on. --poll-ms is the interval between reads (at least 1,
+      default 500). --once prints one status line and exits (for
+      scripts/CI smoke checks).";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -233,6 +235,9 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
             "--poll-ms" => {
                 let v = iter.next().ok_or("--poll-ms needs a value")?;
                 poll_ms = v.parse().map_err(|e| format!("bad --poll-ms {v:?}: {e}"))?;
+                if poll_ms == 0 {
+                    return Err("--poll-ms must be at least 1".into());
+                }
             }
             "--once" => once = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
@@ -247,11 +252,12 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
 
     let mut watcher = Watcher::new();
     let mut last_status = String::new();
-    let mut reported_alerts = 0;
-    let mut reported_notes = 0;
+    // Alert and note lines already printed: a rewrite (the finalized dump
+    // repeats every streamed event) must not print them again.
+    let mut printed = HashSet::new();
     loop {
         // Whole-file read each poll: traces are small (kilobytes), and the
-        // watcher needs the whole file to tell a rewrite from growth.
+        // watcher rebuilds its state from the whole file.
         let content = match std::fs::read(&path) {
             Ok(content) => content,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound && !once => {
@@ -265,19 +271,17 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
             out(&format!(
                 "watch: {path} rewritten (writer finalized or restarted), re-reading\n"
             ))?;
-            reported_alerts = 0;
-            reported_notes = 0;
         }
 
         let state = watcher.state();
-        for alert in &state.alerts[reported_alerts..] {
-            out(&format!("watch: ALERT {alert}\n"))?;
+        let alerts = state.alerts.iter().map(|a| format!("watch: ALERT {a}\n"));
+        let notes = state.notes.iter().map(|n| format!("watch: note: {n}\n"));
+        for line in alerts.chain(notes) {
+            if !printed.contains(&line) {
+                out(&line)?;
+                printed.insert(line);
+            }
         }
-        reported_alerts = state.alerts.len();
-        for note in &state.notes[reported_notes..] {
-            out(&format!("watch: note: {note}\n"))?;
-        }
-        reported_notes = state.notes.len();
         let status = state.status_line();
         if status != last_status {
             out(&format!("watch: {status}\n"))?;

@@ -45,7 +45,10 @@
 //!
 //! Ingestion is deliberately forgiving: [`parse_trace`] never fails, it
 //! skips damaged lines with warnings so a Ctrl-C'd run's trace is still
-//! analyzable. Lines are read with the workspace's one JSON codec,
+//! analyzable. It is a fold over one per-line decoder,
+//! [`parse::records`]; [`Watcher`] folds the same records into a
+//! [`WatchState`], rebuilt from the file's complete lines on every poll.
+//! Lines are read with the workspace's one JSON codec,
 //! [`printed_telemetry::json`], re-exported here as [`json`].
 
 #![forbid(unsafe_code)]

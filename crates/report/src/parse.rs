@@ -3,9 +3,11 @@
 //! The workspace writes one trace schema, [`FlowTrace::to_ndjson`]'s,
 //! which is the recorder's [`TraceSnapshot`] line by line: a
 //! `{"kind":"flow"}` header, optional `{"kind":"manifest"}`, then `span`,
-//! `event`, `counter` and `gauge` lines. Reading decodes those lines back
-//! into a snapshot and hands it to [`FlowTrace::from_snapshot`], keeping
-//! the header's title and wall time and the manifest. A live stream
+//! `event`, `counter` and `gauge` lines. [`parse_line`] decodes one line
+//! into a typed [`Record`]; [`parse_trace`] folds the records back into a
+//! snapshot and hands it to [`FlowTrace::from_snapshot`], keeping the
+//! header's title and wall time and the manifest. `printed-trace watch`
+//! folds the same records ([`crate::watch`]). A live stream
 //! ([`printed_telemetry::Recorder::streaming`]) writes the same span and event
 //! lines as the run goes; a stream whose run was killed before finalizing
 //! has no header and no totals, so its wall time is the last record's end
@@ -46,50 +48,32 @@ impl ParsedTrace {
 pub fn parse_trace(text: &str) -> ParsedTrace {
     let mut warnings = Vec::new();
     let mut snapshot = TraceSnapshot::default();
-    let mut title = String::new();
-    let mut wall_us = None;
-    let mut manifest = None;
-
-    for (index, line) in text.lines().enumerate() {
-        let lineno = index + 1;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let value = match parse_json(line) {
-            Ok(value) => value,
-            Err(e) => {
-                warnings.push(format!("line {lineno}: skipped ({e})"));
-                continue;
+    let (mut title, mut wall_us, mut manifest) = (String::new(), None, None);
+    for (lineno, record) in records(text) {
+        match record {
+            Ok(Record::Flow {
+                title: t,
+                wall_us: w,
+                ..
+            }) => (title, wall_us) = (t, w),
+            Ok(Record::Manifest(m)) => manifest = Some(m),
+            Ok(Record::Span(span)) => snapshot.spans.push(span),
+            Ok(Record::Event(event)) => snapshot.events.push(event),
+            Ok(Record::Counter(name, value)) => {
+                snapshot.counters.insert(name, value);
             }
-        };
-        let Some(kind) = value.get("kind").and_then(JsonValue::as_str) else {
-            warnings.push(format!("line {lineno}: skipped (no \"kind\" field)"));
-            continue;
-        };
-        let outcome = match kind {
-            "flow" => {
-                title = value
-                    .get("title")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or_default()
-                    .to_owned();
-                wall_us = value.get("wall_us").and_then(JsonValue::as_u64);
-                Ok(())
+            Ok(Record::Gauge(name, value)) => {
+                snapshot.gauges.insert(name, value);
             }
-            "manifest" => parse_manifest(&value).map(|m| manifest = Some(m)),
-            "span" => parse_span(&value).map(|span| snapshot.spans.push(span)),
-            "event" => parse_event(&value).map(|event| snapshot.events.push(event)),
-            "counter" => parse_counter(&value).map(|(name, v)| {
-                snapshot.counters.insert(name, v);
-            }),
-            "gauge" => parse_counter(&value).map(|(name, v)| {
-                snapshot.gauges.insert(name, v);
-            }),
-            other => Err(format!("unknown kind {other:?}")),
-        };
-        if let Err(reason) = outcome {
-            warnings.push(format!("line {lineno}: skipped {kind} ({reason})"));
+            Ok(Record::Other { kind: None, .. }) => {
+                warnings.push(format!("line {lineno}: skipped (no \"kind\" field)"));
+            }
+            Ok(Record::Other {
+                kind: Some(kind), ..
+            }) => warnings.push(format!(
+                "line {lineno}: skipped {kind} (unknown kind {kind:?})"
+            )),
+            Err(reason) => warnings.push(format!("line {lineno}: {reason}")),
         }
     }
 
@@ -102,10 +86,109 @@ pub fn parse_trace(text: &str) -> ParsedTrace {
     ParsedTrace { trace, warnings }
 }
 
+/// One decoded trace line.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Record {
+    /// The `flow` header that opens a finalized dump.
+    Flow {
+        /// The run's title (empty when absent).
+        title: String,
+        /// The run's wall time, µs.
+        wall_us: Option<u64>,
+        /// Grid points the sweep evaluated.
+        candidates: Option<u64>,
+    },
+    /// The run's provenance.
+    Manifest(RunManifest),
+    /// A finished span.
+    Span(SpanRecord),
+    /// An instant event.
+    Event(EventRecord),
+    /// A counter's value: name, value.
+    Counter(String, u64),
+    /// A gauge's value: name, value.
+    Gauge(String, u64),
+    /// A JSON value of a kind outside the trace schema, such as a
+    /// checkpoint journal's `sweep_ckpt` line, or of no kind.
+    Other {
+        /// The `kind` field, if it has a text one.
+        kind: Option<String>,
+        /// Its scalar fields; nested and null members are dropped.
+        fields: Vec<(String, FieldValue)>,
+    },
+}
+
+/// The decoded non-blank lines of `text`, each with its 1-based line
+/// number.
+pub fn records(text: &str) -> impl Iterator<Item = (usize, Result<Record, String>)> + '_ {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(index, line)| (index + 1, parse_line(line)))
+}
+
+/// Decodes one trace line. The error says why the line is skipped, e.g.
+/// `skipped span (missing name)`.
+pub fn parse_line(line: &str) -> Result<Record, String> {
+    let value = parse_json(line.trim()).map_err(|e| format!("skipped ({e})"))?;
+    let kind = value.get("kind").and_then(JsonValue::as_str);
+    decode(&value, kind)
+        .map_err(|reason| format!("skipped {} ({reason})", kind.unwrap_or_default()))
+}
+
+fn decode(value: &JsonValue, kind: Option<&str>) -> Result<Record, String> {
+    let name = || required(value, "name", JsonValue::as_str).map(str::to_owned);
+    let number = |key| required(value, key, JsonValue::as_u64);
+    Ok(match kind.unwrap_or_default() {
+        "flow" => Record::Flow {
+            title: value
+                .get("title")
+                .and_then(JsonValue::as_str)
+                .unwrap_or_default()
+                .to_owned(),
+            wall_us: number("wall_us").ok(),
+            candidates: number("candidates").ok(),
+        },
+        "manifest" => Record::Manifest(parse_manifest(value)?),
+        "span" => Record::Span(SpanRecord {
+            name: name()?,
+            start_us: number("start_us")?,
+            duration_us: number("duration_us")?,
+            fields: parse_fields(value, true)?,
+        }),
+        "event" => Record::Event(EventRecord {
+            name: name()?,
+            at_us: number("at_us")?,
+            fields: parse_fields(value, true)?,
+        }),
+        "counter" => Record::Counter(name()?, number("value")?),
+        "gauge" => Record::Gauge(name()?, number("value")?),
+        _ => Record::Other {
+            kind: kind.map(str::to_owned),
+            fields: parse_fields(value, false).unwrap_or_default(),
+        },
+    })
+}
+
+/// `value[key]` as `read` reads it, or why a record cannot do without it.
+fn required<'v, T>(
+    value: &'v JsonValue,
+    key: &str,
+    read: fn(&'v JsonValue) -> Option<T>,
+) -> Result<T, String> {
+    value
+        .get(key)
+        .and_then(read)
+        .ok_or_else(|| format!("missing {key}"))
+}
+
 /// The JSON object keys that are structural (not span/event attributes).
 const RESERVED: &[&str] = &["kind", "name", "start_us", "duration_us", "at_us"];
 
-fn parse_fields(value: &JsonValue) -> Result<Vec<(String, FieldValue)>, String> {
+/// The object's attribute members. The writer renders NaN/±inf as null,
+/// which has no faithful [`FieldValue`], so null members are dropped; a
+/// nested member is an error when `strict`, else dropped too.
+fn parse_fields(value: &JsonValue, strict: bool) -> Result<Vec<(String, FieldValue)>, String> {
     let members = value.members().ok_or("not an object")?;
     let mut fields = Vec::new();
     for (key, v) in members {
@@ -117,115 +200,42 @@ fn parse_fields(value: &JsonValue) -> Result<Vec<(String, FieldValue)>, String> 
             JsonValue::Float(f) => FieldValue::F64(*f),
             JsonValue::Bool(b) => FieldValue::Bool(*b),
             JsonValue::Str(s) => FieldValue::Str(s.clone()),
-            // The writer renders NaN/±inf as null; there is no faithful
-            // FieldValue for it, so drop the attribute.
-            JsonValue::Null => continue,
-            JsonValue::Arr(_) | JsonValue::Obj(_) => {
+            JsonValue::Arr(_) | JsonValue::Obj(_) if strict => {
                 return Err(format!("field {key:?} has a nested value"));
             }
+            JsonValue::Null | JsonValue::Arr(_) | JsonValue::Obj(_) => continue,
         };
         fields.push((key.clone(), field));
     }
     Ok(fields)
 }
 
-fn parse_span(value: &JsonValue) -> Result<SpanRecord, String> {
-    Ok(SpanRecord {
-        name: value
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing name")?
-            .to_owned(),
-        start_us: value
-            .get("start_us")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing start_us")?,
-        duration_us: value
-            .get("duration_us")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing duration_us")?,
-        fields: parse_fields(value)?,
-    })
-}
-
-fn parse_event(value: &JsonValue) -> Result<EventRecord, String> {
-    Ok(EventRecord {
-        name: value
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing name")?
-            .to_owned(),
-        at_us: value
-            .get("at_us")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing at_us")?,
-        fields: parse_fields(value)?,
-    })
-}
-
-fn parse_counter(value: &JsonValue) -> Result<(String, u64), String> {
-    Ok((
-        value
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing name")?
-            .to_owned(),
-        value
-            .get("value")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing value")?,
-    ))
-}
-
 fn parse_manifest(value: &JsonValue) -> Result<RunManifest, String> {
-    let nums = |key: &str| -> Result<Vec<JsonValue>, String> {
-        Ok(value
-            .get(key)
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| format!("missing {key}"))?
-            .to_vec())
-    };
-    let mut taus = Vec::new();
-    for v in nums("taus")? {
-        taus.push(v.as_f64().ok_or("tau is not a number")?);
-    }
-    let mut depths = Vec::new();
-    for v in nums("depths")? {
-        depths.push(v.as_u64().ok_or("depth is not an integer")?);
-    }
+    let taus = required(value, "taus", JsonValue::as_arr)?
+        .iter()
+        .map(|v| v.as_f64().ok_or("tau is not a number"))
+        .collect::<Result<_, _>>()?;
+    let depths = required(value, "depths", JsonValue::as_arr)?
+        .iter()
+        .map(|v| v.as_u64().ok_or("depth is not an integer"))
+        .collect::<Result<_, _>>()?;
+    let text = |key| required(value, key, JsonValue::as_str).map(str::to_owned);
+    let number = |key| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
     Ok(RunManifest {
-        git_sha: value
-            .get("git_sha")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing git_sha")?
-            .to_owned(),
-        dataset: value
-            .get("dataset")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing dataset")?
-            .to_owned(),
+        git_sha: text("git_sha")?,
+        dataset: text("dataset")?,
         taus,
         depths,
-        seed: value.get("seed").and_then(JsonValue::as_u64).unwrap_or(0),
+        seed: number("seed"),
         accuracy_loss: value
             .get("accuracy_loss")
             .and_then(JsonValue::as_f64)
             .unwrap_or(0.0),
-        unix_secs: value
-            .get("unix_secs")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0),
+        unix_secs: number("unix_secs"),
         // Environment fingerprint, absent on older manifests.
-        cpus: value.get("cpus").and_then(JsonValue::as_u64).unwrap_or(0),
-        threads: value
-            .get("threads")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0),
-        build: value
-            .get("build")
-            .and_then(JsonValue::as_str)
-            .unwrap_or_default()
-            .to_owned(),
+        cpus: number("cpus"),
+        threads: number("threads"),
+        build: text("build").unwrap_or_default(),
     })
 }
 

@@ -1,5 +1,4 @@
-//! Live sweep monitoring: incremental NDJSON tailing for
-//! `printed-trace watch`.
+//! Live sweep monitoring for `printed-trace watch`.
 //!
 //! A traced sweep streaming through `printed_telemetry::Recorder::streaming` (or a
 //! checkpointed sweep appending `sweep_ckpt` lines) produces an NDJSON
@@ -8,24 +7,26 @@
 //! `robust_candidate` grid points among them) and `event` lines (progress,
 //! failures, `lint_candidate` verdicts, the selection). The checkpoint
 //! journals' `sweep_ckpt` and `robust_ckpt` lines are read too; they are
-//! not trace records. [`Watcher`] consumes such a file *incrementally*: hand
-//! it each poll's read of the file ([`Watcher::update`]) or raw chunks
-//! ([`Watcher::push`]) and it maintains rolling progress (k/N
-//! candidates), candidate rate, an ETA, and failed-candidate alerts.
+//! not trace records. Every line goes through the trace decoder
+//! ([`crate::parse::records`]), the one [`crate::parse_trace`] folds, and
+//! [`WatchState`] is the fold of those records over the file's complete
+//! lines: rolling progress (k/N candidates), candidate rate, an ETA, and
+//! failed-candidate alerts. [`Watcher::update`] rebuilds it from each
+//! poll's read of the file.
 //!
 //! The tailing contract matches the producers':
 //!
 //! * **Torn tails.** Writers emit whole lines, but a reader can race the
 //!   final `write` and observe a partial last line. Only complete lines
-//!   are parsed; a torn tail is never miscounted — it is finished by the
+//!   are decoded; a torn tail is never miscounted — it is finished by the
 //!   next read.
 //! * **Rewrites.** When the run finishes, `TraceHook::finish` replaces
 //!   the live stream with the finalized flow dump. The dump holds every
 //!   streamed line and more, so the file usually *grows*; what changes is
-//!   its start, a `{"kind":"flow"}` header. [`Watcher::update`] therefore
-//!   treats the file as rewritten when the bytes it already consumed are
-//!   no longer a prefix of it, and replays it from the top (where the
-//!   header marks the trace finalized).
+//!   its start, a `{"kind":"flow"}` header (which marks the trace
+//!   finalized). [`Watcher::update`] reports the file as rewritten when
+//!   the lines it read last are no longer a prefix of it; that is only a
+//!   notice, since the state is rebuilt from the whole file either way.
 //! * **Resume interleaving.** A `--resume` sweep replays `sweep_ckpt`
 //!   lines for restored candidates and streams fresh records for the
 //!   rest. Candidates are deduplicated by `(depth, τ-bits)`, so a grid
@@ -34,25 +35,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use printed_telemetry::json::{parse as parse_json, JsonValue};
-use printed_telemetry::keys;
+use printed_telemetry::{keys, FieldValue};
 
-/// Which candidate set a grid-point record belongs to.
-#[derive(Debug, Clone, Copy)]
-enum GridAxis {
-    /// The τ×depth exploration sweep.
-    Sweep,
-    /// The robustness campaign over the same grid.
-    Robust,
-}
+use crate::parse::{records, Record};
 
 /// Rolling state of one watched trace file.
 #[derive(Debug, Default)]
 pub struct Watcher {
-    /// The file's bytes consumed by [`Watcher::update`], through the last
-    /// complete line.
-    consumed: Vec<u8>,
-    carry: String,
+    /// The file's complete lines as [`Watcher::update`] last read them.
+    read: Vec<u8>,
     state: WatchState,
 }
 
@@ -179,20 +170,17 @@ impl WatchState {
     /// One status line, e.g.
     /// `Seeds  5/9 candidates (55.6%) · 120.0/s · ETA 0.0s · 1 FAILED`.
     pub fn status_line(&self) -> String {
+        // A grid size, `?` while unknown.
+        let size = |n: usize| if n > 0 { n.to_string() } else { "?".to_owned() };
         let mut out = String::new();
         if !self.dataset.is_empty() {
             out.push_str(&self.dataset);
             out.push_str("  ");
         }
+        out.push_str(&format!("{}/{} candidates", self.done(), size(self.total)));
         if self.total > 0 {
-            out.push_str(&format!(
-                "{}/{} candidates ({:.1}%)",
-                self.done(),
-                self.total,
-                100.0 * self.done() as f64 / self.total as f64
-            ));
-        } else {
-            out.push_str(&format!("{}/? candidates", self.done()));
+            let share = 100.0 * self.done() as f64 / self.total as f64;
+            out.push_str(&format!(" ({share:.1}%)"));
         }
         if let Some(rate) = self.rate() {
             out.push_str(&format!(" · {rate:.1}/s"));
@@ -201,27 +189,19 @@ impl WatchState {
             out.push_str(&format!(" · ETA {eta:.1}s"));
         }
         if self.robust_active() {
-            let total = if self.robust_total > 0 {
-                self.robust_total.to_string()
-            } else {
-                "?".to_owned()
-            };
             out.push_str(&format!(
-                " · robust {}/{total} ({} trials, {} pruned)",
+                " · robust {}/{} ({} trials, {} pruned)",
                 self.robust_done(),
+                size(self.robust_total),
                 self.robust_trials,
                 self.robust_pruned(),
             ));
         }
         if self.lint_active() {
-            let total = if self.total > 0 {
-                self.total.to_string()
-            } else {
-                "?".to_owned()
-            };
             out.push_str(&format!(
-                " · lint {}/{total}, {} error(s) / {} warning(s)",
+                " · lint {}/{}, {} error(s) / {} warning(s)",
                 self.lint_done(),
+                size(self.total),
                 self.lint_errors(),
                 self.lint_warnings(),
             ));
@@ -233,6 +213,118 @@ impl WatchState {
             out.push_str(" · finalized");
         }
         out
+    }
+
+    /// The fold of the trace decoder's records over `text`, whose lines
+    /// are all complete. Non-JSON noise (e.g. a stray log line) and
+    /// damaged records are skipped; the stream stays watchable.
+    fn from_lines(text: &str) -> Self {
+        let mut state = Self::default();
+        for (_, record) in records(text) {
+            state.lines += 1;
+            if let Ok(record) = record {
+                state.observe(record);
+            }
+        }
+        state
+    }
+
+    fn observe(&mut self, record: Record) {
+        match record {
+            Record::Flow { candidates, .. } => {
+                self.finalized = true;
+                self.total = self.total.max(candidates.unwrap_or(0) as usize);
+            }
+            Record::Manifest(manifest) => {
+                self.dataset = manifest.dataset;
+                self.total = self.total.max(manifest.taus.len() * manifest.depths.len());
+            }
+            // A sweep grid point or a campaign grid point; any other span
+            // only advances the clock.
+            Record::Span(span) => {
+                self.last_at_us = self.last_at_us.max(span.end_us());
+                match span.name.as_str() {
+                    keys::CANDIDATE_SPAN => self.seen.extend(grid_point(&span.fields)),
+                    keys::ROBUST_SPAN => self.robust_seen.extend(grid_point(&span.fields)),
+                    _ => {}
+                }
+            }
+            Record::Event(event) => {
+                self.last_at_us = self.last_at_us.max(event.at_us);
+                self.observe_event(&event.name, &event.fields);
+            }
+            // Kinds a finalized dump contains but the watcher has no use
+            // for — skipped without comment.
+            Record::Counter(..) | Record::Gauge(..) => {}
+            Record::Other { kind, fields } => match kind.as_deref().unwrap_or_default() {
+                "sweep_ckpt" => self.seen.extend(grid_point(&fields)),
+                // A campaign checkpoint replay: the grid point was profiled
+                // (or pruned) by a previous, killed campaign run.
+                "robust_ckpt" => self.robust_seen.extend(grid_point(&fields)),
+                // Anything else is a record kind this watcher does not know
+                // (a newer writer, or a foreign file): note it once per kind
+                // instead of silently dropping it.
+                other => {
+                    let note = if other.is_empty() {
+                        "skipping record(s) with no \"kind\" field".to_owned()
+                    } else {
+                        format!("skipping record(s) of unknown kind {other:?}")
+                    };
+                    if !self.notes.contains(&note) {
+                        self.notes.push(note);
+                    }
+                }
+            },
+        }
+    }
+
+    fn observe_event(&mut self, name: &str, fields: &[(String, FieldValue)]) {
+        let count = |key| field(fields, key).and_then(FieldValue::as_u64).unwrap_or(0);
+        let depth = count("depth");
+        let tau = field(fields, "tau")
+            .and_then(FieldValue::as_f64)
+            .unwrap_or(0.0);
+        match name {
+            keys::PROGRESS_EVENT => {
+                self.progress_done = self.progress_done.max(count("done") as usize);
+                self.total = self.total.max(count("total") as usize);
+            }
+            keys::CANDIDATE_FAILED_EVENT => {
+                let error = field(fields, "error")
+                    .and_then(FieldValue::as_str)
+                    .unwrap_or("unknown error");
+                self.alerts.push(format!(
+                    "candidate (depth {depth}, τ={tau}) FAILED: {error}"
+                ));
+            }
+            keys::ROBUST_PROGRESS_EVENT => {
+                self.robust_progress_done = self.robust_progress_done.max(count("done") as usize);
+                self.robust_total = self.robust_total.max(count("total") as usize);
+                self.robust_trials = self.robust_trials.max(count("trials"));
+                self.robust_pruned_reported = self.robust_pruned_reported.max(count("pruned"));
+            }
+            keys::ROBUST_PRUNED_EVENT => {
+                self.robust_seen.extend(grid_point(fields));
+                self.robust_pruned_seen.extend(grid_point(fields));
+            }
+            // A whole-grid lint verdict.
+            keys::LINT_CANDIDATE_EVENT => {
+                if let Some(point) = grid_point(fields) {
+                    self.lint_seen
+                        .insert(point, (count("errors"), count("warnings")));
+                }
+            }
+            keys::SELECTED_EVENT => {
+                let accuracy = field(fields, "accuracy")
+                    .and_then(FieldValue::as_f64)
+                    .unwrap_or(0.0);
+                self.selected = Some(format!(
+                    "selected τ={tau}, depth {depth} ({:.2}% accuracy)",
+                    accuracy * 100.0
+                ));
+            }
+            _ => {}
+        }
     }
 }
 
@@ -248,224 +340,53 @@ impl Watcher {
     }
 
     /// Feeds the watched file's whole current content, as one poll read
-    /// it. The complete lines past the previous read are consumed; a torn
-    /// last line waits for the next read. When the bytes already consumed
-    /// are no longer a prefix of `content`, the writer truncated and
-    /// rewrote the file (a finalized dump replacing the live stream, or a
-    /// restarted run): all state is dropped and `content` is replayed
-    /// from the top. Returns whether that happened.
+    /// it, and rebuilds the state from its complete lines; a torn last
+    /// line waits for the next read. Returns whether the file was
+    /// rewritten: the complete lines of the previous read are no longer a
+    /// prefix of `content` (a finalized dump replacing the live stream, or
+    /// a restarted run).
     pub fn update(&mut self, content: &[u8]) -> bool {
-        let rewritten = !content.starts_with(&self.consumed);
-        if rewritten {
-            self.reset();
-        }
-        let fresh = &content[self.consumed.len()..];
-        let complete = fresh.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        self.push(&String::from_utf8_lossy(&fresh[..complete]));
-        self.consumed.extend_from_slice(&fresh[..complete]);
+        let rewritten = !content.starts_with(&self.read);
+        let torn = content.iter().rev().take_while(|&&b| b != b'\n').count();
+        self.read = content[..content.len() - torn].to_vec();
+        self.state = WatchState::from_lines(&String::from_utf8_lossy(&self.read));
         rewritten
     }
+}
 
-    /// Feeds the next raw chunk of the file. Only complete
-    /// (newline-terminated) lines are parsed; an unterminated tail is
-    /// carried and completed by the next push. Returns the number of
-    /// complete lines consumed from this chunk.
-    pub fn push(&mut self, chunk: &str) -> usize {
-        self.carry.push_str(chunk);
-        let mut consumed = 0;
-        while let Some(pos) = self.carry.find('\n') {
-            let line: String = self.carry.drain(..=pos).collect();
-            let line = line.trim();
-            if !line.is_empty() {
-                self.consume_line(line);
-                consumed += 1;
-                self.state.lines += 1;
-            }
-        }
-        consumed
-    }
+/// A record's field by key.
+fn field<'a>(fields: &'a [(String, FieldValue)], key: &str) -> Option<&'a FieldValue> {
+    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
 
-    /// Drops all state (consumed bytes and carry buffer included).
-    fn reset(&mut self) {
-        *self = Self::new();
-    }
-
-    fn consume_line(&mut self, line: &str) {
-        let Ok(value) = parse_json(line) else {
-            // Interleaved non-JSON noise (e.g. a stray log line) is
-            // ignored; the stream stays watchable.
-            return;
-        };
-        let kind = value.get("kind").and_then(JsonValue::as_str).unwrap_or("");
-        match kind {
-            "flow" => {
-                self.state.finalized = true;
-                if let Some(n) = value.get("candidates").and_then(JsonValue::as_u64) {
-                    self.state.total = self.state.total.max(n as usize);
-                }
-            }
-            "manifest" => {
-                if let Some(dataset) = value.get("dataset").and_then(JsonValue::as_str) {
-                    self.state.dataset = dataset.to_owned();
-                }
-                let taus = value
-                    .get("taus")
-                    .and_then(JsonValue::as_arr)
-                    .map_or(0, <[JsonValue]>::len);
-                let depths = value
-                    .get("depths")
-                    .and_then(JsonValue::as_arr)
-                    .map_or(0, <[JsonValue]>::len);
-                if taus * depths > 0 {
-                    self.state.total = self.state.total.max(taus * depths);
-                }
-            }
-            // A sweep grid point or a campaign grid point (depth + tau);
-            // any other span only advances the clock.
-            "span" => {
-                match value.get("name").and_then(JsonValue::as_str) {
-                    Some(keys::CANDIDATE_SPAN) => self.observe_grid_point(&value, GridAxis::Sweep),
-                    Some(keys::ROBUST_SPAN) => self.observe_grid_point(&value, GridAxis::Robust),
-                    _ => {}
-                }
-                self.observe_timestamp(&value);
-            }
-            "sweep_ckpt" => {
-                self.observe_grid_point(&value, GridAxis::Sweep);
-            }
-            // A campaign checkpoint replay: the grid point was profiled
-            // (or pruned) by a previous, killed campaign run.
-            "robust_ckpt" => {
-                self.observe_grid_point(&value, GridAxis::Robust);
-            }
-            "event" => {
-                self.observe_timestamp(&value);
-                match value.get("name").and_then(JsonValue::as_str) {
-                    Some(keys::PROGRESS_EVENT) => {
-                        let done =
-                            value.get("done").and_then(JsonValue::as_u64).unwrap_or(0) as usize;
-                        let total =
-                            value.get("total").and_then(JsonValue::as_u64).unwrap_or(0) as usize;
-                        self.state.progress_done = self.state.progress_done.max(done);
-                        self.state.total = self.state.total.max(total);
-                    }
-                    Some(keys::CANDIDATE_FAILED_EVENT) => {
-                        let depth = value.get("depth").and_then(JsonValue::as_u64).unwrap_or(0);
-                        let tau = value.get("tau").and_then(JsonValue::as_f64).unwrap_or(0.0);
-                        let error = value
-                            .get("error")
-                            .and_then(JsonValue::as_str)
-                            .unwrap_or("unknown error");
-                        self.state.alerts.push(format!(
-                            "candidate (depth {depth}, τ={tau}) FAILED: {error}"
-                        ));
-                    }
-                    Some(keys::ROBUST_PROGRESS_EVENT) => {
-                        let done =
-                            value.get("done").and_then(JsonValue::as_u64).unwrap_or(0) as usize;
-                        let total =
-                            value.get("total").and_then(JsonValue::as_u64).unwrap_or(0) as usize;
-                        let trials = value.get("trials").and_then(JsonValue::as_u64).unwrap_or(0);
-                        let pruned = value.get("pruned").and_then(JsonValue::as_u64).unwrap_or(0);
-                        self.state.robust_progress_done = self.state.robust_progress_done.max(done);
-                        self.state.robust_total = self.state.robust_total.max(total);
-                        self.state.robust_trials = self.state.robust_trials.max(trials);
-                        self.state.robust_pruned_reported =
-                            self.state.robust_pruned_reported.max(pruned);
-                    }
-                    Some(keys::ROBUST_PRUNED_EVENT) => {
-                        self.observe_grid_point(&value, GridAxis::Robust);
-                        if let (Some(depth), Some(tau)) = (
-                            value.get("depth").and_then(JsonValue::as_u64),
-                            value.get("tau").and_then(JsonValue::as_f64),
-                        ) {
-                            self.state.robust_pruned_seen.insert((depth, tau.to_bits()));
-                        }
-                    }
-                    // A whole-grid lint verdict.
-                    Some(keys::LINT_CANDIDATE_EVENT) => self.observe_lint(&value),
-                    Some(keys::SELECTED_EVENT) => {
-                        let depth = value.get("depth").and_then(JsonValue::as_u64).unwrap_or(0);
-                        let tau = value.get("tau").and_then(JsonValue::as_f64).unwrap_or(0.0);
-                        let accuracy = value
-                            .get("accuracy")
-                            .and_then(JsonValue::as_f64)
-                            .unwrap_or(0.0);
-                        self.state.selected = Some(format!(
-                            "selected τ={tau}, depth {depth} ({:.2}% accuracy)",
-                            accuracy * 100.0
-                        ));
-                    }
-                    _ => {}
-                }
-            }
-            // Kinds a finalized dump contains but the watcher has no use
-            // for — skipped without comment.
-            "counter" | "gauge" => {}
-            // Anything else is a record kind this watcher does not know
-            // (a newer writer, or a foreign file): note it once per kind
-            // instead of silently dropping it.
-            other => {
-                let note = if other.is_empty() {
-                    "skipping record(s) with no \"kind\" field".to_owned()
-                } else {
-                    format!("skipping record(s) of unknown kind {other:?}")
-                };
-                if !self.state.notes.contains(&note) {
-                    self.state.notes.push(note);
-                }
-            }
-        }
-    }
-
-    fn observe_grid_point(&mut self, value: &JsonValue, axis: GridAxis) {
-        let (Some(depth), Some(tau)) = (
-            value.get("depth").and_then(JsonValue::as_u64),
-            value.get("tau").and_then(JsonValue::as_f64),
-        ) else {
-            return;
-        };
-        let set = match axis {
-            GridAxis::Sweep => &mut self.state.seen,
-            GridAxis::Robust => &mut self.state.robust_seen,
-        };
-        set.insert((depth, tau.to_bits()));
-    }
-
-    fn observe_lint(&mut self, value: &JsonValue) {
-        let (Some(depth), Some(tau)) = (
-            value.get("depth").and_then(JsonValue::as_u64),
-            value.get("tau").and_then(JsonValue::as_f64),
-        ) else {
-            return;
-        };
-        let errors = value.get("errors").and_then(JsonValue::as_u64).unwrap_or(0);
-        let warnings = value
-            .get("warnings")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        self.state
-            .lint_seen
-            .insert((depth, tau.to_bits()), (errors, warnings));
-    }
-
-    fn observe_timestamp(&mut self, value: &JsonValue) {
-        let at = value
-            .get("at_us")
-            .and_then(JsonValue::as_u64)
-            .or_else(|| {
-                let start = value.get("start_us").and_then(JsonValue::as_u64)?;
-                let duration = value.get("duration_us").and_then(JsonValue::as_u64)?;
-                Some(start + duration)
-            })
-            .unwrap_or(0);
-        self.state.last_at_us = self.state.last_at_us.max(at);
-    }
+/// A record's `(depth, τ bits)` grid point, if it names one.
+fn grid_point(fields: &[(String, FieldValue)]) -> Option<(u64, u64)> {
+    let depth = field(fields, "depth")?.as_u64()?;
+    Some((depth, field(fields, "tau")?.as_f64()?.to_bits()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use printed_telemetry::RunManifest;
+
+    /// A watcher after one poll that read `content`.
+    fn watching(content: &str) -> Watcher {
+        let mut w = Watcher::new();
+        assert!(!w.update(content.as_bytes()), "a first read is no rewrite");
+        w
+    }
+
+    /// The manifest line of a 3×3 Seeds grid, as the writer renders it.
+    fn manifest_line() -> String {
+        RunManifest {
+            dataset: "Seeds".into(),
+            taus: vec![0.0, 0.01, 0.03],
+            depths: vec![2, 4, 6],
+            ..RunManifest::default()
+        }
+        .to_json_line()
+    }
 
     fn span_line(depth: u64, tau: f64, start: u64, dur: u64) -> String {
         format!(
@@ -487,10 +408,9 @@ mod tests {
 
     #[test]
     fn counts_streamed_candidates_and_progress() {
-        let mut w = Watcher::new();
-        w.push(&format!(
+        let w = watching(&format!(
             "{}\n{}\n{}\n{}\n",
-            r#"{"kind":"manifest","dataset":"Seeds","taus":[0.0,0.01,0.03],"depths":[2,4,6]}"#,
+            manifest_line(),
             span_line(2, 0.0, 100, 50),
             progress_line(1, 9, 160),
             span_line(4, 0.0, 150, 80),
@@ -511,46 +431,47 @@ mod tests {
 
     #[test]
     fn torn_tail_is_carried_until_completed() {
-        let mut w = Watcher::new();
         let line = span_line(2, 0.01, 10, 5);
         let (head, tail) = line.split_at(line.len() / 2);
-        // First chunk ends mid-line: only the complete first line counts.
-        assert_eq!(w.push(&format!("{}\n{head}", span_line(4, 0.0, 1, 5))), 1);
+        // The first read ends mid-line: only the complete first line counts.
+        let mut content = format!("{}\n{head}", span_line(4, 0.0, 1, 5));
+        let mut w = watching(&content);
         assert_eq!(w.state().done(), 1);
         // The torn JSON must not have been parsed (or worse, miscounted).
         assert_eq!(w.state().lines, 1);
-        // Completing the line consumes it.
-        assert_eq!(w.push(&format!("{tail}\n")), 1);
+        // Completing the line consumes it; growth is no rewrite.
+        content.push_str(&format!("{tail}\n"));
+        assert!(!w.update(content.as_bytes()));
+        assert_eq!(w.state().lines, 2);
         assert_eq!(w.state().done(), 2);
     }
 
     #[test]
     fn torn_tail_never_parses_as_garbage() {
-        let mut w = Watcher::new();
-        // A chunk that is *only* a torn prefix of a failed-candidate
+        // A read that is *only* a torn prefix of a failed-candidate
         // event: no alert may fire until the line completes.
         let line = r#"{"kind":"event","name":"candidate_failed","at_us":5,"depth":4,"tau":0.0,"error":"boom"}"#;
-        w.push(&line[..30]);
+        let mut w = watching(&line[..30]);
         assert!(w.state().alerts.is_empty());
-        w.push(&format!("{}\n", &line[30..]));
+        assert!(!w.update(format!("{line}\n").as_bytes()));
         assert_eq!(w.state().alerts.len(), 1);
         assert!(w.state().alerts[0].contains("boom"));
     }
 
     #[test]
-    fn reset_models_mid_watch_truncation() {
-        let mut w = Watcher::new();
-        w.push(&format!(
+    fn a_rewrite_rebuilds_the_state_from_the_top() {
+        let mut w = watching(&format!(
             "{}\n{}\n",
             span_line(2, 0.0, 1, 1),
             span_line(4, 0.0, 2, 1)
         ));
         assert_eq!(w.state().done(), 2);
-        // Writer truncated + rewrote: driver resets, replays the new
-        // content (a finalized dump) from the top.
-        w.reset();
+        // Writer truncated + rewrote: the new content (a finalized dump's
+        // header) is read from the top, nothing of the old is kept.
+        let header =
+            "{\"kind\":\"flow\",\"title\":\"codesign\",\"wall_us\":2468,\"candidates\":9}\n";
+        assert!(w.update(header.as_bytes()), "rewrite not reported");
         assert_eq!(w.state().done(), 0);
-        w.push("{\"kind\":\"flow\",\"title\":\"codesign\",\"wall_us\":2468,\"candidates\":9}\n");
         assert!(w.state().finalized);
         assert_eq!(w.state().total, 9);
         assert!(w.state().status_line().contains("finalized"));
@@ -558,10 +479,9 @@ mod tests {
 
     #[test]
     fn resume_interleaving_dedupes_restored_candidates() {
-        let mut w = Watcher::new();
         // Checkpoint replay for two grid points, then a live span for one
         // of the *same* points plus one fresh point.
-        w.push(&format!(
+        let w = watching(&format!(
             "{}\n{}\n{}\n{}\n",
             ckpt_line(2, 0.0),
             ckpt_line(4, 0.0),
@@ -574,9 +494,8 @@ mod tests {
 
     #[test]
     fn progress_events_and_spans_race_without_undercounting() {
-        let mut w = Watcher::new();
         // Progress says 5 done, but only 2 spans flushed so far.
-        w.push(&format!(
+        let w = watching(&format!(
             "{}\n{}\n{}\n",
             progress_line(5, 9, 100),
             span_line(2, 0.0, 1, 1),
@@ -584,8 +503,7 @@ mod tests {
         ));
         assert_eq!(w.state().done(), 5);
         // More spans than the last progress event reported: spans win.
-        let mut w = Watcher::new();
-        w.push(&format!(
+        let w = watching(&format!(
             "{}\n{}\n{}\n",
             progress_line(1, 9, 100),
             span_line(2, 0.0, 1, 1),
@@ -596,8 +514,7 @@ mod tests {
 
     #[test]
     fn failed_candidates_raise_alerts_and_selection_is_reported() {
-        let mut w = Watcher::new();
-        w.push(concat!(
+        let w = watching(concat!(
             r#"{"kind":"event","name":"candidate_failed","at_us":5,"depth":6,"tau":0.03,"error":"injected chaos"}"#,
             "\n",
             r#"{"kind":"event","name":"selected","at_us":9,"tau":0.01,"depth":2,"accuracy":0.9048}"#,
@@ -615,8 +532,7 @@ mod tests {
 
     #[test]
     fn non_json_noise_is_ignored_but_unknown_kinds_get_a_note() {
-        let mut w = Watcher::new();
-        w.push(
+        let w = watching(
             "not json at all\n{\"kind\":\"mystery\"}\n{\"kind\":\"mystery\"}\n{\"no_kind\":1}\n",
         );
         assert_eq!(w.state().done(), 0);
@@ -638,8 +554,7 @@ mod tests {
 
     #[test]
     fn known_finalized_kinds_are_skipped_without_notes() {
-        let mut w = Watcher::new();
-        w.push(concat!(
+        let mut content = concat!(
             r#"{"kind":"counter","name":"train.gini_evals","value":321}"#,
             "\n",
             r#"{"kind":"gauge","name":"process.peak_rss_kb","value":2048}"#,
@@ -648,19 +563,22 @@ mod tests {
             "\n",
             r#"{"kind":"span","name":"stage:sweep","start_us":0,"duration_us":9}"#,
             "\n",
-        ));
+        )
+        .to_owned();
+        let mut w = watching(&content);
         assert!(w.state().notes.is_empty(), "{:?}", w.state().notes);
         // A stage is a span like any other: it advances the clock and
         // counts toward no grid.
         assert_eq!(w.state().last_at_us, 9);
         assert_eq!(w.state().done(), 0);
         // Kinds outside the six-kind schema are unknown kinds.
-        w.push(concat!(
+        content.push_str(concat!(
             r#"{"kind":"stage","name":"sweep","start_us":0,"duration_us":9}"#,
             "\n",
             r#"{"kind":"candidate","name":"candidate","start_us":1,"duration_us":2,"depth":2,"tau":0.0}"#,
             "\n",
         ));
+        assert!(!w.update(content.as_bytes()));
         assert_eq!(w.state().done(), 0);
         assert_eq!(w.state().notes.len(), 2, "{:?}", w.state().notes);
         assert!(w.state().notes[0].contains(r#""stage""#));
@@ -675,8 +593,7 @@ mod tests {
 
     #[test]
     fn robust_campaign_progress_is_surfaced_not_unknown() {
-        let mut w = Watcher::new();
-        w.push(&format!(
+        let w = watching(&format!(
             "{}\n{}\n{}\n{}\n{}\n",
             // A campaign checkpoint replay, a live campaign span, a
             // pruned point, and two progress snapshots.
@@ -705,10 +622,9 @@ mod tests {
 
     #[test]
     fn robust_resume_interleaving_dedupes_restored_candidates() {
-        let mut w = Watcher::new();
         // The same campaign grid point replayed from a checkpoint AND
         // seen as a live span counts once; pruned events dedupe too.
-        w.push(&format!(
+        let w = watching(&format!(
             "{}\n{}\n{}\n{}\n",
             r#"{"kind":"robust_ckpt","v":1,"stamp":9,"point":"ok","depth":2,"tau":0.0}"#,
             r#"{"kind":"span","name":"robust_candidate","start_us":5,"duration_us":1,"depth":2,"tau":0.0}"#,
@@ -729,14 +645,14 @@ mod tests {
 
     #[test]
     fn whole_grid_lint_progress_is_surfaced_not_unknown() {
-        let mut w = Watcher::new();
-        w.push(&format!(
+        let mut content = format!(
             "{}\n{}\n{}\n{}\n",
-            r#"{"kind":"manifest","dataset":"Seeds","taus":[0.0,0.01,0.03],"depths":[2,4,6]}"#,
+            manifest_line(),
             lint_event_line(2, 0.0, 0, 2, 50),
             lint_event_line(4, 0.0, 1, 0, 60),
             r#"{"kind":"event","name":"lint_candidate","at_us":70,"tau":0.01,"depth":2,"errors":0,"warnings":3,"codes":"U002:warning=3"}"#,
-        ));
+        );
+        let mut w = watching(&content);
         let s = w.state();
         // Verdicts land neither in the unknown-kind bin nor in the
         // sweep's candidate count.
@@ -754,7 +670,8 @@ mod tests {
             s.status_line()
         );
         // The same grid point replayed (e.g. after a resume) counts once.
-        w.push(&format!("{}\n", lint_event_line(4, 0.0, 1, 0, 80)));
+        content.push_str(&format!("{}\n", lint_event_line(4, 0.0, 1, 0, 80)));
+        assert!(!w.update(content.as_bytes()));
         assert_eq!(w.state().lint_done(), 3);
         assert_eq!(w.state().lint_errors(), 1);
         // A lint-free watch renders no lint segment at all.
@@ -765,8 +682,7 @@ mod tests {
 
     #[test]
     fn unknown_total_renders_a_question_mark() {
-        let mut w = Watcher::new();
-        w.push(&format!("{}\n", ckpt_line(2, 0.0)));
+        let w = watching(&format!("{}\n", ckpt_line(2, 0.0)));
         assert!(w.state().status_line().contains("1/? candidates"));
         assert_eq!(w.state().eta_secs(), None);
     }

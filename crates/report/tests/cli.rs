@@ -3,6 +3,7 @@
 //! per-ADC cost table, and `diff` must exit 1 when a >5% Gini-eval
 //! regression is injected while a slower wall time only shows.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
@@ -283,16 +284,24 @@ fn watch_once_reports_progress_from_a_live_stream() {
     // Simulate an in-flight streamed trace: manifest + two candidate
     // spans + a progress event, with a torn final line.
     let live_path = scratch("watch_live.ndjson");
+    let manifest = RunManifest {
+        dataset: "Seeds".into(),
+        taus: vec![0.0, 0.01, 0.03],
+        depths: vec![2, 4, 6],
+        ..RunManifest::default()
+    };
     std::fs::write(
         &live_path,
-        concat!(
-            r#"{"kind":"manifest","dataset":"Seeds","taus":[0.0,0.01,0.03],"depths":[2,4,6]}"#,
-            "\n",
-            r#"{"kind":"span","name":"candidate","start_us":100,"duration_us":50,"depth":2,"tau":0.0}"#,
-            "\n",
-            r#"{"kind":"event","name":"progress","at_us":160,"done":1,"total":9}"#,
-            "\n",
-            r#"{"kind":"span","name":"candidate","start_us":150,"du"#, // torn
+        format!(
+            "{}\n{}",
+            manifest.to_json_line(),
+            concat!(
+                r#"{"kind":"span","name":"candidate","start_us":100,"duration_us":50,"depth":2,"tau":0.0}"#,
+                "\n",
+                r#"{"kind":"event","name":"progress","at_us":160,"done":1,"total":9}"#,
+                "\n",
+                r#"{"kind":"span","name":"candidate","start_us":150,"du"#, // torn
+            )
         ),
     )
     .unwrap();
@@ -313,6 +322,39 @@ fn watch_once_reports_progress_from_a_live_stream() {
     assert!(stdout.contains("finalized"), "{stdout}");
     assert!(stdout.contains("selected"), "{stdout}");
     assert!(!stdout.contains("unknown kind"), "{stdout}");
+}
+
+#[test]
+fn the_finalize_rewrite_prints_each_alert_once() {
+    let failed = r#"{"kind":"event","name":"candidate_failed","at_us":5,"depth":4,"tau":0.01,"error":"boom"}"#;
+    let progress = r#"{"kind":"event","name":"progress","at_us":6,"done":1,"total":9}"#;
+    let path = scratch("watch_rewrite.ndjson");
+    std::fs::write(&path, format!("{failed}\n{progress}\n")).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_printed-trace"))
+        .args(["watch", path.to_str().unwrap(), "--poll-ms", "20"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("printed-trace runs");
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut stdout: Vec<String> = Vec::new();
+    while !stdout.iter().any(|l| l.contains("ALERT")) {
+        stdout.push(lines.next().expect("an ALERT line").unwrap());
+    }
+    // The run finishes: its dump, which repeats the streamed events,
+    // replaces the stream in one step.
+    let dump = scratch("watch_rewrite.ndjson.tmp");
+    let header = r#"{"kind":"flow","title":"t","wall_us":10,"candidates":9}"#;
+    std::fs::write(&dump, format!("{header}\n{failed}\n{progress}\n")).unwrap();
+    std::fs::rename(&dump, &path).unwrap();
+    stdout.extend(lines.map(Result::unwrap));
+    assert!(child.wait().unwrap().success(), "{stdout:?}");
+    let alerts = stdout.iter().filter(|l| l.contains("ALERT")).count();
+    assert_eq!(alerts, 1, "{stdout:?}");
+    assert!(stdout.iter().any(|l| l.contains("rewritten")), "{stdout:?}");
+    assert!(
+        stdout.iter().any(|l| l.contains("trace finalized")),
+        "{stdout:?}"
+    );
 }
 
 #[test]
@@ -421,6 +463,15 @@ fn usage_errors_exit_two() {
             .code(),
         Some(2)
     );
+    // A zero poll interval would reread the file with no pause.
+    let output = printed_trace(&["watch", "x.ndjson", "--poll-ms", "0", "--once"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert_eq!(
+        stderr.lines().filter(|l| l.starts_with("error:")).count(),
+        1
+    );
+    assert!(stderr.contains("--poll-ms"), "{stderr}");
     let help = printed_trace(&["--help"]);
     assert_eq!(help.status.code(), Some(0));
     let usage = String::from_utf8_lossy(&help.stdout);

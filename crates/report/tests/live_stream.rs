@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use printed_codesign::{CodesignFlow, ExplorationConfig, RobustnessCampaign};
 use printed_datasets::Benchmark;
 use printed_report::json::{parse as parse_json, JsonValue};
-use printed_report::{parse_trace, Watcher};
+use printed_report::{parse_trace, CostReport, WatchState, Watcher};
 use printed_telemetry::{keys, FlowTrace, Recorder, RunManifest};
 
 /// A `Write` handle over a shared buffer, so the stream can be read back
@@ -188,4 +188,59 @@ fn watcher_notices_the_final_dump_replacing_the_stream() {
     assert_eq!(state.lint_done(), 9);
     assert_eq!(state.robust_done(), 9);
     assert!(state.notes.is_empty(), "{:?}", state.notes);
+}
+
+/// The counts a watch reports, in one comparable tuple.
+fn counts(state: &WatchState) -> [u64; 7] {
+    [
+        state.done() as u64,
+        state.robust_done() as u64,
+        state.robust_pruned(),
+        state.lint_done() as u64,
+        state.lint_errors(),
+        state.lint_warnings(),
+        state.alerts.len() as u64,
+    ]
+}
+
+#[test]
+fn watch_and_report_agree_on_a_finished_trace() {
+    let (_, trace) = live_seeds();
+    let dump = format!("{}\n", trace.to_ndjson());
+    let report = CostReport::from_trace(&parse_trace(&dump).trace);
+    let mut watcher = Watcher::new();
+    let bytes = dump.as_bytes();
+    let mut seen = Vec::new();
+    for end in (0..bytes.len()).step_by(97).chain([bytes.len()]) {
+        assert!(!watcher.update(&bytes[..end]), "growth is not a rewrite");
+        seen.push(counts(watcher.state()));
+    }
+    let state = watcher.state();
+    assert!(state.finalized);
+    assert!(state.notes.is_empty(), "{:?}", state.notes);
+    // Both readers fold the same records to the same totals.
+    let lint = &report.sweep_lint;
+    assert_eq!(state.lint_done() as u64, lint.candidates);
+    assert_eq!(state.lint_errors(), lint.errors);
+    assert_eq!(state.lint_warnings(), lint.warnings);
+    assert_eq!(report.robustness.len(), 9);
+    assert_eq!(state.robust_done(), report.robustness.len());
+    let selected = report.selected.as_ref().expect("the run selects a design");
+    let line = state.selected.as_deref().expect("the dump has a selection");
+    let expected = format!("selected τ={}, depth {} (", selected.tau, selected.depth);
+    assert!(line.starts_with(&expected), "{line} vs {expected}");
+    // A growing file's counts never fall back and never overshoot.
+    let last = counts(state);
+    for (before, after) in seen.iter().zip(&seen[1..]) {
+        assert!(
+            before.iter().zip(after).all(|(b, a)| b <= a),
+            "{before:?} > {after:?}"
+        );
+    }
+    for prefix in &seen {
+        assert!(
+            prefix.iter().zip(&last).all(|(p, l)| p <= l),
+            "{prefix:?} > {last:?}"
+        );
+    }
 }
