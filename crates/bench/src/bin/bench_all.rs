@@ -16,7 +16,7 @@
 //! * `--out <path>` — output NDJSON file (default `BENCH_all.ndjson`),
 //!   one `bench_stats` record per benchmark.
 //! * `--paper` — the full paper τ×depth grid instead of the quick grid
-//!   (slow; the committed baselines use the quick grid).
+//!   (the committed baselines use the quick grid).
 //!
 //! Each run is the traced [`CodesignFlow`] that `codesign <benchmark>
 //! --quick` runs, with the same title, selection at 1% accuracy loss and

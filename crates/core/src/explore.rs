@@ -47,7 +47,7 @@ use printed_dtree::cart::{train_depth_selected_with_index, AnnotatedTree};
 use printed_dtree::DecisionTree;
 use printed_logic::report::AnalysisConfig;
 use printed_pdk::{AnalogModel, CellLibrary};
-use printed_telemetry::{keys, FieldValue, Progress, Recorder};
+use printed_telemetry::{keys, FieldValue, Progress, Recorder, Span};
 
 use crate::campaign::{CampaignOutcome, RobustnessConstraints};
 use crate::checkpoint::{CheckpointLine, Fingerprint, Journal};
@@ -404,8 +404,9 @@ type PointOutcome = Result<(CandidateDesign, Option<CandidateLint>), FailedCandi
 /// the machine's available parallelism) and returns the results in task
 /// order. Workers pull the next task from a shared atomic cursor, so an
 /// expensive task cannot strand cheap ones behind it the way static
-/// chunking would — whoever finishes first pulls more work. A panic in
-/// `work` propagates to the caller.
+/// chunking would — whoever finishes first pulls more work. The spans the
+/// workers open are children of the span open on the calling thread. A
+/// panic in `work` propagates to the caller.
 pub(crate) fn fan_out<T: Sync, R: Send>(
     tasks: &[T],
     threads: Option<usize>,
@@ -413,10 +414,12 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
 ) -> Vec<R> {
     let threads = threads.unwrap_or_else(|| available_parallelism().map_or(4, |n| n.get()));
     let next = AtomicUsize::new(0);
+    let parent = Span::current_id();
     let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads.min(tasks.len()))
             .map(|_| {
                 scope.spawn(|| {
+                    Span::adopt(parent);
                     std::iter::from_fn(|| {
                         let index = next.fetch_add(1, Ordering::Relaxed);
                         Some((index, work(tasks.get(index)?)))
@@ -444,9 +447,9 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
 ///
 /// Prefix sharing shows up in the trace: only the deepest missing cap of
 /// each τ trains (a `train` span, [`keys::TREES_TRAINED`]); every other
-/// cap derives by truncation (a [`keys::TRUNCATE_SPAN`] with fields `tau`,
-/// `depth`, `trained_depth`, and a [`keys::TREES_SHARED`] bump). Both
-/// paths emit the candidate span.
+/// cap derives by truncation (a [`keys::TRUNCATE_SPAN`] with field
+/// `trained_depth`, and a [`keys::TREES_SHARED`] bump). Both spans are
+/// children of their candidate span, which carries `tau` and `depth`.
 ///
 /// Grid points that panic are isolated per candidate: each failure is
 /// recorded as a [`keys::CANDIDATE_FAILED_EVENT`] (and bumps
@@ -678,8 +681,6 @@ fn explore_core(
                             let tree = if let Some((trained_depth, annotated)) = shared.as_ref() {
                                 let truncate_span = recorder
                                     .span(keys::TRUNCATE_SPAN)
-                                    .field("tau", tau)
-                                    .field("depth", depth)
                                     .field("trained_depth", *trained_depth);
                                 let tree = annotated.truncated(depth);
                                 truncate_span.finish();

@@ -507,10 +507,7 @@ mod tests {
             .filter(|s| s.name == keys::REFERENCE_SPAN)
             .collect();
         assert_eq!(reference.len(), 1);
-        assert!(reference[0].start_us >= sweep.start_us);
-        assert!(
-            reference[0].start_us + reference[0].duration_us <= sweep.start_us + sweep.duration_us
-        );
+        assert_eq!(reference[0].parent, Some(sweep.id));
         // The lint stage ran, found no errors on a clean design, and its
         // counters mirror the report carried on the outcome.
         let lint = &outcome.lint;
@@ -650,5 +647,39 @@ mod tests {
             .run();
         assert!(plain.robustness.is_none());
         assert!(plain.robust_choice.is_none());
+    }
+
+    #[test]
+    fn traced_spans_record_their_causal_parents() {
+        let (train, test) = Benchmark::Seeds.load_quantized(4).unwrap();
+        let (_, analog_test) = Benchmark::Seeds.load_split().unwrap();
+        let grid = ExplorationConfig {
+            threads: Some(2),
+            ..ExplorationConfig::quick()
+        };
+        let outcome = CodesignFlow::new(&train, &test)
+            .grid(grid)
+            .robustness(RobustnessCampaign::quick(), &analog_test)
+            .traced()
+            .run();
+        let trace = outcome.trace().expect("traced");
+        let parent_name = |span: &printed_telemetry::SpanRecord| {
+            let parent = span.parent?;
+            let parent = trace.spans.iter().find(|s| s.id == parent)?;
+            Some(parent.name.as_str())
+        };
+        for name in [keys::ROBUST_SPAN, keys::TRAIN_SPAN, keys::TRUNCATE_SPAN] {
+            assert!(trace.spans.iter().any(|s| s.name == name), "no {name} span");
+        }
+        for span in &trace.spans {
+            let expected = match span.name.as_str() {
+                keys::CANDIDATE_SPAN | keys::REFERENCE_SPAN => Some(keys::STAGE_SWEEP),
+                keys::TRAIN_SPAN | keys::TRUNCATE_SPAN => Some(keys::CANDIDATE_SPAN),
+                keys::ROBUST_SPAN => Some(keys::STAGE_ROBUSTNESS),
+                _ => parent_name(span),
+            };
+            assert_eq!(parent_name(span), expected, "{span:?}");
+            assert_ne!(parent_name(span), Some(span.name.as_str()), "{span:?}");
+        }
     }
 }

@@ -36,7 +36,7 @@ use printed_logic::report::{analyze, AnalysisConfig, DesignReport};
 use printed_pdk::{AnalogModel, Area, CellLibrary, Power};
 
 use crate::baseline::baseline_netlist;
-use crate::cart::{train_depth_selected_with_index, train_with_index, CartConfig};
+use crate::cart::{depth_selected_and_deep, train_with_index, CartConfig};
 use crate::tree::DecisionTree;
 
 /// Configuration for the precision-scaling baseline.
@@ -127,9 +127,10 @@ pub fn synthesize_approx_with(
     // Strides only filter thresholds, so the reference and every greedy
     // retrain share one index of the full-precision data.
     let index = DatasetIndex::new(train_data);
-    // Exact reference: the baseline's depth-selected model.
-    let reference =
-        train_depth_selected_with_index(train_data, &index, test_data, config.max_depth);
+    // Exact reference: the baseline's depth-selected model, picked from a
+    // full-precision tree grown at the cap.
+    let (reference, deep) =
+        depth_selected_and_deep(train_data, &index, test_data, config.max_depth);
     let floor = reference.test_accuracy - config.accuracy_loss_budget;
     // [7] compensates approximation with deeper trees; retrain at the cap.
     let retrain_depth = config.max_depth;
@@ -149,7 +150,10 @@ pub fn synthesize_approx_with(
         (tree, acc)
     };
 
-    let (mut best_tree, mut best_acc) = train_at(&bits);
+    // The first retrain keeps every input at full precision (all strides
+    // 1) and the reference's cap, so it is the reference's deep tree.
+    let mut best_acc = deep.accuracy(test_data);
+    let mut best_tree = deep;
     // If even the full-precision retrain at the deeper cap is below the
     // floor (possible on noisy data), fall back to the reference tree.
     if best_acc < floor {
@@ -238,6 +242,24 @@ pub fn mixed_bank_cost(bits_per_feature: &BTreeMap<usize, u32>, analog: &AnalogM
 mod tests {
     use super::*;
     use printed_datasets::Benchmark;
+
+    #[test]
+    fn the_reference_deep_tree_is_the_full_precision_retrain() {
+        // The greedy search starts from the reference's deep tree instead
+        // of growing it again under all-1 strides.
+        for bench in Benchmark::ALL {
+            let (train_data, test_data) = bench.load_quantized(4).unwrap();
+            let index = DatasetIndex::new(&train_data);
+            let (_, deep) = depth_selected_and_deep(&train_data, &index, &test_data, 8);
+            let mut cfg = CartConfig::with_max_depth(8);
+            cfg.threshold_strides = vec![1; train_data.n_features()];
+            assert_eq!(
+                deep,
+                train_with_index(&train_data, &index, &cfg),
+                "{bench:?}"
+            );
+        }
+    }
 
     #[test]
     fn accuracy_floor_is_respected() {

@@ -735,6 +735,17 @@ pub fn train_depth_selected_with_index(
     test_data: &QuantizedDataset,
     max_depth: usize,
 ) -> TrainedModel {
+    depth_selected_and_deep(train_data, index, test_data, max_depth).0
+}
+
+/// [`train_depth_selected_with_index`] plus the tree it selects from: the
+/// one grown under [`CartConfig::with_max_depth`]`(max_depth)`.
+pub(crate) fn depth_selected_and_deep(
+    train_data: &QuantizedDataset,
+    index: &DatasetIndex,
+    test_data: &QuantizedDataset,
+    max_depth: usize,
+) -> (TrainedModel, DecisionTree) {
     assert!(max_depth >= 1, "max_depth must be at least 1");
     assert!(!test_data.is_empty(), "cannot score an empty dataset");
     assert!(!train_data.is_empty(), "cannot train on an empty dataset");
@@ -770,12 +781,13 @@ pub fn train_depth_selected_with_index(
         }
     }
     let train_correct = deep.correct_per_cap(train_data, max_depth);
-    TrainedModel {
+    let model = TrainedModel {
         tree: deep.truncated(depth),
         depth,
         train_accuracy: accuracy(train_correct[depth], train_data),
         test_accuracy: accuracy(test_correct[depth], test_data),
-    }
+    };
+    (model, deep.tree)
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! `printed-telemetry` records *what happened* (spans, counters, events,
 //! NDJSON dumps); this crate answers *so what* — three questions per run:
 //!
-//! * **Where did the time go?** [`Profile`] reconstructs a span tree by
-//!   interval containment and merges same-named siblings into total/self
+//! * **Where did the time go?** [`Profile`] builds the tree of
+//!   parent-linked spans and merges same-named siblings into total/self
 //!   time, call counts, and exact p50/p90/p99 latencies.
 //! * **Where do the area and power go?** [`CostReport`] attributes the
 //!   selected design's footprint per bespoke ADC input and per class

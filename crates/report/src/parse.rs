@@ -154,6 +154,9 @@ fn decode(value: &JsonValue, kind: Option<&str>) -> Result<Record, String> {
             name: name()?,
             start_us: number("start_us")?,
             duration_us: number("duration_us")?,
+            // A pre-`id` writer's span has neither: a root.
+            id: number("id").unwrap_or(0),
+            parent: number("parent").ok(),
             fields: parse_fields(value, true)?,
         }),
         "event" => Record::Event(EventRecord {
@@ -183,7 +186,15 @@ fn required<'v, T>(
 }
 
 /// The JSON object keys that are structural (not span/event attributes).
-const RESERVED: &[&str] = &["kind", "name", "start_us", "duration_us", "at_us"];
+const RESERVED: &[&str] = &[
+    "kind",
+    "name",
+    "start_us",
+    "duration_us",
+    "id",
+    "parent",
+    "at_us",
+];
 
 /// The object's attribute members. The writer renders NaN/±inf as null,
 /// which has no faithful [`FieldValue`], so null members are dropped; a
@@ -299,6 +310,37 @@ mod tests {
         assert!(parsed.is_clean(), "warnings: {:?}", parsed.warnings);
         assert_eq!(parsed.trace, original);
         assert_eq!(parsed.trace.kernels(), original.kernels());
+    }
+
+    #[test]
+    fn span_ids_and_parents_round_trip_as_structure() {
+        let original = sample_trace();
+        let sweep = original.stage(keys::STAGE_SWEEP).expect("sweep stage");
+        let lines = original.to_ndjson();
+        let spans: Vec<SpanRecord> = lines
+            .lines()
+            .filter_map(|line| match parse_line(line) {
+                Ok(Record::Span(span)) => Some(span),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans, original.spans);
+        for span in spans.iter().filter(|s| s.name != keys::STAGE_SWEEP) {
+            assert_eq!(span.parent, Some(sweep.id), "{span:?}");
+            assert!(span.field("id").is_none() && span.field("parent").is_none());
+        }
+    }
+
+    #[test]
+    fn a_span_line_without_ids_parses_clean_as_a_root() {
+        let line = r#"{"kind":"span","name":"candidate","start_us":3,"duration_us":4,"depth":2}"#;
+        let parsed = parse_trace(line);
+        assert!(parsed.is_clean(), "{:?}", parsed.warnings);
+        let span = &parsed.trace.spans[0];
+        assert_eq!((span.id, span.parent), (0, None));
+        assert_eq!(span.field("depth").and_then(FieldValue::as_u64), Some(2));
+        let profile = crate::Profile::from_trace(&parsed.trace);
+        assert_eq!(profile.roots[0].name, "candidate");
     }
 
     #[test]

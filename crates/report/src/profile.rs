@@ -1,16 +1,18 @@
 //! Hierarchical self-time profile over the spans of a [`FlowTrace`].
 //!
-//! Spans carry only `(start_us, duration_us)` — no parent pointers — so the
-//! tree is reconstructed by *containment*: a span nests under the innermost
-//! earlier span whose interval encloses it. Same-named siblings under one
-//! parent merge into a single [`ProfileNode`] carrying call counts, total
-//! vs self time, and exact p50/p90/p99 latencies.
+//! Every span records its parent's id, so the tree is the recorded one: a
+//! span nests under its parent, and a span whose parent is not in the
+//! trace (a root, a span from a writer that recorded no ids, or the child
+//! of a stage a killed live stream never finished) is a root. Same-named
+//! siblings under one parent merge into a single [`ProfileNode`] carrying
+//! call counts, total vs self time, and exact p50/p90/p99 latencies.
 //!
-//! One caveat, inherited from the emit side: the τ×depth sweep fans its
-//! candidates out over worker threads, so a stage's children can sum to
-//! *more* wall time than the stage itself. Self time is clamped at zero in
-//! that case and the rendered share column is marked `(cpu)`.
+//! The τ×depth sweep and the robustness campaign fan their candidates out
+//! over worker threads, so a stage's children can sum to *more* wall time
+//! than the stage itself. Self time is clamped at zero in that case and
+//! the rendered share column is marked `(cpu)`.
 
+use std::collections::HashMap;
 use std::time::Duration;
 
 use printed_telemetry::{fmt_duration, keys, FlowTrace, SpanRecord};
@@ -69,54 +71,28 @@ impl ProfileNode {
 /// wall time for share-of-total columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
-    /// Top-level nodes (spans contained by no other span), largest first.
+    /// Top-level nodes (spans whose parent is not in the trace), largest
+    /// first.
     pub roots: Vec<ProfileNode>,
     /// Wall time of the traced run, µs (denominator for percentages).
     pub wall_us: u64,
-}
-
-/// An owned span plus the index of its containing span, if any.
-struct Placed {
-    span: SpanRecord,
-    parent: Option<usize>,
 }
 
 impl Profile {
     /// Builds the profile from every span in the trace: stages, sweep
     /// candidates, and free spans alike.
     pub fn from_trace(trace: &FlowTrace) -> Self {
-        let mut spans = trace.spans.clone();
-        // Start-ascending, then duration-descending: a span and the spans
-        // it contains share a start in the degenerate case, and the longer
-        // one must come first to be seen as the parent.
-        spans.sort_by(|a, b| {
-            a.start_us
-                .cmp(&b.start_us)
-                .then(b.duration_us.cmp(&a.duration_us))
-        });
-
-        let mut placed: Vec<Placed> = Vec::with_capacity(spans.len());
-        let mut stack: Vec<usize> = Vec::new();
-        for span in spans {
-            while let Some(&top) = stack.last() {
-                let p = &placed[top].span;
-                if span.start_us >= p.start_us && span.end_us() <= p.end_us() {
-                    break;
-                }
-                stack.pop();
-            }
-            let parent = stack.last().copied();
-            placed.push(Placed { span, parent });
-            stack.push(placed.len() - 1);
+        let spans = &trace.spans;
+        let by_id: HashMap<u64, usize> = spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+        // Children by parent index; the roots are the children of the
+        // index one past the last span.
+        let mut children = vec![Vec::new(); spans.len() + 1];
+        for (i, span) in spans.iter().enumerate() {
+            let parent = span.parent.and_then(|parent| by_id.get(&parent));
+            children[*parent.unwrap_or(&spans.len())].push(i);
         }
-
-        let top: Vec<usize> = (0..placed.len())
-            .filter(|&i| placed[i].parent.is_none())
-            .collect();
-        let mut roots = merge(&placed, &top);
-        roots.sort_by_key(|r| std::cmp::Reverse(r.total_us));
         Self {
-            roots,
+            roots: merge(spans, &children, &children[spans.len()]),
             wall_us: trace.wall_us,
         }
     }
@@ -176,31 +152,29 @@ fn render_node(out: &mut String, node: &ProfileNode, depth: usize, wall_us: u64)
 }
 
 /// Merges the sibling group `indices` (direct children of one parent) by
-/// name into [`ProfileNode`]s, recursing into each name-group's children.
-fn merge(placed: &[Placed], indices: &[usize]) -> Vec<ProfileNode> {
+/// name into [`ProfileNode`]s, largest first, recursing into each
+/// name-group's children.
+fn merge(spans: &[SpanRecord], children: &[Vec<usize>], indices: &[usize]) -> Vec<ProfileNode> {
     // Group preserving first-seen order so stage order survives merging.
     let mut groups: Vec<(&str, Vec<usize>)> = Vec::new();
     for &i in indices {
-        let name = placed[i].span.name.as_str();
+        let name = spans[i].name.as_str();
         match groups.iter_mut().find(|(n, _)| *n == name) {
             Some((_, members)) => members.push(i),
             None => groups.push((name, vec![i])),
         }
     }
-    groups
+    let mut nodes: Vec<ProfileNode> = groups
         .into_iter()
         .map(|(name, members)| {
-            let mut durations: Vec<u64> = members
-                .iter()
-                .map(|&i| placed[i].span.duration_us)
-                .collect();
+            let mut durations: Vec<u64> = members.iter().map(|&i| spans[i].duration_us).collect();
             durations.sort_unstable();
             let total_us: u64 = durations.iter().sum();
-            let child_indices: Vec<usize> = (0..placed.len())
-                .filter(|&j| placed[j].parent.is_some_and(|p| members.contains(&p)))
+            let child_indices: Vec<usize> = members
+                .iter()
+                .flat_map(|&i| children[i].iter().copied())
                 .collect();
-            let mut children = merge(placed, &child_indices);
-            children.sort_by_key(|c| std::cmp::Reverse(c.total_us));
+            let children = merge(spans, children, &child_indices);
             let child_us: u64 = children.iter().map(|c| c.total_us).sum();
             ProfileNode {
                 name: name.to_owned(),
@@ -213,7 +187,9 @@ fn merge(placed: &[Placed], indices: &[usize]) -> Vec<ProfileNode> {
                 children,
             }
         })
-        .collect()
+        .collect();
+    nodes.sort_by_key(|node| std::cmp::Reverse(node.total_us));
+    nodes
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.
@@ -228,42 +204,46 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use printed_telemetry::{FlowTrace, SweepTrace};
+    use printed_telemetry::{keys, Recorder};
 
-    fn span(name: &str, start_us: u64, duration_us: u64) -> SpanRecord {
+    /// A span with the given id and parent; ids are never 0 in a trace
+    /// the recorder wrote.
+    fn span(
+        name: &str,
+        id: u64,
+        parent: Option<u64>,
+        start_us: u64,
+        duration_us: u64,
+    ) -> SpanRecord {
         SpanRecord {
             name: name.to_owned(),
             start_us,
             duration_us,
+            id,
+            parent,
             fields: Vec::new(),
         }
     }
 
-    fn trace(
-        stages: Vec<SpanRecord>,
-        candidates: Vec<SpanRecord>,
-        spans: Vec<SpanRecord>,
-    ) -> FlowTrace {
-        let total_candidates = candidates.len();
-        let spans: Vec<SpanRecord> = stages.into_iter().chain(candidates).chain(spans).collect();
+    fn trace(spans: Vec<SpanRecord>) -> FlowTrace {
         FlowTrace {
             title: "profile-test".into(),
             wall_us: spans.iter().map(SpanRecord::end_us).max().unwrap_or(0),
-            sweep: SweepTrace { total_candidates },
             spans,
             ..FlowTrace::default()
         }
     }
 
     #[test]
-    fn containment_builds_the_expected_tree() {
-        // sweep [0..100] contains two candidates; each candidate contains
-        // a train span.
-        let t = trace(
-            vec![span("stage:sweep", 0, 100)],
-            vec![span("candidate", 0, 40), span("candidate", 45, 50)],
-            vec![span("train", 5, 20), span("train", 50, 30)],
-        );
+    fn parent_ids_build_the_expected_tree() {
+        // sweep has two candidates; each candidate has a train span.
+        let t = trace(vec![
+            span("stage:sweep", 1, None, 0, 100),
+            span("candidate", 2, Some(1), 0, 40),
+            span("train", 4, Some(2), 5, 20),
+            span("candidate", 3, Some(1), 45, 50),
+            span("train", 5, Some(3), 50, 30),
+        ]);
         let profile = Profile::from_trace(&t);
         assert_eq!(profile.roots.len(), 1);
         let sweep = &profile.roots[0];
@@ -287,13 +267,34 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_same_named_siblings_stay_siblings() {
+        // Two workers' campaign candidates, one running inside the other's
+        // interval: both are children of the stage, not of each other.
+        let t = trace(vec![
+            span("stage:robustness", 1, None, 0, 60),
+            span("robust_candidate", 2, Some(1), 0, 50),
+            span("robust_candidate", 3, Some(1), 10, 20),
+        ]);
+        let profile = Profile::from_trace(&t);
+        let stage = &profile.roots[0];
+        assert_eq!(stage.children.len(), 1);
+        let robust = &stage.children[0];
+        assert_eq!(
+            (robust.name.as_str(), robust.count, robust.total_us),
+            ("robust_candidate", 2, 70)
+        );
+        assert!(robust.children.is_empty(), "{:?}", robust.children);
+        assert_eq!(robust.self_us, 70);
+    }
+
+    #[test]
     fn concurrent_children_clamp_self_time_and_flag_fanout() {
         // Two candidates overlap inside a 50µs stage: 40+40 > 50.
-        let t = trace(
-            vec![span("stage:sweep", 0, 50)],
-            vec![span("candidate", 0, 40), span("candidate", 5, 40)],
-            vec![],
-        );
+        let t = trace(vec![
+            span("stage:sweep", 1, None, 0, 50),
+            span("candidate", 2, Some(1), 0, 40),
+            span("candidate", 3, Some(1), 5, 40),
+        ]);
         let profile = Profile::from_trace(&t);
         let sweep = &profile.roots[0];
         assert_eq!(sweep.self_us, 0);
@@ -303,8 +304,11 @@ mod tests {
 
     #[test]
     fn percentiles_are_exact_over_merged_spans() {
-        let candidates: Vec<SpanRecord> = (1..=100).map(|i| span("candidate", i * 10, i)).collect();
-        let t = trace(vec![], candidates, vec![]);
+        let t = trace(
+            (1..=100)
+                .map(|i| span("candidate", i, None, i * 10, i))
+                .collect(),
+        );
         let profile = Profile::from_trace(&t);
         let cand = profile.find("candidate").expect("merged candidate node");
         assert_eq!(cand.count, 100);
@@ -313,16 +317,14 @@ mod tests {
 
     #[test]
     fn siblings_only_merge_under_the_same_parent() {
-        // Two stages each contain a "train" span; the two train nodes must
+        // Two stages each have a "train" span; the two train nodes must
         // stay under their own stages rather than merging across.
-        let t = trace(
-            vec![
-                span("stage:reference_training", 0, 30),
-                span("stage:sweep", 40, 60),
-            ],
-            vec![],
-            vec![span("train", 5, 10), span("train", 50, 20)],
-        );
+        let t = trace(vec![
+            span("stage:reference_training", 1, None, 0, 30),
+            span("train", 3, Some(1), 5, 10),
+            span("stage:sweep", 2, None, 40, 60),
+            span("train", 4, Some(2), 50, 20),
+        ]);
         let profile = Profile::from_trace(&t);
         assert_eq!(profile.roots.len(), 2);
         for root in &profile.roots {
@@ -333,8 +335,36 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_cut_inside_a_stage_profiles_its_orphans_as_roots() {
+        // Snapshot while the stage is still open: its candidates and their
+        // train spans finished, the stage's own line was never written.
+        let (recorder, _sink) = Recorder::collecting();
+        let stage = recorder.span(keys::STAGE_SWEEP);
+        for _ in 0..3 {
+            let candidate = recorder.span(keys::CANDIDATE_SPAN);
+            recorder.span(keys::TRAIN_SPAN).finish();
+            candidate.finish();
+        }
+        let snapshot = recorder.snapshot().expect("collecting");
+        stage.finish();
+        let dump = FlowTrace::from_snapshot("cut", &snapshot).to_ndjson();
+        let stream: Vec<&str> = dump
+            .lines()
+            .filter(|line| line.starts_with(r#"{"kind":"span""#))
+            .collect();
+        let parsed = crate::parse_trace(&stream.join("\n"));
+        assert!(parsed.is_clean(), "{:?}", parsed.warnings);
+        let profile = Profile::from_trace(&parsed.trace);
+        assert_eq!(profile.roots.len(), 1, "{}", profile.render_text());
+        let candidate = &profile.roots[0];
+        assert_eq!((candidate.name.as_str(), candidate.count), ("candidate", 3));
+        assert_eq!(candidate.children[0].name, keys::TRAIN_SPAN);
+        assert_eq!(candidate.children[0].count, 3);
+    }
+
+    #[test]
     fn render_text_shows_share_of_wall() {
-        let t = trace(vec![span("stage:sweep", 0, 80)], vec![], vec![]);
+        let t = trace(vec![span("stage:sweep", 1, None, 0, 80)]);
         let text = Profile::from_trace(&t).render_text();
         assert!(text.contains("sweep"), "{text}");
         assert!(text.contains("100.0%"), "{text}");

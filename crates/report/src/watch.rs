@@ -430,6 +430,31 @@ mod tests {
     }
 
     #[test]
+    fn span_ids_and_parents_change_nothing() {
+        let plain = span_line(2, 0.0, 100, 50);
+        let linked = plain.replace(
+            r#""duration_us":50"#,
+            r#""duration_us":50,"id":7,"parent":1"#,
+        );
+        assert_ne!(plain, linked);
+        let text = |line: &str| {
+            format!(
+                "{}\n{line}\n{}\n",
+                manifest_line(),
+                progress_line(1, 9, 150)
+            )
+        };
+        let (plain, linked) = (watching(&text(&plain)), watching(&text(&linked)));
+        assert_eq!(linked.state().done(), 1);
+        assert!(
+            linked.state().notes.is_empty(),
+            "{:?}",
+            linked.state().notes
+        );
+        assert_eq!(linked.state(), plain.state());
+    }
+
+    #[test]
     fn torn_tail_is_carried_until_completed() {
         let line = span_line(2, 0.01, 10, 5);
         let (head, tail) = line.split_at(line.len() / 2);

@@ -117,7 +117,8 @@ pub const SWEEP_CHECKPOINT_HITS: &str = "sweep.checkpoint_hits";
 pub const TREES_SHARED: &str = "sweep.trees_shared";
 
 /// Span: one BFS truncation of a trained tree to a shallower depth cap
-/// (fields: `tau`, `depth`, `trained_depth`).
+/// (field: `trained_depth`; its parent `candidate` span carries `tau` and
+/// `depth`).
 pub const TRUNCATE_SPAN: &str = "truncate";
 
 /// Counter: single stuck-at faults injected by robustness campaigns.

@@ -4,7 +4,9 @@
 //! the τ×depth sweep behind the paper's Fig. 5 / Table II fans out across
 //! every core and used to run blind. This crate gives the stack
 //!
-//! * [`Span`]s over a shared monotonic epoch,
+//! * [`Span`]s over a shared monotonic epoch, each recording its parent:
+//!   the span open on its thread when it opened, or on the thread that
+//!   handed it its work ([`Span::adopt`]),
 //! * named counters ([`Recorder::add`]) and last-value gauges
 //!   ([`Recorder::set_gauge`]),
 //! * a thread-safe [`Recorder`] that either holds nothing

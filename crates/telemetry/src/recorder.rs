@@ -2,10 +2,9 @@
 
 use std::io::Write;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::sink::{CollectingSink, TraceSnapshot};
-use crate::span::{EventRecord, FieldValue, Span, SpanInner};
+use crate::span::{EventRecord, FieldValue, Span};
 
 /// Entry point for producing telemetry.
 ///
@@ -62,21 +61,13 @@ impl Recorder {
         self.sink.is_some()
     }
 
-    /// Opens a [`Span`]. The record is submitted when the span is finished
-    /// or dropped. Inert (no clock read, no allocation) when disabled.
+    /// Opens a [`Span`] under this thread's open span. The record is
+    /// submitted when the span is finished or dropped. Inert (no clock
+    /// read, no id, no allocation) when disabled.
     pub fn span(&self, name: &'static str) -> Span {
-        let Some(sink) = &self.sink else {
-            return Span::noop();
-        };
-        Span {
-            inner: Some(Box::new(SpanInner {
-                sink: Arc::clone(sink),
-                name,
-                start_us: sink.elapsed_us(),
-                begun: Instant::now(),
-                fields: Vec::new(),
-            })),
-        }
+        self.sink
+            .as_ref()
+            .map_or_else(Span::noop, |sink| Span::open(sink, name))
     }
 
     /// Adds `n` to the named counter (a monotonically accumulating
@@ -183,6 +174,44 @@ mod tests {
             let _span = recorder.span("scoped");
         }
         assert_eq!(sink.snapshot().spans.len(), 1);
+    }
+
+    #[test]
+    fn spans_record_the_open_span_on_their_thread_or_its_handoff() {
+        let (recorder, sink) = Recorder::collecting();
+        let stage = recorder.span(keys::STAGE_SWEEP);
+        let handoff = Span::current_id();
+        // A disabled recorder's span touches no thread state.
+        Recorder::disabled().span("inert").finish();
+        assert_eq!(Span::current_id(), handoff);
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                Span::adopt(handoff);
+                let candidate = recorder.span(keys::CANDIDATE_SPAN);
+                recorder.span(keys::TRAIN_SPAN).finish();
+                candidate.finish();
+                recorder.span(keys::ROBUST_SPAN).finish();
+            });
+        });
+        stage.finish();
+        assert_eq!(Span::current_id(), None);
+        recorder.span(keys::STAGE_LINT).finish();
+        let snapshot = sink.snapshot();
+        let named = |name| snapshot.spans_named(name).next().expect(name);
+        let stage = named(keys::STAGE_SWEEP);
+        assert_eq!((Some(stage.id), stage.parent), (handoff, None));
+        assert_eq!(named(keys::CANDIDATE_SPAN).parent, Some(stage.id));
+        assert_eq!(
+            named(keys::TRAIN_SPAN).parent,
+            Some(named(keys::CANDIDATE_SPAN).id)
+        );
+        assert_eq!(named(keys::ROBUST_SPAN).parent, Some(stage.id));
+        assert_eq!(named(keys::STAGE_LINT).parent, None);
+        let mut ids: Vec<u64> = snapshot.spans.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 5);
+        assert!(!ids.contains(&0));
     }
 
     #[test]

@@ -201,6 +201,7 @@ mod tests {
             start_us,
             duration_us: 5,
             fields: vec![("depth".into(), FieldValue::U64(3))],
+            ..SpanRecord::default()
         }
     }
 

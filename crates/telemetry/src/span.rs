@@ -1,7 +1,9 @@
 //! Spans (timed regions), events (instant marks), and their records.
 
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::sink::CollectingSink;
 
@@ -88,8 +90,8 @@ impl From<String> for FieldValue {
 }
 
 /// A finished span as stored in a trace: name, offset from the recorder's
-/// epoch, duration, and attributes.
-#[derive(Debug, Clone, PartialEq)]
+/// epoch, duration, its place in the span tree, and attributes.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SpanRecord {
     /// Span name (see [`crate::keys`] for the workspace conventions).
     pub name: String,
@@ -97,6 +99,12 @@ pub struct SpanRecord {
     pub start_us: u64,
     /// Wall-clock duration, µs.
     pub duration_us: u64,
+    /// Unique within a trace (0 when the writer recorded none).
+    pub id: u64,
+    /// The `id` of the span that was open when this one opened: on the
+    /// same thread, or on the thread that handed its work to this one.
+    /// `None` for a root.
+    pub parent: Option<u64>,
     /// Attributes in insertion order.
     pub fields: Vec<(String, FieldValue)>,
 }
@@ -136,27 +144,61 @@ impl EventRecord {
     }
 }
 
-pub(crate) struct SpanInner {
-    pub(crate) sink: Arc<CollectingSink>,
-    pub(crate) name: &'static str,
-    pub(crate) start_us: u64,
-    pub(crate) begun: Instant,
-    pub(crate) fields: Vec<(String, FieldValue)>,
+/// Span ids come from one process-wide counter, so a parent opened under
+/// another recorder is never mistaken for one of this trace's spans.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The id of the innermost span open on this thread.
+    static OPEN: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 /// A live timed region. Created by [`crate::Recorder::span`]; submits a
 /// [`SpanRecord`] to the recorder's store when finished (or dropped).
+/// Its parent is the span open on this thread when it opened, and until
+/// it closes it is the parent of the spans this thread opens; spans close
+/// innermost first.
 ///
-/// Spans from disabled recorders skip the clock reads and every
+/// Spans from disabled recorders skip the clock reads, the id and every
 /// allocation, so leaving instrumentation in hot paths is free.
 pub struct Span {
-    pub(crate) inner: Option<Box<SpanInner>>,
+    /// The store the record goes to, and the record so far: all but its
+    /// duration, which is read off the store's epoch at the end.
+    inner: Option<Box<(Arc<CollectingSink>, SpanRecord)>>,
 }
 
 impl Span {
     /// An inert span (what disabled recorders hand out).
     pub fn noop() -> Self {
         Self { inner: None }
+    }
+
+    /// Opens a span in `sink` under this thread's open span.
+    pub(crate) fn open(sink: &Arc<CollectingSink>, name: &'static str) -> Self {
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        let record = SpanRecord {
+            name: name.to_owned(),
+            start_us: sink.elapsed_us(),
+            id,
+            parent: OPEN.replace(Some(id)),
+            ..SpanRecord::default()
+        };
+        Self {
+            inner: Some(Box::new((Arc::clone(sink), record))),
+        }
+    }
+
+    /// The id of the innermost span open on this thread, for a worker
+    /// thread to [`adopt`](Span::adopt).
+    pub fn current_id() -> Option<u64> {
+        OPEN.get()
+    }
+
+    /// Makes `parent` (a [`current_id`](Span::current_id) taken on the
+    /// thread that hands out the work) the parent of the spans this
+    /// thread opens next.
+    pub fn adopt(parent: Option<u64>) {
+        OPEN.set(parent);
     }
 
     /// Whether this span will actually record anything.
@@ -173,7 +215,7 @@ impl Span {
     /// Attaches an attribute to a live span. No-op when disabled.
     pub fn record(&mut self, key: &'static str, value: impl Into<FieldValue>) {
         if let Some(inner) = &mut self.inner {
-            inner.fields.push((key.to_owned(), value.into()));
+            inner.1.fields.push((key.to_owned(), value.into()));
         }
     }
 
@@ -184,19 +226,18 @@ impl Span {
     }
 
     fn submit(&mut self) -> Duration {
-        match self.inner.take() {
-            Some(inner) => {
-                let elapsed = inner.begun.elapsed();
-                inner.sink.span(SpanRecord {
-                    name: inner.name.to_owned(),
-                    start_us: inner.start_us,
-                    duration_us: elapsed.as_micros() as u64,
-                    fields: inner.fields,
-                });
-                elapsed
-            }
-            None => Duration::ZERO,
+        let Some((sink, mut record)) = self.inner.take().map(|inner| *inner) else {
+            return Duration::ZERO;
+        };
+        record.duration_us = sink.elapsed_us().saturating_sub(record.start_us);
+        // A span finished on another thread leaves that thread's open
+        // span alone.
+        if OPEN.get() == Some(record.id) {
+            OPEN.set(record.parent);
         }
+        let duration = record.duration();
+        sink.span(record);
+        duration
     }
 }
 
@@ -209,7 +250,7 @@ impl Drop for Span {
 impl std::fmt::Debug for Span {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
-            Some(inner) => write!(f, "Span({:?}, live)", inner.name),
+            Some(inner) => write!(f, "Span({:?}, live)", inner.1.name),
             None => write!(f, "Span(disabled)"),
         }
     }
@@ -225,6 +266,8 @@ mod tests {
             name: "candidate".into(),
             start_us: 10,
             duration_us: 25,
+            id: 1,
+            parent: None,
             fields: vec![
                 ("depth".into(), 4usize.into()),
                 ("tau".into(), 0.01.into()),

@@ -4,8 +4,9 @@
 //!
 //! The NDJSON file is the snapshot itself, in six record kinds: a `flow`
 //! header, an optional `manifest`, one `span` line per span (in start
-//! order, under its full name: `stage:sweep`, `candidate`, ...), one
-//! `event` line per event, and one `counter` or `gauge` line per value.
+//! order, under its full name: `stage:sweep`, `candidate`, ...; with its
+//! `id` and, unless it is a root, its parent's as `parent`), one `event`
+//! line per event, and one `counter` or `gauge` line per value.
 //! Kernel totals stay the `kernel.<name>.{calls,items,ns}` counters they
 //! are recorded as; [`FlowTrace::kernels`] derives the per-kernel view.
 //! [`span_line`] and [`event_line`] are the one encoding of a span and an
@@ -352,13 +353,17 @@ impl FlowTrace {
 }
 
 /// The one NDJSON encoding of a span: a `span` record under the span's
-/// full name.
+/// full name, with its `id` and, unless it is a root, its `parent`.
 pub(crate) fn span_line(span: &SpanRecord) -> String {
     let mut line = JsonLine::new()
         .str("kind", "span")
         .str("name", &span.name)
         .u64("start_us", span.start_us)
-        .u64("duration_us", span.duration_us);
+        .u64("duration_us", span.duration_us)
+        .u64("id", span.id);
+    if let Some(parent) = span.parent {
+        line = line.u64("parent", parent);
+    }
     for (key, value) in &span.fields {
         line = line.field(key, value);
     }

@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(parsed.is_clean(), "fresh dump parses warning-free");
     assert_eq!(&parsed.trace, trace, "NDJSON round-trip is lossless");
 
-    // Where did the time go? Span tree by containment, same-named spans
-    // merged: total vs self time, call counts, p50/p90/p99.
+    // Where did the time go? The tree of parent-linked spans, same-named
+    // siblings merged: total vs self time, call counts, p50/p90/p99.
     println!("── flame profile ───────────────────────────────────────");
     print!("{}", Profile::from_trace(&parsed.trace).render_text());
 

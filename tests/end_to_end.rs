@@ -178,12 +178,15 @@ fn traced_flow_records_one_candidate_span_per_grid_point() {
     ] {
         assert!(trace.stage(stage).is_some(), "missing {stage}");
     }
-    // The reference trains once, in a span nested under the sweep stage.
-    let reference = trace
+    // The reference trains once, in a span whose parent is the sweep stage.
+    let sweep = trace.stage(keys::STAGE_SWEEP).expect("sweep stage");
+    let reference: Vec<_> = trace
         .spans
         .iter()
-        .filter(|s| s.name == keys::REFERENCE_SPAN);
-    assert_eq!(reference.count(), 1);
+        .filter(|s| s.name == keys::REFERENCE_SPAN)
+        .collect();
+    assert_eq!(reference.len(), 1);
+    assert_eq!(reference[0].parent, Some(sweep.id));
     // Prefix sharing: one training per τ, everything else derived.
     assert_eq!(trace.counter(keys::TREES_TRAINED), expected_taus as u64);
     assert_eq!(
